@@ -10,6 +10,7 @@ from itertools import combinations
 from math import inf
 
 from .freemod import FreeModule
+from .hilbert import HilbertSeries
 from .minimize import minimize_chain, minimize_presentation
 from .modules import ModuleMap, PresentedModule, homology_at, kernel
 from .resolution import free_resolution
@@ -102,19 +103,52 @@ class BoundedComplex:
             self._cache[("H", i)] = got
         return got
 
+    def _coker_series(self, i):
+        """Series of coker d_i: C_{i-1} with d_i's columns as extra relations."""
+        got = self._cache.get(("coker", i))
+        if got is None:
+            target = self.term(i - 1)
+            d = self.diffs.get(i)
+            if d is not None:
+                target = PresentedModule(self.ring, target.gens_free,
+                                         list(target.rel_cols) + list(d.cols))
+            got = target.hilbert_series()
+            self._cache[("coker", i)] = got
+        return got
+
+    def homology_series(self, i):
+        """Hilbert series of H_i without presenting it, by additivity:
+        HS(H_i) = HS(coker d_{i+1}) + HS(coker d_i) - HS(C_{i-1}).
+
+        One Groebner basis per differential; no kernels or subquotients."""
+        H = self._cache.get(("H", i))
+        if H is not None:
+            return H.hilbert_series()
+        got = self._cache.get(("HS", i))
+        if got is None:
+            if self.term(i).rank == 0:
+                got = HilbertSeries({}, self.ring.cover.nvars)
+            else:
+                if not self.diff(i).compose(self.diff(i + 1)).is_zero_map():
+                    raise ValueError("composition is not zero, homology undefined")
+                got = self._coker_series(i + 1).add(self._coker_series(i)).sub(
+                    self.term(i - 1).hilbert_series())
+            self._cache[("HS", i)] = got
+        return got
+
     def homology_range(self):
         """{i: H_i} over the support range."""
         return {i: self.homology(i) for i in range(self.min_level, self.max_level + 1)}
 
     def sup_homology(self):
         for i in range(self.max_level, self.min_level - 1, -1):
-            if not self.homology(i).is_zero():
+            if not self.homology_series(i).is_zero():
                 return i
         return -inf
 
     def inf_homology(self):
         for i in range(self.min_level, self.max_level + 1):
-            if not self.homology(i).is_zero():
+            if not self.homology_series(i).is_zero():
                 return i
         return inf
 

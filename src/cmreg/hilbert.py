@@ -139,6 +139,10 @@ class HilbertSeries:
             num[d] = num.get(d, 0) + c
         return HilbertSeries(num, self.nvars)
 
+    def sub(self, other):
+        return self.add(HilbertSeries({d: -c for d, c in other.numerator.items()},
+                                      other.nvars))
+
     def __eq__(self, other):
         if not isinstance(other, HilbertSeries):
             return NotImplemented

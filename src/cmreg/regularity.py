@@ -1,11 +1,17 @@
 """Castelnuovo-Mumford regularity by four independent routes, plus the
-relative, partial, and duality-side invariants.
+relative and duality-side invariants.
 
 Routes:
   betti    max{j - i} over the minimal free resolution over the cover
   ext      sup{i + j : Ext^i(k, M)_j != 0} (Bass numbers over the cover)
   koszul   sup{j - i : H_i(y; M)_j != 0} on the module's own ring
   duality  top degrees of local cohomology read off Ext^q(M, S(-n))
+
+The ext and koszul routes (and reg_complex, which runs the koszul route)
+never present a homology module: they read each H_i's Hilbert series off
+the cokernels of the differentials (BoundedComplex.homology_series), so
+they share only the Groebner and Hilbert-series code with the other
+routes.  The duality route presents its Ext modules in full.
 
 Absolute invariants of quotient-ring modules are routed through the
 polynomial cover; the Koszul route is the one that works directly over the
@@ -91,7 +97,7 @@ def _bass_data(obj):
     E = hom_complex(K, C)
     table = {}
     for s in E.levels():
-        H = E.homology(s)
+        H = E.homology_series(s)
         if H.is_zero():
             continue
         i = -s
@@ -100,7 +106,7 @@ def _bass_data(obj):
             raise ArithmeticError(
                 f"Ext^{i}(k, -) is not finite length; corrupt input")
         for j in range(lo, hi + 1):
-            d = H.hilbert_function(j)
+            d = H.coefficient(j)
             if d:
                 table[(i, j)] = d
     return table
@@ -178,16 +184,16 @@ def reg_via_koszul(obj, forms=None, check_hypothesis=None):
     if check_hypothesis is not None:
         verify = check_hypothesis
     Kx = koszul_complex(forms, C)
-    homs = {i: Kx.homology(i) for i in Kx.levels()}
+    series = {i: Kx.homology_series(i) for i in Kx.levels()}
     if verify:
         # the finite-length condition on positive homology is the
         # load-bearing hypothesis; the degeneracy guard on H_0 comes after
-        spots = sorted(i for i in homs if i > 0) + [i for i in homs if i <= 0]
+        spots = sorted(i for i in series if i > 0) + [i for i in series if i <= 0]
         for i in spots:
-            if not homs[i].is_zero() and homs[i].dimension() > 0:
-                raise KoszulHypothesisError(i, homs[i].dimension())
+            if not series[i].is_zero() and series[i].dimension() > 0:
+                raise KoszulHypothesisError(i, series[i].dimension())
     best, wit = -inf, None
-    for i, H in homs.items():
+    for i, H in series.items():
         if H.is_zero():
             continue
         top = H.top_degree()
@@ -331,7 +337,7 @@ def a_invariant(ring):
     return -E.indeg()
 
 
-# -- relative and partial invariants --------------------------------------
+# -- relative invariants ---------------------------------------------------
 
 class RelativeReg:
     """sup{j - i} over a minimal resolution on the module's own ring.
@@ -376,39 +382,6 @@ def relative_reg(obj, max_len=None):
         for a in F.term(i).gens_free.twists:
             best = max(best, a - i)
     return RelativeReg(best, complete, top)
-
-
-def partial_reg_m(M, m):
-    """sup{i + j : H^i_m(M)_j != 0 and i >= m}."""
-    if M.is_zero():
-        return -inf
-    ext_mods, n = _duality_modules(M)
-    best = -inf
-    for q, E in ext_mods.items():
-        i = n - q
-        if i >= m:
-            best = max(best, i - E.indeg())
-    return best
-
-
-def partial_kreg(obj, forms, ell):
-    """sup{j - i : H_i(forms; obj)_j != 0 and i >= ell}."""
-    C = _as_complex(obj)
-    if not C.terms:
-        return -inf
-    Kx = koszul_complex(list(forms), C)
-    best = -inf
-    for i in Kx.levels():
-        if i < ell:
-            continue
-        H = Kx.homology(i)
-        if H.is_zero():
-            continue
-        top = H.top_degree()
-        if top == inf:
-            raise KoszulHypothesisError(i, H.dimension())
-        best = max(best, top - i)
-    return best
 
 
 def reg_complex(L, cross_check=False):

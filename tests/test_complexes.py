@@ -1,10 +1,14 @@
 from math import inf
 
-from cmreg import (PresentedModule, complex_from_module, ext,
-                   free_resolution_of_complex, grade_of_sequence,
-                   koszul_complex, koszul_resolution_of_k,
-                   resolution_to_complex, tensor_complexes,
-                   tensor_free_with_complex, tor, free_resolution)
+import pytest
+
+from cmreg import (BoundedComplex, ModuleMap, PresentedModule,
+                   complex_from_module, ext, free_resolution_of_complex,
+                   grade_of_sequence, hom_complex, koszul_complex,
+                   koszul_resolution_of_k, resolution_to_complex,
+                   tensor_complexes, tensor_free_with_complex, tor,
+                   free_resolution)
+from cmreg.theorems import random_ideal_corpus
 
 
 def test_koszul_complex_shape(S3):
@@ -124,3 +128,47 @@ def test_tensor_of_resolutions_computes_tor(S3):
         B = tor(M, N, i)
         for j in range(6):
             assert A.hilbert_function(j) == B.hilbert_function(j)
+
+
+def assert_series_match_homology(C):
+    for i in C.levels():
+        assert C.homology_series(i) == C.homology(i).hilbert_series(), i
+
+
+@pytest.mark.parametrize("inst", random_ideal_corpus(count=8),
+                         ids=lambda inst: inst.name)
+def test_homology_series_matches_homology_on_corpus(inst):
+    M = inst.module
+    S = inst.ring
+    assert_series_match_homology(
+        koszul_complex(list(S.gens()), complex_from_module(M)))
+    assert_series_match_homology(
+        hom_complex(koszul_resolution_of_k(S), complex_from_module(M)))
+
+
+def test_homology_series_matches_homology_over_quotient(det_module):
+    R = det_module.ring
+    assert_series_match_homology(
+        koszul_complex(list(R.gens()), complex_from_module(det_module)))
+
+
+def test_homology_series_reads_cached_module(S3):
+    x, y, z = S3.gens()
+    K = koszul_complex([x, y], complex_from_module(
+        PresentedModule.cyclic(S3, [x * y])))
+    H = K.homology(1)
+    assert K.homology_series(1) is H.hilbert_series()
+
+
+def test_homology_series_rejects_noncomplex(S3):
+    x, y, z = S3.gens()
+    F0 = PresentedModule.free(S3, [0])
+    F1 = PresentedModule.free(S3, [1])
+    F2 = PresentedModule.free(S3, [2])
+    d1 = ModuleMap.from_entries(F1, F0, [[x]])
+    d2 = ModuleMap.from_entries(F2, F1, [[y]])
+    C = BoundedComplex(S3, {0: F0, 1: F1, 2: F2}, {1: d1, 2: d2})
+    with pytest.raises(ValueError):
+        C.homology(1)
+    with pytest.raises(ValueError):
+        C.homology_series(1)

@@ -2,12 +2,14 @@ from math import inf
 
 import pytest
 
+import cmreg.modules
 from cmreg import (KoszulHypothesisError, PresentedModule, a_invariant,
                    bass_table, betti_table, complex_from_module, depth,
                    depth_profile, free_resolution, koszul_complex,
                    local_cohomology_table, module_from_ideal, reg_complex,
                    reg_via_betti, reg_via_duality, reg_via_ext,
                    reg_via_koszul, regularity, relative_reg)
+from cmreg.theorems import random_ideal_corpus
 
 
 def all_routes(M):
@@ -200,3 +202,23 @@ def test_bass_table_of_residue_field(S2):
     k = PresentedModule.cyclic(S2, list(S2.gens()))
     mu = bass_table(k)
     assert mu == {(0, 0): 1, (1, -1): 2, (2, -2): 1}
+
+
+def test_ext_koszul_and_complex_routes_use_no_syzygies(monkeypatch,
+                                                      det_module):
+    # the routes read homology off Hilbert series, so they must run with
+    # the syzygy primitive (kernels, subquotients) switched off
+    def refuse(*args, **kwargs):
+        raise AssertionError("syzygies_of_vectors called")
+
+    mods = [inst.module for inst in random_ideal_corpus(count=2)]
+    mods.append(det_module)
+    cuts = [koszul_complex([M.ring.gens()[-1]], M) for M in mods]
+    with monkeypatch.context() as mp:
+        mp.setattr(cmreg.modules, "syzygies_of_vectors", refuse)
+        got = [(reg_via_ext(M), reg_via_koszul(M), reg_complex(M),
+                reg_complex(L)) for M, L in zip(mods, cuts)]
+    for M, L, (ext_, kos, cpx, cut) in zip(mods, cuts, got):
+        value, _ = reg_via_betti(M)
+        assert ext_[0] == kos[0] == cpx == value
+        assert cut == reg_via_betti(L)[0]

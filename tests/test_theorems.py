@@ -6,7 +6,7 @@ from cmreg import (PresentedModule, check_ab_formula, check_cor_hom,
                    check_thm_dim1, complex_from_module, koszul_complex,
                    module_from_ideal, nilpotent_scroll_family,
                    random_ideal_corpus, reg_via_betti, relative_reg,
-                   saturated_sequence, summary_table)
+                   run_corpus, saturated_sequence, summary_table)
 from cmreg.theorems import (TheoremContradiction, _finish, corpus_checks,
                             scroll_sweep)
 
@@ -238,3 +238,10 @@ def test_corpus_checks_produce_outcomes():
     assert names == {"cmd1", "dim1", "tensor", "hom", "filter"}
     text = summary_table(outs)
     assert inst.name in text
+
+
+def test_run_corpus_keeps_instance_order():
+    insts = random_ideal_corpus(seed=11, count=2)
+    rows = run_corpus(insts)
+    assert [o.instance for o in rows] == [
+        o.instance for inst in insts for o in corpus_checks(inst)]
