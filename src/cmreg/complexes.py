@@ -136,10 +136,6 @@ class BoundedComplex:
             self._cache[("HS", i)] = got
         return got
 
-    def homology_range(self):
-        """{i: H_i} over the support range."""
-        return {i: self.homology(i) for i in range(self.min_level, self.max_level + 1)}
-
     def sup_homology(self):
         for i in range(self.max_level, self.min_level - 1, -1):
             if not self.homology_series(i).is_zero():

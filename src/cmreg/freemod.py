@@ -14,10 +14,6 @@ def term_key(t):
     return (-t[0],) + grevlex_key(t[1])
 
 
-def vec_lead(v):
-    return max(v, key=term_key)
-
-
 def vec_add(u, v, K):
     out = dict(u)
     for t, c in v.items():
@@ -27,19 +23,6 @@ def vec_add(u, v, K):
         else:
             out[t] = s
     return out
-
-
-def vec_scale(v, c, K):
-    if K.is_zero(c):
-        return {}
-    return {t: K.mul(cc, c) for t, cc in v.items()}
-
-
-def vec_neg(v, K):
-    return {t: K.neg(c) for t, c in v.items()}
-
-def vec_sub(u, v, K):
-    return vec_add(u, vec_neg(v, K), K)
 
 
 def vec_term_mul(v, mono, c, K):
@@ -121,13 +104,6 @@ def vec_from_column(polys):
         for m, c in f.terms.items():
             out[(i, m)] = c
     return out
-
-
-def column_from_vec(v, rank, ring):
-    cols = [{} for _ in range(rank)]
-    for (p, m), c in v.items():
-        cols[p][m] = c
-    return [Polynomial(ring, t) for t in cols]
 
 
 class GradedMap:

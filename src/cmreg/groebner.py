@@ -10,13 +10,25 @@ Determinism: input generators are sorted, the pair queue is keyed by
 (lcm degree, generator indices), reducers are tried in canonical basis
 order, and the reduced basis is sorted by (degree, lead term).
 
+Reduction kernel: `_reduce` takes the next lead from a heap of pending
+terms, each keyed once on entry by `_heap_key` (term_key negated), and
+skips entries whose term has cancelled or was already processed (lazy
+deletion; terms only shrink, so a processed term never returns).  This
+follows Monagan and Pearce, Sparse polynomial division using a heap (JSC
+2011).  Reducers are grouped by position once (`_reducers`), each group
+in canonical order, so the first divisor found is still the leftmost and
+the normal form and trace are those of a plain largest-term-first,
+leftmost-reducer loop.  S-vectors come from one builder, `_s_vector`,
+shared by Buchberger, `certify` and `syzygy_generators`.
+
 The coprimality (product) criterion is only applied at rank one.  For
 modules it is wrong: g1 = (x, y), g2 = (y^2, x) in R^2 have coprime lead
 monomials in the same position but their S-vector (0, y^3 - x^2) does not
 reduce to zero.  The chain criterion is valid at any rank.
 """
 
-import heapq
+from heapq import heapify, heappop, heappush
+from operator import le
 
 from .freemod import FreeModule, term_key, vec_is_homogeneous
 from .poly import (mono_deg, mono_div, mono_divides, mono_lcm, mono_mul,
@@ -35,8 +47,14 @@ class GBElem:
         self.deg = deg
 
 
+def _heap_key(t):
+    """term_key negated: the smallest heap key is the largest term."""
+    pos, m = t
+    return (pos, -sum(m)) + m[::-1]
+
+
 def _make_elem(vec, K, twists):
-    t = max(vec, key=term_key)
+    t = min(vec, key=_heap_key)
     c = vec[t]
     if c != K.one:
         ci = K.inv(c)
@@ -45,44 +63,82 @@ def _make_elem(vec, K, twists):
     return GBElem(vec, pos, ltm, mono_deg(ltm) + twists[pos])
 
 
-def _reduce(vec, elems, K, collect_trace=False):
-    """Full normal form of vec against elems (leftmost reducer, largest
-    term first).  Optionally records the quotients: vec = sum_i q_i e_i + r."""
+def _tail(g):
+    """g's terms other than its lead, as (position, monomial, coefficient)."""
+    lead = (g.pos, g.ltm)
+    return [(p, m, c) for (p, m), c in g.vec.items() if (p, m) != lead]
+
+
+def _reducers(elems):
+    """elems grouped by position, each group in list order, as
+    (index, lead monomial, tail)."""
+    groups = {}
+    for i, g in enumerate(elems):
+        groups.setdefault(g.pos, []).append((i, g.ltm, _tail(g)))
+    return groups
+
+
+def _reduce(vec, reducers, K, collect_trace=False):
+    """Full normal form of vec against `_reducers(elems)` (leftmost reducer,
+    largest term first).  Optionally records the quotients:
+    vec = sum_i q_i elems[i] + r, as {i: {q: c}}."""
     rem = {}
     work = dict(vec)
+    heap = [(_heap_key(t), t) for t in work]
+    heapify(heap)
     trace = {} if collect_trace else None
-    zero = K.zero
-    while work:
-        t = max(work, key=term_key)
+    zero, mul, sub, is_zero = K.zero, K.mul, K.sub, K.is_zero
+    while heap:
+        t = heappop(heap)[1]
+        c = work.pop(t, None)
+        if c is None:
+            # lazy deletion: t cancelled, or was processed already
+            continue
         pos, mono = t
-        c = work[t]
-        hit = None
-        for i, g in enumerate(elems):
-            if g.pos == pos and mono_divides(g.ltm, mono):
-                hit = i
+        for i, ltm, tail in reducers.get(pos, ()):
+            if all(map(le, ltm, mono)):
                 break
-        if hit is None:
-            del work[t]
+        else:
             rem[t] = c
             continue
-        g = elems[hit]
-        q = mono_div(mono, g.ltm)
-        # basis elements are monic, so the quotient coefficient is c itself
-        for (p2, m2), c2 in g.vec.items():
+        q = mono_div(mono, ltm)
+        # basis elements are monic, so the lead cancels against t exactly
+        for p2, m2, c2 in tail:
             u = (p2, mono_mul(m2, q))
-            s = K.sub(work.get(u, zero), K.mul(c, c2))
-            if K.is_zero(s):
-                work.pop(u, None)
+            w = work.get(u)
+            if w is None:
+                work[u] = sub(zero, mul(c, c2))
+                heappush(heap, (_heap_key(u), u))
             else:
-                work[u] = s
+                s = sub(w, mul(c, c2))
+                if is_zero(s):
+                    del work[u]
+                else:
+                    work[u] = s
         if collect_trace:
-            slot = trace.setdefault(hit, {})
+            slot = trace.setdefault(i, {})
             s = K.add(slot.get(q, zero), c)
-            if K.is_zero(s):
+            if is_zero(s):
                 slot.pop(q, None)
             else:
                 slot[q] = s
     return rem, trace
+
+
+def _s_vector(gi, gj, K):
+    """S-vector m_i g_i - m_j g_j of two same-position monic elements,
+    with m_i = lcm / lt(g_i).  Returns (s, m_i, m_j)."""
+    lcm = mono_lcm(gi.ltm, gj.ltm)
+    qi, qj = mono_div(lcm, gi.ltm), mono_div(lcm, gj.ltm)
+    s = {(p, mono_mul(m, qi)): c for (p, m), c in gi.vec.items()}
+    for (p, m), c in gj.vec.items():
+        t = (p, mono_mul(m, qj))
+        r = K.sub(s.get(t, K.zero), c)
+        if K.is_zero(r):
+            s.pop(t, None)
+        else:
+            s[t] = r
+    return s, qi, qj
 
 
 def _canonical_sort(elems):
@@ -108,9 +164,11 @@ def _interreduce(elems, K, twists):
                 break
         if not redundant:
             kept.append(g)
+    groups = _reducers(kept)
     out = []
     for i, g in enumerate(kept):
-        others = [h for h in kept if h is not g]
+        others = dict(groups)
+        others[g.pos] = [e for e in groups[g.pos] if e[0] != i]
         r, _ = _reduce(g.vec, others, K)
         if r:
             out.append(_make_elem(r, K, twists))
@@ -123,25 +181,25 @@ def _buchberger(gens, K, twists, use_product_criterion):
         if v:
             basis.append(_make_elem(v, K, twists))
     _canonical_sort(basis)
+    reducers = _reducers(basis)
 
     heap = []
     pending = set()
 
     def push_pairs(j):
         g = basis[j]
-        for i in range(j):
-            if basis[i].pos != g.pos:
-                continue
-            lcm = mono_lcm(basis[i].ltm, g.ltm)
-            d = mono_deg(lcm) + twists[g.pos]
-            heapq.heappush(heap, (d, i, j))
+        for i, ltm, _ in reducers[g.pos]:
+            if i == j:
+                break
+            d = mono_deg(mono_lcm(ltm, g.ltm)) + twists[g.pos]
+            heappush(heap, (d, i, j))
             pending.add((i, j))
 
     for j in range(len(basis)):
         push_pairs(j)
 
     while heap:
-        d, i, j = heapq.heappop(heap)
+        d, i, j = heappop(heap)
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
@@ -150,10 +208,10 @@ def _buchberger(gens, K, twists, use_product_criterion):
         if use_product_criterion and mono_deg(lcm) == mono_deg(gi.ltm) + mono_deg(gj.ltm):
             continue
         skip = False
-        for k, gk in enumerate(basis):
-            if k in (i, j) or gk.pos != gi.pos:
+        for k, ltm, _ in reducers[gi.pos]:
+            if k == i or k == j:
                 continue
-            if mono_divides(gk.ltm, lcm):
+            if mono_divides(ltm, lcm):
                 a = (min(i, k), max(i, k))
                 b = (min(j, k), max(j, k))
                 if a not in pending and b not in pending:
@@ -161,21 +219,12 @@ def _buchberger(gens, K, twists, use_product_criterion):
                     break
         if skip:
             continue
-        qi = mono_div(lcm, gi.ltm)
-        qj = mono_div(lcm, gj.ltm)
-        s = {}
-        for (p, m), c in gi.vec.items():
-            s[(p, mono_mul(m, qi))] = c
-        for (p, m), c in gj.vec.items():
-            t = (p, mono_mul(m, qj))
-            r = K.sub(s.get(t, K.zero), c)
-            if K.is_zero(r):
-                s.pop(t, None)
-            else:
-                s[t] = r
-        r, _ = _reduce(s, basis, K)
+        s, _, _ = _s_vector(gi, gj, K)
+        r, _ = _reduce(s, reducers, K)
         if r:
-            basis.append(_make_elem(r, K, twists))
+            g = _make_elem(r, K, twists)
+            basis.append(g)
+            reducers.setdefault(g.pos, []).append((len(basis) - 1, g.ltm, _tail(g)))
             push_pairs(len(basis) - 1)
 
     return _interreduce(basis, K, twists)
@@ -210,13 +259,14 @@ class GroebnerBasis:
     columns when the ring is S/I).  `elements` is the full reducer list;
     `module_elements` are the members not lying in I*F."""
 
-    __slots__ = ("ring", "free", "elements", "module_indices")
+    __slots__ = ("ring", "free", "elements", "module_indices", "_groups")
 
     def __init__(self, ring, free, elements, module_indices):
         self.ring = ring
         self.free = free
         self.elements = elements
         self.module_indices = module_indices
+        self._groups = None
 
     @property
     def module_elements(self):
@@ -229,7 +279,9 @@ class GroebnerBasis:
         return [self.elements[i].deg for i in self.module_indices]
 
     def normal_form(self, vec):
-        r, _ = _reduce(vec, self.elements, self.ring.field)
+        if self._groups is None:
+            self._groups = _reducers(self.elements)
+        r, _ = _reduce(vec, self._groups, self.ring.field)
         return r
 
     def contains(self, vec):
@@ -254,7 +306,7 @@ def groebner_basis(vectors, ring, free):
     if ring.is_polynomial:
         module_indices = list(range(len(elems)))
     else:
-        blockers = _augmented_columns(ring, free)
+        blockers = _reducers(_augmented_columns(ring, free))
         module_indices = []
         for i, g in enumerate(elems):
             r, _ = _reduce(g.vec, blockers, K)
@@ -265,7 +317,7 @@ def groebner_basis(vectors, ring, free):
 
 def reduce_poly_mod_defining(ring, f):
     vec = {(0, m): c for m, c in f.terms.items()}
-    r, _ = _reduce(vec, defining_gb(ring), ring.field)
+    r, _ = _reduce(vec, _reducers(defining_gb(ring)), ring.field)
     return Polynomial(ring, {m: c for (_, m), c in r.items()})
 
 
@@ -273,22 +325,13 @@ def certify(gb):
     """Re-reduce every S-pair of the final basis; True when all vanish."""
     elems = gb.elements
     K = gb.ring.field
+    reducers = _reducers(elems)
     for j in range(len(elems)):
         for i in range(j):
             if elems[i].pos != elems[j].pos:
                 continue
-            lcm = mono_lcm(elems[i].ltm, elems[j].ltm)
-            s = {}
-            for (p, m), c in elems[i].vec.items():
-                s[(p, mono_mul(m, mono_div(lcm, elems[i].ltm)))] = c
-            for (p, m), c in elems[j].vec.items():
-                t = (p, mono_mul(m, mono_div(lcm, elems[j].ltm)))
-                r = K.sub(s.get(t, K.zero), c)
-                if K.is_zero(r):
-                    s.pop(t, None)
-                else:
-                    s[t] = r
-            r, _ = _reduce(s, elems, K)
+            s, _, _ = _s_vector(elems[i], elems[j], K)
+            r, _ = _reduce(s, reducers, K)
             if r:
                 return False
     return True
@@ -308,6 +351,7 @@ def syzygy_generators(gb):
     K = gb.ring.field
     mod = gb.module_elements
     ext = list(mod) + _augmented_columns(gb.ring, gb.free)
+    reducers = _reducers(ext)
     n_mod = len(mod)
     twists = tuple(g.deg for g in mod)
     F = FreeModule(gb.ring, twists)
@@ -316,20 +360,8 @@ def syzygy_generators(gb):
         for i in range(j):
             if ext[i].pos != ext[j].pos:
                 continue
-            gi, gj = ext[i], ext[j]
-            lcm = mono_lcm(gi.ltm, gj.ltm)
-            qi, qj = mono_div(lcm, gi.ltm), mono_div(lcm, gj.ltm)
-            s = {}
-            for (p, m), c in gi.vec.items():
-                s[(p, mono_mul(m, qi))] = c
-            for (p, m), c in gj.vec.items():
-                t = (p, mono_mul(m, qj))
-                r = K.sub(s.get(t, K.zero), c)
-                if K.is_zero(r):
-                    s.pop(t, None)
-                else:
-                    s[t] = r
-            r, trace = _reduce(s, ext, K, collect_trace=True)
+            s, qi, qj = _s_vector(ext[i], ext[j], K)
+            r, trace = _reduce(s, reducers, K, collect_trace=True)
             if r:
                 raise ArithmeticError("S-pair of a Groebner basis did not reduce to zero")
             syz = {}

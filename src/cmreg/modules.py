@@ -8,14 +8,12 @@ by the basis-element elimination trick (adjoin a unit tag column per
 vector, take basis elements supported only on the tags).
 """
 
-from math import inf
-
-from .freemod import (FreeModule, GradedMap, column_from_vec, vec_degree,
-                      vec_from_column, vec_is_homogeneous)
-from .groebner import groebner_basis, syzygy_generators
+from .freemod import (FreeModule, GradedMap, vec_degree, vec_from_column,
+                      vec_is_homogeneous)
+from .groebner import groebner_basis
 from .hilbert import HilbertSeries, monomial_ideal_numerator
 from .minimize import minimize_presentation
-from .poly import Polynomial, mono_deg
+from .poly import Polynomial
 
 
 class PresentedModule:
@@ -412,18 +410,6 @@ def hilbert_series(M):
         piece = HilbertSeries({d + M.gens_free.twists[p]: c for d, c in num.items()}, n)
         total = total.add(piece)
     return total
-
-
-def dimension(M):
-    return M.dimension()
-
-
-def indeg(M):
-    return M.indeg()
-
-
-def is_finite_length(M):
-    return M.is_finite_length()
 
 
 def module_from_ideal(ring, gens):

@@ -14,7 +14,6 @@ from math import comb
 import numpy as np
 
 from .freemod import vec_degree
-from .modules import PresentedModule
 
 DEFAULT_DEGREE_CAP = 8
 
@@ -32,11 +31,18 @@ def monomials_of_degree(nvars, d):
     return out
 
 
+def _dtype_mod_p(p):
+    """int64 while a product of two residues fits in it; above that
+    (p > ~3.04e9) exact Python ints in object arrays."""
+    return np.int64 if (p - 1) ** 2 < 2**63 else object
+
+
 def rref_mod_p(rows, ncols, p):
     """Row-reduce over GF(p).  Returns (pivot column list, reduced rows)."""
+    dtype = _dtype_mod_p(p)
     if not rows:
-        return [], np.zeros((0, ncols), dtype=np.int64)
-    A = np.array(rows, dtype=np.int64) % p
+        return [], np.zeros((0, ncols), dtype=dtype)
+    A = np.array(rows, dtype=dtype) % p
     m = A.shape[0]
     pivots = []
     r = 0
@@ -161,7 +167,7 @@ class DenseOracle:
         basis, _, pivots, red, kept = self._piece(j)
         p = self.field.characteristic
         if p:
-            v = np.array(ambient_vec, dtype=np.int64) % p
+            v = np.array(ambient_vec, dtype=_dtype_mod_p(p)) % p
             for r, c in enumerate(pivots):
                 if v[c]:
                     v = (v - v[c] * red[r]) % p
@@ -256,40 +262,3 @@ def oracle_betti(module, max_i=None, max_degree=6):
     cap = max(DEFAULT_DEGREE_CAP, max_degree)
     return DenseOracle(module, max_degree=cap).betti_table(
         max_i=max_i, max_degree=max_degree)
-
-
-def vector_in_submodule(vectors, target, ring, free):
-    """Degreewise membership: is target in the submodule the vectors span?
-
-    All data over the cover (defining relations folded in when the ring is
-    a quotient).  Dense only: no normal forms.
-    """
-    if not target:
-        return True
-    gens = list(vectors)
-    if not ring.is_polynomial:
-        from .groebner import _augmented_columns
-        gens = [dict(v) for v in gens] + _augmented_columns(ring, free)
-        ring = ring.cover
-    d = vec_degree(target, free.twists)
-    M = PresentedModule(ring, free, [])
-    oracle = DenseOracle(M, max_degree=max(d, 0) + 1)
-    basis = oracle.ambient_basis(d)
-    index = {bm: a for a, bm in enumerate(basis)}
-    rows = []
-    for g in gens:
-        gd = vec_degree(g, free.twists)
-        if gd is None:
-            continue
-        for m in monomials_of_degree(ring.nvars, d - gd):
-            row = [0] * len(basis)
-            for (pos, mono), c in g.items():
-                prod = tuple(a + b for a, b in zip(m, mono))
-                row[index[(pos, prod)]] = int(c) if ring.field.characteristic else c
-            rows.append(row)
-    trow = [0] * len(basis)
-    for (pos, mono), c in target.items():
-        trow[index[(pos, mono)]] = int(c) if ring.field.characteristic else c
-    r1 = rank_of_rows(rows, len(basis), ring.field)
-    r2 = rank_of_rows(rows + [trow], len(basis), ring.field)
-    return r1 == r2

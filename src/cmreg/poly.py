@@ -7,6 +7,8 @@ coefficients; they carry a reference to their ring for coefficient
 arithmetic and printing.
 """
 
+from operator import add, le, sub
+
 EXPONENT_CAP = 2**16 - 1
 
 
@@ -15,40 +17,29 @@ def mono_deg(m):
 
 
 def mono_mul(a, b):
-    m = tuple(x + y for x, y in zip(a, b))
-    for e in m:
-        if e > EXPONENT_CAP:
-            raise OverflowError(f"monomial exponent exceeds {EXPONENT_CAP}")
+    m = tuple(map(add, a, b))
+    if m and max(m) > EXPONENT_CAP:
+        raise OverflowError(f"monomial exponent exceeds {EXPONENT_CAP}")
     return m
 
 
 def mono_divides(a, b):
     """True when a | b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(b, a):
     """b / a, assuming a | b."""
-    return tuple(y - x for x, y in zip(a, b))
+    return tuple(map(sub, b, a))
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def grevlex_key(m):
     """Sort key: larger key = larger monomial in grevlex."""
     return (sum(m),) + tuple(-e for e in reversed(m))
-
-
-def compare_monomials(a, b, order="grevlex"):
-    """Return -1, 0 or 1 comparing a with b in the named order."""
-    if len(a) != len(b):
-        raise ValueError("monomials come from different variable counts")
-    if order != "grevlex":
-        raise ValueError(f"unsupported monomial order {order!r}")
-    ka, kb = grevlex_key(a), grevlex_key(b)
-    return (ka > kb) - (ka < kb)
 
 
 class Polynomial:

@@ -56,22 +56,6 @@ class FreeResolution:
                 out[(i, j)] = out.get((i, j), 0) + 1
         return out
 
-    def check_composition(self):
-        from .groebner import _augmented_columns, _reduce
-        for i in range(1, len(self.maps)):
-            comp = self.maps[i - 1].compose(self.maps[i])
-            if self.ring.is_polynomial:
-                if not comp.is_zero():
-                    return False
-            else:
-                # over a quotient ring entries need only vanish modulo I
-                blockers = _augmented_columns(self.ring, comp.target)
-                for c in comp.cols:
-                    r, _ = _reduce(c, blockers, self.ring.field)
-                    if r:
-                        return False
-        return True
-
 
 _HARD_LIMIT_PAD = 4
 

@@ -11,16 +11,36 @@ from fractions import Fraction
 DEFAULT_PRIME = 32003
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, Strong pseudoprimes to twelve prime bases, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_MODULUS = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Deterministic Miller-Rabin; ValueError at or above MAX_MODULUS."""
+    if n >= MAX_MODULUS:
+        raise ValueError(f"modulus {n} is too large (must be below "
+                         f"{MAX_MODULUS})")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

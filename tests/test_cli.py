@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -143,6 +144,29 @@ def test_oracle_command(session_file, capsys):
     assert payload["result"]["agrees"] is True
 
 
+def test_oracle_command_exact_for_large_prime(session_file, capsys):
+    # GF(4294967311): products of residues overflow int64
+    code, out, _ = run(capsys, "--session", session_file,
+                       "--field", "4294967311", "oracle", "M")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["agrees"] is True
+    assert all(r["resolution"] == r["oracle"] for r in result["betti"])
+
+
+def test_large_moduli_through_cli(tmp_path, capsys):
+    p = tmp_path / "s.cmreg"
+    p.write_text("ring A = GF(2305843009213693951)[x, y];\n"
+                 "module M = cyclic(A);\n")
+    code, out, _ = run(capsys, "--session", str(p), "reg", "M")
+    assert code == 0
+    assert json.loads(out)["result"]["value"] == 0
+    code, _, err = run(capsys, "--session", str(p),
+                       "--field", str(2**89 - 1), "reg", "M")
+    assert code == 1
+    assert "too large" in err
+
+
 def test_field_override_flag(tmp_path, capsys):
     p = tmp_path / "s.cmreg"
     p.write_text("ring A = GF(32003)[x, y];\nmodule M = cyclic(A);\n")
@@ -153,10 +177,13 @@ def test_field_override_flag(tmp_path, capsys):
 
 
 def test_console_script_entry_point(session_file):
+    # the child imports the same cmreg as this process, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cmreg.cli", "--session", session_file,
          "reg", "M"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["value"] == 1
 

@@ -1,6 +1,15 @@
-from cmreg.freemod import FreeModule, vec_add, vec_from_column, vec_term_mul
-from cmreg.groebner import (certify, groebner_basis, ideal_groebner_basis,
+import random
+
+import pytest
+
+from cmreg import polynomial_ring
+from cmreg.freemod import (FreeModule, term_key, vec_add, vec_from_column,
+                           vec_term_mul)
+from cmreg.groebner import (_augmented_columns, _make_elem, _reduce, _reducers,
+                            certify, groebner_basis, ideal_groebner_basis,
                             reduce_poly_mod_defining, syzygy_generators)
+from cmreg.oracle import monomials_of_degree
+from cmreg.poly import EXPONENT_CAP, mono_div, mono_divides, mono_mul
 
 
 def vecs_from_polys(polys):
@@ -63,3 +72,103 @@ def test_reduction_in_quotient_ring(det_ring):
     assert reduce_poly_mod_defining(det_ring, x * t - y * z).is_zero()
     nonzero = reduce_poly_mod_defining(det_ring, y * z)
     assert not nonzero.is_zero()
+
+
+# -- the reduction kernel against a naive reference ----------------------
+
+def naive_reduce(vec, elems, K):
+    """Reference normal form: the largest term by max over term_key, the
+    reducer by a linear scan for the leftmost divisor."""
+    rem, work, trace = {}, dict(vec), {}
+    while work:
+        t = max(work, key=term_key)
+        pos, mono = t
+        c = work[t]
+        hit = next((i for i, g in enumerate(elems)
+                    if g.pos == pos and mono_divides(g.ltm, mono)), None)
+        if hit is None:
+            del work[t]
+            rem[t] = c
+            continue
+        g = elems[hit]
+        q = mono_div(mono, g.ltm)
+        for (p2, m2), c2 in g.vec.items():
+            u = (p2, mono_mul(m2, q))
+            s = K.sub(work.get(u, K.zero), K.mul(c, c2))
+            if K.is_zero(s):
+                work.pop(u, None)
+            else:
+                work[u] = s
+        slot = trace.setdefault(hit, {})
+        s = K.add(slot.get(q, K.zero), c)
+        if K.is_zero(s):
+            slot.pop(q, None)
+        else:
+            slot[q] = s
+    return rem, trace
+
+
+def random_vec(rng, ring, twists, deg, nterms):
+    """A homogeneous vector of internal degree deg with up to nterms terms
+    per position and random nonzero coefficients."""
+    K = ring.field
+    vec = {}
+    for p, tw in enumerate(twists):
+        monos = monomials_of_degree(ring.nvars, deg - tw)
+        for m in rng.sample(monos, min(nterms, len(monos))):
+            c = K.from_int(rng.randint(1, 50) * rng.choice((1, -1)))
+            if not K.is_zero(c):
+                vec[(p, m)] = c
+    return vec
+
+
+def assert_kernel_matches(vec, elems, K):
+    rem, trace = _reduce(vec, _reducers(elems), K, collect_trace=True)
+    ref_rem, ref_trace = naive_reduce(vec, elems, K)
+    # same terms in the same (decreasing) order, same quotients
+    assert list(rem.items()) == list(ref_rem.items())
+    assert trace == ref_trace
+    # vec = sum_i q_i e_i + r
+    total = dict(rem)
+    for i, quot in trace.items():
+        for q, c in quot.items():
+            total = vec_add(total, vec_term_mul(elems[i].vec, q, c, K), K)
+    assert total == vec
+    plain, none = _reduce(vec, _reducers(elems), K)
+    assert plain == rem and none is None
+
+
+@pytest.mark.parametrize("rational", [False, True])
+@pytest.mark.parametrize("twists", [(0,), (0, 1, 1)])
+def test_kernel_matches_naive_reference(rational, twists):
+    rng = random.Random(20131119 + len(twists) + rational)
+    ring = polynomial_ring(["x", "y", "z"], rational=rational)
+    F = FreeModule(ring, twists)
+    for _ in range(4):
+        gens = [random_vec(rng, ring, twists, rng.randint(2, 3), 3)
+                for _ in range(2 + len(twists))]
+        gb = groebner_basis([g for g in gens if g], ring, F)
+        # a Groebner basis, and a plain reducer list that is not one
+        reducer_lists = [gb.elements,
+                         [_make_elem(g, ring.field, twists) for g in gens if g]]
+        for elems in reducer_lists:
+            for _ in range(5):
+                vec = random_vec(rng, ring, twists, rng.randint(3, 5), 6)
+                assert_kernel_matches(vec, elems, ring.field)
+
+
+def test_kernel_matches_naive_reference_on_augmented_columns(det_ring):
+    rng = random.Random(7)
+    F = FreeModule(det_ring, (0, 1, 0))
+    elems = _augmented_columns(det_ring, F)
+    for _ in range(10):
+        vec = random_vec(rng, det_ring, F.twists, rng.randint(2, 4), 8)
+        assert_kernel_matches(vec, elems, det_ring.field)
+
+
+def test_mono_mul_exponent_cap():
+    assert mono_mul((EXPONENT_CAP - 1, 2), (1, 0)) == (EXPONENT_CAP, 2)
+    with pytest.raises(OverflowError):
+        mono_mul((EXPONENT_CAP, 0), (1, 0))
+    with pytest.raises(OverflowError):
+        mono_mul((0, 0, 3), (0, 0, EXPONENT_CAP - 2))

@@ -13,6 +13,17 @@ def test_rref_rank():
     assert len(pivots) == 2
 
 
+def test_rref_exact_above_int64_range():
+    # (p - 1)^2 exceeds 2^63 here; int64 products would wrap around
+    p = 4294967311
+    pivots, red = rref_mod_p([[p - 1, p - 2], [p - 3, 1]], 2, p)
+    assert pivots == [0, 1]
+    assert [[int(a) for a in row] for row in red] == [[1, 0], [0, 1]]
+    pivots, red = rref_mod_p([[p - 1, p - 2], [1, 2]], 2, p)
+    assert pivots == [0]
+    assert [int(a) for a in red[0]] == [1, 2]
+
+
 def test_oracle_hilbert_agrees_with_series(S3):
     x, y, z = S3.gens()
     M = PresentedModule.cyclic(S3, [x * x, y * z])

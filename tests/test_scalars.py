@@ -1,8 +1,10 @@
+import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from cmreg.scalars import QQ, PrimeField
+from cmreg.scalars import MAX_MODULUS, QQ, PrimeField, _is_prime
 
 
 def test_prime_field_arithmetic():
@@ -46,3 +48,33 @@ def test_rational_field():
 def test_characteristic_exposed():
     assert PrimeField(32003).characteristic == 32003
     assert PrimeField(32003).p == 32003
+
+
+def test_large_prime_accepted_quickly():
+    start = time.perf_counter()
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+    assert time.perf_counter() - start < 0.5
+
+
+def test_carmichael_numbers_rejected():
+    for n in (561, 3215031751):
+        with pytest.raises(ValueError):
+            PrimeField(n)
+
+
+def test_known_primes_still_accepted():
+    assert PrimeField(32003).p == 32003
+    assert PrimeField(4294967311).p == 4294967311
+
+
+def test_primality_matches_trial_division():
+    def by_trial(n):
+        return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+    assert all(_is_prime(n) == by_trial(n) for n in range(5000))
+
+
+def test_modulus_beyond_exact_range_refused():
+    # strong pseudoprime to the bases 2..37, caught by base 41
+    assert not _is_prime(318665857834031151167461)
+    with pytest.raises(ValueError, match="too large"):
+        PrimeField(MAX_MODULUS)
