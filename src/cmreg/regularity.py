@@ -7,11 +7,17 @@ Routes:
   koszul   sup{j - i : H_i(y; M)_j != 0} on the module's own ring
   duality  top degrees of local cohomology read off Ext^q(M, S(-n))
 
-The ext and koszul routes (and reg_complex, which runs the koszul route)
-never present a homology module: they read each H_i's Hilbert series off
-the cokernels of the differentials (BoundedComplex.homology_series), so
-they share only the Groebner and Hilbert-series code with the other
-routes.  The duality route presents its Ext modules in full.
+The ext, koszul and duality routes (and reg_complex, which runs the
+koszul route) never present a homology module: they read each homology
+Hilbert series off the cokernels of the differentials
+(BoundedComplex.homology_series).  What the routes share is the Groebner
+kernel, the Hilbert-series code (homology_series included) and, for betti
+and duality, the minimal free resolution; the betti route reads twists
+and shares no homology code with the other three.
+
+reg_via_duality, default-form reg_via_koszul and reg_complex keep their
+result in the _cache of the object they were asked about, next to its
+Groebner basis and Hilbert series, so a checker that asks twice pays once.
 
 Absolute invariants of quotient-ring modules are routed through the
 polynomial cover; the Koszul route is the one that works directly over the
@@ -50,6 +56,16 @@ def _as_complex(obj):
     if isinstance(obj, PresentedModule):
         return complex_from_module(obj)
     return obj
+
+
+def _cached(obj, key, compute):
+    """compute() once per object, kept in obj._cache; exceptions are not
+    kept, so a failing call fails again."""
+    got = obj._cache.get(key)
+    if got is None:
+        got = compute()
+        obj._cache[key] = got
+    return got
 
 
 # -- route 1: resolution twists -------------------------------------------
@@ -166,8 +182,15 @@ def reg_via_koszul(obj, forms=None, check_hypothesis=None):
     user-supplied sequence must consist of linear forms; unless the forms
     span the degree-1 piece of the ring, every homology module must have
     finite length, and a KoszulHypothesisError reports the first that
-    does not.
+    does not.  Only the default call (no forms, no check_hypothesis) is
+    cached on obj.
     """
+    if forms is None and check_hypothesis is None:
+        return _cached(obj, "koszul", lambda: _koszul_route(obj, None, None))
+    return _koszul_route(obj, forms, check_hypothesis)
+
+
+def _koszul_route(obj, forms, check_hypothesis):
     C = _as_complex(obj)
     ring = C.ring
     if not C.terms:
@@ -206,8 +229,9 @@ def reg_via_koszul(obj, forms=None, check_hypothesis=None):
 
 # -- route 4: graded local duality ----------------------------------------
 
-def _duality_modules(M):
-    """{q: Ext^q_S(M, S(-n))} over the cover S, n = number of cover vars."""
+def _duality_series(M):
+    """{q: HS(Ext^q_S(M, S(-n)))} over the cover S, n = number of cover
+    vars, read off Hom(F, S(-n)) for the minimal free resolution F of M."""
     Mc = M.lift_to_cover() if isinstance(M, PresentedModule) else None
     if Mc is None:
         raise TypeError("duality route takes a module")
@@ -218,7 +242,7 @@ def _duality_modules(M):
                     complex_from_module(PresentedModule.free(S, (n,))))
     out = {}
     for s in D.levels():
-        H = D.homology(s)
+        H = D.homology_series(s)
         if not H.is_zero():
             out[-s] = H
     return out, n
@@ -228,18 +252,22 @@ def reg_via_duality(M):
     """(value, witness) with value = max{i + j : H^i_m(M)_j != 0}.
 
     dim H^i_m(M)_j = dim Ext^{n-i}_S(M, S(-n))_{-j}, so the top degree of
-    H^i is read off the initial degree of the dual Ext module.
+    H^i is read off the initial degree of the dual Ext module.  The result
+    is cached on M.
     """
-    if M.is_zero():
-        return -inf, None
-    ext_mods, n = _duality_modules(M)
-    best, wit = -inf, None
-    for q, E in ext_mods.items():
-        i = n - q
-        end = -E.indeg()
-        if i + end > best:
-            best, wit = i + end, (i, end)
-    return best, wit
+    def compute():
+        if M.is_zero():
+            return -inf, None
+        ext_series, n = _duality_series(M)
+        best, wit = -inf, None
+        for q, E in ext_series.items():
+            i = n - q
+            end = -E.indeg()
+            if i + end > best:
+                best, wit = i + end, (i, end)
+        return best, wit
+
+    return _cached(M, "duality", compute)
 
 
 class LocalCohomologyTable:
@@ -296,12 +324,12 @@ WINDOW_HARD_CAP_FACTOR = 8
 def local_cohomology_table(M, window=None):
     if M.is_zero():
         return LocalCohomologyTable({}, window or (0, 0), {}, 0)
-    ext_mods, n = _duality_modules(M)
+    ext_series, n = _duality_series(M)
     if window is None:
         window = (-2 * n - 4, 2 * n + 4)
     lo, hi = window
     support = {}
-    for q, E in ext_mods.items():
+    for q, E in ext_series.items():
         i = n - q
         end = -E.indeg()
         top = E.top_degree()
@@ -314,10 +342,10 @@ def local_cohomology_table(M, window=None):
             raise ValueError(
                 f"local cohomology window cap exceeded (need degree {needed})")
     entries = {}
-    for q, E in ext_mods.items():
+    for q, E in ext_series.items():
         i = n - q
         for j in range(lo, hi + 1):
-            d = E.hilbert_function(-j)
+            d = E.coefficient(-j)
             if d:
                 entries[(i, j)] = d
     return LocalCohomologyTable(entries, (lo, hi), support, n)
@@ -329,9 +357,9 @@ def a_invariant(ring):
     d = M.dimension()
     if d == -inf:
         raise ValueError("the zero ring has no a-invariant")
-    ext_mods, n = _duality_modules(M)
+    ext_series, n = _duality_series(M)
     q = n - d
-    E = ext_mods.get(q)
+    E = ext_series.get(q)
     if E is None:
         raise ArithmeticError("top local cohomology vanished; corrupt input")
     return -E.indeg()
@@ -388,11 +416,11 @@ def reg_complex(L, cross_check=False):
     """Regularity of a bounded complex: Koszul homology of K[vars; L] over
     the polynomial cover.
 
-    With cross_check the value is recomputed through the resolution route
-    and a mismatch raises; the two routes share no code past the complex
-    itself."""
-    C = _as_cover_complex(L)
-    value, _ = reg_via_koszul(C)
+    With cross_check the value is recomputed through the resolution route,
+    on every call, and a mismatch raises; the two routes share no homology
+    code.  The value is cached on L."""
+    value = _cached(L, "reg_complex",
+                    lambda: reg_via_koszul(_as_cover_complex(L))[0])
     if cross_check:
         other, _ = reg_via_betti(L)
         if other != value:

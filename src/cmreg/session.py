@@ -45,6 +45,12 @@ from .poly import Polynomial
 from .rings import polynomial_ring
 
 
+# Each level of parentheses or unary minus costs the recursive-descent
+# parser up to four Python frames; past this depth an expression is
+# refused with a position instead of exhausting the interpreter's stack.
+MAX_NESTING = 100
+
+
 class ParseError(Exception):
     def __init__(self, message, line, col):
         self.message = message
@@ -159,6 +165,7 @@ class _Parser:
         self.pos = 0
         self.session = Session()
         self.field_override = field_override
+        self.depth = 0
 
     # -- token plumbing --------------------------------------------------
     def peek(self):
@@ -541,9 +548,8 @@ class _Parser:
 
     def atom(self, ring):
         tok = self.peek()
-        if self.at("-"):
-            self.advance()
-            return -self.power(ring)
+        if self.at("-") or self.at("("):
+            return self.nested(ring)
         if tok.kind == "int":
             self.advance()
             return ring.constant(int(tok.text))
@@ -555,12 +561,21 @@ class _Parser:
                     tuple(1 if j == i else 0 for j in range(ring.nvars)))
             self.fail(f"unknown identifier {tok.text!r} (not a variable "
                       f"of {ring})")
-        if self.at("("):
-            self.advance()
+        self.fail(f"expected a polynomial, found {tok.text!r}")
+
+    def nested(self, ring):
+        """A negation or a parenthesized expression, at most MAX_NESTING
+        deep."""
+        if self.depth == MAX_NESTING:
+            self.fail(f"expression nested more than {MAX_NESTING} levels deep")
+        self.depth += 1
+        if self.advance().text == "-":
+            node = -self.power(ring)
+        else:
             node = self.poly(ring)
             self.expect(text=")")
-            return node
-        self.fail(f"expected a polynomial, found {tok.text!r}")
+        self.depth -= 1
+        return node
 
 
 def transfer_polys(polys, ring):

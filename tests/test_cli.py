@@ -79,6 +79,17 @@ def test_parse_error_exits_one(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_deep_nesting_exits_one(tmp_path, capsys):
+    deep = tmp_path / "deep.cmreg"
+    deep.write_text("ring S = GF(32003)[x, y];\nideal I = "
+                    + "(" * 3000 + "x" + ")" * 3000 + ";\n"
+                    "module M = cyclic(S, I);\n")
+    code, out, err = run(capsys, "--session", str(deep), "reg", "M")
+    assert code == 1
+    assert out == ""
+    assert "line 2, column" in err and "nested" in err
+
+
 def test_unknown_binding_exits_one(session_file, capsys):
     code, _, err = run(capsys, "--session", session_file, "reg", "ghost")
     assert code == 1

@@ -5,9 +5,10 @@ import pytest
 from cmreg import (BoundedComplex, ModuleMap, PresentedModule,
                    complex_from_module, ext, free_resolution_of_complex,
                    grade_of_sequence, hom_complex, koszul_complex,
-                   koszul_resolution_of_k, resolution_to_complex,
-                   tensor_complexes, tensor_free_with_complex, tor,
-                   free_resolution)
+                   koszul_resolution_of_k, local_cohomology_table,
+                   resolution_to_complex, tensor_complexes,
+                   tensor_free_with_complex, tor, free_resolution)
+from cmreg.regularity import LocalCohomologyTable
 from cmreg.theorems import random_ideal_corpus
 
 
@@ -135,6 +136,42 @@ def assert_series_match_homology(C):
         assert C.homology_series(i) == C.homology(i).hilbert_series(), i
 
 
+def duality_complex(M):
+    """(Hom(F, S(-n)), n) for the minimal free resolution F of M over its
+    n-variable cover S: the complex whose homology is Ext^q_S(M, S(-n))."""
+    Mc = M.lift_to_cover()
+    S = Mc.ring
+    n = S.nvars
+    D = hom_complex(resolution_to_complex(free_resolution(Mc)),
+                    complex_from_module(PresentedModule.free(S, (n,))))
+    return D, n
+
+
+def reference_local_cohomology(M):
+    """local_cohomology_table(M) built from presented Ext modules."""
+    D, n = duality_complex(M)
+    ext_mods = {}
+    for s in D.levels():
+        H = D.homology(s)
+        if not H.is_zero():
+            ext_mods[-s] = H
+    support = {}
+    for q, E in ext_mods.items():
+        top = E.top_degree()
+        support[n - q] = (-inf if top == inf else -top, -E.indeg())
+    lo, hi = -2 * n - 4, 2 * n + 4
+    needed = max(end for (_, end) in support.values())
+    while hi < needed:
+        hi = 2 * hi + 4
+    entries = {}
+    for q, E in ext_mods.items():
+        for j in range(lo, hi + 1):
+            d = E.hilbert_function(-j)
+            if d:
+                entries[(n - q, j)] = d
+    return LocalCohomologyTable(entries, (lo, hi), support, n)
+
+
 @pytest.mark.parametrize("inst", random_ideal_corpus(count=8),
                          ids=lambda inst: inst.name)
 def test_homology_series_matches_homology_on_corpus(inst):
@@ -144,12 +181,27 @@ def test_homology_series_matches_homology_on_corpus(inst):
         koszul_complex(list(S.gens()), complex_from_module(M)))
     assert_series_match_homology(
         hom_complex(koszul_resolution_of_k(S), complex_from_module(M)))
+    assert_series_match_homology(duality_complex(M)[0])
 
 
 def test_homology_series_matches_homology_over_quotient(det_module):
     R = det_module.ring
     assert_series_match_homology(
         koszul_complex(list(R.gens()), complex_from_module(det_module)))
+    assert_series_match_homology(duality_complex(det_module)[0])
+
+
+@pytest.mark.parametrize("inst", random_ideal_corpus(count=8),
+                         ids=lambda inst: inst.name)
+def test_local_cohomology_table_matches_module_path(inst):
+    assert (local_cohomology_table(inst.module).to_json()
+            == reference_local_cohomology(inst.module).to_json())
+
+
+def test_local_cohomology_table_matches_module_path_over_quotient(
+        det_module):
+    assert (local_cohomology_table(det_module).to_json()
+            == reference_local_cohomology(det_module).to_json())
 
 
 def test_homology_series_reads_cached_module(S3):

@@ -9,8 +9,9 @@ def test_monomial_enumeration_counts():
 
 def test_rref_rank():
     rows = [[1, 2, 0], [2, 4, 0], [0, 0, 5]]
-    _, pivots = rref_mod_p(rows, 3, 7)
-    assert len(pivots) == 2
+    pivots, red = rref_mod_p(rows, 3, 7)
+    assert pivots == [0, 2]
+    assert [[int(a) for a in row] for row in red] == [[1, 2, 0], [0, 0, 1]]
 
 
 def test_rref_exact_above_int64_range():

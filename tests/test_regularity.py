@@ -1,3 +1,4 @@
+import importlib
 from math import inf
 
 import pytest
@@ -10,6 +11,10 @@ from cmreg import (KoszulHypothesisError, PresentedModule, a_invariant,
                    reg_via_betti, reg_via_duality, reg_via_ext,
                    reg_via_koszul, regularity, relative_reg)
 from cmreg.theorems import random_ideal_corpus
+
+# the package exports a function named regularity, which shadows the
+# submodule as an attribute of cmreg
+routes = importlib.import_module("cmreg.regularity")
 
 
 def all_routes(M):
@@ -205,20 +210,80 @@ def test_bass_table_of_residue_field(S2):
 
 
 def test_ext_koszul_and_complex_routes_use_no_syzygies(monkeypatch,
-                                                      det_module):
-    # the routes read homology off Hilbert series, so they must run with
-    # the syzygy primitive (kernels, subquotients) switched off
+                                                      det_ring):
+    # the ext, koszul and duality routes read homology off Hilbert series,
+    # so they must run with the syzygy primitive (kernels, subquotients)
+    # switched off.  The modules are built here: a result cached on a
+    # shared fixture by an earlier test would skip the computation.
     def refuse(*args, **kwargs):
         raise AssertionError("syzygies_of_vectors called")
 
     mods = [inst.module for inst in random_ideal_corpus(count=2)]
-    mods.append(det_module)
+    mods.append(PresentedModule.cyclic(det_ring, []))
     cuts = [koszul_complex([M.ring.gens()[-1]], M) for M in mods]
     with monkeypatch.context() as mp:
         mp.setattr(cmreg.modules, "syzygies_of_vectors", refuse)
-        got = [(reg_via_ext(M), reg_via_koszul(M), reg_complex(M),
-                reg_complex(L)) for M, L in zip(mods, cuts)]
-    for M, L, (ext_, kos, cpx, cut) in zip(mods, cuts, got):
+        got = [(reg_via_ext(M), reg_via_koszul(M), reg_via_duality(M),
+                local_cohomology_table(M), reg_complex(M), reg_complex(L))
+               for M, L in zip(mods, cuts)]
+    for M, L, (ext_, kos, dual, lc, cpx, cut) in zip(mods, cuts, got):
         value, _ = reg_via_betti(M)
-        assert ext_[0] == kos[0] == cpx == value
+        assert ext_[0] == kos[0] == dual[0] == lc.regularity() == value
+        assert cpx == value
         assert cut == reg_via_betti(L)[0]
+
+
+def counting(monkeypatch, name):
+    """Replace routes.<name> by a wrapper; returns its call counter."""
+    calls = []
+    inner = getattr(routes, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(routes, name, wrapper)
+    return calls
+
+
+def test_route_results_are_cached_on_the_object(monkeypatch, S3):
+    x, y, z = S3.gens()
+
+    def fresh():
+        return PresentedModule.cyclic(S3, [x * x, x * y, y * z * z])
+
+    dual = counting(monkeypatch, "_duality_series")
+    kos = counting(monkeypatch, "_koszul_route")
+    M = fresh()
+    L = koszul_complex([z], M)
+    first = (reg_via_duality(M), reg_via_koszul(M), reg_complex(L))
+    assert (len(dual), len(kos)) == (1, 2)
+    assert (reg_via_duality(M), reg_via_koszul(M), reg_complex(L)) == first
+    assert (len(dual), len(kos)) == (1, 2)
+    N = fresh()
+    assert (reg_via_duality(N), reg_via_koszul(N),
+            reg_complex(koszul_complex([z], N))) == first
+    assert (len(dual), len(kos)) == (2, 4)
+
+
+def test_explicit_koszul_arguments_bypass_the_cache(monkeypatch, det_module):
+    z = det_module.ring.gens()[2]
+    value = reg_via_koszul(det_module)
+    kos = counting(monkeypatch, "_koszul_route")
+    for _ in range(2):
+        with pytest.raises(KoszulHypothesisError):
+            reg_via_koszul(det_module, forms=[z])
+        assert reg_via_koszul(det_module, check_hypothesis=True) == value
+    assert reg_via_koszul(det_module) == value
+    assert len(kos) == 4
+
+
+def test_cross_check_runs_the_betti_route_every_call(monkeypatch, S3):
+    x, y, z = S3.gens()
+    L = koszul_complex([x, y], PresentedModule.cyclic(S3, [x * z]))
+    betti = counting(monkeypatch, "reg_via_betti")
+    assert reg_complex(L, cross_check=True) == reg_complex(L, cross_check=True)
+    assert len(betti) == 2
+    monkeypatch.setattr(routes, "reg_via_betti", lambda obj: (99, None))
+    with pytest.raises(RuntimeError):
+        reg_complex(L, cross_check=True)

@@ -1,7 +1,7 @@
 import pytest
 
 from cmreg import ParseError, Session, UnknownBinding, parse_polynomial, parse_session
-from cmreg.session import tokenize, transfer_polys
+from cmreg.session import MAX_NESTING, tokenize, transfer_polys
 
 GOOD = """
 # two rings and some objects
@@ -156,6 +156,29 @@ def test_parse_polynomial_arithmetic(S3):
 def test_unary_minus(S3):
     x, y, z = S3.gens()
     assert parse_polynomial("-x*y + z^2", S3) == z * z - x * y
+
+
+@pytest.mark.parametrize("opener,closer", [("(", ")"), ("-", ""),
+                                           ("-(", ")")])
+def test_deep_nesting_is_a_parse_error(opener, closer):
+    # 3000 levels used to exhaust the interpreter's stack
+    text = ("ring S = GF(7)[x, y];\nideal I = "
+            + opener * 3000 + "x" + closer * 3000 + ";")
+    with pytest.raises(ParseError) as ei:
+        parse_session(text)
+    assert ei.value.line == 2
+    assert "nested" in ei.value.message
+    # the refused token opens level MAX_NESTING + 1
+    assert ei.value.col == len("ideal I = ") + 1 + MAX_NESTING
+
+
+def test_nesting_up_to_the_cap_parses(S3):
+    x, y, z = S3.gens()
+    deep = "(" * MAX_NESTING + "x + y" + ")" * MAX_NESTING
+    assert parse_polynomial(deep, S3) == x + y
+    assert parse_polynomial("-" * MAX_NESTING + "z", S3) == z
+    with pytest.raises(ParseError):
+        parse_polynomial("(" + deep + ")", S3)
 
 
 def test_tokenizer_rejects_garbage():
