@@ -10,16 +10,39 @@ Determinism: input generators are sorted, the pair queue is keyed by
 (lcm degree, generator indices), reducers are tried in canonical basis
 order, and the reduced basis is sorted by (degree, lead term).
 
-Reduction kernel: `_reduce` takes the next lead from a heap of pending
-terms, each keyed once on entry by `_heap_key` (term_key negated), and
-skips entries whose term has cancelled or was already processed (lazy
-deletion; terms only shrink, so a processed term never returns).  This
-follows Monagan and Pearce, Sparse polynomial division using a heap (JSC
-2011).  Reducers are grouped by position once (`_reducers`), each group
-in canonical order, so the first divisor found is still the leftmost and
-the normal form and trace are those of a plain largest-term-first,
-leftmost-reducer loop.  S-vectors come from one builder, `_s_vector`,
-shared by Buchberger, `certify` and `syzygy_generators`.
+Packed terms: inside this module a term (pos, m) of an n-variable ring is
+one int
+
+    h = pos * 2^A + (2^40 - 1 - deg m) * 2^B + sum_i e_i * 2^(32 (i - 1))
+
+with 32-bit exponent fields (16 exponent bits under 16 guard bits),
+B = 32 n and A = B + 40 (`_Packing`, one per variable count).  Then:
+
+- a smaller h is the larger term in position-over-grevlex order (the order
+  of `term_key`), so the heap in `_reduce_packed` holds plain ints;
+- h is linear in m: h(p, m * q) = h(p, m) + h(0, q) - h(0, 1), so a
+  reducer's tail is stored as offsets h(tail term) - h(lead) and each
+  product term costs one int addition;
+- lead | t (same position) exactly when ((t - h_lead) & G) == 0, G the
+  mask of all guard bits: a field that goes negative borrows and sets its
+  guard bits, and exponents below 2^16 never carry into them;
+- an exponent above EXPONENT_CAP is u & G != 0.  That is checked on every
+  new product term in `_reduce_packed` and in `_s_vector`, and on every
+  encoded input term, with the OverflowError of `poly.mono_mul`.
+
+GBElem.vec stays the tuple dict {(pos, m): c}, decoded on first use; the
+Buchberger loop never decodes its intermediate elements.  `_reduce` and
+`GroebnerBasis.normal_form` take and return tuple dicts.
+
+Reduction kernel: `_reduce_packed` takes the next lead from a heap of
+pending terms and skips entries whose term has cancelled or was already
+processed (lazy deletion; terms only shrink, so a processed term never
+returns).  This follows Monagan and Pearce, Sparse polynomial division
+using a heap (JSC 2011).  Reducers are grouped by position once
+(`_reducers`), each group in canonical order, so the first divisor found
+is still the leftmost and the normal form and trace are those of a plain
+largest-term-first, leftmost-reducer loop.  S-vectors come from one
+builder, `_s_vector`, shared by Buchberger, `certify` and the syzygies.
 
 The coprimality (product) criterion is only applied at rank one.  For
 modules it is wrong: g1 = (x, y), g2 = (y^2, x) in R^2 have coprime lead
@@ -27,88 +50,146 @@ monomials in the same position but their S-vector (0, y^3 - x^2) does not
 reduce to zero.  The chain criterion is valid at any rank.
 """
 
+import struct
 from heapq import heapify, heappop, heappush
-from operator import le
 
-from .freemod import FreeModule, term_key, vec_is_homogeneous
-from .poly import (mono_deg, mono_div, mono_divides, mono_lcm, mono_mul,
-                   Polynomial)
+from .freemod import FreeModule, vec_is_homogeneous
+from .poly import EXPONENT_CAP, mono_deg, mono_lcm, Polynomial
+
+_DEG_TOP = (1 << 40) - 1
+_GUARD = 0xFFFFFFFF & ~EXPONENT_CAP
+_OVERFLOW = f"monomial exponent exceeds {EXPONENT_CAP}"
+
+
+class _Packing:
+    """Encoder and decoder of packed terms for one variable count."""
+
+    __slots__ = ("struct", "nbytes", "B", "A", "G", "emask", "one")
+
+    def __init__(self, nvars):
+        self.struct = struct.Struct(f"<{nvars}I")
+        self.nbytes = 4 * nvars
+        self.B = 32 * nvars
+        self.A = self.B + 40
+        self.G = int.from_bytes(self.struct.pack(*[_GUARD] * nvars), "little")
+        self.emask = (1 << self.B) - 1
+        self.one = _DEG_TOP << self.B  # h(0, 1)
+
+    def encode(self, pos, m):
+        e = int.from_bytes(self.struct.pack(*m), "little")
+        if e & self.G:
+            raise OverflowError(_OVERFLOW)
+        return (pos << self.A) + ((_DEG_TOP - sum(m)) << self.B) + e
+
+    def mono(self, h):
+        """The monomial of h; also the quotient of an offset h(t) - h(lead)."""
+        return self.struct.unpack((h & self.emask).to_bytes(self.nbytes, "little"))
+
+    def encode_vec(self, vec):
+        return {self.encode(p, m): c for (p, m), c in vec.items()}
+
+    def decode_vec(self, terms):
+        A, mono = self.A, self.mono
+        return {(h >> A, mono(h)): c for h, c in terms.items()}
+
+
+_PACKINGS = {}
+
+
+def _packing(nvars):
+    P = _PACKINGS.get(nvars)
+    if P is None:
+        P = _PACKINGS[nvars] = _Packing(nvars)
+    return P
 
 
 class GBElem:
-    """A monic basis element with cached lead-term data."""
+    """A monic basis element: packed terms, packed lead and cached
+    lead-term data; `vec` is the tuple dict, decoded on first use."""
 
-    __slots__ = ("vec", "pos", "ltm", "deg")
+    __slots__ = ("terms", "lead", "pos", "ltm", "deg", "_vec")
 
-    def __init__(self, vec, pos, ltm, deg):
-        self.vec = vec
+    def __init__(self, terms, lead, pos, ltm, deg):
+        self.terms = terms
+        self.lead = lead
         self.pos = pos
         self.ltm = ltm
         self.deg = deg
+        self._vec = None
+
+    @property
+    def vec(self):
+        if self._vec is None:
+            self._vec = _packing(len(self.ltm)).decode_vec(self.terms)
+        return self._vec
 
 
-def _heap_key(t):
-    """term_key negated: the smallest heap key is the largest term."""
-    pos, m = t
-    return (pos, -sum(m)) + m[::-1]
+def _elem(terms, K, twists, P):
+    """A monic GBElem from nonzero packed terms."""
+    lead = min(terms)
+    c = terms[lead]
+    if c != K.one:
+        ci = K.inv(c)
+        terms = {h: K.mul(cc, ci) for h, cc in terms.items()}
+    pos = lead >> P.A
+    ltm = P.mono(lead)
+    return GBElem(terms, lead, pos, ltm, mono_deg(ltm) + twists[pos])
 
 
 def _make_elem(vec, K, twists):
-    t = min(vec, key=_heap_key)
-    c = vec[t]
-    if c != K.one:
-        ci = K.inv(c)
-        vec = {u: K.mul(cc, ci) for u, cc in vec.items()}
-    pos, ltm = t
-    return GBElem(vec, pos, ltm, mono_deg(ltm) + twists[pos])
+    """A monic GBElem from a nonzero tuple-dict vector."""
+    P = _packing(len(next(iter(vec))[1]))
+    return _elem(P.encode_vec(vec), K, twists, P)
 
 
-def _tail(g):
-    """g's terms other than its lead, as (position, monomial, coefficient)."""
-    lead = (g.pos, g.ltm)
-    return [(p, m, c) for (p, m), c in g.vec.items() if (p, m) != lead]
+def _reducer(i, g):
+    """(index, packed lead, tail offsets [(h - lead, c)]) of element i."""
+    lead = g.lead
+    return i, lead, [(h - lead, c) for h, c in g.terms.items() if h != lead]
 
 
 def _reducers(elems):
-    """elems grouped by position, each group in list order, as
-    (index, lead monomial, tail)."""
+    """elems grouped by position, each group in list order, as `_reducer`s."""
     groups = {}
     for i, g in enumerate(elems):
-        groups.setdefault(g.pos, []).append((i, g.ltm, _tail(g)))
+        groups.setdefault(g.pos, []).append(_reducer(i, g))
     return groups
 
 
-def _reduce(vec, reducers, K, collect_trace=False):
-    """Full normal form of vec against `_reducers(elems)` (leftmost reducer,
-    largest term first).  Optionally records the quotients:
-    vec = sum_i q_i elems[i] + r, as {i: {q: c}}."""
+def _reduce_packed(work, reducers, K, P, collect_trace=False):
+    """Full normal form of the packed vector `work` (consumed) against
+    `_reducers(elems)`, largest term first, leftmost reducer.  Optionally
+    records the quotients: vec = sum_i q_i elems[i] + r, as {i: {d: c}}
+    with d = h(q) - h(0, 1) (decode with `P.mono`)."""
     rem = {}
-    work = dict(vec)
-    heap = [(_heap_key(t), t) for t in work]
+    heap = list(work)
     heapify(heap)
     trace = {} if collect_trace else None
     zero, mul, sub, is_zero = K.zero, K.mul, K.sub, K.is_zero
+    A, G = P.A, P.G
     while heap:
-        t = heappop(heap)[1]
-        c = work.pop(t, None)
+        h = heappop(heap)
+        c = work.pop(h, None)
         if c is None:
-            # lazy deletion: t cancelled, or was processed already
+            # lazy deletion: h cancelled, or was processed already
             continue
-        pos, mono = t
-        for i, ltm, tail in reducers.get(pos, ()):
-            if all(map(le, ltm, mono)):
+        for i, lead, tail in reducers.get(h >> A, ()):
+            d = h - lead
+            if not d & G:
                 break
         else:
-            rem[t] = c
+            rem[h] = c
             continue
-        q = mono_div(mono, ltm)
-        # basis elements are monic, so the lead cancels against t exactly
-        for p2, m2, c2 in tail:
-            u = (p2, mono_mul(m2, q))
+        # basis elements are monic, so the lead cancels against h exactly
+        for off, c2 in tail:
+            u = h + off
             w = work.get(u)
             if w is None:
+                # a term above the cap is never in work, so it lands here
+                if u & G:
+                    raise OverflowError(_OVERFLOW)
                 work[u] = sub(zero, mul(c, c2))
-                heappush(heap, (_heap_key(u), u))
+                heappush(heap, u)
             else:
                 s = sub(w, mul(c, c2))
                 if is_zero(s):
@@ -117,45 +198,69 @@ def _reduce(vec, reducers, K, collect_trace=False):
                     work[u] = s
         if collect_trace:
             slot = trace.setdefault(i, {})
-            s = K.add(slot.get(q, zero), c)
+            s = K.add(slot.get(d, zero), c)
             if is_zero(s):
-                slot.pop(q, None)
+                slot.pop(d, None)
             else:
-                slot[q] = s
+                slot[d] = s
     return rem, trace
 
 
-def _s_vector(gi, gj, K):
-    """S-vector m_i g_i - m_j g_j of two same-position monic elements,
-    with m_i = lcm / lt(g_i).  Returns (s, m_i, m_j)."""
-    lcm = mono_lcm(gi.ltm, gj.ltm)
-    qi, qj = mono_div(lcm, gi.ltm), mono_div(lcm, gj.ltm)
-    s = {(p, mono_mul(m, qi)): c for (p, m), c in gi.vec.items()}
-    for (p, m), c in gj.vec.items():
-        t = (p, mono_mul(m, qj))
-        r = K.sub(s.get(t, K.zero), c)
-        if K.is_zero(r):
-            s.pop(t, None)
+def _reduce(vec, reducers, K, collect_trace=False):
+    """Full normal form of the tuple-dict vec against `_reducers(elems)`
+    (leftmost reducer, largest term first).  Optionally records the
+    quotients: vec = sum_i q_i elems[i] + r, as {i: {q: c}}."""
+    if not vec:
+        return {}, ({} if collect_trace else None)
+    P = _packing(len(next(iter(vec))[1]))
+    rem, trace = _reduce_packed(P.encode_vec(vec), reducers, K, P, collect_trace)
+    if collect_trace:
+        trace = {i: {P.mono(d): c for d, c in quot.items()}
+                 for i, quot in trace.items()}
+    return P.decode_vec(rem), trace
+
+
+def _s_vector(gi, gj, hl, K, G):
+    """S-vector m_i g_i - m_j g_j of two same-position monic elements, with
+    m_i = lcm / lt(g_i) and hl the packed lcm.  Returns (s, d_i, d_j),
+    d_i = hl - lead_i the packed offset of m_i."""
+    di, dj = hl - gi.lead, hl - gj.lead
+    s = {}
+    for h, c in gi.terms.items():
+        u = h + di
+        if u & G:
+            raise OverflowError(_OVERFLOW)
+        s[u] = c
+    zero, sub, is_zero = K.zero, K.sub, K.is_zero
+    for h, c in gj.terms.items():
+        u = h + dj
+        if u & G:
+            raise OverflowError(_OVERFLOW)
+        r = sub(s.get(u, zero), c)
+        if is_zero(r):
+            s.pop(u, None)
         else:
-            s[t] = r
-    return s, qi, qj
+            s[u] = r
+    return s, di, dj
 
 
 def _canonical_sort(elems):
-    elems.sort(key=lambda g: (g.deg, term_key((g.pos, g.ltm))))
+    # a larger term has a smaller packed lead
+    elems.sort(key=lambda g: (g.deg, -g.lead))
     return elems
 
 
-def _interreduce(elems, K, twists):
+def _interreduce(elems, K, twists, P):
     """Reduced basis: minimal lead terms, tails fully reduced, monic."""
     elems = _canonical_sort(list(elems))
+    G = P.G
     kept = []
     for i, g in enumerate(elems):
         redundant = False
         for j, h in enumerate(elems):
-            if i == j or h.pos != g.pos or not mono_divides(h.ltm, g.ltm):
+            if i == j or h.pos != g.pos or (g.lead - h.lead) & G:
                 continue
-            if h.ltm == g.ltm and g.pos == h.pos:
+            if h.lead == g.lead:
                 # duplicate lead terms: keep the earlier element only
                 redundant = j < i
             else:
@@ -169,29 +274,28 @@ def _interreduce(elems, K, twists):
     for i, g in enumerate(kept):
         others = dict(groups)
         others[g.pos] = [e for e in groups[g.pos] if e[0] != i]
-        r, _ = _reduce(g.vec, others, K)
+        r, _ = _reduce_packed(dict(g.terms), others, K, P)
         if r:
-            out.append(_make_elem(r, K, twists))
+            out.append(_elem(r, K, twists, P))
     return _canonical_sort(out)
 
 
-def _buchberger(gens, K, twists, use_product_criterion):
-    basis = []
-    for v in gens:
-        if v:
-            basis.append(_make_elem(v, K, twists))
+def _buchberger(gens, K, twists, use_product_criterion, P):
+    """Reduced basis of the packed generators `gens`."""
+    basis = [_elem(v, K, twists, P) for v in gens if v]
     _canonical_sort(basis)
     reducers = _reducers(basis)
+    G = P.G
 
     heap = []
     pending = set()
 
     def push_pairs(j):
         g = basis[j]
-        for i, ltm, _ in reducers[g.pos]:
+        for i, _, _ in reducers[g.pos]:
             if i == j:
                 break
-            d = mono_deg(mono_lcm(ltm, g.ltm)) + twists[g.pos]
+            d = sum(map(max, basis[i].ltm, g.ltm)) + twists[g.pos]  # lcm degree
             heappush(heap, (d, i, j))
             pending.add((i, j))
 
@@ -207,11 +311,12 @@ def _buchberger(gens, K, twists, use_product_criterion):
         lcm = mono_lcm(gi.ltm, gj.ltm)
         if use_product_criterion and mono_deg(lcm) == mono_deg(gi.ltm) + mono_deg(gj.ltm):
             continue
+        hl = P.encode(gi.pos, lcm)
         skip = False
-        for k, ltm, _ in reducers[gi.pos]:
+        for k, lead, _ in reducers[gi.pos]:
             if k == i or k == j:
                 continue
-            if mono_divides(ltm, lcm):
+            if not (hl - lead) & G:
                 a = (min(i, k), max(i, k))
                 b = (min(j, k), max(j, k))
                 if a not in pending and b not in pending:
@@ -219,15 +324,15 @@ def _buchberger(gens, K, twists, use_product_criterion):
                     break
         if skip:
             continue
-        s, _, _ = _s_vector(gi, gj, K)
-        r, _ = _reduce(s, reducers, K)
+        s, _, _ = _s_vector(gi, gj, hl, K, G)
+        r, _ = _reduce_packed(s, reducers, K, P)
         if r:
-            g = _make_elem(r, K, twists)
+            g = _elem(r, K, twists, P)
             basis.append(g)
-            reducers.setdefault(g.pos, []).append((len(basis) - 1, g.ltm, _tail(g)))
+            reducers.setdefault(g.pos, []).append(_reducer(len(basis) - 1, g))
             push_pairs(len(basis) - 1)
 
-    return _interreduce(basis, K, twists)
+    return _interreduce(basis, K, twists, P)
 
 
 def defining_gb(ring):
@@ -236,9 +341,9 @@ def defining_gb(ring):
         return []
     cached = ring._cache.get("defining_gb")
     if cached is None:
-        K = ring.field
-        gens = [{(0, m): c for m, c in f.terms.items()} for f in ring.defining]
-        cached = _buchberger(gens, K, (0,), True)
+        P = _packing(ring.nvars)
+        gens = [{P.encode(0, m): c for m, c in f.terms.items()} for f in ring.defining]
+        cached = _buchberger(gens, ring.field, (0,), True, P)
         ring._cache["defining_gb"] = cached
     return cached
 
@@ -246,11 +351,13 @@ def defining_gb(ring):
 def _augmented_columns(ring, free):
     """The defining ideal times each free basis vector, as GBElems."""
     out = []
+    A = _packing(ring.nvars).A
     for f in defining_gb(ring):
-        (_, ltm) = (f.pos, f.ltm)
         for p in range(free.rank):
-            vec = {(p, m): c for (_, m), c in f.vec.items()}
-            out.append(GBElem(vec, p, ltm, mono_deg(ltm) + free.twists[p]))
+            shift = p << A
+            terms = {h + shift: c for h, c in f.terms.items()}
+            out.append(GBElem(terms, f.lead + shift, p, f.ltm,
+                              f.deg + free.twists[p]))
     return out
 
 
@@ -296,22 +403,20 @@ def groebner_basis(vectors, ring, free):
     """Reduced Groebner basis of the submodule of `free` generated by
     `vectors`, over `ring` (augmented through the cover for quotients)."""
     K = ring.field
-    gens = [dict(v) for v in vectors if v]
+    P = _packing(ring.nvars)
+    gens = [v for v in vectors if v]
     for v in gens:
         if not vec_is_homogeneous(v, free.twists):
             raise ValueError("submodule generator is not homogeneous")
     aug = _augmented_columns(ring, free)
-    elems = _buchberger(gens + [dict(a.vec) for a in aug], K, free.twists,
-                        free.rank == 1)
+    elems = _buchberger([P.encode_vec(v) for v in gens] + [a.terms for a in aug],
+                        K, free.twists, free.rank == 1, P)
     if ring.is_polynomial:
         module_indices = list(range(len(elems)))
     else:
-        blockers = _reducers(_augmented_columns(ring, free))
-        module_indices = []
-        for i, g in enumerate(elems):
-            r, _ = _reduce(g.vec, blockers, K)
-            if r:
-                module_indices.append(i)
+        blockers = _reducers(aug)
+        module_indices = [i for i, g in enumerate(elems)
+                          if _reduce_packed(dict(g.terms), blockers, K, P)[0]]
     return GroebnerBasis(ring, free, elems, module_indices)
 
 
@@ -321,25 +426,34 @@ def reduce_poly_mod_defining(ring, f):
     return Polynomial(ring, {m: c for (_, m), c in r.items()})
 
 
+def _pairs(elems):
+    """Same-position index pairs (i, j), i < j, in the order j, then i."""
+    for j in range(len(elems)):
+        for i in range(j):
+            if elems[i].pos == elems[j].pos:
+                yield i, j
+
+
 def certify(gb):
     """Re-reduce every S-pair of the final basis; True when all vanish."""
     elems = gb.elements
     K = gb.ring.field
+    P = _packing(gb.ring.nvars)
     reducers = _reducers(elems)
-    for j in range(len(elems)):
-        for i in range(j):
-            if elems[i].pos != elems[j].pos:
-                continue
-            s, _, _ = _s_vector(elems[i], elems[j], K)
-            r, _ = _reduce(s, reducers, K)
-            if r:
-                return False
+    for i, j in _pairs(elems):
+        gi, gj = elems[i], elems[j]
+        hl = P.encode(gi.pos, mono_lcm(gi.ltm, gj.ltm))
+        s, _, _ = _s_vector(gi, gj, hl, K, P.G)
+        r, _ = _reduce_packed(s, reducers, K, P)
+        if r:
+            return False
     return True
 
 
-def syzygy_generators(gb):
+def syzygy_generators(gb, degrees=None):
     """Generators of the syzygy module of gb's module elements over the
-    ring, from reduction traces of all S-pairs.
+    ring, from reduction traces of all S-pairs; with `degrees`, of the
+    S-pairs whose degree lies in `degrees` only.
 
     The reducer list is module elements followed by defining-ideal columns;
     that list is a (non-reduced) Groebner basis of the preimage submodule,
@@ -349,49 +463,56 @@ def syzygy_generators(gb):
     Returns (vectors, free module on the element degrees).
     """
     K = gb.ring.field
+    P = _packing(gb.ring.nvars)
+    A, G = P.A, P.G
+    # a syzygy term (k, q) packs to (k << A) + one + d for an offset d
+    one = P.one
     mod = gb.module_elements
     ext = list(mod) + _augmented_columns(gb.ring, gb.free)
     reducers = _reducers(ext)
     n_mod = len(mod)
     twists = tuple(g.deg for g in mod)
     F = FreeModule(gb.ring, twists)
+    zero, sub, is_zero = K.zero, K.sub, K.is_zero
     out = []
-    for j in range(len(ext)):
-        for i in range(j):
-            if ext[i].pos != ext[j].pos:
+    for i, j in _pairs(ext):
+        gi, gj = ext[i], ext[j]
+        lcm = mono_lcm(gi.ltm, gj.ltm)
+        if degrees is not None and mono_deg(lcm) + gb.free.twists[gi.pos] not in degrees:
+            continue
+        s, di, dj = _s_vector(gi, gj, P.encode(gi.pos, lcm), K, G)
+        r, trace = _reduce_packed(s, reducers, K, P, collect_trace=True)
+        if r:
+            raise ArithmeticError("S-pair of a Groebner basis did not reduce to zero")
+        syz = {}
+        if i < n_mod:
+            syz[(i << A) + one + di] = K.one
+        if j < n_mod:
+            t = (j << A) + one + dj
+            syz[t] = sub(syz.get(t, zero), K.one)
+            if is_zero(syz[t]):
+                del syz[t]
+        for k, quot in trace.items():
+            if k >= n_mod:
                 continue
-            s, qi, qj = _s_vector(ext[i], ext[j], K)
-            r, trace = _reduce(s, reducers, K, collect_trace=True)
-            if r:
-                raise ArithmeticError("S-pair of a Groebner basis did not reduce to zero")
-            syz = {}
-            if i < n_mod:
-                syz[(i, qi)] = K.one
-            if j < n_mod:
-                t = (j, qj)
-                syz[t] = K.sub(syz.get(t, K.zero), K.one)
-                if K.is_zero(syz[t]):
-                    del syz[t]
-            for k, quot in trace.items():
-                if k >= n_mod:
-                    continue
-                for q, c in quot.items():
-                    t = (k, q)
-                    s2 = K.sub(syz.get(t, K.zero), c)
-                    if K.is_zero(s2):
-                        syz.pop(t, None)
-                    else:
-                        syz[t] = s2
-            if syz:
-                out.append(syz)
-    # canonical order and no duplicates
+            base = (k << A) + one
+            for d, c in quot.items():
+                t = base + d
+                s2 = sub(syz.get(t, zero), c)
+                if is_zero(s2):
+                    syz.pop(t, None)
+                else:
+                    syz[t] = s2
+        if syz:
+            out.append(syz)
+    # canonical order (increasing term_key lists) and no duplicates
     seen = set()
     uniq = []
-    for v in sorted(out, key=lambda v: (len(v), sorted(map(term_key, v)))):
+    for v in sorted(out, key=lambda v: (len(v), sorted(-h for h in v))):
         key = frozenset(v.items())
         if key not in seen:
             seen.add(key)
-            uniq.append(v)
+            uniq.append(P.decode_vec(v))
     return uniq, F
 
 
@@ -399,8 +520,9 @@ def ideal_groebner_basis(ring, polys):
     """Reduced basis of an ideal's preimage in the cover, as polynomials
     (canonical form used for ideal equality tests)."""
     cover = ring.cover
+    P = _packing(ring.nvars)
     gens = []
     for f in list(ring.defining) + [ring.lift(p) for p in polys]:
-        gens.append({(0, m): c for m, c in f.terms.items()})
-    elems = _buchberger(gens, ring.field, (0,), True)
+        gens.append({P.encode(0, m): c for m, c in f.terms.items()})
+    elems = _buchberger(gens, ring.field, (0,), True, P)
     return [Polynomial(cover, {m: c for (_, m), c in g.vec.items()}) for g in elems]

@@ -3,7 +3,8 @@
 The numerator of a graded module comes from the lead-term module of its
 relation basis: per free position, a monomial ideal whose quotient's
 numerator is computed by the colon/sum pivot recursion
-N(J) = N(J + (x)) + t * N(J : x), memoized globally.
+N(J) = N(J + (x)) + t * N(J : x), memoized in one process-wide cache of
+at most _NUMERATOR_CACHE_CAP entries, emptied when full.
 """
 
 from math import comb, inf
@@ -21,6 +22,7 @@ def _minimalize(gens):
 
 
 _NUMERATOR_CACHE = {}
+_NUMERATOR_CACHE_CAP = 1 << 16
 
 
 def monomial_ideal_numerator(gens, nvars):
@@ -59,6 +61,8 @@ def monomial_ideal_numerator(gens, nvars):
                 out[e + 1] = out.get(e + 1, 0) + c
                 if out[e + 1] == 0:
                     del out[e + 1]
+    if len(_NUMERATOR_CACHE) >= _NUMERATOR_CACHE_CAP:
+        _NUMERATOR_CACHE.clear()
     _NUMERATOR_CACHE[key] = dict(out)
     return out
 

@@ -4,39 +4,70 @@ A degree-zero entry of a differential is a unit (entries are homogeneous,
 so degree zero means a nonzero constant).  Eliminating it removes one basis
 vector from the source and one from the target, replaces the map by its
 Schur complement, drops the corresponding row of the next map and column of
-the previous map, and leaves all homology unchanged.  Sweeping to a
-fixpoint minimizes a free complex.
+the previous map, and leaves all homology unchanged.  Repeating until no
+unit is left minimizes a free complex.
+
+One pass per level: `minimize_chain` removes the units a sweep that
+restarts after every unit would, in its order: always the first unit (by
+column, then by the column's term order) of the lowest level that has
+one.  Removing a unit of
+d_L creates units only in d_L: the Schur complement changes d_L alone,
+and d_{L+1} and d_{L-1} only lose a row or a column.  So the levels are
+taken in ascending order.  Within a level no column gains its first unit
+(see `_eliminate_units`), so one ascending pass over the columns that
+start with a unit removes the units in the sweep's order, and an index
+from target position to the columns with an entry there lets a Schur step
+touch only those columns.  Indices stay stable while a level is worked;
+removed rows and columns are dropped, and the rest renumbered, once at
+the end.
 """
 
 from .freemod import vec_add, vec_poly_mul
 
 
-def _find_unit(cols):
-    for j, col in enumerate(cols):
-        for (p, m), c in col.items():
-            if not any(m):
-                return j, p, c
+def _find_unit(col):
+    """(position, coefficient) of col's first constant entry, or None."""
+    for (p, m), c in col.items():
+        if not any(m):
+            return p, c
     return None
 
 
-def _drop_position(col, p0):
-    return {(p - 1 if p > p0 else p, m): c for (p, m), c in col.items() if p != p0}
-
-
-def _schur_eliminate(cols, j0, p0, u, K):
-    """Remove column j0 and target position p0, correcting other columns."""
-    uinv = K.inv(u)
-    pivot = cols[j0]
-    out = []
+def _eliminate_units(cols, K, dead_src, dead_tgt):
+    """Remove every unit of one level's columns (stable indices), in the
+    order the restarting sweep would; records the removed source and
+    target indices in dead_src and dead_tgt."""
+    # A Schur step adds (column j's entry at p0) / u times the pivot to
+    # column j, so column j gains a constant entry only if it has one at p0
+    # already: no column gains its first unit.  One ascending pass over the
+    # columns that start with a unit therefore meets every unit in order.
+    todo = [j for j, col in enumerate(cols) if _find_unit(col) is not None]
+    if not todo:
+        return
+    index = {}
     for j, col in enumerate(cols):
-        if j == j0:
+        for p, _ in col:
+            index.setdefault(p, set()).add(j)
+    for j0 in todo:
+        hit = _find_unit(cols[j0])
+        if hit is None:
             continue
-        coeff = {m: c for (p, m), c in col.items() if p == p0}
-        if coeff:
-            factor = {m: K.mul(c, K.neg(uinv)) for m, c in coeff.items()}
-            col = vec_add(col, vec_poly_mul(pivot, factor, K), K)
-        out.append(_drop_position(col, p0))
-    return out
+        p0, u = hit
+        dead_src.add(j0)
+        dead_tgt.add(p0)
+        pivot = cols[j0]
+        support = {p for p, _ in pivot}
+        neg_uinv = K.neg(K.inv(u))
+        for j in index.pop(p0, ()):
+            if j in dead_src:
+                continue
+            col = cols[j]
+            factor = {m: K.mul(c, neg_uinv) for (p, m), c in col.items() if p == p0}
+            if not factor:
+                continue
+            cols[j] = vec_add(col, vec_poly_mul(pivot, factor, K), K)
+            for p in support:
+                index.setdefault(p, set()).add(j)
 
 
 def minimize_chain(twists, cols, K):
@@ -48,32 +79,29 @@ def minimize_chain(twists, cols, K):
     Mutates nothing; returns (new_twists, new_cols, kept) where
     kept[level] lists the surviving original basis indices of F_level.
     """
-    twists = {i: list(t) for i, t in twists.items()}
-    cols = {i: [dict(c) for c in cs] for i, cs in cols.items()}
-    kept = {i: list(range(len(t))) for i, t in twists.items()}
-
-    changed = True
-    while changed:
-        changed = False
-        for lev in sorted(cols):
-            hit = _find_unit(cols[lev])
-            if hit is None:
-                continue
-            j0, p0, u = hit
-            cols[lev] = _schur_eliminate(cols[lev], j0, p0, u, K)
-            del twists[lev][j0]
-            del kept[lev][j0]
-            del twists[lev - 1][p0]
-            del kept[lev - 1][p0]
-            if lev + 1 in cols:
-                cols[lev + 1] = [_drop_position(c, j0) for c in cols[lev + 1]]
-            if lev - 1 in cols:
-                prev = cols[lev - 1]
-                del prev[p0]
-            changed = True
-            break
-    return ({i: tuple(t) for i, t in twists.items()},
-            cols,
+    work = {i: [dict(c) for c in cs] for i, cs in cols.items()}
+    dead = {i: set() for i in twists}
+    for lev in sorted(work):
+        below = dead[lev - 1]
+        if below:
+            # rows removed by the level below
+            work[lev] = [{t: c for t, c in col.items() if t[0] not in below}
+                         for col in work[lev]]
+        _eliminate_units(work[lev], K, dead[lev], below)
+    kept = {i: [k for k in range(len(t)) if k not in dead[i]]
+            for i, t in twists.items()}
+    for lev, cs in work.items():
+        if dead[lev]:
+            cs = [cs[k] for k in kept[lev]]
+        if dead[lev - 1]:
+            # a removed row keeps entries only when a pivot's unit entry
+            # had other terms (non-homogeneous input); they go with it
+            new = {k: n for n, k in enumerate(kept[lev - 1])}
+            cs = [{(new[p], m): c for (p, m), c in col.items() if p in new}
+                  for col in cs]
+        work[lev] = cs
+    return ({i: tuple([t[k] for k in kept[i]]) for i, t in twists.items()},
+            work,
             kept)
 
 

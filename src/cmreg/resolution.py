@@ -5,12 +5,14 @@ Groebner basis, extracts trace syzygies for the next differential, then
 sweeps unit elimination over the whole chain.  The sweep keeps every level
 minimal as it is built, so over a polynomial cover the loop provably stops
 at the projective dimension.  Over a quotient ring the resolution may be
-infinite and is truncated at max_len.
+infinite and is truncated at max_len; the top level of a truncation is
+minimized too, against its syzygies in its generators' degrees, which are
+then dropped.
 """
 
 from math import inf
 
-from .freemod import FreeModule, GradedMap
+from .freemod import FreeModule, GradedMap, vec_degree
 from .groebner import groebner_basis, syzygy_generators
 from .minimize import minimize_chain
 
@@ -89,16 +91,22 @@ def free_resolution(M, max_len=None):
             break
         cols[level] = vecs
         twists[level] = tuple(current.module_degrees())
-        if level >= hard:
-            if ring.is_polynomial and level > max_len:
-                raise RuntimeError("resolution over polynomial ring exceeded its bound")
-            break
-        syz, _ = syzygy_generators(current)
+        top = level >= hard
+        if top and ring.is_polynomial and level > max_len:
+            raise RuntimeError("resolution over polynomial ring exceeded its bound")
+        # A Groebner basis need not generate minimally.  At the top level
+        # only syzygies in the degree of some generator can carry a unit,
+        # so those are the only ones computed there.
+        syz, _ = syzygy_generators(current, set(twists[level]) if top else None)
         if syz:
-            from .freemod import vec_degree
             degs = [vec_degree(v, twists[level]) for v in syz]
             cols[level + 1] = syz
             twists[level + 1] = tuple(degs)
+        if top:
+            if syz:
+                twists, cols, _ = minimize_chain(twists, cols, K)
+                del cols[level + 1], twists[level + 1]
+            break
         twists, cols, _ = minimize_chain(twists, cols, K)
         nxt = cols.get(level + 1)
         if nxt is not None and not any(nxt):

@@ -5,11 +5,12 @@ import pytest
 from cmreg import polynomial_ring
 from cmreg.freemod import (FreeModule, term_key, vec_add, vec_from_column,
                            vec_term_mul)
-from cmreg.groebner import (_augmented_columns, _make_elem, _reduce, _reducers,
-                            certify, groebner_basis, ideal_groebner_basis,
-                            reduce_poly_mod_defining, syzygy_generators)
+from cmreg.groebner import (_augmented_columns, _make_elem, _packing, _reduce,
+                            _reducers, _s_vector, certify, groebner_basis,
+                            ideal_groebner_basis, reduce_poly_mod_defining,
+                            syzygy_generators)
 from cmreg.oracle import monomials_of_degree
-from cmreg.poly import EXPONENT_CAP, mono_div, mono_divides, mono_mul
+from cmreg.poly import EXPONENT_CAP, mono_div, mono_divides, mono_lcm, mono_mul
 
 
 def vecs_from_polys(polys):
@@ -138,23 +139,51 @@ def assert_kernel_matches(vec, elems, K):
     assert plain == rem and none is None
 
 
-@pytest.mark.parametrize("rational", [False, True])
-@pytest.mark.parametrize("twists", [(0,), (0, 1, 1)])
-def test_kernel_matches_naive_reference(rational, twists):
+def lift(vec, shift):
+    """vec times x_1^shift."""
+    return {(p, (m[0] + shift,) + m[1:]): c for (p, m), c in vec.items()}
+
+
+def check_kernel_on_random_vectors(rational, twists, nvars, shift):
     rng = random.Random(20131119 + len(twists) + rational)
-    ring = polynomial_ring(["x", "y", "z"], rational=rational)
+    names = ["x", "y", "z"] if nvars == 3 else [f"x{i}" for i in range(nvars)]
+    ring = polynomial_ring(names, rational=rational)
+    K = ring.field
     F = FreeModule(ring, twists)
+    # a generic rank-3 module in 8 variables has too large a basis for a
+    # unit test; fewer generators with one term per position keep it small
+    small = nvars == 8 and len(twists) > 1
     for _ in range(4):
-        gens = [random_vec(rng, ring, twists, rng.randint(2, 3), 3)
-                for _ in range(2 + len(twists))]
+        gens = [random_vec(rng, ring, twists, rng.randint(2, 3), 1 if small else 3)
+                for _ in range(3 if small else 2 + len(twists))]
         gb = groebner_basis([g for g in gens if g], ring, F)
         # a Groebner basis, and a plain reducer list that is not one
         reducer_lists = [gb.elements,
-                         [_make_elem(g, ring.field, twists) for g in gens if g]]
+                         [_make_elem(g, K, twists) for g in gens if g]]
         for elems in reducer_lists:
+            if shift:
+                elems = [_make_elem(lift(g.vec, shift), K, twists) for g in elems]
             for _ in range(5):
                 vec = random_vec(rng, ring, twists, rng.randint(3, 5), 6)
-                assert_kernel_matches(vec, elems, ring.field)
+                assert_kernel_matches(lift(vec, shift), elems, K)
+
+
+@pytest.mark.parametrize("rational", [False, True])
+@pytest.mark.parametrize("twists", [(0,), (0, 1, 1)])
+def test_kernel_matches_naive_reference(rational, twists):
+    check_kernel_on_random_vectors(rational, twists, 3, 0)
+
+
+@pytest.mark.parametrize("rational", [False, True])
+@pytest.mark.parametrize("twists", [(0,), (0, 1, 1)])
+@pytest.mark.parametrize("nvars, shift", [
+    (8, 0),
+    # vectors of degree <= 5 times x^shift: exponents up to the cap itself
+    (3, EXPONENT_CAP - 5),
+])
+def test_kernel_matches_naive_reference_wide_and_near_cap(rational, twists,
+                                                          nvars, shift):
+    check_kernel_on_random_vectors(rational, twists, nvars, shift)
 
 
 def test_kernel_matches_naive_reference_on_augmented_columns(det_ring):
@@ -172,3 +201,32 @@ def test_mono_mul_exponent_cap():
         mono_mul((EXPONENT_CAP, 0), (1, 0))
     with pytest.raises(OverflowError):
         mono_mul((0, 0, 3), (0, 0, EXPONENT_CAP - 2))
+
+
+def test_s_vector_past_the_cap_raises(S3):
+    # the S-vector of y^2 - x*z and x^65535*y needs x^65536*z
+    x, y, z = S3.gens()
+    F = FreeModule(S3, (0,))
+    big = S3.monomial((EXPONENT_CAP, 1, 0))
+    with pytest.raises(OverflowError):
+        groebner_basis(vecs_from_polys([y * y - x * z, big]), S3, F)
+    # the builder itself raises, also where such terms could cancel later
+    K = S3.field
+    gi, gj = (_make_elem(v, K, (0,)) for v in vecs_from_polys([y * y - x * z, big]))
+    P = _packing(3)
+    hl = P.encode(0, mono_lcm(gi.ltm, gj.ltm))
+    for a, b in ((gi, gj), (gj, gi)):
+        with pytest.raises(OverflowError):
+            _s_vector(a, b, hl, K, P.G)
+
+
+def test_reduction_past_the_cap_raises(S3):
+    # x^65535*y^2 reduced by y^2 - x*z: the tail times the quotient is
+    # x^65536*z
+    K = S3.field
+    g = _make_elem({(0, (0, 2, 0)): K.one, (0, (1, 0, 1)): K.from_int(-1)}, K, (0,))
+    vec = {(0, (EXPONENT_CAP, 2, 0)): K.one}
+    with pytest.raises(OverflowError):
+        _reduce(vec, _reducers([g]), K)
+    with pytest.raises(OverflowError):
+        naive_reduce(vec, [g], K)

@@ -60,3 +60,32 @@ def test_ideal_module_complements_quotient(S3):
     for j in range(7):
         assert (I.hilbert_function(j) + Q.hilbert_function(j)
                 == full.hilbert_function(j))
+
+
+def test_numerator_cache_is_bounded(monkeypatch):
+    import random
+
+    from cmreg import hilbert
+    rng = random.Random(11)
+    ideals = []
+    for _ in range(30):
+        gens = set()
+        for _ in range(rng.randint(2, 5)):
+            gens.add(tuple(rng.randint(0, 3) for _ in range(4)))
+        ideals.append(tuple(gens))
+    monkeypatch.setattr(hilbert, "_NUMERATOR_CACHE", {})
+    want = [hilbert.monomial_ideal_numerator(g, 4) for g in ideals]
+    assert len(hilbert._NUMERATOR_CACHE) > 8
+
+    class Watched(dict):
+        peak = 0
+
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            Watched.peak = max(Watched.peak, len(self))
+
+    monkeypatch.setattr(hilbert, "_NUMERATOR_CACHE", Watched())
+    monkeypatch.setattr(hilbert, "_NUMERATOR_CACHE_CAP", 8)
+    got = [hilbert.monomial_ideal_numerator(g, 4) for g in ideals]
+    assert got == want
+    assert Watched.peak == 8

@@ -1,7 +1,9 @@
 from math import inf
 
+import pytest
+
 from cmreg import (PresentedModule, betti_table, depth_via_ab,
-                   free_resolution, pd)
+                   free_resolution, pd, polynomial_ring, relative_reg)
 
 
 def test_koszul_resolution_of_residue_field(S3):
@@ -92,3 +94,36 @@ def test_render_mentions_every_column(S3):
     bt = betti_table(PresentedModule.cyclic(S3, [x * x, y * y * y]))
     text = bt.render()
     assert isinstance(text, str) and text
+
+
+# -- truncated resolutions over quotient rings ------------------------------
+
+def residue_field_of_two_quadrics():
+    S = polynomial_ring(["x", "y"])
+    x, y = S.gens()
+    R = S.quotient([x * x, y * y])
+    return PresentedModule.cyclic(R, list(R.gens()))
+
+
+@pytest.mark.parametrize("max_len", range(1, 8))
+def test_truncated_residue_field_stays_linear(max_len):
+    # k over k[x,y]/(x^2,y^2) resolves linearly with beta_{i,i} = i + 1;
+    # the top level of a truncation must be minimal too
+    bt = betti_table(residue_field_of_two_quadrics(), max_len=max_len)
+    assert bt.entries == {(i, i): i + 1 for i in range(max_len + 1)}
+    assert bt.complete is False
+    assert bt.regularity() == 0
+
+
+def test_truncated_top_level_is_minimal():
+    S = polynomial_ring(["x", "y"])
+    x, y = S.gens()
+    R = S.quotient([x * x + y * y])
+    M = PresentedModule.cyclic(R, [R.gens()[0]])
+    res = free_resolution(M, max_len=1)
+    assert res.is_minimal()
+    bt = betti_table(M, max_len=1)
+    assert bt.entries == {(0, 0): 1, (1, 1): 1}
+    assert bt.regularity() == 0
+    assert relative_reg(residue_field_of_two_quadrics(), max_len=3).value == 0
+

@@ -1,12 +1,13 @@
 """The shipped session files must parse and support their headline use."""
 
+import importlib
 import json
 import os
 
 import pytest
 
 import cmreg.cli as cli
-from cmreg import parse_session
+from cmreg import betti_table, parse_session
 
 HERE = os.path.dirname(__file__)
 SESSIONS = os.path.join(HERE, "..", "sessions")
@@ -83,3 +84,45 @@ def test_free_socle_session_headline():
     assert len(entries) == 1
     assert entries[0]["i"] == 3
     assert entries[0]["values"] == [{"degree": -3, "dim": 1}]
+
+
+def test_truncated_betti_top_level_is_minimal():
+    code, out = run("--session", path("hypersurface-pair.cmreg"),
+                    "betti", "M", "--max-len", "1")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["table"]["entries"] == [[0, 0, 1], [1, 1, 1]]
+    assert result["regularity"] == 0
+    code, out = run("--session", path("two-quadrics.cmreg"),
+                    "betti", "k", "--max-len", "3")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["table"]["entries"] == [[0, 0, 1], [1, 1, 2], [2, 2, 3],
+                                          [3, 3, 4]]
+    assert result["table"]["complete"] is False
+    code, out = run("--session", path("two-quadrics.cmreg"),
+                    "reg", "k", "--max-len", "3")
+    assert code == 0
+    assert json.loads(out)["result"]["relative"]["value"] == 0
+
+
+def session_modules(name):
+    s = parse_session(load(name))
+    return [(b, s.get(b)) for b in s.order if s.kind_of(b) == "module"]
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(SESSIONS)))
+def test_degree_restricted_top_step_matches_unrestricted(name, monkeypatch):
+    res_mod = importlib.import_module("cmreg.resolution")
+    real = res_mod.syzygy_generators
+    restricted = {}
+    for max_len in (1, 2, 3, 4):
+        for b, M in session_modules(name):
+            restricted[(b, max_len)] = betti_table(M, max_len=max_len)
+    monkeypatch.setattr(res_mod, "syzygy_generators",
+                        lambda gb, degrees=None: real(gb))
+    for max_len in (1, 2, 3, 4):
+        for b, M in session_modules(name):
+            full = betti_table(M, max_len=max_len)
+            assert full.entries == restricted[(b, max_len)].entries
+            assert full.complete == restricted[(b, max_len)].complete
