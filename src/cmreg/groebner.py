@@ -394,10 +394,6 @@ class GroebnerBasis:
     def contains(self, vec):
         return not self.normal_form(vec)
 
-    def is_zero_module(self):
-        """True when the submodule is contained in I*F (zero over R)."""
-        return not self.module_indices
-
 
 def groebner_basis(vectors, ring, free):
     """Reduced Groebner basis of the submodule of `free` generated by

@@ -8,8 +8,8 @@ by the basis-element elimination trick (adjoin a unit tag column per
 vector, take basis elements supported only on the tags).
 """
 
-from .freemod import (FreeModule, GradedMap, vec_degree, vec_from_column,
-                      vec_is_homogeneous)
+from .freemod import (FreeModule, GradedMap, apply_map, vec_degree,
+                      vec_from_column, vec_is_homogeneous)
 from .groebner import groebner_basis
 from .hilbert import HilbertSeries, monomial_ideal_numerator
 from .minimize import minimize_presentation
@@ -57,25 +57,12 @@ class PresentedModule:
     def rank(self):
         return self.gens_free.rank
 
-    def relation_degrees(self):
-        return [vec_degree(c, self.gens_free.twists) for c in self.rel_cols]
-
-    def presentation_map(self):
-        F1 = FreeModule(self.ring, self.relation_degrees())
-        return GradedMap(F1, self.gens_free, list(self.rel_cols))
-
     def gb(self):
         got = self._cache.get("gb")
         if got is None:
             got = groebner_basis(self.rel_cols, self.ring, self.gens_free)
             self._cache["gb"] = got
         return got
-
-    def element_is_zero(self, vec):
-        return self.gb().contains(vec)
-
-    def reduce_element(self, vec):
-        return self.gb().normal_form(vec)
 
     # -- elementary constructions ----------------------------------------
     def twist(self, d):
@@ -184,29 +171,18 @@ class ModuleMap:
     def identity(cls, M):
         return cls(M, M, [M.gens_free.basis_vec(i) for i in range(M.rank)])
 
-    def apply(self, vec):
-        from .poly import mono_mul
-        K = self.ring.field
-        out = {}
-        for (p, m), c in vec.items():
-            for (q, u), cc in self.cols[p].items():
-                t = (q, mono_mul(u, m))
-                s = K.add(out.get(t, K.zero), K.mul(c, cc))
-                if K.is_zero(s):
-                    out.pop(t, None)
-                else:
-                    out[t] = s
-        return out
-
     def compose(self, other):
         """self after other."""
+        K = self.ring.field
         return ModuleMap(other.source, self.target,
-                         [self.apply(c) for c in other.cols])
+                         [apply_map(self.cols, c, K) for c in other.cols])
 
     def is_well_defined(self):
         """Images of source relations must die in the target."""
         gb = self.target.gb()
-        return all(gb.contains(self.apply(r)) for r in self.source.rel_cols)
+        K = self.ring.field
+        return all(gb.contains(apply_map(self.cols, r, K))
+                   for r in self.source.rel_cols)
 
     def is_zero_map(self):
         gb = self.target.gb()
@@ -418,8 +394,3 @@ def module_from_ideal(ring, gens):
     nums = [vec_from_column([ring.reduce(g)]) for g in gens]
     module, _ = present_subquotient(ring, F, nums, [])
     return module
-
-
-def ideal_quotient_module(ring, gens):
-    """R / (gens), minimized."""
-    return PresentedModule.cyclic(ring, gens).minimized()

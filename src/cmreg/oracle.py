@@ -252,13 +252,3 @@ class DenseOracle:
                 if b:
                     out[(i, j)] = b
         return out
-
-
-def oracle_hilbert_function(module, j, max_degree=DEFAULT_DEGREE_CAP):
-    return DenseOracle(module, max_degree=max_degree).hilbert_function(j)
-
-
-def oracle_betti(module, max_i=None, max_degree=6):
-    cap = max(DEFAULT_DEGREE_CAP, max_degree)
-    return DenseOracle(module, max_degree=cap).betti_table(
-        max_i=max_i, max_degree=max_degree)

@@ -59,9 +59,6 @@ class Polynomial:
     def is_zero(self):
         return not self.terms
 
-    def is_constant(self):
-        return all(mono_deg(m) == 0 for m in self.terms)
-
     def is_homogeneous(self):
         degs = {mono_deg(m) for m in self.terms}
         return len(degs) <= 1
@@ -79,14 +76,6 @@ class Polynomial:
         if len(degs) != 1:
             raise ValueError(f"polynomial {self} is not homogeneous")
         return degs.pop()
-
-    def lead_monomial(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no lead monomial")
-        return max(self.terms, key=grevlex_key)
-
-    def lead_coefficient(self):
-        return self.terms[self.lead_monomial()]
 
     # -- arithmetic ------------------------------------------------------
     def _coerce(self, other):

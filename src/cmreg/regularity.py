@@ -70,6 +70,25 @@ def _cached(obj, key, compute):
 
 # -- route 1: resolution twists -------------------------------------------
 
+def _sup_twist(levels):
+    """sup{a - i} over twists a at level i of the (i, twists) pairs, and
+    the first (i, a) in level order that attains it."""
+    best, wit = -inf, None
+    for i, tw in levels:
+        for a in tw:
+            if a - i > best:
+                best, wit = a - i, (i, a)
+    return best, wit
+
+
+def _resolution_levels(res, spot=0):
+    return ((i + spot, res.module(i).twists) for i in range(res.length + 1))
+
+
+def _complex_levels(F):
+    return ((i, F.term(i).gens_free.twists) for i in F.levels())
+
+
 def reg_via_betti(obj, max_len=None):
     """(value, witness) from the minimal free resolution over the cover.
 
@@ -81,24 +100,11 @@ def reg_via_betti(obj, max_len=None):
     if len(C.terms) == 1 and not C.diffs:
         (spot, term), = C.terms.items()
         res = free_resolution(term, max_len=max_len)
-        best, wit = -inf, None
-        twists = {0: res.f0.twists}
-        for i, gm in enumerate(res.maps, start=1):
-            twists[i] = gm.source.twists
-        for i, tw in twists.items():
-            for a in tw:
-                if a - (i + spot) > best:
-                    best, wit = a - (i + spot), (i + spot, a)
-        return best, wit
+        return _sup_twist(_resolution_levels(res, spot))
     F, complete = free_resolution_of_complex(C, max_len=max_len)
     if not complete:
         raise RuntimeError("free resolution of the complex did not terminate")
-    best, wit = -inf, None
-    for i in F.levels():
-        for a in F.term(i).gens_free.twists:
-            if a - i > best:
-                best, wit = a - i, (i, a)
-    return best, wit
+    return _sup_twist(_complex_levels(F))
 
 
 # -- route 2: Ext against the residue field -------------------------------
@@ -391,25 +397,14 @@ def relative_reg(obj, max_len=None):
         if obj.is_zero():
             return RelativeReg(-inf, True, 0)
         res = free_resolution(obj, max_len=max_len)
-        best = -inf
-        twists = {0: res.f0.twists}
-        for i, gm in enumerate(res.maps, start=1):
-            twists[i] = gm.source.twists
-        for i, tw in twists.items():
-            for a in tw:
-                best = max(best, a - i)
+        best, _ = _sup_twist(_resolution_levels(res))
         return RelativeReg(best, res.complete, res.length)
     C = obj
     if not C.terms:
         return RelativeReg(-inf, True, 0)
     F, complete = free_resolution_of_complex(C, max_len=max_len)
-    best = -inf
-    top = 0
-    for i in F.levels():
-        top = max(top, i)
-        for a in F.term(i).gens_free.twists:
-            best = max(best, a - i)
-    return RelativeReg(best, complete, top)
+    best, _ = _sup_twist(_complex_levels(F))
+    return RelativeReg(best, complete, max([0] + F.levels()))
 
 
 def reg_complex(L, cross_check=False):

@@ -153,11 +153,6 @@ class BettiTable:
             return -inf
         return max(j - i for (i, j) in self.entries)
 
-    def max_shift(self, i):
-        """t_i: largest j with beta_{i,j} nonzero, -inf if the column is empty."""
-        js = [j for (ii, j) in self.entries if ii == i]
-        return max(js) if js else -inf
-
     def projective_dimension(self):
         if not self.entries:
             return -inf
@@ -203,11 +198,6 @@ class BettiTable:
 def betti_table(M, max_len=None):
     res = free_resolution(M, max_len=max_len)
     return BettiTable(res.betti(), res.complete, repr(M.ring))
-
-
-def poincare_table(M, max_len=None):
-    """Coefficient table of the Poincare series, truncated at max_len."""
-    return betti_table(M, max_len=max_len)
 
 
 def pd(M, max_len=None):

@@ -89,9 +89,6 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero in GF(p)")
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a, b):
-        return (a * self.inv(b)) % self.p
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -141,9 +138,6 @@ class RationalField:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
-
-    def div(self, a, b):
-        return Fraction(a) / b
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

@@ -126,3 +126,25 @@ def test_degree_restricted_top_step_matches_unrestricted(name, monkeypatch):
             full = betti_table(M, max_len=max_len)
             assert full.entries == restricted[(b, max_len)].entries
             assert full.complete == restricted[(b, max_len)].complete
+
+
+def test_reg_on_a_complex_runs_the_betti_route_once(monkeypatch):
+    reg_mod = importlib.import_module("cmreg.regularity")
+    real = reg_mod.reg_via_betti
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(reg_mod, "reg_via_betti", counting)
+    monkeypatch.setattr(cli, "reg_via_betti", counting)
+    code, out = run("--session", path("determinantal.cmreg"), "reg", "K")
+    assert code == 0
+    assert json.loads(out)["result"] == {
+        "routes": {"koszul": 1, "betti": 1}, "agree": True, "value": 1}
+    assert len(calls) == 1
+    # a disagreeing betti route still exits 2
+    monkeypatch.setattr(reg_mod, "reg_via_betti", lambda obj: (5, None))
+    code, _ = run("--session", path("determinantal.cmreg"), "reg", "K")
+    assert code == 2
