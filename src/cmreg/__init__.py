@@ -11,7 +11,7 @@ from .modules import (ModuleMap, PresentedModule, annihilator,
                       colon_by_element, homology_at, image,
                       is_filter_regular, kernel, module_from_ideal,
                       multiplication_map, quotient_by_element)
-from .resolution import (BettiTable, FreeResolution, betti_table, depth_via_ab,
+from .resolution import (BettiTable, FreeResolution, betti_table,
                          free_resolution, pd)
 from .complexes import (BoundedComplex, complex_from_module, ext, ext_complex,
                         free_complex_from_data, free_resolution_of_complex,

@@ -94,6 +94,7 @@ def _text_lines(v, indent=0):
 # -- command handlers ------------------------------------------------------
 
 def _module_profile(H, max_degree=None):
+    """dim, indeg, top degree and values of a module's Hilbert series H."""
     ind, top = H.indeg(), H.top_degree()
     lo = 0 if ind == inf else ind
     if top != inf:
@@ -106,7 +107,7 @@ def _module_profile(H, max_degree=None):
         "dim": H.dimension(),
         "indeg": ind,
         "top_degree": top,
-        "values": [{"degree": j, "dim": H.hilbert_function(j)}
+        "values": [{"degree": j, "dim": H.coefficient(j)}
                    for j in range(lo, hi + 1)],
     }
 
@@ -170,7 +171,7 @@ def cmd_tor(session, args):
     for i in sorted(T.levels()):
         if i < 0:
             continue
-        H = T.homology(i)
+        H = T.homology_series(i)
         if H.is_zero():
             continue
         entries.append({"i": i, **_module_profile(H, args.max_degree)})
@@ -185,7 +186,7 @@ def cmd_ext(session, args):
         i = -s
         if i < 0:
             continue
-        H = E.homology(s)
+        H = E.homology_series(s)
         if H.is_zero():
             continue
         entries.append({"i": i, **_module_profile(H, args.max_degree)})

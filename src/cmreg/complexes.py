@@ -223,14 +223,9 @@ def koszul_complex(forms, coefficients=None):
             for a, idx in enumerate(T):
                 rest = T[:a] + T[a + 1:]
                 b2 = index[t - 1][rest]
-                sgn = K.one if a % 2 == 0 else K.neg(K.one)
+                # each a lands in its own row b2, so no two terms meet
                 for m, c in forms[idx].terms.items():
-                    key = (b2, m)
-                    s = K.add(col.get(key, K.zero), K.mul(c, sgn))
-                    if K.is_zero(s):
-                        col.pop(key, None)
-                    else:
-                        col[key] = s
+                    col[(b2, m)] = c if a % 2 == 0 else K.neg(c)
             level_cols.append(col)
         cols[t] = level_cols
     free_k = free_complex_from_data(ring, twists, cols)
@@ -360,10 +355,7 @@ def tor(M, N, i, max_len=None):
     """Tor_i(M, N) over the modules' common ring."""
     if max_len is None:
         max_len = None if M.ring.is_polynomial else max(i + 1, 2 * M.ring.nvars + 4)
-    res = free_resolution(M, max_len=max_len)
-    F = resolution_to_complex(res)
-    T = tensor_free_with_complex(F, complex_from_module(N))
-    return T.homology(i)
+    return tor_complex(M, N, max_len=max_len).homology(i)
 
 
 def tor_complex(M, N, max_len=None):
@@ -376,9 +368,7 @@ def ext(M, N, i, max_len=None):
     """Ext^i(M, N), stored at homological spot -i of Hom(F_M, N)."""
     if max_len is None:
         max_len = None if M.ring.is_polynomial else max(i + 1, 2 * M.ring.nvars + 4)
-    res = free_resolution(M, max_len=max_len)
-    H = hom_complex(resolution_to_complex(res), complex_from_module(N))
-    return H.homology(-i)
+    return ext_complex(M, N, max_len=max_len).homology(-i)
 
 
 def ext_complex(M, N, max_len=None):
@@ -439,43 +429,24 @@ def free_resolution_of_complex(L, max_len=None):
     while True:
         if i - lo >= max_len:
             break
-        Lnext = L.term(i + 1)
         Fi = PresentedModule.free(ring, twists[i])
-        # map (f, l) |-> (phi_i f - d l, d^F f) ; kernel is the fiber product
-        dF_cols = cols.get(i)
-        target_parts = [L.term(i)]
-        if dF_cols is not None:
-            target_parts.append(PresentedModule.free(ring, twists[i - 1]))
-        if len(target_parts) == 2:
-            target = target_parts[0].direct_sum(target_parts[1])
-            shift0 = 0
-            shift1 = target_parts[0].rank
-        else:
-            target = target_parts[0]
-            shift0 = 0
-            shift1 = None
-        source = Fi.direct_sum(Lnext) if Lnext.rank else Fi
-        K = ring.field
+        Li = L.term(i)
+        # map F_i + L_{i+1} -> L_i + F_{i-1}, (f, l) |-> (phi_i f - d l,
+        # d^F f); its kernel is the fiber product.  At the bottom F_{i-1}
+        # has rank 0 and d^F is zero.  phi_i fills rows below r = rank L_i
+        # and d^F the rows from r on, so no two terms of a column meet.
+        r = Li.rank
+        source = Fi.direct_sum(L.term(i + 1))
+        target = Li.direct_sum(PresentedModule.free(ring, twists.get(i - 1, ())))
         columns = []
-        for j in range(Fi.rank):
-            col = {}
-            for (p, m), c in phis[i].cols[j].items():
-                col[(p + shift0, m)] = c
-            if dF_cols is not None:
-                for (p, m), c in dF_cols[j].items():
-                    key = (p + shift1, m)
-                    s = K.add(col.get(key, K.zero), c)
-                    if K.is_zero(s):
-                        col.pop(key, None)
-                    else:
-                        col[key] = s
+        for j, dF_col in enumerate(cols.get(i, [{}] * Fi.rank)):
+            col = dict(phis[i].cols[j])
+            for (p, m), c in dF_col.items():
+                col[(p + r, m)] = c
             columns.append(col)
-        dnext = L.diff(i + 1)
-        for j in range(Lnext.rank):
-            col = {}
-            for (p, m), c in dnext.cols[j].items():
-                col[(p + shift0, m)] = K.neg(c)
-            columns.append(col)
+        neg = ring.field.neg
+        for dcol in L.diff(i + 1).cols:
+            columns.append({t: neg(c) for t, c in dcol.items()})
         psi = ModuleMap(source, target, columns)
         ker_mod, incl = kernel(psi)
         if ker_mod.rank == 0 and i >= hi:

@@ -6,6 +6,11 @@ in by the Groebner layer.  Kernels, homology, colons and annihilators all
 reduce to one primitive: syzygies of an explicit list of vectors, computed
 by the basis-element elimination trick (adjoin a unit tag column per
 vector, take basis elements supported only on the tags).
+
+A kernel or homology module is one present_subquotient call: the vectors
+that generate ker(phi) over the source's relations go in as numerators,
+over the source's relations (kernel) or over those plus the incoming
+map's columns (homology).
 """
 
 from .freemod import (FreeModule, GradedMap, apply_map, vec_degree,
@@ -231,8 +236,9 @@ def syzygies_of_vectors(vectors, ring, free):
     return out, FreeModule(ring, degs)
 
 
-def present_subquotient(ring, free, numerators, denominators, minimize=True):
-    """Present (N + D)/D for N = <numerators>, D = <denominators> in free.
+def present_subquotient(ring, free, numerators, denominators):
+    """Present (N + D)/D for N = <numerators>, D = <denominators> in free,
+    minimally.
 
     Returns (module, gens) where gens[i] is the vector representing the
     i-th generator of the result inside `free`.
@@ -262,8 +268,6 @@ def present_subquotient(ring, free, numerators, denominators, minimize=True):
         if proj:
             rels.append(proj)
     twists = tuple(vec_degree(v, free.twists) for v in nums)
-    if not minimize:
-        return PresentedModule(ring, FreeModule(ring, twists), rels), nums
     tw, cols, kept = minimize_presentation(twists, rels, K)
     module = PresentedModule(ring, FreeModule(ring, tw), cols)
     return module, [nums[i] for i in kept]
@@ -271,18 +275,15 @@ def present_subquotient(ring, free, numerators, denominators, minimize=True):
 
 # -- kernels, homology, colons -------------------------------------------
 
-def kernel(phi, minimize=True):
-    """Kernel of a map of presented modules.
-
-    Returns (module, inclusion) with inclusion a ModuleMap into phi's source.
-    """
-    M, N = phi.source, phi.target
-    ring = phi.ring
+def _kernel_vectors(phi):
+    """Vectors of phi's source free module that, together with the
+    source's relations, generate ker phi."""
     live = [(j, c) for j, c in enumerate(phi.cols) if c]
-    carriers = []
+    out = []
     if live:
+        N = phi.target
         vectors = [c for _, c in live] + [dict(c) for c in N.rel_cols]
-        syz, _ = syzygies_of_vectors(vectors, ring, N.gens_free)
+        syz, _ = syzygies_of_vectors(vectors, phi.ring, N.gens_free)
         nlive = len(live)
         for v in syz:
             w = {}
@@ -290,36 +291,46 @@ def kernel(phi, minimize=True):
                 if p < nlive:
                     w[(live[p][0], m)] = c
             if w:
-                carriers.append(w)
-    # generators of M sent to zero on the nose
+                out.append(w)
+    # generators of the source sent to zero on the nose
     for j, c in enumerate(phi.cols):
         if not c:
-            carriers.append(M.gens_free.basis_vec(j))
-    module, gens = present_subquotient(ring, M.gens_free, carriers,
-                                       list(M.rel_cols), minimize=minimize)
-    incl = ModuleMap(module, M, gens)
-    return module, incl
+            out.append(phi.source.gens_free.basis_vec(j))
+    return out
 
 
-def image(phi, minimize=True):
+def kernel(phi):
+    """Kernel of a map of presented modules.
+
+    Returns (module, inclusion) with inclusion a ModuleMap into phi's source.
+    """
+    M = phi.source
+    module, gens = present_subquotient(phi.ring, M.gens_free,
+                                       _kernel_vectors(phi), M.rel_cols)
+    return module, ModuleMap(module, M, gens)
+
+
+def image(phi):
     """Image of a map as a submodule of the target; returns (module, gens)."""
     return present_subquotient(phi.ring, phi.target.gens_free,
                                [dict(c) for c in phi.cols],
-                               list(phi.target.rel_cols), minimize=minimize)
+                               list(phi.target.rel_cols))
 
 
-def homology_at(psi, phi, minimize=True):
-    """ker(phi) / im(psi) for composable maps with phi after psi zero."""
+def homology_at(psi, phi):
+    """ker(phi) / im(psi) for composable maps with phi after psi zero.
+
+    One subquotient: phi's kernel vectors over psi's columns plus the
+    middle module's relations."""
     if psi.target is not phi.source and psi.target.gens_free.twists != phi.source.gens_free.twists:
         raise ValueError("maps are not composable")
     comp = phi.compose(psi)
     if not comp.is_zero_map():
         raise ValueError("composition is not zero, homology undefined")
-    ker_mod, incl = kernel(phi, minimize=False)
     mid = phi.source
     dens = [dict(c) for c in psi.cols if c] + [dict(c) for c in mid.rel_cols]
     module, _ = present_subquotient(mid.ring, mid.gens_free,
-                                    list(incl.cols), dens, minimize=minimize)
+                                    _kernel_vectors(phi), dens)
     return module
 
 

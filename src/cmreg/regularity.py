@@ -70,15 +70,19 @@ def _cached(obj, key, compute):
 
 # -- route 1: resolution twists -------------------------------------------
 
-def _sup_twist(levels):
-    """sup{a - i} over twists a at level i of the (i, twists) pairs, and
-    the first (i, a) in level order that attains it."""
+def _sup(candidates):
+    """sup of the values of (value, witness) candidates, and the witness of
+    the first candidate that attains it; (-inf, None) when there are none."""
     best, wit = -inf, None
-    for i, tw in levels:
-        for a in tw:
-            if a - i > best:
-                best, wit = a - i, (i, a)
+    for v, w in candidates:
+        if v > best:
+            best, wit = v, w
     return best, wit
+
+
+def _twist_candidates(levels):
+    """(a - i, (i, a)) for each twist a at level i of (i, twists) pairs."""
+    return ((a - i, (i, a)) for i, tw in levels for a in tw)
 
 
 def _resolution_levels(res, spot=0):
@@ -100,11 +104,11 @@ def reg_via_betti(obj, max_len=None):
     if len(C.terms) == 1 and not C.diffs:
         (spot, term), = C.terms.items()
         res = free_resolution(term, max_len=max_len)
-        return _sup_twist(_resolution_levels(res, spot))
+        return _sup(_twist_candidates(_resolution_levels(res, spot)))
     F, complete = free_resolution_of_complex(C, max_len=max_len)
     if not complete:
         raise RuntimeError("free resolution of the complex did not terminate")
-    return _sup_twist(_complex_levels(F))
+    return _sup(_twist_candidates(_complex_levels(F)))
 
 
 # -- route 2: Ext against the residue field -------------------------------
@@ -141,44 +145,10 @@ def bass_table(obj):
 
 def reg_via_ext(obj):
     """(value, witness) with value = sup{i + j} over nonzero Bass numbers."""
-    table = _bass_data(obj)
-    if not table:
-        return -inf, None
-    best, wit = -inf, None
-    for (i, j) in table:
-        if i + j > best:
-            best, wit = i + j, (i, j)
-    return best, wit
+    return _sup((i + j, (i, j)) for (i, j) in _bass_data(obj))
 
 
 # -- route 3: Koszul homology on the module's own ring --------------------
-
-def _generates_irrelevant_ideal(forms, ring):
-    """Do these degree-1 forms span the degree-1 piece of the ring?"""
-    from .oracle import DenseOracle, rank_of_rows
-    amb = PresentedModule.cyclic(ring, [])
-    oc = DenseOracle(amb, max_degree=2)
-    basis = oc.ambient_basis(1)
-    index = {bm: a for a, bm in enumerate(basis)}
-    need = oc.hilbert_function(1)
-    rows = []
-    for f in forms:
-        g = ring.reduce(f)
-        row = [0] * len(basis)
-        for m, c in g.terms.items():
-            row[index[(0, m)]] = int(c) if ring.field.characteristic else c
-        rows.append(row)
-    # span within the quotient: reduce against the relation rows first
-    rel_rows = []
-    for col, d in zip(oc.rels, oc.rel_degs):
-        if d == 1:
-            row = [0] * len(basis)
-            for (pos, mono), c in col.items():
-                row[index[(pos, mono)]] = int(c) if ring.field.characteristic else c
-            rel_rows.append(row)
-    base = rank_of_rows(rel_rows, len(basis), ring.field)
-    total = rank_of_rows(rel_rows + rows, len(basis), ring.field)
-    return total - base == need
 
 def reg_via_koszul(obj, forms=None, check_hypothesis=None):
     """(value, witness) from Koszul homology H_i(forms; obj) over the
@@ -209,7 +179,8 @@ def _koszul_route(obj, forms, check_hypothesis):
         for f in forms:
             if f.is_zero() or not f.is_homogeneous() or f.homogeneous_degree() != 1:
                 raise ValueError("Koszul-route sequences consist of linear forms")
-        verify = not _generates_irrelevant_ideal(forms, ring)
+        # linear forms span R_1 exactly when (R/(forms))_1 = 0
+        verify = PresentedModule.cyclic(ring, forms).hilbert_function(1) != 0
     if check_hypothesis is not None:
         verify = check_hypothesis
     Kx = koszul_complex(forms, C)
@@ -221,16 +192,13 @@ def _koszul_route(obj, forms, check_hypothesis):
         for i in spots:
             if not series[i].is_zero() and series[i].dimension() > 0:
                 raise KoszulHypothesisError(i, series[i].dimension())
-    best, wit = -inf, None
+    tops = {}
     for i, H in series.items():
-        if H.is_zero():
-            continue
-        top = H.top_degree()
-        if top == inf:
-            raise KoszulHypothesisError(i, H.dimension())
-        if top - i > best:
-            best, wit = top - i, (i, top)
-    return best, wit
+        if not H.is_zero():
+            tops[i] = H.top_degree()
+            if tops[i] == inf:
+                raise KoszulHypothesisError(i, H.dimension())
+    return _sup((top - i, (i, top)) for i, top in tops.items())
 
 
 # -- route 4: graded local duality ----------------------------------------
@@ -265,13 +233,8 @@ def reg_via_duality(M):
         if M.is_zero():
             return -inf, None
         ext_series, n = _duality_series(M)
-        best, wit = -inf, None
-        for q, E in ext_series.items():
-            i = n - q
-            end = -E.indeg()
-            if i + end > best:
-                best, wit = i + end, (i, end)
-        return best, wit
+        return _sup((n - q - E.indeg(), (n - q, -E.indeg()))
+                    for q, E in ext_series.items())
 
     return _cached(M, "duality", compute)
 
@@ -293,11 +256,8 @@ class LocalCohomologyTable:
         self.nvars = nvars
 
     def regularity(self):
-        out = -inf
-        for i, (_, end) in self.row_support.items():
-            if end is not None and i + end > out:
-                out = i + end
-        return out
+        return _sup((i + end, None) for i, (_, end) in self.row_support.items()
+                    if end is not None)[0]
 
     def depth_dim(self):
         """(min, max) cohomological degree with a nonzero row."""
@@ -397,13 +357,13 @@ def relative_reg(obj, max_len=None):
         if obj.is_zero():
             return RelativeReg(-inf, True, 0)
         res = free_resolution(obj, max_len=max_len)
-        best, _ = _sup_twist(_resolution_levels(res))
+        best, _ = _sup(_twist_candidates(_resolution_levels(res)))
         return RelativeReg(best, res.complete, res.length)
     C = obj
     if not C.terms:
         return RelativeReg(-inf, True, 0)
     F, complete = free_resolution_of_complex(C, max_len=max_len)
-    best, _ = _sup_twist(_complex_levels(F))
+    best, _ = _sup(_twist_candidates(_complex_levels(F)))
     return RelativeReg(best, complete, max([0] + F.levels()))
 
 
@@ -435,8 +395,7 @@ def depth_profile(M):
     n = S.nvars
     if Mc.is_zero():
         return {"via_pd": inf, "via_ext": inf, "via_koszul": inf}
-    res = free_resolution(Mc)
-    via_pd = n - res.length
+    via_pd = depth(Mc)
     table = _bass_data(Mc)
     via_ext = min(i for (i, _) in table)
     Kx = koszul_complex(list(S.gens()), complex_from_module(Mc))

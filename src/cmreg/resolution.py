@@ -209,11 +209,3 @@ def pd(M, max_len=None):
     if res.complete:
         return res.length
     return inf
-
-
-def depth_via_ab(M):
-    """depth = n - pd over the polynomial cover (Auslander-Buchsbaum)."""
-    if M.is_zero():
-        return inf
-    Mc = M.lift_to_cover()
-    return Mc.ring.nvars - pd(Mc)

@@ -1,15 +1,19 @@
 import importlib
+import random
 from math import inf
 
 import pytest
 
 import cmreg.modules
+import cmreg.oracle
 from cmreg import (KoszulHypothesisError, PresentedModule, a_invariant,
                    bass_table, betti_table, complex_from_module, depth,
                    depth_profile, free_resolution, koszul_complex,
-                   local_cohomology_table, module_from_ideal, reg_complex,
-                   reg_via_betti, reg_via_duality, reg_via_ext,
-                   reg_via_koszul, regularity, relative_reg)
+                   local_cohomology_table, module_from_ideal,
+                   polynomial_ring, reg_complex, reg_via_betti,
+                   reg_via_duality, reg_via_ext, reg_via_koszul, regularity,
+                   relative_reg)
+from cmreg.oracle import DenseOracle, rank_of_rows
 from cmreg.theorems import random_ideal_corpus
 
 # the package exports a function named regularity, which shadows the
@@ -163,6 +167,81 @@ def test_koszul_hypothesis_error_carries_witness(det_module):
     assert ei.value.spot == 1
     assert ei.value.dimension == 2
     assert "H_1" in str(ei.value)
+
+
+def oracle_spans_degree_one(forms, ring):
+    """Reference for the koszul route's hypothesis test: do these linear
+    forms span the degree-1 piece of the ring?  Dense ranks of the forms'
+    rows over the quotient's degree-1 relations."""
+    oc = DenseOracle(PresentedModule.cyclic(ring, []), max_degree=2)
+    basis = oc.ambient_basis(1)
+    index = {bm: a for a, bm in enumerate(basis)}
+
+    def row(items):
+        out = [0] * len(basis)
+        for key, c in items:
+            out[index[key]] = int(c) if ring.field.characteristic else c
+        return out
+
+    rows = [row(((0, m), c) for m, c in ring.reduce(f).terms.items())
+            for f in forms]
+    rel_rows = [row(col.items()) for col, d in zip(oc.rels, oc.rel_degs)
+                if d == 1]
+    base = rank_of_rows(rel_rows, len(basis), ring.field)
+    total = rank_of_rows(rel_rows + rows, len(basis), ring.field)
+    return total - base == oc.hilbert_function(1)
+
+
+def hypothesis_rings():
+    """GF(7) and QQ, 2-4 variables: polynomial rings and the quotients by
+    x - y, xy and (for four variables) (x + w, y^2)."""
+    for rational in (False, True):
+        for n in (2, 3, 4):
+            S = polynomial_ring("xyzw"[:n], p=7, rational=rational)
+            g = S.gens()
+            yield S
+            yield S.quotient([g[0] - g[1]])
+            yield S.quotient([g[0] * g[1]])
+            if n == 4:
+                yield S.quotient([g[0] + g[3], g[1] * g[1]])
+
+
+def test_koszul_hypothesis_predicate_matches_dense_reference():
+    rng = random.Random(2026)
+    rings = list(hypothesis_rings())
+    assert len(rings) == 20
+    spans = cases = 0
+    for R in rings:
+        for _ in range(48):
+            forms = []
+            while not forms:
+                for _ in range(rng.randint(1, R.nvars + 1)):
+                    f = sum((rng.randint(-2, 2) * v for v in R.gens()),
+                            R.constant(0))
+                    if not f.is_zero():
+                        forms.append(f)
+            got = PresentedModule.cyclic(R, forms).hilbert_function(1) == 0
+            assert got == oracle_spans_degree_one(forms, R)
+            spans += got
+            cases += 1
+    # both answers occur often
+    assert cases == 960
+    assert 100 < spans < 860
+
+
+def test_koszul_route_checks_its_hypothesis_without_the_oracle(
+        monkeypatch, det_module, S3):
+    def refuse(*args, **kwargs):
+        raise AssertionError("DenseOracle built by a regularity route")
+
+    monkeypatch.setattr(cmreg.oracle, "DenseOracle", refuse)
+    x, y, z, t = det_module.ring.gens()
+    with pytest.raises(KoszulHypothesisError):
+        reg_via_koszul(det_module, forms=[z])
+    assert reg_via_koszul(det_module, forms=[x, y, z, t])[0] == 1
+    u, v, w = S3.gens()
+    M = PresentedModule.cyclic(S3, [u * u, v * v, w * w])
+    assert reg_via_koszul(M, forms=[u + v, v, w])[0] == 3
 
 
 def test_koszul_accepts_appended_forms(S3):

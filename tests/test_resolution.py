@@ -2,8 +2,8 @@ from math import inf
 
 import pytest
 
-from cmreg import (PresentedModule, betti_table, depth_via_ab,
-                   free_resolution, pd, polynomial_ring, relative_reg)
+from cmreg import (PresentedModule, betti_table, depth, free_resolution, pd,
+                   polynomial_ring, relative_reg)
 
 
 def test_koszul_resolution_of_residue_field(S3):
@@ -57,7 +57,7 @@ def test_depth_from_projective_dimension(S3):
     x, y, z = S3.gens()
     # depth = n - pd over the polynomial ring
     M = PresentedModule.cyclic(S3, [x * y, x * z])
-    assert depth_via_ab(M) == 3 - pd(M)
+    assert depth(M) == 3 - pd(M)
 
 
 def test_infinite_resolution_is_flagged(ci_ring):

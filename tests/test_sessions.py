@@ -148,3 +148,43 @@ def test_reg_on_a_complex_runs_the_betti_route_once(monkeypatch):
     monkeypatch.setattr(reg_mod, "reg_via_betti", lambda obj: (5, None))
     code, _ = run("--session", path("determinantal.cmreg"), "reg", "K")
     assert code == 2
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(SESSIONS)))
+def test_tor_and_ext_read_hilbert_series_only(name, monkeypatch):
+    # each entry equals the profile of the presented homology module, and
+    # the output is the same with homology_at switched off
+    cx = importlib.import_module("cmreg.complexes")
+    mods = session_modules(name)
+    pairs = [(a, b) for a, A in mods for b, B in mods if A.ring == B.ring]
+    assert pairs
+    calls = [(cmd, a, b, extra) for a, b in pairs for cmd in ("tor", "ext")
+             for extra in ([], ["--max-degree", "4"])]
+    outs = {}
+    for cmd, a, b, extra in calls:
+        code, out = run("--session", path(name), *extra, cmd, a, b)
+        assert code == 0
+        outs[(cmd, a, b, tuple(extra))] = out
+    for a, b in pairs:
+        A, B = dict(mods)[a], dict(mods)[b]
+        for cmd, C, sign in (("tor", cx.tor_complex(A, B), 1),
+                             ("ext", cx.ext_complex(A, B), -1)):
+            entries = []
+            for i in range(max(sign * s for s in C.levels()) + 1):
+                H = C.homology(sign * i)
+                if not H.is_zero():
+                    entries.append({"i": i, **cli._module_profile(
+                        H.hilbert_series())})
+            got = json.loads(outs[(cmd, a, b, ())])["result"][cmd]
+            assert got == cli.jsonable(entries)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("homology module presented")
+
+    monkeypatch.setattr(importlib.import_module("cmreg.modules"),
+                        "homology_at", refuse)
+    monkeypatch.setattr(cx, "homology_at", refuse)
+    for cmd, a, b, extra in calls:
+        code, out = run("--session", path(name), *extra, cmd, a, b)
+        assert code == 0
+        assert out == outs[(cmd, a, b, tuple(extra))]

@@ -1,0 +1,294 @@
+"""Module-path homology and the free resolution of a complex against the
+designs they replaced, kept here as references: homology as a presented
+kernel followed by a second subquotient, and the fiber-product step with
+an end-dependent target layout and merged columns."""
+
+import os
+import random
+
+import pytest
+
+import cmreg.modules as modules
+from cmreg import (BoundedComplex, PresentedModule, complex_from_module,
+                   free_resolution, free_resolution_of_complex, hom_complex,
+                   homology_at, koszul_complex, parse_session,
+                   polynomial_ring, resolution_to_complex,
+                   tensor_free_with_complex)
+from cmreg.complexes import free_complex_from_data, minimal_cover
+from cmreg.freemod import FreeModule, vec_degree
+from cmreg.groebner import groebner_basis
+from cmreg.minimize import minimize_presentation
+from cmreg.modules import ModuleMap, syzygies_of_vectors
+from cmreg.theorems import _random_linear_form, random_ideal_corpus
+
+SESSIONS = os.path.join(os.path.dirname(__file__), "..", "sessions")
+
+
+# -- references: a subquotient with an optional minimization, a presented
+# -- kernel, homology through that kernel, and the old fiber product -----
+
+def naive_subquotient(ring, free, numerators, denominators, minimize):
+    K = ring.field
+    den = [dict(c) for c in denominators if c]
+    gb_den = groebner_basis(den, ring, free)
+    nums = []
+    seen = set()
+    for v in numerators:
+        w = gb_den.normal_form(v)
+        if not w:
+            continue
+        key = frozenset(w.items())
+        if key in seen:
+            continue
+        seen.add(key)
+        nums.append(w)
+    if not nums:
+        return PresentedModule.zero(ring), []
+    syz, _ = syzygies_of_vectors(nums + den, ring, free)
+    s = len(nums)
+    rels = []
+    for v in syz:
+        proj = {(p, m): c for (p, m), c in v.items() if p < s}
+        if proj:
+            rels.append(proj)
+    twists = tuple(vec_degree(v, free.twists) for v in nums)
+    if not minimize:
+        return PresentedModule(ring, FreeModule(ring, twists), rels), nums
+    tw, cols, kept = minimize_presentation(twists, rels, K)
+    module = PresentedModule(ring, FreeModule(ring, tw), cols)
+    return module, [nums[i] for i in kept]
+
+
+def naive_kernel(phi, minimize=True):
+    M, N = phi.source, phi.target
+    ring = phi.ring
+    live = [(j, c) for j, c in enumerate(phi.cols) if c]
+    carriers = []
+    if live:
+        vectors = [c for _, c in live] + [dict(c) for c in N.rel_cols]
+        syz, _ = syzygies_of_vectors(vectors, ring, N.gens_free)
+        nlive = len(live)
+        for v in syz:
+            w = {}
+            for (p, m), c in v.items():
+                if p < nlive:
+                    w[(live[p][0], m)] = c
+            if w:
+                carriers.append(w)
+    for j, c in enumerate(phi.cols):
+        if not c:
+            carriers.append(M.gens_free.basis_vec(j))
+    module, gens = naive_subquotient(ring, M.gens_free, carriers,
+                                     list(M.rel_cols), minimize)
+    return module, ModuleMap(module, M, gens)
+
+
+def naive_homology(C, i):
+    if C.term(i).rank == 0:
+        return PresentedModule.zero(C.ring)
+    psi, phi = C.diff(i + 1), C.diff(i)
+    _, incl = naive_kernel(phi, minimize=False)
+    mid = phi.source
+    dens = [dict(c) for c in psi.cols if c] + [dict(c) for c in mid.rel_cols]
+    module, _ = naive_subquotient(mid.ring, mid.gens_free, list(incl.cols),
+                                  dens, True)
+    return module
+
+
+def naive_free_resolution_of_complex(L, max_len=None):
+    ring = L.ring
+    if not L.terms:
+        return BoundedComplex(ring, {}, {}), True
+    if L.is_free:
+        return L.minimized(), True
+    lo, hi = L.min_level, L.max_level
+    if max_len is None:
+        span = hi - lo
+        max_len = span + (ring.nvars + 4 if ring.is_polynomial
+                          else 2 * ring.nvars + 4)
+    twists = {}
+    cols = {}
+    F_prev, phi_prev = minimal_cover(L.term(lo))
+    twists[lo] = tuple(F_prev.gens_free.twists)
+    phis = {lo: phi_prev}
+    complete = False
+    i = lo
+    while True:
+        if i - lo >= max_len:
+            break
+        Lnext = L.term(i + 1)
+        Fi = PresentedModule.free(ring, twists[i])
+        dF_cols = cols.get(i)
+        target_parts = [L.term(i)]
+        if dF_cols is not None:
+            target_parts.append(PresentedModule.free(ring, twists[i - 1]))
+        if len(target_parts) == 2:
+            target = target_parts[0].direct_sum(target_parts[1])
+            shift0 = 0
+            shift1 = target_parts[0].rank
+        else:
+            target = target_parts[0]
+            shift0 = 0
+            shift1 = None
+        source = Fi.direct_sum(Lnext) if Lnext.rank else Fi
+        K = ring.field
+        columns = []
+        for j in range(Fi.rank):
+            col = {}
+            for (p, m), c in phis[i].cols[j].items():
+                col[(p + shift0, m)] = c
+            if dF_cols is not None:
+                for (p, m), c in dF_cols[j].items():
+                    key = (p + shift1, m)
+                    s = K.add(col.get(key, K.zero), c)
+                    if K.is_zero(s):
+                        col.pop(key, None)
+                    else:
+                        col[key] = s
+            columns.append(col)
+        dnext = L.diff(i + 1)
+        for j in range(Lnext.rank):
+            col = {}
+            for (p, m), c in dnext.cols[j].items():
+                col[(p + shift0, m)] = K.neg(c)
+            columns.append(col)
+        psi = ModuleMap(source, target, columns)
+        ker_mod, incl = naive_kernel(psi)
+        if ker_mod.rank == 0 and i >= hi:
+            complete = True
+            break
+        fr = Fi.rank
+        new_twists = tuple(ker_mod.gens_free.twists)
+        dF_new = []
+        phi_new = []
+        for c in incl.cols:
+            fpart = {}
+            lpart = {}
+            for (p, m), cc in c.items():
+                if p < fr:
+                    fpart[(p, m)] = cc
+                else:
+                    lpart[(p - fr, m)] = cc
+            dF_new.append(fpart)
+            phi_new.append(lpart)
+        i += 1
+        twists[i] = new_twists
+        cols[i] = dF_new
+        Fn = PresentedModule.free(ring, new_twists)
+        phis[i] = ModuleMap(Fn, L.term(i), phi_new)
+    built = free_complex_from_data(ring, twists, cols)
+    return built.minimized(), complete
+
+
+# -- comparison ----------------------------------------------------------
+
+def assert_same_module(got, ref):
+    assert got.gens_free.twists == ref.gens_free.twists
+    assert got.rel_cols == ref.rel_cols  # columns equal as dicts
+
+
+def assert_same_complex(got, ref):
+    assert list(got.terms) == list(ref.terms)
+    for n, t in ref.terms.items():
+        assert_same_module(got.terms[n], t)
+    assert list(got.diffs) == list(ref.diffs)
+    for n, d in ref.diffs.items():
+        assert got.diffs[n].cols == d.cols
+
+
+def assert_matches_references(C):
+    """Every homology module and the resolution of C equal the
+    references; returns how many nonzero homology modules were compared."""
+    nonzero = 0
+    for i in range(C.min_level - 1, C.max_level + 2):
+        H = C.homology(i)
+        assert_same_module(H, naive_homology(C, i))
+        nonzero += H.rank > 0
+    F, complete = free_resolution_of_complex(C)
+    F_ref, complete_ref = naive_free_resolution_of_complex(C)
+    assert complete == complete_ref
+    assert_same_complex(F, F_ref)
+    return nonzero
+
+
+# -- inputs: the checkers' complexes on corpus 00-12 and the sessions ----
+
+def corpus_complexes(idx):
+    """Koszul([f], M), the tensor complex and the Hom complex that
+    corpus_checks builds for one instance, with its auxiliary forms."""
+    inst = random_ideal_corpus()[idx]
+    rng = random.Random(f"{inst.name}:aux")
+    S, M = inst.ring, inst.module
+    f = _random_linear_form(S, rng)
+    g = _random_linear_form(S, rng)
+    F = resolution_to_complex(free_resolution(PresentedModule.cyclic(S, [g])))
+    return [koszul_complex([f], M),
+            tensor_free_with_complex(F, complex_from_module(M)),
+            hom_complex(F, complex_from_module(M))]
+
+
+def session_complexes(name):
+    """The session's complexes and Koszul([x], M) for each module M."""
+    with open(os.path.join(SESSIONS, name), encoding="utf-8") as fh:
+        session = parse_session(fh.read())
+    out = []
+    for n in session.order:
+        kind = session.kind_of(n)
+        if kind == "complex":
+            out.append(session.get(n))
+        elif kind == "module":
+            M = session.get(n)
+            out.append(koszul_complex([M.ring.gens()[0]], M))
+    return out
+
+
+@pytest.mark.parametrize("idx", range(13))
+def test_homology_and_fiber_product_match_references_on_corpus(idx):
+    for C in corpus_complexes(idx):
+        assert_matches_references(C)
+
+
+def test_homology_and_fiber_product_match_references_on_sessions():
+    names = sorted(os.listdir(SESSIONS))
+    complexes = [C for name in names for C in session_complexes(name)]
+    assert len(complexes) == 9
+    assert sum(assert_matches_references(C) for C in complexes)
+
+
+def test_empty_middle_level_and_unstored_zero_differential(S3):
+    x, y, z = S3.gens()
+    M = PresentedModule.cyclic(S3, [x * y, z * z])
+    N = PresentedModule.cyclic(S3, [x])
+    # spots 0 and 2 with nothing at spot 1: both differentials are zero
+    gap = BoundedComplex(S3, {0: M, 2: N}, {})
+    assert 1 not in gap.terms
+    assert assert_matches_references(gap) == 2
+    # adjacent spots whose zero differential is not stored
+    flat = BoundedComplex(S3, {0: M, 1: N.twist(1)}, {})
+    assert not flat.diffs
+    assert assert_matches_references(flat) == 2
+    # the same with a free term, so the minimal cover keeps a summand
+    mixed = BoundedComplex(S3, {0: PresentedModule.free(S3, (0,)), 1: M}, {})
+    assert assert_matches_references(mixed) == 2
+
+
+def test_homology_at_is_one_subquotient(monkeypatch):
+    R = polynomial_ring(["x", "y", "z"])
+    x, y, z = R.gens()
+    C = koszul_complex([x, y], PresentedModule.cyclic(R, [x * z]))
+    calls = []
+    real = modules.present_subquotient
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("homology_at presented a kernel")
+
+    monkeypatch.setattr(modules, "present_subquotient", counted)
+    monkeypatch.setattr(modules, "kernel", no_kernel)
+    H = homology_at(C.diff(2), C.diff(1))
+    assert len(calls) == 1
+    assert H.rank > 0
+    assert_same_module(H, naive_homology(C, 1))
