@@ -164,33 +164,31 @@ def _pair(session, args):
     return A, B
 
 
+def _derived_entries(C, sign, max_degree):
+    """Profiles of the nonzero H_{sign*i}(C) for i >= 0, ascending in i:
+    sign 1 lists Tor_i, sign -1 lists Ext^i (at spot -i)."""
+    entries = []
+    for i in sorted(sign * s for s in C.levels()):
+        if i < 0:
+            continue
+        H = C.homology_series(sign * i)
+        if not H.is_zero():
+            entries.append({"i": i, **_module_profile(H, max_degree)})
+    return entries
+
+
 def cmd_tor(session, args):
     A, B = _pair(session, args)
     T = tor_complex(A, B, max_len=args.max_len)
-    entries = []
-    for i in sorted(T.levels()):
-        if i < 0:
-            continue
-        H = T.homology_series(i)
-        if H.is_zero():
-            continue
-        entries.append({"i": i, **_module_profile(H, args.max_degree)})
-    return {"modules": [args.first, args.second], "tor": entries}
+    return {"modules": [args.first, args.second],
+            "tor": _derived_entries(T, 1, args.max_degree)}
 
 
 def cmd_ext(session, args):
     A, B = _pair(session, args)
     E = ext_complex(A, B, max_len=args.max_len)
-    entries = []
-    for s in sorted(E.levels(), reverse=True):
-        i = -s
-        if i < 0:
-            continue
-        H = E.homology_series(s)
-        if H.is_zero():
-            continue
-        entries.append({"i": i, **_module_profile(H, args.max_degree)})
-    return {"modules": [args.first, args.second], "ext": entries}
+    return {"modules": [args.first, args.second],
+            "ext": _derived_entries(E, -1, args.max_degree)}
 
 
 def cmd_koszul(session, args):
@@ -243,6 +241,8 @@ def cmd_check(session, args):
                                            seed=seed)
     elif kind == "ring-indep":
         M = session.get(need("--module", args.module), ("module",))
+        if args.extra < 1:
+            raise UsageError("check ring-indep needs --extra of at least 1")
         out = check_ring_independence(M, extra_vars=args.extra,
                                       instance=args.module, seed=seed)
     else:
@@ -358,7 +358,7 @@ def build_parser():
     p.add_argument("--modules", help="comma-separated module bindings")
     p.add_argument("--form", help="polynomial expression")
     p.add_argument("--extra", type=int, default=1,
-                   help="extra cover variables for ring-indep")
+                   help="extra cover variables for ring-indep (at least 1)")
     p = sub.add_parser("family", parents=[shared])
     p.add_argument("kind", choices=("nilpotent-scroll",))
     p.add_argument("--n", type=int, required=True)

@@ -15,6 +15,7 @@ from math import inf
 
 from .freemod import FreeModule, GradedMap
 from .hilbert import HilbertSeries
+from .memo import _cached
 from .minimize import minimize_chain, minimize_presentation
 from .modules import ModuleMap, PresentedModule, homology_at, kernel
 from .resolution import free_resolution
@@ -98,27 +99,24 @@ class BoundedComplex:
 
     # -- homology ----------------------------------------------------------
     def homology(self, i):
-        got = self._cache.get(("H", i))
-        if got is None:
+        def compute():
             if self.term(i).rank == 0:
-                got = PresentedModule.zero(self.ring)
-            else:
-                got = homology_at(self.diff(i + 1), self.diff(i))
-            self._cache[("H", i)] = got
-        return got
+                return PresentedModule.zero(self.ring)
+            return homology_at(self.diff(i + 1), self.diff(i))
+
+        return _cached(self, ("H", i), compute)
 
     def _coker_series(self, i):
         """Series of coker d_i: C_{i-1} with d_i's columns as extra relations."""
-        got = self._cache.get(("coker", i))
-        if got is None:
+        def compute():
             target = self.term(i - 1)
             d = self.diffs.get(i)
             if d is not None:
                 target = PresentedModule(self.ring, target.gens_free,
                                          list(target.rel_cols) + list(d.cols))
-            got = target.hilbert_series()
-            self._cache[("coker", i)] = got
-        return got
+            return target.hilbert_series()
+
+        return _cached(self, ("coker", i), compute)
 
     def homology_series(self, i):
         """Hilbert series of H_i without presenting it, by additivity:
@@ -128,17 +126,16 @@ class BoundedComplex:
         H = self._cache.get(("H", i))
         if H is not None:
             return H.hilbert_series()
-        got = self._cache.get(("HS", i))
-        if got is None:
+
+        def compute():
             if self.term(i).rank == 0:
-                got = HilbertSeries({}, self.ring.cover.nvars)
-            else:
-                if not self.diff(i).compose(self.diff(i + 1)).is_zero_map():
-                    raise ValueError("composition is not zero, homology undefined")
-                got = self._coker_series(i + 1).add(self._coker_series(i)).sub(
-                    self.term(i - 1).hilbert_series())
-            self._cache[("HS", i)] = got
-        return got
+                return HilbertSeries({}, self.ring.cover.nvars)
+            if not self.diff(i).compose(self.diff(i + 1)).is_zero_map():
+                raise ValueError("composition is not zero, homology undefined")
+            return self._coker_series(i + 1).add(self._coker_series(i)).sub(
+                self.term(i - 1).hilbert_series())
+
+        return _cached(self, ("HS", i), compute)
 
     def sup_homology(self):
         for i in range(self.max_level, self.min_level - 1, -1):
@@ -239,11 +236,7 @@ def koszul_complex(forms, coefficients=None):
 def koszul_resolution_of_k(ring):
     """The Koszul complex on the variables: over a polynomial ring this is
     the minimal free resolution of the residue field."""
-    got = ring._cache.get("koszul_k")
-    if got is None:
-        got = koszul_complex(list(ring.gens()))
-        ring._cache["koszul_k"] = got
-    return got
+    return _cached(ring, "koszul_k", lambda: koszul_complex(list(ring.gens())))
 
 
 # -- tensor and Hom totalizations -------------------------------------------

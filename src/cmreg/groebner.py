@@ -54,6 +54,7 @@ import struct
 from heapq import heapify, heappop, heappush
 
 from .freemod import FreeModule, vec_is_homogeneous
+from .memo import _cached
 from .poly import EXPONENT_CAP, mono_deg, mono_lcm, Polynomial
 
 _DEG_TOP = (1 << 40) - 1
@@ -339,13 +340,13 @@ def defining_gb(ring):
     """Reduced rank-one basis of the defining ideal over the cover (cached)."""
     if ring.is_polynomial:
         return []
-    cached = ring._cache.get("defining_gb")
-    if cached is None:
+
+    def compute():
         P = _packing(ring.nvars)
         gens = [{P.encode(0, m): c for m, c in f.terms.items()} for f in ring.defining]
-        cached = _buchberger(gens, ring.field, (0,), True, P)
-        ring._cache["defining_gb"] = cached
-    return cached
+        return _buchberger(gens, ring.field, (0,), True, P)
+
+    return _cached(ring, "defining_gb", compute)
 
 
 def _augmented_columns(ring, free):

@@ -1,0 +1,18 @@
+"""Per-object memoization: the one cache rule of cmreg.
+
+Rings, modules and complexes carry a `_cache` dict, and every result kept
+there goes through `_cached`.  The rule: compute() runs once per object
+and key; None in the cache is a miss (no cached computation returns
+None); an exception from compute() propagates and stores nothing, so a
+failing call fails again.  Keys are strings or (name, argument) tuples,
+for example "gb", ("H", i) or ("resolution", max_len).
+"""
+
+
+def _cached(obj, key, compute):
+    """obj._cache[key], filled by compute() on the first call."""
+    got = obj._cache.get(key)
+    if got is None:
+        got = compute()
+        obj._cache[key] = got
+    return got

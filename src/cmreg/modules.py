@@ -17,6 +17,7 @@ from .freemod import (FreeModule, GradedMap, apply_map, vec_degree,
                       vec_from_column, vec_is_homogeneous)
 from .groebner import groebner_basis
 from .hilbert import HilbertSeries, monomial_ideal_numerator
+from .memo import _cached
 from .minimize import minimize_presentation
 from .poly import Polynomial
 
@@ -63,11 +64,8 @@ class PresentedModule:
         return self.gens_free.rank
 
     def gb(self):
-        got = self._cache.get("gb")
-        if got is None:
-            got = groebner_basis(self.rel_cols, self.ring, self.gens_free)
-            self._cache["gb"] = got
-        return got
+        return _cached(self, "gb", lambda: groebner_basis(
+            self.rel_cols, self.ring, self.gens_free))
 
     # -- elementary constructions ----------------------------------------
     def twist(self, d):
@@ -98,21 +96,16 @@ class PresentedModule:
 
     def minimized(self):
         """Isomorphic module with a minimal presentation."""
-        got = self._cache.get("minimized")
-        if got is None:
+        def compute():
             tw, cols, _ = minimize_presentation(self.gens_free.twists,
                                                 self.rel_cols, self.ring.field)
-            got = PresentedModule(self.ring, FreeModule(self.ring, tw), cols)
-            self._cache["minimized"] = got
-        return got
+            return PresentedModule(self.ring, FreeModule(self.ring, tw), cols)
+
+        return _cached(self, "minimized", compute)
 
     # -- numerical invariants --------------------------------------------
     def hilbert_series(self):
-        got = self._cache.get("hs")
-        if got is None:
-            got = hilbert_series(self)
-            self._cache["hs"] = got
-        return got
+        return _cached(self, "hs", lambda: hilbert_series(self))
 
     def dimension(self):
         return self.hilbert_series().dimension()

@@ -16,8 +16,10 @@ and duality, the minimal free resolution; the betti route reads twists
 and shares no homology code with the other three.
 
 reg_via_duality, default-form reg_via_koszul and reg_complex keep their
-result in the _cache of the object they were asked about, next to its
-Groebner basis and Hilbert series, so a checker that asks twice pays once.
+result on the object they were asked about, next to its Groebner basis,
+Hilbert series and resolutions, under the one cache rule of cmreg.memo,
+so a checker that asks twice pays once.  Explicit Koszul forms and the
+cross_check betti run are never cached.
 
 Absolute invariants of quotient-ring modules are routed through the
 polynomial cover; the Koszul route is the one that works directly over the
@@ -30,6 +32,7 @@ from .complexes import (BoundedComplex, complex_from_module,
                         free_resolution_of_complex, hom_complex,
                         koszul_complex, koszul_resolution_of_k,
                         resolution_to_complex)
+from .memo import _cached
 from .modules import PresentedModule
 from .resolution import free_resolution
 
@@ -56,16 +59,6 @@ def _as_complex(obj):
     if isinstance(obj, PresentedModule):
         return complex_from_module(obj)
     return obj
-
-
-def _cached(obj, key, compute):
-    """compute() once per object, kept in obj._cache; exceptions are not
-    kept, so a failing call fails again."""
-    got = obj._cache.get(key)
-    if got is None:
-        got = compute()
-        obj._cache[key] = got
-    return got
 
 
 # -- route 1: resolution twists -------------------------------------------
@@ -150,7 +143,7 @@ def reg_via_ext(obj):
 
 # -- route 3: Koszul homology on the module's own ring --------------------
 
-def reg_via_koszul(obj, forms=None, check_hypothesis=None):
+def reg_via_koszul(obj, forms=None):
     """(value, witness) from Koszul homology H_i(forms; obj) over the
     object's own ring.
 
@@ -158,15 +151,14 @@ def reg_via_koszul(obj, forms=None, check_hypothesis=None):
     user-supplied sequence must consist of linear forms; unless the forms
     span the degree-1 piece of the ring, every homology module must have
     finite length, and a KoszulHypothesisError reports the first that
-    does not.  Only the default call (no forms, no check_hypothesis) is
-    cached on obj.
+    does not.  Only the default call (no forms) is cached on obj.
     """
-    if forms is None and check_hypothesis is None:
-        return _cached(obj, "koszul", lambda: _koszul_route(obj, None, None))
-    return _koszul_route(obj, forms, check_hypothesis)
+    if forms is None:
+        return _cached(obj, "koszul", lambda: _koszul_route(obj, None))
+    return _koszul_route(obj, forms)
 
 
-def _koszul_route(obj, forms, check_hypothesis):
+def _koszul_route(obj, forms):
     C = _as_complex(obj)
     ring = C.ring
     if not C.terms:
@@ -181,8 +173,6 @@ def _koszul_route(obj, forms, check_hypothesis):
                 raise ValueError("Koszul-route sequences consist of linear forms")
         # linear forms span R_1 exactly when (R/(forms))_1 = 0
         verify = PresentedModule.cyclic(ring, forms).hilbert_function(1) != 0
-    if check_hypothesis is not None:
-        verify = check_hypothesis
     Kx = koszul_complex(forms, C)
     series = {i: Kx.homology_series(i) for i in Kx.levels()}
     if verify:
@@ -430,7 +420,7 @@ class RegularityReport:
         self.value = routes["betti"] if self.agree else None
 
     def as_dict(self):
-        out = {
+        return {
             "ring": self.ring_repr,
             "cover": self.cover_repr,
             "routes": dict(self.routes),
@@ -438,17 +428,15 @@ class RegularityReport:
                           for k, v in self.witnesses.items()},
             "agree": self.agree,
             "value": self.value,
-        }
-        if self.relative is not None:
-            out["relative"] = {
+            "relative": {
                 "value": self.relative.value,
                 "certified": self.relative.certified,
                 "levels": self.relative.levels,
-            }
-        return out
+            },
+        }
 
 
-def regularity(M, include_relative=True, max_len=None):
+def regularity(M, max_len=None):
     """Four-route regularity report for a presented module."""
     rb, wb = reg_via_betti(M)
     re_, we = reg_via_ext(M)
@@ -456,6 +444,6 @@ def regularity(M, include_relative=True, max_len=None):
     rd, wd = reg_via_duality(M)
     routes = {"betti": rb, "ext": re_, "koszul": rk, "duality": rd}
     wits = {"betti": wb, "ext": we, "koszul": wk, "duality": wd}
-    rel = relative_reg(M, max_len=max_len) if include_relative else None
+    rel = relative_reg(M, max_len=max_len)
     cover = M.ring if M.ring.is_polynomial else M.ring.cover
     return RegularityReport(repr(M.ring), repr(cover), routes, wits, rel)

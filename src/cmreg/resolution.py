@@ -14,6 +14,7 @@ from math import inf
 
 from .freemod import FreeModule, GradedMap, vec_degree
 from .groebner import groebner_basis, syzygy_generators
+from .memo import _cached
 from .minimize import minimize_chain
 
 
@@ -65,12 +66,14 @@ _HARD_LIMIT_PAD = 4
 def free_resolution(M, max_len=None):
     """Minimal free resolution of a presented module over its own ring."""
     ring = M.ring
-    K = ring.field
     if max_len is None:
         max_len = (ring.nvars + 1) if ring.is_polynomial else 2 * ring.nvars + 4
-    cached = M._cache.get(("resolution", max_len))
-    if cached is not None:
-        return cached
+    return _cached(M, ("resolution", max_len), lambda: _resolve(M, max_len))
+
+
+def _resolve(M, max_len):
+    ring = M.ring
+    K = ring.field
     Mmin = M.minimized()
     f0 = Mmin.gens_free
     if f0.rank == 0 or not Mmin.rel_cols:
@@ -132,10 +135,7 @@ def free_resolution(M, max_len=None):
         src = FreeModule(ring, twists[i])
         tgt = FreeModule(ring, twists[i - 1])
         maps.append(GradedMap(src, tgt, cols[i]))
-    f0_final = FreeModule(ring, twists[0])
-    res = FreeResolution(ring, f0_final, maps, complete)
-    M._cache[("resolution", max_len)] = res
-    return res
+    return FreeResolution(ring, FreeModule(ring, twists[0]), maps, complete)
 
 
 class BettiTable:

@@ -136,6 +136,18 @@ def _reg(M):
 
 # -- homology-wise regularity of complexes ---------------------------------
 
+def _homology_sup(C):
+    """{spot: H} over the nonzero homology of C, {spot: reg H} for the
+    same spots, and sup{reg H_s - s} (-inf when C is exact)."""
+    homs = {}
+    for s in C.levels():
+        H = C.homology(s)
+        if not H.is_zero():
+            homs[s] = H
+    regs = {s: _reg(H) for s, H in homs.items()}
+    return homs, regs, max((r - s for s, r in regs.items()), default=-inf)
+
+
 def _homology_formula(L, name, instance, witness_fn, seed=None):
     """Shared core: reg L (totalized Koszul) against sup{reg H_i - i}
     (per-homology duality), with the hypothesis delegated to witness_fn.
@@ -144,19 +156,11 @@ def _homology_formula(L, name, instance, witness_fn, seed=None):
     homology-wise sup, and never exceeds the termwise sup{reg L_i - i}.
     """
     L = _coerce_complex(L)
-    homs = {}
-    for i in L.levels():
-        H = L.homology(i)
-        if not H.is_zero():
-            homs[i] = H
+    homs, regs, rhs = _homology_sup(L)
     lhs = reg_complex(L)
-    rhs = -inf
-    invariants = {}
-    for i, H in sorted(homs.items()):
-        r = _reg(H)
-        invariants[f"H_{i}"] = {"reg": r, "depth": depth(H),
-                                "dim": H.dimension()}
-        rhs = max(rhs, r - i)
+    invariants = {f"H_{i}": {"reg": regs[i], "depth": depth(H),
+                             "dim": H.dimension()}
+                  for i, H in homs.items()}
     termwise = -inf
     for i in L.levels():
         T = L.term(i)
@@ -285,19 +289,11 @@ def check_cor_tensor(*modules, instance="tensor", seed=None):
     for res in resolutions[1:]:
         F = tensor_complexes(F, resolution_to_complex(res))
     T = tensor_free_with_complex(F, complex_from_module(modules[-1]))
-    witnesses = []
-    lhs = -inf
-    invariants = {}
-    for i in T.levels():
-        H = T.homology(i)
-        if H.is_zero():
-            continue
-        dm = H.dimension()
-        r = _reg(H)
-        invariants[f"Tor_{i}"] = {"reg": r, "dim": dm}
-        if i >= 1 and dm > 1:
-            witnesses.append({"spot": i, "dim": dm})
-        lhs = max(lhs, r - i)
+    homs, regs, lhs = _homology_sup(T)
+    invariants = {f"Tor_{i}": {"reg": regs[i], "dim": H.dimension()}
+                  for i, H in homs.items()}
+    witnesses = [{"spot": i, "dim": H.dimension()} for i, H in homs.items()
+                 if i >= 1 and H.dimension() > 1]
     reg_r = reg_via_koszul(PresentedModule.cyclic(ring, []))[0]
     rhs = -inf if any(M.is_zero() for M in modules) else -(len(modules) - 1) * reg_r
     for t, M in enumerate(modules):
@@ -322,18 +318,12 @@ def check_cor_hom(M, N, instance="pair", seed=None):
             "derived Hom is not bounded here: the projective dimension of "
             f"the source was not certified finite within {res.length} steps")
     E = hom_complex(resolution_to_complex(res), complex_from_module(N))
-    exts = {}
-    for s in E.levels():
-        H = E.homology(s)
-        if not H.is_zero():
-            exts[-s] = H
-    lhs = -inf
-    invariants = {}
-    for i, H in sorted(exts.items()):
-        r = _reg(H)
-        invariants[f"Ext_{i}"] = {"reg": r, "depth": depth(H),
-                                  "dim": H.dimension()}
-        lhs = max(lhs, r + i)
+    # Ext^i sits at spot -i, so reg Ext^i + i is reg H_s - s
+    homs, regs, lhs = _homology_sup(E)
+    exts = {-s: homs[s] for s in sorted(homs, reverse=True)}
+    invariants = {f"Ext_{i}": {"reg": regs[-i], "depth": depth(H),
+                               "dim": H.dimension()}
+                  for i, H in exts.items()}
     witnesses = []
     for j in sorted(exts):
         dep = (invariants[f"Ext_{j + 1}"]["depth"]
@@ -433,7 +423,10 @@ def _with_extra_vars(M, extra):
 
 def check_ring_independence(M, extra_vars=1, instance="module", seed=None):
     """The Ext-route value and the local cohomology table do not depend on
-    which polynomial ring presents the module."""
+    which polynomial ring presents the module, compared over a cover
+    with extra_vars >= 1 more variables."""
+    if extra_vars < 1:
+        raise ValueError("ring independence needs at least one extra variable")
     M2 = _with_extra_vars(M, extra_vars)
     e1 = reg_via_ext(M)[0]
     e2 = reg_via_ext(M2)[0]
@@ -550,19 +543,23 @@ def _saturation_failure(forms, M, mods):
     return None
 
 
-def saturated_sequence(M, others=(), seed=0, max_tries=5):
+SATURATION_TRIES = 5
+
+
+def saturated_sequence(M, others=(), seed=0):
     """dim M random linear forms forming a system of parameters for M,
     with regular prefixes and finite-length positive Koszul homology for
     M and every module in others.  Verified after sampling, never assumed:
     over a finite field a random draw can miss, so failures resample with
-    a derived seed up to max_tries before raising SaturationError."""
+    a derived seed up to SATURATION_TRIES times before raising
+    SaturationError."""
     r = M.dimension()
     if r <= 0:
         return []
     ring = M.ring
     mods = [M] + list(others)
     last = None
-    for attempt in range(max_tries):
+    for attempt in range(SATURATION_TRIES):
         rng = random.Random(f"saturate:{seed}:{attempt}")
         forms = [_random_linear_form(ring, rng) for _ in range(r)]
         cert = _saturation_failure(forms, M, mods)

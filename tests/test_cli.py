@@ -206,6 +206,15 @@ def test_check_ring_indep_via_cli(session_file, capsys):
     assert json.loads(out)["result"]["conclusion"]["verdict"] == "equality"
 
 
+@pytest.mark.parametrize("extra", ["0", "-1"])
+def test_check_ring_indep_refuses_no_extra_variable(session_file, capsys,
+                                                    extra):
+    code, out, err = run(capsys, "--session", session_file, "check",
+                         "ring-indep", "--module", "M", "--extra", extra)
+    assert (code, out) == (1, "")
+    assert "--extra" in err
+
+
 def test_tor_requires_same_ring(tmp_path, capsys):
     p = tmp_path / "two.cmreg"
     p.write_text("""

@@ -118,6 +118,13 @@ def test_ring_independence_on_determinantal(det_module):
     assert out.invariants["tables_match"]
 
 
+@pytest.mark.parametrize("extra", [0, -1])
+def test_ring_independence_needs_an_extra_variable(det_module, extra):
+    # with no extra variable the module would be compared with itself
+    with pytest.raises(ValueError):
+        check_ring_independence(det_module, extra_vars=extra)
+
+
 # -- formulas with certified finite projective dimension -------------------
 
 def test_ab_formula_equality(S3):
