@@ -19,7 +19,7 @@ from .complexes import BoundedComplex, ext_complex, tor_complex
 from .modules import PresentedModule, module_from_ideal
 from .regularity import (depth, depth_profile, reg_complex, reg_via_betti,
                          reg_via_koszul, regularity)
-from .resolution import betti_table
+from .resolution import betti_table, free_resolution
 from .oracle import DenseOracle
 from .session import (ParseError, Session, UnknownBinding, parse_polynomial,
                       parse_session, transfer_polys)
@@ -164,12 +164,15 @@ def _pair(session, args):
     return A, B
 
 
-def _derived_entries(C, sign, max_degree):
+def _derived_entries(C, sign, max_degree, res):
     """Profiles of the nonzero H_{sign*i}(C) for i >= 0, ascending in i:
-    sign 1 lists Tor_i, sign -1 lists Ext^i (at spot -i)."""
+    sign 1 lists Tor_i, sign -1 lists Ext^i (at spot -i).  C is built on
+    the resolution res; when res is truncated at length L, H_L(C) lacks
+    d_{L+1} and is not Tor_L or Ext^L, so only i < L is listed."""
+    top = inf if res.complete else res.length
     entries = []
     for i in sorted(sign * s for s in C.levels()):
-        if i < 0:
+        if i < 0 or i >= top:
             continue
         H = C.homology_series(sign * i)
         if not H.is_zero():
@@ -179,16 +182,20 @@ def _derived_entries(C, sign, max_degree):
 
 def cmd_tor(session, args):
     A, B = _pair(session, args)
+    res = free_resolution(A, max_len=args.max_len)
     T = tor_complex(A, B, max_len=args.max_len)
     return {"modules": [args.first, args.second],
-            "tor": _derived_entries(T, 1, args.max_degree)}
+            "tor": _derived_entries(T, 1, args.max_degree, res),
+            "truncated": not res.complete}
 
 
 def cmd_ext(session, args):
     A, B = _pair(session, args)
+    res = free_resolution(A, max_len=args.max_len)
     E = ext_complex(A, B, max_len=args.max_len)
     return {"modules": [args.first, args.second],
-            "ext": _derived_entries(E, -1, args.max_degree)}
+            "ext": _derived_entries(E, -1, args.max_degree, res),
+            "truncated": not res.complete}
 
 
 def cmd_koszul(session, args):
@@ -324,8 +331,11 @@ def _add_global_flags(p, trailing):
                    **(d if trailing else {"default": 0}))
     p.add_argument("--max-degree", type=int, dest="max_degree",
                    help="degree window cap for tables", **d)
-    p.add_argument("--max-len", type=int, dest="max_len",
-                   help="homological truncation for resolutions", **d)
+    p.add_argument("--max-len", type=int, dest="max_len", metavar="N",
+                   help="truncate free resolutions after homological "
+                        "degree N, over polynomial and quotient rings alike; "
+                        "a truncated table is exact up to N and marked "
+                        "incomplete", **d)
     p.add_argument("--field", type=int,
                    help="override the prime of every GF declaration", **d)
 

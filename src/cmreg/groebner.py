@@ -44,6 +44,21 @@ is still the leftmost and the normal form and trace are those of a plain
 largest-term-first, leftmost-reducer loop.  S-vectors come from one
 builder, `_s_vector`, shared by Buchberger, `certify` and the syzygies.
 
+Pair selection (`_schreyer_pairs`): order syzygies by the Schreyer order
+of a basis g_1..g_s, m e_i > m' e_j when m lt(g_i) > m' lt(g_j), or the
+two are equal and i < j.  For a Groebner basis the trace syzygy tau_ij of
+the S-pair (i, j), i < j, has lead term (lcm_ij / lt(g_i)) e_i, since
+every quotient of the reduction sits below the lcm; and the tau_ij form a
+Groebner basis of the syzygy module (Schreyer's theorem; La Scala and
+Stillman, Strategies for computing minimal free resolutions, JSC 1998;
+Eroecal, Motsa, Schreyer and Steenpass, Refined algorithms to compute
+syzygies, JSC 2016).  A subset of a Groebner basis whose lead terms still
+generate the lead module is a Groebner basis too, so for each i only the
+pairs whose lcm_ij is minimal under divisibility among the lcm_ik, k > i,
+are reduced, and they still generate all syzygies.  The lead-term
+syzygies of the same pairs generate the syzygies of the lead terms, which
+is all Buchberger's criterion asks, so `certify` checks the same pairs.
+
 The coprimality (product) criterion is only applied at rank one.  For
 modules it is wrong: g1 = (x, y), g2 = (y^2, x) in R^2 have coprime lead
 monomials in the same position but their S-vector (0, y^3 - x^2) does not
@@ -423,24 +438,40 @@ def reduce_poly_mod_defining(ring, f):
     return Polynomial(ring, {m: c for (_, m), c in r.items()})
 
 
-def _pairs(elems):
-    """Same-position index pairs (i, j), i < j, in the order j, then i."""
-    for j in range(len(elems)):
-        for i in range(j):
-            if elems[i].pos == elems[j].pos:
-                yield i, j
+def _schreyer_pairs(elems, P):
+    """The same-position pairs (i, j), i < j, whose Schreyer lead term is
+    minimal (module docstring), as (i, j, lcm degree, packed lcm) in the
+    order j, then i.  For each i the candidates are taken in (lcm degree,
+    j) order and kept when no lcm kept so far divides theirs, so of equal
+    lcms the smallest j survives."""
+    G = P.G
+    kept = []
+    for i, gi in enumerate(elems):
+        cands = []
+        for j in range(i + 1, len(elems)):
+            gj = elems[j]
+            if gj.pos == gi.pos:
+                lcm = mono_lcm(gi.ltm, gj.ltm)
+                cands.append((mono_deg(lcm), j, P.encode(gi.pos, lcm)))
+        minimal = []
+        for d, j, hl in sorted(cands):
+            if all((hl - k) & G for k in minimal):
+                minimal.append(hl)
+                kept.append((j, i, d, hl))
+    kept.sort()
+    return [(i, j, d, hl) for j, i, d, hl in kept]
 
 
 def certify(gb):
-    """Re-reduce every S-pair of the final basis; True when all vanish."""
+    """Re-reduce the S-pairs of the final basis that `_schreyer_pairs`
+    selects; True when all vanish.  Their lead-term syzygies generate the
+    syzygies of the lead terms, which is all Buchberger's criterion needs."""
     elems = gb.elements
     K = gb.ring.field
     P = _packing(gb.ring.nvars)
     reducers = _reducers(elems)
-    for i, j in _pairs(elems):
-        gi, gj = elems[i], elems[j]
-        hl = P.encode(gi.pos, mono_lcm(gi.ltm, gj.ltm))
-        s, _, _ = _s_vector(gi, gj, hl, K, P.G)
+    for i, j, _, hl in _schreyer_pairs(elems, P):
+        s, _, _ = _s_vector(elems[i], elems[j], hl, K, P.G)
         r, _ = _reduce_packed(s, reducers, K, P)
         if r:
             return False
@@ -449,13 +480,21 @@ def certify(gb):
 
 def syzygy_generators(gb, degrees=None):
     """Generators of the syzygy module of gb's module elements over the
-    ring, from reduction traces of all S-pairs; with `degrees`, of the
-    S-pairs whose degree lies in `degrees` only.
+    ring, from the reduction traces of the S-pairs `_schreyer_pairs`
+    selects; with `degrees`, of the selected pairs whose degree lies in
+    `degrees` only.
 
     The reducer list is module elements followed by defining-ideal columns;
     that list is a (non-reduced) Groebner basis of the preimage submodule,
-    so trace syzygies generate all syzygies, and dropping the coordinates
-    of the defining columns yields generators over R.
+    so the selected trace syzygies generate all its syzygies, and dropping
+    the coordinates of the defining columns yields generators over R.
+
+    `degrees` serves a search for units (constant coefficients), which a
+    syzygy of degree d has only at generators of degree d.  Every syzygy
+    of degree d is a K-combination of the selected ones of degree d plus
+    positive-degree multiples of lower-degree ones, and those multiples
+    have no constant coefficient.  So filtering the selected pairs by
+    degree still finds every unit that the whole syzygy module carries.
 
     Returns (vectors, free module on the element degrees).
     """
@@ -472,12 +511,11 @@ def syzygy_generators(gb, degrees=None):
     F = FreeModule(gb.ring, twists)
     zero, sub, is_zero = K.zero, K.sub, K.is_zero
     out = []
-    for i, j in _pairs(ext):
+    for i, j, d, hl in _schreyer_pairs(ext, P):
         gi, gj = ext[i], ext[j]
-        lcm = mono_lcm(gi.ltm, gj.ltm)
-        if degrees is not None and mono_deg(lcm) + gb.free.twists[gi.pos] not in degrees:
+        if degrees is not None and d + gb.free.twists[gi.pos] not in degrees:
             continue
-        s, di, dj = _s_vector(gi, gj, P.encode(gi.pos, lcm), K, G)
+        s, di, dj = _s_vector(gi, gj, hl, K, G)
         r, trace = _reduce_packed(s, reducers, K, P, collect_trace=True)
         if r:
             raise ArithmeticError("S-pair of a Groebner basis did not reduce to zero")

@@ -3,11 +3,14 @@
 Each level replaces the current differential's columns by their reduced
 Groebner basis, extracts trace syzygies for the next differential, then
 sweeps unit elimination over the whole chain.  The sweep keeps every level
-minimal as it is built, so over a polynomial cover the loop provably stops
-at the projective dimension.  Over a quotient ring the resolution may be
-infinite and is truncated at max_len; the top level of a truncation is
-minimized too, against its syzygies in its generators' degrees, which are
-then dropped.
+minimal as it is built, so over a polynomial ring the loop provably stops
+at the projective dimension, at most the number of variables (Hilbert's
+syzygy theorem); a generator past that level is an engine bug and raises.
+Over any ring the resolution is truncated at max_len, and a truncated
+resolution is flagged incomplete: over a quotient ring it may be infinite,
+and over a polynomial ring max_len may lie below the projective dimension.
+The top level of a truncation is minimized too, against its syzygies in
+its generators' degrees, which are then dropped.
 """
 
 from math import inf
@@ -60,9 +63,6 @@ class FreeResolution:
         return out
 
 
-_HARD_LIMIT_PAD = 4
-
-
 def free_resolution(M, max_len=None):
     """Minimal free resolution of a presented module over its own ring."""
     ring = M.ring
@@ -84,7 +84,6 @@ def _resolve(M, max_len):
     current = groebner_basis(Mmin.rel_cols, ring, f0)
     level = 0
     complete = False
-    hard = max_len + _HARD_LIMIT_PAD if ring.is_polynomial else max_len
     while True:
         level += 1
         vecs = current.module_vectors()
@@ -92,11 +91,13 @@ def _resolve(M, max_len):
             level -= 1
             complete = True
             break
+        if ring.is_polynomial and level > ring.nvars:
+            raise RuntimeError(
+                f"resolution over a polynomial ring in {ring.nvars} variables "
+                f"has generators at level {level}")
         cols[level] = vecs
         twists[level] = tuple(current.module_degrees())
-        top = level >= hard
-        if top and ring.is_polynomial and level > max_len:
-            raise RuntimeError("resolution over polynomial ring exceeded its bound")
+        top = level >= max_len
         # A Groebner basis need not generate minimally.  At the top level
         # only syzygies in the degree of some generator can carry a unit,
         # so those are the only ones computed there.

@@ -3,14 +3,16 @@ import random
 import pytest
 
 from cmreg import polynomial_ring
-from cmreg.freemod import (FreeModule, term_key, vec_add, vec_from_column,
-                           vec_term_mul)
-from cmreg.groebner import (_augmented_columns, _make_elem, _packing, _reduce,
-                            _reducers, _s_vector, certify, groebner_basis,
+from cmreg.freemod import (FreeModule, term_key, vec_add, vec_degree,
+                           vec_from_column, vec_term_mul)
+from cmreg.groebner import (GroebnerBasis, _augmented_columns, _make_elem,
+                            _packing, _reduce, _reduce_packed, _reducers,
+                            _s_vector, certify, groebner_basis,
                             ideal_groebner_basis, reduce_poly_mod_defining,
                             syzygy_generators)
 from cmreg.oracle import monomials_of_degree
-from cmreg.poly import EXPONENT_CAP, mono_div, mono_divides, mono_lcm, mono_mul
+from cmreg.poly import (EXPONENT_CAP, mono_deg, mono_div, mono_divides,
+                        mono_lcm, mono_mul)
 
 
 def vecs_from_polys(polys):
@@ -230,3 +232,163 @@ def test_reduction_past_the_cap_raises(S3):
         _reduce(vec, _reducers([g]), K)
     with pytest.raises(OverflowError):
         naive_reduce(vec, [g], K)
+
+
+# -- the Schreyer pair selection against all S-pairs ----------------------
+
+def naive_syzygy_generators(gb, degrees=None):
+    """Reference: the trace syzygies of every same-position S-pair (with
+    `degrees`, of those whose degree lies in it), deduplicated and in the
+    canonical order of `syzygy_generators`."""
+    K = gb.ring.field
+    P = _packing(gb.ring.nvars)
+    A, G, one = P.A, P.G, P.one
+    mod = gb.module_elements
+    ext = list(mod) + _augmented_columns(gb.ring, gb.free)
+    reducers = _reducers(ext)
+    n_mod = len(mod)
+    F = FreeModule(gb.ring, tuple(g.deg for g in mod))
+    out = []
+    for j in range(len(ext)):
+        for i in range(j):
+            gi, gj = ext[i], ext[j]
+            if gi.pos != gj.pos:
+                continue
+            lcm = mono_lcm(gi.ltm, gj.ltm)
+            if degrees is not None and mono_deg(lcm) + gb.free.twists[gi.pos] not in degrees:
+                continue
+            s, di, dj = _s_vector(gi, gj, P.encode(gi.pos, lcm), K, G)
+            r, trace = _reduce_packed(s, reducers, K, P, collect_trace=True)
+            assert not r
+            syz = {}
+            if i < n_mod:
+                syz[(i << A) + one + di] = K.one
+            if j < n_mod:
+                t = (j << A) + one + dj
+                syz[t] = K.sub(syz.get(t, K.zero), K.one)
+                if K.is_zero(syz[t]):
+                    del syz[t]
+            for k, quot in trace.items():
+                if k >= n_mod:
+                    continue
+                for d, c in quot.items():
+                    t = (k << A) + one + d
+                    s2 = K.sub(syz.get(t, K.zero), c)
+                    if K.is_zero(s2):
+                        syz.pop(t, None)
+                    else:
+                        syz[t] = s2
+            if syz:
+                out.append(syz)
+    seen = set()
+    uniq = []
+    for v in sorted(out, key=lambda v: (len(v), sorted(-h for h in v))):
+        key = frozenset(v.items())
+        if key not in seen:
+            seen.add(key)
+            uniq.append(P.decode_vec(v))
+    return uniq, F
+
+
+def unit_rank(vecs, K):
+    """Rank over K of the constant coefficients of vecs."""
+    rows = [{p: c for (p, m), c in v.items() if not any(m)} for v in vecs]
+    rank = 0
+    while rows:
+        row = rows.pop()
+        if not row:
+            continue
+        p0, c0 = next(iter(row.items()))
+        rank += 1
+        for r in rows:
+            f = r.get(p0)
+            if f is None:
+                continue
+            f = K.mul(f, K.inv(c0))
+            for p, c in row.items():
+                v = K.sub(r.get(p, K.zero), K.mul(f, c))
+                if K.is_zero(v):
+                    r.pop(p, None)
+                else:
+                    r[p] = v
+    return rank
+
+
+def as_keys(vecs):
+    return {frozenset(v.items()) for v in vecs}
+
+
+def syzygy_test_ring(rational, quotient):
+    """k[x,y,z], or the ring of `det_ring` over the same field (rank-3
+    modules over QQ in four variables grow too large for a unit test)."""
+    if not quotient:
+        return polynomial_ring(["x", "y", "z"], rational=rational)
+    ring = polynomial_ring(["x", "y", "z", "t"], rational=rational)
+    x, y, z, t = ring.gens()
+    return ring.quotient([x * x, x * z, x * t - y * z])
+
+
+def compare_with_all_pairs(rational, twists, quotient, seed):
+    """Counts (pruned, naive, units) over seeded random modules, after
+    asserting subset, generation and unit rank on each."""
+    rng = random.Random(seed)
+    ring = syzygy_test_ring(rational, quotient)
+    K = ring.field
+    F = FreeModule(ring, twists)
+    counts = [0, 0, 0]
+    # one term per position keeps rank-3 bases over QQ small
+    nterms = 1 if len(twists) > 1 else 2
+    for _ in range(3):
+        gens = [random_vec(rng, ring, twists, rng.randint(2, 3), nterms)
+                for _ in range(len(twists) + 2)]
+        gb = groebner_basis([g for g in gens if g], ring, F)
+        assert certify(gb)
+        pruned, F1 = syzygy_generators(gb)
+        naive, F2 = naive_syzygy_generators(gb)
+        assert F1.twists == F2.twists
+        assert as_keys(pruned) <= as_keys(naive)
+        gen = groebner_basis(pruned, ring, F1)
+        assert all(gen.contains(v) for v in naive)
+        counts[0] += len(pruned)
+        counts[1] += len(naive)
+        if not naive:
+            continue
+        # degrees closed downward: the low-degree part still generates
+        degs = sorted(vec_degree(v, F1.twists) for v in naive)
+        low = set(range(degs[len(degs) // 2] + 1))
+        pruned_low, _ = syzygy_generators(gb, low)
+        naive_low, _ = naive_syzygy_generators(gb, low)
+        assert as_keys(pruned_low) <= as_keys(naive_low)
+        gen_low = groebner_basis(pruned_low, ring, F1)
+        assert all(gen_low.contains(v) for v in naive_low)
+        # the generator degrees, as at the top of a truncated resolution:
+        # the same units are found
+        top = set(F1.twists)
+        pruned_top, _ = syzygy_generators(gb, top)
+        naive_top, _ = naive_syzygy_generators(gb, top)
+        assert as_keys(pruned_top) <= as_keys(naive_top)
+        units = unit_rank(naive_top, K)
+        assert unit_rank(pruned_top, K) == units
+        counts[2] += units
+    return counts
+
+
+@pytest.mark.parametrize("quotient", [False, True])
+@pytest.mark.parametrize("twists", [(0,), (0, 1, 1)])
+@pytest.mark.parametrize("rational", [False, True])
+def test_selected_pairs_generate_the_syzygies(rational, twists, quotient):
+    pruned, naive, units = compare_with_all_pairs(
+        rational, twists, quotient, 20131121 + 2 * len(twists) + quotient)
+    # not vacuous: the selection drops syzygies, and units occur
+    assert pruned < naive
+    assert units > 0
+
+
+def test_certify_rejects_a_non_basis(S3):
+    # S(xy - z^2, y^2) = -y z^2, which neither lead term divides
+    x, y, z = S3.gens()
+    F = FreeModule(S3, (0,))
+    K = S3.field
+    elems = [_make_elem(v, K, (0,)) for v in vecs_from_polys([x * y - z * z, y * y])]
+    assert not certify(GroebnerBasis(S3, F, elems, [0, 1]))
+    assert certify(groebner_basis(vecs_from_polys([x * y - z * z, y * y]), S3, F))

@@ -1,9 +1,19 @@
 """Randomized invariants, kept small enough for the full-suite budget."""
 
+import contextlib
+import io
+import json
+import sys
+from math import inf
+
 from hypothesis import given, settings, strategies as st
 
-from cmreg import PresentedModule, polynomial_ring, reg_via_betti, reg_via_duality
+import cmreg.cli as cli
+from cmreg import (PresentedModule, betti_table, parse_session, polynomial_ring,
+                   reg_via_betti, reg_via_duality)
 from cmreg.oracle import DenseOracle
+from test_resolution import K6_SESSION
+from test_sessions import load
 
 S = polynomial_ring(["x", "y", "z"])
 X, Y, Z = S.gens()
@@ -80,3 +90,77 @@ def test_degree_adds_on_homogeneous_products(parts, d):
         return
     assert f.is_homogeneous() and f.degree() == top
     assert (f * g).degree() == top + d
+
+
+# -- truncated resolutions ----------------------------------------------------
+
+HYPERSURFACE_RESIDUE_FIELD = """ring S = GF(32003)[x, y];
+ideal Q = x^2 + y^2;
+ring R = S / Q;
+ideal m = x, y;
+module k = cyclic(R, m);
+"""
+
+# (session text, module binding, projective dimension): the residue
+# fields of two quotient rings never terminate; the rest end, over
+# quotient and polynomial rings, below, at or above the tested max_len
+TRUNCATION_CASES = [
+    (load("two-quadrics.cmreg"), "k", inf),
+    (HYPERSURFACE_RESIDUE_FIELD, "k", inf),
+    (load("two-quadrics.cmreg"), "RC", 0),
+    (load("determinantal.cmreg"), "M", 0),
+    (load("hypersurface-pair.cmreg"), "M", 1),
+    (load("hypersurface-pair.cmreg"), "N", 1),
+    (load("free-socle.cmreg"), "F", 0),
+    (load("free-socle.cmreg"), "k", 3),
+    (load("scroll-2.cmreg"), "M", 3),
+    (K6_SESSION, "k", 6),
+]
+_MODULES = {}
+
+
+def session_module(text, binding):
+    """One module object per case, so its resolutions stay cached."""
+    key = (text, binding)
+    if key not in _MODULES:
+        _MODULES[key] = parse_session(text).get(binding)
+    return _MODULES[key]
+
+
+def cli_result(text, *argv):
+    """(exit code, JSON result) of the CLI reading the session on stdin."""
+    buf = io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(["--session", "-", *argv])
+    finally:
+        sys.stdin = stdin
+    return code, json.loads(buf.getvalue())["result"]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.sampled_from(TRUNCATION_CASES), st.integers(1, 5))
+def test_truncation_agrees_with_one_more_level(case, max_len):
+    text, binding, proj_dim = case
+    M = session_module(text, binding)
+    short = betti_table(M, max_len=max_len)
+    longer = betti_table(M, max_len=max_len + 1)
+    assert all(i <= max_len for i, _ in short.entries)
+    assert short.entries == {k: v for k, v in longer.entries.items()
+                             if k[0] <= max_len}
+    # complete exactly when the resolution ends below max_len
+    assert short.complete == (proj_dim < max_len)
+    full = betti_table(M)
+    assert full.projective_dimension() == proj_dim
+    assert full.complete == (proj_dim < inf)
+    code, out = cli_result(text, "betti", binding, "--max-len", str(max_len))
+    assert code == 0
+    assert out["truncated"] is not short.complete
+    assert out["table"]["complete"] is short.complete
+    if proj_dim == inf:
+        code, out = cli_result(text, "reg", binding, "--max-len", str(max_len))
+        assert code == 0
+        assert out["relative"]["certified"] is False
+        assert out["relative"]["levels"] == max_len

@@ -1,9 +1,17 @@
+import importlib
+import json
+import os
 from math import inf
 
 import pytest
 
-from cmreg import (PresentedModule, betti_table, depth, free_resolution, pd,
-                   polynomial_ring, relative_reg)
+import cmreg.cli as cli
+from cmreg import (PresentedModule, betti_table, depth, free_resolution,
+                   module_from_ideal, parse_session, pd, polynomial_ring,
+                   relative_reg)
+from cmreg.theorems import nilpotent_scroll_family, random_ideal_corpus
+from test_groebner import naive_syzygy_generators
+from test_sessions import SESSIONS, load
 
 
 def test_koszul_resolution_of_residue_field(S3):
@@ -127,3 +135,106 @@ def test_truncated_top_level_is_minimal():
     assert bt.regularity() == 0
     assert relative_reg(residue_field_of_two_quadrics(), max_len=3).value == 0
 
+
+# -- truncation over a polynomial ring --------------------------------------
+
+K6_SESSION = """
+ring S = GF(32003)[a, b, c, d, e, f];
+ideal m = a, b, c, d, e, f;
+module k = cyclic(S, m);
+"""
+
+
+@pytest.mark.parametrize("max_len", [1, 2])
+def test_truncation_over_a_polynomial_ring(max_len, tmp_path, capsys):
+    # the residue field in 6 variables has pd 6, so max_len 1 and 2 cut it
+    k = parse_session(K6_SESSION).get("k")
+    full = betti_table(k)
+    assert full.complete and full.projective_dimension() == 6
+    bt = betti_table(k, max_len=max_len)
+    assert bt.complete is False
+    assert bt.entries == {key: v for key, v in full.entries.items()
+                          if key[0] <= max_len}
+    assert free_resolution(k, max_len=max_len).is_minimal()
+    p = tmp_path / "k6.cmreg"
+    p.write_text(K6_SESSION)
+    code = cli.main(["--session", str(p), "betti", "k", "--max-len", str(max_len)])
+    out = json.loads(capsys.readouterr().out)["result"]
+    assert code == 0
+    assert out["truncated"] is True and out["table"]["complete"] is False
+    assert out["table"]["entries"] == [[i, j, v] for (i, j), v in
+                                       sorted(bt.entries.items())]
+
+
+TOR_SESSION = """
+ring S = GF(32003)[x, y];
+ideal m = x, y;
+ideal a = x;
+module k = cyclic(S, m);
+module N = cyclic(S, a);
+"""
+
+
+def test_tor_and_ext_over_a_truncated_polynomial_resolution(tmp_path, capsys):
+    # Tor_1(k, S/(x)) = k(-1); from k's resolution cut at length 1 the top
+    # spot would read ker(d_1 (x) S/(x)), of infinite length
+    p = tmp_path / "tor.cmreg"
+    p.write_text(TOR_SESSION)
+    for cmd in ("tor", "ext"):
+        cli.main(["--session", str(p), cmd, "k", "N"])
+        full = json.loads(capsys.readouterr().out)["result"]
+        assert full["truncated"] is False
+        assert [e["i"] for e in full[cmd]] == ([0, 1] if cmd == "tor" else [1, 2])
+        code = cli.main(["--session", str(p), cmd, "k", "N", "--max-len", "1"])
+        cut = json.loads(capsys.readouterr().out)["result"]
+        assert code == 0 and cut["truncated"] is True
+        assert cut[cmd] == [e for e in full[cmd] if e["i"] < 1]
+
+
+# -- the Schreyer pair selection leaves every resolution's Betti table ------
+
+def invariant_inputs():
+    """(label, module, max_len) triples, built fresh on every call because
+    resolutions are cached on their module."""
+    for idx, inst in enumerate(random_ideal_corpus()[:8]):
+        yield f"corpus-{idx:02d}", inst.module, None
+    for name in sorted(os.listdir(SESSIONS)):
+        s = parse_session(load(name))
+        for b in s.order:
+            if s.kind_of(b) == "module":
+                for max_len in (None, 1, 2, 3, 4):
+                    yield f"{name}:{b}", s.get(b), max_len
+    for n in (2, 3, 4):
+        ring, minors, z = nilpotent_scroll_family(n)
+        yield f"scroll-{n}", module_from_ideal(ring, minors), None
+        yield f"scroll-{n}+z", module_from_ideal(ring, minors + [z]), None
+
+
+def tables():
+    return {(label, max_len): betti_table(M, max_len=max_len)
+            for label, M, max_len in invariant_inputs()}
+
+
+def test_betti_tables_match_all_pair_syzygies(monkeypatch):
+    pruned = tables()
+    res_mod = importlib.import_module("cmreg.resolution")
+    monkeypatch.setattr(res_mod, "syzygy_generators", naive_syzygy_generators)
+    naive = tables()
+    assert pruned.keys() == naive.keys()
+    for key, bt in pruned.items():
+        assert bt.entries == naive[key].entries, key
+        assert bt.complete == naive[key].complete, key
+
+
+def test_scroll_family_stdout_matches_all_pair_syzygies(monkeypatch, capsys):
+    def stdout():
+        outs = []
+        for n in (2, 3, 4):
+            assert cli.main(["family", "nilpotent-scroll", "--n", str(n)]) == 0
+            outs.append(capsys.readouterr().out)
+        return outs
+
+    pruned = stdout()
+    res_mod = importlib.import_module("cmreg.resolution")
+    monkeypatch.setattr(res_mod, "syzygy_generators", naive_syzygy_generators)
+    assert stdout() == pruned

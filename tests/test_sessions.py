@@ -7,7 +7,7 @@ import os
 import pytest
 
 import cmreg.cli as cli
-from cmreg import betti_table, parse_session
+from cmreg import betti_table, free_resolution, parse_session
 
 HERE = os.path.dirname(__file__)
 SESSIONS = os.path.join(HERE, "..", "sessions")
@@ -75,6 +75,20 @@ def test_scroll_session_headline():
     assert result["conclusion"]["lhs"] == 1
     assert result["conclusion"]["rhs"] == 3
     assert result["invariants"]["strict"] is True
+
+
+def test_tor_and_ext_leave_out_the_top_of_a_truncation():
+    # R = k[x,y]/(x^2,y^2) is free over itself and self-injective, so
+    # Tor_i(k, R) and Ext^i(k, R) vanish for i > 0; k's resolution never
+    # ends, and the top spot i = 8 of its truncation is not listed
+    for cmd in ("tor", "ext"):
+        code, out = run("--session", path("two-quadrics.cmreg"), cmd, "k", "RC")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert [e["i"] for e in result[cmd]] == [0]
+        assert result["truncated"] is True
+    code, out = run("--session", path("free-socle.cmreg"), "tor", "k", "k")
+    assert json.loads(out)["result"]["truncated"] is False
 
 
 def test_free_socle_session_headline():
@@ -167,10 +181,14 @@ def test_tor_and_ext_read_hilbert_series_only(name, monkeypatch):
         outs[(cmd, a, b, tuple(extra))] = out
     for a, b in pairs:
         A, B = dict(mods)[a], dict(mods)[b]
+        res = free_resolution(A)
         for cmd, C, sign in (("tor", cx.tor_complex(A, B), 1),
                              ("ext", cx.ext_complex(A, B), -1)):
             entries = []
-            for i in range(max(sign * s for s in C.levels()) + 1):
+            # the top spot of a truncated resolution is not Tor or Ext
+            top = (max(sign * s for s in C.levels()) + 1 if res.complete
+                   else res.length)
+            for i in range(top):
                 H = C.homology(sign * i)
                 if not H.is_zero():
                     entries.append({"i": i, **cli._module_profile(
