@@ -164,11 +164,15 @@ def _pair(session, args):
     return A, B
 
 
-def _derived_entries(C, sign, max_degree, res):
-    """Profiles of the nonzero H_{sign*i}(C) for i >= 0, ascending in i:
-    sign 1 lists Tor_i, sign -1 lists Ext^i (at spot -i).  C is built on
-    the resolution res; when res is truncated at length L, H_L(C) lacks
-    d_{L+1} and is not Tor_L or Ext^L, so only i < L is listed."""
+def _derived(session, args, key, build, sign):
+    """Profiles of the nonzero H_{sign*i}(C) for i >= 0, ascending in i,
+    with C = build(A, B) on the resolution of A: sign 1 lists Tor_i, sign
+    -1 lists Ext^i (at spot -i).  When that resolution is truncated at
+    length L, H_L(C) lacks d_{L+1} and is not Tor_L or Ext^L, so only
+    i < L is listed."""
+    A, B = _pair(session, args)
+    res = free_resolution(A, max_len=args.max_len)
+    C = build(A, B, max_len=args.max_len)
     top = inf if res.complete else res.length
     entries = []
     for i in sorted(sign * s for s in C.levels()):
@@ -176,26 +180,17 @@ def _derived_entries(C, sign, max_degree, res):
             continue
         H = C.homology_series(sign * i)
         if not H.is_zero():
-            entries.append({"i": i, **_module_profile(H, max_degree)})
-    return entries
+            entries.append({"i": i, **_module_profile(H, args.max_degree)})
+    return {"modules": [args.first, args.second], key: entries,
+            "truncated": not res.complete}
 
 
 def cmd_tor(session, args):
-    A, B = _pair(session, args)
-    res = free_resolution(A, max_len=args.max_len)
-    T = tor_complex(A, B, max_len=args.max_len)
-    return {"modules": [args.first, args.second],
-            "tor": _derived_entries(T, 1, args.max_degree, res),
-            "truncated": not res.complete}
+    return _derived(session, args, "tor", tor_complex, 1)
 
 
 def cmd_ext(session, args):
-    A, B = _pair(session, args)
-    res = free_resolution(A, max_len=args.max_len)
-    E = ext_complex(A, B, max_len=args.max_len)
-    return {"modules": [args.first, args.second],
-            "ext": _derived_entries(E, -1, args.max_degree, res),
-            "truncated": not res.complete}
+    return _derived(session, args, "ext", ext_complex, -1)
 
 
 def cmd_koszul(session, args):

@@ -344,11 +344,19 @@ def hom_complex(F, C):
 
 # -- derived functors ------------------------------------------------------
 
+def _derived_len(M, i, max_len):
+    """A resolution length for Tor_i or Ext^i: both read d_{i+1}, which a
+    resolution truncated at length i lacks, so max_len is raised to i + 1."""
+    if max_len is None:
+        if M.ring.is_polynomial:
+            return None
+        max_len = 2 * M.ring.nvars + 4
+    return max(i + 1, max_len)
+
+
 def tor(M, N, i, max_len=None):
     """Tor_i(M, N) over the modules' common ring."""
-    if max_len is None:
-        max_len = None if M.ring.is_polynomial else max(i + 1, 2 * M.ring.nvars + 4)
-    return tor_complex(M, N, max_len=max_len).homology(i)
+    return tor_complex(M, N, max_len=_derived_len(M, i, max_len)).homology(i)
 
 
 def tor_complex(M, N, max_len=None):
@@ -359,9 +367,7 @@ def tor_complex(M, N, max_len=None):
 
 def ext(M, N, i, max_len=None):
     """Ext^i(M, N), stored at homological spot -i of Hom(F_M, N)."""
-    if max_len is None:
-        max_len = None if M.ring.is_polynomial else max(i + 1, 2 * M.ring.nvars + 4)
-    return ext_complex(M, N, max_len=max_len).homology(-i)
+    return ext_complex(M, N, max_len=_derived_len(M, i, max_len)).homology(-i)
 
 
 def ext_complex(M, N, max_len=None):

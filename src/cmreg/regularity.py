@@ -97,6 +97,8 @@ def reg_via_betti(obj, max_len=None):
     if len(C.terms) == 1 and not C.diffs:
         (spot, term), = C.terms.items()
         res = free_resolution(term, max_len=max_len)
+        if not res.complete:
+            raise RuntimeError("free resolution of the module was truncated")
         return _sup(_twist_candidates(_resolution_levels(res, spot)))
     F, complete = free_resolution_of_complex(C, max_len=max_len)
     if not complete:

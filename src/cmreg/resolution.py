@@ -8,7 +8,8 @@ at the projective dimension, at most the number of variables (Hilbert's
 syzygy theorem); a generator past that level is an engine bug and raises.
 Over any ring the resolution is truncated at max_len, and a truncated
 resolution is flagged incomplete: over a quotient ring it may be infinite,
-and over a polynomial ring max_len may lie below the projective dimension.
+and over a polynomial ring max_len may lie below the projective dimension
+(a max_len of at least the number of variables gives the full resolution).
 The top level of a truncation is minimized too, against its syzygies in
 its generators' degrees, which are then dropped.
 """
@@ -66,8 +67,13 @@ class FreeResolution:
 def free_resolution(M, max_len=None):
     """Minimal free resolution of a presented module over its own ring."""
     ring = M.ring
-    if max_len is None:
-        max_len = (ring.nvars + 1) if ring.is_polynomial else 2 * ring.nvars + 4
+    if ring.is_polynomial:
+        # nothing lies past level nvars, so a max_len of nvars or more asks
+        # for the full resolution and shares its cache entry
+        if max_len is None or max_len >= ring.nvars:
+            max_len = ring.nvars + 1
+    elif max_len is None:
+        max_len = 2 * ring.nvars + 4
     return _cached(M, ("resolution", max_len), lambda: _resolve(M, max_len))
 
 

@@ -141,7 +141,7 @@ def cli_result(text, *argv):
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
-@given(st.sampled_from(TRUNCATION_CASES), st.integers(1, 5))
+@given(st.sampled_from(TRUNCATION_CASES), st.integers(1, 6))
 def test_truncation_agrees_with_one_more_level(case, max_len):
     text, binding, proj_dim = case
     M = session_module(text, binding)
@@ -150,8 +150,10 @@ def test_truncation_agrees_with_one_more_level(case, max_len):
     assert all(i <= max_len for i, _ in short.entries)
     assert short.entries == {k: v for k, v in longer.entries.items()
                              if k[0] <= max_len}
-    # complete exactly when the resolution ends below max_len
-    assert short.complete == (proj_dim < max_len)
+    # complete exactly when the resolution ends below max_len, or over a
+    # polynomial ring when max_len reaches the number of variables
+    reaches_nvars = M.ring.is_polynomial and max_len >= M.ring.nvars
+    assert short.complete == (proj_dim < max_len or reaches_nvars)
     full = betti_table(M)
     assert full.projective_dimension() == proj_dim
     assert full.complete == (proj_dim < inf)

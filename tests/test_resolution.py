@@ -6,9 +6,9 @@ from math import inf
 import pytest
 
 import cmreg.cli as cli
-from cmreg import (PresentedModule, betti_table, depth, free_resolution,
-                   module_from_ideal, parse_session, pd, polynomial_ring,
-                   relative_reg)
+from cmreg import (PresentedModule, betti_table, depth, ext,
+                   free_resolution, module_from_ideal, parse_session, pd,
+                   polynomial_ring, reg_via_betti, relative_reg, tor)
 from cmreg.theorems import nilpotent_scroll_family, random_ideal_corpus
 from test_groebner import naive_syzygy_generators
 from test_sessions import SESSIONS, load
@@ -145,14 +145,17 @@ module k = cyclic(S, m);
 """
 
 
-@pytest.mark.parametrize("max_len", [1, 2])
+@pytest.mark.parametrize("max_len", [1, 2, 5, 6, 7])
 def test_truncation_over_a_polynomial_ring(max_len, tmp_path, capsys):
-    # the residue field in 6 variables has pd 6, so max_len 1 and 2 cut it
+    # the residue field in 6 variables has pd 6, so max_len below 6 cuts
+    # it; from 6 on nothing lies past the top level and the table is full
     k = parse_session(K6_SESSION).get("k")
     full = betti_table(k)
     assert full.complete and full.projective_dimension() == 6
+    cut = max_len < 6
     bt = betti_table(k, max_len=max_len)
-    assert bt.complete is False
+    assert bt.complete is not cut
+    assert pd(k, max_len=max_len) == (inf if cut else 6)
     assert bt.entries == {key: v for key, v in full.entries.items()
                           if key[0] <= max_len}
     assert free_resolution(k, max_len=max_len).is_minimal()
@@ -161,7 +164,7 @@ def test_truncation_over_a_polynomial_ring(max_len, tmp_path, capsys):
     code = cli.main(["--session", str(p), "betti", "k", "--max-len", str(max_len)])
     out = json.loads(capsys.readouterr().out)["result"]
     assert code == 0
-    assert out["truncated"] is True and out["table"]["complete"] is False
+    assert out["truncated"] is cut and out["table"]["complete"] is not cut
     assert out["table"]["entries"] == [[i, j, v] for (i, j), v in
                                        sorted(bt.entries.items())]
 
@@ -189,6 +192,32 @@ def test_tor_and_ext_over_a_truncated_polynomial_resolution(tmp_path, capsys):
         cut = json.loads(capsys.readouterr().out)["result"]
         assert code == 0 and cut["truncated"] is True
         assert cut[cmd] == [e for e in full[cmd] if e["i"] < 1]
+
+
+def test_library_tor_and_ext_reach_past_a_short_max_len():
+    # tor and ext resolve at least one level past i, so a max_len at or
+    # below i still gives Tor_i and Ext^i rather than the truncation's top
+    s = parse_session(TOR_SESSION)
+    k, N = s.get("k"), s.get("N")
+    for i in (0, 1, 2):
+        for max_len in (0, 1, 2):
+            assert (tor(k, N, i, max_len=max_len).hilbert_series()
+                    == tor(k, N, i).hilbert_series()), (i, max_len)
+            assert (ext(k, N, i, max_len=max_len).hilbert_series()
+                    == ext(k, N, i).hilbert_series()), (i, max_len)
+    tor1 = tor(k, N, 1, max_len=1)
+    assert tor1.hilbert_series() == k.hilbert_series().twist(-1)  # k(-1)
+
+
+def test_reg_via_betti_refuses_a_truncated_resolution():
+    S = polynomial_ring(["x", "y"])
+    x, y = S.gens()
+    M = PresentedModule.cyclic(S, [x * x, y * y])
+    assert reg_via_betti(M)[0] == 2
+    assert reg_via_betti(M, max_len=2)[0] == 2
+    assert pd(M, max_len=2) == 2 and betti_table(M, max_len=2).complete
+    with pytest.raises(RuntimeError, match="truncated"):
+        reg_via_betti(M, max_len=1)
 
 
 # -- the Schreyer pair selection leaves every resolution's Betti table ------
