@@ -5,7 +5,7 @@ agree, plus mechanical checks of the identities relating them."""
 from .scalars import QQ, PrimeField
 from .poly import Polynomial
 from .rings import GradedRing, polynomial_ring
-from .freemod import FreeModule, GradedMap
+from .freemod import FreeModule
 from .hilbert import HilbertSeries
 from .modules import (ModuleMap, PresentedModule, annihilator,
                       colon_by_element, homology_at, image,

@@ -19,7 +19,7 @@ from .complexes import BoundedComplex, ext_complex, tor_complex
 from .modules import PresentedModule, module_from_ideal
 from .regularity import (depth, depth_profile, reg_complex, reg_via_betti,
                          reg_via_koszul, regularity)
-from .resolution import betti_table, free_resolution
+from .resolution import betti_table, check_max_len, free_resolution
 from .oracle import DenseOracle
 from .session import (ParseError, Session, UnknownBinding, parse_polynomial,
                       parse_session, transfer_polys)
@@ -314,6 +314,15 @@ def run_command(session, args):
 
 # -- argument parsing ------------------------------------------------------
 
+def _max_len_arg(text):
+    try:
+        n = int(text)
+        check_max_len(n)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e))
+    return n
+
+
 def _add_global_flags(p, trailing):
     # trailing parsers must not clobber values given before the subcommand
     d = {"default": argparse.SUPPRESS} if trailing else {}
@@ -326,9 +335,11 @@ def _add_global_flags(p, trailing):
                    **(d if trailing else {"default": 0}))
     p.add_argument("--max-degree", type=int, dest="max_degree",
                    help="degree window cap for tables", **d)
-    p.add_argument("--max-len", type=int, dest="max_len", metavar="N",
+    p.add_argument("--max-len", type=_max_len_arg, dest="max_len",
+                   metavar="N",
                    help="truncate free resolutions after homological "
-                        "degree N, over polynomial and quotient rings alike; "
+                        "degree N >= 1, over polynomial and quotient rings "
+                        "alike; "
                         "a truncated table is exact up to N and marked "
                         "incomplete", **d)
     p.add_argument("--field", type=int,

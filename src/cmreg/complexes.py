@@ -13,12 +13,12 @@ objects sit at negated spots (Ext^i lives in spot -i).  The suspension
 from itertools import combinations
 from math import inf
 
-from .freemod import FreeModule, GradedMap
+from .freemod import FreeModule
 from .hilbert import HilbertSeries
 from .memo import _cached
 from .minimize import minimize_chain, minimize_presentation
 from .modules import ModuleMap, PresentedModule, homology_at, kernel
-from .resolution import free_resolution
+from .resolution import check_max_len, free_resolution
 
 
 class BoundedComplex:
@@ -172,6 +172,15 @@ def complex_from_module(M, at=0):
     return BoundedComplex(M.ring, {at: M}, {})
 
 
+def _as_complex(obj):
+    """A module as a complex concentrated at spot 0; a complex as itself."""
+    if isinstance(obj, BoundedComplex):
+        return obj
+    if isinstance(obj, PresentedModule):
+        return complex_from_module(obj)
+    raise TypeError("expected a presented module or a bounded complex")
+
+
 def free_complex_from_data(ring, twists, cols):
     terms = {i: PresentedModule.free(ring, t) for i, t in twists.items() if t}
     diffs = {}
@@ -182,12 +191,7 @@ def free_complex_from_data(ring, twists, cols):
 
 
 def resolution_to_complex(res):
-    twists = {0: tuple(res.f0.twists)}
-    cols = {}
-    for i, gm in enumerate(res.maps, start=1):
-        twists[i] = tuple(gm.source.twists)
-        cols[i] = [dict(c) for c in gm.cols]
-    return free_complex_from_data(res.ring, twists, cols)
+    return free_complex_from_data(res.ring, res.twists, res.cols)
 
 
 # -- Koszul complexes ------------------------------------------------------
@@ -335,9 +339,14 @@ def hom_complex(F, C):
     tensor_free_with_complex, pre-composition reading d_F transposed."""
     if not F.is_free:
         raise ValueError("first argument must be a free complex")
-    moves = {p - 1: GradedMap(d.source.gens_free, d.target.gens_free,
-                              d.cols).dual().cols
-             for p, d in F.diffs.items()}
+    moves = {}
+    for p, d in F.diffs.items():
+        # d_F transposed: row b of d_p becomes column b of the move from p-1
+        dual = [{} for _ in range(d.target.rank)]
+        for j, col in enumerate(d.cols):
+            for (b, m), c in col.items():
+                dual[b][(j, m)] = c
+        moves[p - 1] = dual
     return _totalize(F, C, -1, moves, lambda n, p: 1 if n % 2 else -1,
                      lambda n, p: 1)
 
@@ -407,6 +416,7 @@ def free_resolution_of_complex(L, max_len=None):
     Returns (complex, complete).  Over a quotient ring the construction is
     truncated at max_len levels past the bottom.
     """
+    check_max_len(max_len)
     ring = L.ring
     if not L.terms:
         return BoundedComplex(ring, {}, {}), True

@@ -1,12 +1,18 @@
-"""Graded free modules, their elements, and degree-zero maps between them.
+"""Graded free modules and their elements.
 
 Elements of a free module F = sum_i R(-d_i) are sparse dicts
 {(position, monomial): coefficient}.  Terms are ordered position-over-term:
 (p, m) > (q, u) when p < q, or p == q and m > u in grevlex.  A term's
 internal degree is deg(monomial) + twist(position).
+
+A degree-zero map of free modules is its list of columns: cols[j] is the
+image of the j-th source basis vector (apply_map applies it).  A free chain
+F_0 <- F_1 <- ... is two dicts, twists[i] the twist tuple of F_i and
+cols[i] the columns of d_i : F_i -> F_{i-1}; free resolutions,
+minimize_chain and free_complex_from_data share that layout.
 """
 
-from .poly import Polynomial, grevlex_key, mono_deg, mono_mul
+from .poly import grevlex_key, mono_deg, mono_mul
 
 
 def term_key(t):
@@ -89,9 +95,6 @@ class FreeModule:
         """F(d): generator degrees drop by d."""
         return FreeModule(self.ring, tuple(t - d for t in self.twists))
 
-    def dual(self):
-        return FreeModule(self.ring, tuple(-t for t in self.twists))
-
     def direct_sum(self, other):
         return FreeModule(self.ring, self.twists + other.twists)
 
@@ -120,72 +123,9 @@ def vec_from_column(polys):
     return out
 
 
-class GradedMap:
-    """A degree-zero map of graded free modules, stored column-wise:
-    cols[j] is the image of the j-th source basis vector."""
-
-    __slots__ = ("source", "target", "cols")
-
-    def __init__(self, source, target, cols):
-        self.source = source
-        self.target = target
-        self.cols = tuple(dict(c) for c in cols)
-        if len(self.cols) != source.rank:
-            raise ValueError("column count does not match source rank")
-
-    @classmethod
-    def from_entries(cls, source, target, rows):
-        """rows[i][j] is the (i, j) entry, i indexing the target."""
-        if len(rows) != target.rank or any(len(r) != source.rank for r in rows):
-            raise ValueError("entry matrix shape does not match module ranks")
-        cols = []
-        for j in range(source.rank):
-            col = {}
-            for i in range(target.rank):
-                for m, c in rows[i][j].terms.items():
-                    col[(i, m)] = c
-            cols.append(col)
-        return cls(source, target, cols)
-
-    @property
-    def ring(self):
-        return self.source.ring
-
-    def entry(self, i, j):
-        terms = {m: c for (p, m), c in self.cols[j].items() if p == i}
-        return Polynomial(self.ring, terms)
-
-    def entries(self):
-        return [[self.entry(i, j) for j in range(self.source.rank)]
-                for i in range(self.target.rank)]
-
-    def is_zero(self):
-        return all(not c for c in self.cols)
-
-    def compose(self, other):
-        """self after other."""
-        if other.target.twists != self.source.twists:
-            raise ValueError("maps are not composable")
-        K = self.ring.field
-        return GradedMap(other.source, self.target,
-                         [apply_map(self.cols, c, K) for c in other.cols])
-
-    def dual(self):
-        """Hom(-, R): transpose with negated twists."""
-        src, tgt = self.target.dual(), self.source.dual()
-        cols = [{} for _ in range(src.rank)]
-        for j, col in enumerate(self.cols):
-            for (p, m), c in col.items():
-                cols[p][(j, m)] = c
-        return GradedMap(src, tgt, cols)
-
-    @classmethod
-    def identity(cls, F):
-        return cls(F, F, [F.basis_vec(i) for i in range(F.rank)])
-
-    @classmethod
-    def zero(cls, source, target):
-        return cls(source, target, [{} for _ in range(source.rank)])
-
-    def __repr__(self):
-        return f"<graded map {self.target.rank}x{self.source.rank}>"
+def columns_from_rows(rows, ncols):
+    """Column vectors of the matrix whose (i, j) entry is rows[i][j], i
+    indexing the target; ValueError unless every row has ncols entries."""
+    if any(len(r) != ncols for r in rows):
+        raise ValueError(f"matrix rows must have {ncols} entries each")
+    return [vec_from_column([r[j] for r in rows]) for j in range(ncols)]

@@ -13,7 +13,7 @@ over the source's relations (kernel) or over those plus the incoming
 map's columns (homology).
 """
 
-from .freemod import (FreeModule, GradedMap, apply_map, vec_degree,
+from .freemod import (FreeModule, apply_map, columns_from_rows, vec_degree,
                       vec_from_column, vec_is_homogeneous)
 from .groebner import groebner_basis
 from .hilbert import HilbertSeries, monomial_ideal_numerator
@@ -158,16 +158,14 @@ class ModuleMap:
 
     @classmethod
     def from_entries(cls, source, target, rows):
-        gm = GradedMap.from_entries(source.gens_free, target.gens_free, rows)
-        return cls(source, target, list(gm.cols))
+        """rows[i][j] is the (i, j) entry, i indexing the target."""
+        if len(rows) != target.rank:
+            raise ValueError("entry matrix shape does not match module ranks")
+        return cls(source, target, columns_from_rows(rows, source.rank))
 
     @classmethod
     def zero(cls, source, target):
         return cls(source, target, [{} for _ in range(source.rank)])
-
-    @classmethod
-    def identity(cls, M):
-        return cls(M, M, [M.gens_free.basis_vec(i) for i in range(M.rank)])
 
     def compose(self, other):
         """self after other."""

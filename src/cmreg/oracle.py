@@ -5,13 +5,14 @@ Everything here works degree by degree on explicit monomial bases with
 Gaussian elimination; no term orders, no division algorithm.  That makes it
 a genuinely independent route against the symbolic machinery, at the price
 of a degree cap (dimensions grow fast).
+
+numpy is imported inside the three functions that use it, so importing
+cmreg (and every CLI command but oracle) leaves it unloaded.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-
-import numpy as np
 
 from .freemod import vec_degree
 
@@ -34,11 +35,13 @@ def monomials_of_degree(nvars, d):
 def _dtype_mod_p(p):
     """int64 while a product of two residues fits in it; above that
     (p > ~3.04e9) exact Python ints in object arrays."""
+    import numpy as np
     return np.int64 if (p - 1) ** 2 < 2**63 else object
 
 
 def rref_mod_p(rows, ncols, p):
     """Row-reduce over GF(p).  Returns (pivot column list, reduced rows)."""
+    import numpy as np
     dtype = _dtype_mod_p(p)
     if not rows:
         return [], np.zeros((0, ncols), dtype=dtype)
@@ -167,6 +170,7 @@ class DenseOracle:
         basis, _, pivots, red, kept = self._piece(j)
         p = self.field.characteristic
         if p:
+            import numpy as np
             v = np.array(ambient_vec, dtype=_dtype_mod_p(p)) % p
             for r, c in enumerate(pivots):
                 if v[c]:

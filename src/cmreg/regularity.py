@@ -28,7 +28,7 @@ quotient, which is what makes the four-way agreement a real test.
 
 from math import inf
 
-from .complexes import (BoundedComplex, complex_from_module,
+from .complexes import (_as_complex, complex_from_module,
                         free_resolution_of_complex, hom_complex,
                         koszul_complex, koszul_resolution_of_k,
                         resolution_to_complex)
@@ -50,15 +50,7 @@ class KoszulHypothesisError(ValueError):
 
 def _as_cover_complex(obj):
     """Lift a module or complex to its polynomial cover, as a complex."""
-    if isinstance(obj, PresentedModule):
-        obj = complex_from_module(obj)
-    return obj.lift_to_cover()
-
-
-def _as_complex(obj):
-    if isinstance(obj, PresentedModule):
-        return complex_from_module(obj)
-    return obj
+    return _as_complex(obj).lift_to_cover()
 
 
 # -- route 1: resolution twists -------------------------------------------

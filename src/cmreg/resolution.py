@@ -11,61 +11,63 @@ resolution is flagged incomplete: over a quotient ring it may be infinite,
 and over a polynomial ring max_len may lie below the projective dimension
 (a max_len of at least the number of variables gives the full resolution).
 The top level of a truncation is minimized too, against its syzygies in
-its generators' degrees, which are then dropped.
+its generators' degrees, which are then dropped.  max_len must be at least
+1.
+
+A FreeResolution keeps the chain in the free-chain layout of
+cmreg.freemod, the dicts twists and cols that the loop builds and
+minimize_chain and free_complex_from_data read.
 """
 
 from math import inf
 
-from .freemod import FreeModule, GradedMap, vec_degree
+from .freemod import FreeModule, vec_degree
 from .groebner import groebner_basis, syzygy_generators
 from .memo import _cached
-from .minimize import minimize_chain
+from .minimize import _find_unit, minimize_chain
 
 
 class FreeResolution:
-    """Chain F_0 <- F_1 <- ... with maps[i] = d_{i+1} : F_{i+1} -> F_i."""
+    """Chain F_0 <- F_1 <- ... <- F_length in the free-chain layout:
+    twists[i] is the twist tuple of F_i (i = 0..length) and cols[i] the
+    columns of d_i : F_i -> F_{i-1} (i = 1..length)."""
 
-    __slots__ = ("ring", "f0", "maps", "complete")
+    __slots__ = ("ring", "twists", "cols", "complete")
 
-    def __init__(self, ring, f0, maps, complete):
+    def __init__(self, ring, twists, cols, complete):
         self.ring = ring
-        self.f0 = f0
-        self.maps = list(maps)
+        self.twists = twists
+        self.cols = cols
         self.complete = complete
 
     @property
     def length(self):
-        return len(self.maps)
+        return len(self.cols)
 
     def module(self, i):
-        if i == 0:
-            return self.f0
-        if 1 <= i <= len(self.maps):
-            return self.maps[i - 1].source
-        return FreeModule(self.ring, [])
-
-    def differential(self, i):
-        """d_i : F_i -> F_{i-1}."""
-        return self.maps[i - 1]
+        return FreeModule(self.ring, self.twists.get(i, ()))
 
     def is_minimal(self):
-        from .poly import mono_deg
-        for gm in self.maps:
-            for col in gm.cols:
-                if any(mono_deg(m) == 0 for (_, m) in col):
-                    return False
-        return True
+        return not any(_find_unit(col) is not None
+                       for cs in self.cols.values() for col in cs)
 
     def betti(self):
         out = {}
-        for i in range(self.length + 1):
-            for j in self.module(i).twists:
+        for i, tw in self.twists.items():
+            for j in tw:
                 out[(i, j)] = out.get((i, j), 0) + 1
         return out
 
 
+def check_max_len(max_len):
+    """A truncation length is None (the default) or a positive int."""
+    if max_len is not None and max_len < 1:
+        raise ValueError(f"max_len must be at least 1, got {max_len}")
+
+
 def free_resolution(M, max_len=None):
     """Minimal free resolution of a presented module over its own ring."""
+    check_max_len(max_len)
     ring = M.ring
     if ring.is_polynomial:
         # nothing lies past level nvars, so a max_len of nvars or more asks
@@ -83,7 +85,7 @@ def _resolve(M, max_len):
     Mmin = M.minimized()
     f0 = Mmin.gens_free
     if f0.rank == 0 or not Mmin.rel_cols:
-        return FreeResolution(ring, f0, [], True)
+        return FreeResolution(ring, {0: tuple(f0.twists)}, {}, True)
 
     twists = {0: tuple(f0.twists)}
     cols = {}
@@ -94,7 +96,9 @@ def _resolve(M, max_len):
         level += 1
         vecs = current.module_vectors()
         if not vecs:
-            level -= 1
+            # the syzygies stored at this level are zero over the ring
+            cols.pop(level, None)
+            twists.pop(level, None)
             complete = True
             break
         if ring.is_polynomial and level > ring.nvars:
@@ -128,21 +132,12 @@ def _resolve(M, max_len):
             if level in cols and not any(cols[level]):
                 del cols[level]
                 twists.pop(level, None)
-                level -= 1
             complete = True
             break
         # columns of d_{level+1} live in F_level
         current = groebner_basis(cols[level + 1], ring,
                                  FreeModule(ring, twists[level]))
-
-    maps = []
-    for i in range(1, level + 1):
-        if i not in cols:
-            break
-        src = FreeModule(ring, twists[i])
-        tgt = FreeModule(ring, twists[i - 1])
-        maps.append(GradedMap(src, tgt, cols[i]))
-    return FreeResolution(ring, FreeModule(ring, twists[0]), maps, complete)
+    return FreeResolution(ring, twists, cols, complete)
 
 
 class BettiTable:

@@ -39,7 +39,7 @@ of consecutive differentials must vanish.
 """
 
 from .complexes import free_complex_from_data, koszul_complex
-from .freemod import FreeModule
+from .freemod import FreeModule, columns_from_rows
 from .modules import PresentedModule, module_from_ideal
 from .poly import Polynomial
 from .rings import polynomial_ring
@@ -413,14 +413,13 @@ class _Parser:
                               f"{len(rows)} rows but the spot below has "
                               f"{len(twists[level - 1])} generators",
                               mat_tok)
-                for r in rows:
-                    if len(r) != len(twists[level]):
-                        self.fail(f"wrong arity: differential {level} "
-                                  f"needs {len(twists[level])} columns",
-                                  mat_tok)
+                cols[level] = self._columns(rows, mat_tok)
+                if len(cols[level]) != len(twists[level]):
+                    self.fail(f"wrong arity: differential {level} "
+                              f"needs {len(twists[level])} columns",
+                              mat_tok)
                 self._check_graded(twists[level], twists[level - 1], rows,
                                    mat_tok)
-                cols[level] = self._columns(rows, mat_tok)
                 mats.append(rows)
             self.expect(text=")")
             cx = free_complex_from_data(ring, twists, cols)
@@ -451,18 +450,10 @@ class _Parser:
             self.fail(str(e), tok)
 
     def _columns(self, rows, tok):
-        ncols = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != ncols:
-                self.fail("ragged matrix", tok)
-        cols = []
-        for c in range(ncols):
-            col = {}
-            for r, row in enumerate(rows):
-                for m, cc in row[c].terms.items():
-                    col[(r, m)] = cc
-            cols.append(col)
-        return cols
+        try:
+            return columns_from_rows(rows, len(rows[0]))
+        except ValueError:
+            self.fail("ragged matrix", tok)
 
     def _check_graded(self, src_twists, tgt_twists, rows, tok):
         for c in range(len(src_twists)):

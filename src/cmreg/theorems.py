@@ -18,7 +18,7 @@ hold even when an instance fails the hypotheses of the sharp statement.
 import random
 from math import inf
 
-from .complexes import (BoundedComplex, complex_from_module, hom_complex,
+from .complexes import (_as_complex, complex_from_module, hom_complex,
                         koszul_complex, resolution_to_complex,
                         tensor_complexes, tensor_free_with_complex)
 from .freemod import FreeModule
@@ -122,14 +122,6 @@ def _finish(name, instance, hypothesis, lhs, rhs, invariants, seed=None,
     return out
 
 
-def _coerce_complex(obj):
-    if isinstance(obj, BoundedComplex):
-        return obj
-    if isinstance(obj, PresentedModule):
-        return complex_from_module(obj)
-    raise TypeError("expected a presented module or a bounded complex")
-
-
 def _reg(M):
     return reg_via_duality(M)[0]
 
@@ -155,7 +147,7 @@ def _homology_formula(L, name, instance, witness_fn, seed=None):
     Also enforces the two unconditional bounds: reg L never exceeds the
     homology-wise sup, and never exceeds the termwise sup{reg L_i - i}.
     """
-    L = _coerce_complex(L)
+    L = _as_complex(L)
     homs, regs, rhs = _homology_sup(L)
     lhs = reg_complex(L)
     invariants = {f"H_{i}": {"reg": regs[i], "depth": depth(H),

@@ -187,15 +187,29 @@ def test_field_override_flag(tmp_path, capsys):
     assert json.loads(out)["result"]["value"] == 0
 
 
-def test_console_script_entry_point(session_file):
+def run_child(*args):
     # the child imports the same cmreg as this process, installed or not
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "cmreg.cli", "--session", session_file,
-         "reg", "M"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_console_script_entry_point(session_file):
+    proc = run_child("-m", "cmreg.cli", "--session", session_file, "reg", "M")
     assert proc.returncode == 0
+    assert json.loads(proc.stdout)["result"]["value"] == 1
+
+
+def test_reg_leaves_numpy_unloaded(session_file):
+    # numpy serves only the dense oracle, so a cold reg call skips its import
+    proc = run_child("-c", (
+        "import sys, cmreg.cli\n"
+        f"code = cmreg.cli.main(['--session', {session_file!r}, 'reg', 'M'])\n"
+        "print(code, 'numpy' in sys.modules, file=sys.stderr)\n"))
+    assert proc.returncode == 0
+    assert proc.stderr.split() == ["0", "False"]
     assert json.loads(proc.stdout)["result"]["value"] == 1
 
 

@@ -137,6 +137,23 @@ def test_koszul_middle_homology_vanishes(S3):
     assert H.is_zero()
 
 
+def test_from_entries_checks_the_matrix_shape(S3):
+    x, y, z = S3.gens()
+    top = PresentedModule.free(S3, (0,))
+    mid = PresentedModule.free(S3, (1, 1))
+    with pytest.raises(ValueError):
+        ModuleMap.from_entries(mid, top, [[x, y], [z, x]])  # a row too many
+    with pytest.raises(ValueError):
+        ModuleMap.from_entries(mid, top, [[x, y, z]])  # a row too long
+    with pytest.raises(ValueError):
+        ModuleMap.from_entries(mid, top, [[x]])  # a row too short
+    phi = ModuleMap.from_entries(mid, top, [[x, y]])
+    assert phi.cols == (vec_from_column([x]), vec_from_column([y]))
+    # no rows at all still gives one (zero) column per source generator
+    zero = ModuleMap.from_entries(mid, PresentedModule.zero(S3), [])
+    assert zero.cols == ({}, {})
+
+
 def test_lift_to_cover_preserves_hilbert(det_module):
     Mc = det_module.lift_to_cover()
     assert Mc.ring.is_polynomial

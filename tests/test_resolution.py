@@ -6,9 +6,11 @@ from math import inf
 import pytest
 
 import cmreg.cli as cli
-from cmreg import (PresentedModule, betti_table, depth, ext,
-                   free_resolution, module_from_ideal, parse_session, pd,
-                   polynomial_ring, reg_via_betti, relative_reg, tor)
+from cmreg import (PresentedModule, betti_table, complex_from_module, depth,
+                   ext, free_resolution, free_resolution_of_complex,
+                   module_from_ideal, parse_session, pd,
+                   polynomial_ring, reg_via_betti, relative_reg,
+                   resolution_to_complex, tor)
 from cmreg.theorems import nilpotent_scroll_family, random_ideal_corpus
 from test_groebner import naive_syzygy_generators
 from test_sessions import SESSIONS, load
@@ -28,9 +30,7 @@ def test_differentials_compose_to_zero(S4):
     x, y, z, t = S4.gens()
     M = PresentedModule.cyclic(S4, [x * x, x * z, x * t - y * z])
     res = free_resolution(M)
-    for a, b in zip(res.maps, res.maps[1:]):
-        comp = a.compose(b)
-        assert all(not c for c in comp.cols)
+    assert resolution_to_complex(res).verify()
 
 
 def test_resolution_is_minimal(S4):
@@ -38,8 +38,8 @@ def test_resolution_is_minimal(S4):
     M = PresentedModule.cyclic(S4, [x * x, x * z, x * t - y * z])
     res = free_resolution(M)
     one = tuple(0 for _ in range(4))
-    for gm in res.maps:
-        for col in gm.cols:
+    for cs in res.cols.values():
+        for col in cs:
             # no unit entries: every coefficient sits on a true monomial
             assert all(m != one for (_, m) in col)
 
@@ -192,6 +192,28 @@ def test_tor_and_ext_over_a_truncated_polynomial_resolution(tmp_path, capsys):
         cut = json.loads(capsys.readouterr().out)["result"]
         assert code == 0 and cut["truncated"] is True
         assert cut[cmd] == [e for e in full[cmd] if e["i"] < 1]
+
+
+@pytest.mark.parametrize("max_len", [0, -1])
+def test_non_positive_max_len_is_refused(max_len):
+    s = parse_session(TOR_SESSION)
+    k, N = s.get("k"), s.get("N")
+    with pytest.raises(ValueError, match="max_len must be at least 1"):
+        free_resolution(k, max_len=max_len)
+    with pytest.raises(ValueError, match="max_len must be at least 1"):
+        free_resolution_of_complex(complex_from_module(N), max_len=max_len)
+
+
+@pytest.mark.parametrize("max_len", ["0", "-1"])
+@pytest.mark.parametrize("argv", [["betti", "k"], ["tor", "k", "N"]])
+def test_cli_refuses_non_positive_max_len(argv, max_len, tmp_path, capsys):
+    p = tmp_path / "tor.cmreg"
+    p.write_text(TOR_SESSION)
+    for flags in (argv + ["--max-len", max_len], ["--max-len", max_len] + argv):
+        code = cli.main(["--session", str(p)] + flags)
+        out = capsys.readouterr()
+        assert code == 1 and out.out == ""
+        assert "--max-len: max_len must be at least 1" in out.err
 
 
 def test_library_tor_and_ext_reach_past_a_short_max_len():

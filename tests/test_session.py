@@ -107,6 +107,17 @@ complex C = chain(S, [0], [[x]], [1], [[x]], [2]);
     assert "compose" in str(ei.value)
 
 
+@pytest.mark.parametrize("decl, col", [
+    ("module M = coker(S, [0, 0], [[x, y], [z]]);", 29),
+    ("complex C = chain(S, [0, 0], [[x, y], [y]], [1, 1]);", 30),
+])
+def test_ragged_matrix_is_refused_at_the_matrix(decl, col):
+    with pytest.raises(ParseError) as ei:
+        parse_session("ring S = GF(32003)[x, y, z];\n" + decl)
+    assert (ei.value.message, ei.value.line, ei.value.col) == (
+        "ragged matrix", 2, col)
+
+
 def test_chain_rejects_degree_mismatch():
     with pytest.raises(ParseError):
         parse_session("""
