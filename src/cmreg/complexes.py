@@ -4,6 +4,8 @@ totalizations, homology, and free resolutions of complexes.
 One builder lays out and differentiates both totalizations: F (x) C and
 Hom(F, C) differ only in the index sign, the twist sign, the direction
 of the d_F move and the Koszul signs, which their public functions pass in.
+Each term it builds remembers its blocks, twisted copies of the C_q, so
+the term's Groebner basis is assembled from theirs.
 
 Homological indexing throughout: d_i maps spot i to spot i-1, cohomological
 objects sit at negated spots (Ext^i lives in spot -i).  The suspension
@@ -14,6 +16,7 @@ from itertools import combinations
 from math import inf
 
 from .freemod import FreeModule
+from .groebner import groebner_basis
 from .hilbert import HilbertSeries
 from .memo import _cached
 from .minimize import minimize_chain, minimize_presentation
@@ -107,14 +110,19 @@ class BoundedComplex:
         return _cached(self, ("H", i), compute)
 
     def _coker_series(self, i):
-        """Series of coker d_i: C_{i-1} with d_i's columns as extra relations."""
+        """Series of coker d_i: C_{i-1} with d_i's columns as extra
+        relations.  Its Groebner basis grows from C_{i-1}'s own, so the
+        pairs inside that basis are never reduced again."""
         def compute():
             target = self.term(i - 1)
             d = self.diffs.get(i)
-            if d is not None:
-                target = PresentedModule(self.ring, target.gens_free,
-                                         list(target.rel_cols) + list(d.cols))
-            return target.hilbert_series()
+            if d is None:
+                return target.hilbert_series()
+            coker = PresentedModule(self.ring, target.gens_free,
+                                    list(target.rel_cols) + list(d.cols))
+            _cached(coker, "gb", lambda: groebner_basis(
+                d.cols, self.ring, target.gens_free, known=target.gb()))
+            return coker.hilbert_series()
 
         return _cached(self, ("coker", i), compute)
 
@@ -122,7 +130,11 @@ class BoundedComplex:
         """Hilbert series of H_i without presenting it, by additivity:
         HS(H_i) = HS(coker d_{i+1}) + HS(coker d_i) - HS(C_{i-1}).
 
-        One Groebner basis per differential; no kernels or subquotients."""
+        No kernels or subquotients, and in a tensor or Hom totalization no
+        Groebner basis from scratch: a term's basis is its summands' bases
+        side by side (`_totalize` records the summands), and a cokernel's
+        grows from its target's, one seeded Buchberger run per
+        differential (`_coker_series`)."""
         H = self._cache.get(("H", i))
         if H is not None:
             return H.hilbert_series()
@@ -130,7 +142,10 @@ class BoundedComplex:
         def compute():
             if self.term(i).rank == 0:
                 return HilbertSeries({}, self.ring.cover.nvars)
-            if not self.diff(i).compose(self.diff(i + 1)).is_zero_map():
+            d_in, d_out = self.diffs.get(i + 1), self.diffs.get(i)
+            # an unstored differential is zero, and so is its composite
+            if (d_in is not None and d_out is not None
+                    and not d_out.compose(d_in).is_zero_map()):
                 raise ValueError("composition is not zero, homology undefined")
             return self._coker_series(i + 1).add(self._coker_series(i)).sub(
                 self.term(i - 1).hilbert_series())
@@ -270,6 +285,7 @@ def _totalize(F, C, s, f_moves, f_sign, c_sign):
     terms = {}
     for n in range(c_levels[0] + min(ends), c_levels[-1] + max(ends) + 1):
         spot = []
+        summands = []
         twists = []
         rels = []
         for p in f_levels:
@@ -281,12 +297,15 @@ def _totalize(F, C, s, f_moves, f_sign, c_sign):
                 off = len(twists)
                 offsets[(p, q, b)] = off
                 spot.append((p, q, b))
+                summands.append((Cq, off))
                 twists.extend(t + s * a for t in Cq.gens_free.twists)
                 for rc in Cq.rel_cols:
                     rels.append({(pp + off, m): c for (pp, m), c in rc.items()})
         if twists:
             blocks[n] = spot
             terms[n] = PresentedModule(ring, FreeModule(ring, tuple(twists)), rels)
+            # its Groebner basis is assembled from the blocks' own bases
+            terms[n]._summands = tuple(summands)
 
     diffs = {}
     for n, spot in blocks.items():

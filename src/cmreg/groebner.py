@@ -59,6 +59,13 @@ are reduced, and they still generate all syzygies.  The lead-term
 syzygies of the same pairs generate the syzygies of the lead terms, which
 is all Buchberger's criterion asks, so `certify` checks the same pairs.
 
+Reuse: a Buchberger run can start from a known Groebner basis and queue
+only the pairs that involve a new generator (`_buchberger`'s `known`;
+the homology layer seeds each cokernel's basis with its target's), and a
+direct sum's basis is its summands' bases side by side
+(`direct_sum_basis`), since position-over-term order never compares two
+blocks.
+
 The coprimality (product) criterion is only applied at rank one.  For
 modules it is wrong: g1 = (x, y), g2 = (y^2, x) in R^2 have coprime lead
 monomials in the same position but their S-vector (0, y^3 - x^2) does not
@@ -296,10 +303,17 @@ def _interreduce(elems, K, twists, P):
     return _canonical_sort(out)
 
 
-def _buchberger(gens, K, twists, use_product_criterion, P):
-    """Reduced basis of the packed generators `gens`."""
-    basis = [_elem(v, K, twists, P) for v in gens if v]
-    _canonical_sort(basis)
+def _buchberger(gens, K, twists, use_product_criterion, P, known=()):
+    """Reduced basis of the packed generators `gens` together with `known`,
+    GBElems that already form a Groebner basis.
+
+    Seeded (Gebauer and Moeller, On an installation of Buchberger's
+    algorithm, JSC 1988): the known elements come first and a pair of two
+    of them is never queued, since its S-vector reduces to zero already.
+    Such a pair is simply not pending, which is all the chain criterion
+    asks of a processed pair."""
+    basis = list(known)
+    basis += _canonical_sort([_elem(v, K, twists, P) for v in gens if v])
     reducers = _reducers(basis)
     G = P.G
 
@@ -315,7 +329,7 @@ def _buchberger(gens, K, twists, use_product_criterion, P):
             heappush(heap, (d, i, j))
             pending.add((i, j))
 
-    for j in range(len(basis)):
+    for j in range(len(known), len(basis)):
         push_pairs(j)
 
     while heap:
@@ -411,9 +425,14 @@ class GroebnerBasis:
         return not self.normal_form(vec)
 
 
-def groebner_basis(vectors, ring, free):
+def groebner_basis(vectors, ring, free, *, known=None):
     """Reduced Groebner basis of the submodule of `free` generated by
-    `vectors`, over `ring` (augmented through the cover for quotients)."""
+    `vectors`, over `ring` (augmented through the cover for quotients).
+
+    `known`, internal: a GroebnerBasis of a submodule of `free` (with its
+    defining columns over a quotient ring).  The result is then the basis
+    of that submodule plus `vectors`, grown from `known` without
+    reducing its pairs again (`_buchberger`)."""
     K = ring.field
     P = _packing(ring.nvars)
     gens = [v for v in vectors if v]
@@ -421,8 +440,13 @@ def groebner_basis(vectors, ring, free):
         if not vec_is_homogeneous(v, free.twists):
             raise ValueError("submodule generator is not homogeneous")
     aug = _augmented_columns(ring, free)
-    elems = _buchberger([P.encode_vec(v) for v in gens] + [a.terms for a in aug],
-                        K, free.twists, free.rank == 1, P)
+    packed = [P.encode_vec(v) for v in gens]
+    if known is None:
+        seeds = ()
+        packed += [a.terms for a in aug]
+    else:
+        seeds = known.elements
+    elems = _buchberger(packed, K, free.twists, free.rank == 1, P, seeds)
     if ring.is_polynomial:
         module_indices = list(range(len(elems)))
     else:
@@ -430,6 +454,35 @@ def groebner_basis(vectors, ring, free):
         module_indices = [i for i, g in enumerate(elems)
                           if _reduce_packed(dict(g.terms), blockers, K, P)[0]]
     return GroebnerBasis(ring, free, elems, module_indices)
+
+
+def direct_sum_basis(ring, free, blocks):
+    """Reduced basis of a direct sum of submodules, from their own bases.
+
+    blocks: (GroebnerBasis, first position) pairs whose positions tile
+    `free`.  In position-over-term order no term of one block meets a
+    term of another, so the shifted union of the blocks' reduced bases is
+    reduced and a Groebner basis, hence the unique reduced basis of the
+    sum.  Only positions, degrees (the blocks' twists may differ from
+    `free`'s by a shift) and the canonical order change; no Buchberger."""
+    A = _packing(ring.nvars).A
+    twists = free.twists
+    elems = []
+    in_module = set()
+    for gb, off in blocks:
+        shift = off << A
+        mod = set(gb.module_indices)
+        for k, g in enumerate(gb.elements):
+            pos = g.pos + off
+            terms = {h + shift: c for h, c in g.terms.items()} if shift else g.terms
+            e = GBElem(terms, g.lead + shift, pos, g.ltm,
+                       mono_deg(g.ltm) + twists[pos])
+            elems.append(e)
+            if k in mod:
+                in_module.add(e)
+    _canonical_sort(elems)
+    return GroebnerBasis(ring, free, elems,
+                         [i for i, e in enumerate(elems) if e in in_module])
 
 
 def reduce_poly_mod_defining(ring, f):

@@ -15,7 +15,7 @@ map's columns (homology).
 
 from .freemod import (FreeModule, apply_map, columns_from_rows, vec_degree,
                       vec_from_column, vec_is_homogeneous)
-from .groebner import groebner_basis
+from .groebner import direct_sum_basis, groebner_basis
 from .hilbert import HilbertSeries, monomial_ideal_numerator
 from .memo import _cached
 from .minimize import minimize_presentation
@@ -23,7 +23,14 @@ from .poly import Polynomial
 
 
 class PresentedModule:
-    __slots__ = ("ring", "gens_free", "rel_cols", "_cache")
+    """coker(rel_cols) over the free module gens_free.
+
+    `_summands`, set by the totalizations in cmreg.complexes, is a tuple
+    of (module, first position) pairs whose direct sum this module is,
+    block by block; gb() then assembles the basis from theirs
+    (groebner.direct_sum_basis)."""
+
+    __slots__ = ("ring", "gens_free", "rel_cols", "_summands", "_cache")
 
     def __init__(self, ring, gens_free, rel_cols):
         self.ring = ring
@@ -36,6 +43,7 @@ class PresentedModule:
                 raise ValueError("relation column is not homogeneous")
             cols.append(dict(c))
         self.rel_cols = tuple(cols)
+        self._summands = None
         self._cache = {}
 
     # -- constructors ----------------------------------------------------
@@ -64,8 +72,13 @@ class PresentedModule:
         return self.gens_free.rank
 
     def gb(self):
-        return _cached(self, "gb", lambda: groebner_basis(
-            self.rel_cols, self.ring, self.gens_free))
+        def compute():
+            if self._summands:
+                return direct_sum_basis(self.ring, self.gens_free, [
+                    (M.gb(), off) for M, off in self._summands])
+            return groebner_basis(self.rel_cols, self.ring, self.gens_free)
+
+        return _cached(self, "gb", compute)
 
     # -- elementary constructions ----------------------------------------
     def twist(self, d):

@@ -10,10 +10,16 @@ Routes:
 The ext, koszul and duality routes (and reg_complex, which runs the
 koszul route) never present a homology module: they read each homology
 Hilbert series off the cokernels of the differentials
-(BoundedComplex.homology_series).  What the routes share is the Groebner
-kernel, the Hilbert-series code (homology_series included) and, for betti
-and duality, the minimal free resolution; the betti route reads twists
-and shares no homology code with the other three.
+(BoundedComplex.homology_series).  Inside one totalization no Groebner
+basis is built twice: each term's basis is assembled from the bases of
+its blocks, twisted copies of the coefficient terms, and each cokernel's
+basis grows from its target's by a seeded Buchberger run.  Across routes
+only this is shared: the Groebner kernel and its output for the same
+module (the basis cached on that module, which the ext and koszul routes
+both read as a block), the Hilbert-series code (homology_series
+included) and, for betti and duality, the minimal free resolution; the
+betti route reads twists and shares no homology code with the other
+three.
 
 reg_via_duality, default-form reg_via_koszul and reg_complex keep their
 result on the object they were asked about, next to its Groebner basis,
@@ -147,13 +153,13 @@ def reg_via_koszul(obj, forms=None):
     finite length, and a KoszulHypothesisError reports the first that
     does not.  Only the default call (no forms) is cached on obj.
     """
-    if forms is None:
-        return _cached(obj, "koszul", lambda: _koszul_route(obj, None))
-    return _koszul_route(obj, forms)
-
-
-def _koszul_route(obj, forms):
     C = _as_complex(obj)
+    if forms is None:
+        return _cached(obj, "koszul", lambda: _koszul_route(C, None))
+    return _koszul_route(C, forms)
+
+
+def _koszul_route(C, forms):
     ring = C.ring
     if not C.terms:
         return -inf, None
@@ -190,9 +196,7 @@ def _koszul_route(obj, forms):
 def _duality_series(M):
     """{q: HS(Ext^q_S(M, S(-n)))} over the cover S, n = number of cover
     vars, read off Hom(F, S(-n)) for the minimal free resolution F of M."""
-    Mc = M.lift_to_cover() if isinstance(M, PresentedModule) else None
-    if Mc is None:
-        raise TypeError("duality route takes a module")
+    Mc = M.lift_to_cover()
     S = Mc.ring
     n = S.nvars
     res = free_resolution(Mc)
@@ -213,6 +217,9 @@ def reg_via_duality(M):
     H^i is read off the initial degree of the dual Ext module.  The result
     is cached on M.
     """
+    if not isinstance(M, PresentedModule):
+        raise TypeError("duality route takes a module")
+
     def compute():
         if M.is_zero():
             return -inf, None
@@ -343,7 +350,7 @@ def relative_reg(obj, max_len=None):
         res = free_resolution(obj, max_len=max_len)
         best, _ = _sup(_twist_candidates(_resolution_levels(res)))
         return RelativeReg(best, res.complete, res.length)
-    C = obj
+    C = _as_complex(obj)
     if not C.terms:
         return RelativeReg(-inf, True, 0)
     F, complete = free_resolution_of_complex(C, max_len=max_len)
@@ -358,8 +365,9 @@ def reg_complex(L, cross_check=False):
     With cross_check the value is recomputed through the resolution route,
     on every call, and a mismatch raises; the two routes share no homology
     code.  The value is cached on L."""
+    C = _as_complex(L)
     value = _cached(L, "reg_complex",
-                    lambda: reg_via_koszul(_as_cover_complex(L))[0])
+                    lambda: reg_via_koszul(C.lift_to_cover())[0])
     if cross_check:
         other, _ = reg_via_betti(L)
         if other != value:

@@ -1,0 +1,211 @@
+"""The homology layer reuses Groebner bases it already holds: a
+totalization term's basis is its summands' bases side by side
+(`direct_sum_basis`), and a cokernel's basis grows from its target's
+(`groebner_basis(..., known=...)`).  Both must equal the from-scratch
+reduced basis exactly."""
+
+import os
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import cmreg.groebner as groebner
+from cmreg import (FreeModule, PresentedModule, complex_from_module,
+                   ext_complex, hom_complex, koszul_complex,
+                   koszul_resolution_of_k, parse_session, polynomial_ring,
+                   tor_complex)
+from cmreg.groebner import (certify, defining_gb, direct_sum_basis,
+                            groebner_basis)
+from cmreg.theorems import random_ideal_corpus
+
+SESSIONS = os.path.join(os.path.dirname(__file__), "..", "sessions")
+
+
+def elements(gb):
+    return [(e.terms, e.lead, e.deg) for e in gb.elements]
+
+
+def assert_same_basis(got, want):
+    assert elements(got) == elements(want)
+    assert got.module_indices == want.module_indices
+
+
+def totalizations(C):
+    """The Koszul (tensor) and Hom totalizations of C on its own ring."""
+    ring = C.ring
+    return [koszul_complex(list(ring.gens()), C),
+            hom_complex(koszul_resolution_of_k(ring), C)]
+
+
+def assert_reuse_matches_scratch(T):
+    for n, term in T.terms.items():
+        assert term._summands, n
+        assert_same_basis(term.gb(), groebner_basis(
+            term.rel_cols, term.ring, term.gens_free))
+    for n, d in T.diffs.items():
+        target = d.target
+        seeded = groebner_basis(d.cols, T.ring, target.gens_free,
+                                known=target.gb())
+        scratch = groebner_basis(list(target.rel_cols) + list(d.cols),
+                                 T.ring, target.gens_free)
+        assert_same_basis(seeded, scratch)
+        assert certify(seeded), n
+
+
+def session_objects():
+    out = []
+    for name in sorted(os.listdir(SESSIONS)):
+        with open(os.path.join(SESSIONS, name), encoding="utf-8") as fh:
+            s = parse_session(fh.read())
+        for b in s.order:
+            kind = s.kind_of(b)
+            if kind in ("module", "complex"):
+                out.append(pytest.param(s.get(b), kind, id=f"{name}:{b}"))
+    return out
+
+
+@pytest.mark.parametrize("inst", random_ideal_corpus(count=30),
+                         ids=lambda inst: inst.name)
+def test_reused_bases_match_scratch_on_corpus(inst):
+    C = complex_from_module(inst.module)
+    for T in totalizations(C):
+        assert_reuse_matches_scratch(T)
+
+
+@pytest.mark.parametrize("inst", random_ideal_corpus(count=6),
+                         ids=lambda inst: inst.name)
+def test_reused_bases_match_scratch_on_derived_complexes(inst):
+    # several blocks per spot, twisted copies of a module with relations
+    M = inst.module
+    for T in (tor_complex(M, M), ext_complex(M, M)):
+        assert_reuse_matches_scratch(T)
+
+
+@pytest.mark.parametrize("obj, kind", session_objects())
+def test_reused_bases_match_scratch_on_sessions(obj, kind):
+    C = complex_from_module(obj) if kind == "module" else obj
+    for T in totalizations(C):
+        assert_reuse_matches_scratch(T)
+
+
+def test_koszul_homology_builds_no_term_basis_and_no_known_pair(
+        monkeypatch, det_module):
+    """Every term basis comes from its summands, and a seeded Buchberger
+    run never forms the S-vector of two known elements."""
+    M = det_module
+    R = M.ring
+    defining_gb(R)
+    M.gb()
+    runs = []
+    known_pairs = []
+    buchberger, s_vector = groebner._buchberger, groebner._s_vector
+    current = []
+
+    def counting_buchberger(gens, K, twists, use_pc, P, known=()):
+        runs.append(len(known))
+        current.append({id(e) for e in known})
+        try:
+            return buchberger(gens, K, twists, use_pc, P, known)
+        finally:
+            current.pop()
+
+    def recording_s_vector(gi, gj, *args):
+        if current and id(gi) in current[-1] and id(gj) in current[-1]:
+            known_pairs.append((gi, gj))
+        return s_vector(gi, gj, *args)
+
+    monkeypatch.setattr(groebner, "_buchberger", counting_buchberger)
+    monkeypatch.setattr(groebner, "_s_vector", recording_s_vector)
+    K = koszul_complex(list(R.gens()), M)
+    for i in K.levels():
+        K.homology_series(i)
+    assert runs and all(runs), runs  # every run is a seeded cokernel
+    assert len(runs) == len(K.diffs)
+    assert known_pairs == []
+
+
+# -- randomized: block-diagonal sums and seeded runs -----------------------
+
+RINGS = [polynomial_ring(["x", "y", "z"]),
+         polynomial_ring(["x", "y", "z"], p=7),
+         polynomial_ring(["x", "y", "z"], rational=True)]
+_X, _Y, _Z = RINGS[0].gens()
+RINGS.append(RINGS[0].quotient([_X * _X, _Y * _Z]))
+
+
+def monomials(nvars, d):
+    if nvars == 1:
+        return [(d,)]
+    return [(a,) + rest for a in range(d + 1)
+            for rest in monomials(nvars - 1, d - a)]
+
+
+@st.composite
+def homogeneous_vectors(draw, ring, twists, count):
+    """Up to `count` nonzero homogeneous vectors of the free module on
+    `twists`, in degrees 1 to 3 above its lowest twist."""
+    K = ring.field
+    out = []
+    for _ in range(draw(st.integers(0, count))):
+        d = min(twists) + draw(st.integers(1, 3))
+        vec = {}
+        for p, t in enumerate(twists):
+            if d < t:
+                continue
+            for m in draw(st.lists(st.sampled_from(monomials(ring.nvars, d - t)),
+                                   max_size=2, unique=True)):
+                c = K.from_int(draw(st.integers(-3, 3).filter(bool)))
+                if not K.is_zero(c):
+                    vec[(p, m)] = c
+        if vec:
+            out.append(vec)
+    return out
+
+
+@st.composite
+def block_sums(draw):
+    ring = draw(st.sampled_from(RINGS))
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        twists = tuple(draw(st.lists(st.integers(0, 2), min_size=1,
+                                     max_size=2)))
+        rels = draw(homogeneous_vectors(ring, twists, 3))
+        blocks.append((PresentedModule(ring, FreeModule(ring, twists), rels),
+                       draw(st.integers(-2, 2))))
+    return ring, blocks
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(block_sums())
+def test_direct_sum_basis_is_the_scratch_basis(case):
+    ring, blocks = case
+    twists, rels, parts = [], [], []
+    for M, shift in blocks:
+        off = len(twists)
+        parts.append((M.gb(), off))
+        twists.extend(t + shift for t in M.gens_free.twists)
+        rels += [{(p + off, m): c for (p, m), c in v.items()}
+                 for v in M.rel_cols]
+    free = FreeModule(ring, tuple(twists))
+    assert_same_basis(direct_sum_basis(ring, free, parts),
+                      groebner_basis(rels, ring, free))
+
+
+@st.composite
+def seeded_cases(draw):
+    ring = draw(st.sampled_from(RINGS))
+    twists = tuple(draw(st.lists(st.integers(0, 2), min_size=1, max_size=3)))
+    return (ring, FreeModule(ring, twists),
+            draw(homogeneous_vectors(ring, twists, 3)),
+            draw(homogeneous_vectors(ring, twists, 3)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seeded_cases())
+def test_seeded_basis_is_the_scratch_basis(case):
+    ring, free, old, new = case
+    known = groebner_basis(old, ring, free)
+    seeded = groebner_basis(new, ring, free, known=known)
+    assert_same_basis(seeded, groebner_basis(old + new, ring, free))
+    assert certify(seeded)
+

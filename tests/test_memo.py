@@ -1,10 +1,14 @@
 """The one cache rule (cmreg.memo): a per-object result is computed once
 per object and key, and a compute that raises stores nothing."""
 
+import ast
+import os
+
 import pytest
 
 import cmreg.complexes
 import cmreg.groebner
+import cmreg.memo
 import cmreg.modules
 import cmreg.resolution
 from cmreg import (BoundedComplex, ModuleMap, PresentedModule,
@@ -93,3 +97,51 @@ def test_defining_gb_of_a_polynomial_ring_is_empty_and_not_cached():
     S = polynomial_ring(["x", "y"])
     assert defining_gb(S) == []
     assert S._cache == {}
+
+
+CACHE_MUTATORS = {"setdefault", "update", "pop", "popitem", "clear",
+                  "__setitem__", "__delitem__"}
+
+
+def cache_writes(source):
+    """(line, text) of each write to an object's `_cache` in source:
+    `x._cache[k] = ...`, `del x._cache[k]`, augmented assignment, or a
+    mutating method call on `x._cache`."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Subscript)
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "_cache"
+                and isinstance(node.ctx, (ast.Store, ast.Del))):
+            out.append((node.lineno, ast.unparse(node)))
+        elif (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in CACHE_MUTATORS
+                and isinstance(node.func.value, ast.Attribute)
+                and node.func.value.attr == "_cache"):
+            out.append((node.lineno, ast.unparse(node)))
+    return out
+
+
+def test_cache_writes_are_recognized():
+    assert [t for _, t in cache_writes(
+        "a._cache[k] = 1\ndel b._cache[k]\nc._cache[k] += 1\n"
+        "d._cache.setdefault(k, 1)\nx = e._cache[k]\nf._cache.get(k)\n")] == [
+        "a._cache[k]", "b._cache[k]", "c._cache[k]",
+        "d._cache.setdefault(k, 1)"]
+
+
+def test_only_memo_writes_object_caches():
+    """The one cache rule: every per-object result goes through
+    memo._cached, so no other file under src/cmreg writes `._cache[`."""
+    root = os.path.dirname(cmreg.memo.__file__)
+    offenders = []
+    for dirpath, _, files in os.walk(root):
+        for name in sorted(files):
+            path = os.path.join(dirpath, name)
+            if not name.endswith(".py") or path == cmreg.memo.__file__:
+                continue
+            with open(path, encoding="utf-8") as fh:
+                for line, text in cache_writes(fh.read()):
+                    offenders.append(f"{name}:{line}: {text}")
+    assert offenders == []

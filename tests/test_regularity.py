@@ -282,6 +282,24 @@ def test_relative_reg_certified_over_cover(S3):
     assert rel.value == reg_via_betti(M)[0]
 
 
+@pytest.mark.parametrize("route", [reg_via_betti, reg_via_ext, reg_via_koszul,
+                                   reg_via_duality, reg_complex, relative_reg,
+                                   regularity],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("obj", [3, None, "M"])
+def test_routes_refuse_non_modules_with_type_error(route, obj):
+    # relative_reg, reg_via_koszul, reg_via_duality and reg_complex raised
+    # AttributeError here before they coerced their argument first
+    with pytest.raises(TypeError):
+        route(obj)
+
+
+def test_duality_route_refuses_a_complex(S3):
+    x, y, _ = S3.gens()
+    with pytest.raises(TypeError):
+        reg_via_duality(koszul_complex([x, y]))
+
+
 def test_bass_table_of_residue_field(S2):
     k = PresentedModule.cyclic(S2, list(S2.gens()))
     mu = bass_table(k)
