@@ -1,5 +1,6 @@
 """Bounded complexes of presented modules: Koszul complexes, tensor and Hom
-totalizations, homology, and free resolutions of complexes.
+totalizations, homology, and free resolutions of complexes (by the
+resolution loop of cmreg.resolution, the one modules use).
 
 One builder lays out and differentiates both totalizations: F (x) C and
 Hom(F, C) differ only in the index sign, the twist sign, the direction
@@ -20,8 +21,8 @@ from .groebner import groebner_basis
 from .hilbert import HilbertSeries
 from .memo import _cached
 from .minimize import minimize_chain, minimize_presentation
-from .modules import ModuleMap, PresentedModule, homology_at, kernel
-from .resolution import check_max_len, free_resolution
+from .modules import ModuleMap, PresentedModule, homology_at
+from .resolution import _resolve, check_max_len, free_resolution
 
 
 class BoundedComplex:
@@ -426,81 +427,21 @@ def minimal_cover(M):
 
 
 def free_resolution_of_complex(L, max_len=None):
-    """A free complex quasi-isomorphic to L, minimized.
-
-    Built upward from the bottom: each level covers the fiber product of
-    "cycles of F so far" with the next level of L, so cycles always
-    surject onto cycles and homology is preserved.
-
-    Returns (complex, complete).  Over a quotient ring the construction is
-    truncated at max_len levels past the bottom.
-    """
+    """(F, complete): a minimal free complex F quasi-isomorphic to L, built
+    upward from L's bottom spot by `resolution._resolve`, the loop that
+    resolves modules; a free L is only minimized.  F is truncated at
+    max_len levels past the bottom: by default past its end over a
+    polynomial ring, 2n + 4 levels past L's top over a quotient ring in n
+    variables."""
     check_max_len(max_len)
     ring = L.ring
     if not L.terms:
         return BoundedComplex(ring, {}, {}), True
     if L.is_free:
         return L.minimized(), True
-    lo, hi = L.min_level, L.max_level
     if max_len is None:
-        span = hi - lo
+        span = L.max_level - L.min_level
         max_len = span + (ring.nvars + 4 if ring.is_polynomial
                           else 2 * ring.nvars + 4)
-
-    twists = {}
-    cols = {}
-    F_prev, phi_prev = minimal_cover(L.term(lo))
-    twists[lo] = tuple(F_prev.gens_free.twists)
-    phis = {lo: phi_prev}
-    complete = False
-    i = lo
-    while True:
-        if i - lo >= max_len:
-            break
-        Fi = PresentedModule.free(ring, twists[i])
-        Li = L.term(i)
-        # map F_i + L_{i+1} -> L_i + F_{i-1}, (f, l) |-> (phi_i f - d l,
-        # d^F f); its kernel is the fiber product.  At the bottom F_{i-1}
-        # has rank 0 and d^F is zero.  phi_i fills rows below r = rank L_i
-        # and d^F the rows from r on, so no two terms of a column meet.
-        r = Li.rank
-        source = Fi.direct_sum(L.term(i + 1))
-        target = Li.direct_sum(PresentedModule.free(ring, twists.get(i - 1, ())))
-        columns = []
-        for j, dF_col in enumerate(cols.get(i, [{}] * Fi.rank)):
-            col = dict(phis[i].cols[j])
-            for (p, m), c in dF_col.items():
-                col[(p + r, m)] = c
-            columns.append(col)
-        neg = ring.field.neg
-        for dcol in L.diff(i + 1).cols:
-            columns.append({t: neg(c) for t, c in dcol.items()})
-        psi = ModuleMap(source, target, columns)
-        ker_mod, incl = kernel(psi)
-        if ker_mod.rank == 0 and i >= hi:
-            complete = True
-            break
-        # a rank-0 kernel below the top just gives an empty level; the
-        # generic split handles it and the loop climbs on
-        # split kernel generators into F- and L- components
-        fr = Fi.rank
-        new_twists = tuple(ker_mod.gens_free.twists)
-        dF_new = []
-        phi_new = []
-        for c in incl.cols:
-            fpart = {}
-            lpart = {}
-            for (p, m), cc in c.items():
-                if p < fr:
-                    fpart[(p, m)] = cc
-                else:
-                    lpart[(p - fr, m)] = cc
-            dF_new.append(fpart)
-            phi_new.append(lpart)
-        i += 1
-        twists[i] = new_twists
-        cols[i] = dF_new
-        Fn = PresentedModule.free(ring, new_twists)
-        phis[i] = ModuleMap(Fn, L.term(i), phi_new)
-    built = free_complex_from_data(ring, twists, cols)
-    return built.minimized(), complete
+    twists, cols, complete = _resolve(ring, L.terms, L.diffs, max_len)
+    return free_complex_from_data(ring, twists, cols), complete

@@ -415,14 +415,31 @@ class GroebnerBasis:
     def module_degrees(self):
         return [self.elements[i].deg for i in self.module_indices]
 
-    def normal_form(self, vec):
+    def _reducer_groups(self):
         if self._groups is None:
             self._groups = _reducers(self.elements)
-        r, _ = _reduce(vec, self._groups, self.ring.field)
+        return self._groups
+
+    def normal_form(self, vec):
+        r, _ = _reduce(vec, self._reducer_groups(), self.ring.field)
         return r
 
     def contains(self, vec):
         return not self.normal_form(vec)
+
+    def lift(self, vec):
+        """c with vec = sum_k c_k module_elements[k] over the ring, for vec
+        in the submodule, read off the reduction trace."""
+        if not vec:
+            return {}
+        P = _packing(self.ring.nvars)
+        rem, trace = _reduce_packed(P.encode_vec(vec), self._reducer_groups(),
+                                    self.ring.field, P, collect_trace=True)
+        if rem:
+            raise ArithmeticError("vector does not lie in the submodule")
+        pos = {i: k for k, i in enumerate(self.module_indices)}
+        return {(pos[i], P.mono(d)): c for i, quot in trace.items()
+                if i in pos for d, c in quot.items()}
 
 
 def groebner_basis(vectors, ring, free, *, known=None):

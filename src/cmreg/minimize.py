@@ -20,28 +20,35 @@ from target position to the columns with an entry there lets a Schur step
 touch only those columns.  Indices stay stable while a level is worked;
 removed rows and columns are dropped, and the rest renumbered, once at
 the end.
+
+Passenger rows, at or past the rank of F_{L-1}, carry the map of F_L to
+the complex cmreg.resolution resolves.  They are never pivots, go
+through the Schur updates (as the map does when F_L's basis changes) and
+are renumbered with the other rows, so they start at the rank of F_{L-1}.
 """
 
 from .freemod import vec_add, vec_poly_mul
 
 
-def _find_unit(col):
-    """(position, coefficient) of col's first constant entry, or None."""
+def _find_unit(col, rows=None):
+    """(position, coefficient) of col's first constant entry, or None;
+    with `rows`, of its first one at a position below `rows`."""
     for (p, m), c in col.items():
-        if not any(m):
+        if not any(m) and (rows is None or p < rows):
             return p, c
     return None
 
 
-def _eliminate_units(cols, K, dead_src, dead_tgt):
+def _eliminate_units(cols, K, dead_src, dead_tgt, rows):
     """Remove every unit of one level's columns (stable indices), in the
     order the restarting sweep would; records the removed source and
-    target indices in dead_src and dead_tgt."""
+    target indices in dead_src and dead_tgt.  Positions at or past
+    `rows` are passengers and never pivots."""
     # A Schur step adds (column j's entry at p0) / u times the pivot to
     # column j, so column j gains a constant entry only if it has one at p0
     # already: no column gains its first unit.  One ascending pass over the
     # columns that start with a unit therefore meets every unit in order.
-    todo = [j for j, col in enumerate(cols) if _find_unit(col) is not None]
+    todo = [j for j, col in enumerate(cols) if _find_unit(col, rows) is not None]
     if not todo:
         return
     index = {}
@@ -49,7 +56,7 @@ def _eliminate_units(cols, K, dead_src, dead_tgt):
         for p, _ in col:
             index.setdefault(p, set()).add(j)
     for j0 in todo:
-        hit = _find_unit(cols[j0])
+        hit = _find_unit(cols[j0], rows)
         if hit is None:
             continue
         p0, u = hit
@@ -74,7 +81,8 @@ def minimize_chain(twists, cols, K):
     """Minimize a chain of maps.
 
     twists: dict level -> twist tuple of F_level, for level = lo..hi
-    cols:   dict level -> list of columns of d_level : F_level -> F_{level-1}
+    cols:   dict level -> list of columns of d_level : F_level -> F_{level-1},
+            which may carry passenger rows (module docstring)
 
     Mutates nothing; returns (new_twists, new_cols, kept) where
     kept[level] lists the surviving original basis indices of F_level.
@@ -87,7 +95,7 @@ def minimize_chain(twists, cols, K):
             # rows removed by the level below
             work[lev] = [{t: c for t, c in col.items() if t[0] not in below}
                          for col in work[lev]]
-        _eliminate_units(work[lev], K, dead[lev], below)
+        _eliminate_units(work[lev], K, dead[lev], below, len(twists[lev - 1]))
     kept = {i: [k for k in range(len(t)) if k not in dead[i]]
             for i, t in twists.items()}
     for lev, cs in work.items():
@@ -95,9 +103,12 @@ def minimize_chain(twists, cols, K):
             cs = [cs[k] for k in kept[lev]]
         if dead[lev - 1]:
             # a removed row keeps entries only when a pivot's unit entry
-            # had other terms (non-homogeneous input); they go with it
+            # had other terms (non-homogeneous input); they go with it.
+            # Passengers move down by the number of removed rows.
             new = {k: n for n, k in enumerate(kept[lev - 1])}
-            cs = [{(new[p], m): c for (p, m), c in col.items() if p in new}
+            rows, drop = len(twists[lev - 1]), len(dead[lev - 1])
+            cs = [{(new[p] if p < rows else p - drop, m): c
+                   for (p, m), c in col.items() if p in new or p >= rows}
                   for col in cs]
         work[lev] = cs
     return ({i: tuple([t[k] for k in kept[i]]) for i, t in twists.items()},

@@ -54,6 +54,11 @@ class KoszulHypothesisError(ValueError):
             "the finite-length hypothesis fails for this sequence")
 
 
+def _require_module(M):
+    if not isinstance(M, PresentedModule):
+        raise TypeError("expected a presented module")
+
+
 def _as_cover_complex(obj):
     """Lift a module or complex to its polynomial cover, as a complex."""
     return _as_complex(obj).lift_to_cover()
@@ -217,8 +222,7 @@ def reg_via_duality(M):
     H^i is read off the initial degree of the dual Ext module.  The result
     is cached on M.
     """
-    if not isinstance(M, PresentedModule):
-        raise TypeError("duality route takes a module")
+    _require_module(M)
 
     def compute():
         if M.is_zero():
@@ -279,6 +283,7 @@ WINDOW_HARD_CAP_FACTOR = 8
 
 
 def local_cohomology_table(M, window=None):
+    _require_module(M)
     if M.is_zero():
         return LocalCohomologyTable({}, window or (0, 0), {}, 0)
     ext_series, n = _duality_series(M)
@@ -382,6 +387,7 @@ def reg_complex(L, cross_check=False):
 def depth_profile(M):
     """Depth by pd (Auslander-Buchsbaum), by Bass numbers, and by Koszul
     homology, all over the cover.  The three agree for correct inputs."""
+    _require_module(M)
     Mc = M.lift_to_cover()
     S = Mc.ring
     n = S.nvars
@@ -398,6 +404,7 @@ def depth_profile(M):
 
 def depth(M):
     """Depth of a module (over its own ring; depth is cover-independent)."""
+    _require_module(M)
     Mc = M.lift_to_cover()
     if Mc.is_zero():
         return inf

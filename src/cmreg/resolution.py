@@ -1,18 +1,26 @@
-"""Minimal graded free resolutions by iterated syzygies.
+"""Minimal graded free resolutions of modules and bounded complexes, by
+one loop of iterated syzygies.
 
-Each level replaces the current differential's columns by their reduced
-Groebner basis, extracts trace syzygies for the next differential, then
-sweeps unit elimination over the whole chain.  The sweep keeps every level
-minimal as it is built, so over a polynomial ring the loop provably stops
-at the projective dimension, at most the number of variables (Hilbert's
-syzygy theorem); a generator past that level is an engine bug and raises.
-Over any ring the resolution is truncated at max_len, and a truncated
-resolution is flagged incomplete: over a quotient ring it may be infinite,
-and over a polynomial ring max_len may lie below the projective dimension
-(a max_len of at least the number of variables gives the full resolution).
-The top level of a truncation is minimized too, against its syzygies in
-its generators' degrees, which are then dropped.  max_len must be at least
-1.
+`_resolve` builds a minimal free complex F quasi-isomorphic to a complex
+L given by its terms and differentials; a module is the one-term complex
+{0: M}.  A generator of F_i is one column in F_{i-1} + cover(L_i): its
+image under d^F, then, in the passenger rows (cmreg.minimize), its image
+in L_i.  F_lo covers L_lo, and F_{lo+1} has rho + 0 for each relation rho
+of L_lo and d l_j + e_j for each generator l_j of L_{lo+1}.  At each later
+level i the columns of d_i and 0 + rho for the relations rho of L_i give
+way to their reduced Groebner basis; F_{i+1} has its trace syzygies (La
+Scala and Stillman, Strategies for computing minimal free resolutions,
+JSC 1998), the lift over it of each 0 + rho, and lift(0 + d l_j) + e_j for
+each generator l_j of L_{i+1}.  Then d_i's passengers are dropped and
+unit elimination sweeps the chain, which keeps every level minimal.
+
+An empty module basis at or above L's top spot hi ends the loop: F is
+complete.  Over a polynomial ring that happens by level hi + the number
+of variables (Hilbert's syzygy theorem); a generator past it is an
+engine bug and raises.  F is truncated at max_len (at least 1) levels
+past the bottom and then flagged incomplete; its top level is minimized
+against the next level's columns, syzygies only in its generators'
+degrees, which are then dropped.
 
 A FreeResolution keeps the chain in the free-chain layout of
 cmreg.freemod, the dicts twists and cols that the loop builds and
@@ -66,7 +74,8 @@ def check_max_len(max_len):
 
 
 def free_resolution(M, max_len=None):
-    """Minimal free resolution of a presented module over its own ring."""
+    """Minimal free resolution of a presented module over its own ring:
+    the resolution of M as the one-term complex at spot 0."""
     check_max_len(max_len)
     ring = M.ring
     if ring.is_polynomial:
@@ -76,68 +85,74 @@ def free_resolution(M, max_len=None):
             max_len = ring.nvars + 1
     elif max_len is None:
         max_len = 2 * ring.nvars + 4
-    return _cached(M, ("resolution", max_len), lambda: _resolve(M, max_len))
+    return _cached(M, ("resolution", max_len), lambda: FreeResolution(
+        ring, *_resolve(ring, {0: M}, {}, max_len)))
 
 
-def _resolve(M, max_len):
-    ring = M.ring
+def _shift(vec, rows):
+    return {(p + rows, m): c for (p, m), c in vec.items()}
+
+
+def _cover_columns(ring, terms, diffs, n, rank, lift):
+    """lift(d l_j) + e_j, e_j at row rank + j, per generator l_j of L_n."""
+    d = diffs.get(n)
+    one = (0,) * ring.nvars
+    return [{**(lift(d.cols[j]) if d else {}), (rank + j, one): ring.field.one}
+            for j in range(terms[n].rank if n in terms else 0)]
+
+
+def _resolve(ring, terms, diffs, max_len):
+    """(twists, cols, complete) of F for the complex L with these terms and
+    differentials (module docstring)."""
     K = ring.field
-    Mmin = M.minimized()
-    f0 = Mmin.gens_free
-    if f0.rank == 0 or not Mmin.rel_cols:
-        return FreeResolution(ring, {0: tuple(f0.twists)}, {}, True)
+    lo, hi = min(terms), max(terms)
 
-    twists = {0: tuple(f0.twists)}
-    cols = {}
-    current = groebner_basis(Mmin.rel_cols, ring, f0)
-    level = 0
+    def rows(n):  # twists of F_{n-1} + cover(L_n), where d_n's columns live
+        L = terms.get(n)
+        return twists[n - 1] + (tuple(L.gens_free.twists) if L else ())
+
+    # F_lo covers L_lo; F_{lo+1} kills its relations and maps onto L_{lo+1}
+    twists, cols = {lo: tuple(terms[lo].gens_free.twists)}, {}
+    nxt = [dict(c) for c in terms[lo].rel_cols] + _cover_columns(
+        ring, terms, diffs, lo + 1, len(twists[lo]), dict)
+    level = lo
     complete = False
     while True:
+        cols[level + 1] = nxt
+        twists[level + 1] = tuple(vec_degree(v, rows(level + 1)) for v in nxt)
+        twists, cols, _ = minimize_chain(twists, cols, K)
+        if level - lo >= max_len:
+            del cols[level + 1], twists[level + 1]
+            break
         level += 1
-        vecs = current.module_vectors()
-        if not vecs:
-            # the syzygies stored at this level are zero over the ring
-            cols.pop(level, None)
-            twists.pop(level, None)
+        rank = len(twists[level - 1])
+        rels = [_shift(c, rank) for c in terms[level].rel_cols] \
+            if level in terms else []
+        gb = groebner_basis(cols[level] + rels, ring,
+                            FreeModule(ring, rows(level)))
+        vecs = gb.module_vectors()
+        if not vecs and level >= hi:
+            # nothing is left to resolve
+            del cols[level], twists[level]
             complete = True
             break
-        if ring.is_polynomial and level > ring.nvars:
+        if ring.is_polynomial and level > hi + ring.nvars:
             raise RuntimeError(
                 f"resolution over a polynomial ring in {ring.nvars} variables "
                 f"has generators at level {level}")
-        cols[level] = vecs
-        twists[level] = tuple(current.module_degrees())
-        top = level >= max_len
+        twists[level] = tuple(gb.module_degrees())
         # A Groebner basis need not generate minimally.  At the top level
         # only syzygies in the degree of some generator can carry a unit,
         # so those are the only ones computed there.
-        syz, _ = syzygy_generators(current, set(twists[level]) if top else None)
-        if syz:
-            degs = [vec_degree(v, twists[level]) for v in syz]
-            cols[level + 1] = syz
-            twists[level + 1] = tuple(degs)
-        if top:
-            if syz:
-                twists, cols, _ = minimize_chain(twists, cols, K)
-                del cols[level + 1], twists[level + 1]
-            break
-        twists, cols, _ = minimize_chain(twists, cols, K)
-        nxt = cols.get(level + 1)
-        if nxt is not None and not any(nxt):
-            del cols[level + 1]
-            twists.pop(level + 1, None)
-            nxt = None
-        if nxt is None:
-            # chain became exact on top after the sweep
-            if level in cols and not any(cols[level]):
-                del cols[level]
-                twists.pop(level, None)
-            complete = True
-            break
-        # columns of d_{level+1} live in F_level
-        current = groebner_basis(cols[level + 1], ring,
-                                 FreeModule(ring, twists[level]))
-    return FreeResolution(ring, twists, cols, complete)
+        top = level - lo >= max_len
+        nxt, _ = syzygy_generators(gb, set(twists[level]) if top else None)
+        nxt += [v for v in map(gb.lift, rels) if v]
+        nxt += _cover_columns(ring, terms, diffs, level + 1, len(vecs),
+                              lambda v: gb.lift(_shift(v, rank)))
+        # d_level's map to L_level is no longer needed
+        cols[level] = [{(p, m): c for (p, m), c in col.items() if p < rank}
+                       for col in vecs]
+    return twists, cols, complete
 
 
 class BettiTable:

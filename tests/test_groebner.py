@@ -392,3 +392,34 @@ def test_certify_rejects_a_non_basis(S3):
     elems = [_make_elem(v, K, (0,)) for v in vecs_from_polys([x * y - z * z, y * y])]
     assert not certify(GroebnerBasis(S3, F, elems, [0, 1]))
     assert certify(groebner_basis(vecs_from_polys([x * y - z * z, y * y]), S3, F))
+
+
+@pytest.mark.parametrize("quotient", [False, True])
+@pytest.mark.parametrize("twists", [(0,), (0, 1, 1)])
+def test_lift_writes_a_member_on_the_module_elements(twists, quotient):
+    rng = random.Random(20261018 + len(twists) + quotient)
+    ring = syzygy_test_ring(False, quotient)
+    K = ring.field
+    F = FreeModule(ring, twists)
+    zero = groebner_basis([], ring, F)  # reduces modulo the defining ideal
+    for _ in range(3):
+        gens = [g for g in (random_vec(rng, ring, twists, rng.randint(2, 3), 1)
+                            for _ in range(len(twists) + 2)) if g]
+        gb = groebner_basis(gens, ring, F)
+        elems = gb.module_elements
+        top = max(vec_degree(g, twists) for g in gens) + 1
+        vec = {}
+        for g in gens:
+            mono = rng.choice(monomials_of_degree(ring.nvars,
+                                                  top - vec_degree(g, twists)))
+            vec = vec_add(vec, vec_term_mul(g, mono, K.from_int(
+                rng.randint(1, 50)), K), K)
+        c = gb.lift(vec)
+        assert vec_degree(c, [g.deg for g in elems]) == top
+        total = {}
+        for (k, mono), a in c.items():
+            total = vec_add(total, vec_term_mul(elems[k].vec, mono, a, K), K)
+        minus = {t: K.neg(a) for t, a in vec.items()}
+        assert not zero.normal_form(vec_add(total, minus, K))
+    with pytest.raises(ArithmeticError):
+        gb.lift({(0, (0,) * ring.nvars): K.one})

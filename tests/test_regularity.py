@@ -294,6 +294,24 @@ def test_routes_refuse_non_modules_with_type_error(route, obj):
         route(obj)
 
 
+def _koszul_on_two_variables():
+    return koszul_complex(list(polynomial_ring(["x", "y"]).gens()))
+
+
+@pytest.mark.parametrize("invariant", [depth, depth_profile,
+                                       local_cohomology_table],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("make", [lambda: 3, lambda: None,
+                                  _koszul_on_two_variables],
+                         ids=["int", "None", "complex"])
+def test_module_invariants_refuse_non_modules_with_type_error(invariant,
+                                                             make):
+    # depth, depth_profile and local_cohomology_table raised
+    # AttributeError here before they checked their argument
+    with pytest.raises(TypeError):
+        invariant(make())
+
+
 def test_duality_route_refuses_a_complex(S3):
     x, y, _ = S3.gens()
     with pytest.raises(TypeError):

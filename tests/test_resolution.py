@@ -6,14 +6,18 @@ from math import inf
 import pytest
 
 import cmreg.cli as cli
-from cmreg import (PresentedModule, betti_table, complex_from_module, depth,
-                   ext, free_resolution, free_resolution_of_complex,
-                   module_from_ideal, parse_session, pd,
-                   polynomial_ring, reg_via_betti, relative_reg,
-                   resolution_to_complex, tor)
+from cmreg import (BettiTable, BoundedComplex, ModuleMap, PresentedModule,
+                   betti_table, complex_from_module, depth, ext,
+                   free_resolution, free_resolution_of_complex,
+                   module_from_ideal, parse_session, pd, polynomial_ring,
+                   reg_via_betti, relative_reg, resolution_to_complex, tor)
+from cmreg.freemod import FreeModule
+from cmreg.groebner import groebner_basis
+from cmreg.minimize import _find_unit
 from cmreg.theorems import nilpotent_scroll_family, random_ideal_corpus
 from test_groebner import naive_syzygy_generators
 from test_sessions import SESSIONS, load
+from test_subquotient import corpus_complexes, session_complexes
 
 
 def test_koszul_resolution_of_residue_field(S3):
@@ -261,9 +265,32 @@ def invariant_inputs():
         yield f"scroll-{n}+z", module_from_ideal(ring, minors + [z]), None
 
 
+def complex_inputs():
+    """(label, complex) pairs: corpus Koszul([f], M) complexes and the
+    quotient-ring complexes of two-quadrics.cmreg, built fresh."""
+    for idx in range(3):
+        yield f"corpus-{idx:02d}-koszul", corpus_complexes(idx)[0]
+    for k, C in enumerate(session_complexes("two-quadrics.cmreg")):
+        if not C.ring.is_polynomial:
+            yield f"two-quadrics-{k}", C
+
+
+def complex_table(C, max_len):
+    F, complete = free_resolution_of_complex(C, max_len=max_len)
+    entries = {}
+    for i, t in F.terms.items():
+        for j in t.gens_free.twists:
+            entries[(i, j)] = entries.get((i, j), 0) + 1
+    return BettiTable(entries, complete)
+
+
 def tables():
-    return {(label, max_len): betti_table(M, max_len=max_len)
-            for label, M, max_len in invariant_inputs()}
+    out = {(label, max_len): betti_table(M, max_len=max_len)
+           for label, M, max_len in invariant_inputs()}
+    for label, C in complex_inputs():
+        for max_len in (None, 2):
+            out[(label, max_len)] = complex_table(C, max_len)
+    return out
 
 
 def test_betti_tables_match_all_pair_syzygies(monkeypatch):
@@ -289,3 +316,130 @@ def test_scroll_family_stdout_matches_all_pair_syzygies(monkeypatch, capsys):
     res_mod = importlib.import_module("cmreg.resolution")
     monkeypatch.setattr(res_mod, "syzygy_generators", naive_syzygy_generators)
     assert stdout() == pruned
+
+
+# -- one loop: a module is the one-term complex ------------------------------
+
+def corpus_and_session_modules():
+    """(label, module) pairs, built fresh on every call because resolutions
+    are cached on their module."""
+    for idx, inst in enumerate(random_ideal_corpus()):
+        yield f"corpus-{idx:02d}", inst.module
+    for name in sorted(os.listdir(SESSIONS)):
+        s = parse_session(load(name))
+        for b in s.order:
+            if s.kind_of(b) == "module":
+                yield f"{name}:{b}", s.get(b)
+
+
+def assert_same_free_complex(got, ref):
+    assert list(got.terms) == list(ref.terms)
+    for n, t in ref.terms.items():
+        assert got.terms[n].gens_free.twists == t.gens_free.twists
+    assert list(got.diffs) == list(ref.diffs)
+    for n, d in ref.diffs.items():
+        assert got.diffs[n].cols == d.cols
+
+
+@pytest.mark.parametrize("max_len", [None, 1, 2, 3])
+def test_a_module_resolves_as_its_one_term_complex(max_len):
+    count = 0
+    for label, M in corpus_and_session_modules():
+        res = free_resolution(M, max_len=max_len)
+        F, complete = free_resolution_of_complex(complex_from_module(M),
+                                                 max_len=max_len)
+        assert_same_free_complex(F, resolution_to_complex(res))
+        # over a polynomial ring free_resolution reads a max_len of nvars or
+        # more as the full resolution; the complex keeps the cut there
+        widened = (M.ring.is_polynomial and max_len is not None
+                   and max_len >= M.ring.nvars)
+        if not widened:
+            assert complete == res.complete, (label, max_len)
+        count += 1
+    assert count == 38
+
+
+def test_hypersurface_pair_completes_at_max_len_two(monkeypatch):
+    # At level 1 the syzygies are nonzero over the cover but vanish modulo
+    # x^2 + y^2; the loop must read completeness off the empty module basis
+    # at level 2, not off the columns.
+    res_mod = importlib.import_module("cmreg.resolution")
+    chains = []
+    real = res_mod.minimize_chain
+
+    def recorded(twists, cols, K):
+        out = real(twists, cols, K)
+        # the loop goes on to edit the dicts it gets back
+        chains.append((dict(out[0]), {n: list(cs) for n, cs in out[1].items()}))
+        return out
+
+    monkeypatch.setattr(res_mod, "minimize_chain", recorded)
+    s = parse_session(load("hypersurface-pair.cmreg"))
+    for name in ("M", "N"):
+        M = s.get(name)
+        chains.clear()
+        res = free_resolution(M, max_len=2)
+        assert res.complete and res.length == 1
+        twists, cols = chains[-1]
+        level2 = cols[2]
+        zero = groebner_basis([], M.ring, FreeModule(M.ring, twists[1]))
+        assert level2 and all(level2)
+        assert not any(zero.normal_form(v) for v in level2)
+        F, complete = free_resolution_of_complex(complex_from_module(M),
+                                                 max_len=2)
+        assert complete
+        assert_same_free_complex(F, resolution_to_complex(res))
+
+
+# (session, position among its quotient-ring complexes) -> top level and
+# complete flag at max_len=2, as the fiber-product loop this one replaced
+# left them
+QUOTIENT_COMPLEX_STOPS = {
+    ("determinantal.cmreg", 0): (1, True),
+    ("determinantal.cmreg", 1): (1, True),
+    ("hypersurface-pair.cmreg", 0): (2, False),
+    ("hypersurface-pair.cmreg", 1): (2, False),
+    ("two-quadrics.cmreg", 0): (1, True),
+    ("two-quadrics.cmreg", 1): (2, False),
+}
+
+
+def test_quotient_ring_session_complexes_stop_where_they_did():
+    seen = {}
+    for name in sorted(os.listdir(SESSIONS)):
+        quotient = [C for C in session_complexes(name)
+                    if not C.ring.is_polynomial]
+        for k, C in enumerate(quotient):
+            F, complete = free_resolution_of_complex(C, max_len=2)
+            seen[(name, k)] = (F.max_level, complete)
+            assert F.verify()
+            top = F.diff(F.max_level)
+            assert all(_find_unit(c) is None for c in top.cols)
+    assert seen == QUOTIENT_COMPLEX_STOPS
+
+
+def test_units_of_the_complex_cancel_and_passengers_follow():
+    # L = S/(y) at spot 0, S + S(-1) at spot 1 and S + S(-2) at spot 2,
+    # d_2 = diag(1, x): L is quasi-isomorphic to S/(y) + (S/(x))(-1)[1].
+    # The unit of d_2 cancels a generator of F_1 while F_2's other column
+    # still carries its map to L_2, whose row must move down with it.
+    S = polynomial_ring(["x", "y"])
+    x, y = S.gens()
+    L1, L2 = PresentedModule.free(S, (0, 1)), PresentedModule.free(S, (0, 2))
+    d2 = ModuleMap.from_entries(L2, L1, [[S.constant(1), S.constant(0)],
+                                         [S.constant(0), x]])
+    L = BoundedComplex(S, {0: PresentedModule.cyclic(S, [y]), 1: L1, 2: L2},
+                       {2: d2})
+    full = [(0, (0,)), (1, (1, 1)), (2, (2,))]
+    for max_len, complete, twists in ((None, True, full),
+                                      (2, False, full),
+                                      (1, False, full[:2])):
+        F, got = free_resolution_of_complex(L, max_len=max_len)
+        assert got is complete
+        assert [(n, t.gens_free.twists) for n, t in F.terms.items()] == twists
+        assert F.verify()
+        assert all(_find_unit(c) is None for d in F.diffs.values()
+                   for c in d.cols)
+        if complete:
+            for n in range(-1, 4):
+                assert F.homology_series(n) == L.homology_series(n)

@@ -1,7 +1,9 @@
 """Module-path homology and the free resolution of a complex against the
 designs they replaced, kept here as references: homology as a presented
-kernel followed by a second subquotient, and the fiber-product step with
-an end-dependent target layout and merged columns."""
+kernel followed by a second subquotient, and the fiber-product loop with
+an end-dependent target layout and merged columns.  Homology modules are
+compared entry by entry; resolutions, unique only up to isomorphism, by
+their invariants."""
 
 import os
 import random
@@ -17,7 +19,7 @@ from cmreg import (BoundedComplex, PresentedModule, complex_from_module,
 from cmreg.complexes import free_complex_from_data, minimal_cover
 from cmreg.freemod import FreeModule, vec_degree
 from cmreg.groebner import groebner_basis
-from cmreg.minimize import minimize_presentation
+from cmreg.minimize import _find_unit, minimize_presentation
 from cmreg.modules import ModuleMap, syzygies_of_vectors
 from cmreg.theorems import _random_linear_form, random_ideal_corpus
 
@@ -187,27 +189,38 @@ def assert_same_module(got, ref):
     assert got.rel_cols == ref.rel_cols  # columns equal as dicts
 
 
-def assert_same_complex(got, ref):
-    assert list(got.terms) == list(ref.terms)
-    for n, t in ref.terms.items():
-        assert_same_module(got.terms[n], t)
-    assert list(got.diffs) == list(ref.diffs)
-    for n, d in ref.diffs.items():
-        assert got.diffs[n].cols == d.cols
+def assert_equivalent_resolutions(F, complete, F_ref, complete_ref,
+                                  ordered=True):
+    """A minimal free complex is unique only up to isomorphism, so the
+    resolution is compared by its invariants, not column by column: the
+    twists at every spot (in order unless `ordered` is false), the
+    complete flag, d o d = 0, no constant entry, and the homology series
+    at every spot."""
+    def twists(G):
+        return [(n, t.gens_free.twists if ordered
+                 else tuple(sorted(t.gens_free.twists)))
+                for n, t in G.terms.items()]
+
+    assert complete == complete_ref
+    assert twists(F) == twists(F_ref)
+    assert F.verify()
+    assert all(_find_unit(c) is None for d in F.diffs.values() for c in d.cols)
+    for n in range(F_ref.min_level - 1, F_ref.max_level + 2):
+        assert F.homology_series(n) == F_ref.homology_series(n)
 
 
-def assert_matches_references(C):
-    """Every homology module and the resolution of C equal the
-    references; returns how many nonzero homology modules were compared."""
+def assert_matches_references(C, ordered=True):
+    """Every homology module of C equals the reference, and C's resolution
+    is equivalent to the reference one; returns how many nonzero homology
+    modules were compared."""
     nonzero = 0
     for i in range(C.min_level - 1, C.max_level + 2):
         H = C.homology(i)
         assert_same_module(H, naive_homology(C, i))
         nonzero += H.rank > 0
-    F, complete = free_resolution_of_complex(C)
-    F_ref, complete_ref = naive_free_resolution_of_complex(C)
-    assert complete == complete_ref
-    assert_same_complex(F, F_ref)
+    assert_equivalent_resolutions(*free_resolution_of_complex(C),
+                                  *naive_free_resolution_of_complex(C),
+                                  ordered)
     return nonzero
 
 
@@ -256,20 +269,23 @@ def test_homology_and_fiber_product_match_references_on_sessions():
 
 
 def test_empty_middle_level_and_unstored_zero_differential(S3):
+    # The resolution loop lists a level's generators in Groebner-basis
+    # order, by degree; the reference lists the generators of L that d
+    # sends to zero last.  So here the twists are compared as multisets.
     x, y, z = S3.gens()
     M = PresentedModule.cyclic(S3, [x * y, z * z])
     N = PresentedModule.cyclic(S3, [x])
     # spots 0 and 2 with nothing at spot 1: both differentials are zero
     gap = BoundedComplex(S3, {0: M, 2: N}, {})
     assert 1 not in gap.terms
-    assert assert_matches_references(gap) == 2
+    assert assert_matches_references(gap, ordered=False) == 2
     # adjacent spots whose zero differential is not stored
     flat = BoundedComplex(S3, {0: M, 1: N.twist(1)}, {})
     assert not flat.diffs
-    assert assert_matches_references(flat) == 2
+    assert assert_matches_references(flat, ordered=False) == 2
     # the same with a free term, so the minimal cover keeps a summand
     mixed = BoundedComplex(S3, {0: PresentedModule.free(S3, (0,)), 1: M}, {})
-    assert assert_matches_references(mixed) == 2
+    assert assert_matches_references(mixed, ordered=False) == 2
 
 
 def test_homology_at_is_one_subquotient(monkeypatch):
