@@ -22,7 +22,8 @@ from .hilbert import HilbertSeries
 from .memo import _cached
 from .minimize import minimize_chain, minimize_presentation
 from .modules import ModuleMap, PresentedModule, homology_at
-from .resolution import _resolve, check_max_len, free_resolution
+from .resolution import (_resolve, _truncation, check_max_len,
+                         free_resolution)
 
 
 class BoundedComplex:
@@ -430,18 +431,15 @@ def free_resolution_of_complex(L, max_len=None):
     """(F, complete): a minimal free complex F quasi-isomorphic to L, built
     upward from L's bottom spot by `resolution._resolve`, the loop that
     resolves modules; a free L is only minimized.  F is truncated at
-    max_len levels past the bottom: by default past its end over a
-    polynomial ring, 2n + 4 levels past L's top over a quotient ring in n
-    variables."""
+    max_len levels past the bottom, read as `free_resolution` reads it
+    (`resolution._truncation`): by default past its end over a polynomial
+    ring, 2n + 4 levels past L's top over a quotient ring in n variables."""
     check_max_len(max_len)
     ring = L.ring
     if not L.terms:
         return BoundedComplex(ring, {}, {}), True
     if L.is_free:
         return L.minimized(), True
-    if max_len is None:
-        span = L.max_level - L.min_level
-        max_len = span + (ring.nvars + 4 if ring.is_polynomial
-                          else 2 * ring.nvars + 4)
+    max_len = _truncation(ring, L.max_level - L.min_level, max_len)
     twists, cols, complete = _resolve(ring, L.terms, L.diffs, max_len)
     return free_complex_from_data(ring, twists, cols), complete

@@ -430,16 +430,13 @@ class GroebnerBasis:
     def lift(self, vec):
         """c with vec = sum_k c_k module_elements[k] over the ring, for vec
         in the submodule, read off the reduction trace."""
-        if not vec:
-            return {}
-        P = _packing(self.ring.nvars)
-        rem, trace = _reduce_packed(P.encode_vec(vec), self._reducer_groups(),
-                                    self.ring.field, P, collect_trace=True)
+        rem, trace = _reduce(vec, self._reducer_groups(), self.ring.field,
+                             collect_trace=True)
         if rem:
             raise ArithmeticError("vector does not lie in the submodule")
         pos = {i: k for k, i in enumerate(self.module_indices)}
-        return {(pos[i], P.mono(d)): c for i, quot in trace.items()
-                if i in pos for d, c in quot.items()}
+        return {(pos[i], m): c for i, quot in trace.items()
+                if i in pos for m, c in quot.items()}
 
 
 def groebner_basis(vectors, ring, free, *, known=None):

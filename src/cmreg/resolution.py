@@ -73,18 +73,27 @@ def check_max_len(max_len):
         raise ValueError(f"max_len must be at least 1, got {max_len}")
 
 
+def _truncation(ring, span, max_len):
+    """The max_len `_resolve` runs with for a complex spanning `span`
+    spots past its bottom (0 for a module).  Over a polynomial ring in n
+    variables nothing lies past level span + n, so None or a max_len of
+    span + n or more asks for the full resolution; over a quotient ring
+    the default is span + 2n + 4."""
+    n = ring.nvars
+    if ring.is_polynomial:
+        if max_len is None or max_len >= span + n:
+            return span + n + 1
+        return max_len
+    return span + 2 * n + 4 if max_len is None else max_len
+
+
 def free_resolution(M, max_len=None):
     """Minimal free resolution of a presented module over its own ring:
-    the resolution of M as the one-term complex at spot 0."""
+    the resolution of M as the one-term complex at spot 0.  Equal
+    truncations share one cache entry."""
     check_max_len(max_len)
     ring = M.ring
-    if ring.is_polynomial:
-        # nothing lies past level nvars, so a max_len of nvars or more asks
-        # for the full resolution and shares its cache entry
-        if max_len is None or max_len >= ring.nvars:
-            max_len = ring.nvars + 1
-    elif max_len is None:
-        max_len = 2 * ring.nvars + 4
+    max_len = _truncation(ring, 0, max_len)
     return _cached(M, ("resolution", max_len), lambda: FreeResolution(
         ring, *_resolve(ring, {0: M}, {}, max_len)))
 

@@ -1,5 +1,8 @@
 """The one cache rule (cmreg.memo): a per-object result is computed once
-per object and key, and a compute that raises stores nothing."""
+per object and key, and a compute that raises stores nothing.  Also the
+source lints over src/cmreg: only memo writes object caches, and the one
+resolution loop, `resolution._resolve`, is the only caller of the syzygy
+step while the complex layer presents no kernels."""
 
 import ast
 import os
@@ -131,17 +134,65 @@ def test_cache_writes_are_recognized():
         "d._cache.setdefault(k, 1)"]
 
 
+def sources():
+    """(file name, path, source) of each .py file under src/cmreg."""
+    root = os.path.dirname(cmreg.memo.__file__)
+    for dirpath, _, files in os.walk(root):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(dirpath, name)
+                with open(path, encoding="utf-8") as fh:
+                    yield name, path, fh.read()
+
+
 def test_only_memo_writes_object_caches():
     """The one cache rule: every per-object result goes through
     memo._cached, so no other file under src/cmreg writes `._cache[`."""
-    root = os.path.dirname(cmreg.memo.__file__)
-    offenders = []
-    for dirpath, _, files in os.walk(root):
-        for name in sorted(files):
-            path = os.path.join(dirpath, name)
-            if not name.endswith(".py") or path == cmreg.memo.__file__:
-                continue
-            with open(path, encoding="utf-8") as fh:
-                for line, text in cache_writes(fh.read()):
-                    offenders.append(f"{name}:{line}: {text}")
+    offenders = [f"{name}:{line}: {text}"
+                 for name, path, source in sources()
+                 if path != cmreg.memo.__file__
+                 for line, text in cache_writes(source)]
     assert offenders == []
+
+
+def calls(source, name):
+    """(line, enclosing function) of each call to `name` in source, as a
+    plain name or as an attribute."""
+    out = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            called = f.id if isinstance(f, ast.Name) else (
+                f.attr if isinstance(f, ast.Attribute) else None)
+            if called == name:
+                out.append((node.lineno, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def call_sites(name):
+    """(file, line, enclosing function) of each call to `name` under
+    src/cmreg."""
+    return [(fname, line, func) for fname, _, source in sources()
+            for line, func in calls(source, name)]
+
+
+def test_calls_are_recognized():
+    src = ("def f():\n    g(1)\n    m.g(2)\n    h = g\n"
+           "def k():\n    return [g(x) for x in y]\n")
+    assert calls(src, "g") == [(2, "f"), (3, "f"), (6, "k")]
+
+
+def test_syzygy_step_has_one_call_site():
+    sites = call_sites("syzygy_generators")
+    assert [(f, func) for f, _, func in sites] == [("resolution.py", "_resolve")]
+
+
+def test_complex_layer_presents_no_kernels():
+    assert [s for s in call_sites("kernel") if s[0] == "complexes.py"] == []

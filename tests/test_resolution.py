@@ -9,8 +9,9 @@ import cmreg.cli as cli
 from cmreg import (BettiTable, BoundedComplex, ModuleMap, PresentedModule,
                    betti_table, complex_from_module, depth, ext,
                    free_resolution, free_resolution_of_complex,
-                   module_from_ideal, parse_session, pd, polynomial_ring,
-                   reg_via_betti, relative_reg, resolution_to_complex, tor)
+                   koszul_complex, module_from_ideal, parse_session, pd,
+                   polynomial_ring, reg_via_betti, relative_reg,
+                   resolution_to_complex, tor)
 from cmreg.freemod import FreeModule
 from cmreg.groebner import groebner_basis
 from cmreg.minimize import _find_unit
@@ -349,14 +350,24 @@ def test_a_module_resolves_as_its_one_term_complex(max_len):
         F, complete = free_resolution_of_complex(complex_from_module(M),
                                                  max_len=max_len)
         assert_same_free_complex(F, resolution_to_complex(res))
-        # over a polynomial ring free_resolution reads a max_len of nvars or
-        # more as the full resolution; the complex keeps the cut there
-        widened = (M.ring.is_polynomial and max_len is not None
-                   and max_len >= M.ring.nvars)
-        if not widened:
-            assert complete == res.complete, (label, max_len)
+        assert complete == res.complete, (label, max_len)
         count += 1
     assert count == 38
+
+
+def test_a_complex_cut_at_its_full_length_is_complete():
+    # Over a polynomial ring in n variables nothing lies past level s + n of
+    # a complex spanning s spots, so max_len = s + n is the full resolution,
+    # as max_len = n is for a module.  Here F_3 = F_{s+n} is nonzero.
+    S = polynomial_ring(["x", "y"])
+    x, y = S.gens()
+    L = koszul_complex([y], PresentedModule.cyclic(S, [x * x, x * y]))
+    F, complete = free_resolution_of_complex(L)
+    G, complete_cut = free_resolution_of_complex(L, max_len=3)
+    assert complete and complete_cut
+    assert F.max_level == 3
+    assert_same_free_complex(G, F)
+    assert not free_resolution_of_complex(L, max_len=2)[1]
 
 
 def test_hypersurface_pair_completes_at_max_len_two(monkeypatch):
