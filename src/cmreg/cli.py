@@ -267,13 +267,16 @@ def cmd_oracle(session, args):
     M = session.get(args.name, ("module",))
     Mc = M.lift_to_cover()
     d_cap = args.max_degree if args.max_degree is not None else 6
+    # both windows reach down to the lowest generator, below which every
+    # Betti number and Hilbert value vanishes
+    lo = min([0, *Mc.gens_free.twists])
     bt = betti_table(Mc)
     oc = DenseOracle(Mc, max_degree=max(8, d_cap + Mc.ring.nvars))
     betti_rows = []
     agree = True
     pairs = {(i, j) for (i, j) in bt.entries if j <= d_cap}
     for i in range(Mc.ring.nvars + 1):
-        for j in range(0, d_cap + 1):
+        for j in range(lo, d_cap + 1):
             sym = bt.entries.get((i, j), 0)
             if (i, j) not in pairs and sym == 0 and i > bt.projective_dimension():
                 continue
@@ -284,7 +287,7 @@ def cmd_oracle(session, args):
             agree = agree and sym == orc
     hs = Mc.hilbert_series()
     hilbert_rows = []
-    for j in range(0, d_cap + 1):
+    for j in range(lo, d_cap + 1):
         a = hs.coefficient(j)
         b = oc.hilbert_function(j)
         hilbert_rows.append({"degree": j, "series": a, "oracle": b})

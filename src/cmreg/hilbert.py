@@ -3,8 +3,13 @@
 The numerator of a graded module comes from the lead-term module of its
 relation basis: per free position, a monomial ideal whose quotient's
 numerator is computed by the colon/sum pivot recursion
-N(J) = N(J + (x)) + t * N(J : x), memoized in one process-wide cache of
-at most _NUMERATOR_CACHE_CAP entries, emptied when full.
+N(J) = N(J + (x_v^k)) + t^k * N(J : x_v^k) (Bigatti, Computation of
+Hilbert-Poincare series, JPAA 1997), memoized in one process-wide cache
+of at most _NUMERATOR_CACHE_CAP entries, emptied when full.  The pivot
+variable x_v divides the most generators and k is the lower median of
+its positive exponents, so the recursion depth grows with the logarithm
+of the exponents, not with the exponents themselves; when every exponent
+of x_v is 1 the pivot is x_v.
 """
 
 from math import comb, inf
@@ -51,16 +56,20 @@ def monomial_ideal_numerator(gens, nvars):
                 out = nxt
         else:
             v = max(range(nvars), key=lambda i: support[i])
-            xv = tuple(1 if i == v else 0 for i in range(nvars))
-            plus = monomial_ideal_numerator(gens + (xv,), nvars)
+            # lower median: x_v^k divides at least half of the generators
+            # that x_v divides, and the colon drops v from at least half
+            exps = sorted(m[v] for m in gens if m[v])
+            k = exps[(len(exps) - 1) // 2]
+            pivot = tuple(k if i == v else 0 for i in range(nvars))
+            plus = monomial_ideal_numerator(gens + (pivot,), nvars)
             colon = monomial_ideal_numerator(
-                tuple(tuple(e - 1 if i == v and e else e for i, e in enumerate(m))
-                      for m in gens), nvars)
+                tuple(m[:v] + (max(m[v] - k, 0),) + m[v + 1:] for m in gens),
+                nvars)
             out = dict(plus)
             for e, c in colon.items():
-                out[e + 1] = out.get(e + 1, 0) + c
-                if out[e + 1] == 0:
-                    del out[e + 1]
+                out[e + k] = out.get(e + k, 0) + c
+                if out[e + k] == 0:
+                    del out[e + k]
     if len(_NUMERATOR_CACHE) >= _NUMERATOR_CACHE_CAP:
         _NUMERATOR_CACHE.clear()
     _NUMERATOR_CACHE[key] = dict(out)

@@ -2,12 +2,21 @@
 and Betti numbers.
 
 Everything here works degree by degree on explicit monomial bases with
-Gaussian elimination; no term orders, no division algorithm.  That makes it
-a genuinely independent route against the symbolic machinery, at the price
+Gaussian elimination; no term orders, no division algorithm, and nothing
+from the Groebner, Hilbert or resolution layers.  That makes it a
+genuinely independent route against the symbolic machinery, at the price
 of a degree cap (dimensions grow fast).
 
-numpy is imported inside the three functions that use it, so importing
-cmreg (and every CLI command but oracle) leaves it unloaded.
+A DenseOracle computes each thing once and keeps it in its `_cache`
+through memo._cached: the row-reduced piece of each degree, the matrix of
+multiplication by each variable out of each degree, and the rank of each
+Koszul differential in each degree.  The pieces are fully reduced, so a
+multiplication matrix is a lookup into the coordinates of the shifted
+basis vectors and needs no arithmetic.  Degrees below the lowest
+generator have empty pieces, so a window may start there.
+
+numpy is imported inside the functions that use it, so importing cmreg
+(and every CLI command but oracle) leaves it unloaded.
 """
 
 from fractions import Fraction
@@ -15,6 +24,7 @@ from itertools import combinations
 from math import comb
 
 from .freemod import vec_degree
+from .memo import _cached
 
 DEFAULT_DEGREE_CAP = 8
 
@@ -40,23 +50,22 @@ def _dtype_mod_p(p):
 
 
 def rref_mod_p(rows, ncols, p):
-    """Row-reduce over GF(p).  Returns (pivot column list, reduced rows)."""
+    """Row-reduce over GF(p) a list of rows or a 2-d array.  Returns
+    (pivot column list, reduced rows)."""
     import numpy as np
     dtype = _dtype_mod_p(p)
-    if not rows:
+    if len(rows) == 0:
         return [], np.zeros((0, ncols), dtype=dtype)
     A = np.array(rows, dtype=dtype) % p
     m = A.shape[0]
     pivots = []
     r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, m):
-            if A[i, c]:
-                piv = i
-                break
-        if piv is None:
+    # row operations never make a zero column nonzero
+    for c in np.flatnonzero(A.any(axis=0)):
+        nz = np.flatnonzero(A[r:, c])
+        if not nz.size:
             continue
+        piv = r + int(nz[0])
         if piv != r:
             A[[r, piv]] = A[[piv, r]]
         inv = pow(int(A[r, c]), p - 2, p)
@@ -66,7 +75,7 @@ def rref_mod_p(rows, ncols, p):
         nz = np.nonzero(col)[0]
         if nz.size:
             A[nz] = (A[nz] - np.outer(col[nz], A[r])) % p
-        pivots.append(c)
+        pivots.append(int(c))
         r += 1
         if r == m:
             break
@@ -88,11 +97,16 @@ def rref_exact(rows, ncols):
             continue
         A[r], A[piv] = A[piv], A[r]
         inv = 1 / A[r][c]
-        A[r] = [a * inv for a in A[r]]
+        # only the pivot row's nonzero entries change the other rows
+        support = [(k, a * inv) for k, a in enumerate(A[r]) if a]
+        for k, b in support:
+            A[r][k] = b
         for i in range(len(A)):
-            if i != r and A[i][c]:
-                f = A[i][c]
-                A[i] = [a - f * b for a, b in zip(A[i], A[r])]
+            f = A[i][c]
+            if i != r and f:
+                row = A[i]
+                for k, b in support:
+                    row[k] -= f * b
         pivots.append(c)
         r += 1
         if r == len(A):
@@ -111,7 +125,9 @@ class DenseOracle:
     """Graded pieces of a presented module by brute-force linear algebra.
 
     The module is lifted to its polynomial cover, so over a quotient ring
-    the defining relations are folded in automatically.
+    the defining relations are folded in automatically.  Pieces,
+    multiplication matrices and Koszul differential ranks are each
+    computed once per oracle and kept in its `_cache`.
     """
 
     def __init__(self, module, max_degree=DEFAULT_DEGREE_CAP):
@@ -123,7 +139,7 @@ class DenseOracle:
         self.rels = [dict(c) for c in M.rel_cols]
         self.rel_degs = [vec_degree(c, self.twists) for c in self.rels]
         self.max_degree = max_degree
-        self._pieces = {}
+        self._cache = {}
 
     # -- bases ------------------------------------------------------------
     def ambient_basis(self, j):
@@ -134,9 +150,14 @@ class DenseOracle:
         return out
 
     def _piece(self, j):
-        got = self._pieces.get(j)
-        if got is not None:
-            return got
+        """(ambient basis, its index, kept columns, coordinates) of the
+        degree-j piece.  The kept (non-pivot) columns of the row-reduced
+        relations index the quotient basis; column c of the coordinate
+        matrix is the image of ambient basis vector c in that basis."""
+        return _cached(self, ("piece", j), lambda: self._reduce_piece(j))
+
+    def _reduce_piece(self, j):
+        import numpy as np
         if j > self.max_degree:
             raise ValueError(
                 f"degree {j} beyond oracle cap {self.max_degree}")
@@ -155,51 +176,36 @@ class DenseOracle:
             pivots, red = rref_mod_p(rows, len(basis), p)
         else:
             pivots, red = rref_exact(rows, len(basis))
-        pivset = set(pivots)
-        kept = [a for a in range(len(basis)) if a not in pivset]
-        got = (basis, index, pivots, red, kept)
-        self._pieces[j] = got
-        return got
+            red = np.array(red, dtype=object).reshape(len(pivots), len(basis))
+        kept = np.ones(len(basis), dtype=bool)
+        kept[pivots] = False
+        kept = np.flatnonzero(kept)
+        # Fully reduced rows: a kept column maps to its unit vector, the
+        # pivot column of row r to minus row r on the kept columns.
+        coords = np.zeros((len(kept), len(basis)), dtype=red.dtype)
+        coords[np.arange(len(kept)), kept] = 1
+        coords[:, pivots] = -red[:, kept].T % p if p else -red[:, kept].T
+        return basis, index, kept, coords
 
     def hilbert_function(self, j):
-        basis, _, pivots, _, _ = self._piece(j)
-        return len(basis) - len(pivots)
-
-    def _project(self, j, ambient_vec):
-        """Coordinates of an ambient vector in the quotient basis at degree j."""
-        basis, _, pivots, red, kept = self._piece(j)
-        p = self.field.characteristic
-        if p:
-            import numpy as np
-            v = np.array(ambient_vec, dtype=_dtype_mod_p(p)) % p
-            for r, c in enumerate(pivots):
-                if v[c]:
-                    v = (v - v[c] * red[r]) % p
-            return [int(v[a]) for a in kept]
-        v = list(map(Fraction, ambient_vec))
-        for r, c in enumerate(pivots):
-            if v[c]:
-                f = v[c]
-                v = [a - f * b for a, b in zip(v, red[r])]
-        return [v[a] for a in kept]
+        return len(self._piece(j)[2])
 
     def mult_matrix(self, var, j):
-        """Matrix of multiplication by the var-th variable, piece j -> j+1.
+        """Matrix of multiplication by the var-th variable, piece j -> j+1,
+        as a 2-d numpy array (object dtype over QQ).
 
         Columns indexed by the quotient basis at j, rows at j+1.
         """
-        basis_j, _, _, _, kept_j = self._piece(j)
-        basis_n, index_n, _, _, kept_n = self._piece(j + 1)
-        cols = []
+        return _cached(self, ("mult", var, j), lambda: self._mult(var, j))
+
+    def _mult(self, var, j):
+        basis_j, _, kept_j, _ = self._piece(j)
+        _, index_n, _, coords_n = self._piece(j + 1)
+        shifted = []
         for a in kept_j:
             pos, m = basis_j[a]
-            m2 = tuple(e + (1 if t == var else 0) for t, e in enumerate(m))
-            amb = [0] * len(basis_n)
-            amb[index_n[(pos, m2)]] = 1
-            cols.append(self._project(j + 1, amb))
-        rows_n = len(kept_n)
-        mat = [[cols[b][a] for b in range(len(kept_j))] for a in range(rows_n)]
-        return mat
+            shifted.append(index_n[(pos, m[:var] + (m[var] + 1,) + m[var + 1:])])
+        return coords_n[:, shifted]
 
     # -- Koszul-homology Betti numbers ------------------------------------
     def betti_number(self, i, j):
@@ -208,42 +214,36 @@ class DenseOracle:
         n = self.nvars
         if i < 0 or i > n:
             return 0
+        return (comb(n, i) * self.hilbert_function(j - i)
+                - self._diff_rank(i, j) - self._diff_rank(i + 1, j))
 
-        def space_dim(level):
-            return comb(n, level) * self.hilbert_function(j - level)
+    def _diff_rank(self, level, j):
+        """Rank of d_level : C_level -> C_{level-1} in degree j."""
+        if level < 1 or level > self.nvars:
+            return 0
+        return _cached(self, ("rank", level, j),
+                       lambda: self._koszul_rank(level, j))
 
-        def diff_rank(level):
-            # d_level : C_level -> C_{level-1} in degree j
-            if level < 1 or level > n:
-                return 0
-            src_dim = self.hilbert_function(j - level)
-            tgt_dim = self.hilbert_function(j - level + 1)
-            if src_dim == 0 or tgt_dim == 0:
-                return 0
-            subsets = list(combinations(range(n), level))
-            prev = {T: a for a, T in enumerate(combinations(range(n), level - 1))}
-            mults = {v: self.mult_matrix(v, j - level) for v in range(n)}
-            nrows = len(prev) * tgt_dim
-            ncols = len(subsets) * src_dim
-            colmat = [[0] * ncols for _ in range(nrows)]
-            for bT, T in enumerate(subsets):
-                for a, v in enumerate(T):
-                    rest = T[:a] + T[a + 1:]
-                    sgn = 1 if a % 2 == 0 else -1
-                    block = mults[v]
-                    roff = prev[rest] * tgt_dim
-                    coff = bT * src_dim
-                    for rr in range(tgt_dim):
-                        brow = block[rr]
-                        for cc in range(src_dim):
-                            val = brow[cc]
-                            if val:
-                                colmat[roff + rr][coff + cc] += sgn * val
-            rows = [r for r in colmat if any(r)]
-            # rank of the transpose equals rank
-            return rank_of_rows(rows, ncols, self.field)
-
-        return space_dim(i) - diff_rank(i) - diff_rank(i + 1)
+    def _koszul_rank(self, level, j):
+        import numpy as np
+        src_dim = self.hilbert_function(j - level)
+        tgt_dim = self.hilbert_function(j - level + 1)
+        if src_dim == 0 or tgt_dim == 0:
+            return 0
+        n = self.nvars
+        subsets = list(combinations(range(n), level))
+        prev = {T: a for a, T in enumerate(combinations(range(n), level - 1))}
+        mults = [self.mult_matrix(v, j - level) for v in range(n)]
+        D = np.zeros((len(prev) * tgt_dim, len(subsets) * src_dim),
+                     dtype=mults[0].dtype)
+        for bT, T in enumerate(subsets):
+            coff = bT * src_dim
+            for a, v in enumerate(T):
+                roff = prev[T[:a] + T[a + 1:]] * tgt_dim
+                D[roff:roff + tgt_dim, coff:coff + src_dim] = (
+                    mults[v] if a % 2 == 0 else -mults[v])
+        rows = D[np.flatnonzero(D.any(axis=1))]
+        return rank_of_rows(rows, D.shape[1], self.field)
 
     def betti_table(self, max_i=None, max_degree=6):
         n = self.nvars

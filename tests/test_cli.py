@@ -165,6 +165,43 @@ def test_oracle_command_exact_for_large_prime(session_file, capsys):
     assert all(r["resolution"] == r["oracle"] for r in result["betti"])
 
 
+NEGATIVE_GENERATOR = ("ring S = GF(32003)[x, y];\n"
+                      "module M = coker(S, [-2, 0], [[x^2, y^3], [0, x]]);\n")
+
+
+def test_oracle_window_reaches_the_lowest_generator(tmp_path, capsys):
+    # beta_{0,-2} = 1: a window starting at degree 0 never compares it
+    p = tmp_path / "neg.cmreg"
+    p.write_text(NEGATIVE_GENERATOR)
+    code, out, _ = run(capsys, "--session", str(p), "oracle", "M")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["agrees"] is True
+    assert {"i": 0, "j": -2, "resolution": 1, "oracle": 1} in result["betti"]
+    assert [r["degree"] for r in result["hilbert"]] == list(range(-2, 7))
+    assert result["hilbert"][:2] == [
+        {"degree": -2, "series": 1, "oracle": 1},
+        {"degree": -1, "series": 2, "oracle": 2}]
+
+
+HUGE_EXPONENTS = ("ring S = GF(32003)[x, y, z];\n"
+                  "ideal I = x^5000*y, x^5000*z;\n"
+                  "module M = cyclic(S, I);\n")
+
+
+@pytest.mark.parametrize("cmd", ["hilbert", "reg", "dim", "depth"])
+def test_huge_exponents_exit_zero(tmp_path, capsys, cmd):
+    # the Hilbert numerator recursion once went one level per exponent
+    p = tmp_path / "huge.cmreg"
+    p.write_text(HUGE_EXPONENTS)
+    code, out, err = run(capsys, "--session", str(p), cmd, "M")
+    assert (code, err) == (0, "")
+    if cmd == "reg":
+        result = json.loads(out)["result"]
+        assert result["value"] == 5000
+        assert set(result["routes"].values()) == {5000}
+
+
 def test_large_moduli_through_cli(tmp_path, capsys):
     p = tmp_path / "s.cmreg"
     p.write_text("ring A = GF(2305843009213693951)[x, y];\n"

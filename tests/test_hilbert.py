@@ -1,6 +1,13 @@
+import random
 from math import inf
 
-from cmreg import PresentedModule, module_from_ideal
+import cmreg.modules
+from cmreg import (PresentedModule, hilbert, module_from_ideal,
+                   polynomial_ring)
+from cmreg.hilbert import _minimalize, monomial_ideal_numerator
+from cmreg.poly import EXPONENT_CAP, mono_deg
+from cmreg.regularity import regularity
+from cmreg.theorems import DEFAULT_CORPUS_SEED, random_ideal_corpus
 
 
 def test_polynomial_ring_counts_monomials(S3):
@@ -89,3 +96,101 @@ def test_numerator_cache_is_bounded(monkeypatch):
     got = [hilbert.monomial_ideal_numerator(g, 4) for g in ideals]
     assert got == want
     assert Watched.peak == 8
+
+
+def reference_numerator(gens, nvars):
+    """The colon/sum recursion that pivots on x_v alone, uncached: its
+    depth grows with the exponents."""
+    gens = _minimalize(gens)
+    if not gens:
+        return {0: 1}
+    if any(mono_deg(m) == 0 for m in gens):
+        return {}
+    support = [sum(1 for m in gens if m[v]) for v in range(nvars)]
+    if max(support) == 1:
+        out = {0: 1}
+        for m in gens:
+            d = mono_deg(m)
+            nxt = dict(out)
+            for e, c in out.items():
+                nxt[e + d] = nxt.get(e + d, 0) - c
+                if nxt[e + d] == 0:
+                    del nxt[e + d]
+            out = nxt
+        return out
+    v = max(range(nvars), key=lambda i: support[i])
+    xv = tuple(1 if i == v else 0 for i in range(nvars))
+    out = dict(reference_numerator(gens + (xv,), nvars))
+    colon = reference_numerator(
+        tuple(tuple(e - 1 if i == v and e else e for i, e in enumerate(m))
+              for m in gens), nvars)
+    for e, c in colon.items():
+        out[e + 1] = out.get(e + 1, 0) + c
+        if out[e + 1] == 0:
+            del out[e + 1]
+    return out
+
+
+def test_numerators_match_the_reference_on_the_corpus(monkeypatch):
+    calls = []
+    original = cmreg.modules.monomial_ideal_numerator
+
+    def recording(gens, nvars):
+        calls.append((gens, nvars))
+        return original(gens, nvars)
+
+    monkeypatch.setattr(cmreg.modules, "monomial_ideal_numerator", recording)
+    for inst in random_ideal_corpus(seed=DEFAULT_CORPUS_SEED, count=30):
+        regularity(inst.module)
+    assert len(calls) > 100
+    monkeypatch.setattr(hilbert, "_NUMERATOR_CACHE", {})
+    for gens, nvars in calls:
+        assert (monomial_ideal_numerator(gens, nvars)
+                == reference_numerator(gens, nvars)), gens
+
+
+def test_numerators_match_the_reference_on_random_ideals(monkeypatch):
+    rng = random.Random("numerators")
+    monkeypatch.setattr(hilbert, "_NUMERATOR_CACHE", {})
+    for _ in range(300):
+        nvars = rng.randint(1, 4)
+        top = rng.choice([2, 4, 12])
+        gens = tuple(tuple(rng.randint(0, top) for _ in range(nvars))
+                     for _ in range(rng.randint(1, 7)))
+        assert (monomial_ideal_numerator(gens, nvars)
+                == reference_numerator(gens, nvars)), gens
+
+
+def staircase_numerator(stairs):
+    """Numerator of k[x, y]/(x^a_i y^b_i) for a staircase, a increasing
+    and b decreasing: the corners and the inner corners of the stairs."""
+    out = {0: 1}
+    for a, b in stairs:
+        out[a + b] = out.get(a + b, 0) - 1
+    for (_, b), (a2, _) in zip(stairs, stairs[1:]):
+        out[a2 + b] = out.get(a2 + b, 0) + 1
+    return {d: c for d, c in out.items() if c}
+
+
+def test_exponents_up_to_the_cap():
+    cap = EXPONENT_CAP
+    # x^cap * (y, z): resolved by S(-cap-2) -> S(-cap-1)^2
+    assert monomial_ideal_numerator(
+        ((cap, 1, 0), (cap, 0, 1)), 3) == {0: 1, cap + 1: -2, cap + 2: 1}
+    steps = 48
+    stairs = [(k * (cap // steps), (steps - k) * (cap // steps))
+              for k in range(steps + 1)]
+    stairs[-1] = (cap, 0)
+    stairs[0] = (0, cap)
+    assert (monomial_ideal_numerator(tuple(stairs), 2)
+            == staircase_numerator(stairs))
+
+
+def test_huge_exponents_through_the_module_layer():
+    S = polynomial_ring(["x", "y", "z"])
+    x, y, z = S.gens()
+    M = PresentedModule.cyclic(S, [x ** 5000 * y, x ** 5000 * z])
+    hs = M.hilbert_series()
+    assert hs.numerator == {0: 1, 5001: -2, 5002: 1}
+    assert hs.dimension() == 2
+    assert regularity(M).value == 5000

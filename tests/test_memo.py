@@ -1,8 +1,9 @@
 """The one cache rule (cmreg.memo): a per-object result is computed once
 per object and key, and a compute that raises stores nothing.  Also the
-source lints over src/cmreg: only memo writes object caches, and the one
+source lints over src/cmreg: only memo writes object caches, the one
 resolution loop, `resolution._resolve`, is the only caller of the syzygy
-step while the complex layer presents no kernels."""
+step while the complex layer presents no kernels, and the dense oracle
+imports nothing from the Groebner, Hilbert or resolution layers."""
 
 import ast
 import os
@@ -196,3 +197,49 @@ def test_syzygy_step_has_one_call_site():
 
 def test_complex_layer_presents_no_kernels():
     assert [s for s in call_sites("kernel") if s[0] == "complexes.py"] == []
+
+
+def cmreg_imports(source):
+    """Names of the cmreg modules that source imports, at any depth:
+    relative (`from .x import`, `from . import x`) or absolute
+    (`import cmreg.x`, `from cmreg.x import`, `from cmreg import x`).
+    `import cmreg` itself reads as "cmreg"."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "cmreg":
+                    out.add(parts[1] if len(parts) > 1 else "cmreg")
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                module = node.module
+            elif node.module and node.module.split(".")[0] == "cmreg":
+                module = node.module.partition(".")[2]
+            else:
+                continue
+            if module:
+                out.add(module.split(".")[0])
+            else:
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_cmreg_imports_are_recognized():
+    src = ("from .freemod import vec_degree\nfrom . import hilbert\n"
+           "from .groebner.inner import f\nimport cmreg.resolution\n"
+           "import cmreg.poly as P\nfrom cmreg.modules import kernel\n"
+           "from cmreg import oracle\nimport numpy\nimport cmreg\n"
+           "from fractions import Fraction\n"
+           "def f():\n    from .complexes import koszul_complex\n")
+    assert cmreg_imports(src) == {
+        "freemod", "hilbert", "groebner", "resolution", "poly", "modules",
+        "oracle", "cmreg", "complexes"}
+
+
+def test_oracle_imports_only_the_base_layers():
+    """The dense oracle is the independent witness of every route, so
+    from cmreg it may import only free-module helpers, the cache rule,
+    polynomials and scalars."""
+    [source] = [src for name, _, src in sources() if name == "oracle.py"]
+    assert cmreg_imports(source) <= {"freemod", "memo", "poly", "scalars"}

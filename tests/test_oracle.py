@@ -1,5 +1,20 @@
-from cmreg import DenseOracle, PresentedModule, betti_table
-from cmreg.oracle import monomials_of_degree, rref_mod_p
+import os
+import random
+from fractions import Fraction
+from itertools import combinations
+from math import comb
+
+import numpy as np
+import pytest
+
+from cmreg import (DenseOracle, PresentedModule, betti_table, parse_session,
+                   polynomial_ring)
+from cmreg.freemod import FreeModule, vec_degree
+from cmreg.oracle import (_dtype_mod_p, monomials_of_degree, rref_exact,
+                          rref_mod_p)
+from cmreg.theorems import DEFAULT_CORPUS_SEED, random_ideal_corpus
+
+SESSIONS = os.path.join(os.path.dirname(__file__), "..", "sessions")
 
 
 def test_monomial_enumeration_counts():
@@ -54,8 +69,294 @@ def test_oracle_on_noncyclic_module(S2):
             assert oc.betti_number(i, j) == bt.entries.get((i, j), 0)
 
 
+def test_oracle_below_degree_zero():
+    M = parse_session(
+        "ring S = GF(32003)[x, y];\n"
+        "module M = coker(S, [-2, 0], [[x^2, y^3], [0, x]]);\n").get("M")
+    bt = betti_table(M)
+    assert bt.entries[(0, -2)] == 1
+    oc = DenseOracle(M)
+    for j in range(-3, 7):
+        assert oc.hilbert_function(j) == M.hilbert_function(j)
+        for i in range(3):
+            assert oc.betti_number(i, j) == bt.entries.get((i, j), 0)
+
+
 def test_oracle_multiplication_matrix_shape(S2):
     M = PresentedModule.cyclic(S2, [])
     oc = DenseOracle(M)
     rows, cols = len(oc.mult_matrix(0, 1)), None
     assert rows == oc.hilbert_function(2)
+
+
+# -- reference: the oracle before it cached anything --------------------------
+#
+# ReferenceOracle is the DenseOracle that projected each shifted basis
+# vector onto the quotient basis one pivot at a time, rebuilt all n
+# multiplication matrices for every differential rank, and computed each
+# rank once per Betti number that needs it.  Over GF(p) its row reduction
+# searches pivots one entry at a time; over QQ it shares rref_exact, which
+# is checked against its dense-row loop below.  The new oracle must agree
+# with the reference entry by entry.
+
+def reference_rref_mod_p(rows, ncols, p):
+    dtype = _dtype_mod_p(p)
+    if not rows:
+        return [], np.zeros((0, ncols), dtype=dtype)
+    A = np.array(rows, dtype=dtype) % p
+    m = A.shape[0]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, m):
+            if A[i, c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != r:
+            A[[r, piv]] = A[[piv, r]]
+        inv = pow(int(A[r, c]), p - 2, p)
+        A[r] = (A[r] * inv) % p
+        col = A[:, c].copy()
+        col[r] = 0
+        nz = np.nonzero(col)[0]
+        if nz.size:
+            A[nz] = (A[nz] - np.outer(col[nz], A[r])) % p
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return pivots, A[:len(pivots)]
+
+
+def reference_rref_exact(rows, ncols):
+    A = [list(map(Fraction, row)) for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, len(A)):
+            if A[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        inv = 1 / A[r][c]
+        A[r] = [a * inv for a in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][c]:
+                f = A[i][c]
+                A[i] = [a - f * b for a, b in zip(A[i], A[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(A):
+            break
+    return pivots, A[:len(pivots)]
+
+
+def reference_rank(rows, ncols, field):
+    p = field.characteristic
+    if p:
+        return len(reference_rref_mod_p(rows, ncols, p)[0])
+    return len(rref_exact(rows, ncols)[0])
+
+
+class ReferenceOracle:
+    def __init__(self, module):
+        M = module.lift_to_cover()
+        self.field = M.ring.field
+        self.nvars = M.ring.nvars
+        self.twists = tuple(M.gens_free.twists)
+        self.rels = [dict(c) for c in M.rel_cols]
+        self.rel_degs = [vec_degree(c, self.twists) for c in self.rels]
+        self._pieces = {}
+        self.built = {}
+
+    def _piece(self, j):
+        got = self._pieces.get(j)
+        if got is not None:
+            return got
+        basis = [(pos, m) for pos, t in enumerate(self.twists)
+                 for m in monomials_of_degree(self.nvars, j - t)]
+        index = {bm: a for a, bm in enumerate(basis)}
+        rows = []
+        for col, d in zip(self.rels, self.rel_degs):
+            for m in monomials_of_degree(self.nvars, j - d):
+                row = [0] * len(basis)
+                for (pos, mono), c in col.items():
+                    prod = tuple(a + b for a, b in zip(m, mono))
+                    row[index[(pos, prod)]] = int(c) if self.field.characteristic else c
+                rows.append(row)
+        p = self.field.characteristic
+        if p:
+            pivots, red = reference_rref_mod_p(rows, len(basis), p)
+        else:
+            pivots, red = rref_exact(rows, len(basis))
+        pivset = set(pivots)
+        kept = [a for a in range(len(basis)) if a not in pivset]
+        got = (basis, index, pivots, red, kept)
+        self._pieces[j] = got
+        return got
+
+    def hilbert_function(self, j):
+        basis, _, pivots, _, _ = self._piece(j)
+        return len(basis) - len(pivots)
+
+    def _project(self, j, ambient_vec):
+        basis, _, pivots, red, kept = self._piece(j)
+        p = self.field.characteristic
+        if p:
+            v = np.array(ambient_vec, dtype=_dtype_mod_p(p)) % p
+            for r, c in enumerate(pivots):
+                if v[c]:
+                    v = (v - v[c] * red[r]) % p
+            return [int(v[a]) for a in kept]
+        v = list(map(Fraction, ambient_vec))
+        for r, c in enumerate(pivots):
+            if v[c]:
+                f = v[c]
+                v = [a - f * b for a, b in zip(v, red[r])]
+        return [v[a] for a in kept]
+
+    def mult_matrix(self, var, j):
+        basis_j, _, _, _, kept_j = self._piece(j)
+        basis_n, index_n, _, _, kept_n = self._piece(j + 1)
+        cols = []
+        for a in kept_j:
+            pos, m = basis_j[a]
+            m2 = tuple(e + (1 if t == var else 0) for t, e in enumerate(m))
+            amb = [0] * len(basis_n)
+            amb[index_n[(pos, m2)]] = 1
+            cols.append(self._project(j + 1, amb))
+        mat = [[cols[b][a] for b in range(len(kept_j))]
+               for a in range(len(kept_n))]
+        self.built[(var, j)] = mat
+        return mat
+
+    def betti_number(self, i, j):
+        n = self.nvars
+        if i < 0 or i > n:
+            return 0
+
+        def diff_rank(level):
+            if level < 1 or level > n:
+                return 0
+            src_dim = self.hilbert_function(j - level)
+            tgt_dim = self.hilbert_function(j - level + 1)
+            if src_dim == 0 or tgt_dim == 0:
+                return 0
+            subsets = list(combinations(range(n), level))
+            prev = {T: a for a, T in
+                    enumerate(combinations(range(n), level - 1))}
+            mults = {v: self.mult_matrix(v, j - level) for v in range(n)}
+            ncols = len(subsets) * src_dim
+            colmat = [[0] * ncols for _ in range(len(prev) * tgt_dim)]
+            for bT, T in enumerate(subsets):
+                for a, v in enumerate(T):
+                    rest = T[:a] + T[a + 1:]
+                    sgn = 1 if a % 2 == 0 else -1
+                    roff = prev[rest] * tgt_dim
+                    coff = bT * src_dim
+                    for rr in range(tgt_dim):
+                        for cc in range(src_dim):
+                            val = mults[v][rr][cc]
+                            if val:
+                                colmat[roff + rr][coff + cc] += sgn * val
+            return reference_rank([r for r in colmat if any(r)], ncols,
+                                  self.field)
+
+        return (comb(n, i) * self.hilbert_function(j - i)
+                - diff_rank(i) - diff_rank(i + 1))
+
+
+BIG_PRIME = 4294967311
+FIELDS = {"GF(32003)": dict(p=32003), "GF(4294967311)": dict(p=BIG_PRIME),
+          "QQ": dict(rational=True)}
+
+
+def over_field(M, field_args):
+    """The cover presentation of M with its coefficients read as signed
+    integers over another field."""
+    Mc = M.lift_to_cover()
+    S = polynomial_ring(list(Mc.ring.names), **field_args)
+    p = Mc.ring.field.characteristic
+
+    def lift(c):
+        c = int(c)
+        return S.field.from_int(c - p if c > p // 2 else c)
+
+    cols = [{k: lift(c) for k, c in col.items()} for col in Mc.rel_cols]
+    return PresentedModule(S, FreeModule(S, Mc.gens_free.twists), cols)
+
+
+def window_modules():
+    mods = [(inst.name, inst.module)
+            for inst in random_ideal_corpus(seed=DEFAULT_CORPUS_SEED, count=30)]
+    for name in sorted(os.listdir(SESSIONS)):
+        with open(os.path.join(SESSIONS, name), encoding="utf-8") as fh:
+            s = parse_session(fh.read())
+        mods += [(f"{name}:{b}", s.get(b)) for b in s.order
+                 if s.kind_of(b) == "module"]
+    return mods
+
+
+@pytest.mark.parametrize("field", list(FIELDS))
+def test_oracle_matches_the_reference_entry_by_entry(field):
+    built = 0
+    modules = window_modules()
+    assert len(modules) == 38
+    for name, M in modules:
+        M = over_field(M, FIELDS[field])
+        new, ref = DenseOracle(M), ReferenceOracle(M)
+        n = new.nvars
+        for j in range(7):
+            assert new.hilbert_function(j) == ref.hilbert_function(j), (
+                f"{name}: hilbert({j})")
+        for i in range(n + 1):
+            for j in range(7):
+                assert new.betti_number(i, j) == ref.betti_number(i, j), (
+                    f"{name}: betti({i},{j})")
+        for (var, j), mat in ref.built.items():
+            assert new.mult_matrix(var, j).tolist() == mat, (
+                f"{name}: mult_matrix({var}, {j})")
+        built += len(ref.built)
+    assert built > 500
+
+
+def test_row_reduction_matches_the_reference_on_random_matrices():
+    rng = random.Random("rref")
+    for p in (7, 32003, BIG_PRIME):
+        for _ in range(40):
+            m, n = rng.randint(1, 8), rng.randint(1, 8)
+            rows = [[rng.choice([0, 0, 1, rng.randrange(p)]) for _ in range(n)]
+                    for _ in range(m)]
+            pivots, red = rref_mod_p(rows, n, p)
+            want_pivots, want_red = reference_rref_mod_p(rows, n, p)
+            assert pivots == want_pivots
+            assert red.tolist() == want_red.tolist()
+            rows = [[Fraction(a - p // 2, rng.randint(1, 5)) for a in row]
+                    for row in rows]
+            assert rref_exact(rows, n) == reference_rref_exact(rows, n)
+
+
+def test_a_full_window_computes_each_rank_once(monkeypatch):
+    ranks = []
+    original = DenseOracle._koszul_rank
+
+    def counting(self, level, j):
+        ranks.append((level, j))
+        return original(self, level, j)
+
+    monkeypatch.setattr(DenseOracle, "_koszul_rank", counting)
+    for _, M in window_modules():
+        ranks.clear()
+        oc = DenseOracle(M)
+        for i in range(oc.nvars + 1):
+            for j in range(7):
+                oc.betti_number(i, j)
+        assert len(ranks) == len(set(ranks))
+        assert set(ranks) == {(level, j) for level in range(1, oc.nvars + 1)
+                              for j in range(7)}
