@@ -16,9 +16,9 @@ import sys
 from math import inf
 
 from .complexes import BoundedComplex, ext_complex, tor_complex
-from .modules import PresentedModule, module_from_ideal
-from .regularity import (depth, depth_profile, reg_complex, reg_via_betti,
-                         reg_via_koszul, regularity)
+from .modules import PresentedModule
+from .regularity import (depth, depth_profile, reg_complex, reg_via_koszul,
+                         regularity)
 from .resolution import betti_table, check_max_len, free_resolution
 from .oracle import DenseOracle
 from .session import (ParseError, Session, UnknownBinding, parse_polynomial,
@@ -26,8 +26,7 @@ from .session import (ParseError, Session, UnknownBinding, parse_polynomial,
 from .theorems import (TheoremContradiction, check_ab_formula,
                        check_cor_hom, check_cor_tensor,
                        check_filter_regular_formula, check_ring_independence,
-                       check_thm_cmd1, check_thm_dim1,
-                       nilpotent_scroll_family)
+                       check_thm_cmd1, check_thm_dim1, scroll_member)
 
 SCHEMA = "cmreg/1"
 
@@ -255,9 +254,7 @@ def cmd_check(session, args):
 def cmd_family(session, args):
     if args.kind != "nilpotent-scroll":
         raise UsageError(f"unknown family {args.kind!r}")
-    Rn, minors, z = nilpotent_scroll_family(args.n)
-    reg_i = reg_via_betti(module_from_ideal(Rn, minors))[0]
-    reg_iz = reg_via_betti(module_from_ideal(Rn, minors + [z]))[0]
+    Rn, minors, z, reg_i, reg_iz = scroll_member(args.n)
     return {"n": args.n, "ring": repr(Rn),
             "generators": [str(m) for m in minors], "form": str(z),
             "reg_ideal": reg_i, "reg_ideal_plus_form": reg_iz}

@@ -1,6 +1,6 @@
 """Bounded complexes of presented modules: Koszul complexes, tensor and Hom
-totalizations, homology, and free resolutions of complexes (by the
-resolution loop of cmreg.resolution, the one modules use).
+totalizations, homology, and the derived functors Tor and Ext.  A
+complex is resolved by cmreg.resolution.free_resolution, as a module is.
 
 One builder lays out and differentiates both totalizations: F (x) C and
 Hom(F, C) differ only in the index sign, the twist sign, the direction
@@ -20,10 +20,9 @@ from .freemod import FreeModule
 from .groebner import groebner_basis
 from .hilbert import HilbertSeries
 from .memo import _cached
-from .minimize import minimize_chain, minimize_presentation
+from .minimize import minimize_presentation
 from .modules import ModuleMap, PresentedModule, homology_at
-from .resolution import (_resolve, _truncation, check_max_len,
-                         free_resolution)
+from .resolution import _truncation, free_resolution
 
 
 class BoundedComplex:
@@ -93,14 +92,17 @@ class BoundedComplex:
         return BoundedComplex(self.ring, terms, diffs)
 
     def lift_to_cover(self):
+        """The same complex over the polynomial cover, built once."""
         if self.ring.is_polynomial:
             return self
-        cover = self.ring.cover
+        return _cached(self, "cover", self._lift)
+
+    def _lift(self):
         terms = {i: t.lift_to_cover() for i, t in self.terms.items()}
         diffs = {}
         for i, dd in self.diffs.items():
             diffs[i] = ModuleMap(terms[i], terms[i - 1], dd.cols)
-        return BoundedComplex(cover, terms, diffs)
+        return BoundedComplex(self.ring.cover, terms, diffs)
 
     # -- homology ----------------------------------------------------------
     def homology(self, i):
@@ -159,26 +161,6 @@ class BoundedComplex:
             if not self.homology_series(i).is_zero():
                 return i
         return -inf
-
-    # -- free-complex helpers ----------------------------------------------
-    def free_data(self):
-        """(twists, cols) dicts for minimize_chain; requires a free complex."""
-        if not self.is_free:
-            raise ValueError("not a complex of free modules")
-        twists = {i: tuple(t.gens_free.twists) for i, t in self.terms.items()}
-        cols = {i: [dict(c) for c in d.cols] for i, d in self.diffs.items()}
-        for i in self.levels():
-            # a zero differential may be unstored; the minimizer still needs
-            # a column list of the right length for every adjacent pair
-            if i in self.terms and (i - 1) in self.terms and i not in cols:
-                cols[i] = [{} for _ in range(self.terms[i].rank)]
-        return twists, cols
-
-    def minimized(self):
-        """Minimal free complex homotopy equivalent to this one (free only)."""
-        twists, cols = self.free_data()
-        tw, cs, _ = minimize_chain(twists, cols, self.ring.field)
-        return free_complex_from_data(self.ring, tw, cs)
 
     def __repr__(self):
         parts = ", ".join(f"{i}:{self.term(i).rank}" for i in self.levels())
@@ -376,12 +358,9 @@ def hom_complex(F, C):
 
 def _derived_len(M, i, max_len):
     """A resolution length for Tor_i or Ext^i: both read d_{i+1}, which a
-    resolution truncated at length i lacks, so max_len is raised to i + 1."""
-    if max_len is None:
-        if M.ring.is_polynomial:
-            return None
-        max_len = 2 * M.ring.nvars + 4
-    return max(i + 1, max_len)
+    resolution truncated at length i lacks, so max_len, read as
+    `free_resolution` reads it, is raised to i + 1."""
+    return max(i + 1, _truncation(M.ring, 0, max_len))
 
 
 def tor(M, N, i, max_len=None):
@@ -428,18 +407,7 @@ def minimal_cover(M):
 
 
 def free_resolution_of_complex(L, max_len=None):
-    """(F, complete): a minimal free complex F quasi-isomorphic to L, built
-    upward from L's bottom spot by `resolution._resolve`, the loop that
-    resolves modules; a free L is only minimized.  F is truncated at
-    max_len levels past the bottom, read as `free_resolution` reads it
-    (`resolution._truncation`): by default past its end over a polynomial
-    ring, 2n + 4 levels past L's top over a quotient ring in n variables."""
-    check_max_len(max_len)
-    ring = L.ring
-    if not L.terms:
-        return BoundedComplex(ring, {}, {}), True
-    if L.is_free:
-        return L.minimized(), True
-    max_len = _truncation(ring, L.max_level - L.min_level, max_len)
-    twists, cols, complete = _resolve(ring, L.terms, L.diffs, max_len)
-    return free_complex_from_data(ring, twists, cols), complete
+    """(F, complete): the minimal free complex F quasi-isomorphic to L that
+    `free_resolution(L, max_len)` keeps on L, as a BoundedComplex."""
+    res = free_resolution(L, max_len=max_len)
+    return resolution_to_complex(res), res.complete

@@ -95,17 +95,19 @@ class PresentedModule:
         return PresentedModule(self.ring, F, cols)
 
     def lift_to_cover(self):
-        """The same module viewed over the polynomial cover."""
-        ring = self.ring
-        if ring.is_polynomial:
+        """The same module viewed over the polynomial cover, built once."""
+        if self.ring.is_polynomial:
             return self
-        cover = ring.cover
-        F = FreeModule(cover, self.gens_free.twists)
+        return _cached(self, "cover", self._lift)
+
+    def _lift(self):
+        ring = self.ring
+        F = FreeModule(ring.cover, self.gens_free.twists)
         cols = [dict(c) for c in self.rel_cols]
         for f in ring.defining:
             for p in range(F.rank):
                 cols.append({(p, m): c for m, c in f.terms.items()})
-        return PresentedModule(cover, F, cols)
+        return PresentedModule(ring.cover, F, cols)
 
     def minimized(self):
         """Isomorphic module with a minimal presentation."""

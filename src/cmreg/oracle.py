@@ -13,7 +13,9 @@ multiplication by each variable out of each degree, and the rank of each
 Koszul differential in each degree.  The pieces are fully reduced, so a
 multiplication matrix is a lookup into the coordinates of the shifted
 basis vectors and needs no arithmetic.  Degrees below the lowest
-generator have empty pieces, so a window may start there.
+generator have empty pieces, so a window may start there, and the degree
+cap counts degrees above it: a piece's size depends on how far its degree
+lies above the generators, not on the degree itself.
 
 numpy is imported inside the functions that use it, so importing cmreg
 (and every CLI command but oracle) leaves it unloaded.
@@ -127,7 +129,8 @@ class DenseOracle:
     The module is lifted to its polynomial cover, so over a quotient ring
     the defining relations are folded in automatically.  Pieces,
     multiplication matrices and Koszul differential ranks are each
-    computed once per oracle and kept in its `_cache`.
+    computed once per oracle and kept in its `_cache`.  A piece of degree
+    more than max_degree above the lowest generator is refused.
     """
 
     def __init__(self, module, max_degree=DEFAULT_DEGREE_CAP):
@@ -136,6 +139,7 @@ class DenseOracle:
         self.field = self.ring.field
         self.nvars = self.ring.nvars
         self.twists = tuple(M.gens_free.twists)
+        self.lowest = min(self.twists, default=0)
         self.rels = [dict(c) for c in M.rel_cols]
         self.rel_degs = [vec_degree(c, self.twists) for c in self.rels]
         self.max_degree = max_degree
@@ -158,9 +162,10 @@ class DenseOracle:
 
     def _reduce_piece(self, j):
         import numpy as np
-        if j > self.max_degree:
+        if j - self.lowest > self.max_degree:
             raise ValueError(
-                f"degree {j} beyond oracle cap {self.max_degree}")
+                f"degree {j} beyond oracle cap {self.max_degree} above the "
+                f"lowest generator, in degree {self.lowest}")
         basis = self.ambient_basis(j)
         index = {bm: a for a, bm in enumerate(basis)}
         rows = []
@@ -251,7 +256,7 @@ class DenseOracle:
             max_i = n
         out = {}
         for i in range(0, max_i + 1):
-            for j in range(0, max_degree + 1):
+            for j in range(min(0, self.lowest), max_degree + 1):
                 b = self.betti_number(i, j)
                 if b:
                     out[(i, j)] = b

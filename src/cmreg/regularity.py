@@ -17,15 +17,18 @@ basis grows from its target's by a seeded Buchberger run.  Across routes
 only this is shared: the Groebner kernel and its output for the same
 module (the basis cached on that module, which the ext and koszul routes
 both read as a block), the Hilbert-series code (homology_series
-included) and, for betti and duality, the minimal free resolution; the
-betti route reads twists and shares no homology code with the other
-three.
+included) and, for betti and duality, the minimal free resolution of the
+module over the cover.  A module or complex builds its cover once and
+keeps it (lift_to_cover), so the two share that resolution over quotient
+rings as they do over polynomial rings.  The betti route reads twists and
+shares no homology code with the other three.
 
 reg_via_duality, default-form reg_via_koszul and reg_complex keep their
 result on the object they were asked about, next to its Groebner basis,
 Hilbert series and resolutions, under the one cache rule of cmreg.memo,
-so a checker that asks twice pays once.  Explicit Koszul forms and the
-cross_check betti run are never cached.
+so a checker that asks twice pays once.  Explicit Koszul forms are never
+cached, and the cross_check betti run is repeated on every call, reading
+the resolution kept on the cover.
 
 Absolute invariants of quotient-ring modules are routed through the
 polynomial cover; the Koszul route is the one that works directly over the
@@ -34,10 +37,9 @@ quotient, which is what makes the four-way agreement a real test.
 
 from math import inf
 
-from .complexes import (_as_complex, complex_from_module,
-                        free_resolution_of_complex, hom_complex,
-                        koszul_complex, koszul_resolution_of_k,
-                        resolution_to_complex)
+from .complexes import (BoundedComplex, _as_complex, ext_complex,
+                        grade_of_sequence, hom_complex, koszul_complex,
+                        koszul_resolution_of_k)
 from .memo import _cached
 from .modules import PresentedModule
 from .resolution import free_resolution
@@ -59,11 +61,6 @@ def _require_module(M):
         raise TypeError("expected a presented module")
 
 
-def _as_cover_complex(obj):
-    """Lift a module or complex to its polynomial cover, as a complex."""
-    return _as_complex(obj).lift_to_cover()
-
-
 # -- route 1: resolution twists -------------------------------------------
 
 def _sup(candidates):
@@ -76,17 +73,10 @@ def _sup(candidates):
     return best, wit
 
 
-def _twist_candidates(levels):
-    """(a - i, (i, a)) for each twist a at level i of (i, twists) pairs."""
-    return ((a - i, (i, a)) for i, tw in levels for a in tw)
-
-
-def _resolution_levels(res, spot=0):
-    return ((i + spot, res.module(i).twists) for i in range(res.length + 1))
-
-
-def _complex_levels(F):
-    return ((i, F.term(i).gens_free.twists) for i in F.levels())
+def _twist_sup(res):
+    """sup{a - i} over the twists a at each spot i of a resolution, with
+    the first (i, a) attaining it."""
+    return _sup((a - i, (i, a)) for i, tw in res.twists.items() for a in tw)
 
 
 def reg_via_betti(obj, max_len=None):
@@ -94,26 +84,19 @@ def reg_via_betti(obj, max_len=None):
 
     witness is a (homological spot, twist) pair attaining the sup.
     """
-    C = _as_cover_complex(obj)
-    if not C.terms:
-        return -inf, None
-    if len(C.terms) == 1 and not C.diffs:
-        (spot, term), = C.terms.items()
-        res = free_resolution(term, max_len=max_len)
-        if not res.complete:
-            raise RuntimeError("free resolution of the module was truncated")
-        return _sup(_twist_candidates(_resolution_levels(res, spot)))
-    F, complete = free_resolution_of_complex(C, max_len=max_len)
-    if not complete:
-        raise RuntimeError("free resolution of the complex did not terminate")
-    return _sup(_twist_candidates(_complex_levels(F)))
+    if not isinstance(obj, (PresentedModule, BoundedComplex)):
+        raise TypeError("expected a presented module or a bounded complex")
+    res = free_resolution(obj.lift_to_cover(), max_len=max_len)
+    if not res.complete:
+        raise RuntimeError("free resolution was truncated")
+    return _twist_sup(res)
 
 
 # -- route 2: Ext against the residue field -------------------------------
 
 def _bass_data(obj):
     """{(i, j): mu^{i,j}} over the cover, exact and finitely supported."""
-    C = _as_cover_complex(obj)
+    C = _as_complex(obj).lift_to_cover()
     cover = C.ring
     if not C.terms:
         return {}
@@ -204,9 +187,7 @@ def _duality_series(M):
     Mc = M.lift_to_cover()
     S = Mc.ring
     n = S.nvars
-    res = free_resolution(Mc)
-    D = hom_complex(resolution_to_complex(res),
-                    complex_from_module(PresentedModule.free(S, (n,))))
+    D = ext_complex(Mc, PresentedModule.free(S, (n,)))
     out = {}
     for s in D.levels():
         H = D.homology_series(s)
@@ -349,27 +330,20 @@ class RelativeReg:
 
 
 def relative_reg(obj, max_len=None):
-    if isinstance(obj, PresentedModule):
-        if obj.is_zero():
-            return RelativeReg(-inf, True, 0)
-        res = free_resolution(obj, max_len=max_len)
-        best, _ = _sup(_twist_candidates(_resolution_levels(res)))
-        return RelativeReg(best, res.complete, res.length)
-    C = _as_complex(obj)
-    if not C.terms:
-        return RelativeReg(-inf, True, 0)
-    F, complete = free_resolution_of_complex(C, max_len=max_len)
-    best, _ = _sup(_twist_candidates(_complex_levels(F)))
-    return RelativeReg(best, complete, max([0] + F.levels()))
+    """RelativeReg of a module or complex, read off its resolution over its
+    own ring."""
+    res = free_resolution(obj, max_len=max_len)
+    return RelativeReg(_twist_sup(res)[0], res.complete, res.length)
 
 
 def reg_complex(L, cross_check=False):
     """Regularity of a bounded complex: Koszul homology of K[vars; L] over
     the polynomial cover.
 
-    With cross_check the value is recomputed through the resolution route,
-    on every call, and a mismatch raises; the two routes share no homology
-    code.  The value is cached on L."""
+    With cross_check the value is recomputed through the betti route on
+    every call, and a mismatch raises; the two routes share no homology
+    code.  That route reads the resolution kept on L's cover, so only the
+    first cross-check resolves.  The value is cached on L."""
     C = _as_complex(L)
     value = _cached(L, "reg_complex",
                     lambda: reg_via_koszul(C.lift_to_cover())[0])
@@ -389,16 +363,11 @@ def depth_profile(M):
     homology, all over the cover.  The three agree for correct inputs."""
     _require_module(M)
     Mc = M.lift_to_cover()
-    S = Mc.ring
-    n = S.nvars
     if Mc.is_zero():
         return {"via_pd": inf, "via_ext": inf, "via_koszul": inf}
     via_pd = depth(Mc)
-    table = _bass_data(Mc)
-    via_ext = min(i for (i, _) in table)
-    Kx = koszul_complex(list(S.gens()), complex_from_module(Mc))
-    top = Kx.sup_homology()
-    via_koszul = n - top
+    via_ext = min(i for (i, _) in _bass_data(Mc))
+    via_koszul = grade_of_sequence(list(Mc.ring.gens()), Mc)
     return {"via_pd": via_pd, "via_ext": via_ext, "via_koszul": via_koszul}
 
 

@@ -22,9 +22,14 @@ past the bottom and then flagged incomplete; its top level is minimized
 against the next level's columns, syzygies only in its generators'
 degrees, which are then dropped.
 
-A FreeResolution keeps the chain in the free-chain layout of
-cmreg.freemod, the dicts twists and cols that the loop builds and
-minimize_chain and free_complex_from_data read.
+`free_resolution` is the one way into the loop.  It takes a presented
+module (the one-term complex at spot 0) or a bounded complex, and keeps
+the result on that object; a complex of free modules needs no loop and
+is only minimized.  cmreg.complexes imports this module, so a complex is
+recognized by its terms and diffs dicts, not by its class.  A
+FreeResolution keeps the chain in the free-chain layout of
+cmreg.freemod, the dicts twists and cols, keyed by spot, that the loop
+builds and minimize_chain and free_complex_from_data read.
 """
 
 from math import inf
@@ -33,12 +38,14 @@ from .freemod import FreeModule, vec_degree
 from .groebner import groebner_basis, syzygy_generators
 from .memo import _cached
 from .minimize import _find_unit, minimize_chain
+from .modules import PresentedModule
 
 
 class FreeResolution:
-    """Chain F_0 <- F_1 <- ... <- F_length in the free-chain layout:
-    twists[i] is the twist tuple of F_i (i = 0..length) and cols[i] the
-    columns of d_i : F_i -> F_{i-1} (i = 1..length)."""
+    """Chain ... <- F_i <- F_{i+1} <- ... in the free-chain layout, keyed
+    by spot in ascending order: twists[i] is the twist tuple of F_i and
+    cols[i] the columns of d_i : F_i -> F_{i-1}.  A module's resolution
+    starts at spot 0."""
 
     __slots__ = ("ring", "twists", "cols", "complete")
 
@@ -50,7 +57,8 @@ class FreeResolution:
 
     @property
     def length(self):
-        return len(self.cols)
+        """The highest spot with a nonzero term, or 0 when there is none."""
+        return max([0, *(i for i, tw in self.twists.items() if tw)])
 
     def module(self, i):
         return FreeModule(self.ring, self.twists.get(i, ()))
@@ -87,15 +95,41 @@ def _truncation(ring, span, max_len):
     return span + 2 * n + 4 if max_len is None else max_len
 
 
-def free_resolution(M, max_len=None):
-    """Minimal free resolution of a presented module over its own ring:
-    the resolution of M as the one-term complex at spot 0.  Equal
-    truncations share one cache entry."""
+def free_resolution(obj, max_len=None):
+    """Minimal free resolution of a presented module, the one-term complex
+    at spot 0, or of a bounded complex, over the object's own ring,
+    truncated as `_truncation` reads max_len.  The result is cached on
+    obj; equal truncations share one entry."""
     check_max_len(max_len)
-    ring = M.ring
-    max_len = _truncation(ring, 0, max_len)
-    return _cached(M, ("resolution", max_len), lambda: FreeResolution(
-        ring, *_resolve(ring, {0: M}, {}, max_len)))
+    if isinstance(obj, PresentedModule):
+        terms, diffs, free = {0: obj}, {}, False
+    elif (isinstance(getattr(obj, "terms", None), dict)
+            and isinstance(getattr(obj, "diffs", None), dict)):
+        # a BoundedComplex, whose terms all have positive rank; a complex of
+        # free modules, the empty one included, needs no loop
+        terms, diffs = obj.terms, obj.diffs
+        free = all(not t.rel_cols for t in terms.values())
+    else:
+        raise TypeError("expected a presented module or a bounded complex")
+    ring = obj.ring
+    span = max(terms) - min(terms) if terms else 0
+    max_len = _truncation(ring, span, max_len)
+    return _cached(obj, ("resolution", max_len), lambda: FreeResolution(
+        ring, *(_minimal_free_chain(ring, terms, diffs) if free
+                else _resolve(ring, terms, diffs, max_len))))
+
+
+def _minimal_free_chain(ring, terms, diffs):
+    """(twists, cols, True) for a complex of free modules: its chain, spots
+    ascending, minimized.  An unstored differential between two terms is
+    zero, and the minimizer still needs a column list of the right length
+    for it."""
+    twists = {i: tuple(terms[i].gens_free.twists) for i in sorted(terms)}
+    cols = {i: [dict(c) for c in diffs[i].cols] if i in diffs
+            else [{} for _ in twists[i]]
+            for i in twists if i - 1 in twists}
+    twists, cols, _ = minimize_chain(twists, cols, ring.field)
+    return twists, cols, True
 
 
 def _shift(vec, rows):
@@ -229,9 +263,9 @@ def betti_table(M, max_len=None):
 def pd(M, max_len=None):
     """Projective dimension; +inf when the truncated resolution has not
     reached zero (a certified lower bound is the truncation length)."""
-    if M.is_zero():
-        return -inf
     res = free_resolution(M, max_len=max_len)
+    if not res.betti():
+        return -inf
     if res.complete:
         return res.length
     return inf

@@ -18,9 +18,10 @@ hold even when an instance fails the hypotheses of the sharp statement.
 import random
 from math import inf
 
-from .complexes import (_as_complex, complex_from_module, hom_complex,
+from .complexes import (_as_complex, complex_from_module, ext_complex,
                         koszul_complex, resolution_to_complex,
-                        tensor_complexes, tensor_free_with_complex)
+                        tensor_complexes, tensor_free_with_complex,
+                        tor_complex)
 from .freemod import FreeModule
 from .modules import (PresentedModule, colon_by_element, kernel,
                       module_from_ideal, multiplication_map,
@@ -223,9 +224,7 @@ def check_ab_formula(M, N, instance="pair", seed=None):
                             {"verdict": "not-asserted", "lhs": None,
                              "rhs": None}, {}, seed)
     rel = relative_reg(N)
-    T = tensor_free_with_complex(resolution_to_complex(res),
-                                 complex_from_module(M))
-    lhs = reg_complex(T)
+    lhs = reg_complex(tor_complex(N, M))
     reg_m = _reg(M)
     reg_n = _reg(N)
     reg_r = _reg(PresentedModule.cyclic(ring, []))
@@ -309,7 +308,7 @@ def check_cor_hom(M, N, instance="pair", seed=None):
         raise ValueError(
             "derived Hom is not bounded here: the projective dimension of "
             f"the source was not certified finite within {res.length} steps")
-    E = hom_complex(resolution_to_complex(res), complex_from_module(N))
+    E = ext_complex(M, N)
     # Ext^i sits at spot -i, so reg Ext^i + i is reg H_s - s
     homs, regs, lhs = _homology_sup(E)
     exts = {-s: homs[s] for s in sorted(homs, reverse=True)}
@@ -471,14 +470,22 @@ def nilpotent_scroll_family(n):
     return Rn, minors, xs[n]
 
 
+def scroll_member(n):
+    """(ring, ideal generators, form, reg of the ideal, reg of the ideal
+    plus the form) for member n of the scroll family, by the betti
+    route."""
+    Rn, minors, z = nilpotent_scroll_family(n)
+    return (Rn, minors, z,
+            reg_via_betti(module_from_ideal(Rn, minors))[0],
+            reg_via_betti(module_from_ideal(Rn, minors + [z]))[0])
+
+
 def scroll_sweep(n_max):
     """Growth report across the scroll family: regularity of the ideal
     stays at 2 while the ideal-plus-form column grows linearly."""
     rows = []
     for n in range(2, n_max + 1):
-        Rn, minors, z = nilpotent_scroll_family(n)
-        reg_i = reg_via_betti(module_from_ideal(Rn, minors))[0]
-        reg_iz = reg_via_betti(module_from_ideal(Rn, minors + [z]))[0]
+        *_, reg_i, reg_iz = scroll_member(n)
         rows.append({"n": n, "reg_ideal": reg_i,
                      "reg_ideal_plus_form": reg_iz})
     return rows

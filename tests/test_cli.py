@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import cmreg.cli as cli
+from cmreg.oracle import DenseOracle
 
 SESSION = """
 ring S = GF(32003)[x, y, z, t];
@@ -182,6 +183,42 @@ def test_oracle_window_reaches_the_lowest_generator(tmp_path, capsys):
     assert result["hilbert"][:2] == [
         {"degree": -2, "series": 1, "oracle": 1},
         {"degree": -1, "series": 2, "oracle": 2}]
+
+
+def _shifted_session(tmp_path, k):
+    p = tmp_path / f"shift{k}.cmreg"
+    p.write_text("ring S = GF(32003)[x, y, z, w];\n"
+                 f"module M = coker(S, [-{k}], [[x^2, y*z]]);\n")
+    return str(p)
+
+
+@pytest.mark.parametrize("k", [4, 5, 16, 64])
+def test_oracle_cap_counts_from_the_lowest_generator(tmp_path, capsys,
+                                                     monkeypatch, k):
+    # The oracle is built with a cap of 6 + 4 degrees; it once capped the
+    # absolute degree, so a generator in degree -k made it build pieces
+    # 6 + k degrees above the generator, without bound.  Now up to k = 4
+    # the full window fits, and past it the command fails loudly before
+    # building any piece more than 10 degrees above the generator.
+    pieces = []
+    real = DenseOracle.ambient_basis
+
+    def recorded(self, j):
+        pieces.append(j - self.lowest)
+        return real(self, j)
+
+    monkeypatch.setattr(DenseOracle, "ambient_basis", recorded)
+    code, out, err = run(capsys, "--session", _shifted_session(tmp_path, k),
+                         "oracle", "M")
+    assert max(pieces) <= 10
+    if k <= 4:
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["agrees"] is True
+        assert [r["degree"] for r in result["hilbert"]] == list(range(-k, 7))
+    else:
+        assert code == 2
+        assert "beyond oracle cap 10 above the lowest generator" in err
 
 
 HUGE_EXPONENTS = ("ring S = GF(32003)[x, y, z];\n"

@@ -2,8 +2,10 @@
 per object and key, and a compute that raises stores nothing.  Also the
 source lints over src/cmreg: only memo writes object caches, the one
 resolution loop, `resolution._resolve`, is the only caller of the syzygy
-step while the complex layer presents no kernels, and the dense oracle
-imports nothing from the Groebner, Hilbert or resolution layers."""
+step and is entered only through `free_resolution`, nothing calls
+`free_resolution_of_complex`, the complex layer presents no kernels, and
+the dense oracle imports nothing from the Groebner, Hilbert or resolution
+layers."""
 
 import ast
 import os
@@ -39,6 +41,17 @@ def _quotient_ring():
     return S.quotient([x * y, y * z])
 
 
+def _quotient_module():
+    R = _quotient_ring()
+    x, _, z = R.gens()
+    return PresentedModule.cyclic(R, [x * z])
+
+
+def _quotient_koszul():
+    M = _quotient_module()
+    return koszul_complex([M.ring.gens()[0]], M)
+
+
 # (name, fresh object, the cached call, (owner, attribute) of the inner
 # call that does the work on a miss)
 CASES = [
@@ -52,6 +65,12 @@ CASES = [
     ("free_resolution_of_free", lambda: PresentedModule.free(
         polynomial_ring(["x", "y"]), [0, 1]), free_resolution,
      (cmreg.resolution, "_resolve")),
+    ("free_resolution_of_a_complex", _koszul, free_resolution,
+     (cmreg.resolution, "_resolve")),
+    ("module_cover", _quotient_module, lambda M: M.lift_to_cover(),
+     (PresentedModule, "_lift")),
+    ("complex_cover", _quotient_koszul, lambda C: C.lift_to_cover(),
+     (BoundedComplex, "_lift")),
     ("homology", _koszul, lambda K: K.homology(1),
      (cmreg.complexes, "homology_at")),
     ("homology_series", _koszul, lambda K: K.homology_series(1),
@@ -195,6 +214,16 @@ def test_syzygy_step_has_one_call_site():
     assert [(f, func) for f, _, func in sites] == [("resolution.py", "_resolve")]
 
 
+def test_the_resolution_loop_is_entered_only_through_free_resolution():
+    sites = call_sites("_resolve")
+    assert [(f, func) for f, _, func in sites] == [
+        ("resolution.py", "free_resolution")]
+
+
+def test_nothing_calls_free_resolution_of_complex():
+    assert call_sites("free_resolution_of_complex") == []
+
+
 def test_complex_layer_presents_no_kernels():
     assert [s for s in call_sites("kernel") if s[0] == "complexes.py"] == []
 
@@ -235,6 +264,13 @@ def test_cmreg_imports_are_recognized():
     assert cmreg_imports(src) == {
         "freemod", "hilbert", "groebner", "resolution", "poly", "modules",
         "oracle", "cmreg", "complexes"}
+
+
+def test_resolution_layer_imports_nothing_from_complexes():
+    # complexes imports resolution; free_resolution recognizes a complex
+    # by its terms and diffs
+    [source] = [src for name, _, src in sources() if name == "resolution.py"]
+    assert "complexes" not in cmreg_imports(source)
 
 
 def test_oracle_imports_only_the_base_layers():

@@ -82,6 +82,33 @@ def test_oracle_below_degree_zero():
             assert oc.betti_number(i, j) == bt.entries.get((i, j), 0)
 
 
+def test_oracle_betti_table_starts_at_the_lowest_generator():
+    # the window once started at degree 0 and dropped beta_{0,-2} = 1
+    M = parse_session("ring S = GF(32003)[x, y, z];\n"
+                      "module M = coker(S, [-2], [[x^2]]);\n").get("M")
+    table = DenseOracle(M).betti_table()
+    assert table == {(0, -2): 1, (1, 0): 1}
+    assert table == betti_table(M).entries
+
+
+def _shifted_module(k):
+    return parse_session("ring S = GF(32003)[x, y, z, w];\n"
+                         f"module M = coker(S, [-{k}], [[x^2, y*z]]);\n"
+                         ).get("M")
+
+
+@pytest.mark.parametrize("k", [0, 3, 16])
+def test_oracle_cap_counts_degrees_above_the_lowest_generator(k):
+    # an absolute cap let a generator in degree -k build pieces k degrees
+    # larger than one in degree 0
+    M = _shifted_module(k)
+    oc = DenseOracle(M, max_degree=6)
+    assert oc.hilbert_function(6 - k) == M.hilbert_function(6 - k)
+    assert len(oc.ambient_basis(6 - k)) == len(monomials_of_degree(4, 6))
+    with pytest.raises(ValueError, match="beyond oracle cap 6"):
+        oc.hilbert_function(7 - k)
+
+
 def test_oracle_multiplication_matrix_shape(S2):
     M = PresentedModule.cyclic(S2, [])
     oc = DenseOracle(M)

@@ -7,10 +7,10 @@ import pytest
 
 import cmreg.cli as cli
 from cmreg import (BettiTable, BoundedComplex, ModuleMap, PresentedModule,
-                   betti_table, complex_from_module, depth, ext,
+                   betti_table, complex_from_module, depth, ext, ext_complex,
                    free_resolution, free_resolution_of_complex,
                    koszul_complex, module_from_ideal, parse_session, pd,
-                   polynomial_ring, reg_via_betti, relative_reg,
+                   polynomial_ring, reg_via_betti, regularity, relative_reg,
                    resolution_to_complex, tor)
 from cmreg.freemod import FreeModule
 from cmreg.groebner import groebner_basis
@@ -454,3 +454,101 @@ def test_units_of_the_complex_cancel_and_passengers_follow():
         if complete:
             for n in range(-1, 4):
                 assert F.homology_series(n) == L.homology_series(n)
+
+
+# -- one entry point: free_resolution takes a module or a complex ----------
+
+@pytest.mark.parametrize("entry", [free_resolution, betti_table,
+                                   free_resolution_of_complex, pd],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("obj", [3, None, "M"])
+def test_resolution_entries_refuse_other_objects_with_type_error(entry, obj):
+    # each raised AttributeError here before free_resolution checked its
+    # argument
+    with pytest.raises(TypeError):
+        entry(obj)
+
+
+def test_a_complex_keeps_its_resolution_keyed_by_spot():
+    S = polynomial_ring(["x", "y"])
+    x, y = S.gens()
+    L = koszul_complex([y], PresentedModule.cyclic(S, [x * x, x * y])).shift(2)
+    res = free_resolution(L)
+    # spanning one spot over two variables, max_len 3 is the full length
+    assert free_resolution(L, max_len=3) is res
+    assert free_resolution(L, max_len=2) is not res
+    assert res.complete and min(res.twists) == 2 and res.length == 5
+    F, complete = free_resolution_of_complex(L)
+    assert complete
+    assert [(n, t.gens_free.twists) for n, t in F.terms.items()] == [
+        (n, tw) for n, tw in res.twists.items() if tw]
+    assert reg_via_betti(L) == (-1, (3, 2))
+    rel = relative_reg(L)
+    assert (rel.value, rel.certified, rel.levels) == (-1, True, 5)
+
+
+def test_relative_reg_levels_of_complexes():
+    # the highest spot with a nonzero term, or 0 when there is none
+    S = polynomial_ring(["x", "y", "z"])
+    x, y, z = S.gens()
+    E = ext_complex(PresentedModule.cyclic(S, [x]),
+                    PresentedModule.cyclic(S, [x * y, z * z]))
+    assert E.levels() == [-1, 0]
+    rel = relative_reg(E)
+    assert (rel.value, rel.certified, rel.levels) == (2, True, 2)
+    assert reg_via_betti(E) == (2, (1, 3))
+    K = parse_session(load("determinantal.cmreg")).get("K")
+    rel = relative_reg(K, max_len=2)
+    assert (rel.value, rel.certified, rel.levels) == (0, True, 1)
+    exact = BoundedComplex(S, {0: PresentedModule.free(S, (0,)),
+                               1: PresentedModule.free(S, (0,))},
+                           {1: ModuleMap.from_entries(
+                               PresentedModule.free(S, (0,)),
+                               PresentedModule.free(S, (0,)),
+                               [[S.constant(1)]])})
+    rel = relative_reg(exact)
+    assert (rel.value, rel.certified, rel.levels) == (-inf, True, 0)
+
+
+def test_a_free_complex_is_only_minimized(monkeypatch):
+    res_mod = importlib.import_module("cmreg.resolution")
+
+    def no_loop(*args):
+        raise AssertionError("a free complex went through the loop")
+
+    monkeypatch.setattr(res_mod, "_resolve", no_loop)
+    S = polynomial_ring(["x", "y", "z"])
+    res = free_resolution(koszul_complex(list(S.gens())))
+    assert res.complete
+    assert res.betti() == {(0, 0): 1, (1, 1): 3, (2, 2): 3, (3, 3): 1}
+    # d_1 = 1 cancels both terms
+    F = PresentedModule.free(S, (0,))
+    one = BoundedComplex(S, {0: F, 1: F},
+                         {1: ModuleMap.from_entries(F, F, [[S.constant(1)]])})
+    res = free_resolution(one)
+    assert res.complete and res.betti() == {} and res.length == 0
+    assert reg_via_betti(one) == (-inf, None)
+
+
+@pytest.mark.parametrize("name, binding", [("determinantal.cmreg", "M"),
+                                           ("hypersurface-pair.cmreg", "M"),
+                                           ("two-quadrics.cmreg", "k")])
+def test_regularity_over_a_quotient_ring_resolves_twice(monkeypatch, name,
+                                                        binding):
+    # once over the cover, where the betti and duality routes share one
+    # resolution, and once over the quotient ring for relative_reg; each
+    # route built its own cover, and resolved it, before the cover was kept
+    res_mod = importlib.import_module("cmreg.resolution")
+    real = res_mod._resolve
+    over_cover = []
+
+    def counting(ring, *args):
+        over_cover.append(ring.is_polynomial)
+        return real(ring, *args)
+
+    monkeypatch.setattr(res_mod, "_resolve", counting)
+    M = parse_session(load(name)).get(binding)
+    assert not M.ring.is_polynomial
+    assert regularity(M).agree
+    assert sorted(over_cover) == [False, True]
+    assert M.lift_to_cover() is M.lift_to_cover()

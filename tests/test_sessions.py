@@ -152,7 +152,6 @@ def test_reg_on_a_complex_runs_the_betti_route_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(reg_mod, "reg_via_betti", counting)
-    monkeypatch.setattr(cli, "reg_via_betti", counting)
     code, out = run("--session", path("determinantal.cmreg"), "reg", "K")
     assert code == 0
     assert json.loads(out)["result"] == {

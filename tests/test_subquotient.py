@@ -19,7 +19,7 @@ from cmreg import (BoundedComplex, PresentedModule, complex_from_module,
 from cmreg.complexes import free_complex_from_data, minimal_cover
 from cmreg.freemod import FreeModule, vec_degree
 from cmreg.groebner import groebner_basis
-from cmreg.minimize import _find_unit, minimize_presentation
+from cmreg.minimize import _find_unit, minimize_chain, minimize_presentation
 from cmreg.modules import ModuleMap, syzygies_of_vectors
 from cmreg.theorems import _random_linear_form, random_ideal_corpus
 
@@ -97,12 +97,26 @@ def naive_homology(C, i):
     return module
 
 
+def minimized(L):
+    """The minimal free complex homotopy equivalent to the free complex L,
+    as the complex layer built it before the resolution layer took the
+    free case over: L's chain, with zero columns for an unstored
+    differential between two terms, through minimize_chain."""
+    twists = {i: tuple(t.gens_free.twists) for i, t in L.terms.items()}
+    cols = {i: [dict(c) for c in d.cols] for i, d in L.diffs.items()}
+    for i in L.levels():
+        if i - 1 in L.terms and i not in cols:
+            cols[i] = [{} for _ in range(L.terms[i].rank)]
+    tw, cs, _ = minimize_chain(twists, cols, L.ring.field)
+    return free_complex_from_data(L.ring, tw, cs)
+
+
 def naive_free_resolution_of_complex(L, max_len=None):
     ring = L.ring
     if not L.terms:
         return BoundedComplex(ring, {}, {}), True
     if L.is_free:
-        return L.minimized(), True
+        return minimized(L), True
     lo, hi = L.min_level, L.max_level
     if max_len is None:
         span = hi - lo
@@ -179,7 +193,7 @@ def naive_free_resolution_of_complex(L, max_len=None):
         Fn = PresentedModule.free(ring, new_twists)
         phis[i] = ModuleMap(Fn, L.term(i), phi_new)
     built = free_complex_from_data(ring, twists, cols)
-    return built.minimized(), complete
+    return minimized(built), complete
 
 
 # -- comparison ----------------------------------------------------------
