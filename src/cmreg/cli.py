@@ -254,6 +254,8 @@ def cmd_check(session, args):
 def cmd_family(session, args):
     if args.kind != "nilpotent-scroll":
         raise UsageError(f"unknown family {args.kind!r}")
+    if args.n < 2:
+        raise UsageError("the family starts at n = 2")
     Rn, minors, z, reg_i, reg_iz = scroll_member(args.n)
     return {"n": args.n, "ring": repr(Rn),
             "generators": [str(m) for m in minors], "form": str(z),
@@ -265,15 +267,17 @@ def cmd_oracle(session, args):
     Mc = M.lift_to_cover()
     d_cap = args.max_degree if args.max_degree is not None else 6
     # both windows reach down to the lowest generator, below which every
-    # Betti number and Hilbert value vanishes
-    lo = min([0, *Mc.gens_free.twists])
+    # Betti number and Hilbert value vanishes, and end d_cap above it when
+    # it lies above 0
+    lowest = min(Mc.gens_free.twists, default=0)
+    lo, hi = min(0, lowest), d_cap + max(0, lowest)
     bt = betti_table(Mc)
     oc = DenseOracle(Mc, max_degree=max(8, d_cap + Mc.ring.nvars))
     betti_rows = []
     agree = True
-    pairs = {(i, j) for (i, j) in bt.entries if j <= d_cap}
+    pairs = {(i, j) for (i, j) in bt.entries if j <= hi}
     for i in range(Mc.ring.nvars + 1):
-        for j in range(lo, d_cap + 1):
+        for j in range(lo, hi + 1):
             sym = bt.entries.get((i, j), 0)
             if (i, j) not in pairs and sym == 0 and i > bt.projective_dimension():
                 continue
@@ -284,7 +288,7 @@ def cmd_oracle(session, args):
             agree = agree and sym == orc
     hs = Mc.hilbert_series()
     hilbert_rows = []
-    for j in range(lo, d_cap + 1):
+    for j in range(lo, hi + 1):
         a = hs.coefficient(j)
         b = oc.hilbert_function(j)
         hilbert_rows.append({"degree": j, "series": a, "oracle": b})

@@ -1,10 +1,12 @@
 """Buchberger's algorithm for graded submodules of free modules, with
 syzygy extraction from reduction traces.
 
-Everything runs position-over-grevlex over the polynomial cover S.  A
+Buchberger runs position-over-grevlex over the polynomial cover S.  A
 quotient ring R = S/I is handled by adjoining I's generators times each
 free basis vector, so normal forms and syzygies computed here are already
 the R-level ones (syzygy coordinates on the adjoined columns are dropped).
+Syzygies come packed in the Schreyer order their basis induces, in which
+they are a Groebner basis again (see Pair selection).
 
 Determinism: input generators are sorted, the pair queue is keyed by
 (lcm degree, generator indices), reducers are tried in canonical basis
@@ -29,6 +31,25 @@ B = 32 n and A = B + 40 (`_Packing`, one per variable count).  Then:
 - an exponent above EXPONENT_CAP is u & G != 0.  That is checked on every
   new product term in `_reduce_packed` and in `_s_vector`, and on every
   encoded input term, with the OverflowError of `poly.mono_mul`.
+
+The Schreyer order (`_SchreyerPacking`).  Let g_1..g_s be elements of a
+free module F_0 packed as above, and F_1 free on e_1..e_s.  A term m e_c
+of F_1 packs as
+
+    h = h0(m lt(g_c)) * 2^W + c,    W = _INDEX_BITS,
+
+h0 the level-0 packed term.  A smaller h is the larger term in the order
+that compares m lt(g_c) first and breaks ties by the smaller index: the
+Schreyer order.  The same holds one level up, with g_c in F_1 and h0 read
+off its packed lead as lead >> W, provided the elements are numbered in
+lead-index order: two terms of F_2 with equal level-0 terms then compare
+by the F_1 index of their leads exactly when they compare by their own
+index (`_syzygy_basis`).  So every level packs into the same shape, with
+its position in the low W bits (a term's position is (h >> S) & M in
+either packing) and its guard mask G shifted up by W.  Linearity,
+divisibility and the cap check carry over unchanged, and one kernel,
+`_reduce_packed`, with one `_s_vector` and one `_schreyer_pairs`, serves
+both orders.
 
 GBElem.vec stays the tuple dict {(pos, m): c}, decoded on first use; the
 Buchberger loop never decodes its intermediate elements.  `_reduce` and
@@ -58,6 +79,10 @@ pairs whose lcm_ij is minimal under divisibility among the lcm_ik, k > i,
 are reduced, and they still generate all syzygies.  The lead-term
 syzygies of the same pairs generate the syzygies of the lead terms, which
 is all Buchberger's criterion asks, so `certify` checks the same pairs.
+`syzygy_generators` returns the selected tau_ij as a GroebnerBasis in the
+Schreyer packing, and can take that basis again: a resolution over S
+needs Buchberger only where its columns are more than syzygies
+(cmreg.resolution).
 
 Reuse: a Buchberger run can start from a known Groebner basis and queue
 only the pairs that involve a new generator (`_buchberger`'s `known`;
@@ -82,21 +107,42 @@ from .poly import EXPONENT_CAP, mono_deg, mono_lcm, Polynomial
 _DEG_TOP = (1 << 40) - 1
 _GUARD = 0xFFFFFFFF & ~EXPONENT_CAP
 _OVERFLOW = f"monomial exponent exceeds {EXPONENT_CAP}"
+_INDEX_BITS = 32  # room for the basis index in a Schreyer-packed term
 
 
-class _Packing:
-    """Encoder and decoder of packed terms for one variable count."""
+class _Terms:
+    """What every packing shares: a term's position is (h >> S) & M, and
+    h >> shift is its level-0 term (the term itself for position over
+    grevlex)."""
 
-    __slots__ = ("struct", "nbytes", "B", "A", "G", "emask", "one")
+    __slots__ = ()
+
+    def encode_vec(self, vec):
+        return {self.encode(p, m): c for (p, m), c in vec.items()}
+
+    def decode_vec(self, terms):
+        S, M, mono = self.S, self.M, self.mono
+        return {((h >> S) & M, mono(h)): c for h, c in terms.items()}
+
+
+class _Packing(_Terms):
+    """Encoder and decoder of position-over-grevlex packed terms for one
+    variable count."""
+
+    __slots__ = ("struct", "nbytes", "B", "A", "G", "emask", "one", "S",
+                 "base")
+    M = -1
+    shift = 0
 
     def __init__(self, nvars):
         self.struct = struct.Struct(f"<{nvars}I")
         self.nbytes = 4 * nvars
         self.B = 32 * nvars
-        self.A = self.B + 40
+        self.A = self.S = self.B + 40
         self.G = int.from_bytes(self.struct.pack(*[_GUARD] * nvars), "little")
         self.emask = (1 << self.B) - 1
         self.one = _DEG_TOP << self.B  # h(0, 1)
+        self.base = self
 
     def encode(self, pos, m):
         e = int.from_bytes(self.struct.pack(*m), "little")
@@ -108,12 +154,38 @@ class _Packing:
         """The monomial of h; also the quotient of an offset h(t) - h(lead)."""
         return self.struct.unpack((h & self.emask).to_bytes(self.nbytes, "little"))
 
-    def encode_vec(self, vec):
-        return {self.encode(p, m): c for (p, m), c in vec.items()}
+    quotient = mono
 
-    def decode_vec(self, terms):
-        A, mono = self.A, self.mono
-        return {(h >> A, mono(h)): c for h, c in terms.items()}
+
+class _SchreyerPacking(_Terms):
+    """Packed terms of the Schreyer order that elements with packed leads
+    `leads` (in packing P) induce on the free module with one basis vector
+    e_c per element: m e_c packs as (h0 << W) + c, h0 the level-0 packed
+    term of m lead(c) and W = _INDEX_BITS (module docstring)."""
+
+    __slots__ = ("base", "bases", "G")
+    S = 0
+    M = (1 << _INDEX_BITS) - 1
+    shift = _INDEX_BITS
+
+    def __init__(self, P, leads):
+        self.base = P.base
+        self.bases = [lead >> P.shift for lead in leads]  # level-0 leads
+        self.G = P.base.G << _INDEX_BITS
+
+    def encode(self, c, m):
+        B = self.base
+        h0 = self.bases[c] + B.encode(0, m) - B.one
+        if h0 & B.G:
+            raise OverflowError(_OVERFLOW)
+        return (h0 << _INDEX_BITS) + c
+
+    def mono(self, h):
+        return self.base.mono((h >> _INDEX_BITS) - self.bases[h & self.M])
+
+    def quotient(self, d):
+        """The monomial q of an offset d = h(q t) - h(t)."""
+        return self.base.mono(d >> _INDEX_BITS)
 
 
 _PACKINGS = {}
@@ -128,7 +200,9 @@ def _packing(nvars):
 
 class GBElem:
     """A monic basis element: packed terms, packed lead and cached
-    lead-term data; `vec` is the tuple dict, decoded on first use."""
+    lead-term data.  `vec` is the tuple dict, decoded on first use from
+    position over grevlex; a syzygy (`_syzygy_basis`), whose packing the
+    element does not know, has it set at construction."""
 
     __slots__ = ("terms", "lead", "pos", "ltm", "deg", "_vec")
 
@@ -154,7 +228,7 @@ def _elem(terms, K, twists, P):
     if c != K.one:
         ci = K.inv(c)
         terms = {h: K.mul(cc, ci) for h, cc in terms.items()}
-    pos = lead >> P.A
+    pos = (lead >> P.S) & P.M
     ltm = P.mono(lead)
     return GBElem(terms, lead, pos, ltm, mono_deg(ltm) + twists[pos])
 
@@ -183,20 +257,20 @@ def _reduce_packed(work, reducers, K, P, collect_trace=False):
     """Full normal form of the packed vector `work` (consumed) against
     `_reducers(elems)`, largest term first, leftmost reducer.  Optionally
     records the quotients: vec = sum_i q_i elems[i] + r, as {i: {d: c}}
-    with d = h(q) - h(0, 1) (decode with `P.mono`)."""
+    with d = h(q t) - h(t) for any term t (decode with `P.quotient`)."""
     rem = {}
     heap = list(work)
     heapify(heap)
     trace = {} if collect_trace else None
     zero, mul, sub, is_zero = K.zero, K.mul, K.sub, K.is_zero
-    A, G = P.A, P.G
+    S, M, G = P.S, P.M, P.G
     while heap:
         h = heappop(heap)
         c = work.pop(h, None)
         if c is None:
             # lazy deletion: h cancelled, or was processed already
             continue
-        for i, lead, tail in reducers.get(h >> A, ()):
+        for i, lead, tail in reducers.get((h >> S) & M, ()):
             d = h - lead
             if not d & G:
                 break
@@ -229,16 +303,18 @@ def _reduce_packed(work, reducers, K, P, collect_trace=False):
     return rem, trace
 
 
-def _reduce(vec, reducers, K, collect_trace=False):
+def _reduce(vec, reducers, K, collect_trace=False, P=None):
     """Full normal form of the tuple-dict vec against `_reducers(elems)`
-    (leftmost reducer, largest term first).  Optionally records the
+    (leftmost reducer, largest term first), in the elements' packing P
+    (position over grevlex by default).  Optionally records the
     quotients: vec = sum_i q_i elems[i] + r, as {i: {q: c}}."""
     if not vec:
         return {}, ({} if collect_trace else None)
-    P = _packing(len(next(iter(vec))[1]))
+    if P is None:
+        P = _packing(len(next(iter(vec))[1]))
     rem, trace = _reduce_packed(P.encode_vec(vec), reducers, K, P, collect_trace)
     if collect_trace:
-        trace = {i: {P.mono(d): c for d, c in quot.items()}
+        trace = {i: {P.quotient(d): c for d, c in quot.items()}
                  for i, quot in trace.items()}
     return P.decode_vec(rem), trace
 
@@ -394,15 +470,19 @@ def _augmented_columns(ring, free):
 class GroebnerBasis:
     """Reduced basis of a graded submodule (plus the quotient's defining
     columns when the ring is S/I).  `elements` is the full reducer list;
-    `module_elements` are the members not lying in I*F."""
+    `module_elements` are the members not lying in I*F.  `packing` is the
+    term order: position over grevlex, or the Schreyer order of a
+    syzygy module (`syzygy_generators`)."""
 
-    __slots__ = ("ring", "free", "elements", "module_indices", "_groups")
+    __slots__ = ("ring", "free", "elements", "module_indices", "packing",
+                 "_groups")
 
-    def __init__(self, ring, free, elements, module_indices):
+    def __init__(self, ring, free, elements, module_indices, packing=None):
         self.ring = ring
         self.free = free
         self.elements = elements
         self.module_indices = module_indices
+        self.packing = packing or _packing(ring.nvars)
         self._groups = None
 
     @property
@@ -421,7 +501,8 @@ class GroebnerBasis:
         return self._groups
 
     def normal_form(self, vec):
-        r, _ = _reduce(vec, self._reducer_groups(), self.ring.field)
+        r, _ = _reduce(vec, self._reducer_groups(), self.ring.field,
+                       P=self.packing)
         return r
 
     def contains(self, vec):
@@ -431,7 +512,7 @@ class GroebnerBasis:
         """c with vec = sum_k c_k module_elements[k] over the ring, for vec
         in the submodule, read off the reduction trace."""
         rem, trace = _reduce(vec, self._reducer_groups(), self.ring.field,
-                             collect_trace=True)
+                             collect_trace=True, P=self.packing)
         if rem:
             raise ArithmeticError("vector does not lie in the submodule")
         pos = {i: k for k, i in enumerate(self.module_indices)}
@@ -512,19 +593,22 @@ def _schreyer_pairs(elems, P):
     j) order and kept when no lcm kept so far divides theirs, so of equal
     lcms the smallest j survives."""
     G = P.G
+    groups = {}
+    for i, g in enumerate(elems):
+        groups.setdefault(g.pos, []).append(i)
     kept = []
-    for i, gi in enumerate(elems):
-        cands = []
-        for j in range(i + 1, len(elems)):
-            gj = elems[j]
-            if gj.pos == gi.pos:
-                lcm = mono_lcm(gi.ltm, gj.ltm)
+    for group in groups.values():
+        for a, i in enumerate(group):
+            gi = elems[i]
+            cands = []
+            for j in group[a + 1:]:
+                lcm = mono_lcm(gi.ltm, elems[j].ltm)
                 cands.append((mono_deg(lcm), j, P.encode(gi.pos, lcm)))
-        minimal = []
-        for d, j, hl in sorted(cands):
-            if all((hl - k) & G for k in minimal):
-                minimal.append(hl)
-                kept.append((j, i, d, hl))
+            minimal = []
+            for d, j, hl in sorted(cands):
+                if all((hl - k) & G for k in minimal):
+                    minimal.append(hl)
+                    kept.append((j, i, d, hl))
     kept.sort()
     return [(i, j, d, hl) for j, i, d, hl in kept]
 
@@ -535,7 +619,7 @@ def certify(gb):
     syzygies of the lead terms, which is all Buchberger's criterion needs."""
     elems = gb.elements
     K = gb.ring.field
-    P = _packing(gb.ring.nvars)
+    P = gb.packing
     reducers = _reducers(elems)
     for i, j, _, hl in _schreyer_pairs(elems, P):
         s, _, _ = _s_vector(elems[i], elems[j], hl, K, P.G)
@@ -563,59 +647,90 @@ def syzygy_generators(gb, degrees=None):
     have no constant coefficient.  So filtering the selected pairs by
     degree still finds every unit that the whole syzygy module carries.
 
-    Returns (vectors, free module on the element degrees).
+    The trace syzygy of the pair (i, j) of two module elements leads with
+    (lcm_ij / lt(g_i)) e_i in the Schreyer order gb induces (module
+    docstring); one that leads with another term raises ArithmeticError.
+
+    Returns (vectors, basis): basis is `_syzygy_basis` of the syzygies, a
+    GroebnerBasis on the free module F on the element degrees
+    (basis.free), packed in that Schreyer order, and vectors are its
+    elements as tuple dicts.  Over a polynomial ring and without `degrees`
+    basis is a Groebner basis of the syzygy module (Schreyer's theorem),
+    so this function takes it again, with no Buchberger run.
     """
-    K = gb.ring.field
-    P = _packing(gb.ring.nvars)
-    A, G = P.A, P.G
-    # a syzygy term (k, q) packs to (k << A) + one + d for an offset d
-    one = P.one
+    ring = gb.ring
+    K = ring.field
+    P = gb.packing
     mod = gb.module_elements
-    ext = list(mod) + _augmented_columns(gb.ring, gb.free)
+    ext = list(mod) + _augmented_columns(ring, gb.free)
     reducers = _reducers(ext)
     n_mod = len(mod)
-    twists = tuple(g.deg for g in mod)
-    F = FreeModule(gb.ring, twists)
-    zero, sub, is_zero = K.zero, K.sub, K.is_zero
+    Q = _SchreyerPacking(P, [g.lead for g in mod])
+    # q e_k packs as heads[k] + (d << up), d the offset of q in P
+    heads = [(b << Q.shift) + k for k, b in enumerate(Q.bases)]
+    up = Q.shift - P.shift
+    zero, one, sub, is_zero = K.zero, K.one, K.sub, K.is_zero
     out = []
     for i, j, d, hl in _schreyer_pairs(ext, P):
         gi, gj = ext[i], ext[j]
         if degrees is not None and d + gb.free.twists[gi.pos] not in degrees:
             continue
-        s, di, dj = _s_vector(gi, gj, hl, K, G)
+        s, di, dj = _s_vector(gi, gj, hl, K, P.G)
         r, trace = _reduce_packed(s, reducers, K, P, collect_trace=True)
         if r:
             raise ArithmeticError("S-pair of a Groebner basis did not reduce to zero")
         syz = {}
         if i < n_mod:
-            syz[(i << A) + one + di] = K.one
+            lead = heads[i] + (di << up)
+            syz[lead] = one
         if j < n_mod:
-            t = (j << A) + one + dj
-            syz[t] = sub(syz.get(t, zero), K.one)
-            if is_zero(syz[t]):
-                del syz[t]
+            syz[heads[j] + (dj << up)] = K.neg(one)
         for k, quot in trace.items():
             if k >= n_mod:
                 continue
-            base = (k << A) + one
-            for d, c in quot.items():
-                t = base + d
+            head = heads[k]
+            for e, c in quot.items():
+                t = head + (e << up)
                 s2 = sub(syz.get(t, zero), c)
                 if is_zero(s2):
                     syz.pop(t, None)
                 else:
                     syz[t] = s2
+        if i < n_mod and min(syz, default=None) != lead:
+            raise ArithmeticError("a trace syzygy does not lead with its "
+                                  "Schreyer term")
         if syz:
             out.append(syz)
-    # canonical order (increasing term_key lists) and no duplicates
+    basis = _syzygy_basis(ring, FreeModule(ring, tuple(g.deg for g in mod)),
+                          Q, out)
+    return basis.module_vectors(), basis
+
+
+def _syzygy_basis(ring, F, Q, syzygies):
+    """The packed syzygies (nonzero, in packing Q over F) as a
+    GroebnerBasis: monic, without duplicates, in lead-index order.
+
+    Lead-index order sorts by the lead's basis index c, then by the
+    exponent of v in the lead monomial, decreasing, with v the first
+    variable in any lead, then by lead term.  By index first, the packed
+    (level-0 term, c) order is the full Schreyer order for the next level
+    (module docstring).  By v next, i < j in one position has
+    lt(g_j) no higher in v than lt(g_i), so the next level's leads lack v
+    and every variable these lack (Schreyer's proof of the syzygy
+    theorem): a frame over n variables ends within n levels."""
+    K = ring.field
+    elems = []
     seen = set()
-    uniq = []
-    for v in sorted(out, key=lambda v: (len(v), sorted(-h for h in v))):
-        key = frozenset(v.items())
+    for syz in syzygies:
+        key = frozenset(syz.items())
         if key not in seen:
             seen.add(key)
-            uniq.append(P.decode_vec(v))
-    return uniq, F
+            elems.append(_elem(syz, K, F.twists, Q))
+    v = next((x for x in range(ring.nvars) if any(g.ltm[x] for g in elems)), 0)
+    elems.sort(key=lambda g: (g.pos, -g.ltm[v], g.lead))
+    for g in elems:
+        g._vec = Q.decode_vec(g.terms)
+    return GroebnerBasis(ring, F, elems, list(range(len(elems))), Q)
 
 
 def ideal_groebner_basis(ring, polys):

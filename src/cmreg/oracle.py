@@ -255,8 +255,10 @@ class DenseOracle:
         if max_i is None:
             max_i = n
         out = {}
+        # from min(0, lowest) up to max_degree above max(0, lowest)
+        top = max_degree + max(0, self.lowest)
         for i in range(0, max_i + 1):
-            for j in range(min(0, self.lowest), max_degree + 1):
+            for j in range(min(0, self.lowest), top + 1):
                 b = self.betti_number(i, j)
                 if b:
                     out[(i, j)] = b

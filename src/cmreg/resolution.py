@@ -11,16 +11,26 @@ level i the columns of d_i and 0 + rho for the relations rho of L_i give
 way to their reduced Groebner basis; F_{i+1} has its trace syzygies (La
 Scala and Stillman, Strategies for computing minimal free resolutions,
 JSC 1998), the lift over it of each 0 + rho, and lift(0 + d l_j) + e_j for
-each generator l_j of L_{i+1}.  Then d_i's passengers are dropped and
-unit elimination sweeps the chain, which keeps every level minimal.
+each generator l_j of L_{i+1}.  Then d_i's passengers are dropped, and
+unit elimination sweeps the chain before the next Groebner basis.
 
-An empty module basis at or above L's top spot hi ends the loop: F is
+Over a polynomial ring the columns of d_i are the trace syzygies alone
+for every i >= hi + 2, hi L's top spot (i >= 2 for a module).  Those
+levels are a frame: by Schreyer's theorem the syzygies are a Groebner
+basis already, in the Schreyer order that cmreg.groebner packs them in,
+so they are resolved further with no Buchberger run and no
+minimization.  The finished chain is minimized once, and each frame
+level's basis is then sorted by degree.  Over a quotient ring every
+level adds I*F's columns, so every level takes the Groebner step.
+
+An empty level at or above L's top spot hi ends the loop: F is
 complete.  Over a polynomial ring that happens by level hi + the number
-of variables (Hilbert's syzygy theorem); a generator past it is an
-engine bug and raises.  F is truncated at max_len (at least 1) levels
-past the bottom and then flagged incomplete; its top level is minimized
-against the next level's columns, syzygies only in its generators'
-degrees, which are then dropped.
+of variables (Hilbert's syzygy theorem); the frame can run one level
+longer, but a generator past it after minimization is an engine bug and
+raises.  F is truncated at max_len (at least 1) levels past the bottom
+and then flagged incomplete, unless minimization empties a level at or
+above hi; its top level is minimized against the next level's columns,
+syzygies only in its generators' degrees, which are then dropped.
 
 `free_resolution` is the one way into the loop.  It takes a presented
 module (the one-term complex at spot 0) or a bounded complex, and keeps
@@ -149,6 +159,8 @@ def _resolve(ring, terms, diffs, max_len):
     differentials (module docstring)."""
     K = ring.field
     lo, hi = min(terms), max(terms)
+    # from this level on d_k's columns are the trace syzygies alone
+    frame = hi + 2 if ring.is_polynomial else inf
 
     def rows(n):  # twists of F_{n-1} + cover(L_n), where d_n's columns live
         L = terms.get(n)
@@ -163,39 +175,74 @@ def _resolve(ring, terms, diffs, max_len):
     while True:
         cols[level + 1] = nxt
         twists[level + 1] = tuple(vec_degree(v, rows(level + 1)) for v in nxt)
-        twists, cols, _ = minimize_chain(twists, cols, K)
         if level - lo >= max_len:
-            del cols[level + 1], twists[level + 1]
             break
         level += 1
-        rank = len(twists[level - 1])
-        rels = [_shift(c, rank) for c in terms[level].rel_cols] \
-            if level in terms else []
-        gb = groebner_basis(cols[level] + rels, ring,
-                            FreeModule(ring, rows(level)))
-        vecs = gb.module_vectors()
-        if not vecs and level >= hi:
+        if level >= frame:
+            # Schreyer: the trace syzygies are a Groebner basis already
+            gb = syz
+        else:
+            twists, cols, _ = minimize_chain(twists, cols, K)
+            rank = len(twists[level - 1])
+            rels = [_shift(c, rank) for c in terms[level].rel_cols] \
+                if level in terms else []
+            gb = groebner_basis(cols[level] + rels, ring,
+                                FreeModule(ring, rows(level)))
+            # d_level's map to L_level is no longer needed
+            cols[level] = [{(p, m): c for (p, m), c in col.items() if p < rank}
+                           for col in gb.module_vectors()]
+            twists[level] = tuple(gb.module_degrees())
+        if not cols[level] and level >= hi:
             # nothing is left to resolve
             del cols[level], twists[level]
             complete = True
             break
-        if ring.is_polynomial and level > hi + ring.nvars:
-            raise RuntimeError(
-                f"resolution over a polynomial ring in {ring.nvars} variables "
-                f"has generators at level {level}")
-        twists[level] = tuple(gb.module_degrees())
         # A Groebner basis need not generate minimally.  At the top level
         # only syzygies in the degree of some generator can carry a unit,
         # so those are the only ones computed there.
         top = level - lo >= max_len
-        nxt, _ = syzygy_generators(gb, set(twists[level]) if top else None)
-        nxt += [v for v in map(gb.lift, rels) if v]
-        nxt += _cover_columns(ring, terms, diffs, level + 1, len(vecs),
-                              lambda v: gb.lift(_shift(v, rank)))
-        # d_level's map to L_level is no longer needed
-        cols[level] = [{(p, m): c for (p, m), c in col.items() if p < rank}
-                       for col in vecs]
+        nxt, syz = syzygy_generators(gb, set(twists[level]) if top else None)
+        if level < frame:
+            nxt += [v for v in map(gb.lift, rels) if v]
+            nxt += _cover_columns(ring, terms, diffs, level + 1,
+                                  len(cols[level]),
+                                  lambda v: gb.lift(_shift(v, rank)))
+    if not complete or level > frame:
+        # the top level or the frame is not minimal yet
+        twists, cols, _ = minimize_chain(twists, cols, K)
+    if not complete:
+        del cols[level + 1], twists[level + 1]
+    # A frame level can minimize away.  Past an empty level at or above
+    # hi every level is empty (Nakayama), and F is complete.
+    ends = [i for i, tw in twists.items() if not tw and i > lo and i >= hi]
+    if ends:
+        for i in range(min(ends), level + 2):
+            twists.pop(i, None)
+            cols.pop(i, None)
+        complete = True
+    if ring.is_polynomial and max(twists) > hi + ring.nvars:
+        raise RuntimeError(
+            f"resolution over a polynomial ring in {ring.nvars} variables "
+            f"has generators at level {max(twists)}")
+    for i in twists:
+        if i >= frame:
+            _sort_by_degree(twists, cols, i)
     return twists, cols, complete
+
+
+def _sort_by_degree(twists, cols, i):
+    """Reorder F_i's basis by degree, stably: the columns of d_i and the
+    rows of d_{i+1}."""
+    tw = twists[i]
+    order = sorted(range(len(tw)), key=tw.__getitem__)
+    if order == list(range(len(tw))):
+        return
+    twists[i] = tuple(tw[k] for k in order)
+    cols[i] = [cols[i][k] for k in order]
+    if i + 1 in cols:
+        new = {k: n for n, k in enumerate(order)}
+        cols[i + 1] = [{(new[p], m): c for (p, m), c in col.items()}
+                       for col in cols[i + 1]]
 
 
 class BettiTable:

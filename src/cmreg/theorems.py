@@ -24,8 +24,7 @@ from .complexes import (_as_complex, complex_from_module, ext_complex,
                         tor_complex)
 from .freemod import FreeModule
 from .modules import (PresentedModule, colon_by_element, kernel,
-                      module_from_ideal, multiplication_map,
-                      quotient_by_element)
+                      multiplication_map, quotient_by_element)
 from .poly import Polynomial
 from .regularity import (depth, local_cohomology_table, reg_complex,
                          reg_via_betti, reg_via_duality, reg_via_ext,
@@ -472,12 +471,13 @@ def nilpotent_scroll_family(n):
 
 def scroll_member(n):
     """(ring, ideal generators, form, reg of the ideal, reg of the ideal
-    plus the form) for member n of the scroll family, by the betti
-    route."""
+    plus the form) for member n of the scroll family, by the betti route
+    on the cyclic modules S/I: reg I = reg(S/I) + 1 for a proper nonzero
+    ideal I."""
     Rn, minors, z = nilpotent_scroll_family(n)
     return (Rn, minors, z,
-            reg_via_betti(module_from_ideal(Rn, minors))[0],
-            reg_via_betti(module_from_ideal(Rn, minors + [z]))[0])
+            reg_via_betti(PresentedModule.cyclic(Rn, minors))[0] + 1,
+            reg_via_betti(PresentedModule.cyclic(Rn, minors + [z]))[0] + 1)
 
 
 def scroll_sweep(n_max):

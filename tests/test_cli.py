@@ -7,6 +7,7 @@ import pytest
 
 import cmreg.cli as cli
 from cmreg.oracle import DenseOracle
+from cmreg.theorems import nilpotent_scroll_family
 
 SESSION = """
 ring S = GF(32003)[x, y, z, t];
@@ -141,6 +142,15 @@ def test_session_from_stdin(monkeypatch, capsys):
     assert code == 1  # A is a ring binding, not a module
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_family_below_two_is_a_usage_error(capsys, n):
+    code, out, err = run(capsys, "family", "nilpotent-scroll", "--n", n)
+    assert code == 1 and out == ""
+    assert "starts at n = 2" in err
+    with pytest.raises(ValueError):
+        nilpotent_scroll_family(int(n))
+
+
 def test_family_command(capsys):
     code, out, _ = run(capsys, "family", "nilpotent-scroll", "--n", "2")
     assert code == 0
@@ -183,6 +193,23 @@ def test_oracle_window_reaches_the_lowest_generator(tmp_path, capsys):
     assert result["hilbert"][:2] == [
         {"degree": -2, "series": 1, "oracle": 1},
         {"degree": -1, "series": 2, "oracle": 2}]
+
+
+def test_oracle_window_ends_above_a_high_generator(tmp_path, capsys):
+    # a window ending at degree 6 compared nothing and still agreed
+    p = tmp_path / "high.cmreg"
+    p.write_text("ring S = GF(32003)[x, y, z];\n"
+                 "module M = coker(S, [8], [[x^2]]);\n")
+    code, out, _ = run(capsys, "--session", str(p), "oracle", "M")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["agrees"] is True and result["max_degree"] == 6
+    assert result["betti"] == [
+        {"i": 0, "j": 8, "resolution": 1, "oracle": 1},
+        {"i": 1, "j": 10, "resolution": 1, "oracle": 1}]
+    assert [r["degree"] for r in result["hilbert"]] == list(range(0, 15))
+    assert result["hilbert"][8] == {"degree": 8, "series": 1, "oracle": 1}
+    assert result["hilbert"][14] == {"degree": 14, "series": 13, "oracle": 13}
 
 
 def _shifted_session(tmp_path, k):

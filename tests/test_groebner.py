@@ -5,9 +5,10 @@ import pytest
 from cmreg import polynomial_ring
 from cmreg.freemod import (FreeModule, term_key, vec_add, vec_degree,
                            vec_from_column, vec_term_mul)
-from cmreg.groebner import (GroebnerBasis, _augmented_columns, _make_elem,
-                            _packing, _reduce, _reduce_packed, _reducers,
-                            _s_vector, certify, groebner_basis,
+from cmreg.groebner import (GroebnerBasis, _SchreyerPacking,
+                            _augmented_columns, _make_elem, _packing, _reduce,
+                            _reduce_packed, _reducers, _s_vector,
+                            _syzygy_basis, certify, groebner_basis,
                             ideal_groebner_basis, reduce_poly_mod_defining,
                             syzygy_generators)
 from cmreg.oracle import monomials_of_degree
@@ -238,16 +239,20 @@ def test_reduction_past_the_cap_raises(S3):
 
 def naive_syzygy_generators(gb, degrees=None):
     """Reference: the trace syzygies of every same-position S-pair (with
-    `degrees`, of those whose degree lies in it), deduplicated and in the
-    canonical order of `syzygy_generators`."""
+    `degrees`, of those whose degree lies in it), in the packing and the
+    lead-index order of `syzygy_generators` (`_syzygy_basis`)."""
     K = gb.ring.field
-    P = _packing(gb.ring.nvars)
-    A, G, one = P.A, P.G, P.one
+    P = gb.packing
     mod = gb.module_elements
     ext = list(mod) + _augmented_columns(gb.ring, gb.free)
     reducers = _reducers(ext)
     n_mod = len(mod)
     F = FreeModule(gb.ring, tuple(g.deg for g in mod))
+    Q = _SchreyerPacking(P, [g.lead for g in mod])
+
+    def term(k, d):  # q e_k in Q, for the offset d of q in P
+        return Q.encode(k, P.quotient(d))
+
     out = []
     for j in range(len(ext)):
         for i in range(j):
@@ -257,37 +262,25 @@ def naive_syzygy_generators(gb, degrees=None):
             lcm = mono_lcm(gi.ltm, gj.ltm)
             if degrees is not None and mono_deg(lcm) + gb.free.twists[gi.pos] not in degrees:
                 continue
-            s, di, dj = _s_vector(gi, gj, P.encode(gi.pos, lcm), K, G)
+            s, di, dj = _s_vector(gi, gj, P.encode(gi.pos, lcm), K, P.G)
             r, trace = _reduce_packed(s, reducers, K, P, collect_trace=True)
             assert not r
             syz = {}
-            if i < n_mod:
-                syz[(i << A) + one + di] = K.one
-            if j < n_mod:
-                t = (j << A) + one + dj
-                syz[t] = K.sub(syz.get(t, K.zero), K.one)
-                if K.is_zero(syz[t]):
-                    del syz[t]
-            for k, quot in trace.items():
+            for k, d, c in [(i, di, K.one), (j, dj, K.neg(K.one))] + [
+                    (k, d, K.neg(c)) for k, quot in trace.items()
+                    for d, c in quot.items()]:
                 if k >= n_mod:
                     continue
-                for d, c in quot.items():
-                    t = (k << A) + one + d
-                    s2 = K.sub(syz.get(t, K.zero), c)
-                    if K.is_zero(s2):
-                        syz.pop(t, None)
-                    else:
-                        syz[t] = s2
+                t = term(k, d)
+                s2 = K.add(syz.get(t, K.zero), c)
+                if K.is_zero(s2):
+                    syz.pop(t, None)
+                else:
+                    syz[t] = s2
             if syz:
                 out.append(syz)
-    seen = set()
-    uniq = []
-    for v in sorted(out, key=lambda v: (len(v), sorted(-h for h in v))):
-        key = frozenset(v.items())
-        if key not in seen:
-            seen.add(key)
-            uniq.append(P.decode_vec(v))
-    return uniq, F
+    basis = _syzygy_basis(gb.ring, F, Q, out)
+    return basis.module_vectors(), basis
 
 
 def unit_rank(vecs, K):
@@ -343,9 +336,10 @@ def compare_with_all_pairs(rational, twists, quotient, seed):
                 for _ in range(len(twists) + 2)]
         gb = groebner_basis([g for g in gens if g], ring, F)
         assert certify(gb)
-        pruned, F1 = syzygy_generators(gb)
-        naive, F2 = naive_syzygy_generators(gb)
-        assert F1.twists == F2.twists
+        pruned, basis = syzygy_generators(gb)
+        naive, naive_basis = naive_syzygy_generators(gb)
+        F1 = basis.free
+        assert F1.twists == naive_basis.free.twists
         assert as_keys(pruned) <= as_keys(naive)
         gen = groebner_basis(pruned, ring, F1)
         assert all(gen.contains(v) for v in naive)
@@ -382,6 +376,63 @@ def test_selected_pairs_generate_the_syzygies(rational, twists, quotient):
     # not vacuous: the selection drops syzygies, and units occur
     assert pruned < naive
     assert units > 0
+
+
+@pytest.mark.parametrize("twists", [(0,), (0, 1, 1)])
+def test_syzygies_are_a_groebner_basis_in_the_schreyer_order(twists):
+    # Schreyer's theorem, two levels up: the selected syzygies pass
+    # Buchberger's criterion in their own packing, and every all-pairs
+    # syzygy reduces to zero against them
+    rng = random.Random(20261018 + len(twists))
+    ring = syzygy_test_ring(False, False)
+    F = FreeModule(ring, twists)
+    levels = 0
+    for _ in range(3):
+        gens = [random_vec(rng, ring, twists, rng.randint(2, 3), 2)
+                for _ in range(len(twists) + 2)]
+        gb = groebner_basis([g for g in gens if g], ring, F)
+        while gb.module_indices:
+            vecs, syz = syzygy_generators(gb)
+            assert certify(syz)
+            assert all(syz.contains(v) for v in naive_syzygy_generators(gb)[0])
+            K = ring.field
+            for g, v in zip(syz.elements, vecs):
+                total = {}
+                for (k, mono), c in v.items():
+                    total = vec_add(total, vec_term_mul(
+                        gb.module_elements[k].vec, mono, c, K), K)
+                assert not total
+                assert v[(g.pos, g.ltm)] == K.one
+            gb = syz
+            levels += 1
+    assert levels >= 6
+
+
+def test_frame_leads_lose_a_variable_at_every_level():
+    # Lead-index order sorts one position by the exponent of a variable v
+    # present in the leads, decreasing, so the next level's leads lack v
+    # and every variable these lack: a frame over n variables has at most
+    # n levels past its first.  Seeded modules with leads such as y^2 and
+    # x z in one position, which grevlex alone orders the other way.
+    rng = random.Random(20261019)
+    ring = syzygy_test_ring(False, False)
+
+    def absent(gb):
+        return {v for v in range(ring.nvars)
+                if not any(g.ltm[v] for g in gb.elements)}
+
+    for twists in [(0,), (0, 1, 1)] * 4:
+        F = FreeModule(ring, twists)
+        gens = [random_vec(rng, ring, twists, rng.randint(2, 3), 2)
+                for _ in range(len(twists) + 3)]
+        _, level = syzygy_generators(groebner_basis([g for g in gens if g],
+                                                    ring, F))
+        depth = 0
+        while level.elements:
+            _, nxt = syzygy_generators(level)
+            assert not nxt.elements or absent(nxt) > absent(level)
+            level, depth = nxt, depth + 1
+        assert depth <= ring.nvars
 
 
 def test_certify_rejects_a_non_basis(S3):

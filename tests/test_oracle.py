@@ -91,6 +91,19 @@ def test_oracle_betti_table_starts_at_the_lowest_generator():
     assert table == betti_table(M).entries
 
 
+def test_oracle_betti_table_ends_above_a_high_generator():
+    # the window once ended at degree 6 and compared nothing at all
+    M = parse_session("ring S = GF(32003)[x, y, z];\n"
+                      "module M = coker(S, [8], [[x^2]]);\n").get("M")
+    table = DenseOracle(M).betti_table()
+    assert table == {(0, 8): 1, (1, 10): 1}
+    assert table == betti_table(M).entries
+    # at or below degree 0 the window ends at max_degree, as before
+    N = parse_session("ring S = GF(32003)[x, y, z];\n"
+                      "module M = coker(S, [0], [[x^7]]);\n").get("M")
+    assert DenseOracle(N).betti_table() == {(0, 0): 1}
+
+
 def _shifted_module(k):
     return parse_session("ring S = GF(32003)[x, y, z, w];\n"
                          f"module M = coker(S, [-{k}], [[x^2, y*z]]);\n"

@@ -13,9 +13,11 @@ from cmreg import (BettiTable, BoundedComplex, ModuleMap, PresentedModule,
                    polynomial_ring, reg_via_betti, regularity, relative_reg,
                    resolution_to_complex, tor)
 from cmreg.freemod import FreeModule
-from cmreg.groebner import groebner_basis
+from cmreg.groebner import (GroebnerBasis, certify, groebner_basis,
+                            syzygy_generators)
 from cmreg.minimize import _find_unit
-from cmreg.theorems import nilpotent_scroll_family, random_ideal_corpus
+from cmreg.theorems import (nilpotent_scroll_family, random_ideal_corpus,
+                            scroll_member)
 from test_groebner import naive_syzygy_generators
 from test_sessions import SESSIONS, load
 from test_subquotient import corpus_complexes, session_complexes
@@ -305,6 +307,29 @@ def test_betti_tables_match_all_pair_syzygies(monkeypatch):
         assert bt.complete == naive[key].complete, key
 
 
+def all_pairs_at_step(monkeypatch, k):
+    """Make every resolution take all same-position pairs at its k-th
+    syzygy step (k = 1 is the step at level lo + 1) and the selected
+    pairs at the others.  All pairs at every step of a frame grow it like
+    a Taylor resolution, 2^s generators for s leads, so the scroll family
+    past n = 3 is compared one step at a time."""
+    res_mod = importlib.import_module("cmreg.resolution")
+    real_resolve, real_syz = res_mod._resolve, res_mod.syzygy_generators
+    step = [0]
+
+    def resolve(*args):
+        step[0] = 0
+        return real_resolve(*args)
+
+    def syz(gb, degrees=None):
+        step[0] += 1
+        pick = naive_syzygy_generators if step[0] == k else real_syz
+        return pick(gb, degrees)
+
+    monkeypatch.setattr(res_mod, "_resolve", resolve)
+    monkeypatch.setattr(res_mod, "syzygy_generators", syz)
+
+
 def test_scroll_family_stdout_matches_all_pair_syzygies(monkeypatch, capsys):
     def stdout():
         outs = []
@@ -314,9 +339,11 @@ def test_scroll_family_stdout_matches_all_pair_syzygies(monkeypatch, capsys):
         return outs
 
     pruned = stdout()
-    res_mod = importlib.import_module("cmreg.resolution")
-    monkeypatch.setattr(res_mod, "syzygy_generators", naive_syzygy_generators)
-    assert stdout() == pruned
+    # a module's resolution over 3 + n variables has at most 3 + n steps
+    for k in range(1, 8):
+        with monkeypatch.context() as m:
+            all_pairs_at_step(m, k)
+            assert stdout() == pruned, k
 
 
 # -- one loop: a module is the one-term complex ------------------------------
@@ -552,3 +579,121 @@ def test_regularity_over_a_quotient_ring_resolves_twice(monkeypatch, name,
     assert regularity(M).agree
     assert sorted(over_cover) == [False, True]
     assert M.lift_to_cover() is M.lift_to_cover()
+
+
+# -- Schreyer frames: levels of trace syzygies take no Buchberger run -------
+
+def frame_inputs():
+    """(label, object) pairs over polynomial rings and quotient rings:
+    every corpus instance, every session module and complex, and the
+    cyclic modules of the scroll family for n = 2..5, built fresh."""
+    for idx, inst in enumerate(random_ideal_corpus()):
+        yield f"corpus-{idx:02d}", inst.module
+    for label, M in corpus_and_session_modules():
+        if not label.startswith("corpus"):
+            yield label, M
+    for name in sorted(os.listdir(SESSIONS)):
+        for k, C in enumerate(session_complexes(name)):
+            yield f"{name}-complex-{k}", C
+    for n in (2, 3, 4, 5):
+        ring, minors, z = nilpotent_scroll_family(n)
+        yield f"family-{n}", PresentedModule.cyclic(ring, minors)
+        yield f"family-{n}+z", PresentedModule.cyclic(ring, minors + [z])
+
+
+def frame_max_lens(label, obj):
+    """None and every max_len from 1 to the number of variables, or to n
+    for the scroll family's member n."""
+    top = int(label[7]) if label.startswith("family-") else obj.ring.nvars
+    return [None, *range(1, top + 1)]
+
+
+def table_of(obj, max_len):
+    res = free_resolution(obj, max_len=max_len)
+    return res.betti(), res.complete
+
+
+def test_frame_tables_match_all_pair_syzygies(monkeypatch):
+    # All pairs at every step where that stays small.  The scroll family
+    # past n = 2 grows too large for it and takes all pairs one step at a
+    # time; a resolution cut at max_len makes max_len syzygy steps.
+    pruned = {}
+    for label, obj in frame_inputs():
+        for max_len in frame_max_lens(label, obj):
+            pruned[(label, max_len)] = table_of(obj, max_len)
+    step_by_step = ("family-3", "family-4", "family-5")
+    with monkeypatch.context() as m:
+        res_mod = importlib.import_module("cmreg.resolution")
+        m.setattr(res_mod, "syzygy_generators", naive_syzygy_generators)
+        for label, obj in frame_inputs():
+            if not label.startswith(step_by_step):
+                for max_len in frame_max_lens(label, obj):
+                    key = (label, max_len)
+                    assert table_of(obj, max_len) == pruned[key], key
+    for k in range(1, 11):
+        with monkeypatch.context() as m:
+            all_pairs_at_step(m, k)
+            for label, obj in frame_inputs():
+                if not label.startswith(step_by_step):
+                    continue
+                for max_len in frame_max_lens(label, obj):
+                    if max_len is None or k <= max_len:
+                        key = (label, max_len)
+                        assert table_of(obj, max_len) == pruned[key], (key, k)
+
+
+def test_frame_resolutions_are_minimal_complexes():
+    for label, obj in frame_inputs():
+        for max_len in frame_max_lens(label, obj):
+            res = free_resolution(obj, max_len=max_len)
+            assert res.is_minimal(), (label, max_len)
+            assert all(list(tw) == sorted(tw) for i, tw in res.twists.items()
+                       if i > min(res.twists)), (label, max_len)
+            assert resolution_to_complex(res).verify(), (label, max_len)
+
+
+def test_a_misnumbered_frame_raises():
+    # The Koszul frame of k[x, y, z]: two level-2 syzygies share lead index
+    # e_1 and their S-pair reduces by the third, whose leading term has the
+    # same level-0 term as the pair's lcm.  In lead-index order the third
+    # comes last and the trace syzygy leads with its predicted term; numbered
+    # first, the third's term outranks it.
+    S = polynomial_ring(["x", "y", "z"])
+    gens = [{(0, m): S.field.one} for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    gb = groebner_basis(gens, S, FreeModule(S, (0,)))
+    _, frame = syzygy_generators(gb)
+    leads = [g.pos for g in frame.elements]
+    assert leads == sorted(leads)
+    _, top = syzygy_generators(frame)
+    assert len(top.elements) == 1 and certify(top)
+    bad = GroebnerBasis(S, frame.free, frame.elements[::-1], [0, 1, 2],
+                        frame.packing)
+    with pytest.raises(ArithmeticError, match="Schreyer term"):
+        syzygy_generators(bad)
+
+
+@pytest.mark.parametrize("label", ["corpus", "family"])
+def test_a_module_over_a_polynomial_ring_runs_buchberger_once(label,
+                                                              monkeypatch):
+    res_mod = importlib.import_module("cmreg.resolution")
+    real = res_mod.groebner_basis
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(res_mod, "groebner_basis", counting)
+    for name, obj in frame_inputs():
+        if name.startswith(label) and isinstance(obj, PresentedModule):
+            calls.clear()
+            res = free_resolution(obj)
+            assert res.complete and len(calls) == 1, name
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_scroll_member_matches_the_ideal_as_a_module(n):
+    ring, minors, z = nilpotent_scroll_family(n)
+    assert scroll_member(n)[3:] == (
+        reg_via_betti(module_from_ideal(ring, minors))[0],
+        reg_via_betti(module_from_ideal(ring, minors + [z]))[0])
