@@ -1,8 +1,8 @@
 """Minimal graded free resolutions of modules and bounded complexes, by
 one loop of iterated syzygies.
 
-`_resolve` builds a minimal free complex F quasi-isomorphic to a complex
-L given by its terms and differentials; a module is the one-term complex
+`_resolve` builds a free complex F quasi-isomorphic to a complex L
+given by its terms and differentials; a module is the one-term complex
 {0: M}.  A generator of F_i is one column in F_{i-1} + cover(L_i): its
 image under d^F, then, in the passenger rows (cmreg.minimize), its image
 in L_i.  F_lo covers L_lo, and F_{lo+1} has rho + 0 for each relation rho
@@ -19,17 +19,33 @@ for every i >= hi + 2, hi L's top spot (i >= 2 for a module).  Those
 levels are a frame: by Schreyer's theorem the syzygies are a Groebner
 basis already, in the Schreyer order that cmreg.groebner packs them in,
 so they are resolved further with no Buchberger run and no
-minimization.  The finished chain is minimized once, and each frame
-level's basis is then sorted by degree.  Over a quotient ring every
-level adds I*F's columns, so every level takes the Groebner step.
+minimization.  Over a quotient ring every level adds I*F's columns, so
+every level takes the Groebner step.
+
+Over a polynomial ring the finished chain is not minimized.  For any
+graded free resolution F,
+beta_{i,j} = dim H_i(F (x) k)_j = f_{i,j} - rank c_{i,j} - rank c_{i+1,j},
+where f_{i,j} counts F_i's generators of degree j and c_{i,j} is the
+constant part of d_i between the degree-j parts of F_i and F_{i-1} (La
+Scala and Stillman; Eroecal, Motsa, Schreyer and Steenpass, Refined
+algorithms to compute syzygies, JSC 2016).  So the twists, and all that
+is read off them, come from those ranks, by Gaussian elimination over
+the field.  The minimal differentials are the chain minimized once, on
+the first read of FreeResolution.cols, or the chain itself when the
+ranks show no unit; every level above the bottom is then sorted by
+degree, as its twists are.  The bottom level is final
+as built: the loop minimizes d_{lo+1} before its Groebner step, and a
+Groebner basis of columns with no unit has no unit.  Over a quotient
+ring the chain is minimal as built, but for a truncated top level, and
+is minimized at once.
 
 An empty level at or above L's top spot hi ends the loop: F is
 complete.  Over a polynomial ring that happens by level hi + the number
 of variables (Hilbert's syzygy theorem); the frame can run one level
-longer, but a generator past it after minimization is an engine bug and
-raises.  F is truncated at max_len (at least 1) levels past the bottom
-and then flagged incomplete, unless minimization empties a level at or
-above hi; its top level is minimized against the next level's columns,
+longer, but a Betti number past it is an engine bug and raises.  F is
+truncated at max_len (at least 1) levels past the bottom and then
+flagged incomplete, unless the Betti numbers empty a level at or above
+hi; its top level is cut down against the next level's columns,
 syzygies only in its generators' degrees, which are then dropped.
 
 `free_resolution` is the one way into the loop.  It takes a presented
@@ -42,6 +58,8 @@ cmreg.freemod, the dicts twists and cols, keyed by spot, that the loop
 builds and minimize_chain and free_complex_from_data read.
 """
 
+from collections import Counter
+from heapq import heapify, heappop, heappush
 from math import inf
 
 from .freemod import FreeModule, vec_degree
@@ -55,15 +73,28 @@ class FreeResolution:
     """Chain ... <- F_i <- F_{i+1} <- ... in the free-chain layout, keyed
     by spot in ascending order: twists[i] is the twist tuple of F_i and
     cols[i] the columns of d_i : F_i -> F_{i-1}.  A module's resolution
-    starts at spot 0."""
+    starts at spot 0.
 
-    __slots__ = ("ring", "twists", "cols", "complete")
+    The twists are the minimal ones.  Built from an unminimized chain
+    (`frame`, a (twists, cols) pair), cols is that chain minimized on its
+    first read, and the chain is then dropped."""
 
-    def __init__(self, ring, twists, cols, complete):
+    __slots__ = ("ring", "twists", "complete", "_cols", "_frame")
+
+    def __init__(self, ring, twists, cols, complete, frame=None):
         self.ring = ring
         self.twists = twists
-        self.cols = cols
         self.complete = complete
+        self._cols = cols
+        self._frame = frame
+
+    @property
+    def cols(self):
+        if self._cols is None:
+            self._cols = _minimal_cols(self.twists, *self._frame,
+                                       self.ring.field)
+            self._frame = None
+        return self._cols
 
     @property
     def length(self):
@@ -109,7 +140,10 @@ def free_resolution(obj, max_len=None):
     """Minimal free resolution of a presented module, the one-term complex
     at spot 0, or of a bounded complex, over the object's own ring,
     truncated as `_truncation` reads max_len.  The result is cached on
-    obj; equal truncations share one entry."""
+    obj; equal truncations share one entry.  Over a polynomial ring the
+    Betti numbers are read off an unminimized chain, which is minimized
+    only when the differentials, cols, are first read (module
+    docstring)."""
     check_max_len(max_len)
     if isinstance(obj, PresentedModule):
         terms, diffs, free = {0: obj}, {}, False
@@ -156,7 +190,8 @@ def _cover_columns(ring, terms, diffs, n, rank, lift):
 
 def _resolve(ring, terms, diffs, max_len):
     """(twists, cols, complete) of F for the complex L with these terms and
-    differentials (module docstring)."""
+    differentials (module docstring); over a polynomial ring cols is None,
+    followed by the unminimized chain (twists, cols) it comes from."""
     K = ring.field
     lo, hi = min(terms), max(terms)
     # from this level on d_k's columns are the trace syzygies alone
@@ -207,27 +242,117 @@ def _resolve(ring, terms, diffs, max_len):
             nxt += _cover_columns(ring, terms, diffs, level + 1,
                                   len(cols[level]),
                                   lambda v: gb.lift(_shift(v, rank)))
-    if not complete or level > frame:
-        # the top level or the frame is not minimal yet
+    if ring.is_polynomial:
+        chain = (twists, cols)
+        twists = _betti_twists(twists, cols, ring)
+    elif not complete:
+        # the top level is not minimal yet
         twists, cols, _ = minimize_chain(twists, cols, K)
     if not complete:
-        del cols[level + 1], twists[level + 1]
-    # A frame level can minimize away.  Past an empty level at or above
-    # hi every level is empty (Nakayama), and F is complete.
+        del twists[level + 1]
+    # A frame level can be left with no Betti numbers.  Past an empty
+    # level at or above hi every level is empty (Nakayama), and F is
+    # complete.
     ends = [i for i, tw in twists.items() if not tw and i > lo and i >= hi]
     if ends:
         for i in range(min(ends), level + 2):
             twists.pop(i, None)
-            cols.pop(i, None)
         complete = True
-    if ring.is_polynomial and max(twists) > hi + ring.nvars:
-        raise RuntimeError(
-            f"resolution over a polynomial ring in {ring.nvars} variables "
-            f"has generators at level {max(twists)}")
+    if ring.is_polynomial:
+        if max(twists) > hi + ring.nvars:
+            raise RuntimeError(
+                f"resolution over a polynomial ring in {ring.nvars} "
+                f"variables has generators at level {max(twists)}")
+        return twists, None, complete, chain
+    return twists, {i: cols[i] for i in twists if i > lo}, complete
+
+
+def _betti_twists(twists, cols, ring):
+    """The twists of the minimized chain, off the ranks of the constant
+    parts of its maps (module docstring); levels above the bottom come
+    sorted by degree, and the bottom level, final as built, keeps its
+    order.  Passenger rows take no part."""
+    lo = min(twists)
+    ranks = {i: _constant_ranks(cs, twists[i], len(twists[i - 1]), ring)
+             for i, cs in cols.items()}
+    out = {lo: twists[lo]}
+    for i, tw in twists.items():
+        if i == lo:
+            continue
+        left = Counter(tw)
+        left.subtract(ranks.get(i, {}))
+        left.subtract(ranks.get(i + 1, {}))
+        out[i] = tuple(sorted(left.elements()))
+    return out
+
+
+def _constant_ranks(cols, degrees, rows, ring):
+    """{j: rank of the constant part of the degree-j columns} for columns
+    of these degrees, over their positions below `rows`; a constant entry
+    sits in a row of its column's degree."""
+    one = (0,) * ring.nvars
+    blocks = {}
+    for k, col in enumerate(cols):
+        const = {p: c for (p, m), c in col.items() if m == one and p < rows}
+        if const:
+            blocks.setdefault(degrees[k], []).append(const)
+    return {j: _rank(vecs, ring.field) for j, vecs in blocks.items()}
+
+
+def _rank(vecs, K):
+    """Rank of sparse vectors {position: scalar}, by Gaussian elimination.
+    A pivot row is reduced by the earlier ones, so it holds no earlier
+    pivot's position; a vector is reduced by the pivots at its positions
+    in the order they were made, and a pivot row it takes in only adds
+    later ones."""
+    pivots, at = [], {}  # pivot rows; position -> index of its pivot
+    for v in vecs:
+        todo = [at[p] for p in v if p in at]
+        heapify(todo)
+        while todo:
+            p, piv = pivots[heappop(todo)]
+            c = v.get(p)
+            if c is None:
+                continue
+            for q, a in piv.items():
+                w = v.get(q)
+                if w is None:
+                    v[q] = K.neg(K.mul(c, a))
+                    if q in at:
+                        heappush(todo, at[q])
+                else:
+                    w = K.sub(w, K.mul(c, a))
+                    if K.is_zero(w):
+                        del v[q]
+                    else:
+                        v[q] = w
+        if v:
+            p, c = next(iter(v.items()))
+            at[p] = len(pivots)
+            inv = K.inv(c)
+            pivots.append((p, {q: K.mul(a, inv) for q, a in v.items()}))
+    return len(pivots)
+
+
+def _minimal_cols(twists, frame_twists, frame_cols, K):
+    """The columns of the minimized chain whose twists `_betti_twists`
+    read off (twists, with its dropped levels), levels above the bottom
+    sorted by degree."""
+    if all(len(tw) == len(frame_twists[i]) for i, tw in twists.items()):
+        # no unit touches a level that is kept: those are minimal already
+        tw, cols = frame_twists, frame_cols
+    else:
+        tw, cols, _ = minimize_chain(frame_twists, frame_cols, K)
+    lo = min(twists)
+    tw = {i: tw[i] for i in twists}
+    cols = {i: cols[i] for i in twists if i > lo}
     for i in twists:
-        if i >= frame:
-            _sort_by_degree(twists, cols, i)
-    return twists, cols, complete
+        if i > lo:
+            _sort_by_degree(tw, cols, i)
+    if tw != twists:
+        raise RuntimeError("minimizing a resolution changed its Betti "
+                           "numbers")
+    return cols
 
 
 def _sort_by_degree(twists, cols, i):

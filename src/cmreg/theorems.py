@@ -171,19 +171,29 @@ def _homology_formula(L, name, instance, witness_fn, seed=None):
                    seed=seed, asserts="equality", slack="lhs<=rhs")
 
 
+def _staircase(profile):
+    """(i, j) for each nonzero spot i, with the next nonzero spot j above,
+    where depth at i < dim at j - (j - i); profile maps the nonzero spots
+    to their {"depth", "dim"}.  Between neighbours that is the staircase
+    condition depth H_i >= dim H_{i+1} - 1.  Across zero homology it is
+    what makes the spectral sequence's differentials from H_i to H_j
+    vanish, so a zero module never meets the condition vacuously."""
+    spots = sorted(profile)
+    return [(i, j) for i, j in zip(spots, spots[1:])
+            if profile[i]["depth"] < profile[j]["dim"] - (j - i)]
+
+
 def check_thm_cmd1(L, instance="complex", seed=None):
     """reg L = sup{reg H_i(L) - i} under the staircase condition
-    depth H_i >= dim H_{i+1} - 1 for every i below the top homology spot."""
+    depth H_i >= dim H_{i+1} - 1 for every i below the top homology spot,
+    read across zero homology as depth H_i >= dim H_j - (j - i) for each
+    nonzero H_i and the next nonzero H_j above it."""
 
     def witness_fn(homs, invariants):
-        out = []
-        for j in sorted(homs):
-            i = j - 1
-            dep = invariants[f"H_{i}"]["depth"] if i in homs else inf
-            dm = homs[j].dimension()
-            if dep < dm - 1:
-                out.append({"spot": i, "depth": dep, "dim_above": dm})
-        return out
+        profile = {i: invariants[f"H_{i}"] for i in homs}
+        return [{"spot": i, "depth": profile[i]["depth"],
+                 "dim_above": profile[j]["dim"]}
+                for i, j in _staircase(profile)]
 
     return _homology_formula(L, "cmd1", instance, witness_fn, seed=seed)
 
@@ -301,7 +311,9 @@ def check_cor_tensor(*modules, instance="tensor", seed=None):
 
 def check_cor_hom(M, N, instance="pair", seed=None):
     """max{reg Ext^i(M,N) + i} = reg N - indeg M under the staircase
-    condition depth Ext^i >= dim Ext^{i-1} - 1 above the least index."""
+    condition depth Ext^i >= dim Ext^{i-1} - 1 above the least index,
+    read across zero Ext as depth Ext^j >= dim Ext^i - (j - i) for each
+    nonzero Ext^i and the next nonzero Ext^j above it."""
     res = free_resolution(M)
     if not res.complete:
         raise ValueError(
@@ -314,14 +326,13 @@ def check_cor_hom(M, N, instance="pair", seed=None):
     invariants = {f"Ext_{i}": {"reg": regs[-i], "depth": depth(H),
                                "dim": H.dimension()}
                   for i, H in exts.items()}
-    witnesses = []
-    for j in sorted(exts):
-        dep = (invariants[f"Ext_{j + 1}"]["depth"]
-               if j + 1 in exts else inf)
-        dm = exts[j].dimension()
-        if dep < dm - 1:
-            witnesses.append({"index": j + 1, "depth": dep,
-                              "dim_below": dm})
+    # Ext^i sits at spot -i, so the staircase over spots reads depth
+    # Ext^j >= dim Ext^i - (j - i) for consecutive nonzero Ext^i and
+    # Ext^j, i < j; witnesses are listed by ascending index
+    profile = {-i: invariants[f"Ext_{i}"] for i in exts}
+    witnesses = [{"index": -s, "depth": profile[s]["depth"],
+                  "dim_below": profile[t]["dim"]}
+                 for s, t in reversed(_staircase(profile))]
     reg_n = reg_via_koszul(N)[0]
     rhs = _xsub(reg_n, M.indeg()) if not M.is_zero() else -inf
     invariants["reg_N"] = reg_n

@@ -15,10 +15,11 @@ from cmreg import (BettiTable, BoundedComplex, ModuleMap, PresentedModule,
 from cmreg.freemod import FreeModule
 from cmreg.groebner import (GroebnerBasis, certify, groebner_basis,
                             syzygy_generators)
-from cmreg.minimize import _find_unit
+from cmreg.minimize import _find_unit, minimize_chain
 from cmreg.theorems import (nilpotent_scroll_family, random_ideal_corpus,
                             scroll_member)
 from test_groebner import naive_syzygy_generators
+from test_oracle import FIELDS, over_field
 from test_sessions import SESSIONS, load
 from test_subquotient import corpus_complexes, session_complexes
 
@@ -697,3 +698,98 @@ def test_scroll_member_matches_the_ideal_as_a_module(n):
     assert scroll_member(n)[3:] == (
         reg_via_betti(module_from_ideal(ring, minors))[0],
         reg_via_betti(module_from_ideal(ring, minors + [z]))[0])
+
+
+# -- Betti numbers off the frame: ranks of constant parts ---------------------
+
+def recorded_chains(monkeypatch):
+    """The chains `_resolve` reads Betti numbers off, as (twists, cols,
+    ring), appended as they come."""
+    res_mod = importlib.import_module("cmreg.resolution")
+    real = res_mod._betti_twists
+    chains = []
+
+    def recording(twists, cols, ring):
+        chains.append((twists, cols, ring))
+        return real(twists, cols, ring)
+
+    monkeypatch.setattr(res_mod, "_betti_twists", recording)
+    return chains
+
+
+def minimized_twists(twists, cols, K):
+    """{spot: sorted twists} of the chain minimized outright."""
+    tw, _, _ = minimize_chain(twists, cols, K)
+    return {i: sorted(t) for i, t in tw.items()}
+
+
+@pytest.mark.parametrize("max_len", [None, 1, 2, 3])
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_rank_betti_numbers_equal_the_minimized_twists(monkeypatch, field,
+                                                       max_len):
+    chains = recorded_chains(monkeypatch)
+    units = 0
+    for label, M in corpus_and_session_modules():
+        M = over_field(M, FIELDS[field])
+        chains.clear()
+        res = free_resolution(M, max_len=max_len)
+        (twists, cols, ring), = chains
+        ref = minimized_twists(twists, cols, ring.field)
+        units += sum(map(len, twists.values())) - sum(map(len, ref.values()))
+        got = {i: sorted(t) for i, t in res.twists.items()}
+        assert got == {i: ref[i] for i in got}, label
+        # a cut resolution drops the level of degree-restricted syzygies
+        # above its top; every other level it drops is empty
+        dropped = set(ref) - set(got)
+        assert all(not ref[i] for i in dropped if i < max(ref)), label
+        if not res.complete:
+            assert dropped == {max(ref)}, label
+        before = dict(res.twists)
+        assert res.is_minimal(), label
+        assert res.twists == before, label
+        assert resolution_to_complex(res).verify(), label
+    # the frames are not minimal, so the ranks do some work
+    assert units > 0
+
+
+def test_rank_betti_numbers_of_truncated_frames(monkeypatch):
+    # sigma<=k of a frame is a free complex with homology at k as well;
+    # the rank formula holds for any free complex
+    res_mod = importlib.import_module("cmreg.resolution")
+    real = res_mod._betti_twists
+    chains = recorded_chains(monkeypatch)
+    count = 0
+    for inst in random_ideal_corpus():
+        chains.clear()
+        free_resolution(inst.module)
+        (twists, cols, ring), = chains
+        for k in range(min(twists) + 1, max(twists) + 1):
+            tw = {i: t for i, t in twists.items() if i <= k}
+            cs = {i: c for i, c in cols.items() if i <= k}
+            got = {i: sorted(t) for i, t in real(tw, cs, ring).items()}
+            assert got == minimized_twists(tw, cs, ring.field), (inst.name, k)
+            count += 1
+    assert count > 60
+
+
+def test_the_betti_route_never_minimizes_a_frame_level(monkeypatch):
+    # A module's frame starts at level 2; only the loop's own minimization
+    # of d_1, before its Groebner step, is left.
+    res_mod = importlib.import_module("cmreg.resolution")
+    real = res_mod.minimize_chain
+    tops = []
+
+    def counting(twists, cols, K):
+        tops.append(max(cols))
+        return real(twists, cols, K)
+
+    monkeypatch.setattr(res_mod, "minimize_chain", counting)
+    # fresh modules for each entry, so that none reads a cached resolution
+    for entry in (lambda M: [betti_table(M.lift_to_cover(), max_len=n)
+                             for n in (None, 1, 2, 3)],
+                  reg_via_betti, depth):
+        for label, M in corpus_and_session_modules():
+            entry(M)
+    for n in (2, 3, 4):
+        scroll_member(n)
+    assert tops and set(tops) == {1}

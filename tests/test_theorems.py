@@ -5,10 +5,11 @@ from cmreg import (PresentedModule, check_ab_formula, check_cor_hom,
                    check_hom_dim1, check_ring_independence, check_thm_cmd1,
                    check_thm_dim1, complex_from_module, koszul_complex,
                    module_from_ideal, nilpotent_scroll_family,
-                   random_ideal_corpus, reg_via_betti, relative_reg,
+                   polynomial_ring, random_ideal_corpus, reg_via_betti, relative_reg,
                    run_corpus, saturated_sequence, summary_table)
-from cmreg.theorems import (TheoremContradiction, _finish, corpus_checks,
-                            scroll_sweep)
+from cmreg.complexes import free_complex_from_data
+from cmreg.theorems import (TheoremContradiction, _finish, _staircase,
+                            corpus_checks, scroll_sweep)
 
 
 def holds(out):
@@ -78,6 +79,75 @@ def test_dim1_hypothesis_fails_on_determinantal_cut(det_module):
     assert not holds(out)
     # conclusion still happens to be an equality here
     assert out.verdict == "equality"
+
+
+# sigma<=2 F of the minimal resolution F of S/I, I = (zw, xy + z^2, yz^3)
+# (corpus-101-00): H_0 = S/I has depth 1 and dimension 2, H_1 = 0, and H_2
+# has dimension 4.  reg L = 4 < 5 = sup{reg H_i - i}.
+MINUS_ONE = 32002
+TRUNCATION_TWISTS = {0: (0,), 1: (2, 2, 4), 2: (4, 5, 6)}
+TRUNCATION_COLS = {
+    1: [{(0, (0, 0, 1, 1)): 1},
+        {(0, (1, 1, 0, 0)): 1, (0, (0, 0, 2, 0)): 1},
+        {(0, (0, 1, 3, 0)): 1}],
+    2: [{(0, (1, 1, 0, 0)): 1, (1, (0, 0, 1, 1)): MINUS_ONE,
+         (0, (0, 0, 2, 0)): 1},
+        {(0, (0, 1, 2, 0)): 1, (2, (0, 0, 0, 1)): MINUS_ONE},
+        {(2, (0, 0, 2, 0)): 1, (1, (0, 1, 3, 0)): MINUS_ONE,
+         (2, (1, 1, 0, 0)): 1}],
+}
+
+
+def test_cmd1_reads_the_staircase_across_zero_homology():
+    # Read with the zero H_1 as depth infinity, the hypothesis held
+    # vacuously and the check raised TheoremContradiction (lhs 4, rhs 5).
+    # Across the gap it reads depth H_0 >= dim H_2 - 2, which fails.
+    S = polynomial_ring(["x", "y", "z", "w"])
+    L = free_complex_from_data(S, TRUNCATION_TWISTS, TRUNCATION_COLS)
+    assert L.verify()
+    out = check_thm_cmd1(L)
+    assert sorted(k for k in out.invariants if k.startswith("H_")) == [
+        "H_0", "H_2"]
+    assert out.hypothesis == {"verdict": "fails", "witnesses": [
+        {"spot": 0, "depth": 1, "dim_above": 4}]}
+    assert out.conclusion == {"verdict": "inequality", "lhs": 4, "rhs": 5}
+    assert out.invariants["termwise_bound"] == 4
+    out = check_thm_dim1(L)
+    assert not holds(out) and out.verdict == "inequality"
+
+
+def test_cmd1_staircase_between_neighbours_is_unchanged():
+    # with no zero homology between them, spots i and i + 1 compare by
+    # depth H_i >= dim H_{i+1} - 1, as before
+    profile = {0: {"depth": 1, "dim": 2}, 1: {"depth": 0, "dim": 3},
+               2: {"depth": 2, "dim": 2}}
+    assert _staircase(profile) == [(0, 1), (1, 2)]
+    profile[1]["depth"] = 1
+    assert _staircase(profile) == [(0, 1)]
+    del profile[1]
+    assert _staircase(profile) == []
+    profile[2]["dim"] = 4
+    assert _staircase(profile) == [(0, 2)]
+
+
+def test_hom_reads_the_staircase_across_zero_ext():
+    S = polynomial_ring(["x", "y", "z", "w"])
+    x, y, z, w = S.gens()
+    M = PresentedModule.cyclic(S, [x * y, x * z, x * w])
+    # Ext^i(M, S) is nonzero at i = 1 and 3: depth Ext^3 = 1 >= dim Ext^1 - 2
+    out = check_cor_hom(M, PresentedModule.cyclic(S, []))
+    assert sorted(k for k in out.invariants if k.startswith("Ext_")) == [
+        "Ext_1", "Ext_3"]
+    assert holds(out) and out.verdict == "equality"
+    # Ext^i(M, S/(x)) is nonzero at i = 0, 1 and 3, and depth Ext^3 = 0 <
+    # dim Ext^1 - 2 = 1.  Read with Ext^2 = 0 as depth infinity this
+    # hypothesis held vacuously.
+    out = check_cor_hom(M, PresentedModule.cyclic(S, [x]))
+    assert sorted(k for k in out.invariants if k.startswith("Ext_")) == [
+        "Ext_0", "Ext_1", "Ext_3"]
+    assert out.hypothesis == {"verdict": "fails", "witnesses": [
+        {"index": 3, "depth": 0, "dim_below": 3}]}
+    assert out.conclusion == {"verdict": "equality", "lhs": 0, "rhs": 0}
 
 
 def test_hom_check_on_determinantal(det_module):
