@@ -28,16 +28,16 @@ beta_{i,j} = dim H_i(F (x) k)_j = f_{i,j} - rank c_{i,j} - rank c_{i+1,j},
 where f_{i,j} counts F_i's generators of degree j and c_{i,j} is the
 constant part of d_i between the degree-j parts of F_i and F_{i-1} (La
 Scala and Stillman; Eroecal, Motsa, Schreyer and Steenpass, Refined
-algorithms to compute syzygies, JSC 2016).  So the twists, and all that
-is read off them, come from those ranks, by Gaussian elimination over
-the field.  The minimal differentials are the chain minimized once, on
-the first read of FreeResolution.cols, or the chain itself when the
-ranks show no unit; every level above the bottom is then sorted by
-degree, as its twists are.  The bottom level is final
-as built: the loop minimizes d_{lo+1} before its Groebner step, and a
-Groebner basis of columns with no unit has no unit.  Over a quotient
-ring the chain is minimal as built, but for a truncated top level, and
-is minimized at once.
+algorithms to compute syzygies, JSC 2016).  The constant parts form a
+complex over the field, and minimizing it, Gaussian elimination with
+scalars alone, removes exactly those ranks: the twists, and all that is
+read off them, are that complex's.  The minimal differentials are the
+chain minimized once, on the first read of FreeResolution.cols; every
+level above the bottom is then sorted by degree, as its twists are.
+The bottom level is final as built: the loop minimizes d_{lo+1} before
+its Groebner step, and a Groebner basis of columns with no unit has no
+unit.  Over a quotient ring the chain is minimal as built, but for a
+truncated top level, and is minimized at once.
 
 An empty level at or above L's top spot hi ends the loop: F is
 complete.  Over a polynomial ring that happens by level hi + the number
@@ -58,8 +58,6 @@ cmreg.freemod, the dicts twists and cols, keyed by spot, that the loop
 builds and minimize_chain and free_complex_from_data read.
 """
 
-from collections import Counter
-from heapq import heapify, heappop, heappush
 from math import inf
 
 from .freemod import FreeModule, vec_degree
@@ -268,81 +266,24 @@ def _resolve(ring, terms, diffs, max_len):
 
 
 def _betti_twists(twists, cols, ring):
-    """The twists of the minimized chain, off the ranks of the constant
-    parts of its maps (module docstring); levels above the bottom come
-    sorted by degree, and the bottom level, final as built, keeps its
-    order.  Passenger rows take no part."""
-    lo = min(twists)
-    ranks = {i: _constant_ranks(cs, twists[i], len(twists[i - 1]), ring)
-             for i, cs in cols.items()}
-    out = {lo: twists[lo]}
-    for i, tw in twists.items():
-        if i == lo:
-            continue
-        left = Counter(tw)
-        left.subtract(ranks.get(i, {}))
-        left.subtract(ranks.get(i + 1, {}))
-        out[i] = tuple(sorted(left.elements()))
-    return out
-
-
-def _constant_ranks(cols, degrees, rows, ring):
-    """{j: rank of the constant part of the degree-j columns} for columns
-    of these degrees, over their positions below `rows`; a constant entry
-    sits in a row of its column's degree."""
+    """The twists of the minimized chain, read off its constant part, a
+    complex over the field (module docstring): minimizing that complex
+    leaves f_{i,j} - rank c_{i,j} - rank c_{i+1,j} generators of degree j
+    at each level.  Levels above the bottom come sorted by degree.  As
+    in any chain, passenger rows are never pivots."""
     one = (0,) * ring.nvars
-    blocks = {}
-    for k, col in enumerate(cols):
-        const = {p: c for (p, m), c in col.items() if m == one and p < rows}
-        if const:
-            blocks.setdefault(degrees[k], []).append(const)
-    return {j: _rank(vecs, ring.field) for j, vecs in blocks.items()}
-
-
-def _rank(vecs, K):
-    """Rank of sparse vectors {position: scalar}, by Gaussian elimination.
-    A pivot row is reduced by the earlier ones, so it holds no earlier
-    pivot's position; a vector is reduced by the pivots at its positions
-    in the order they were made, and a pivot row it takes in only adds
-    later ones."""
-    pivots, at = [], {}  # pivot rows; position -> index of its pivot
-    for v in vecs:
-        todo = [at[p] for p in v if p in at]
-        heapify(todo)
-        while todo:
-            p, piv = pivots[heappop(todo)]
-            c = v.get(p)
-            if c is None:
-                continue
-            for q, a in piv.items():
-                w = v.get(q)
-                if w is None:
-                    v[q] = K.neg(K.mul(c, a))
-                    if q in at:
-                        heappush(todo, at[q])
-                else:
-                    w = K.sub(w, K.mul(c, a))
-                    if K.is_zero(w):
-                        del v[q]
-                    else:
-                        v[q] = w
-        if v:
-            p, c = next(iter(v.items()))
-            at[p] = len(pivots)
-            inv = K.inv(c)
-            pivots.append((p, {q: K.mul(a, inv) for q, a in v.items()}))
-    return len(pivots)
+    const = {i: [{t: c for t, c in col.items() if t[1] == one} for col in cs]
+             for i, cs in cols.items()}
+    tw = minimize_chain(twists, const, ring.field)[0]
+    lo = min(tw)
+    return {i: t if i == lo else tuple(sorted(t)) for i, t in tw.items()}
 
 
 def _minimal_cols(twists, frame_twists, frame_cols, K):
     """The columns of the minimized chain whose twists `_betti_twists`
     read off (twists, with its dropped levels), levels above the bottom
     sorted by degree."""
-    if all(len(tw) == len(frame_twists[i]) for i, tw in twists.items()):
-        # no unit touches a level that is kept: those are minimal already
-        tw, cols = frame_twists, frame_cols
-    else:
-        tw, cols, _ = minimize_chain(frame_twists, frame_cols, K)
+    tw, cols, _ = minimize_chain(frame_twists, frame_cols, K)
     lo = min(twists)
     tw = {i: tw[i] for i in twists}
     cols = {i: cols[i] for i in twists if i > lo}
