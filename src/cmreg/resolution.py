@@ -22,8 +22,8 @@ so they are resolved further with no Buchberger run and no
 minimization.  Over a quotient ring every level adds I*F's columns, so
 every level takes the Groebner step.
 
-Over a polynomial ring the finished chain is not minimized.  For any
-graded free resolution F,
+The finished chain is not minimized.  For any graded free resolution F,
+over any standard graded ring,
 beta_{i,j} = dim H_i(F (x) k)_j = f_{i,j} - rank c_{i,j} - rank c_{i+1,j},
 where f_{i,j} counts F_i's generators of degree j and c_{i,j} is the
 constant part of d_i between the degree-j parts of F_i and F_{i-1} (La
@@ -34,10 +34,9 @@ scalars alone, removes exactly those ranks: the twists, and all that is
 read off them, are that complex's.  The minimal differentials are the
 chain minimized once, on the first read of FreeResolution.cols; every
 level above the bottom is then sorted by degree, as its twists are.
-The bottom level is final as built: the loop minimizes d_{lo+1} before
-its Groebner step, and a Groebner basis of columns with no unit has no
-unit.  Over a quotient ring the chain is minimal as built, but for a
-truncated top level, and is minimized at once.
+The loop's bottom level is final as built: the loop minimizes d_{lo+1}
+before its Groebner step, and a Groebner basis of columns with no unit
+has no unit.
 
 An empty level at or above L's top spot hi ends the loop: F is
 complete.  Over a polynomial ring that happens by level hi + the number
@@ -50,12 +49,13 @@ syzygies only in its generators' degrees, which are then dropped.
 
 `free_resolution` is the one way into the loop.  It takes a presented
 module (the one-term complex at spot 0) or a bounded complex, and keeps
-the result on that object; a complex of free modules needs no loop and
-is only minimized.  cmreg.complexes imports this module, so a complex is
-recognized by its terms and diffs dicts, not by its class.  A
-FreeResolution keeps the chain in the free-chain layout of
-cmreg.freemod, the dicts twists and cols, keyed by spot, that the loop
-builds and minimize_chain and free_complex_from_data read.
+the result on that object; a complex of free modules needs no loop, as
+it is its own chain, and its twists and cols are read the same way.
+cmreg.complexes imports this module, so a complex is recognized by its
+terms and diffs dicts, not by its class.  A FreeResolution keeps the
+chain in the free-chain layout of cmreg.freemod, the dicts twists and
+cols, keyed by spot, that the loop builds and minimize_chain and
+free_complex_from_data read.
 """
 
 from math import inf
@@ -73,25 +73,25 @@ class FreeResolution:
     cols[i] the columns of d_i : F_i -> F_{i-1}.  A module's resolution
     starts at spot 0.
 
-    The twists are the minimal ones.  Built from an unminimized chain
-    (`frame`, a (twists, cols) pair), cols is that chain minimized on its
-    first read, and the chain is then dropped."""
+    The twists are the minimal ones, read off `chain`, the unminimized
+    (twists, cols) pair they come from; cols is that chain minimized on
+    its first read, and the chain is then dropped."""
 
-    __slots__ = ("ring", "twists", "complete", "_cols", "_frame")
+    __slots__ = ("ring", "twists", "complete", "_cols", "_chain")
 
-    def __init__(self, ring, twists, cols, complete, frame=None):
+    def __init__(self, ring, twists, complete, chain):
         self.ring = ring
         self.twists = twists
         self.complete = complete
-        self._cols = cols
-        self._frame = frame
+        self._cols = None
+        self._chain = chain
 
     @property
     def cols(self):
         if self._cols is None:
-            self._cols = _minimal_cols(self.twists, *self._frame,
+            self._cols = _minimal_cols(self.twists, *self._chain,
                                        self.ring.field)
-            self._frame = None
+            self._chain = None
         return self._cols
 
     @property
@@ -138,10 +138,9 @@ def free_resolution(obj, max_len=None):
     """Minimal free resolution of a presented module, the one-term complex
     at spot 0, or of a bounded complex, over the object's own ring,
     truncated as `_truncation` reads max_len.  The result is cached on
-    obj; equal truncations share one entry.  Over a polynomial ring the
-    Betti numbers are read off an unminimized chain, which is minimized
-    only when the differentials, cols, are first read (module
-    docstring)."""
+    obj; equal truncations share one entry.  The Betti numbers are read
+    off an unminimized chain, which is minimized only when the
+    differentials, cols, are first read (module docstring)."""
     check_max_len(max_len)
     if isinstance(obj, PresentedModule):
         terms, diffs, free = {0: obj}, {}, False
@@ -157,21 +156,21 @@ def free_resolution(obj, max_len=None):
     span = max(terms) - min(terms) if terms else 0
     max_len = _truncation(ring, span, max_len)
     return _cached(obj, ("resolution", max_len), lambda: FreeResolution(
-        ring, *(_minimal_free_chain(ring, terms, diffs) if free
+        ring, *(_free_chain(ring, terms, diffs) if free
                 else _resolve(ring, terms, diffs, max_len))))
 
 
-def _minimal_free_chain(ring, terms, diffs):
-    """(twists, cols, True) for a complex of free modules: its chain, spots
-    ascending, minimized.  An unstored differential between two terms is
-    zero, and the minimizer still needs a column list of the right length
-    for it."""
-    twists = {i: tuple(terms[i].gens_free.twists) for i in sorted(terms)}
+def _free_chain(ring, terms, diffs):
+    """(twists, True, chain) for a complex of free modules, which is its
+    own chain: a level at every spot from its bottom to its top, empty
+    where it has no term.  An unstored differential is zero, and the
+    minimizer still needs a column list of the right length for it."""
+    twists = {i: tuple(terms[i].gens_free.twists) if i in terms else ()
+              for i in range(min(terms, default=0), max(terms, default=-1) + 1)}
     cols = {i: [dict(c) for c in diffs[i].cols] if i in diffs
             else [{} for _ in twists[i]]
             for i in twists if i - 1 in twists}
-    twists, cols, _ = minimize_chain(twists, cols, ring.field)
-    return twists, cols, True
+    return _betti_twists(twists, cols, ring), True, (twists, cols)
 
 
 def _shift(vec, rows):
@@ -187,9 +186,9 @@ def _cover_columns(ring, terms, diffs, n, rank, lift):
 
 
 def _resolve(ring, terms, diffs, max_len):
-    """(twists, cols, complete) of F for the complex L with these terms and
-    differentials (module docstring); over a polynomial ring cols is None,
-    followed by the unminimized chain (twists, cols) it comes from."""
+    """(twists, complete, chain) of F for the complex L with these terms
+    and differentials (module docstring): the minimal twists, read off
+    chain, the unminimized (twists, cols) pair the loop builds."""
     K = ring.field
     lo, hi = min(terms), max(terms)
     # from this level on d_k's columns are the trace syzygies alone
@@ -240,12 +239,8 @@ def _resolve(ring, terms, diffs, max_len):
             nxt += _cover_columns(ring, terms, diffs, level + 1,
                                   len(cols[level]),
                                   lambda v: gb.lift(_shift(v, rank)))
-    if ring.is_polynomial:
-        chain = (twists, cols)
-        twists = _betti_twists(twists, cols, ring)
-    elif not complete:
-        # the top level is not minimal yet
-        twists, cols, _ = minimize_chain(twists, cols, K)
+    chain = (twists, cols)
+    twists = _betti_twists(twists, cols, ring)
     if not complete:
         del twists[level + 1]
     # A frame level can be left with no Betti numbers.  Past an empty
@@ -256,13 +251,11 @@ def _resolve(ring, terms, diffs, max_len):
         for i in range(min(ends), level + 2):
             twists.pop(i, None)
         complete = True
-    if ring.is_polynomial:
-        if max(twists) > hi + ring.nvars:
-            raise RuntimeError(
-                f"resolution over a polynomial ring in {ring.nvars} "
-                f"variables has generators at level {max(twists)}")
-        return twists, None, complete, chain
-    return twists, {i: cols[i] for i in twists if i > lo}, complete
+    if ring.is_polynomial and max(twists) > hi + ring.nvars:
+        raise RuntimeError(
+            f"resolution over a polynomial ring in {ring.nvars} "
+            f"variables has generators at level {max(twists)}")
+    return twists, complete, chain
 
 
 def _betti_twists(twists, cols, ring):
@@ -275,16 +268,16 @@ def _betti_twists(twists, cols, ring):
     const = {i: [{t: c for t, c in col.items() if t[1] == one} for col in cs]
              for i, cs in cols.items()}
     tw = minimize_chain(twists, const, ring.field)[0]
-    lo = min(tw)
+    lo = min(tw, default=0)
     return {i: t if i == lo else tuple(sorted(t)) for i, t in tw.items()}
 
 
-def _minimal_cols(twists, frame_twists, frame_cols, K):
+def _minimal_cols(twists, chain_twists, chain_cols, K):
     """The columns of the minimized chain whose twists `_betti_twists`
     read off (twists, with its dropped levels), levels above the bottom
     sorted by degree."""
-    tw, cols, _ = minimize_chain(frame_twists, frame_cols, K)
-    lo = min(twists)
+    tw, cols, _ = minimize_chain(chain_twists, chain_cols, K)
+    lo = min(twists, default=0)
     tw = {i: tw[i] for i in twists}
     cols = {i: cols[i] for i in twists if i > lo}
     for i in twists:
@@ -342,15 +335,17 @@ class BettiTable:
     def render(self):
         if not self.entries:
             return "(zero module)"
-        imax = max(i for (i, _) in self.entries)
+        # a complex can have entries at negative spots
+        spots = range(min(0, *(i for (i, _) in self.entries)),
+                      max(i for (i, _) in self.entries) + 1)
         rows = sorted({j - i for (i, j) in self.entries})
         width = max(len(str(v)) for v in self.entries.values())
-        width = max(width, len(str(imax)), 2)
-        head = "  j-i | " + " ".join(f"{i:>{width}}" for i in range(imax + 1))
+        width = max(width, *(len(str(i)) for i in spots), 2)
+        head = "  j-i | " + " ".join(f"{i:>{width}}" for i in spots)
         lines = [head, "  " + "-" * (len(head) - 2)]
         for r in rows:
             cells = []
-            for i in range(imax + 1):
+            for i in spots:
                 v = self.entries.get((i, r + i), 0)
                 cells.append(f"{v if v else '.':>{width}}")
             lines.append(f"{r:>5} | " + " ".join(cells))

@@ -2,7 +2,8 @@
 per object and key, and a compute that raises stores nothing.  Also the
 source lints over src/cmreg: only memo writes object caches, the one
 resolution loop, `resolution._resolve`, is the only caller of the syzygy
-step and is entered only through `free_resolution`, nothing calls
+step and is entered only through `free_resolution`, which alone builds a
+`FreeResolution`, resolutions minimize in three places, nothing calls
 `free_resolution_of_complex`, the complex layer presents no kernels, and
 the dense oracle imports nothing from the Groebner, Hilbert or resolution
 layers."""
@@ -218,6 +219,30 @@ def test_the_resolution_loop_is_entered_only_through_free_resolution():
     sites = call_sites("_resolve")
     assert [(f, func) for f, _, func in sites] == [
         ("resolution.py", "free_resolution")]
+
+
+def test_a_resolution_is_built_only_by_free_resolution():
+    sites = call_sites("FreeResolution")
+    assert [(f, func) for f, _, func in sites] == [
+        ("resolution.py", "free_resolution")]
+
+
+def test_resolutions_minimize_in_three_places():
+    """The loop minimizes each level before its Groebner run; the twists
+    of every resolution are read by `_betti_twists` and its cols minimized
+    by `_minimal_cols`."""
+    sites = [(func, line) for f, line, func in call_sites("minimize_chain")
+             if f == "resolution.py"]
+    assert [func for func, _ in sites] == [
+        "_resolve", "_betti_twists", "_minimal_cols"]
+    [source] = [src for name, _, src in sources() if name == "resolution.py"]
+    [resolve] = [node for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "_resolve"]
+    [loop] = [node for node in ast.walk(resolve)
+              if isinstance(node, ast.While)]
+    [(run, _)] = calls(source, "groebner_basis")
+    assert loop.lineno < sites[0][1] < run <= loop.end_lineno
 
 
 def test_nothing_calls_free_resolution_of_complex():

@@ -12,6 +12,7 @@ from cmreg import (BettiTable, BoundedComplex, ModuleMap, PresentedModule,
                    koszul_complex, module_from_ideal, parse_session, pd,
                    polynomial_ring, reg_via_betti, regularity, relative_reg,
                    resolution_to_complex, tor)
+from cmreg.complexes import free_complex_from_data
 from cmreg.freemod import FreeModule
 from cmreg.groebner import (GroebnerBasis, certify, groebner_basis,
                             syzygy_generators)
@@ -110,6 +111,29 @@ def test_render_mentions_every_column(S3):
     bt = betti_table(PresentedModule.cyclic(S3, [x * x, y * y * y]))
     text = bt.render()
     assert isinstance(text, str) and text
+
+
+def test_render_starts_at_the_lowest_spot():
+    # printed only column 0 and an all-dot row for j-i = 2
+    S = polynomial_ring(["x", "y"])
+    x, y = S.gens()
+    L = koszul_complex([x], PresentedModule.cyclic(S, [x * y])).shift(-2)
+    bt = betti_table(L)
+    assert bt.entries == {(-2, 0): 1, (-1, 1): 1, (-1, 2): 1, (0, 3): 1}
+    assert bt.render() == "\n".join([
+        "  j-i | -2 -1  0",
+        "  --------------",
+        "    2 |  1  1  .",
+        "    3 |  .  1  1"])
+    # a table at spots >= 0 starts at column 0
+    bt = betti_table(PresentedModule.cyclic(S, [x * x, y * y * y]))
+    assert bt.render() == "\n".join([
+        "  j-i |  0  1  2",
+        "  --------------",
+        "    0 |  1  .  .",
+        "    1 |  .  1  .",
+        "    2 |  .  1  .",
+        "    3 |  .  .  1"])
 
 
 # -- truncated resolutions over quotient rings ------------------------------
@@ -419,7 +443,8 @@ def test_hypersurface_pair_completes_at_max_len_two(monkeypatch):
         chains.clear()
         res = free_resolution(M, max_len=2)
         assert res.complete and res.length == 1
-        twists, cols = chains[-1]
+        # the loop's last minimization, before its Groebner step at level 2
+        twists, cols = [c for c in chains if 2 in c[1]][-1]
         level2 = cols[2]
         zero = groebner_basis([], M.ring, FreeModule(M.ring, twists[1]))
         assert level2 and all(level2)
@@ -556,6 +581,27 @@ def test_a_free_complex_is_only_minimized(monkeypatch):
     res = free_resolution(one)
     assert res.complete and res.betti() == {} and res.length == 0
     assert reg_via_betti(one) == (-inf, None)
+
+
+def test_free_complex_edge_cases():
+    S = polynomial_ring(["x", "y"])
+    empty = BoundedComplex(S, {}, {})
+    res = free_resolution(empty)
+    assert res.twists == {} and res.complete and res.cols == {}
+    assert reg_via_betti(empty) == (-inf, None)
+    # a zero middle term: no differential touches spot 2
+    gap = free_complex_from_data(S, {0: (0,), 1: (), 2: (2,)}, {})
+    res = free_resolution(gap)
+    assert res.complete and res.betti() == {(0, 0): 1, (2, 2): 1}
+    assert res.is_minimal() and resolution_to_complex(res).verify()
+    assert res.length == 2
+    # the exact chain S <-1- S
+    one = free_complex_from_data(S, {0: (0,), 1: (0,)},
+                                 {1: [{(0, (0, 0)): S.field.one}]})
+    res = free_resolution(one)
+    assert res.twists == {0: (), 1: ()} and res.complete
+    assert res.cols == {1: []}
+    assert reg_via_betti(one)[0] == -inf
 
 
 @pytest.mark.parametrize("name, binding", [("determinantal.cmreg", "M"),
@@ -798,3 +844,56 @@ def test_the_betti_route_never_minimizes_a_frame_level(monkeypatch):
     for n in (2, 3, 4):
         scroll_member(n)
     assert tops and set(tops) == {1}
+
+
+# -- one Betti read for every ring and every free complex ---------------------
+
+def test_a_free_complex_lists_levels_above_the_bottom_by_degree():
+    S = polynomial_ring(["x", "y"])
+    x, y = S.gens()
+    res = free_resolution(koszul_complex([y * y, x]))
+    assert res.twists == {0: (0,), 1: (1, 2), 2: (3,)}
+    assert res.is_minimal() and resolution_to_complex(res).verify()
+
+
+@pytest.mark.parametrize("max_len", [None, 1, 2, 3])
+def test_quotient_ring_twists_and_cols_are_the_chain_minimized(monkeypatch,
+                                                               max_len):
+    # over a quotient ring the loop minimizes every level before its
+    # Groebner step, so the chain minimized outright is what it was
+    chains = recorded_chains(monkeypatch)
+    count = 0
+    for label, M in corpus_and_session_modules():
+        if M.ring.is_polynomial:
+            continue
+        chains.clear()
+        res = free_resolution(M, max_len=max_len)
+        (twists, cols, ring), = chains
+        tw, cs, _ = minimize_chain(twists, cols, ring.field)
+        lo = min(res.twists)
+        assert res.twists == {i: tw[i] for i in res.twists}, label
+        assert res.cols == {i: cs[i] for i in res.twists if i > lo}, label
+        count += 1
+    assert count == 5
+
+
+def test_an_unminimized_chain_resolves_as_a_free_complex(monkeypatch):
+    # the frame of each corpus module, read back as a free complex, is
+    # minimized on the free-complex path down to the module's resolution
+    chains = recorded_chains(monkeypatch)
+    units = 0
+    for inst in random_ideal_corpus():
+        chains.clear()
+        res = free_resolution(inst.module)
+        (twists, cols, ring), = chains
+        F = free_resolution(free_complex_from_data(ring, twists, cols))
+        assert F.complete, inst.name
+        assert ({i: tw for i, tw in F.twists.items() if tw}
+                == {i: tw for i, tw in res.twists.items() if tw}), inst.name
+        assert all(list(tw) == sorted(tw) for i, tw in F.twists.items()
+                   if i > min(F.twists)), inst.name
+        assert F.is_minimal(), inst.name
+        assert resolution_to_complex(F).verify(), inst.name
+        units += (sum(map(len, twists.values()))
+                  - sum(map(len, F.twists.values())))
+    assert units > 0

@@ -3,10 +3,12 @@ import pytest
 from cmreg import (PresentedModule, check_ab_formula, check_cor_hom,
                    check_cor_tensor, check_filter_regular_formula,
                    check_hom_dim1, check_ring_independence, check_thm_cmd1,
-                   check_thm_dim1, complex_from_module, koszul_complex,
-                   module_from_ideal, nilpotent_scroll_family,
-                   polynomial_ring, random_ideal_corpus, reg_via_betti, relative_reg,
-                   run_corpus, saturated_sequence, summary_table)
+                   check_thm_dim1, complex_from_module, free_resolution,
+                   koszul_complex, module_from_ideal, nilpotent_scroll_family,
+                   polynomial_ring, random_ideal_corpus, reg_via_betti,
+                   reg_via_ext, reg_via_koszul, relative_reg,
+                   resolution_to_complex, run_corpus, saturated_sequence,
+                   summary_table)
 from cmreg.complexes import free_complex_from_data
 from cmreg.theorems import (TheoremContradiction, _finish, _staircase,
                             corpus_checks, scroll_sweep)
@@ -114,6 +116,30 @@ def test_cmd1_reads_the_staircase_across_zero_homology():
     assert out.invariants["termwise_bound"] == 4
     out = check_thm_dim1(L)
     assert not holds(out) and out.verdict == "inequality"
+
+
+def test_truncations_of_corpus_resolutions():
+    # sigma<=k F, 1 <= k < pd, of each corpus module's resolution F, a free
+    # complex with homology at spots 0 and k only: the three routes agree,
+    # and the staircase hypothesis fails with no contradiction
+    count = 0
+    for inst in random_ideal_corpus():
+        F = free_resolution(inst.module)
+        for k in range(1, F.length):
+            L = free_complex_from_data(
+                inst.ring, {i: tw for i, tw in F.twists.items() if i <= k},
+                {i: cs for i, cs in F.cols.items() if i <= k})
+            label = (inst.name, k)
+            reg = reg_via_betti(L)[0]
+            assert reg_via_ext(L)[0] == reg == reg_via_koszul(L)[0], label
+            G = free_resolution(L)
+            assert G.is_minimal() and resolution_to_complex(G).verify(), label
+            for check in (check_thm_cmd1, check_thm_dim1):
+                out = check(L)
+                assert out.hypothesis["verdict"] == "fails", label
+                assert out.verdict == "inequality", label
+            count += 1
+    assert count == 29
 
 
 def test_cmd1_staircase_between_neighbours_is_unchanged():
