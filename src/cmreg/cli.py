@@ -8,9 +8,14 @@ means the engine itself is broken.
 JSON output is deterministic: identical input and identical --seed give
 byte-identical bytes.  Infinite values are encoded as null plus a "kind"
 tag, since JSON has no infinities.
+
+`main` builds its argument parser once per process, on the first call, so
+in-process callers stop paying for argparse on every later call; a
+one-shot `cmreg` process builds it once either way and is unchanged.
 """
 
 import argparse
+import functools
 import json
 import sys
 from math import inf
@@ -271,6 +276,10 @@ def cmd_oracle(session, args):
     # it lies above 0
     lowest = min(Mc.gens_free.twists, default=0)
     lo, hi = min(0, lowest), d_cap + max(0, lowest)
+    if hi < lo:
+        raise UsageError(f"--max-degree {d_cap} leaves the oracle window "
+                         f"empty: it would end at degree {hi}, below its "
+                         f"start at degree {lo}")
     bt = betti_table(Mc)
     oc = DenseOracle(Mc, max_degree=max(8, d_cap + Mc.ring.nvars))
     betti_rows = []
@@ -350,7 +359,10 @@ def _add_global_flags(p, trailing):
                    help="override the prime of every GF declaration", **d)
 
 
+@functools.cache
 def build_parser():
+    # parse_args leaves the parser as it found it: every call fills a fresh
+    # Namespace and writes usage and errors to the sys.stderr of the moment
     ap = argparse.ArgumentParser(
         prog="cmreg",
         description="Exact regularity of graded modules and complexes, "

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -212,6 +213,31 @@ def test_oracle_window_ends_above_a_high_generator(tmp_path, capsys):
     assert result["hilbert"][14] == {"degree": 14, "series": 13, "oracle": 13}
 
 
+LOW_GENERATOR = ("ring S = GF(32003)[x, y, z];\n"
+                 "module M = coker(S, [-2], [[x^2, y*z]]);\n")
+
+
+@pytest.mark.parametrize("text,cap,rows", [
+    (LOW_GENERATOR, -3, None), (LOW_GENERATOR, -2, (1, 1)),
+    (LOW_GENERATOR, -1, (1, 2)), (SESSION, -1, None), (SESSION, 0, (1, 1))],
+    ids=["low-3", "low-2", "low-1", "det-1", "det0"])
+def test_oracle_refuses_an_empty_window(tmp_path, capsys, text, cap, rows):
+    # the window runs from min(0, lowest generator) up to the cap; below
+    # that start it once compared nothing and still reported agreement
+    p = tmp_path / "s.cmreg"
+    p.write_text(text)
+    code, out, err = run(capsys, "--session", str(p),
+                         "--max-degree", str(cap), "oracle", "M")
+    if rows is None:
+        assert (code, out) == (1, "")
+        assert f"--max-degree {cap}" in err and "empty" in err
+        return
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    assert result["agrees"] is True
+    assert (len(result["betti"]), len(result["hilbert"])) == rows
+
+
 def _shifted_session(tmp_path, k):
     p = tmp_path / f"shift{k}.cmreg"
     p.write_text("ring S = GF(32003)[x, y, z, w];\n"
@@ -341,3 +367,80 @@ module N = cyclic(B);
     code, _, err = run(capsys, "--session", str(p), "tor", "M", "N")
     assert code == 1
     assert "different rings" in err
+
+
+# -- one parser per process ---------------------------------------------------
+
+QUADRICS = ("ring S = GF(32003)[x, y];\n"
+            "ideal I = x^2, y^2;\n"
+            "ring R = S / I;\n"
+            "ideal m = x, y;\n"
+            "module k = cyclic(R, m);\n")
+
+# each flag changes the output of its command, before or after it
+FLAGGED = [
+    ("--format", "text", "depth", "k"),
+    ("depth", "k", "--format", "text"),
+    ("--max-len", "2", "betti", "k"),
+    ("betti", "k", "--max-len", "2"),
+    ("--field", "101", "reg", "k"),
+    ("reg", "k", "--field", "101"),
+    ("--seed", "7", "check", "filter", "--module", "k", "--form", "x+y"),
+    ("check", "filter", "--module", "k", "--form", "x+y", "--seed", "7"),
+    ("--max-degree", "2", "hilbert", "k"),
+    ("hilbert", "k", "--max-degree", "2"),
+]
+PLAIN = [("depth", "k"), ("betti", "k"), ("reg", "k"),
+         ("check", "filter", "--module", "k", "--form", "x+y"),
+         ("hilbert", "k")]
+REFUSED = [("--max-len", "0", "reg", "k"), ("nosuch", "k"),
+           ("family", "nilpotent-scroll")]
+
+
+def test_parser_reuse_leaks_no_state(tmp_path, capsys):
+    p = tmp_path / "quadrics.cmreg"
+    p.write_text(QUADRICS)
+    calls = [("--session", str(p)) + c for c in FLAGGED + PLAIN + REFUSED]
+    forward = {c: run(capsys, *c) for c in calls}
+    backward = {c: run(capsys, *c) for c in reversed(calls)}
+    assert forward == backward
+    ok = len(FLAGGED) + len(PLAIN)
+    assert [forward[c][:2] for c in calls[ok:]] == [(1, "")] * len(REFUSED)
+    flagged = [forward[c] for c in calls[:len(FLAGGED)]]
+    plain = [forward[c] for c in calls[len(FLAGGED):ok]]
+    assert all(code == 0 for code, _, _ in flagged + plain)
+    # a flag reads the same before and after the subcommand, and it
+    # changes the output, so a flag kept from an earlier call would show
+    assert flagged[0::2] == flagged[1::2]
+    assert len({out for _, out, _ in flagged[0::2] + plain}) == (
+        len(FLAGGED) // 2 + len(PLAIN))
+    for c in (calls[0], calls[len(FLAGGED)]):
+        proc = run_child("-m", "cmreg.cli", *c)
+        assert (proc.returncode, proc.stdout) == forward[c][:2]
+
+
+def test_a_second_call_builds_no_parser(session_file, capsys, monkeypatch):
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(capsys, "--session", session_file, "dim", "M")[0] == 0
+    built.clear()
+    assert run(capsys, "--session", session_file, "dim", "M")[0] == 0
+    assert built == []
+    argparse.ArgumentParser(prog="probe")  # the counter does see one
+    assert built == ["probe"]
+
+
+@pytest.mark.parametrize("turn", [1, 2])
+def test_argparse_errors_reach_the_current_stderr(capsys, turn):
+    # each turn has its own capsys: a parser holding on to the first
+    # turn's stream would leave the second one's stderr empty
+    code, out, err = run(capsys, "--max-len", "0", "dim", "M")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: cmreg")
+    assert "--max-len" in err
