@@ -141,6 +141,9 @@ def cmd_hilbert(session, args):
     lo = 0 if ind == inf else min(ind, 0)
     if args.max_degree is not None:
         hi = args.max_degree
+        if hi < lo:
+            raise UsageError(f"--max-degree {hi} leaves the hilbert window "
+                             f"empty: it starts at degree {lo}")
     elif top != inf:
         hi = top
     else:
@@ -185,6 +188,10 @@ def _derived(session, args, key, build, sign):
         H = C.homology_series(sign * i)
         if not H.is_zero():
             entries.append({"i": i, **_module_profile(H, args.max_degree)})
+    if entries and not any(e["values"] for e in entries):
+        start = min(e["indeg"] for e in entries)
+        raise UsageError(f"--max-degree {args.max_degree} leaves every {key} "
+                         f"window empty: the lowest starts at degree {start}")
     return {"modules": [args.first, args.second], key: entries,
             "truncated": not res.complete}
 

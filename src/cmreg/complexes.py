@@ -167,8 +167,8 @@ class BoundedComplex:
         return f"<complex [{parts}]>"
 
 
-def complex_from_module(M, at=0):
-    return BoundedComplex(M.ring, {at: M}, {})
+def complex_from_module(M):
+    return BoundedComplex(M.ring, {0: M}, {})
 
 
 def _as_complex(obj):
@@ -231,9 +231,7 @@ def koszul_complex(forms, coefficients=None):
     free_k = free_complex_from_data(ring, twists, cols)
     if coefficients is None:
         return free_k
-    if isinstance(coefficients, PresentedModule):
-        coefficients = complex_from_module(coefficients)
-    return tensor_free_with_complex(free_k, coefficients)
+    return tensor_free_with_complex(free_k, _as_complex(coefficients))
 
 
 def koszul_resolution_of_k(ring):

@@ -86,10 +86,11 @@ needs Buchberger only where its columns are more than syzygies
 
 Reuse: a Buchberger run can start from a known Groebner basis and queue
 only the pairs that involve a new generator (`_buchberger`'s `known`;
-the homology layer seeds each cokernel's basis with its target's), and a
-direct sum's basis is its summands' bases side by side
-(`direct_sum_basis`), since position-over-term order never compares two
-blocks.
+the homology layer seeds each cokernel's basis with its target's, and
+the module path each tagged relation run with the basis it holds on the
+leading positions, cmreg.modules), and a direct sum's basis is its
+summands' bases side by side (`direct_sum_basis`), since
+position-over-term order never compares two blocks.
 
 The coprimality (product) criterion is only applied at rank one.  For
 modules it is wrong: g1 = (x, y), g2 = (y^2, x) in R^2 have coprime lead
@@ -524,10 +525,11 @@ def groebner_basis(vectors, ring, free, *, known=None):
     """Reduced Groebner basis of the submodule of `free` generated by
     `vectors`, over `ring` (augmented through the cover for quotients).
 
-    `known`, internal: a GroebnerBasis of a submodule of `free` (with its
-    defining columns over a quotient ring).  The result is then the basis
-    of that submodule plus `vectors`, grown from `known` without
-    reducing its pairs again (`_buchberger`)."""
+    `known`, internal: a GroebnerBasis of a submodule of a free module
+    whose twists lead `free`'s (with its defining columns over a quotient
+    ring).  The result is then the basis of that submodule plus `vectors`,
+    grown from `known` without reducing its pairs again (`_buchberger`);
+    only positions past `known.free` get defining columns of their own."""
     K = ring.field
     P = _packing(ring.nvars)
     gens = [v for v in vectors if v]
@@ -535,12 +537,10 @@ def groebner_basis(vectors, ring, free, *, known=None):
         if not vec_is_homogeneous(v, free.twists):
             raise ValueError("submodule generator is not homogeneous")
     aug = _augmented_columns(ring, free)
+    seeds = known.elements if known else ()
+    start = known.free.rank if known else 0
     packed = [P.encode_vec(v) for v in gens]
-    if known is None:
-        seeds = ()
-        packed += [a.terms for a in aug]
-    else:
-        seeds = known.elements
+    packed += [a.terms for a in aug if a.pos >= start]
     elems = _buchberger(packed, K, free.twists, free.rank == 1, P, seeds)
     if ring.is_polynomial:
         module_indices = list(range(len(elems)))

@@ -128,9 +128,6 @@ class HilbertSeries:
                 total += c * comb(n - 1 + k, k) if n > 0 else (c if k == 0 else 0)
         return total
 
-    def coefficients(self, lo, hi):
-        return {j: self.coefficient(j) for j in range(lo, hi + 1)}
-
     def top_degree(self):
         """Largest degree with a nonzero piece; requires dimension <= 0."""
         if not self.numerator:

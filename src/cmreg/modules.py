@@ -3,14 +3,16 @@
 A module is a cokernel: free module of generators (with twists) modulo the
 span of relation columns; over a quotient ring the defining ideal is folded
 in by the Groebner layer.  Kernels, homology, colons and annihilators all
-reduce to one primitive: syzygies of an explicit list of vectors, computed
-by the basis-element elimination trick (adjoin a unit tag column per
-vector, take basis elements supported only on the tags).
+reduce to one primitive: the relations of some vectors modulo a submodule
+whose Groebner basis the caller already holds (`syzygies_of_vectors`).  It
+adjoins a unit tag position per vector only, grows the held basis by one
+seeded Buchberger run, and keeps the basis elements that lead on a tag.
 
-A kernel or homology module is one present_subquotient call: the vectors
-that generate ker(phi) over the source's relations go in as numerators,
-over the source's relations (kernel) or over those plus the incoming
-map's columns (homology).
+A kernel, image or homology module is one present_subquotient call, one
+seeded relation run: the vectors that generate ker(phi) (the relations of
+phi's columns modulo the target's basis) or im(phi) go in as numerators,
+over the basis of the source's relations (kernel), the target's (image)
+or the middle module's grown by the incoming map's columns (homology).
 """
 
 from .freemod import (FreeModule, apply_map, columns_from_rows, vec_degree,
@@ -61,10 +63,6 @@ class PresentedModule:
         F = FreeModule(ring, [0])
         cols = [vec_from_column([ring.reduce(g)]) for g in ideal_gens]
         return cls(ring, F, cols)
-
-    @classmethod
-    def coker(cls, gmap):
-        return cls(gmap.ring, gmap.target, list(gmap.cols))
 
     # -- presentation access ---------------------------------------------
     @property
@@ -214,44 +212,36 @@ def multiplication_map(M, f):
     return ModuleMap(M, target, cols), d
 
 
-# -- syzygies of explicit vectors ----------------------------------------
+# -- relations modulo a held Groebner basis ------------------------------
 
-def syzygies_of_vectors(vectors, ring, free):
-    """Generators of {(a_i) : sum a_i v_i = 0 over the ring}.
+def syzygies_of_vectors(vectors, degrees, gb):
+    """Generators of {(a_i) : sum a_i v_i in D}, D the submodule of
+    gb.free whose Groebner basis is gb, as vectors over the free module on
+    `degrees` (degrees[i] the degree of v_i, which may be zero).
 
-    Vectors must be nonzero and homogeneous.  Works by adjoining a tag
-    position per vector; position-over-term makes the original positions
-    dominate, so basis elements supported purely on tags cut out the
-    syzygy module.
-    """
-    K = ring.field
-    degs = [vec_degree(v, free.twists) for v in vectors]
+    Tag trick: v_i + e_i on gb.free plus one tag position per vector,
+    grown from gb by a seeded run (`groebner_basis`'s `known`), so D's
+    pairs are never reduced again.  Position over term makes gb.free's
+    positions dominate, so the basis elements that lead on a tag lie on
+    the tags alone and cut out the relation module; a zero vector comes
+    back as its bare tag."""
+    ring, free = gb.ring, gb.free
     r = free.rank
-    big = FreeModule(ring, tuple(free.twists) + tuple(degs))
+    big = FreeModule(ring, tuple(free.twists) + tuple(degrees))
     one = tuple(0 for _ in range(ring.nvars))
-    ws = []
-    for i, v in enumerate(vectors):
-        w = dict(v)
-        w[(r + i, one)] = K.one
-        ws.append(w)
-    gb = groebner_basis(ws, ring, big)
-    out = []
-    for e in gb.module_elements:
-        if all(p >= r for (p, _) in e.vec):
-            out.append({(p - r, m): c for (p, m), c in e.vec.items()})
-    return out, FreeModule(ring, degs)
+    tagged = [{**v, (r + i, one): ring.field.one} for i, v in enumerate(vectors)]
+    full = groebner_basis(tagged, ring, big, known=gb)
+    return [{(p - r, m): c for (p, m), c in e.vec.items()}
+            for e in full.module_elements if e.pos >= r]
 
 
-def present_subquotient(ring, free, numerators, denominators):
-    """Present (N + D)/D for N = <numerators>, D = <denominators> in free,
-    minimally.
+def present_subquotient(numerators, gb_den):
+    """Present (N + D)/D for N = <numerators> and D the submodule whose
+    Groebner basis gb_den the caller holds, minimally.
 
     Returns (module, gens) where gens[i] is the vector representing the
-    i-th generator of the result inside `free`.
-    """
-    K = ring.field
-    den = [dict(c) for c in denominators if c]
-    gb_den = groebner_basis(den, ring, free)
+    i-th generator of the result inside gb_den.free."""
+    ring, free = gb_den.ring, gb_den.free
     nums = []
     seen = set()
     for v in numerators:
@@ -265,16 +255,9 @@ def present_subquotient(ring, free, numerators, denominators):
         nums.append(w)
     if not nums:
         return PresentedModule.zero(ring), []
-    combined = nums + den
-    syz, _ = syzygies_of_vectors(combined, ring, free)
-    s = len(nums)
-    rels = []
-    for v in syz:
-        proj = {(p, m): c for (p, m), c in v.items() if p < s}
-        if proj:
-            rels.append(proj)
     twists = tuple(vec_degree(v, free.twists) for v in nums)
-    tw, cols, kept = minimize_presentation(twists, rels, K)
+    rels = syzygies_of_vectors(nums, twists, gb_den)
+    tw, cols, kept = minimize_presentation(twists, rels, ring.field)
     module = PresentedModule(ring, FreeModule(ring, tw), cols)
     return module, [nums[i] for i in kept]
 
@@ -284,25 +267,8 @@ def present_subquotient(ring, free, numerators, denominators):
 def _kernel_vectors(phi):
     """Vectors of phi's source free module that, together with the
     source's relations, generate ker phi."""
-    live = [(j, c) for j, c in enumerate(phi.cols) if c]
-    out = []
-    if live:
-        N = phi.target
-        vectors = [c for _, c in live] + [dict(c) for c in N.rel_cols]
-        syz, _ = syzygies_of_vectors(vectors, phi.ring, N.gens_free)
-        nlive = len(live)
-        for v in syz:
-            w = {}
-            for (p, m), c in v.items():
-                if p < nlive:
-                    w[(live[p][0], m)] = c
-            if w:
-                out.append(w)
-    # generators of the source sent to zero on the nose
-    for j, c in enumerate(phi.cols):
-        if not c:
-            out.append(phi.source.gens_free.basis_vec(j))
-    return out
+    return syzygies_of_vectors(phi.cols, phi.source.gens_free.twists,
+                               phi.target.gb())
 
 
 def kernel(phi):
@@ -311,32 +277,28 @@ def kernel(phi):
     Returns (module, inclusion) with inclusion a ModuleMap into phi's source.
     """
     M = phi.source
-    module, gens = present_subquotient(phi.ring, M.gens_free,
-                                       _kernel_vectors(phi), M.rel_cols)
+    module, gens = present_subquotient(_kernel_vectors(phi), M.gb())
     return module, ModuleMap(module, M, gens)
 
 
 def image(phi):
     """Image of a map as a submodule of the target; returns (module, gens)."""
-    return present_subquotient(phi.ring, phi.target.gens_free,
-                               [dict(c) for c in phi.cols],
-                               list(phi.target.rel_cols))
+    return present_subquotient(phi.cols, phi.target.gb())
 
 
 def homology_at(psi, phi):
     """ker(phi) / im(psi) for composable maps with phi after psi zero.
 
-    One subquotient: phi's kernel vectors over psi's columns plus the
-    middle module's relations."""
+    One subquotient: phi's kernel vectors over the middle module's basis
+    grown by psi's columns."""
     if psi.target is not phi.source and psi.target.gens_free.twists != phi.source.gens_free.twists:
         raise ValueError("maps are not composable")
     comp = phi.compose(psi)
     if not comp.is_zero_map():
         raise ValueError("composition is not zero, homology undefined")
     mid = phi.source
-    dens = [dict(c) for c in psi.cols if c] + [dict(c) for c in mid.rel_cols]
-    module, _ = present_subquotient(mid.ring, mid.gens_free,
-                                    _kernel_vectors(phi), dens)
+    gb_den = groebner_basis(psi.cols, mid.ring, mid.gens_free, known=mid.gb())
+    module, _ = present_subquotient(_kernel_vectors(phi), gb_den)
     return module
 
 
@@ -407,7 +369,6 @@ def hilbert_series(M):
 
 def module_from_ideal(ring, gens):
     """An ideal as a module: generators at their degrees plus syzygies."""
-    F = FreeModule(ring, [0])
     nums = [vec_from_column([ring.reduce(g)]) for g in gens]
-    module, _ = present_subquotient(ring, F, nums, [])
+    module, _ = present_subquotient(nums, PresentedModule.free(ring, [0]).gb())
     return module

@@ -238,6 +238,38 @@ def test_oracle_refuses_an_empty_window(tmp_path, capsys, text, cap, rows):
     assert (len(result["betti"]), len(result["hilbert"])) == rows
 
 
+LOW_PAIR = ("ring S = GF(32003)[x, y, z];\n"
+            "module M = coker(S, [-2], [[x^2, y*z]]);\n"
+            "module k = coker(S, [0], [[x, y, z]]);\n")
+
+
+@pytest.mark.parametrize("argv,cap,lengths", [
+    (["hilbert", "M"], -3, None), (["hilbert", "M"], -2, [1]),
+    (["hilbert", "k"], -1, None), (["hilbert", "k"], 0, [1]),
+    (["tor", "M", "k"], -3, None), (["tor", "M", "k"], -2, [1, 0, 0]),
+    (["ext", "k", "M"], -6, None), (["ext", "k", "M"], -5, [0, 0, 1])],
+    ids=["hilbert-M-3", "hilbert-M-2", "hilbert-k-1", "hilbert-k0",
+         "tor-3", "tor-2", "ext-6", "ext-5"])
+def test_hilbert_tor_ext_refuse_an_empty_window(tmp_path, capsys, argv, cap,
+                                                lengths):
+    # a cap below the first degree listed once printed empty value lists
+    # and exited 0; one degree higher lists exactly one value
+    p = tmp_path / "low.cmreg"
+    p.write_text(LOW_PAIR)
+    code, out, err = run(capsys, "--session", str(p),
+                         "--max-degree", str(cap), *argv)
+    if lengths is None:
+        assert (code, out) == (1, "")
+        assert f"--max-degree {cap}" in err and "empty" in err
+        return
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    if argv[0] == "hilbert":
+        assert [len(result["values"])] == lengths
+    else:
+        assert [len(e["values"]) for e in result[argv[0]]] == lengths
+
+
 def _shifted_session(tmp_path, k):
     p = tmp_path / f"shift{k}.cmreg"
     p.write_text("ring S = GF(32003)[x, y, z, w];\n"

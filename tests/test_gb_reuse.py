@@ -209,3 +209,26 @@ def test_seeded_basis_is_the_scratch_basis(case):
     assert_same_basis(seeded, groebner_basis(old + new, ring, free))
     assert certify(seeded)
 
+
+
+@st.composite
+def leading_seeded_cases(draw, ring):
+    """A basis on F and new vectors on F + G, G a block of positions past
+    F's (the tag positions of a relation run)."""
+    lead = tuple(draw(st.lists(st.integers(0, 2), min_size=1, max_size=2)))
+    both = lead + tuple(draw(st.lists(st.integers(0, 2), min_size=1,
+                                      max_size=2)))
+    return (FreeModule(ring, lead), FreeModule(ring, both),
+            draw(homogeneous_vectors(ring, lead, 3)),
+            draw(homogeneous_vectors(ring, both, 3)))
+
+
+@pytest.mark.parametrize("ring", [RINGS[0], RINGS[3]],
+                         ids=["polynomial", "quotient"])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_seeded_basis_on_leading_positions_is_the_scratch_basis(ring, data):
+    F, FG, old, new = data.draw(leading_seeded_cases(ring))
+    seeded = groebner_basis(new, ring, FG, known=groebner_basis(old, ring, F))
+    assert_same_basis(seeded, groebner_basis(old + new, ring, FG))
+    assert certify(seeded)

@@ -5,7 +5,8 @@ import pytest
 from cmreg import (ModuleMap, PresentedModule, annihilator, colon_by_element,
                    homology_at, kernel, module_from_ideal,
                    multiplication_map, quotient_by_element)
-from cmreg.modules import is_filter_regular
+import cmreg.modules as modules
+from cmreg.modules import image, is_filter_regular, syzygies_of_vectors
 from cmreg.freemod import FreeModule, vec_from_column
 
 
@@ -159,3 +160,76 @@ def test_lift_to_cover_preserves_hilbert(det_module):
     assert Mc.ring.is_polynomial
     for j in range(5):
         assert Mc.hilbert_function(j) == det_module.hilbert_function(j)
+
+
+# -- the primitive: relations modulo a held Groebner basis ---------------
+
+def test_a_zero_vector_comes_back_as_its_tag(S3):
+    x, y, z = S3.gens()
+    gb = PresentedModule.cyclic(S3, [x * y]).gb()
+    one = (0, 0, 0)
+    rels = syzygies_of_vectors([{}, {(0, (1, 0, 0)): 1}], (0, 1), gb)
+    # e_0 for the zero vector, y e_1 since x y lies in (x y)
+    assert rels == [{(0, one): 1}, {(1, (0, 1, 0)): 1}]
+
+
+def test_relations_over_a_quotient_ring_hold_no_defining_columns(S3):
+    x, y, z = S3.gens()
+    R = S3.quotient([x * y, z * z])
+    gb = PresentedModule.free(R, (0,)).gb()
+    rels = syzygies_of_vectors([{(0, (1, 0, 0)): 1}], (1,), gb)
+    # a x = 0 in R exactly for a in (y); x y e and z^2 e vanish in R, so
+    # neither comes back
+    assert rels == [{(0, (0, 1, 0)): 1}]
+
+
+def test_kernel_lists_generators_sent_to_zero_in_degree_order(S3):
+    # Only the third generator maps, onto the unit of S/(xy)(-1); the
+    # kernel is e_0, e_1 and xy e_2.  The kernel lists them in the
+    # basis's degree order: twists (0, 2, 3), where generators sent to
+    # zero on the nose used to come last, (3, 2, 0).
+    x, y, z = S3.gens()
+    N = PresentedModule.cyclic(S3, [x * y]).twist(-1)
+    src = PresentedModule.free(S3, (2, 0, 1))
+    phi = ModuleMap(src, N, [{}, {}, {(0, (0, 0, 0)): 1}])
+    K, incl = kernel(phi)
+    assert K.gens_free.twists == (0, 2, 3)
+    assert K.rel_cols == ()
+    assert incl.cols == ({(1, (0, 0, 0)): 1}, {(0, (0, 0, 0)): 1},
+                         {(2, (1, 1, 0)): 1})
+
+
+def test_module_path_builds_no_scratch_basis_on_tag_positions(
+        monkeypatch, S3):
+    """Every from-scratch basis that kernel, image and homology_at build
+    is some module's own gb(); the tagged runs grow a held basis."""
+    x, y, z = S3.gens()
+    R = S3.quotient([x * y, z * z])
+    real = modules.groebner_basis
+    scratch, seeded = [], []
+
+    def counted(vectors, ring, free, *, known=None):
+        (scratch if known is None else seeded).append(free)
+        return real(vectors, ring, free, known=known)
+
+    monkeypatch.setattr(modules, "groebner_basis", counted)
+    for ring in (S3, R):
+        a, b, c = ring.gens()
+        M = PresentedModule(ring, FreeModule(ring, (1, 1)),
+                            [{(0, (0, 0, 1)): ring.field.one}])
+        N = PresentedModule.cyclic(ring, [a * c])
+        phi = ModuleMap.from_entries(M, N, [[a, b]])
+        psi = ModuleMap.from_entries(PresentedModule.free(ring, (2,)), M,
+                                     [[c], [ring.constant(0)]])
+        assert phi.is_well_defined() and psi.is_well_defined()
+        owned = {id(X.gens_free) for X in (M, N, psi.source)}
+        kernel(phi)
+        image(phi)
+        homology_at(psi, phi)
+        # kernel: its vectors and its subquotient; image: its subquotient;
+        # homology: phi's kernel vectors, psi's columns over the middle
+        # module, and the subquotient
+        assert len(seeded) == 6
+        assert all(id(F) in owned for F in scratch), scratch
+        scratch.clear()
+        seeded.clear()

@@ -1,9 +1,10 @@
-"""Module-path homology and the free resolution of a complex against the
-designs they replaced, kept here as references: homology as a presented
-kernel followed by a second subquotient, and the fiber-product loop with
-an end-dependent target layout and merged columns.  Homology modules are
-compared entry by entry; resolutions, unique only up to isomorphism, by
-their invariants."""
+"""Module-path homology, kernels and colons and the free resolution of a
+complex against the designs they replaced, kept here as references: the
+all-tags syzygy primitive on a from-scratch basis, homology as a
+presented kernel followed by a second subquotient, and the fiber-product
+loop with an end-dependent target layout and merged columns.  Homology,
+kernel and colon modules are compared entry by entry; resolutions, unique
+only up to isomorphism, by their invariants."""
 
 import os
 import random
@@ -20,14 +21,37 @@ from cmreg.complexes import free_complex_from_data, minimal_cover
 from cmreg.freemod import FreeModule, vec_degree
 from cmreg.groebner import groebner_basis
 from cmreg.minimize import _find_unit, minimize_chain, minimize_presentation
-from cmreg.modules import ModuleMap, syzygies_of_vectors
+from cmreg.modules import ModuleMap, colon_by_element, multiplication_map
 from cmreg.theorems import _random_linear_form, random_ideal_corpus
 
 SESSIONS = os.path.join(os.path.dirname(__file__), "..", "sessions")
 
 
-# -- references: a subquotient with an optional minimization, a presented
-# -- kernel, homology through that kernel, and the old fiber product -----
+# -- references: the all-tags syzygy primitive, a subquotient with an
+# -- optional minimization, a presented kernel, homology through that
+# -- kernel, and the old fiber product -----------------------------------
+
+def syzygies_of_vectors(vectors, ring, free):
+    """Generators of {(a_i) : sum a_i v_i = 0 over the ring}, for nonzero
+    homogeneous vectors: a tag position per vector and a Groebner basis
+    from scratch, keeping the elements supported only on the tags."""
+    K = ring.field
+    degs = [vec_degree(v, free.twists) for v in vectors]
+    r = free.rank
+    big = FreeModule(ring, tuple(free.twists) + tuple(degs))
+    one = tuple(0 for _ in range(ring.nvars))
+    ws = []
+    for i, v in enumerate(vectors):
+        w = dict(v)
+        w[(r + i, one)] = K.one
+        ws.append(w)
+    gb = groebner_basis(ws, ring, big)
+    out = []
+    for e in gb.module_elements:
+        if all(p >= r for (p, _) in e.vec):
+            out.append({(p - r, m): c for (p, m), c in e.vec.items()})
+    return out, FreeModule(ring, degs)
+
 
 def naive_subquotient(ring, free, numerators, denominators, minimize):
     K = ring.field
@@ -331,3 +355,35 @@ def test_homology_at_is_one_subquotient(monkeypatch):
     assert len(calls) == 1
     assert H.rank > 0
     assert_same_module(H, naive_homology(C, 1))
+
+
+# -- colons: the checkers' (0 :_M f) against the reference kernel ----------
+
+def assert_colon_matches_reference(M, f):
+    got, incl = colon_by_element(M, f)
+    ref, ref_incl = naive_kernel(multiplication_map(M, f)[0])
+    assert_same_module(got, ref)
+    assert incl.cols == ref_incl.cols
+
+
+@pytest.mark.parametrize("idx", range(13))
+def test_colon_matches_reference_on_corpus(idx):
+    inst = random_ideal_corpus()[idx]
+    S, M = inst.ring, inst.module
+    f = _random_linear_form(S, random.Random(f"{inst.name}:aux"))
+    for g in (f, S.gens()[0], f * f):
+        assert_colon_matches_reference(M, g)
+
+
+def test_colon_matches_reference_over_a_quotient_ring(S3):
+    x, y, z = S3.gens()
+    R = S3.quotient([x * y, z * z])
+    x, y, z = R.gens()
+    modules_ = [PresentedModule.cyclic(R, []),
+                PresentedModule.cyclic(R, [x]),
+                PresentedModule(R, FreeModule(R, (0, 1)),
+                                [{(0, (0, 0, 1)): R.field.one,
+                                  (1, (0, 0, 0)): R.field.one}])]
+    for M in modules_:
+        for f in (x, y, z, x + y, x * z):
+            assert_colon_matches_reference(M, f)
