@@ -92,6 +92,19 @@ leading positions, cmreg.modules), and a direct sum's basis is its
 summands' bases side by side (`direct_sum_basis`), since
 position-over-term order never compares two blocks.
 
+Reduction on read: `_buchberger` returns the basis its loop completed,
+with redundant leads and unreduced tails, and a GroebnerBasis from
+`groebner_basis` interreduces it on the first read of `elements`,
+`module_elements`, `module_indices` or the reducer groups (normal forms,
+lifts), which every seeded run, syzygy step, kernel and membership test
+does.  A Hilbert series reads the leads alone (`lead_terms`): by
+Macaulay's theorem HS(F/U) = HS(F/in(U)), and the leads of any Groebner
+basis of U generate in(U), so redundant leads change nothing once
+`hilbert._minimalize` drops them.  The homology layer's cokernel bases
+are read for their series only, so they are never reduced.  Whoever
+reads a basis gets the same reduced basis as an eager reduction would
+give; `defining_gb` and `ideal_groebner_basis` reduce theirs at once.
+
 The coprimality (product) criterion is only applied at rank one.  For
 modules it is wrong: g1 = (x, y), g2 = (y^2, x) in R^2 have coprime lead
 monomials in the same position but their S-vector (0, y^3 - x^2) does not
@@ -351,27 +364,27 @@ def _canonical_sort(elems):
 
 
 def _interreduce(elems, K, twists, P):
-    """Reduced basis: minimal lead terms, tails fully reduced, monic."""
+    """Reduced basis: minimal lead terms, tails fully reduced, monic.
+
+    An element is redundant when another one of its position group has a
+    lead dividing its own; of equal leads the earlier element is kept."""
     elems = _canonical_sort(list(elems))
     G = P.G
-    kept = []
-    for i, g in enumerate(elems):
-        redundant = False
-        for j, h in enumerate(elems):
-            if i == j or h.pos != g.pos or (g.lead - h.lead) & G:
-                continue
-            if h.lead == g.lead:
-                # duplicate lead terms: keep the earlier element only
-                redundant = j < i
-            else:
-                redundant = True
-            if redundant:
-                break
-        if not redundant:
-            kept.append(g)
-    groups = _reducers(kept)
+    groups = _reducers(elems)
+    keep = [True] * len(elems)
+    for group in groups.values():
+        for i, lead, _ in group:
+            for j, other, _ in group:
+                if (i != j and not (lead - other) & G
+                        and (other != lead or j < i)):
+                    keep[i] = False
+                    break
+    groups = {p: [e for e in group if keep[e[0]]]
+              for p, group in groups.items()}
     out = []
-    for i, g in enumerate(kept):
+    for i, g in enumerate(elems):
+        if not keep[i]:
+            continue
         others = dict(groups)
         others[g.pos] = [e for e in groups[g.pos] if e[0] != i]
         r, _ = _reduce_packed(dict(g.terms), others, K, P)
@@ -381,8 +394,10 @@ def _interreduce(elems, K, twists, P):
 
 
 def _buchberger(gens, K, twists, use_product_criterion, P, known=()):
-    """Reduced basis of the packed generators `gens` together with `known`,
-    GBElems that already form a Groebner basis.
+    """A Groebner basis, not reduced, of the packed generators `gens`
+    together with `known`, GBElems that already form a Groebner basis:
+    `known` first, then the generators in canonical order, then every
+    S-vector remainder in the order it was found.
 
     Seeded (Gebauer and Moeller, On an installation of Buchberger's
     algorithm, JSC 1988): the known elements come first and a pair of two
@@ -439,20 +454,17 @@ def _buchberger(gens, K, twists, use_product_criterion, P, known=()):
             reducers.setdefault(g.pos, []).append(_reducer(len(basis) - 1, g))
             push_pairs(len(basis) - 1)
 
-    return _interreduce(basis, K, twists, P)
+    return basis
 
 
 def defining_gb(ring):
     """Reduced rank-one basis of the defining ideal over the cover (cached)."""
     if ring.is_polynomial:
         return []
-
-    def compute():
-        P = _packing(ring.nvars)
-        gens = [{P.encode(0, m): c for m, c in f.terms.items()} for f in ring.defining]
-        return _buchberger(gens, ring.field, (0,), True, P)
-
-    return _cached(ring, "defining_gb", compute)
+    K, P = ring.field, _packing(ring.nvars)
+    return _cached(ring, "defining_gb", lambda: _interreduce(_buchberger(
+        [{P.encode(0, m): c for m, c in f.terms.items()} for f in ring.defining],
+        K, (0,), True, P), K, (0,), P))
 
 
 def _augmented_columns(ring, free):
@@ -469,32 +481,68 @@ def _augmented_columns(ring, free):
 
 
 class GroebnerBasis:
-    """Reduced basis of a graded submodule (plus the quotient's defining
+    """A Groebner basis of a graded submodule (plus the quotient's defining
     columns when the ring is S/I).  `elements` is the full reducer list;
     `module_elements` are the members not lying in I*F.  `packing` is the
     term order: position over grevlex, or the Schreyer order of a
-    syzygy module (`syzygy_generators`)."""
+    syzygy module (`syzygy_generators`).
 
-    __slots__ = ("ring", "free", "elements", "module_indices", "packing",
+    A basis built by `groebner_basis` holds the unreduced basis of its
+    Buchberger run, with `module_indices` None, and becomes the reduced
+    basis on the first read of `elements`, `module_elements`,
+    `module_indices` or the reducer groups (module docstring, Reduction
+    on read).  `lead_terms` never forces that.  Every other basis is
+    given in its final form."""
+
+    __slots__ = ("ring", "free", "_elements", "_module_indices", "packing",
                  "_groups")
 
     def __init__(self, ring, free, elements, module_indices, packing=None):
         self.ring = ring
         self.free = free
-        self.elements = elements
-        self.module_indices = module_indices
+        self._elements = elements
+        self._module_indices = module_indices
         self.packing = packing or _packing(ring.nvars)
         self._groups = None
 
     @property
+    def elements(self):
+        if self._module_indices is None:
+            ring, free, P = self.ring, self.free, self.packing
+            K = ring.field
+            elems = _interreduce(self._elements, K, free.twists, P)
+            if ring.is_polynomial:
+                self._module_indices = list(range(len(elems)))
+            else:
+                blockers = _reducers(_augmented_columns(ring, free))
+                self._module_indices = [
+                    i for i, g in enumerate(elems)
+                    if _reduce_packed(dict(g.terms), blockers, K, P)[0]]
+            self._elements = elems
+        return self._elements
+
+    @property
+    def module_indices(self):
+        if self._module_indices is None:
+            self.elements  # the first read reduces and sets them
+        return self._module_indices
+
+    def lead_terms(self):
+        """(position, lead monomial) of each element, read without reducing
+        the basis: its leads may include redundant ones, but generate the
+        same lead module."""
+        return [(g.pos, g.ltm) for g in self._elements]
+
+    @property
     def module_elements(self):
-        return [self.elements[i] for i in self.module_indices]
+        elems = self.elements
+        return [elems[i] for i in self._module_indices]
 
     def module_vectors(self):
-        return [dict(self.elements[i].vec) for i in self.module_indices]
+        return [dict(g.vec) for g in self.module_elements]
 
     def module_degrees(self):
-        return [self.elements[i].deg for i in self.module_indices]
+        return [g.deg for g in self.module_elements]
 
     def _reducer_groups(self):
         if self._groups is None:
@@ -523,7 +571,8 @@ class GroebnerBasis:
 
 def groebner_basis(vectors, ring, free, *, known=None):
     """Reduced Groebner basis of the submodule of `free` generated by
-    `vectors`, over `ring` (augmented through the cover for quotients).
+    `vectors`, over `ring` (augmented through the cover for quotients),
+    reduced on its first read (`GroebnerBasis`).
 
     `known`, internal: a GroebnerBasis of a submodule of a free module
     whose twists lead `free`'s (with its defining columns over a quotient
@@ -542,13 +591,7 @@ def groebner_basis(vectors, ring, free, *, known=None):
     packed = [P.encode_vec(v) for v in gens]
     packed += [a.terms for a in aug if a.pos >= start]
     elems = _buchberger(packed, K, free.twists, free.rank == 1, P, seeds)
-    if ring.is_polynomial:
-        module_indices = list(range(len(elems)))
-    else:
-        blockers = _reducers(aug)
-        module_indices = [i for i, g in enumerate(elems)
-                          if _reduce_packed(dict(g.terms), blockers, K, P)[0]]
-    return GroebnerBasis(ring, free, elems, module_indices)
+    return GroebnerBasis(ring, free, elems, None)
 
 
 def direct_sum_basis(ring, free, blocks):
@@ -741,5 +784,6 @@ def ideal_groebner_basis(ring, polys):
     gens = []
     for f in list(ring.defining) + [ring.lift(p) for p in polys]:
         gens.append({P.encode(0, m): c for m, c in f.terms.items()})
-    elems = _buchberger(gens, ring.field, (0,), True, P)
+    elems = _interreduce(_buchberger(gens, ring.field, (0,), True, P),
+                         ring.field, (0,), P)
     return [Polynomial(cover, {m: c for (_, m), c in g.vec.items()}) for g in elems]

@@ -13,15 +13,19 @@ of x_v is 1 the pivot is x_v.
 """
 
 from math import comb, inf
+from operator import le
 
-from .poly import mono_deg, mono_divides
+from .poly import mono_deg
 
 
 def _minimalize(gens):
-    gens = sorted(set(gens), key=lambda m: (mono_deg(m), m))
+    """The minimal generators of (gens), sorted by (degree, monomial)."""
     out = []
-    for m in gens:
-        if not any(mono_divides(g, m) for g in out):
+    for m in sorted(sorted(set(gens)), key=sum):  # stable: degree, then m
+        for g in out:
+            if all(map(le, g, m)):  # g divides m
+                break
+        else:
             out.append(m)
     return tuple(out)
 

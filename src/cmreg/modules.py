@@ -352,19 +352,27 @@ def is_filter_regular(f, M):
 # -- Hilbert series -------------------------------------------------------
 
 def hilbert_series(M):
+    """HS(M) from the leads of M's basis, position by position: by
+    Macaulay's theorem HS(F/U) = HS(F/in(U)), and in(U) is generated by
+    the leads of any Groebner basis of U, so the basis is never reduced
+    for this (`GroebnerBasis.lead_terms`).  Positions with the same lead
+    tuple, as the blocks of a totalization have, share one numerator."""
     if M.rank == 0:
         return HilbertSeries({}, M.ring.cover.nvars)
-    gb = M.gb()
     n = M.ring.cover.nvars
     per_pos = {}
-    for e in gb.elements:
-        per_pos.setdefault(e.pos, []).append(e.ltm)
-    total = HilbertSeries({}, n)
-    for p in range(M.gens_free.rank):
-        num = monomial_ideal_numerator(tuple(per_pos.get(p, ())), n)
-        piece = HilbertSeries({d + M.gens_free.twists[p]: c for d, c in num.items()}, n)
-        total = total.add(piece)
-    return total
+    for p, m in M.gb().lead_terms():
+        per_pos.setdefault(p, []).append(m)
+    numerators = {}
+    total = {}
+    for p, t in enumerate(M.gens_free.twists):
+        leads = tuple(per_pos.get(p, ()))
+        num = numerators.get(leads)
+        if num is None:
+            num = numerators[leads] = monomial_ideal_numerator(leads, n)
+        for d, c in num.items():
+            total[d + t] = total.get(d + t, 0) + c
+    return HilbertSeries(total, n)
 
 
 def module_from_ideal(ring, gens):

@@ -2,18 +2,22 @@
 totalization term's basis is its summands' bases side by side
 (`direct_sum_basis`), and a cokernel's basis grows from its target's
 (`groebner_basis(..., known=...)`).  Both must equal the from-scratch
-reduced basis exactly."""
+reduced basis exactly.  A basis is reduced on its first read, never for
+a Hilbert series, and then equals the eagerly reduced basis."""
 
 import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cmreg.complexes
 import cmreg.groebner as groebner
-from cmreg import (FreeModule, PresentedModule, complex_from_module,
-                   ext_complex, hom_complex, koszul_complex,
-                   koszul_resolution_of_k, parse_session, polynomial_ring,
-                   tor_complex)
+import cmreg.modules
+from cmreg import (FreeModule, PresentedModule, colon_by_element,
+                   complex_from_module, ext_complex, hom_complex,
+                   koszul_complex, koszul_resolution_of_k, parse_session,
+                   polynomial_ring, tor_complex)
+from cmreg.memo import _cached
 from cmreg.groebner import (certify, defining_gb, direct_sum_basis,
                             groebner_basis)
 from cmreg.theorems import random_ideal_corpus
@@ -122,6 +126,182 @@ def test_koszul_homology_builds_no_term_basis_and_no_known_pair(
     assert runs and all(runs), runs  # every run is a seeded cokernel
     assert len(runs) == len(K.diffs)
     assert known_pairs == []
+
+
+# -- reduction on read ----------------------------------------------------
+
+def eager_interreduce(elems, K, twists, P):
+    """Reference reduction: every pair of elements scanned for a lead
+    dividing another's (of equal leads the earlier is kept), then each
+    kept tail reduced by the others."""
+    elems = groebner._canonical_sort(list(elems))
+    kept = []
+    for i, g in enumerate(elems):
+        redundant = False
+        for j, h in enumerate(elems):
+            if i == j or h.pos != g.pos or (g.lead - h.lead) & P.G:
+                continue
+            redundant = h.lead != g.lead or j < i
+            if redundant:
+                break
+        if not redundant:
+            kept.append(g)
+    groups = groebner._reducers(kept)
+    out = []
+    for i, g in enumerate(kept):
+        others = dict(groups)
+        others[g.pos] = [e for e in groups[g.pos] if e[0] != i]
+        r, _ = groebner._reduce_packed(dict(g.terms), others, K, P)
+        if r:
+            out.append(groebner._elem(r, K, twists, P))
+    return groebner._canonical_sort(out)
+
+
+def eager_basis(vectors, ring, free, known):
+    """(elements, module_indices) of `groebner_basis(vectors, ring, free,
+    known=known)` reduced right after its Buchberger run."""
+    K, P = ring.field, groebner._packing(ring.nvars)
+    aug = groebner._augmented_columns(ring, free)
+    start = known.free.rank if known else 0
+    packed = [P.encode_vec(v) for v in vectors if v]
+    packed += [a.terms for a in aug if a.pos >= start]
+    elems = eager_interreduce(groebner._buchberger(
+        packed, K, free.twists, free.rank == 1, P,
+        known.elements if known else ()), K, free.twists, P)
+    if ring.is_polynomial:
+        return elems, list(range(len(elems)))
+    blockers = groebner._reducers(aug)
+    return elems, [i for i, g in enumerate(elems)
+                   if groebner._reduce_packed(dict(g.terms), blockers, K, P)[0]]
+
+
+def entries(elems):
+    return [(g.terms, g.lead, g.pos, g.deg) for g in elems]
+
+
+@pytest.fixture
+def interreduce_calls(monkeypatch):
+    """The element counts of the `_interreduce` calls made from now on."""
+    calls = []
+    inner = groebner._interreduce
+
+    def counting(elems, *args):
+        calls.append(len(elems))
+        return inner(elems, *args)
+
+    monkeypatch.setattr(groebner, "_interreduce", counting)
+    return calls
+
+
+def recorded_runs(compute):
+    """(vectors, ring, free, known, basis) of every `groebner_basis` call
+    that compute() makes in the module and homology layers."""
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        for owner in (cmreg.modules, cmreg.complexes):
+            def recording(vectors, ring, free, *, known=None,
+                          inner=owner.groebner_basis):
+                gb = inner(vectors, ring, free, known=known)
+                runs.append((list(vectors), ring, free, known, gb))
+                return gb
+            mp.setattr(owner, "groebner_basis", recording)
+        compute()
+    return runs
+
+
+def assert_lazy_is_eager(vectors, ring, free, known, calls):
+    """A fresh basis gives its series with no reduction, is reduced once
+    on the first read to the eager basis, and gives the same series
+    after."""
+    defining_gb(ring)
+    lazy = groebner_basis(vectors, ring, free, known=known)
+    carrier = PresentedModule(ring, free, [])
+    _cached(carrier, "gb", lambda: lazy)
+    del calls[:]
+    before = cmreg.modules.hilbert_series(carrier)
+    assert calls == []
+    got = entries(lazy.elements)
+    assert len(calls) == 1
+    elems, indices = eager_basis(vectors, ring, free, known)
+    assert got == entries(elems)
+    assert lazy.module_indices == indices
+    assert cmreg.modules.hilbert_series(carrier) == before
+    assert len(calls) == 1
+
+
+def assert_cokernels_lazy_are_eager(M, calls):
+    """M's own basis and the seeded cokernel bases of its Koszul and Hom
+    totalizations."""
+    assert_lazy_is_eager(M.rel_cols, M.ring, M.gens_free, None, calls)
+    runs = []
+    for T in totalizations(complex_from_module(M)):
+        runs += recorded_runs(
+            lambda T=T: [T.homology_series(i) for i in T.levels()])
+    assert any(known for _, _, _, known, _ in runs)
+    for vectors, ring, free, known, _ in runs:
+        assert_lazy_is_eager(vectors, ring, free, known, calls)
+
+
+@pytest.mark.parametrize("inst", random_ideal_corpus(count=13),
+                         ids=lambda inst: inst.name)
+def test_lazy_basis_is_the_eager_basis_on_corpus(inst, interreduce_calls):
+    assert_cokernels_lazy_are_eager(inst.module, interreduce_calls)
+
+
+QUOTIENT_SESSION_MODULES = [p for p in session_objects()
+                            if p.values[1] == "module"
+                            and not p.values[0].ring.is_polynomial]
+
+
+@pytest.mark.parametrize("obj, kind", QUOTIENT_SESSION_MODULES)
+def test_lazy_basis_is_the_eager_basis_on_quotient_sessions(
+        obj, kind, interreduce_calls):
+    assert_cokernels_lazy_are_eager(obj, interreduce_calls)
+
+
+@pytest.mark.parametrize("which", ["corpus-101-00", "corpus-101-07",
+                                   "det_module"])
+def test_lazy_basis_is_the_eager_basis_on_tagged_runs(
+        which, det_module, interreduce_calls):
+    """The relation runs of `syzygies_of_vectors` (kernel vectors and
+    presentation of a colon module): basis on gb.free plus tags."""
+    if which == "det_module":
+        M = det_module
+    else:
+        [M] = [inst.module for inst in random_ideal_corpus(count=13)
+               if inst.name == which]
+    x = M.ring.gens()[0]
+    runs = recorded_runs(lambda: colon_by_element(M, x))
+    tagged = [run for run in runs
+              if run[3] is not None and run[2].rank > run[3].free.rank]
+    assert tagged
+    for vectors, ring, free, known, _ in tagged:
+        assert_lazy_is_eager(vectors, ring, free, known, interreduce_calls)
+
+
+@pytest.mark.parametrize("which", ["det_module", "corpus-101-00"])
+def test_homology_series_never_interreduces(which, det_module,
+                                            interreduce_calls):
+    """With the term bases cached, the Koszul and Hom homology series
+    reduce no basis; a cokernel basis is reduced once, on its first
+    read."""
+    M = (det_module if which == "det_module"
+         else random_ideal_corpus(count=1)[0].module)
+    defining_gb(M.ring)
+    M.gb().elements
+    for T in totalizations(complex_from_module(M)):
+        for term in T.terms.values():
+            term.gb()
+        del interreduce_calls[:]
+        runs = recorded_runs(
+            lambda: [T.homology_series(i) for i in T.levels()])
+        assert runs
+        assert interreduce_calls == []
+        for _, _, _, _, gb in runs:
+            gb.elements
+            gb.module_elements
+            gb.contains({})
+        assert len(interreduce_calls) == len(runs)
 
 
 # -- randomized: block-diagonal sums and seeded runs -----------------------

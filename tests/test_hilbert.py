@@ -5,7 +5,7 @@ import cmreg.modules
 from cmreg import (PresentedModule, hilbert, module_from_ideal,
                    polynomial_ring)
 from cmreg.hilbert import _minimalize, monomial_ideal_numerator
-from cmreg.poly import EXPONENT_CAP, mono_deg
+from cmreg.poly import EXPONENT_CAP, mono_deg, mono_divides
 from cmreg.regularity import regularity
 from cmreg.theorems import DEFAULT_CORPUS_SEED, random_ideal_corpus
 
@@ -159,6 +159,20 @@ def test_numerators_match_the_reference_on_random_ideals(monkeypatch):
                      for _ in range(rng.randint(1, 7)))
         assert (monomial_ideal_numerator(gens, nvars)
                 == reference_numerator(gens, nvars)), gens
+
+
+def test_minimalize_keeps_the_minimal_generators_in_degree_order():
+    """The numerator cache key: the generators no other one divides, once
+    each, sorted by (degree, monomial)."""
+    rng = random.Random("minimalize")
+    for _ in range(300):
+        nvars = rng.randint(1, 4)
+        gens = tuple(tuple(rng.randint(0, 3) for _ in range(nvars))
+                     for _ in range(rng.randint(0, 12)))
+        minimal = {m for m in gens
+                   if not any(g != m and mono_divides(g, m) for g in gens)}
+        assert _minimalize(gens) == tuple(
+            sorted(minimal, key=lambda m: (mono_deg(m), m))), gens
 
 
 def staircase_numerator(stairs):

@@ -3,10 +3,10 @@ per object and key, and a compute that raises stores nothing.  Also the
 source lints over src/cmreg: only memo writes object caches, the one
 resolution loop, `resolution._resolve`, is the only caller of the syzygy
 step and is entered only through `free_resolution`, which alone builds a
-`FreeResolution`, resolutions minimize in three places, nothing calls
-`free_resolution_of_complex`, the complex layer presents no kernels, and
-the dense oracle imports nothing from the Groebner, Hilbert or resolution
-layers."""
+`FreeResolution`, resolutions minimize in three places, Groebner bases
+interreduce in three places, nothing calls `free_resolution_of_complex`,
+the complex layer presents no kernels, and the dense oracle imports
+nothing from the Groebner, Hilbert or resolution layers."""
 
 import ast
 import os
@@ -243,6 +243,17 @@ def test_resolutions_minimize_in_three_places():
               if isinstance(node, ast.While)]
     [(run, _)] = calls(source, "groebner_basis")
     assert loop.lineno < sites[0][1] < run <= loop.end_lineno
+
+
+def test_bases_interreduce_in_three_places():
+    """A basis from `groebner_basis` is reduced on its first read
+    (`GroebnerBasis.elements`), so a Hilbert series never reduces one;
+    the defining ideal's basis and an ideal's canonical basis are reduced
+    at once."""
+    sites = call_sites("_interreduce")
+    assert [(f, func) for f, _, func in sites] == [
+        ("groebner.py", "defining_gb"), ("groebner.py", "elements"),
+        ("groebner.py", "ideal_groebner_basis")]
 
 
 def test_nothing_calls_free_resolution_of_complex():
