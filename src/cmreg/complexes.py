@@ -21,7 +21,7 @@ from .groebner import groebner_basis
 from .hilbert import HilbertSeries
 from .memo import _cached
 from .minimize import minimize_presentation
-from .modules import ModuleMap, PresentedModule, homology_at
+from .modules import ModuleMap, PresentedModule, homology_at, quotient_series
 from .resolution import _truncation, free_resolution
 
 
@@ -115,18 +115,16 @@ class BoundedComplex:
 
     def _coker_series(self, i):
         """Series of coker d_i: C_{i-1} with d_i's columns as extra
-        relations.  Its Groebner basis grows from C_{i-1}'s own, so the
-        pairs inside that basis are never reduced again."""
+        relations, read off a Groebner basis grown from C_{i-1}'s own, so
+        the pairs inside that basis are never reduced again.  No module
+        is presented for it."""
         def compute():
             target = self.term(i - 1)
             d = self.diffs.get(i)
             if d is None:
                 return target.hilbert_series()
-            coker = PresentedModule(self.ring, target.gens_free,
-                                    list(target.rel_cols) + list(d.cols))
-            _cached(coker, "gb", lambda: groebner_basis(
+            return quotient_series(groebner_basis(
                 d.cols, self.ring, target.gens_free, known=target.gb()))
-            return coker.hilbert_series()
 
         return _cached(self, ("coker", i), compute)
 

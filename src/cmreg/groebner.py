@@ -51,8 +51,12 @@ divisibility and the cap check carry over unchanged, and one kernel,
 `_reduce_packed`, with one `_s_vector` and one `_schreyer_pairs`, serves
 both orders.
 
-GBElem.vec stays the tuple dict {(pos, m): c}, decoded on first use; the
-Buchberger loop never decodes its intermediate elements.  `_reduce` and
+GBElem.vec is the tuple dict {(pos, m): c} of a position-over-grevlex
+element, decoded on first use; the Buchberger loop never decodes its
+intermediate elements.  A syzygy is packed in a Schreyer order its element
+does not know, so reading its vec raises: only its basis decodes it, in
+`GroebnerBasis.module_vectors`, and a resolution does that only when its
+differentials are read (cmreg.resolution).  `_reduce` and
 `GroebnerBasis.normal_form` take and return tuple dicts.
 
 Reduction kernel: `_reduce_packed` takes the next lead from a heap of
@@ -215,8 +219,7 @@ def _packing(nvars):
 class GBElem:
     """A monic basis element: packed terms, packed lead and cached
     lead-term data.  `vec` is the tuple dict, decoded on first use from
-    position over grevlex; a syzygy (`_syzygy_basis`), whose packing the
-    element does not know, has it set at construction."""
+    position over grevlex."""
 
     __slots__ = ("terms", "lead", "pos", "ltm", "deg", "_vec")
 
@@ -235,8 +238,20 @@ class GBElem:
         return self._vec
 
 
-def _elem(terms, K, twists, P):
-    """A monic GBElem from nonzero packed terms."""
+class _Syzygy(GBElem):
+    """An element packed in the Schreyer order of a syzygy basis, which
+    only the basis knows (`GroebnerBasis.module_vectors` decodes it)."""
+
+    __slots__ = ()
+
+    @property
+    def vec(self):
+        raise TypeError("a Schreyer-packed syzygy is decoded by its basis "
+                        "(GroebnerBasis.module_vectors)")
+
+
+def _elem(terms, K, twists, P, cls=GBElem):
+    """A monic GBElem (or `cls`) from nonzero packed terms."""
     lead = min(terms)
     c = terms[lead]
     if c != K.one:
@@ -244,7 +259,7 @@ def _elem(terms, K, twists, P):
         terms = {h: K.mul(cc, ci) for h, cc in terms.items()}
     pos = (lead >> P.S) & P.M
     ltm = P.mono(lead)
-    return GBElem(terms, lead, pos, ltm, mono_deg(ltm) + twists[pos])
+    return cls(terms, lead, pos, ltm, mono_deg(ltm) + twists[pos])
 
 
 def _make_elem(vec, K, twists):
@@ -539,7 +554,22 @@ class GroebnerBasis:
         return [elems[i] for i in self._module_indices]
 
     def module_vectors(self):
-        return [dict(g.vec) for g in self.module_elements]
+        """The module elements as new tuple dicts, decoded in the basis's
+        own packing: the one place a syzygy basis is decoded."""
+        P = self.packing
+        return [P.decode_vec(g.terms) for g in self.module_elements]
+
+    def module_constants(self):
+        """The constant part of each module element of a syzygy basis,
+        {(position, 1): c}, read off the packed terms: in the Schreyer
+        packing a term m e_p, p = h & M, has m = 1 exactly when its
+        level-0 term h >> shift is e_p's own."""
+        Q = self.packing
+        M, shift, bases = Q.M, Q.shift, Q.bases
+        one = (0,) * self.ring.nvars
+        return [{(h & M, one): c for h, c in g.terms.items()
+                 if h >> shift == bases[h & M]}
+                for g in self.module_elements]
 
     def module_degrees(self):
         return [g.deg for g in self.module_elements]
@@ -694,12 +724,13 @@ def syzygy_generators(gb, degrees=None):
     (lcm_ij / lt(g_i)) e_i in the Schreyer order gb induces (module
     docstring); one that leads with another term raises ArithmeticError.
 
-    Returns (vectors, basis): basis is `_syzygy_basis` of the syzygies, a
-    GroebnerBasis on the free module F on the element degrees
-    (basis.free), packed in that Schreyer order, and vectors are its
-    elements as tuple dicts.  Over a polynomial ring and without `degrees`
-    basis is a Groebner basis of the syzygy module (Schreyer's theorem),
-    so this function takes it again, with no Buchberger run.
+    Returns (elements, basis): basis is `_syzygy_basis` of the syzygies,
+    a GroebnerBasis on the free module F on the element degrees
+    (basis.free), packed in that Schreyer order, and elements are its
+    module elements, still packed; `basis.module_vectors()` decodes them.
+    Over a polynomial ring and without `degrees` basis is a Groebner basis
+    of the syzygy module (Schreyer's theorem), so this function takes it
+    again, with no Buchberger run.
     """
     ring = gb.ring
     K = ring.field
@@ -746,12 +777,13 @@ def syzygy_generators(gb, degrees=None):
             out.append(syz)
     basis = _syzygy_basis(ring, FreeModule(ring, tuple(g.deg for g in mod)),
                           Q, out)
-    return basis.module_vectors(), basis
+    return basis.module_elements, basis
 
 
 def _syzygy_basis(ring, F, Q, syzygies):
     """The packed syzygies (nonzero, in packing Q over F) as a
-    GroebnerBasis: monic, without duplicates, in lead-index order.
+    GroebnerBasis of `_Syzygy` elements: monic, without duplicates, in
+    lead-index order, and never decoded here.
 
     Lead-index order sorts by the lead's basis index c, then by the
     exponent of v in the lead monomial, decreasing, with v the first
@@ -768,11 +800,9 @@ def _syzygy_basis(ring, F, Q, syzygies):
         key = frozenset(syz.items())
         if key not in seen:
             seen.add(key)
-            elems.append(_elem(syz, K, F.twists, Q))
+            elems.append(_elem(syz, K, F.twists, Q, _Syzygy))
     v = next((x for x in range(ring.nvars) if any(g.ltm[x] for g in elems)), 0)
     elems.sort(key=lambda g: (g.pos, -g.ltm[v], g.lead))
-    for g in elems:
-        g._vec = Q.decode_vec(g.terms)
     return GroebnerBasis(ring, F, elems, list(range(len(elems))), Q)
 
 

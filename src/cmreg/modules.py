@@ -352,20 +352,26 @@ def is_filter_regular(f, M):
 # -- Hilbert series -------------------------------------------------------
 
 def hilbert_series(M):
-    """HS(M) from the leads of M's basis, position by position: by
-    Macaulay's theorem HS(F/U) = HS(F/in(U)), and in(U) is generated by
-    the leads of any Groebner basis of U, so the basis is never reduced
-    for this (`GroebnerBasis.lead_terms`).  Positions with the same lead
-    tuple, as the blocks of a totalization have, share one numerator."""
+    """HS(M), from M's Groebner basis (`quotient_series`)."""
     if M.rank == 0:
         return HilbertSeries({}, M.ring.cover.nvars)
-    n = M.ring.cover.nvars
+    return quotient_series(M.gb())
+
+
+def quotient_series(gb):
+    """HS(F/U) for U the submodule of F = gb.free with Groebner basis gb,
+    from gb's leads, position by position: by Macaulay's theorem HS(F/U) =
+    HS(F/in(U)), and in(U) is generated by the leads of any Groebner
+    basis of U, so the basis is never reduced for this
+    (`GroebnerBasis.lead_terms`).  Positions with the same lead tuple, as
+    the blocks of a totalization have, share one numerator."""
+    n = gb.ring.cover.nvars
     per_pos = {}
-    for p, m in M.gb().lead_terms():
+    for p, m in gb.lead_terms():
         per_pos.setdefault(p, []).append(m)
     numerators = {}
     total = {}
-    for p, t in enumerate(M.gens_free.twists):
+    for p, t in enumerate(gb.free.twists):
         leads = tuple(per_pos.get(p, ()))
         num = numerators.get(leads)
         if num is None:

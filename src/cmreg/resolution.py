@@ -19,8 +19,13 @@ for every i >= hi + 2, hi L's top spot (i >= 2 for a module).  Those
 levels are a frame: by Schreyer's theorem the syzygies are a Groebner
 basis already, in the Schreyer order that cmreg.groebner packs them in,
 so they are resolved further with no Buchberger run and no
-minimization.  Over a quotient ring every level adds I*F's columns, so
-every level takes the Groebner step.
+minimization.  A frame level stays that packed basis in the chain: its
+twists are its elements' degrees, `_betti_twists` reads its constant
+part off the packed terms (GroebnerBasis.module_constants), and
+`_minimal_cols` decodes it (GroebnerBasis.module_vectors) only when cols
+is first read, so the Betti numbers never decode a frame syzygy.  Over
+a quotient ring every level adds I*F's columns, so every level takes
+the Groebner step.
 
 The finished chain is not minimized.  For any graded free resolution F,
 over any standard graded ring,
@@ -61,7 +66,7 @@ free_complex_from_data read.
 from math import inf
 
 from .freemod import FreeModule, vec_degree
-from .groebner import groebner_basis, syzygy_generators
+from .groebner import GroebnerBasis, groebner_basis, syzygy_generators
 from .memo import _cached
 from .minimize import _find_unit, minimize_chain
 from .modules import PresentedModule
@@ -206,13 +211,18 @@ def _resolve(ring, terms, diffs, max_len):
     complete = False
     while True:
         cols[level + 1] = nxt
-        twists[level + 1] = tuple(vec_degree(v, rows(level + 1)) for v in nxt)
+        if level + 1 >= frame:
+            # a frame level stays the packed basis of its syzygies
+            twists[level + 1] = tuple(nxt.module_degrees())
+        else:
+            twists[level + 1] = tuple(vec_degree(v, rows(level + 1))
+                                      for v in nxt)
         if level - lo >= max_len:
             break
         level += 1
         if level >= frame:
             # Schreyer: the trace syzygies are a Groebner basis already
-            gb = syz
+            gb = cols[level]
         else:
             twists, cols, _ = minimize_chain(twists, cols, K)
             rank = len(twists[level - 1])
@@ -224,7 +234,7 @@ def _resolve(ring, terms, diffs, max_len):
             cols[level] = [{(p, m): c for (p, m), c in col.items() if p < rank}
                            for col in gb.module_vectors()]
             twists[level] = tuple(gb.module_degrees())
-        if not cols[level] and level >= hi:
+        if not twists[level] and level >= hi:
             # nothing is left to resolve
             del cols[level], twists[level]
             complete = True
@@ -233,8 +243,9 @@ def _resolve(ring, terms, diffs, max_len):
         # only syzygies in the degree of some generator can carry a unit,
         # so those are the only ones computed there.
         top = level - lo >= max_len
-        nxt, syz = syzygy_generators(gb, set(twists[level]) if top else None)
-        if level < frame:
+        _, nxt = syzygy_generators(gb, set(twists[level]) if top else None)
+        if level + 1 < frame:
+            nxt = nxt.module_vectors()
             nxt += [v for v in map(gb.lift, rels) if v]
             nxt += _cover_columns(ring, terms, diffs, level + 1,
                                   len(cols[level]),
@@ -263,9 +274,11 @@ def _betti_twists(twists, cols, ring):
     complex over the field (module docstring): minimizing that complex
     leaves f_{i,j} - rank c_{i,j} - rank c_{i+1,j} generators of degree j
     at each level.  Levels above the bottom come sorted by degree.  As
-    in any chain, passenger rows are never pivots."""
+    in any chain, passenger rows are never pivots.  A frame level, a
+    packed syzygy basis, gives its constant part without being decoded."""
     one = (0,) * ring.nvars
-    const = {i: [{t: c for t, c in col.items() if t[1] == one} for col in cs]
+    const = {i: cs.module_constants() if isinstance(cs, GroebnerBasis)
+             else [{t: c for t, c in col.items() if t[1] == one} for col in cs]
              for i, cs in cols.items()}
     tw = minimize_chain(twists, const, ring.field)[0]
     lo = min(tw, default=0)
@@ -275,7 +288,9 @@ def _betti_twists(twists, cols, ring):
 def _minimal_cols(twists, chain_twists, chain_cols, K):
     """The columns of the minimized chain whose twists `_betti_twists`
     read off (twists, with its dropped levels), levels above the bottom
-    sorted by degree."""
+    sorted by degree.  Frame levels are decoded here, once."""
+    chain_cols = {i: cs.module_vectors() if isinstance(cs, GroebnerBasis)
+                  else cs for i, cs in chain_cols.items()}
     tw, cols, _ = minimize_chain(chain_twists, chain_cols, K)
     lo = min(twists, default=0)
     tw = {i: tw[i] for i in twists}

@@ -60,7 +60,7 @@ def test_syzygies_annihilate_generators(S3):
     gens = [x * x, x * y - z * z, y * z]
     gb = groebner_basis(vecs_from_polys(gens), S3, F)
     elems = gb.module_elements
-    syzygies, _ = syzygy_generators(gb)
+    syzygies = syzygy_generators(gb)[1].module_vectors()
     assert syzygies
     K = S3.field
     for syz in syzygies:
@@ -280,7 +280,7 @@ def naive_syzygy_generators(gb, degrees=None):
             if syz:
                 out.append(syz)
     basis = _syzygy_basis(gb.ring, F, Q, out)
-    return basis.module_vectors(), basis
+    return basis.module_elements, basis
 
 
 def unit_rank(vecs, K):
@@ -336,8 +336,9 @@ def compare_with_all_pairs(rational, twists, quotient, seed):
                 for _ in range(len(twists) + 2)]
         gb = groebner_basis([g for g in gens if g], ring, F)
         assert certify(gb)
-        pruned, basis = syzygy_generators(gb)
-        naive, naive_basis = naive_syzygy_generators(gb)
+        _, basis = syzygy_generators(gb)
+        _, naive_basis = naive_syzygy_generators(gb)
+        pruned, naive = basis.module_vectors(), naive_basis.module_vectors()
         F1 = basis.free
         assert F1.twists == naive_basis.free.twists
         assert as_keys(pruned) <= as_keys(naive)
@@ -350,16 +351,16 @@ def compare_with_all_pairs(rational, twists, quotient, seed):
         # degrees closed downward: the low-degree part still generates
         degs = sorted(vec_degree(v, F1.twists) for v in naive)
         low = set(range(degs[len(degs) // 2] + 1))
-        pruned_low, _ = syzygy_generators(gb, low)
-        naive_low, _ = naive_syzygy_generators(gb, low)
+        pruned_low = syzygy_generators(gb, low)[1].module_vectors()
+        naive_low = naive_syzygy_generators(gb, low)[1].module_vectors()
         assert as_keys(pruned_low) <= as_keys(naive_low)
         gen_low = groebner_basis(pruned_low, ring, F1)
         assert all(gen_low.contains(v) for v in naive_low)
         # the generator degrees, as at the top of a truncated resolution:
         # the same units are found
         top = set(F1.twists)
-        pruned_top, _ = syzygy_generators(gb, top)
-        naive_top, _ = naive_syzygy_generators(gb, top)
+        pruned_top = syzygy_generators(gb, top)[1].module_vectors()
+        naive_top = naive_syzygy_generators(gb, top)[1].module_vectors()
         assert as_keys(pruned_top) <= as_keys(naive_top)
         units = unit_rank(naive_top, K)
         assert unit_rank(pruned_top, K) == units
@@ -392,15 +393,18 @@ def test_syzygies_are_a_groebner_basis_in_the_schreyer_order(twists):
                 for _ in range(len(twists) + 2)]
         gb = groebner_basis([g for g in gens if g], ring, F)
         while gb.module_indices:
-            vecs, syz = syzygy_generators(gb)
+            _, syz = syzygy_generators(gb)
+            vecs = syz.module_vectors()
             assert certify(syz)
-            assert all(syz.contains(v) for v in naive_syzygy_generators(gb)[0])
+            assert all(syz.contains(v) for v in
+                       naive_syzygy_generators(gb)[1].module_vectors())
             K = ring.field
+            rows = gb.module_vectors()
             for g, v in zip(syz.elements, vecs):
                 total = {}
                 for (k, mono), c in v.items():
                     total = vec_add(total, vec_term_mul(
-                        gb.module_elements[k].vec, mono, c, K), K)
+                        rows[k], mono, c, K), K)
                 assert not total
                 assert v[(g.pos, g.ltm)] == K.one
             gb = syz

@@ -4,9 +4,10 @@ source lints over src/cmreg: only memo writes object caches, the one
 resolution loop, `resolution._resolve`, is the only caller of the syzygy
 step and is entered only through `free_resolution`, which alone builds a
 `FreeResolution`, resolutions minimize in three places, Groebner bases
-interreduce in three places, nothing calls `free_resolution_of_complex`,
-the complex layer presents no kernels, and the dense oracle imports
-nothing from the Groebner, Hilbert or resolution layers."""
+interreduce in three places, a frame is decoded only by its basis,
+nothing calls `free_resolution_of_complex`, the complex layer presents no
+kernels, and the dense oracle imports nothing from the Groebner, Hilbert
+or resolution layers."""
 
 import ast
 import os
@@ -254,6 +255,23 @@ def test_bases_interreduce_in_three_places():
     assert [(f, func) for f, _, func in sites] == [
         ("groebner.py", "defining_gb"), ("groebner.py", "elements"),
         ("groebner.py", "ideal_groebner_basis")]
+
+
+def test_a_frame_is_decoded_only_by_its_basis():
+    """A syzygy basis in its Schreyer packing is decoded in
+    `GroebnerBasis.module_vectors` alone: `GBElem.vec` decodes position
+    over grevlex, which a syzygy element refuses, and `_reduce` decodes a
+    normal form's remainder.  The resolution loop decodes the syzygies
+    below its frame as it finds them, and a frame level only in
+    `_minimal_cols`, on the first read of cols."""
+    sites = call_sites("decode_vec")
+    assert [(f, func) for f, _, func in sites] == [
+        ("groebner.py", "vec"), ("groebner.py", "_reduce"),
+        ("groebner.py", "module_vectors")]
+    sites = call_sites("module_vectors")
+    assert [(f, func) for f, _, func in sites] == [
+        ("resolution.py", "_resolve"), ("resolution.py", "_resolve"),
+        ("resolution.py", "_minimal_cols")]
 
 
 def test_nothing_calls_free_resolution_of_complex():

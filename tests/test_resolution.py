@@ -13,10 +13,11 @@ from cmreg import (BettiTable, BoundedComplex, ModuleMap, PresentedModule,
                    polynomial_ring, reg_via_betti, regularity, relative_reg,
                    resolution_to_complex, tor)
 from cmreg.complexes import free_complex_from_data
-from cmreg.freemod import FreeModule
-from cmreg.groebner import (GroebnerBasis, certify, groebner_basis,
-                            syzygy_generators)
+from cmreg.freemod import FreeModule, vec_add, vec_term_mul
+from cmreg.groebner import (GroebnerBasis, _packing, _SchreyerPacking, _Terms,
+                            certify, groebner_basis, syzygy_generators)
 from cmreg.minimize import _find_unit, minimize_chain
+from cmreg.poly import mono_div
 from cmreg.theorems import (nilpotent_scroll_family, random_ideal_corpus,
                             scroll_member)
 from test_groebner import naive_syzygy_generators
@@ -719,6 +720,39 @@ def test_a_misnumbered_frame_raises():
         syzygy_generators(bad)
 
 
+def test_a_frame_syzygy_decodes_only_through_its_basis():
+    # The same Koszul frame.  Its elements are packed in a Schreyer order
+    # they do not know: read as position over grevlex they would decode
+    # to other vectors, so .vec raises.  module_vectors decodes them in
+    # the basis's own packing, to the Koszul syzygies, and each level's
+    # syzygies annihilate the level below.
+    S = polynomial_ring(["x", "y", "z"])
+    K = S.field
+    x, y, z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    gens = [{(0, m): K.one} for m in (x, y, z)]
+    gb = groebner_basis(gens, S, FreeModule(S, (0,)))
+    assert [g.ltm for g in gb.module_elements] == [z, y, x]
+    _, frame = syzygy_generators(gb)
+    _, top = syzygy_generators(frame)
+    minus = K.neg(K.one)
+    assert frame.module_vectors() == [
+        {(0, x): K.one, (2, z): minus}, {(0, y): K.one, (1, z): minus},
+        {(1, x): K.one, (2, y): minus}]
+    for below, level in ((gb, frame), (frame, top)):
+        rows = below.module_vectors()
+        vecs = level.module_vectors()
+        assert len(vecs) == len(level.elements) > 0
+        for g, v in zip(level.elements, vecs):
+            with pytest.raises(TypeError, match="module_vectors"):
+                g.vec
+            assert _packing(3).decode_vec(g.terms) != v
+            assert v[(g.pos, g.ltm)] == K.one
+            total = {}
+            for (k, mono), c in v.items():
+                total = vec_add(total, vec_term_mul(rows[k], mono, c, K), K)
+            assert not total
+
+
 @pytest.mark.parametrize("label", ["corpus", "family"])
 def test_a_module_over_a_polynomial_ring_runs_buchberger_once(label,
                                                               monkeypatch):
@@ -750,17 +784,92 @@ def test_scroll_member_matches_the_ideal_as_a_module(n):
 
 def recorded_chains(monkeypatch):
     """The chains `_resolve` reads Betti numbers off, as (twists, cols,
-    ring), appended as they come."""
+    ring), appended as they come, with each frame level, a packed syzygy
+    basis, decoded into its columns."""
     res_mod = importlib.import_module("cmreg.resolution")
     real = res_mod._betti_twists
     chains = []
 
     def recording(twists, cols, ring):
-        chains.append((twists, cols, ring))
+        chains.append((twists, {
+            i: cs.module_vectors() if isinstance(cs, GroebnerBasis) else cs
+            for i, cs in cols.items()}, ring))
         return real(twists, cols, ring)
 
     monkeypatch.setattr(res_mod, "_betti_twists", recording)
     return chains
+
+
+def schreyer_decodes(monkeypatch):
+    """A list that gets the term count of every vector decoded from a
+    Schreyer packing."""
+    real = _Terms.decode_vec
+    decoded = []
+
+    def counting(self, terms):
+        if isinstance(self, _SchreyerPacking):
+            decoded.append(len(terms))
+        return real(self, terms)
+
+    monkeypatch.setattr(_Terms, "decode_vec", counting)
+    return decoded
+
+
+def test_betti_numbers_decode_no_frame_syzygy(monkeypatch):
+    # Over a polynomial ring the frame levels stay packed: the Betti
+    # numbers are read off their packed constant terms, and only a read
+    # of cols decodes them.
+    decoded = schreyer_decodes(monkeypatch)
+    # fresh modules for each entry, so that none reads a cached resolution
+    for entry in (lambda M: [betti_table(M.lift_to_cover(), max_len=n)
+                             for n in (None, 1, 2, 3)],
+                  reg_via_betti, depth):
+        for label, M in corpus_and_session_modules():
+            entry(M)
+    for n in (2, 3, 4):
+        scroll_member(n)
+    assert decoded == []
+    for label, M in corpus_and_session_modules():
+        free_resolution(M.lift_to_cover()).cols
+    assert decoded
+
+
+def reference_decode(basis):
+    """A packed syzygy basis as tuple dicts, each monomial the quotient of
+    its term's level-0 monomial by its basis vector's."""
+    Q = basis.packing
+    mono = Q.base.mono
+    return [{(h & Q.M, mono_div(mono(h >> Q.shift), mono(Q.bases[h & Q.M]))): c
+             for h, c in g.terms.items()} for g in basis.module_elements]
+
+
+def test_cols_are_the_frame_decoded(monkeypatch):
+    # the differentials minimize the decoded frame, as a loop that decoded
+    # every syzygy when it was found would
+    res_mod = importlib.import_module("cmreg.resolution")
+    real = res_mod._betti_twists
+    chains = []
+
+    def recording(twists, cols, ring):
+        chains.append((twists, dict(cols), ring))
+        return real(twists, cols, ring)
+
+    monkeypatch.setattr(res_mod, "_betti_twists", recording)
+    frames = 0
+    for label, M in corpus_and_session_modules():
+        for N in {M, M.lift_to_cover()}:
+            chains.clear()
+            res = free_resolution(N)
+            (twists, cols, ring), = chains
+            packed = [i for i, cs in cols.items()
+                      if isinstance(cs, GroebnerBasis)]
+            frames += len(packed)
+            for i in packed:
+                assert cols[i].module_vectors() == reference_decode(cols[i])
+                cols[i] = reference_decode(cols[i])
+            ref = res_mod._minimal_cols(res.twists, twists, cols, ring.field)
+            assert res.cols == ref, label
+    assert frames > 38
 
 
 def minimized_twists(twists, cols, K):
