@@ -163,12 +163,12 @@ def cmd_depth(session, args):
     return {"depth": depth(M), "profile": depth_profile(M)}
 
 
-def _pair(session, args):
-    A = session.get(args.first, ("module",))
-    B = session.get(args.second, ("module",))
-    if A.ring != B.ring:
-        raise UsageError("the two modules live over different rings")
-    return A, B
+def _modules(session, *names):
+    """The modules bound to names, which must all live over one ring."""
+    mods = [session.get(n, ("module",)) for n in names]
+    if any(M.ring != mods[0].ring for M in mods[1:]):
+        raise UsageError("the modules live over different rings")
+    return mods
 
 
 def _derived(session, args, key, build, sign):
@@ -177,7 +177,7 @@ def _derived(session, args, key, build, sign):
     -1 lists Ext^i (at spot -i).  When that resolution is truncated at
     length L, H_L(C) lacks d_{L+1} and is not Tor_L or Ext^L, so only
     i < L is listed."""
-    A, B = _pair(session, args)
+    A, B = _modules(session, args.first, args.second)
     res = free_resolution(A, max_len=args.max_len)
     C = build(A, B, max_len=args.max_len)
     top = inf if res.complete else res.length
@@ -207,7 +207,10 @@ def cmd_ext(session, args):
 def cmd_koszul(session, args):
     forms = session.get(args.sequence, ("sequence",))
     M = session.get(args.name, ("module",))
-    forms = transfer_polys(forms, M.ring)
+    try:
+        forms = transfer_polys(forms, M.ring)
+    except ValueError as e:
+        raise UsageError(str(e))
     value, witness = reg_via_koszul(M, forms=forms)
     return {"value": value,
             "witness": list(witness) if witness else None,
@@ -224,8 +227,8 @@ def cmd_check(session, args):
         return value
 
     if kind == "ab":
-        M = session.get(need("--module", args.module), ("module",))
-        N = session.get(need("--with", args.with_), ("module",))
+        M, N = _modules(session, need("--module", args.module),
+                        need("--with", args.with_))
         out = check_ab_formula(M, N, instance=f"{args.module},{args.with_}",
                                seed=seed)
     elif kind in ("cmd1", "dim1"):
@@ -240,11 +243,14 @@ def cmd_check(session, args):
         out = fn(obj, instance=label, seed=seed)
     elif kind == "tensor":
         names = [n.strip() for n in need("--modules", args.modules).split(",")]
-        mods = [session.get(n, ("module",)) for n in names]
+        if len(names) < 2:
+            raise UsageError("check tensor needs at least two modules in "
+                             "--modules")
+        mods = _modules(session, *names)
         out = check_cor_tensor(*mods, instance=",".join(names), seed=seed)
     elif kind == "hom":
-        M = session.get(need("--module", args.module), ("module",))
-        N = session.get(need("--with", args.with_), ("module",))
+        M, N = _modules(session, need("--module", args.module),
+                        need("--with", args.with_))
         out = check_cor_hom(M, N, instance=f"{args.module},{args.with_}",
                             seed=seed)
     elif kind == "filter":

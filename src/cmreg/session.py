@@ -240,11 +240,7 @@ class _Parser:
                     self.fail(f"ideal {iname!r} was not declared over a ring "
                               f"with the variables [{','.join(names)}]",
                               ideal_tok)
-                try:
-                    ring = ring.quotient(
-                        [Polynomial(ring, dict(g.terms)) for g in gens])
-                except ValueError as e:
-                    self.fail(str(e), ideal_tok)
+                ring = self._quotient(ring, gens, ideal_tok)
                 canon = (f"ring {name} = GF({p})[{','.join(names)}] "
                          f"/ {iname};")
         else:
@@ -258,11 +254,7 @@ class _Parser:
             if gens and gens[0].ring.names != ring0.names:
                 self.fail(f"ideal {iname!r} was not declared over a ring "
                           f"with the variables of {base!r}", ideal_tok)
-            try:
-                ring = ring0.quotient(
-                    [Polynomial(ring0, dict(g.terms)) for g in gens])
-            except ValueError as e:
-                self.fail(str(e), ideal_tok)
+            ring = self._quotient(ring0, gens, ideal_tok)
             canon = f"ring {name} = {base} / {iname};"
         self.expect(text=";")
         self.session.bind(name, "ring", ring, name_tok)
@@ -443,6 +435,17 @@ class _Parser:
         except UnknownBinding as e:
             self.fail(str(e), tok)
 
+    def _quotient(self, ring, gens, tok):
+        """ring / (gens), the generators taken as written: reducing them
+        modulo ring's own defining ideal would change the quotient's
+        defining generators."""
+        try:
+            _same_field(gens, ring)
+            return ring.quotient(
+                [Polynomial(ring, dict(g.terms)) for g in gens])
+        except ValueError as e:
+            self.fail(str(e), tok)
+
     def _transfer(self, polys, ring, tok):
         try:
             return transfer_polys(polys, ring)
@@ -569,8 +572,18 @@ class _Parser:
         return node
 
 
+def _same_field(polys, ring):
+    """Polynomials move between rings over one field only: coefficients
+    taken from GF(7) into GF(5) would stay unreduced there."""
+    for f in polys:
+        if f.ring.field != ring.field:
+            raise ValueError(f"polynomials declared over {f.ring.field} "
+                             f"cannot be read over {ring.field}")
+
+
 def transfer_polys(polys, ring):
     """Re-read polynomials over the ring that will consume them."""
+    _same_field(polys, ring)
     out = []
     for f in polys:
         if f.ring is ring:

@@ -13,6 +13,11 @@ input; it means the engine is broken.  Checkers raise
 TheoremContradiction in that case instead of returning a report.  The
 same policy applies to the unconditional one-sided bounds, which must
 hold even when an instance fails the hypotheses of the sharp statement.
+`_finish` is the one home of that rule: it builds every outcome and is
+the only place that raises TheoremContradiction, so every checker, and
+every one-sided bound a checker tests on the way, reports through it.
+Checkers that take several modules refuse modules over different rings
+with ValueError.
 """
 
 import random
@@ -97,19 +102,31 @@ class CheckOutcome:
                 f"verdict={self.verdict})")
 
 
+def _hypothesis(witnesses, **extra):
+    """The hypothesis record: it holds exactly when nothing witnesses a
+    failure."""
+    return {"verdict": "holds" if not witnesses else "fails",
+            "witnesses": witnesses, **extra}
+
+
 def _finish(name, instance, hypothesis, lhs, rhs, invariants, seed=None,
-            asserts="equality", slack=None):
+            asserts="equality", slack=None, closed=True):
     """Assemble the outcome and police the contradiction rule.
 
     asserts: what the identity claims under its hypotheses, "equality" or
-    "lhs<=rhs".  slack: the one-sided bound that survives a hypothesis
-    failure ("lhs<=rhs" or "lhs>=rhs"), or None when nothing does.
+    "lhs<=rhs", or None when nothing is asserted (lhs and rhs are None).
+    slack: the one-sided bound that survives a hypothesis failure
+    ("lhs<=rhs" or "lhs>=rhs"), or None when nothing does.  closed: False
+    when an equality the identity also claims, beside lhs = rhs, is false;
+    lhs = rhs is then a violation.
     """
     holds = hypothesis["verdict"] == "holds"
     breached = ((slack == "lhs<=rhs" and lhs > rhs)
                 or (slack == "lhs>=rhs" and lhs < rhs))
-    if lhs == rhs:
-        verdict = "equality"
+    if asserts is None:
+        verdict = "not-asserted"
+    elif lhs == rhs:
+        verdict = "equality" if closed else "violated"
     elif asserts == "equality":
         verdict = "violated" if (holds or breached) else "inequality"
     else:
@@ -122,22 +139,37 @@ def _finish(name, instance, hypothesis, lhs, rhs, invariants, seed=None,
     return out
 
 
+def _not_asserted(name, instance, witness, seed):
+    return _finish(name, instance, _hypothesis([witness]), None, None, {},
+                   seed, asserts=None)
+
+
 def _reg(M):
     return reg_via_duality(M)[0]
 
 
+def _one_ring(modules):
+    """The common ring of modules; ValueError when they live over
+    different rings."""
+    ring = modules[0].ring
+    if any(M.ring != ring for M in modules[1:]):
+        raise ValueError("the modules live over different rings")
+    return ring
+
+
 # -- homology-wise regularity of complexes ---------------------------------
 
-def _homology_sup(C):
-    """{spot: H} over the nonzero homology of C, {spot: reg H} for the
-    same spots, and sup{reg H_s - s} (-inf when C is exact)."""
-    homs = {}
+def _homology_profile(C):
+    """{spot: {"reg", "depth", "dim"} of H} over the nonzero homology H of
+    C, and sup{reg H_s - s} (-inf when C is exact)."""
+    profile = {}
     for s in C.levels():
         H = C.homology(s)
         if not H.is_zero():
-            homs[s] = H
-    regs = {s: _reg(H) for s, H in homs.items()}
-    return homs, regs, max((r - s for s, r in regs.items()), default=-inf)
+            profile[s] = {"reg": _reg(H), "depth": depth(H),
+                          "dim": H.dimension()}
+    return profile, max((p["reg"] - s for s, p in profile.items()),
+                        default=-inf)
 
 
 def _homology_formula(L, name, instance, witness_fn, seed=None):
@@ -148,25 +180,19 @@ def _homology_formula(L, name, instance, witness_fn, seed=None):
     homology-wise sup, and never exceeds the termwise sup{reg L_i - i}.
     """
     L = _as_complex(L)
-    homs, regs, rhs = _homology_sup(L)
+    profile, rhs = _homology_profile(L)
     lhs = reg_complex(L)
-    invariants = {f"H_{i}": {"reg": regs[i], "depth": depth(H),
-                             "dim": H.dimension()}
-                  for i, H in homs.items()}
+    invariants = {f"H_{i}": p for i, p in profile.items()}
     termwise = -inf
     for i in L.levels():
         T = L.term(i)
         if not T.is_zero():
             termwise = max(termwise, _reg(T) - i)
     invariants["termwise_bound"] = termwise
-    witnesses = witness_fn(homs, invariants)
-    hypothesis = {"verdict": "holds" if not witnesses else "fails",
-                  "witnesses": witnesses}
-    if lhs > termwise:
-        bad = CheckOutcome(name, instance, hypothesis,
-                           {"verdict": "violated", "lhs": lhs,
-                            "rhs": termwise}, invariants, seed)
-        raise TheoremContradiction(bad)
+    hypothesis = _hypothesis(witness_fn(profile))
+    # the termwise bound: this outcome only raises on a breach
+    _finish(name, instance, hypothesis, lhs, termwise, invariants, seed=seed,
+            asserts="lhs<=rhs", slack="lhs<=rhs")
     return _finish(name, instance, hypothesis, lhs, rhs, invariants,
                    seed=seed, asserts="equality", slack="lhs<=rhs")
 
@@ -189,8 +215,7 @@ def check_thm_cmd1(L, instance="complex", seed=None):
     read across zero homology as depth H_i >= dim H_j - (j - i) for each
     nonzero H_i and the next nonzero H_j above it."""
 
-    def witness_fn(homs, invariants):
-        profile = {i: invariants[f"H_{i}"] for i in homs}
+    def witness_fn(profile):
         return [{"spot": i, "depth": profile[i]["depth"],
                  "dim_above": profile[j]["dim"]}
                 for i, j in _staircase(profile)]
@@ -202,16 +227,11 @@ def check_thm_dim1(G, instance="complex", seed=None):
     """reg G = sup{reg H_i(G) - i} when every homology module above the
     bottom spot has dimension at most one."""
 
-    def witness_fn(homs, invariants):
-        out = []
-        bottom = min(homs) if homs else 0
-        for i in sorted(homs):
-            if i == bottom:
-                continue
-            dm = homs[i].dimension()
-            if dm > 1:
-                out.append({"spot": i, "dim": dm})
-        return out
+    def witness_fn(profile):
+        bottom = min(profile, default=0)
+        return [{"spot": i, "dim": p["dim"]}
+                for i, p in sorted(profile.items())
+                if i != bottom and p["dim"] > 1]
 
     return _homology_formula(G, "dim1", instance, witness_fn, seed=seed)
 
@@ -222,16 +242,12 @@ def check_ab_formula(M, N, instance="pair", seed=None):
     """reg(M tensor-L N) = reg M + rel.reg N = reg M + reg N - reg R,
     for N of certified finite projective dimension; also the closed loop
     reg N - rel.reg N = reg R for the same N."""
-    ring = M.ring
+    ring = _one_ring((M, N))
     res = free_resolution(N)
     if not res.complete:
-        hypothesis = {"verdict": "fails",
-                      "witnesses": [{"reason":
-                                     "projective dimension not certified "
-                                     "finite", "levels": res.length}]}
-        return CheckOutcome("ab", instance, hypothesis,
-                            {"verdict": "not-asserted", "lhs": None,
-                             "rhs": None}, {}, seed)
+        return _not_asserted("ab", instance,
+                             {"reason": "projective dimension not certified "
+                                        "finite", "levels": res.length}, seed)
     rel = relative_reg(N)
     lhs = reg_complex(tor_complex(N, M))
     reg_m = _reg(M)
@@ -239,31 +255,14 @@ def check_ab_formula(M, N, instance="pair", seed=None):
     reg_r = _reg(PresentedModule.cyclic(ring, []))
     invariants = {"reg_M": reg_m, "reg_N": reg_n, "reg_ring": reg_r,
                   "relative_reg_N": rel.value, "pd_N": res.length}
-    hypothesis = {"verdict": "holds", "witnesses": []}
-    eqs = [lhs == _xadd(reg_m, rel.value),
-           lhs == _xsub(_xadd(reg_m, reg_n), reg_r)]
+    # every value here is an int or -inf, never +inf
+    rhs = reg_m + rel.value
+    eqs = [lhs == rhs, lhs == reg_m + reg_n - reg_r]
     if not N.is_zero():
         eqs.append(reg_n - rel.value == reg_r)
     invariants["loop_closed"] = all(eqs)
-    verdict = "equality" if all(eqs) else "violated"
-    out = CheckOutcome("ab", instance, hypothesis,
-                       {"verdict": verdict, "lhs": lhs,
-                        "rhs": _xadd(reg_m, rel.value)}, invariants, seed)
-    if verdict == "violated":
-        raise TheoremContradiction(out)
-    return out
-
-
-def _xadd(a, b):
-    if a == -inf or b == -inf:
-        return -inf
-    return a + b
-
-
-def _xsub(a, b):
-    if a == -inf:
-        return -inf
-    return a - b
+    return _finish("ab", instance, _hypothesis([]), lhs, rhs, invariants,
+                   seed=seed, closed=all(eqs))
 
 
 def check_cor_tensor(*modules, instance="tensor", seed=None):
@@ -272,38 +271,33 @@ def check_cor_tensor(*modules, instance="tensor", seed=None):
     factor have certified finite projective dimension."""
     if len(modules) < 2:
         raise ValueError("need at least two modules")
-    ring = modules[0].ring
+    ring = _one_ring(modules)
     resolutions = []
     for t, M in enumerate(modules[:-1]):
         res = free_resolution(M)
         if not res.complete:
-            hypothesis = {"verdict": "fails",
-                          "witnesses": [{"factor": t, "reason":
-                                         "projective dimension not "
-                                         "certified finite"}]}
-            return CheckOutcome("tensor", instance, hypothesis,
-                                {"verdict": "not-asserted", "lhs": None,
-                                 "rhs": None}, {}, seed)
+            return _not_asserted("tensor", instance,
+                                 {"factor": t, "reason": "projective "
+                                  "dimension not certified finite"}, seed)
         resolutions.append(res)
     F = resolution_to_complex(resolutions[0])
     for res in resolutions[1:]:
         F = tensor_complexes(F, resolution_to_complex(res))
     T = tensor_free_with_complex(F, complex_from_module(modules[-1]))
-    homs, regs, lhs = _homology_sup(T)
-    invariants = {f"Tor_{i}": {"reg": regs[i], "dim": H.dimension()}
-                  for i, H in homs.items()}
-    witnesses = [{"spot": i, "dim": H.dimension()} for i, H in homs.items()
-                 if i >= 1 and H.dimension() > 1]
+    profile, lhs = _homology_profile(T)
+    invariants = {f"Tor_{i}": {"reg": p["reg"], "dim": p["dim"]}
+                  for i, p in profile.items()}
+    witnesses = [{"spot": i, "dim": p["dim"]} for i, p in profile.items()
+                 if i >= 1 and p["dim"] > 1]
     reg_r = reg_via_koszul(PresentedModule.cyclic(ring, []))[0]
     rhs = -inf if any(M.is_zero() for M in modules) else -(len(modules) - 1) * reg_r
     for t, M in enumerate(modules):
         r = reg_via_koszul(M)[0]
         invariants[f"reg_factor_{t}"] = r
-        rhs = _xadd(rhs, r)
+        rhs += r
     invariants["reg_ring"] = reg_r
-    hypothesis = {"verdict": "holds" if not witnesses else "fails",
-                  "witnesses": witnesses}
-    return _finish("tensor", instance, hypothesis, lhs, rhs, invariants,
+    return _finish("tensor", instance, _hypothesis(witnesses), lhs, rhs,
+                   invariants,
                    seed=seed, asserts="equality", slack="lhs>=rhs")
 
 
@@ -314,6 +308,7 @@ def check_cor_hom(M, N, instance="pair", seed=None):
     condition depth Ext^i >= dim Ext^{i-1} - 1 above the least index,
     read across zero Ext as depth Ext^j >= dim Ext^i - (j - i) for each
     nonzero Ext^i and the next nonzero Ext^j above it."""
+    _one_ring((M, N))
     res = free_resolution(M)
     if not res.complete:
         raise ValueError(
@@ -321,25 +316,21 @@ def check_cor_hom(M, N, instance="pair", seed=None):
             f"the source was not certified finite within {res.length} steps")
     E = ext_complex(M, N)
     # Ext^i sits at spot -i, so reg Ext^i + i is reg H_s - s
-    homs, regs, lhs = _homology_sup(E)
-    exts = {-s: homs[s] for s in sorted(homs, reverse=True)}
-    invariants = {f"Ext_{i}": {"reg": regs[-i], "depth": depth(H),
-                               "dim": H.dimension()}
-                  for i, H in exts.items()}
+    profile, lhs = _homology_profile(E)
+    invariants = {f"Ext_{-s}": profile[s]
+                  for s in sorted(profile, reverse=True)}
     # Ext^i sits at spot -i, so the staircase over spots reads depth
     # Ext^j >= dim Ext^i - (j - i) for consecutive nonzero Ext^i and
     # Ext^j, i < j; witnesses are listed by ascending index
-    profile = {-i: invariants[f"Ext_{i}"] for i in exts}
     witnesses = [{"index": -s, "depth": profile[s]["depth"],
                   "dim_below": profile[t]["dim"]}
                  for s, t in reversed(_staircase(profile))]
     reg_n = reg_via_koszul(N)[0]
-    rhs = _xsub(reg_n, M.indeg()) if not M.is_zero() else -inf
+    rhs = reg_n - M.indeg() if not M.is_zero() else -inf
     invariants["reg_N"] = reg_n
     invariants["indeg_M"] = M.indeg()
-    hypothesis = {"verdict": "holds" if not witnesses else "fails",
-                  "witnesses": witnesses}
-    return _finish("hom", instance, hypothesis, lhs, rhs, invariants,
+    return _finish("hom", instance, _hypothesis(witnesses), lhs, rhs,
+                   invariants,
                    seed=seed, asserts="equality", slack="lhs>=rhs")
 
 
@@ -354,9 +345,7 @@ def check_hom_dim1(ideal_gens, N, instance="pair", seed=None):
         phi, _ = multiplication_map(H, g)
         H, _ = kernel(phi)
     dm = H.dimension()
-    witnesses = [] if dm <= 1 else [{"dim": dm}]
-    hypothesis = {"verdict": "holds" if not witnesses else "fails",
-                  "witnesses": witnesses}
+    hypothesis = _hypothesis([] if dm <= 1 else [{"dim": dm}])
     lhs = _reg(H)
     rhs = reg_via_koszul(N)[0]
     invariants = {"dim_hom": dm, "reg_hom": lhs, "reg_N": rhs}
@@ -378,14 +367,13 @@ def check_filter_regular_formula(M, x, instance="module", seed=None):
     Q = quotient_by_element(M, x)
     dep_q = depth(Q)
     dim_c = C.dimension()
-    witnesses = ([] if dep_q >= dim_c - 1
-                 else [{"depth_quotient": dep_q, "dim_colon": dim_c}])
-    hypothesis = {"verdict": "holds" if not witnesses else "fails",
-                  "witnesses": witnesses}
+    hypothesis = _hypothesis(
+        [] if dep_q >= dim_c - 1
+        else [{"depth_quotient": dep_q, "dim_colon": dim_c}])
     lhs = reg_via_koszul(M)[0]
     reg_c = _reg(C)
     reg_q = _reg(Q)
-    rhs = max(reg_c, _xsub(reg_q, d - 1))
+    rhs = max(reg_c, reg_q - (d - 1))
     invariants = {"degree": d, "reg_colon": reg_c, "reg_quotient": reg_q,
                   "depth_quotient": dep_q, "dim_colon": dim_c,
                   "strict": lhs < rhs}
@@ -437,19 +425,14 @@ def check_ring_independence(M, extra_vars=1, instance="module", seed=None):
     t2 = local_cohomology_table(M2, window)
     tables_match = (t1.entries == t2.entries
                     and t1.row_support == t2.row_support)
-    hypothesis = {"verdict": "holds", "witnesses": [],
-                  "covers": [repr(M.ring.cover), repr(M2.ring.cover)]}
+    hypothesis = _hypothesis(
+        [], covers=[repr(M.ring.cover), repr(M2.ring.cover)])
     invariants = {"ext_route": [e1, e2],
                   "row_support": [sorted(t1.row_support),
                                   sorted(t2.row_support)],
                   "tables_match": tables_match}
-    verdict = "equality" if (e1 == e2 and tables_match) else "violated"
-    out = CheckOutcome("ring-indep", instance, hypothesis,
-                       {"verdict": verdict, "lhs": e1, "rhs": e2},
-                       invariants, seed)
-    if verdict == "violated":
-        raise TheoremContradiction(out)
-    return out
+    return _finish("ring-indep", instance, hypothesis, e1, e2, invariants,
+                   seed=seed, closed=tables_match)
 
 
 # -- the one-nilpotent-block scroll family ---------------------------------

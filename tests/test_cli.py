@@ -401,6 +401,55 @@ module N = cyclic(B);
     assert "different rings" in err
 
 
+MIXED = """
+ring A = GF(32003)[x, y];
+module M = cyclic(A);
+ring B = GF(7)[x, y];
+module N = cyclic(B);
+ring C = GF(32003)[x, y, z];
+ideal J = x*z;
+module P = cyclic(C, J);
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "ab", "--module", "M", "--with", "N"),
+    ("check", "hom", "--module", "M", "--with", "N"),
+    ("check", "tensor", "--modules", "M,N"),
+    ("check", "ab", "--module", "P", "--with", "M"),
+    ("check", "hom", "--module", "M", "--with", "P"),
+    ("check", "tensor", "--modules", "M,P"),
+    ("check", "tensor", "--modules", "M,M,N"),
+])
+def test_checks_refuse_modules_over_different_rings(tmp_path, capsys, argv):
+    # over GF(32003) and GF(7) ab, hom and tensor reported equality; with
+    # two and three variables hom and tensor died with a traceback
+    p = tmp_path / "mixed.cmreg"
+    p.write_text(MIXED)
+    code, out, err = run(capsys, "--session", str(p), *argv)
+    assert (code, out) == (1, "")
+    assert "different rings" in err
+
+
+@pytest.mark.parametrize("ring, form, message", [
+    ("GF(7)[x, y]", "x", "GF(7) cannot be read over GF(32003)"),
+    ("GF(32003)[u, v]", "u", "different variables")])
+def test_koszul_refuses_a_sequence_from_another_ring(tmp_path, capsys,
+                                                     ring, form, message):
+    p = tmp_path / "seq.cmreg"
+    p.write_text(f"ring Q = {ring};\nsequence s = {form};\n" + MIXED)
+    code, out, err = run(capsys, "--session", str(p), "koszul", "s", "M")
+    assert (code, out) == (1, "")
+    assert message in err
+
+
+def test_check_tensor_needs_two_modules(session_file, capsys):
+    code, out, err = run(capsys, "--session", session_file, "check",
+                         "tensor", "--modules", "M")
+    assert (code, out) == (1, "")
+    assert "at least two" in err
+
+
 # -- one parser per process ---------------------------------------------------
 
 QUADRICS = ("ring S = GF(32003)[x, y];\n"

@@ -5,9 +5,10 @@ resolution loop, `resolution._resolve`, is the only caller of the syzygy
 step and is entered only through `free_resolution`, which alone builds a
 `FreeResolution`, resolutions minimize in three places, Groebner bases
 interreduce in three places, a frame is decoded only by its basis,
-nothing calls `free_resolution_of_complex`, the complex layer presents no
-kernels, and the dense oracle imports nothing from the Groebner, Hilbert
-or resolution layers."""
+checker outcomes are built and contradictions raised only by
+`theorems._finish`, nothing calls `free_resolution_of_complex`, the
+complex layer presents no kernels, and the dense oracle imports nothing
+from the Groebner, Hilbert or resolution layers."""
 
 import ast
 import os
@@ -272,6 +273,21 @@ def test_a_frame_is_decoded_only_by_its_basis():
     assert [(f, func) for f, _, func in sites] == [
         ("resolution.py", "_resolve"), ("resolution.py", "_resolve"),
         ("resolution.py", "_minimal_cols")]
+
+
+def test_checker_outcomes_are_built_only_by_finish():
+    """`theorems._finish` is the one home of the checker contradiction
+    rule: it alone builds a `CheckOutcome` and raises
+    `TheoremContradiction`, so no checker decides a verdict by hand."""
+    for name in ("CheckOutcome", "TheoremContradiction"):
+        sites = call_sites(name)
+        assert [(f, func) for f, _, func in sites] == [
+            ("theorems.py", "_finish")], name
+    defined = {node.name for _, _, source in sources()
+               for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_xadd", "_xsub"}
+    assert call_sites("_xadd") == call_sites("_xsub") == []
 
 
 def test_nothing_calls_free_resolution_of_complex():

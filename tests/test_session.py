@@ -1,6 +1,7 @@
 import pytest
 
-from cmreg import ParseError, Session, UnknownBinding, parse_polynomial, parse_session
+from cmreg import (ParseError, Session, UnknownBinding, parse_polynomial,
+                   parse_session, polynomial_ring)
 from cmreg.session import MAX_NESTING, tokenize, transfer_polys
 
 GOOD = """
@@ -151,6 +152,31 @@ def test_transfer_rejects_alien_variables():
     fx = parse_polynomial("x", a.get("A", ("ring",)))
     with pytest.raises(ValueError):
         transfer_polys([fx], b.get("B", ("ring",)))
+
+
+CROSS_FIELD = "ring A = GF(7)[x, y];\nideal I = x^2 + 5*y^2;\n"
+
+
+@pytest.mark.parametrize("tail, col", [
+    ("ring B = GF(5)[x, y] / I;", 24),
+    ("ring C = GF(5)[x, y];\nring B = C / I;", 14),
+    ("ring C = GF(5)[x, y];\nmodule M = cyclic(C, I);", 22),
+    ("ring C = GF(5)[x, y];\nmodule M = ideal_module(C, I);", 28),
+])
+def test_polynomials_do_not_move_between_fields(tail, col):
+    # read over GF(5), 5*y^2 kept its coefficient unreduced: the quotient
+    # printed as GF(5)[x,y] / (x^2 + 5*y^2), betti reported pd 0 and reg
+    # died with an inverse of zero
+    with pytest.raises(ParseError) as e:
+        parse_session(CROSS_FIELD + tail)
+    assert "GF(7)" in e.value.message and "GF(5)" in e.value.message
+    assert (e.value.line, e.value.col) == (tail.count("\n") + 3, col)
+
+
+def test_transfer_rejects_another_field():
+    f = parse_polynomial("x + 5*y", polynomial_ring(["x", "y"], p=7))
+    with pytest.raises(ValueError, match="GF"):
+        transfer_polys([f], polynomial_ring(["x", "y"], p=5))
 
 
 def test_parse_polynomial_rejects_trailing_input(S3):

@@ -1,5 +1,8 @@
+import types
+
 import pytest
 
+import cmreg.theorems as theorems
 from cmreg import (PresentedModule, check_ab_formula, check_cor_hom,
                    check_cor_tensor, check_filter_regular_formula,
                    check_hom_dim1, check_ring_independence, check_thm_cmd1,
@@ -142,6 +145,78 @@ def test_truncations_of_corpus_resolutions():
     assert count == 29
 
 
+def test_termwise_bound_breach_is_a_contradiction(monkeypatch):
+    # reg L = 5 would meet the homology-wise sup 5 with equality, but it
+    # exceeds the termwise sup{reg L_i - i} = 4, which holds unconditionally
+    S = polynomial_ring(["x", "y", "z", "w"])
+    L = free_complex_from_data(S, TRUNCATION_TWISTS, TRUNCATION_COLS)
+    monkeypatch.setattr(theorems, "reg_complex", lambda C: 5)
+    homology = {"H_0": {"reg": 4, "depth": 1, "dim": 2},
+                "H_2": {"reg": 7, "depth": 4, "dim": 4},
+                "termwise_bound": 4}
+    witnesses = {"cmd1": [{"spot": 0, "depth": 1, "dim_above": 4}],
+                 "dim1": [{"spot": 2, "dim": 4}]}
+    for check in (check_thm_cmd1, check_thm_dim1):
+        with pytest.raises(TheoremContradiction) as e:
+            check(L, instance="trunc", seed=3)
+        name = e.value.outcome.name
+        assert e.value.outcome.as_dict() == {
+            "check": name, "instance": "trunc", "seed": 3,
+            "hypothesis": {"verdict": "fails",
+                           "witnesses": witnesses[name]},
+            "conclusion": {"verdict": "violated", "lhs": 5, "rhs": 4},
+            "invariants": homology}
+
+
+def test_ab_formula_raises_when_the_loop_does_not_close(S3, monkeypatch):
+    # lhs = reg M + rel.reg N still holds; reg N moved by one breaks
+    # reg M + reg N - reg R and reg N - rel.reg N = reg R
+    x, y, z = S3.gens()
+    M = PresentedModule.cyclic(S3, [x * x])
+    N = PresentedModule.cyclic(S3, [y * y * y])
+    reg = theorems._reg
+    monkeypatch.setattr(theorems, "_reg",
+                        lambda A: reg(A) + (1 if A is N else 0))
+    with pytest.raises(TheoremContradiction) as e:
+        check_ab_formula(M, N, instance="pair", seed=2)
+    assert e.value.outcome.as_dict() == {
+        "check": "ab", "instance": "pair", "seed": 2,
+        "hypothesis": {"verdict": "holds", "witnesses": []},
+        "conclusion": {"verdict": "violated", "lhs": 3, "rhs": 3},
+        "invariants": {"reg_M": 1, "reg_N": 3, "reg_ring": 0,
+                       "relative_reg_N": 2, "pd_N": 1,
+                       "loop_closed": False}}
+
+
+def test_ring_independence_raises_when_only_the_tables_differ(S3,
+                                                              monkeypatch):
+    x, y, z = S3.gens()
+    M = PresentedModule.cyclic(S3, [x * y, x * z])
+    table = theorems.local_cohomology_table
+    seen = []
+
+    def second_differs(module, window):
+        t = table(module, window)
+        seen.append(t)
+        if len(seen) == 2:
+            return types.SimpleNamespace(entries={},
+                                         row_support=t.row_support)
+        return t
+
+    monkeypatch.setattr(theorems, "local_cohomology_table", second_differs)
+    with pytest.raises(TheoremContradiction) as e:
+        check_ring_independence(M, instance="mod", seed=1)
+    assert e.value.outcome.as_dict() == {
+        "check": "ring-indep", "instance": "mod", "seed": 1,
+        "hypothesis": {"verdict": "holds", "witnesses": [],
+                       "covers": ["GF(32003)[x,y,z]",
+                                  "GF(32003)[x,y,z,u0]"]},
+        "conclusion": {"verdict": "violated", "lhs": 1, "rhs": 1},
+        "invariants": {"ext_route": [1, 1],
+                       "row_support": [[1, 2], [1, 2]],
+                       "tables_match": False}}
+
+
 def test_cmd1_staircase_between_neighbours_is_unchanged():
     # with no zero homology between them, spots i and i + 1 compare by
     # depth H_i >= dim H_{i+1} - 1, as before
@@ -236,9 +311,27 @@ def test_ab_formula_equality(S3):
 def test_ab_formula_not_asserted_over_quotient(ci_ring):
     k = PresentedModule.cyclic(ci_ring, list(ci_ring.gens()))
     R = PresentedModule.cyclic(ci_ring, [])
-    out = check_ab_formula(R, k)
-    assert not holds(out)
-    assert out.verdict == "not-asserted"
+    out = check_ab_formula(R, k, instance="R,k", seed=5)
+    assert out.as_dict() == {
+        "check": "ab", "instance": "R,k", "seed": 5,
+        "hypothesis": {"verdict": "fails", "witnesses": [
+            {"reason": "projective dimension not certified finite",
+             "levels": 8}]},
+        "conclusion": {"verdict": "not-asserted", "lhs": None, "rhs": None},
+        "invariants": {}}
+
+
+def test_tensor_formula_not_asserted_over_quotient(ci_ring):
+    k = PresentedModule.cyclic(ci_ring, list(ci_ring.gens()))
+    R = PresentedModule.cyclic(ci_ring, [])
+    out = check_cor_tensor(R, k, R, instance="R,k,R", seed=6)
+    assert out.as_dict() == {
+        "check": "tensor", "instance": "R,k,R", "seed": 6,
+        "hypothesis": {"verdict": "fails", "witnesses": [
+            {"factor": 1,
+             "reason": "projective dimension not certified finite"}]},
+        "conclusion": {"verdict": "not-asserted", "lhs": None, "rhs": None},
+        "invariants": {}}
 
 
 def test_tensor_formula_on_hypersurface_pair(S2):
@@ -263,6 +356,33 @@ def test_tensor_three_factors(S2):
     C = PresentedModule.cyclic(S2, [x * y])
     out = check_cor_tensor(A, B, C)
     assert out.verdict in ("equality", "inequality")
+
+
+def _mixed_pairs():
+    # other variables, another field, another number of variables
+    S = polynomial_ring(["x", "y", "z"])
+    x, y, z = S.gens()
+    M = PresentedModule.cyclic(S, [x * y, x * z])
+    T = polynomial_ring(["a", "b"])
+    a, _ = T.gens()
+    S7 = polynomial_ring(["x", "y", "z"], p=7)
+    x7 = S7.gens()[0]
+    return [(M, PresentedModule.cyclic(T, [a * a])),
+            (M, PresentedModule.cyclic(S7, [x7 * x7])),
+            (PresentedModule.cyclic(T, [a * a]), M)]
+
+
+@pytest.mark.parametrize("check", [
+    check_ab_formula, check_cor_hom, check_cor_tensor,
+    lambda M, N: check_cor_tensor(M, M, N)],
+    ids=["ab", "hom", "tensor", "tensor3"])
+def test_checkers_refuse_modules_over_different_rings(check):
+    # before the guard, ab and tensor reported equality over k[x,y,z] and
+    # k[a,b], and hom and tensor died inside the engine on the variable
+    # counts
+    for M, N in _mixed_pairs():
+        with pytest.raises(ValueError, match="different rings"):
+            check(M, N)
 
 
 # -- the strictness family -------------------------------------------------
