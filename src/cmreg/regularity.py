@@ -30,6 +30,16 @@ so a checker that asks twice pays once.  Explicit Koszul forms are never
 cached, and the cross_check betti run is repeated on every call, reading
 the resolution kept on the cover.
 
+The duality series and the depth are kept one level down, on the cover
+ring, under the module's key (_module_key: its generator twists less the
+lowest, t0, and its reduced Groebner basis).  Ext and depth are
+invariants of the module, not of its presentation, and a twist only
+shifts Ext.  So a module met again under another twist or presentation
+(Tor_1(S/(f), M) = (0 :_M f)(-1) in one checker and (0 :_M f) in
+another, or M and M(-1) in the termwise bound) reads the stored series
+and shifts them by its own t0.  The betti, ext and koszul routes never
+read these entries.
+
 Absolute invariants of quotient-ring modules are routed through the
 polynomial cover; the Koszul route is the one that works directly over the
 quotient, which is what makes the four-way agreement a real test.
@@ -181,19 +191,42 @@ def _koszul_route(C, forms):
 
 # -- route 4: graded local duality ----------------------------------------
 
+def _module_key(Mc):
+    """(t0, key) of a module over a polynomial ring: t0 its lowest
+    generator twist, key its generator twists less t0 and its reduced
+    Groebner basis.  A reduced basis is unique, so over one ring object
+    equal keys name the same submodule of the same free module, up to the
+    shift t0."""
+    twists = Mc.gens_free.twists
+    t0 = min(twists)
+    return t0, (tuple(t - t0 for t in twists),
+                frozenset(frozenset(g.terms.items())
+                          for g in Mc.gb().elements))
+
+
 def _duality_series(M):
     """{q: HS(Ext^q_S(M, S(-n)))} over the cover S, n = number of cover
-    vars, read off Hom(F, S(-n)) for the minimal free resolution F of M."""
+    vars, read off Hom(F, S(-n)) for the minimal free resolution F of M.
+
+    Computed once per module up to twist and presentation: the series of
+    M(t0), t0 the lowest generator twist, are kept on S under the module's
+    key, and each caller shifts them back by its own t0."""
     Mc = M.lift_to_cover()
     S = Mc.ring
     n = S.nvars
-    D = ext_complex(Mc, PresentedModule.free(S, (n,)))
-    out = {}
-    for s in D.levels():
-        H = D.homology_series(s)
-        if not H.is_zero():
-            out[-s] = H
-    return out, n
+    t0, key = _module_key(Mc)
+
+    def compute():
+        D = ext_complex(Mc, PresentedModule.free(S, (n,)))
+        out = {}
+        for s in D.levels():
+            H = D.homology_series(s)
+            if not H.is_zero():
+                out[-s] = H.twist(-t0)
+        return out
+
+    series = _cached(S, ("duality", key), compute)
+    return {q: H.twist(t0) for q, H in series.items()}, n
 
 
 def reg_via_duality(M):
@@ -265,6 +298,9 @@ WINDOW_HARD_CAP_FACTOR = 8
 
 def local_cohomology_table(M, window=None):
     _require_module(M)
+    if window is not None and window[0] > window[1]:
+        raise ValueError(f"empty local cohomology window {tuple(window)}: "
+                         "it ends below its start")
     if M.is_zero():
         return LocalCohomologyTable({}, window or (0, 0), {}, 0)
     ext_series, n = _duality_series(M)
@@ -372,13 +408,17 @@ def depth_profile(M):
 
 
 def depth(M):
-    """Depth of a module (over its own ring; depth is cover-independent)."""
+    """Depth of a module (over its own ring; depth is cover-independent),
+    by Auslander-Buchsbaum over the cover, once per module up to twist and
+    presentation (kept on the cover under the key of _module_key)."""
     _require_module(M)
     Mc = M.lift_to_cover()
     if Mc.is_zero():
         return inf
-    res = free_resolution(Mc)
-    return Mc.ring.nvars - res.length
+    S = Mc.ring
+    _, key = _module_key(Mc)
+    return _cached(S, ("depth", key),
+                   lambda: S.nvars - free_resolution(Mc).length)
 
 
 # -- the report ------------------------------------------------------------

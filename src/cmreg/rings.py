@@ -96,11 +96,16 @@ class GradedRing:
             return True
         if not isinstance(other, GradedRing):
             return NotImplemented
-        return (self.field == other.field and self.names == other.names
-                and [g.terms for g in self.defining] == [g.terms for g in other.defining])
+        if self.field != other.field or self.names != other.names:
+            return False
+        # equal ideals: equal reduced bases, whatever generators defined them
+        from .groebner import defining_gb
+        return ([g.terms for g in defining_gb(self)]
+                == [g.terms for g in defining_gb(other)])
 
     def __hash__(self):
-        return hash((self.field, self.names, len(self.defining)))
+        # equal ideals may have different numbers of generators
+        return hash((self.field, self.names))
 
     def __repr__(self):
         base = f"{self.field}[{','.join(self.names)}]"

@@ -431,6 +431,38 @@ def test_checks_refuse_modules_over_different_rings(tmp_path, capsys, argv):
     assert "different rings" in err
 
 
+ONE_IDEAL = """
+ring S = GF(32003)[x, y];
+ideal I = x^2, y^2;
+ideal J = y^2, x^2;
+ideal K = x^2, y^2, x^2*y;
+ring R = S / I;
+ring RJ = S / J;
+ring RK = S / K;
+ideal m = x, y;
+module F = cyclic(R);
+module k = cyclic(R, m);
+module kJ = cyclic(RJ, m);
+module kK = cyclic(RK, m);
+"""
+
+
+@pytest.mark.parametrize("other", ["kJ", "kK"])
+@pytest.mark.parametrize("argv", [
+    ("tor", "k", "{}"),
+    ("check", "hom", "--module", "F", "--with", "{}")])
+def test_one_ideal_under_other_generators_is_one_ring(tmp_path, capsys,
+                                                      argv, other):
+    # over S/(y², x²) and S/(x², y², x²y) against S/(x², y²), tor and
+    # check hom exited 1 with "the modules live over different rings"
+    p = tmp_path / "one-ideal.cmreg"
+    p.write_text(ONE_IDEAL)
+    want = run(capsys, "--session", str(p), *[a.format("k") for a in argv])
+    got = run(capsys, "--session", str(p), *[a.format(other) for a in argv])
+    assert want[0] == 0
+    assert (got[0], got[1].replace(other, "k")) == want[:2]
+
+
 @pytest.mark.parametrize("ring, form, message", [
     ("GF(7)[x, y]", "x", "GF(7) cannot be read over GF(32003)"),
     ("GF(32003)[u, v]", "u", "different variables")])

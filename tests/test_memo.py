@@ -6,11 +6,14 @@ step and is entered only through `free_resolution`, which alone builds a
 `FreeResolution`, resolutions minimize in three places, Groebner bases
 interreduce in three places, a frame is decoded only by its basis,
 checker outcomes are built and contradictions raised only by
-`theorems._finish`, nothing calls `free_resolution_of_complex`, the
-complex layer presents no kernels, and the dense oracle imports nothing
-from the Groebner, Hilbert or resolution layers."""
+`theorems._finish`, the duality series and the depth are computed only
+under their keys on the cover ring (and read there up to twist), nothing
+calls `free_resolution_of_complex`, the complex layer presents no
+kernels, and the dense oracle imports nothing from the Groebner, Hilbert
+or resolution layers."""
 
 import ast
+import importlib
 import os
 
 import pytest
@@ -24,6 +27,10 @@ from cmreg import (BoundedComplex, ModuleMap, PresentedModule,
                    free_resolution, koszul_complex, koszul_resolution_of_k,
                    polynomial_ring)
 from cmreg.groebner import defining_gb
+
+# the package exports a function named regularity, which shadows the
+# submodule as an attribute of cmreg
+routes = importlib.import_module("cmreg.regularity")
 
 
 def _module():
@@ -55,8 +62,13 @@ def _quotient_koszul():
     return koszul_complex([M.ring.gens()[0]], M)
 
 
+def _twisted(M):
+    return M.twist(2)
+
+
 # (name, fresh object, the cached call, (owner, attribute) of the inner
-# call that does the work on a miss)
+# call that does the work on a miss[, the object of the second call, made
+# from the first])
 CASES = [
     ("gb", _module, lambda M: M.gb(), (cmreg.modules, "groebner_basis")),
     ("minimized", _module, lambda M: M.minimized(),
@@ -82,13 +94,21 @@ CASES = [
      koszul_resolution_of_k, (cmreg.complexes, "koszul_complex")),
     ("defining_gb", _quotient_ring, defining_gb,
      (cmreg.groebner, "_buchberger")),
+    # kept on the cover ring up to twist: depth and the rows of local
+    # cohomology do not move under a twist
+    ("depth_up_to_twist", _module, routes.depth,
+     (routes, "free_resolution"), _twisted),
+    ("duality_up_to_twist", _module,
+     lambda M: routes.local_cohomology_table(M).depth_dim(),
+     (routes, "ext_complex"), _twisted),
 ]
 
 
-@pytest.mark.parametrize("fresh, call, inner", [c[1:] for c in CASES],
+@pytest.mark.parametrize("fresh, call, inner, again",
+                         [(c + (None,))[1:5] for c in CASES],
                          ids=[c[0] for c in CASES])
 def test_second_call_returns_the_cached_object(monkeypatch, fresh, call,
-                                               inner):
+                                               inner, again):
     owner, attr = inner
     calls = []
     original = getattr(owner, attr)
@@ -102,7 +122,10 @@ def test_second_call_returns_the_cached_object(monkeypatch, fresh, call,
     first = call(obj)
     computed = len(calls)
     assert computed >= 1
-    assert call(obj) is first
+    if again is None:
+        assert call(obj) is first
+    else:
+        assert call(again(obj)) == first
     assert len(calls) == computed
 
 
@@ -288,6 +311,64 @@ def test_checker_outcomes_are_built_only_by_finish():
                if isinstance(node, ast.FunctionDef)}
     assert not defined & {"_xadd", "_xsub"}
     assert call_sites("_xadd") == call_sites("_xsub") == []
+
+
+def cached_computes(source, tag):
+    """(first line, last line) of each compute that source hands to
+    `_cached` under a key (tag, ...): a lambda, or a function of that name
+    defined in the same function."""
+    out = []
+    for scope in ast.walk(ast.parse(source)):
+        if not isinstance(scope, ast.FunctionDef):
+            continue
+        local = {node.name: node for node in ast.walk(scope)
+                 if isinstance(node, ast.FunctionDef)}
+        for node in ast.walk(scope):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "_cached" and len(node.args) == 3):
+                continue
+            key, compute = node.args[1], node.args[2]
+            if not (isinstance(key, ast.Tuple) and key.elts
+                    and isinstance(key.elts[0], ast.Constant)
+                    and key.elts[0].value == tag):
+                continue
+            if isinstance(compute, ast.Name):
+                compute = local[compute.id]
+            out.append((compute.lineno, compute.end_lineno))
+    return out
+
+
+def test_cached_computes_are_recognized():
+    src = ("def f(S, k):\n    def compute():\n        return g()\n"
+           "    return _cached(S, ('a', k), compute)\n"
+           "def h(S, k):\n    return _cached(S, ('b', k), lambda: g())\n"
+           "def m(S):\n    return _cached(S, 'a', lambda: g())\n")
+    assert cached_computes(src, "a") == [(2, 3)]
+    assert cached_computes(src, "b") == [(6, 6)]
+
+
+def test_duality_and_depth_are_computed_only_under_their_cover_keys():
+    """The dual complex Hom(F, S(-n)) is built only in the compute kept on
+    the cover ring under ("duality", key), and depth reads pd off a
+    resolution only in the compute kept there under ("depth", key), so a
+    module met again up to twist or presentation pays for neither."""
+    [source] = [src for name, _, src in sources() if name == "regularity.py"]
+    [(lo, hi)] = cached_computes(source, "duality")
+    sites = [line for line, _ in calls(source, "ext_complex")]
+    assert sites and all(lo <= line <= hi for line in sites)
+    [(lo, hi)] = cached_computes(source, "depth")
+    sites = [line for line, func in calls(source, "free_resolution")
+             if func == "depth"]
+    assert sites and all(lo <= line <= hi for line in sites)
+    # pd read straight off a resolution: nowhere else in src/cmreg
+    lengths = [(name, node.lineno) for name, _, src in sources()
+               for node in ast.walk(ast.parse(src))
+               if isinstance(node, ast.Attribute) and node.attr == "length"
+               and isinstance(node.value, ast.Call)
+               and getattr(node.value.func, "id", None) == "free_resolution"]
+    assert lengths and all(name == "regularity.py" and lo <= line <= hi
+                           for name, line in lengths)
 
 
 def test_nothing_calls_free_resolution_of_complex():

@@ -8,13 +8,15 @@ import cmreg.modules
 import cmreg.oracle
 from cmreg import (KoszulHypothesisError, PresentedModule, a_invariant,
                    bass_table, betti_table, complex_from_module, depth,
-                   depth_profile, free_resolution, koszul_complex,
+                   depth_profile, ext_complex, free_resolution,
+                   koszul_complex,
                    local_cohomology_table, module_from_ideal,
                    polynomial_ring, reg_complex, reg_via_betti,
                    reg_via_duality, reg_via_ext, reg_via_koszul, regularity,
                    relative_reg)
 from cmreg.oracle import DenseOracle, rank_of_rows
-from cmreg.theorems import random_ideal_corpus
+from cmreg.modules import colon_by_element, quotient_by_element
+from cmreg.theorems import corpus_checks, random_ideal_corpus
 
 # the package exports a function named regularity, which shadows the
 # submodule as an attribute of cmreg
@@ -379,6 +381,120 @@ def test_route_results_are_cached_on_the_object(monkeypatch, S3):
     assert (reg_via_duality(N), reg_via_koszul(N),
             reg_complex(koszul_complex([z], N))) == first
     assert (len(dual), len(kos)) == (2, 4)
+
+
+# -- the duality series and depth, once per module up to twist --------------
+# Each test builds its own rings: the entries live on the cover ring.
+
+def _two_generator_module(S):
+    """S/(x², xy, yz²) ⊕ S/(x, y²)(-1): generators in degrees 0 and 1."""
+    x, y, z = S.gens()
+    A = PresentedModule.cyclic(S, [x * x, x * y, y * z * z])
+    return A.direct_sum(PresentedModule.cyclic(S, [x, y * y]).twist(-1))
+
+
+def _duality_invariants(M):
+    return (reg_via_duality(M), depth(M),
+            local_cohomology_table(M).to_json())
+
+
+@pytest.mark.parametrize("d", [-2, 3])
+def test_duality_and_depth_run_once_per_module_up_to_twist(monkeypatch, d):
+    dual = counting(monkeypatch, "ext_complex")
+    pd = counting(monkeypatch, "free_resolution")
+    M = _two_generator_module(polynomial_ring(["x", "y", "z"]))
+    first = _duality_invariants(M)
+    shifted = _duality_invariants(M.twist(d))
+    assert (len(dual), len(pd)) == (1, 1)
+    # the shifted reads are exactly what a fresh ring computes
+    fresh = _two_generator_module(polynomial_ring(["x", "y", "z"]))
+    assert _duality_invariants(fresh) == first
+    fresh = _two_generator_module(polynomial_ring(["x", "y", "z"]))
+    assert _duality_invariants(fresh.twist(d)) == shifted
+    assert shifted[0][0] == first[0][0] - d
+
+
+def test_one_module_under_two_constructions_shares_one_entry(monkeypatch):
+    S = polynomial_ring(["x", "y", "z"])
+    x, y, z = S.gens()
+    M = PresentedModule.cyclic(S, [x * y, x * z * z])
+    dual = counting(monkeypatch, "ext_complex")
+    # (0 :_M x) = Hom(S/(x), M) = Ext^0(S/(x), M)
+    C, _ = colon_by_element(M, x)
+    E = ext_complex(PresentedModule.cyclic(S, [x]), M).homology(0)
+    assert reg_via_duality(C) == reg_via_duality(E)
+    assert len(dual) == 1
+    # M/yM = Tor_0(S/(y), M)
+    Q = quotient_by_element(M, y)
+    K = koszul_complex([y], M).homology(0)
+    assert reg_via_duality(Q) == reg_via_duality(K)
+    assert len(dual) == 2
+
+
+def test_modules_that_differ_never_share_an_entry(monkeypatch):
+    S = polynomial_ring(["x", "y", "z"])
+    x, y, z = S.gens()
+    dual = counting(monkeypatch, "ext_complex")
+    pd = counting(monkeypatch, "free_resolution")
+    X, Y = (PresentedModule.cyclic(S, [v]) for v in (x, y))
+    mods = [
+        # equal leads x², different tails
+        PresentedModule.cyclic(S, [x * x + y * y]),
+        PresentedModule.cyclic(S, [x * x + x * y]),
+        # equal relations, different relative twists
+        X.direct_sum(Y.twist(-1)),
+        X.direct_sum(Y.twist(-2)),
+    ]
+    keys = {routes._module_key(M)[1] for M in mods}
+    assert len(keys) == len(mods)
+    regs = [reg_via_duality(M)[0] for M in mods]
+    depths = [depth(M) for M in mods]
+    assert (len(dual), len(pd)) == (4, 4)
+    assert regs == [1, 1, 1, 2]
+    assert depths == [2, 2, 2, 2]
+
+
+def test_a_quotient_module_and_its_cover_share_the_entry_on_the_cover(
+        monkeypatch):
+    S = polynomial_ring(["x", "y", "z"])
+    x, y, z = S.gens()
+    R = S.quotient([x * y, y * z])
+    dual = counting(monkeypatch, "ext_complex")
+    M = PresentedModule.cyclic(R, [x * z])
+    N = PresentedModule.cyclic(S, [x * z, x * y, y * z])
+    assert reg_via_duality(M) == reg_via_duality(N)
+    assert depth(M) == depth(N)
+    assert len(dual) == 1
+    assert {k[0] for k in S._cache if isinstance(k, tuple)} >= {
+        "duality", "depth"}
+    assert not [k for k in R._cache if isinstance(k, tuple)]
+    # an equal ring is another object, with entries of its own
+    S2 = polynomial_ring(["x", "y", "z"])
+    assert S2 == S
+    x, y, z = S2.gens()
+    assert (reg_via_duality(PresentedModule.cyclic(S2, [x * z, x * y, y * z]))
+            == reg_via_duality(N))
+    assert len(dual) == 2
+
+
+def test_the_checks_sweep_computes_each_duality_series_once(monkeypatch):
+    # per module object alone, the 13 instances ran the route 90 times;
+    # 48 of those modules repeat another up to twist or presentation
+    dual = counting(monkeypatch, "ext_complex")
+    for inst in random_ideal_corpus(count=13):
+        corpus_checks(inst)
+    assert len(dual) == 42
+
+
+@pytest.mark.parametrize("make", [
+    lambda S: PresentedModule.cyclic(S, [S.gens()[0] ** 2]),
+    PresentedModule.zero], ids=["cyclic", "zero"])
+def test_local_cohomology_refuses_an_inverted_window(make):
+    # window=(3, 1) returned an empty table without complaint
+    M = make(polynomial_ring(["x", "y", "z"]))
+    with pytest.raises(ValueError, match="window"):
+        local_cohomology_table(M, window=(3, 1))
+    assert local_cohomology_table(M, window=(1, 1)).window[0] == 1
 
 
 def test_explicit_koszul_arguments_bypass_the_cache(monkeypatch, det_module):

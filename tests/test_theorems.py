@@ -385,6 +385,45 @@ def test_checkers_refuse_modules_over_different_rings(check):
             check(M, N)
 
 
+def _one_ideal_three_ways():
+    """Modules over S/(x², y²) presented with its generators, reordered and
+    with a redundant one: three ring objects."""
+    S = polynomial_ring(["x", "y"])
+    x, y = S.gens()
+    rings = [S.quotient(gens) for gens in
+             ([x * x, y * y], [y * y, x * x], [x * x, y * y, x * x * y])]
+    return [PresentedModule.cyclic(R, list(R.gens())) for R in rings]
+
+
+def test_quotients_by_one_ideal_are_one_ring():
+    # S/(x², y²) and S/(y², x²) compared unequal, so direct_sum and every
+    # two-module checker refused them as modules over different rings
+    M, N, P = _one_ideal_three_ways()
+    assert M.ring == N.ring == P.ring
+    assert hash(M.ring) == hash(N.ring) == hash(P.ring)
+    assert theorems._one_ring([M, N, P]) is M.ring
+    assert (M.direct_sum(N).hilbert_series().numerator
+            == M.direct_sum(P).hilbert_series().numerator
+            == M.direct_sum(M).hilbert_series().numerator)
+    F = PresentedModule.cyclic(M.ring, [])
+    assert (check_cor_hom(F, N).as_dict() == check_cor_hom(F, P).as_dict()
+            == check_cor_hom(F, M).as_dict())
+
+
+def test_quotients_by_different_ideals_stay_different_rings():
+    S = polynomial_ring(["x", "y"])
+    x, y = S.gens()
+    R = S.quotient([x * x, y * y])
+    for other in (S, S.quotient([x * x]), S.quotient([x * x, y ** 3]),
+                  S.quotient([x * x, x * y]),
+                  polynomial_ring(["x", "y"], p=7).quotient([x * x, y * y]),
+                  polynomial_ring(["y", "x"]).quotient([x * x, y * y])):
+        assert R != other and other != R
+    with pytest.raises(ValueError, match="different rings"):
+        theorems._one_ring([PresentedModule.cyclic(R, []),
+                            PresentedModule.cyclic(S.quotient([x * x]), [])])
+
+
 # -- the strictness family -------------------------------------------------
 
 def test_scroll_family_shape():
