@@ -107,7 +107,7 @@ basis of U generate in(U), so redundant leads change nothing once
 `hilbert._minimalize` drops them.  The homology layer's cokernel bases
 are read for their series only, so they are never reduced.  Whoever
 reads a basis gets the same reduced basis as an eager reduction would
-give; `defining_gb` and `ideal_groebner_basis` reduce theirs at once.
+give; `defining_gb` reduces its own at once.
 
 The coprimality (product) criterion is only applied at rank one.  For
 modules it is wrong: g1 = (x, y), g2 = (y^2, x) in R^2 have coprime lead
@@ -804,16 +804,3 @@ def _syzygy_basis(ring, F, Q, syzygies):
     v = next((x for x in range(ring.nvars) if any(g.ltm[x] for g in elems)), 0)
     elems.sort(key=lambda g: (g.pos, -g.ltm[v], g.lead))
     return GroebnerBasis(ring, F, elems, list(range(len(elems))), Q)
-
-
-def ideal_groebner_basis(ring, polys):
-    """Reduced basis of an ideal's preimage in the cover, as polynomials
-    (canonical form used for ideal equality tests)."""
-    cover = ring.cover
-    P = _packing(ring.nvars)
-    gens = []
-    for f in list(ring.defining) + [ring.lift(p) for p in polys]:
-        gens.append({P.encode(0, m): c for m, c in f.terms.items()})
-    elems = _interreduce(_buchberger(gens, ring.field, (0,), True, P),
-                         ring.field, (0,), P)
-    return [Polynomial(cover, {m: c for (_, m), c in g.vec.items()}) for g in elems]

@@ -80,10 +80,6 @@ class GradedRing:
             return Polynomial(self, {})
         return Polynomial(self, {tuple(expts): c})
 
-    def lift(self, f):
-        """The same representative viewed over the polynomial cover."""
-        return Polynomial(self.cover, dict(f.terms))
-
     def reduce(self, f):
         """Normal form of a representative modulo the defining ideal."""
         if self.is_polynomial:

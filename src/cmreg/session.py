@@ -4,7 +4,7 @@ declaring rings, ideals, sequences, modules, and complexes.
 Statements end with `;` and `#` starts a comment running to end of line.
 Bindings are immutable: declaring a name twice is a parse error.  Parsing
 is eager, so every diagnostic carries the line and column of the token
-that caused it.
+that caused it.  A Session keeps the bound values, not their source.
 
 Grammar (EBNF):
 
@@ -26,17 +26,20 @@ Grammar (EBNF):
     matrix        = "[" row { "," row } "]" ;
     row           = "[" poly { "," poly } "]" ;
 
-Polynomials use infix `+`, `-`, `*`, `^` with integer literals and the
-variables of the governing ring.  Ideal and sequence generators are read
-over the most recently declared ring; matrix entries are read over the
-ring named in their own expression.  Twist lists hold generator degrees,
-so a free rank-one term generated in degree d is written [d].  In
-`coker(R, t, m)` the rows of m index the generators (with degrees t) and
-the columns are the relations.  In `chain(R, t0, m1, t1, ...)` the twist
-lists give the generator degrees of the free terms at spots 0, 1, ...
-and matrix i is the differential from spot i to i - 1; the composition
-of consecutive differentials must vanish.
+Polynomials use infix `+`, `-`, `*`, `^` with integer literals (ASCII
+digits) and the variables of the governing ring; a product or power with
+an exponent past 65535 is refused at its `*` or `^`.  Ideal and sequence
+generators are read over the most recently declared ring; matrix entries
+are read over the ring named in their own expression.  Twist lists hold
+generator degrees, so a free rank-one term generated in degree d is
+written [d].  In `coker(R, t, m)` the rows of m index the generators
+(with degrees t) and the columns are the relations.  In
+`chain(R, t0, m1, t1, ...)` the twist lists give the generator degrees of
+the free terms at spots 0, 1, ... and matrix i is the differential from
+spot i to i - 1; the composition of consecutive differentials must vanish.
 """
+
+from operator import mul
 
 from .complexes import free_complex_from_data, koszul_complex
 from .freemod import FreeModule, columns_from_rows
@@ -77,6 +80,8 @@ class Token:
 
 
 _PUNCT = set("=,;()[]/+-*^")
+# str.isdigit also holds for digits that int() refuses, such as '²'
+_DIGITS = frozenset("0123456789")
 
 
 def tokenize(text):
@@ -98,9 +103,9 @@ def tokenize(text):
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(Token("int", text[i:j], line, col))
             col += j - i
@@ -125,13 +130,11 @@ def tokenize(text):
 
 
 class Session:
-    """Ordered immutable bindings plus canonical source per statement."""
+    """Ordered immutable bindings: name -> (kind, value)."""
 
     def __init__(self):
         self.bindings = {}
         self.order = []
-        self.statements = []
-        self.last_ring = None
 
     def bind(self, name, kind, value, tok):
         if name in self.bindings:
@@ -155,8 +158,8 @@ class Session:
             raise UnknownBinding(f"unknown binding {name!r}")
         return self.bindings[name][0]
 
-    def render(self):
-        return "\n".join(self.statements) + ("\n" if self.statements else "")
+
+_KINDS = ("ring", "ideal", "sequence", "module", "complex")
 
 
 class _Parser:
@@ -165,6 +168,7 @@ class _Parser:
         self.pos = 0
         self.session = Session()
         self.field_override = field_override
+        self.ring = None  # the last declared ring, for ideals and sequences
         self.depth = 0
 
     # -- token plumbing --------------------------------------------------
@@ -193,24 +197,40 @@ class _Parser:
         return self.advance()
 
     def name(self):
-        return self.expect(kind="ident", what="a name").text
+        return self.expect(kind="ident", what="a name")
+
+    def items(self, item, open=None, close=None):
+        """item { "," item }, between open and close when they are given."""
+        if open:
+            self.expect(text=open)
+        out = [item()]
+        while self.at(","):
+            self.advance()
+            out.append(item())
+        if close:
+            self.expect(text=close)
+        return out
 
     # -- statements ------------------------------------------------------
     def parse(self):
+        """Each statement is KIND NAME "=" value ";", the value read by
+        decl_KIND; the name is bound once the whole statement is read."""
         while self.peek().kind != "eof":
-            tok = self.peek()
-            if tok.kind != "ident" or tok.text not in (
-                    "ring", "ideal", "sequence", "module", "complex"):
+            kw = self.peek()
+            if kw.kind != "ident" or kw.text not in _KINDS:
                 self.fail("expected a declaration keyword (ring, ideal, "
                           "sequence, module, complex)")
-            getattr(self, "decl_" + tok.text)()
+            self.advance()
+            name_tok = self.name()
+            self.expect(text="=")
+            value = getattr(self, "decl_" + kw.text)(name_tok)
+            self.expect(text=";")
+            self.session.bind(name_tok.text, kw.text, value, name_tok)
+            if kw.text == "ring":
+                self.ring = value
         return self.session
 
-    def decl_ring(self):
-        self.advance()
-        name_tok = self.peek()
-        name = self.name()
-        self.expect(text="=")
+    def decl_ring(self, name_tok):
         if self.at("GF"):
             self.advance()
             self.expect(text="(")
@@ -218,125 +238,54 @@ class _Parser:
             if self.field_override is not None:
                 p = self.field_override
             self.expect(text=")")
-            self.expect(text="[")
-            names = [self.name()]
-            while self.at(","):
-                self.advance()
-                names.append(self.name())
-            self.expect(text="]")
-            try:
-                ring = polynomial_ring(names, p=p)
-            except ValueError as e:
-                self.fail(str(e), name_tok)
-            canon = f"ring {name} = GF({p})[{','.join(names)}];"
-            if self.at("/"):
-                # one-statement quotient: the ideal must already be bound
-                # over a ring with these variables
-                self.advance()
-                ideal_tok = self.peek()
-                iname = self.name()
-                gens = self._lookup(iname, "ideal", ideal_tok)
-                if gens and gens[0].ring.names != ring.names:
-                    self.fail(f"ideal {iname!r} was not declared over a ring "
-                              f"with the variables [{','.join(names)}]",
-                              ideal_tok)
-                ring = self._quotient(ring, gens, ideal_tok)
-                canon = (f"ring {name} = GF({p})[{','.join(names)}] "
-                         f"/ {iname};")
+            names = [t.text for t in self.items(self.name, "[", "]")]
+            ring = self._at(name_tok, polynomial_ring, names, p)
+            if not self.at("/"):
+                return ring
+            over = f"the variables [{','.join(names)}]"
         else:
-            base_tok = self.peek()
-            base = self.name()
-            self.expect(text="/")
-            ideal_tok = self.peek()
-            iname = self.name()
-            ring0 = self._lookup(base, "ring", base_tok)
-            gens = self._lookup(iname, "ideal", ideal_tok)
-            if gens and gens[0].ring.names != ring0.names:
-                self.fail(f"ideal {iname!r} was not declared over a ring "
-                          f"with the variables of {base!r}", ideal_tok)
-            ring = self._quotient(ring0, gens, ideal_tok)
-            canon = f"ring {name} = {base} / {iname};"
-        self.expect(text=";")
-        self.session.bind(name, "ring", ring, name_tok)
-        self.session.last_ring = ring
-        self.session.statements.append(canon)
+            base_tok = self.name()
+            ring, over = None, f"the variables of {base_tok.text!r}"
+        self.expect(text="/")
+        ideal_tok = self.name()
+        if ring is None:  # a named base is looked up after the ideal name
+            ring = self._lookup(base_tok, "ring")
+        gens = self._lookup(ideal_tok, "ideal")
+        if gens and gens[0].ring.names != ring.names:
+            self.fail(f"ideal {ideal_tok.text!r} was not declared over a "
+                      f"ring with {over}", ideal_tok)
+        return self._at(ideal_tok, _quotient, ring, gens)
 
-    def _polylist(self, ring, what):
-        polys, canon = [], []
-        while True:
+    def decl_ideal(self, name_tok):
+        return self._forms(name_tok, "generator")
+
+    def decl_sequence(self, name_tok):
+        return self._forms(name_tok, "sequence entry")
+
+    def _forms(self, name_tok, what):
+        """Nonzero homogeneous polynomials over the last declared ring."""
+        ring = self.ring
+        if ring is None:
+            self.fail("no ring declared yet", name_tok)
+
+        def form():
             start = self.peek()
             f = self.poly(ring)
             if f.is_zero():
                 self.fail(f"zero {what}", start)
             if not f.is_homogeneous():
                 self.fail(f"inhomogeneous {what}", start)
-            polys.append(f)
-            canon.append(str(f))
-            if not self.at(","):
-                break
-            self.advance()
-        return polys, canon
+            return f
+        return self.items(form)
 
-    def decl_ideal(self):
-        self._decl_polys("ideal", "generator")
-
-    def decl_sequence(self):
-        self._decl_polys("sequence", "sequence entry")
-
-    def _decl_polys(self, kw, what):
-        self.advance()
-        name_tok = self.peek()
-        name = self.name()
-        self.expect(text="=")
-        ring = self.session.last_ring
-        if ring is None:
-            self.fail("no ring declared yet", name_tok)
-        polys, canon = self._polylist(ring, what)
-        self.expect(text=";")
-        self.session.bind(name, kw, polys, name_tok)
-        self.session.statements.append(
-            f"{kw} {name} = {', '.join(canon)};")
-
-    def decl_module(self):
-        self.advance()
-        name_tok = self.peek()
-        name = self.name()
-        self.expect(text="=")
+    def decl_module(self, name_tok):
         head = self.expect(kind="ident",
                            what="cyclic, ideal_module, or coker")
-        if head.text == "cyclic":
-            self.expect(text="(")
-            rtok = self.peek()
-            ring = self._lookup(self.name(), "ring", rtok)
-            gens, iname = [], None
-            if self.at(","):
-                self.advance()
-                itok = self.peek()
-                iname = self.name()
-                gens = self._lookup(iname, "ideal", itok)
-                gens = self._transfer(gens, ring, itok)
-            self.expect(text=")")
-            module = PresentedModule.cyclic(ring, gens)
-            inner = rtok.text if iname is None else f"{rtok.text}, {iname}"
-            canon = f"module {name} = cyclic({inner});"
-        elif head.text == "ideal_module":
-            self.expect(text="(")
-            rtok = self.peek()
-            rname = self.name()
-            ring = self._lookup(rname, "ring", rtok)
-            self.expect(text=",")
-            itok = self.peek()
-            iname = self.name()
-            gens = self._transfer(self._lookup(iname, "ideal", itok),
-                                  ring, itok)
-            self.expect(text=")")
-            module = module_from_ideal(ring, gens)
-            canon = f"module {name} = ideal_module({rname}, {iname});"
-        elif head.text == "coker":
-            self.expect(text="(")
-            rtok = self.peek()
-            rname = self.name()
-            ring = self._lookup(rname, "ring", rtok)
+        if head.text not in ("cyclic", "ideal_module", "coker"):
+            self.fail("expected cyclic, ideal_module, or coker", head)
+        self.expect(text="(")
+        ring, _ = self.ref("ring")
+        if head.text == "coker":
             self.expect(text=",")
             twists = self.twist_list()
             self.expect(text=",")
@@ -347,110 +296,75 @@ class _Parser:
                 self.fail(f"wrong arity: matrix has {len(rows)} rows but "
                           f"{len(twists)} twists", mat_tok)
             cols = self._columns(rows, mat_tok)
-            try:
-                module = PresentedModule(ring, FreeModule(ring, twists),
-                                         cols)
-            except ValueError as e:
-                self.fail(str(e), mat_tok)
-            canon = (f"module {name} = coker({rname}, "
-                     f"{self._render_twists(twists)}, "
-                     f"{self._render_matrix(rows)});")
-        else:
-            self.fail("expected cyclic, ideal_module, or coker", head)
-        self.expect(text=";")
-        self.session.bind(name, "module", module, name_tok)
-        self.session.statements.append(canon)
+            return self._at(mat_tok, PresentedModule, ring,
+                            FreeModule(ring, twists), cols)
+        gens = []  # the ideal is optional in cyclic, required in ideal_module
+        if head.text == "ideal_module" or self.at(","):
+            self.expect(text=",")
+            gens, itok = self.ref("ideal")
+            gens = self._at(itok, transfer_polys, gens, ring)
+        self.expect(text=")")
+        if head.text == "cyclic":
+            return PresentedModule.cyclic(ring, gens)
+        return module_from_ideal(ring, gens)
 
-    def decl_complex(self):
-        self.advance()
-        name_tok = self.peek()
-        name = self.name()
-        self.expect(text="=")
+    def decl_complex(self, name_tok):
         head = self.expect(kind="ident", what="koszul or chain")
-        if head.text == "koszul":
-            self.expect(text="(")
-            stok = self.peek()
-            sname = self.name()
-            forms = self._lookup(sname, "sequence", stok)
-            self.expect(text=",")
-            mtok = self.peek()
-            mname = self.name()
-            module = self._lookup(mname, "module", mtok)
-            self.expect(text=")")
-            forms = self._transfer(forms, module.ring, stok)
-            try:
-                cx = koszul_complex(forms, module)
-            except ValueError as e:
-                self.fail(str(e), stok)
-            canon = f"complex {name} = koszul({sname}, {mname});"
-        elif head.text == "chain":
-            self.expect(text="(")
-            rtok = self.peek()
-            rname = self.name()
-            ring = self._lookup(rname, "ring", rtok)
-            self.expect(text=",")
-            twists = {0: tuple(self.twist_list())}
-            cols = {}
-            mats = []
-            level = 0
-            while self.at(","):
-                self.advance()
-                level += 1
-                mat_tok = self.peek()
-                rows = self.matrix(ring)
-                self.expect(text=",")
-                twists[level] = tuple(self.twist_list())
-                if len(rows) != len(twists[level - 1]):
-                    self.fail(f"wrong arity: differential {level} has "
-                              f"{len(rows)} rows but the spot below has "
-                              f"{len(twists[level - 1])} generators",
-                              mat_tok)
-                cols[level] = self._columns(rows, mat_tok)
-                if len(cols[level]) != len(twists[level]):
-                    self.fail(f"wrong arity: differential {level} "
-                              f"needs {len(twists[level])} columns",
-                              mat_tok)
-                self._check_graded(twists[level], twists[level - 1], rows,
-                                   mat_tok)
-                mats.append(rows)
-            self.expect(text=")")
-            cx = free_complex_from_data(ring, twists, cols)
-            if not cx.verify():
-                self.fail("differentials do not compose to zero", head)
-            parts = [rname, self._render_twists(list(twists[0]))]
-            for lv, rows in enumerate(mats, start=1):
-                parts.append(self._render_matrix(rows))
-                parts.append(self._render_twists(list(twists[lv])))
-            canon = f"complex {name} = chain({', '.join(parts)});"
-        else:
+        if head.text not in ("koszul", "chain"):
             self.fail("expected koszul or chain", head)
-        self.expect(text=";")
-        self.session.bind(name, "complex", cx, name_tok)
-        self.session.statements.append(canon)
+        self.expect(text="(")
+        if head.text == "koszul":
+            forms, stok = self.ref("sequence")
+            self.expect(text=",")
+            module, _ = self.ref("module")
+            self.expect(text=")")
+            forms = self._at(stok, transfer_polys, forms, module.ring)
+            return self._at(stok, koszul_complex, forms, module)
+        ring, _ = self.ref("ring")
+        self.expect(text=",")
+        twists = {0: tuple(self.twist_list())}
+        cols = {}
+        level = 0
+        while self.at(","):
+            self.advance()
+            level += 1
+            mat_tok = self.peek()
+            rows = self.matrix(ring)
+            self.expect(text=",")
+            twists[level] = tuple(self.twist_list())
+            if len(rows) != len(twists[level - 1]):
+                self.fail(f"wrong arity: differential {level} has "
+                          f"{len(rows)} rows but the spot below has "
+                          f"{len(twists[level - 1])} generators", mat_tok)
+            cols[level] = self._columns(rows, mat_tok)
+            if len(cols[level]) != len(twists[level]):
+                self.fail(f"wrong arity: differential {level} "
+                          f"needs {len(twists[level])} columns", mat_tok)
+            self._check_graded(twists[level], twists[level - 1], rows,
+                               mat_tok)
+        self.expect(text=")")
+        cx = free_complex_from_data(ring, twists, cols)
+        if not cx.verify():
+            self.fail("differentials do not compose to zero", head)
+        return cx
 
     # -- shared pieces ---------------------------------------------------
-    def _lookup(self, name, kind, tok):
+    def _at(self, tok, build, *args):
+        """build(*args), with a refusal from the layers below (a modulus
+        that is not prime, a missing binding, an exponent past
+        poly.EXPONENT_CAP, ...) reported at tok."""
         try:
-            return self.session.get(name, (kind,))
-        except UnknownBinding as e:
+            return build(*args)
+        except (ValueError, OverflowError, UnknownBinding) as e:
             self.fail(str(e), tok)
 
-    def _quotient(self, ring, gens, tok):
-        """ring / (gens), the generators taken as written: reducing them
-        modulo ring's own defining ideal would change the quotient's
-        defining generators."""
-        try:
-            _same_field(gens, ring)
-            return ring.quotient(
-                [Polynomial(ring, dict(g.terms)) for g in gens])
-        except ValueError as e:
-            self.fail(str(e), tok)
+    def _lookup(self, tok, kind):
+        return self._at(tok, self.session.get, tok.text, (kind,))
 
-    def _transfer(self, polys, ring, tok):
-        try:
-            return transfer_polys(polys, ring)
-        except ValueError as e:
-            self.fail(str(e), tok)
+    def ref(self, kind):
+        """The value of a name bound to a `kind`, and the naming token."""
+        tok = self.name()
+        return self._lookup(tok, kind), tok
 
     def _columns(self, rows, tok):
         try:
@@ -471,15 +385,12 @@ class _Parser:
                               "respect the declared twists", tok)
 
     def twist_list(self):
+        """Generator degrees; only a twist list may be empty."""
         self.expect(text="[")
-        out = []
-        if not self.at("]"):
-            out.append(self.signed_int())
-            while self.at(","):
-                self.advance()
-                out.append(self.signed_int())
-        self.expect(text="]")
-        return out
+        if self.at("]"):
+            self.advance()
+            return []
+        return self.items(self.signed_int, close="]")
 
     def signed_int(self):
         sign = 1
@@ -489,32 +400,9 @@ class _Parser:
         return sign * int(self.expect(kind="int", what="an integer").text)
 
     def matrix(self, ring):
-        self.expect(text="[")
-        rows = [self.matrix_row(ring)]
-        while self.at(","):
-            self.advance()
-            rows.append(self.matrix_row(ring))
-        self.expect(text="]")
-        return rows
-
-    def matrix_row(self, ring):
-        self.expect(text="[")
-        row = [self.poly(ring)]
-        while self.at(","):
-            self.advance()
-            row.append(self.poly(ring))
-        self.expect(text="]")
-        return row
-
-    @staticmethod
-    def _render_twists(twists):
-        return "[" + ", ".join(str(t) for t in twists) + "]"
-
-    @staticmethod
-    def _render_matrix(rows):
-        inner = ", ".join(
-            "[" + ", ".join(str(f) for f in row) + "]" for row in rows)
-        return "[" + inner + "]"
+        def row():
+            return self.items(lambda: self.poly(ring), "[", "]")
+        return self.items(row, "[", "]")
 
     # -- polynomial expressions ------------------------------------------
     def poly(self, ring):
@@ -528,16 +416,16 @@ class _Parser:
     def term(self, ring):
         node = self.power(ring)
         while self.at("*"):
-            self.advance()
-            node = node * self.power(ring)
+            op = self.advance()
+            node = self._at(op, mul, node, self.power(ring))
         return node
 
     def power(self, ring):
         base = self.atom(ring)
         if self.at("^"):
-            self.advance()
+            op = self.advance()
             e = int(self.expect(kind="int", what="an exponent").text)
-            base = base ** e
+            base = self._at(op, pow, base, e)
         return base
 
     def atom(self, ring):
@@ -570,6 +458,14 @@ class _Parser:
             self.expect(text=")")
         self.depth -= 1
         return node
+
+
+def _quotient(ring, gens):
+    """ring / (gens), the generators taken as written: reducing them
+    modulo ring's own defining ideal would change the quotient's defining
+    generators."""
+    _same_field(gens, ring)
+    return ring.quotient([Polynomial(ring, dict(g.terms)) for g in gens])
 
 
 def _same_field(polys, ring):

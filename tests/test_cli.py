@@ -93,6 +93,36 @@ def test_deep_nesting_exits_one(tmp_path, capsys):
     assert "line 2, column" in err and "nested" in err
 
 
+@pytest.mark.parametrize("ideal, message, col", [
+    # '²' and '٣' pass str.isdigit: the first escaped as a bare int()
+    # error with exit 2, the second was read as x^3
+    ("x^\u00b2", "unexpected character '\u00b2'", 13),
+    ("x^\u0663", "unexpected character '\u0663'", 13),
+    # exit 2 with no position, from poly.mono_mul
+    ("x^70000", "monomial exponent exceeds 65535", 12),
+    ("x^40000*x^40000", "monomial exponent exceeds 65535", 18),
+])
+def test_bad_literals_exit_one_at_their_token(tmp_path, capsys, ideal,
+                                              message, col):
+    bad = tmp_path / "bad.cmreg"
+    bad.write_text("ring S = GF(32003)[x, y];\nideal I = " + ideal + ";\n"
+                   "module M = cyclic(S, I);\n", encoding="utf-8")
+    code, out, err = run(capsys, "--session", str(bad), "dim", "M")
+    assert (code, out) == (1, "")
+    assert err == f"cmreg: line 2, column {col}: {message}\n"
+
+
+@pytest.mark.parametrize("form, col", [("x^70000", 2), ("x^40000*x^40000", 8),
+                                       ("x^99999999999999999999999", 2)])
+def test_filter_form_past_the_exponent_cap_exits_one(session_file, capsys,
+                                                     form, col):
+    code, out, err = run(capsys, "--session", session_file, "check",
+                         "filter", "--module", "M", "--form", form)
+    assert (code, out) == (1, "")
+    assert err == (f"cmreg: line 1, column {col}: monomial exponent "
+                   "exceeds 65535\n")
+
+
 def test_unknown_binding_exits_one(session_file, capsys):
     code, _, err = run(capsys, "--session", session_file, "reg", "ghost")
     assert code == 1

@@ -8,12 +8,12 @@ from cmreg.freemod import (FreeModule, term_key, vec_add, vec_degree,
 from cmreg.groebner import (GroebnerBasis, _SchreyerPacking,
                             _augmented_columns, _make_elem, _packing, _reduce,
                             _reduce_packed, _reducers, _s_vector,
-                            _syzygy_basis, certify, groebner_basis,
-                            ideal_groebner_basis, reduce_poly_mod_defining,
+                            _syzygy_basis, certify, defining_gb,
+                            groebner_basis, reduce_poly_mod_defining,
                             syzygy_generators)
 from cmreg.oracle import monomials_of_degree
-from cmreg.poly import (EXPONENT_CAP, mono_deg, mono_div, mono_divides,
-                        mono_lcm, mono_mul)
+from cmreg.poly import (EXPONENT_CAP, Polynomial, mono_deg, mono_div,
+                        mono_divides, mono_lcm, mono_mul)
 
 
 def vecs_from_polys(polys):
@@ -24,8 +24,10 @@ def test_determinantal_ideal_basis(S4):
     # frozen: these three generators are already a basis under grevlex,
     # after replacing x*t - y*z by its normalized form
     x, y, z, t = S4.gens()
-    gb = ideal_groebner_basis(S4, [x * x, x * z, x * t - y * z])
-    assert sorted(str(g) for g in gb) == sorted(
+    gb = defining_gb(S4.quotient([x * x, x * z, x * t - y * z]))
+    polys = [Polynomial(S4, {m: c for (_, m), c in g.vec.items()})
+             for g in gb]
+    assert sorted(str(f) for f in polys) == sorted(
         ["x^2", "x*z", "y*z + 32002*x*t"])
 
 

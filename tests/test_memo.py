@@ -270,15 +270,13 @@ def test_resolutions_minimize_in_three_places():
     assert loop.lineno < sites[0][1] < run <= loop.end_lineno
 
 
-def test_bases_interreduce_in_three_places():
+def test_bases_interreduce_in_two_places():
     """A basis from `groebner_basis` is reduced on its first read
     (`GroebnerBasis.elements`), so a Hilbert series never reduces one;
-    the defining ideal's basis and an ideal's canonical basis are reduced
-    at once."""
+    the defining ideal's basis is reduced at once."""
     sites = call_sites("_interreduce")
     assert [(f, func) for f, _, func in sites] == [
-        ("groebner.py", "defining_gb"), ("groebner.py", "elements"),
-        ("groebner.py", "ideal_groebner_basis")]
+        ("groebner.py", "defining_gb"), ("groebner.py", "elements")]
 
 
 def test_a_frame_is_decoded_only_by_its_basis():
