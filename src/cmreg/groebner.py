@@ -69,6 +69,15 @@ is still the leftmost and the normal form and trace are those of a plain
 largest-term-first, leftmost-reducer loop.  S-vectors come from one
 builder, `_s_vector`, shared by Buchberger, `certify` and the syzygies.
 
+The kernel is one loop for every field, its coefficient arithmetic
+written with operators instead of field method calls: with p the
+characteristic, a reducer step negates its multiplier once (p - c, or -c
+over QQ), each product term is s = w + (-c) c2, reduced s %= p only when
+p is nonzero, and `if s` tests for zero, which holds for ints and
+Fractions alike.  The values are those of K.sub(w, K.mul(c, c2)) exactly.
+Each term is reduced at most once, so the trace records each (reducer,
+quotient term) once and never adds.
+
 Pair selection (`_schreyer_pairs`): order syzygies by the Schreyer order
 of a basis g_1..g_s, m e_i > m' e_j when m lt(g_i) > m' lt(g_j), or the
 two are equal and i < j.  For a Groebner basis the trace syzygy tau_ij of
@@ -87,6 +96,16 @@ is all Buchberger's criterion asks, so `certify` checks the same pairs.
 Schreyer packing, and can take that basis again: a resolution over S
 needs Buchberger only where its columns are more than syzygies
 (cmreg.resolution).
+
+A syzygy is written straight into the Schreyer packing as its S-pair
+reduces: the kernel gets each module element's Schreyer head (e_k packed,
+None for a defining column) and records -q_k e_k as packed terms, grouped
+by k, so `syzygy_generators` only prepends m_i e_i - m_j e_j.  No two of
+these terms meet, since every q_k lt(g_k) lies below the lcm.  The
+candidate lcms of `_schreyer_pairs` are taken on packed exponents, field
+by field, with no tuple per pair.  Over a polynomial ring the selected
+pairs have distinct Schreyer leads, so only a quotient ring's syzygies
+are checked for duplicates (`_syzygy_basis`).
 
 Reuse: a Buchberger run can start from a known Groebner basis and queue
 only the pairs that involve a new generator (`_buchberger`'s `known`;
@@ -148,7 +167,7 @@ class _Packing(_Terms):
     variable count."""
 
     __slots__ = ("struct", "nbytes", "B", "A", "G", "emask", "one", "S",
-                 "base")
+                 "base", "H", "ones")
     M = -1
     shift = 0
 
@@ -161,6 +180,9 @@ class _Packing(_Terms):
         self.emask = (1 << self.B) - 1
         self.one = _DEG_TOP << self.B  # h(0, 1)
         self.base = self
+        # bit 16 and bit 0 of every field (`_schreyer_pairs`)
+        self.H = int.from_bytes(self.struct.pack(*[1 << 16] * nvars), "little")
+        self.ones = int.from_bytes(self.struct.pack(*[1] * nvars), "little")
 
     def encode(self, pos, m):
         e = int.from_bytes(self.struct.pack(*m), "little")
@@ -282,16 +304,21 @@ def _reducers(elems):
     return groups
 
 
-def _reduce_packed(work, reducers, K, P, collect_trace=False):
+def _reduce_packed(work, reducers, K, P, collect_trace=False, heads=None,
+                   up=0):
     """Full normal form of the packed vector `work` (consumed) against
     `_reducers(elems)`, largest term first, leftmost reducer.  Optionally
     records the quotients: vec = sum_i q_i elems[i] + r, as {i: {d: c}}
-    with d = h(q t) - h(t) for any term t (decode with `P.quotient`)."""
+    with d = h(q t) - h(t) for any term t (decode with `P.quotient`).
+
+    With `heads` (a syzygy step, `syzygy_generators`) the trace holds
+    -q_i instead, as syzygy terms: {i: {heads[i] + (d << up): -c}}, and
+    nothing for an i whose head is None."""
     rem = {}
     heap = list(work)
     heapify(heap)
     trace = {} if collect_trace else None
-    zero, mul, sub, is_zero = K.zero, K.mul, K.sub, K.is_zero
+    p = K.characteristic
     S, M, G = P.S, P.M, P.G
     while heap:
         h = heappop(heap)
@@ -307,6 +334,7 @@ def _reduce_packed(work, reducers, K, P, collect_trace=False):
             rem[h] = c
             continue
         # basis elements are monic, so the lead cancels against h exactly
+        nc = p - c if p else -c
         for off, c2 in tail:
             u = h + off
             w = work.get(u)
@@ -314,21 +342,25 @@ def _reduce_packed(work, reducers, K, P, collect_trace=False):
                 # a term above the cap is never in work, so it lands here
                 if u & G:
                     raise OverflowError(_OVERFLOW)
-                work[u] = sub(zero, mul(c, c2))
+                s = nc * c2
+                if p:
+                    s %= p
+                work[u] = s
                 heappush(heap, u)
             else:
-                s = sub(w, mul(c, c2))
-                if is_zero(s):
-                    del work[u]
-                else:
+                s = w + nc * c2
+                if p:
+                    s %= p
+                if s:
                     work[u] = s
+                else:
+                    del work[u]
+        # each h is reduced once, so (i, d) is never recorded twice
         if collect_trace:
-            slot = trace.setdefault(i, {})
-            s = K.add(slot.get(d, zero), c)
-            if is_zero(s):
-                slot.pop(d, None)
-            else:
-                slot[d] = s
+            if heads is None:
+                trace.setdefault(i, {})[d] = c
+            elif heads[i] is not None:
+                trace.setdefault(i, {})[heads[i] + (d << up)] = nc
     return rem, trace
 
 
@@ -359,16 +391,18 @@ def _s_vector(gi, gj, hl, K, G):
         if u & G:
             raise OverflowError(_OVERFLOW)
         s[u] = c
-    zero, sub, is_zero = K.zero, K.sub, K.is_zero
+    p = K.characteristic
     for h, c in gj.terms.items():
         u = h + dj
         if u & G:
             raise OverflowError(_OVERFLOW)
-        r = sub(s.get(u, zero), c)
-        if is_zero(r):
-            s.pop(u, None)
-        else:
+        r = s.get(u, 0) - c
+        if p:
+            r %= p
+        if r:
             s[u] = r
+        else:
+            del s[u]
     return s, di, dj
 
 
@@ -665,18 +699,29 @@ def _schreyer_pairs(elems, P):
     order j, then i.  For each i the candidates are taken in (lcm degree,
     j) order and kept when no lcm kept so far divides theirs, so of equal
     lcms the smallest j survives."""
-    G = P.G
+    B, G, shift = P.base, P.G, P.shift
+    H, ones, top, width = B.H, B.ones, B.B - 32, B.B
+    # the exponent fields of each lead monomial (P.mono), packed
+    exps = [int.from_bytes(B.struct.pack(*g.ltm), "little") for g in elems]
     groups = {}
     for i, g in enumerate(elems):
         groups.setdefault(g.pos, []).append(i)
     kept = []
     for group in groups.values():
         for a, i in enumerate(group):
-            gi = elems[i]
+            ei, lead, di = exps[i], elems[i].lead, sum(elems[i].ltm)
             cands = []
             for j in group[a + 1:]:
-                lcm = mono_lcm(gi.ltm, elems[j].ltm)
-                cands.append((mono_deg(lcm), j, P.encode(gi.pos, lcm)))
+                ej = exps[j]
+                # field by field, bit 16 of (2^16 + e_j - e_i) is set
+                # where e_j >= e_i; widened to a mask, it picks the max
+                ge = ((ej | H) - ei) & H
+                lcm = ei ^ ((ei ^ ej) & (ge - (ge >> 16)))
+                d = ((lcm * ones) >> top) & 0xFFFFFFFF  # sum of the fields
+                # lead times lcm / lt(g_i), by linearity; within the cap,
+                # as the lcm of two leads' level-0 terms
+                hl = lead + ((lcm - ei - ((d - di) << width)) << shift)
+                cands.append((d, j, hl))
             minimal = []
             for d, j, hl in sorted(cands):
                 if all((hl - k) & G for k in minimal):
@@ -740,36 +785,32 @@ def syzygy_generators(gb, degrees=None):
     reducers = _reducers(ext)
     n_mod = len(mod)
     Q = _SchreyerPacking(P, [g.lead for g in mod])
-    # q e_k packs as heads[k] + (d << up), d the offset of q in P
+    # q e_k packs as heads[k] + (d << up), d the offset of q in P; the
+    # defining columns' coordinates are dropped
     heads = [(b << Q.shift) + k for k, b in enumerate(Q.bases)]
+    heads += [None] * (len(ext) - n_mod)
     up = Q.shift - P.shift
-    zero, one, sub, is_zero = K.zero, K.one, K.sub, K.is_zero
+    p, one = K.characteristic, K.one
+    minus_one = p - 1 if p else -one
     out = []
     for i, j, d, hl in _schreyer_pairs(ext, P):
         gi, gj = ext[i], ext[j]
         if degrees is not None and d + gb.free.twists[gi.pos] not in degrees:
             continue
         s, di, dj = _s_vector(gi, gj, hl, K, P.G)
-        r, trace = _reduce_packed(s, reducers, K, P, collect_trace=True)
+        r, trace = _reduce_packed(s, reducers, K, P, True, heads, up)
         if r:
             raise ArithmeticError("S-pair of a Groebner basis did not reduce to zero")
+        # m_i e_i - m_j e_j - sum_k q_k e_k, with no term repeated
+        # (module docstring)
         syz = {}
         if i < n_mod:
             lead = heads[i] + (di << up)
             syz[lead] = one
         if j < n_mod:
-            syz[heads[j] + (dj << up)] = K.neg(one)
-        for k, quot in trace.items():
-            if k >= n_mod:
-                continue
-            head = heads[k]
-            for e, c in quot.items():
-                t = head + (e << up)
-                s2 = sub(syz.get(t, zero), c)
-                if is_zero(s2):
-                    syz.pop(t, None)
-                else:
-                    syz[t] = s2
+            syz[heads[j] + (dj << up)] = minus_one
+        for part in trace.values():
+            syz.update(part)
         if i < n_mod and min(syz, default=None) != lead:
             raise ArithmeticError("a trace syzygy does not lead with its "
                                   "Schreyer term")
@@ -792,15 +833,22 @@ def _syzygy_basis(ring, F, Q, syzygies):
     (module docstring).  By v next, i < j in one position has
     lt(g_j) no higher in v than lt(g_i), so the next level's leads lack v
     and every variable these lack (Schreyer's proof of the syzygy
-    theorem): a frame over n variables ends within n levels."""
+    theorem): a frame over n variables ends within n levels.
+
+    Over a polynomial ring every selected pair (i, j) leads with its own
+    term (lcm_ij / lt(g_i)) e_i, since `_schreyer_pairs` keeps distinct
+    lcms for each i, so only a quotient ring's syzygies need the
+    duplicate check."""
     K = ring.field
-    elems = []
-    seen = set()
-    for syz in syzygies:
-        key = frozenset(syz.items())
-        if key not in seen:
-            seen.add(key)
-            elems.append(_elem(syz, K, F.twists, Q, _Syzygy))
+    if not ring.is_polynomial:
+        seen, unique = set(), []
+        for syz in syzygies:
+            key = frozenset(syz.items())
+            if key not in seen:
+                seen.add(key)
+                unique.append(syz)
+        syzygies = unique
+    elems = [_elem(syz, K, F.twists, Q, _Syzygy) for syz in syzygies]
     v = next((x for x in range(ring.nvars) if any(g.ltm[x] for g in elems)), 0)
     elems.sort(key=lambda g: (g.pos, -g.ltm[v], g.lead))
     return GroebnerBasis(ring, F, elems, list(range(len(elems))), Q)

@@ -39,6 +39,7 @@ the free terms at spots 0, 1, ... and matrix i is the differential from
 spot i to i - 1; the composition of consecutive differentials must vanish.
 """
 
+import sys
 from operator import mul
 
 from .complexes import free_complex_from_data, koszul_complex
@@ -234,7 +235,7 @@ class _Parser:
         if self.at("GF"):
             self.advance()
             self.expect(text="(")
-            p = int(self.expect(kind="int", what="a prime").text)
+            p = self.integer("a prime")
             if self.field_override is not None:
                 p = self.field_override
             self.expect(text=")")
@@ -344,7 +345,7 @@ class _Parser:
                                mat_tok)
         self.expect(text=")")
         cx = free_complex_from_data(ring, twists, cols)
-        if not cx.verify():
+        if not self._at(head, cx.verify):
             self.fail("differentials do not compose to zero", head)
         return cx
 
@@ -397,7 +398,18 @@ class _Parser:
         if self.at("-"):
             self.advance()
             sign = -1
-        return sign * int(self.expect(kind="int", what="an integer").text)
+        return sign * self.integer("an integer")
+
+    def integer(self, what):
+        """The next token, an int, as an int.  Python refuses to convert
+        a literal past its digit limit (sys.get_int_max_str_digits), and
+        that refusal is reported at the literal."""
+        tok = self.expect(kind="int", what=what)
+        try:
+            return int(tok.text)
+        except ValueError:
+            self.fail(f"integer literal of {len(tok.text)} digits is too long "
+                      f"(at most {sys.get_int_max_str_digits()})", tok)
 
     def matrix(self, ring):
         def row():
@@ -424,7 +436,7 @@ class _Parser:
         base = self.atom(ring)
         if self.at("^"):
             op = self.advance()
-            e = int(self.expect(kind="int", what="an exponent").text)
+            e = self.integer("an exponent")
             base = self._at(op, pow, base, e)
         return base
 
@@ -433,8 +445,7 @@ class _Parser:
         if self.at("-") or self.at("("):
             return self.nested(ring)
         if tok.kind == "int":
-            self.advance()
-            return ring.constant(int(tok.text))
+            return ring.constant(self.integer("an integer"))
         if tok.kind == "ident":
             if tok.text in ring.names:
                 self.advance()

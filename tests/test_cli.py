@@ -101,6 +101,10 @@ def test_deep_nesting_exits_one(tmp_path, capsys):
     # exit 2 with no position, from poly.mono_mul
     ("x^70000", "monomial exponent exceeds 65535", 12),
     ("x^40000*x^40000", "monomial exponent exceeds 65535", 18),
+    # exit 2 with no position, from Python's int string conversion limit
+    pytest.param("x^" + "1" * 5000, "integer literal of 5000 digits is "
+                 f"too long (at most {sys.get_int_max_str_digits()})", 13,
+                 id="5000-digit-exponent"),
 ])
 def test_bad_literals_exit_one_at_their_token(tmp_path, capsys, ideal,
                                               message, col):
@@ -110,6 +114,19 @@ def test_bad_literals_exit_one_at_their_token(tmp_path, capsys, ideal,
     code, out, err = run(capsys, "--session", str(bad), "dim", "M")
     assert (code, out) == (1, "")
     assert err == f"cmreg: line 2, column {col}: {message}\n"
+
+
+def test_chain_composing_past_the_cap_exits_one(tmp_path, capsys):
+    # verifying the complex multiplies x^40000 by x^40000: exit 2 with no
+    # position, from poly.mono_mul
+    bad = tmp_path / "chain.cmreg"
+    bad.write_text("ring S = GF(32003)[x, y];\n"
+                   "complex C = chain(S, [0], [[x^40000]], [40000], "
+                   "[[x^40000]], [80000]);\nmodule M = cyclic(S);\n",
+                   encoding="utf-8")
+    code, out, err = run(capsys, "--session", str(bad), "dim", "M")
+    assert (code, out) == (1, "")
+    assert err == "cmreg: line 2, column 13: monomial exponent exceeds 65535\n"
 
 
 @pytest.mark.parametrize("form, col", [("x^70000", 2), ("x^40000*x^40000", 8),

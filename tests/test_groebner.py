@@ -1,3 +1,4 @@
+import heapq
 import random
 
 import pytest
@@ -5,10 +6,12 @@ import pytest
 from cmreg import polynomial_ring
 from cmreg.freemod import (FreeModule, term_key, vec_add, vec_degree,
                            vec_from_column, vec_term_mul)
-from cmreg.groebner import (GroebnerBasis, _SchreyerPacking,
+from cmreg import groebner
+from cmreg.groebner import (_INDEX_BITS, GroebnerBasis, _SchreyerPacking,
                             _augmented_columns, _make_elem, _packing, _reduce,
                             _reduce_packed, _reducers, _s_vector,
-                            _syzygy_basis, certify, defining_gb,
+                            _schreyer_pairs, _syzygy_basis, certify,
+                            defining_gb,
                             groebner_basis, reduce_poly_mod_defining,
                             syzygy_generators)
 from cmreg.oracle import monomials_of_degree
@@ -480,3 +483,267 @@ def test_lift_writes_a_member_on_the_module_elements(twists, quotient):
         assert not zero.normal_form(vec_add(total, minus, K))
     with pytest.raises(ArithmeticError):
         gb.lift({(0, (0,) * ring.nvars): K.one})
+
+
+# -- the inline-arithmetic kernel against the method-call kernel ----------
+
+def method_call_reduce_packed(work, reducers, K, P, collect_trace=False):
+    """Reference: the reduction kernel written with field method calls
+    (K.mul, K.sub, K.add, K.is_zero), as it was before its arithmetic went
+    inline."""
+    rem = {}
+    heap = list(work)
+    heapq.heapify(heap)
+    trace = {} if collect_trace else None
+    zero, mul, sub, is_zero = K.zero, K.mul, K.sub, K.is_zero
+    S, M, G = P.S, P.M, P.G
+    while heap:
+        h = heapq.heappop(heap)
+        c = work.pop(h, None)
+        if c is None:
+            continue
+        for i, lead, tail in reducers.get((h >> S) & M, ()):
+            d = h - lead
+            if not d & G:
+                break
+        else:
+            rem[h] = c
+            continue
+        for off, c2 in tail:
+            u = h + off
+            w = work.get(u)
+            if w is None:
+                if u & G:
+                    raise OverflowError("monomial exponent exceeds cap")
+                work[u] = sub(zero, mul(c, c2))
+                heapq.heappush(heap, u)
+            else:
+                s = sub(w, mul(c, c2))
+                if is_zero(s):
+                    del work[u]
+                else:
+                    work[u] = s
+        if collect_trace:
+            slot = trace.setdefault(i, {})
+            s = K.add(slot.get(d, zero), c)
+            if is_zero(s):
+                slot.pop(d, None)
+            else:
+                slot[d] = s
+    return rem, trace
+
+
+def method_call_s_vector(gi, gj, hl, K, G):
+    """Reference: `_s_vector` with field method calls."""
+    di, dj = hl - gi.lead, hl - gj.lead
+    s = {gi_h + di: c for gi_h, c in gi.terms.items()}
+    for h, c in gj.terms.items():
+        u = h + dj
+        r = K.sub(s.get(u, K.zero), c)
+        if K.is_zero(r):
+            s.pop(u, None)
+        else:
+            s[u] = r
+    return s, di, dj
+
+
+def tuple_schreyer_pairs(elems, P):
+    """Reference: `_schreyer_pairs` with each candidate lcm taken on
+    exponent tuples and encoded, as it was before it went packed."""
+    groups = {}
+    for i, g in enumerate(elems):
+        groups.setdefault(g.pos, []).append(i)
+    kept = []
+    for group in groups.values():
+        for a, i in enumerate(group):
+            gi = elems[i]
+            cands = []
+            for j in group[a + 1:]:
+                lcm = mono_lcm(gi.ltm, elems[j].ltm)
+                cands.append((mono_deg(lcm), j, P.encode(gi.pos, lcm)))
+            minimal = []
+            for d, j, hl in sorted(cands):
+                if all((hl - k) & P.G for k in minimal):
+                    minimal.append(hl)
+                    kept.append((j, i, d, hl))
+    kept.sort()
+    return [(i, j, d, hl) for j, i, d, hl in kept]
+
+
+def method_call_syzygy_generators(gb, degrees=None):
+    """Reference: the syzygy step with method-call arithmetic, pairs
+    from tuple lcms, its trace read a second time into Schreyer terms,
+    and duplicates always dropped.  Returns (syzygies before the
+    duplicate check, basis)."""
+    ring = gb.ring
+    K = ring.field
+    P = gb.packing
+    mod = gb.module_elements
+    ext = list(mod) + _augmented_columns(ring, gb.free)
+    reducers = _reducers(ext)
+    n_mod = len(mod)
+    Q = _SchreyerPacking(P, [g.lead for g in mod])
+    heads = [(b << Q.shift) + k for k, b in enumerate(Q.bases)]
+    up = Q.shift - P.shift
+    out = []
+    pairs = tuple_schreyer_pairs(ext, P)
+    assert _schreyer_pairs(ext, P) == pairs
+    for i, j, d, hl in pairs:
+        gi, gj = ext[i], ext[j]
+        if degrees is not None and d + gb.free.twists[gi.pos] not in degrees:
+            continue
+        s, di, dj = method_call_s_vector(gi, gj, hl, K, P.G)
+        r, trace = method_call_reduce_packed(s, reducers, K, P, True)
+        assert not r
+        syz = {}
+        if i < n_mod:
+            syz[heads[i] + (di << up)] = K.one
+        if j < n_mod:
+            syz[heads[j] + (dj << up)] = K.neg(K.one)
+        for k, quot in trace.items():
+            if k >= n_mod:
+                continue
+            for e, c in quot.items():
+                t = heads[k] + (e << up)
+                s2 = K.sub(syz.get(t, K.zero), c)
+                if K.is_zero(s2):
+                    syz.pop(t, None)
+                else:
+                    syz[t] = s2
+        if syz:
+            out.append(syz)
+    seen, unique = set(), []
+    for syz in out:
+        if frozenset(syz.items()) not in seen:
+            seen.add(frozenset(syz.items()))
+            unique.append(syz)
+    F = FreeModule(ring, tuple(g.deg for g in mod))
+    return out, _syzygy_basis(ring, F, Q, unique)
+
+
+KERNEL_FIELDS = [pytest.param({"p": 32003}, id="GF(32003)"),
+                 pytest.param({"p": 4294967311}, id="GF(4294967311)"),
+                 pytest.param({"rational": True}, id="QQ")]
+
+
+def wide_vec(rng, ring, twists, deg, nterms):
+    """`random_vec`, with coefficients spread over the whole field when
+    it is GF(p) (over QQ, large ones only grow the bases)."""
+    K = ring.field
+    vec = random_vec(rng, ring, twists, deg, nterms)
+    if K.characteristic:
+        vec = {t: K.from_int(rng.randrange(1, K.characteristic)) for t in vec}
+    return vec
+
+
+def ordered(x):
+    """A dict, or a dict of dicts, as nested item lists: equal exactly
+    when the values and the insertion orders agree."""
+    return [(k, ordered(v) if isinstance(v, dict) else v)
+            for k, v in x.items()]
+
+
+def packed_elements(basis):
+    return [(ordered(g.terms), g.lead, g.pos, g.ltm, g.deg)
+            for g in basis.elements]
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
+@pytest.mark.parametrize("twists, quotient", [((0,), False), ((0, 1, 1), False),
+                                              ((0, 1), True)])
+def test_inline_kernel_matches_the_method_call_kernel(monkeypatch, field,
+                                                      twists, quotient):
+    # same remainders, traces, lifts and frame syzygies, term for term and
+    # in the same order, on seeded input
+    rng = random.Random(20261019 + len(twists) + quotient)
+    ring = polynomial_ring(["x", "y", "z"], **field)
+    if quotient:
+        x, y, z = ring.gens()
+        ring = ring.quotient([x * x - y * z, x * z])
+    K = ring.field
+    F = FreeModule(ring, twists)
+    syzygies = 0
+    for _ in range(2):
+        # one term per position keeps rank-3 bases over QQ small
+        nterms = 1 if len(twists) > 2 else 2
+        gens = [g for g in (wide_vec(rng, ring, twists, rng.randint(2, 3),
+                                     nterms)
+                            for _ in range(len(twists) + 2)) if g]
+        gb = groebner_basis(gens, ring, F)
+        groups = gb._reducer_groups()
+        vecs = [wide_vec(rng, ring, twists, rng.randint(3, 4), 5)
+                for _ in range(4)]
+        top = max(vec_degree(g, twists) for g in gens) + 1
+        members = []
+        for _ in range(2):
+            v = {}
+            for g in gens:
+                mono = rng.choice(monomials_of_degree(
+                    ring.nvars, top - vec_degree(g, twists)))
+                v = vec_add(v, vec_term_mul(g, mono, K.from_int(
+                    rng.randint(1, 10 ** 12)), K), K)
+            if v:
+                members.append(v)
+        for v in vecs + members:
+            for trace in (False, True):
+                P = gb.packing
+                new = _reduce_packed(P.encode_vec(v), groups, K, P, trace)
+                ref = method_call_reduce_packed(P.encode_vec(v), groups, K, P,
+                                                trace)
+                assert ordered(new[0]) == ordered(ref[0])
+                assert (new[1] is None) == (not trace)
+                if trace:
+                    assert ordered(new[1]) == ordered(ref[1])
+            new = _reduce(v, groups, K, collect_trace=True)
+            with monkeypatch.context() as m:
+                m.setattr(groebner, "_reduce_packed",
+                          method_call_reduce_packed)
+                ref = _reduce(v, groups, K, collect_trace=True)
+            assert ordered(new[0]) == ordered(ref[0])
+            assert ordered(new[1]) == ordered(ref[1])
+        for v in members:
+            new = gb.lift(v)
+            with monkeypatch.context() as m:
+                m.setattr(groebner, "_reduce_packed",
+                          method_call_reduce_packed)
+                ref = gb.lift(v)
+            assert ordered(new) == ordered(ref)
+        # three frame levels (one over a quotient ring, whose resolution
+        # decodes its syzygies), and the unit search's degree filter
+        level = gb
+        for _ in range(3 if ring.is_polynomial else 1):
+            if not level.module_elements:
+                break
+            degrees = set(level.module_degrees())
+            for degs in (None, degrees):
+                _, new = syzygy_generators(level, degs)
+                raw, ref = method_call_syzygy_generators(level, degs)
+                assert packed_elements(new) == packed_elements(ref)
+                assert new.free.twists == ref.free.twists
+                assert new.packing.bases == ref.packing.bases
+                if ring.is_polynomial:
+                    # why `_syzygy_basis` skips its duplicate check here
+                    assert len({frozenset(s.items()) for s in raw}) == len(raw)
+                syzygies += len(new.elements)
+            level = syzygy_generators(level)[1]
+    assert syzygies > 10
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
+def test_product_past_the_cap_raises_on_every_kernel_path(field):
+    # x^65535*y^2 reduced by y^2 - x*z: the tail times the quotient is
+    # x^65536*z, on the plain path, the trace path and the syzygy path
+    ring = polynomial_ring(["x", "y", "z"], **field)
+    K = ring.field
+    g = _make_elem({(0, (0, 2, 0)): K.one, (0, (1, 0, 1)): K.from_int(-1)},
+                   K, (0,))
+    vec = {(0, (EXPONENT_CAP, 2, 0)): K.from_int(3)}
+    P = _packing(3)
+    for trace in (False, True):
+        with pytest.raises(OverflowError):
+            _reduce(vec, _reducers([g]), K, collect_trace=trace)
+    with pytest.raises(OverflowError):
+        _reduce_packed(P.encode_vec(vec), _reducers([g]), K, P, True,
+                       [P.one << _INDEX_BITS], _INDEX_BITS)
+    with pytest.raises(OverflowError):
+        method_call_reduce_packed(P.encode_vec(vec), _reducers([g]), K, P)

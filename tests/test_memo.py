@@ -4,7 +4,8 @@ source lints over src/cmreg: only memo writes object caches, the one
 resolution loop, `resolution._resolve`, is the only caller of the syzygy
 step and is entered only through `free_resolution`, which alone builds a
 `FreeResolution`, resolutions minimize in three places, Groebner bases
-interreduce in three places, a frame is decoded only by its basis,
+interreduce in two places, a frame is decoded only by its basis, the
+reduction kernel is one loop with its field arithmetic inline,
 checker outcomes are built and contradictions raised only by
 `theorems._finish`, the duality series and the depth are computed only
 under their keys on the cover ring (and read there up to twist), nothing
@@ -294,6 +295,56 @@ def test_a_frame_is_decoded_only_by_its_basis():
     assert [(f, func) for f, _, func in sites] == [
         ("resolution.py", "_resolve"), ("resolution.py", "_resolve"),
         ("resolution.py", "_minimal_cols")]
+
+
+FIELD_METHODS = {"add", "sub", "mul", "neg", "is_zero"}
+
+
+def field_method_uses(source, funcs):
+    """(function, line, text) of each `K.add`, `K.sub`, `K.mul`, `K.neg`
+    or `K.is_zero` inside the top-level functions `funcs` of source,
+    called or bound to a name."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name in funcs:
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Attribute)
+                        and sub.attr in FIELD_METHODS
+                        and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "K"):
+                    out.append((node.name, sub.lineno, ast.unparse(sub)))
+    return out
+
+
+def test_field_method_uses_are_recognized():
+    src = ("def f(K):\n    return K.mul(a, b)\n"
+           "def g(K):\n    sub = K.sub\n    return K.one, K.characteristic\n"
+           "def h(K):\n    return K.neg(a)\n")
+    assert field_method_uses(src, {"f", "g"}) == [
+        ("f", 2, "K.mul"), ("g", 4, "K.sub")]
+
+
+def test_the_reduction_kernel_has_one_loop_with_inline_arithmetic():
+    """The reduction kernel, `_s_vector` and the syzygy step do their
+    coefficient arithmetic with operators, the same code for GF(p)
+    and QQ (`groebner._reduce_packed`): no field method calls, one loop
+    over a heap of terms, one walk of a reducer's tail in it, and no test
+    of the field's kind."""
+    [source] = [src for name, _, src in sources() if name == "groebner.py"]
+    assert field_method_uses(source, {"_reduce_packed", "_s_vector",
+                                      "syzygy_generators"}) == []
+    # the kernel pops a heap of terms; `_buchberger` pops its pair queue
+    assert sorted(func for f, _, func in call_sites("heappop")
+                  if f == "groebner.py") == ["_buchberger", "_reduce_packed"]
+    tree = ast.parse(source)
+    [kernel] = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name == "_reduce_packed"]
+    assert len([n for n in ast.walk(kernel) if isinstance(n, ast.While)]) == 1
+    assert len([n for n in ast.walk(kernel) if isinstance(n, ast.For)
+                and isinstance(n.iter, ast.Name) and n.iter.id == "tail"]) == 1
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert not names & {"PrimeField", "RationalField", "QQ", "isinstance",
+                        "type"}
 
 
 def test_checker_outcomes_are_built_only_by_finish():

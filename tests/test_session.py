@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from cmreg import (ParseError, Session, UnknownBinding, parse_polynomial,
@@ -236,6 +238,40 @@ def test_exponent_at_the_cap_parses():
     s = parse_session(S7 + f"ideal I = x^{EXPONENT_CAP}*y;")
     [f] = s.get("I", ("ideal",))
     assert f.homogeneous_degree() == EXPONENT_CAP + 1
+
+
+def test_chain_composing_past_the_cap_is_refused_at_its_head():
+    # composing the differentials multiplies x^40000 by x^40000; that
+    # escaped the parser with no position (exit 2 from the CLI)
+    text = (S7 + "complex C = chain(S, [0], [[x^40000]], [40000], "
+            "[[x^40000]], [80000]);")
+    with pytest.raises(ParseError) as ei:
+        parse_session(text)
+    assert (ei.value.message, ei.value.line, ei.value.col) == (
+        f"monomial exponent exceeds {EXPONENT_CAP}", 2, 13)
+
+
+LONG = "1" * 5000
+
+
+@pytest.mark.parametrize("text, line, col", [
+    pytest.param("ring A = GF(" + LONG + ")[x];", 1, 13, id="prime"),
+    pytest.param(S7 + "module M = coker(S, [" + LONG + "], [[x]]);", 2, 22,
+                 id="twist"),
+    pytest.param(S7 + "module M = coker(S, [-" + LONG + "], [[x]]);", 2, 23,
+                 id="negative-twist"),
+    pytest.param(S7 + "ideal I = x^" + LONG + ";", 2, 13, id="exponent"),
+    pytest.param(S7 + "ideal I = " + LONG + "*x;", 2, 11, id="constant"),
+])
+def test_integer_past_the_digit_limit_is_refused_at_its_token(text, line,
+                                                             col):
+    # Python refuses to convert a literal past its digit limit; that
+    # refusal escaped the parser with no position (exit 2 from the CLI)
+    with pytest.raises(ParseError) as ei:
+        parse_session(text)
+    assert (ei.value.message, ei.value.line, ei.value.col) == (
+        f"integer literal of {len(LONG)} digits is too long (at most "
+        f"{sys.get_int_max_str_digits()})", line, col)
 
 
 def test_tokenizer_rejects_garbage():
