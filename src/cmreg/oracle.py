@@ -17,11 +17,17 @@ generator have empty pieces, so a window may start there, and the degree
 cap counts degrees above it: a piece's size depends on how far its degree
 lies above the generators, not on the degree itself.
 
-numpy is imported inside the functions that use it, so importing cmreg
-(and every CLI command but oracle) leaves it unloaded.
+"Dense" names the method, every monomial of a degree at once, not the
+storage.  A piece is a Macaulay-style matrix with a few nonzeros per row,
+so rows, coordinates and multiplication maps are dicts {index:
+coefficient}, and one sparse Gauss-Jordan elimination in plain Python
+ints (mod p) or Fractions serves every piece and every Koszul rank; the
+oracle needs no numpy.  Its cost follows the fill-in: on dense pieces,
+such as those of complete intersections of dense quadrics in five
+variables, the elimination turns cubic in the piece's size.
 """
 
-from fractions import Fraction
+from bisect import bisect_left
 from itertools import combinations
 from math import comb
 
@@ -44,83 +50,55 @@ def monomials_of_degree(nvars, d):
     return out
 
 
-def _dtype_mod_p(p):
-    """int64 while a product of two residues fits in it; above that
-    (p > ~3.04e9) exact Python ints in object arrays."""
-    import numpy as np
-    return np.int64 if (p - 1) ** 2 < 2**63 else object
+def _subtract(t, f, v, p):
+    """t -= f * v in place, for sparse rows over GF(p) (QQ when p is 0);
+    entries that cancel leave t."""
+    nf = p - f if p else -f
+    for k, b in v.items():
+        s = t.get(k, 0) + nf * b
+        if p:
+            s %= p
+        if s:
+            t[k] = s
+        else:
+            del t[k]
 
 
-def rref_mod_p(rows, ncols, p):
-    """Row-reduce over GF(p) a list of rows or a 2-d array.  Returns
-    (pivot column list, reduced rows)."""
-    import numpy as np
-    dtype = _dtype_mod_p(p)
-    if len(rows) == 0:
-        return [], np.zeros((0, ncols), dtype=dtype)
-    A = np.array(rows, dtype=dtype) % p
-    m = A.shape[0]
-    pivots = []
-    r = 0
-    # row operations never make a zero column nonzero
-    for c in np.flatnonzero(A.any(axis=0)):
-        nz = np.flatnonzero(A[r:, c])
-        if not nz.size:
+def _rref(rows, p):
+    """Reduced row echelon form of sparse rows over GF(p), or over QQ
+    when p is 0.  Each row is a dict {column: nonzero coefficient} and
+    is consumed; coefficients are ints in [0, p) over GF(p) and Fractions
+    over QQ, where an int would make 1 / a a float.  Returns {pivot column:
+    tail}: the reduced row of that pivot is 1 there plus its tail, and
+    a tail holds no pivot column.  Reduced row echelon form is unique,
+    so it does not depend on the order of the rows.
+
+    Rows go in by descending leading column.  A tail only holds columns
+    right of its pivot, so a new pivot then mostly lies left of every
+    row it would have to be cleared from."""
+    piv = {}
+    cols = []  # the pivot columns, ascending
+    for v in sorted((v for v in rows if v), key=min, reverse=True):
+        # pivot rows hold no other pivot column, so one pass clears v
+        for c in [c for c in v if c in piv]:
+            _subtract(v, v.pop(c), piv[c], p)
+        if not v:
             continue
-        piv = r + int(nz[0])
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        inv = pow(int(A[r, c]), p - 2, p)
-        A[r] = (A[r] * inv) % p
-        col = A[:, c].copy()
-        col[r] = 0
-        nz = np.nonzero(col)[0]
-        if nz.size:
-            A[nz] = (A[nz] - np.outer(col[nz], A[r])) % p
-        pivots.append(int(c))
-        r += 1
-        if r == m:
-            break
-    return pivots, A[:len(pivots)]
-
-
-def rref_exact(rows, ncols):
-    """Fraction row reduction, same contract as rref_mod_p."""
-    A = [list(map(Fraction, row)) for row in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(A)):
-            if A[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = 1 / A[r][c]
-        # only the pivot row's nonzero entries change the other rows
-        support = [(k, a * inv) for k, a in enumerate(A[r]) if a]
-        for k, b in support:
-            A[r][k] = b
-        for i in range(len(A)):
-            f = A[i][c]
-            if i != r and f:
-                row = A[i]
-                for k, b in support:
-                    row[k] -= f * b
-        pivots.append(c)
-        r += 1
-        if r == len(A):
-            break
-    return pivots, A[:len(pivots)]
-
-
-def rank_of_rows(rows, ncols, field):
-    p = field.characteristic
-    if p:
-        return len(rref_mod_p(rows, ncols, p)[0])
-    return len(rref_exact(rows, ncols)[0])
+        lead = min(v)
+        a = v.pop(lead)
+        inv = pow(a, -1, p) if p else 1 / a
+        for k, b in v.items():
+            v[k] = b * inv % p if p else b * inv
+        # keep every pivot row reduced: clear the new pivot column from
+        # the rows whose pivot lies left of it
+        at = bisect_left(cols, lead)
+        for c in cols[:at]:
+            f = piv[c].pop(lead, None)
+            if f is not None:
+                _subtract(piv[c], f, v, p)
+        cols.insert(at, lead)
+        piv[lead] = v
+    return piv
 
 
 class DenseOracle:
@@ -156,12 +134,11 @@ class DenseOracle:
     def _piece(self, j):
         """(ambient basis, its index, kept columns, coordinates) of the
         degree-j piece.  The kept (non-pivot) columns of the row-reduced
-        relations index the quotient basis; column c of the coordinate
-        matrix is the image of ambient basis vector c in that basis."""
+        relations index the quotient basis; coordinates[a] is the image of
+        ambient basis vector a in that basis, as a dict {k: coefficient}."""
         return _cached(self, ("piece", j), lambda: self._reduce_piece(j))
 
     def _reduce_piece(self, j):
-        import numpy as np
         if j - self.lowest > self.max_degree:
             raise ValueError(
                 f"degree {j} beyond oracle cap {self.max_degree} above the "
@@ -171,25 +148,21 @@ class DenseOracle:
         rows = []
         for col, d in zip(self.rels, self.rel_degs):
             for m in monomials_of_degree(self.nvars, j - d):
-                row = [0] * len(basis)
+                row = {}
                 for (pos, mono), c in col.items():
                     prod = tuple(a + b for a, b in zip(m, mono))
-                    row[index[(pos, prod)]] = int(c) if self.field.characteristic else c
+                    row[index[(pos, prod)]] = c
                 rows.append(row)
         p = self.field.characteristic
-        if p:
-            pivots, red = rref_mod_p(rows, len(basis), p)
-        else:
-            pivots, red = rref_exact(rows, len(basis))
-            red = np.array(red, dtype=object).reshape(len(pivots), len(basis))
-        kept = np.ones(len(basis), dtype=bool)
-        kept[pivots] = False
-        kept = np.flatnonzero(kept)
-        # Fully reduced rows: a kept column maps to its unit vector, the
-        # pivot column of row r to minus row r on the kept columns.
-        coords = np.zeros((len(kept), len(basis)), dtype=red.dtype)
-        coords[np.arange(len(kept)), kept] = 1
-        coords[:, pivots] = -red[:, kept].T % p if p else -red[:, kept].T
+        piv = _rref(rows, p)
+        kept = [a for a in range(len(basis)) if a not in piv]
+        at = {a: k for k, a in enumerate(kept)}
+        # Fully reduced rows: a kept column maps to its unit vector, a
+        # pivot column to minus its row's tail, which lies on kept columns.
+        # Entries are field elements, Fractions over QQ, as _rref needs.
+        one = self.field.one
+        coords = [{at[b]: p - c if p else -c for b, c in piv[a].items()}
+                  if a in piv else {at[a]: one} for a in range(len(basis))]
         return basis, index, kept, coords
 
     def hilbert_function(self, j):
@@ -197,20 +170,21 @@ class DenseOracle:
 
     def mult_matrix(self, var, j):
         """Matrix of multiplication by the var-th variable, piece j -> j+1,
-        as a 2-d numpy array (object dtype over QQ).
-
-        Columns indexed by the quotient basis at j, rows at j+1.
+        as one sparse column {row: coefficient} per quotient basis vector
+        at j, its rows indexing the quotient basis at j+1.  The columns
+        are shared with the piece's coordinates: read them, never write.
         """
         return _cached(self, ("mult", var, j), lambda: self._mult(var, j))
 
     def _mult(self, var, j):
         basis_j, _, kept_j, _ = self._piece(j)
         _, index_n, _, coords_n = self._piece(j + 1)
-        shifted = []
+        out = []
         for a in kept_j:
             pos, m = basis_j[a]
-            shifted.append(index_n[(pos, m[:var] + (m[var] + 1,) + m[var + 1:])])
-        return coords_n[:, shifted]
+            up = m[:var] + (m[var] + 1,) + m[var + 1:]
+            out.append(coords_n[index_n[(pos, up)]])
+        return out
 
     # -- Koszul-homology Betti numbers ------------------------------------
     def betti_number(self, i, j):
@@ -230,25 +204,28 @@ class DenseOracle:
                        lambda: self._koszul_rank(level, j))
 
     def _koszul_rank(self, level, j):
-        import numpy as np
         src_dim = self.hilbert_function(j - level)
         tgt_dim = self.hilbert_function(j - level + 1)
         if src_dim == 0 or tgt_dim == 0:
             return 0
         n = self.nvars
-        subsets = list(combinations(range(n), level))
+        p = self.field.characteristic
         prev = {T: a for a, T in enumerate(combinations(range(n), level - 1))}
         mults = [self.mult_matrix(v, j - level) for v in range(n)]
-        D = np.zeros((len(prev) * tgt_dim, len(subsets) * src_dim),
-                     dtype=mults[0].dtype)
-        for bT, T in enumerate(subsets):
-            coff = bT * src_dim
-            for a, v in enumerate(T):
-                roff = prev[T[:a] + T[a + 1:]] * tgt_dim
-                D[roff:roff + tgt_dim, coff:coff + src_dim] = (
-                    mults[v] if a % 2 == 0 else -mults[v])
-        rows = D[np.flatnonzero(D.any(axis=1))]
-        return rank_of_rows(rows, D.shape[1], self.field)
+        # Column (T, b) of d_level is sum_a (-1)^a x_{T[a]} times basis
+        # vector b, in the summand of T without T[a]; the rank of the
+        # columns is the rank of the rows.
+        cols = []
+        for T in combinations(range(n), level):
+            blocks = [(prev[T[:a] + T[a + 1:]] * tgt_dim, mults[v], a % 2)
+                      for a, v in enumerate(T)]
+            for b in range(src_dim):
+                col = {}
+                for off, mult, odd in blocks:
+                    for r, c in mult[b].items():
+                        col[off + r] = (p - c if p else -c) if odd else c
+                cols.append(col)
+        return len(_rref(cols, p))
 
     def betti_table(self, max_i=None, max_degree=6):
         n = self.nvars

@@ -409,14 +409,35 @@ def test_console_script_entry_point(session_file):
 
 
 def test_reg_leaves_numpy_unloaded(session_file):
-    # numpy serves only the dense oracle, so a cold reg call skips its import
-    proc = run_child("-c", (
-        "import sys, cmreg.cli\n"
-        f"code = cmreg.cli.main(['--session', {session_file!r}, 'reg', 'M'])\n"
-        "print(code, 'numpy' in sys.modules, file=sys.stderr)\n"))
-    assert proc.returncode == 0
-    assert proc.stderr.split() == ["0", "False"]
-    assert json.loads(proc.stdout)["result"]["value"] == 1
+    # nothing in cmreg needs numpy, not even the dense oracle, so neither a
+    # cold reg call nor a cold oracle call loads it
+    for command in ("reg", "oracle"):
+        proc = run_child("-c", (
+            "import sys, cmreg.cli\n"
+            f"code = cmreg.cli.main(['--session', {session_file!r}, "
+            f"{command!r}, 'M'])\n"
+            "print(code, 'numpy' in sys.modules, file=sys.stderr)\n"))
+        assert proc.returncode == 0
+        assert proc.stderr.split() == ["0", "False"]
+        result = json.loads(proc.stdout)["result"]
+        if command == "reg":
+            assert result["value"] == 1
+        else:
+            assert result["agrees"] is True
+
+
+def test_oracle_agrees_over_a_wide_window(capsys):
+    path = os.path.join(os.path.dirname(__file__), "..", "sessions",
+                        "determinantal.cmreg")
+    code, out, _ = run(capsys, "--session", path, "oracle",
+                       "--max-degree", "14", "M")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["agrees"] is True
+    rows = result["hilbert"]
+    assert [r["degree"] for r in rows] == list(range(15))
+    assert all(r["series"] == r["oracle"] for r in rows)
+    assert rows[14]["oracle"] > 0
 
 
 def test_check_ring_indep_via_cli(session_file, capsys):

@@ -10,8 +10,8 @@ checker outcomes are built and contradictions raised only by
 `theorems._finish`, the duality series and the depth are computed only
 under their keys on the cover ring (and read there up to twist), nothing
 calls `free_resolution_of_complex`, the complex layer presents no
-kernels, and the dense oracle imports nothing from the Groebner, Hilbert
-or resolution layers."""
+kernels, the dense oracle imports nothing from the Groebner, Hilbert
+or resolution layers, and nothing imports numpy."""
 
 import ast
 import importlib
@@ -479,3 +479,30 @@ def test_oracle_imports_only_the_base_layers():
     polynomials and scalars."""
     [source] = [src for name, _, src in sources() if name == "oracle.py"]
     assert cmreg_imports(source) <= {"freemod", "memo", "poly", "scalars"}
+
+
+def top_level_imports(source):
+    """Top-level package names that source imports, at any depth;
+    relative imports are left out."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_top_level_imports_are_recognized():
+    src = ("import numpy as np\nfrom numpy.linalg import matrix_rank\n"
+           "from . import oracle\nfrom .poly import Poly\nimport os.path\n"
+           "def f():\n    import scipy.sparse\n")
+    assert top_level_imports(src) == {"numpy", "os", "scipy"}
+
+
+def test_nothing_under_src_imports_numpy():
+    """The oracle eliminates over sparse rows in plain Python, so the
+    package needs nothing outside the standard library to run."""
+    offenders = [name for name, _, source in sources()
+                 if "numpy" in top_level_imports(source)]
+    assert offenders == []

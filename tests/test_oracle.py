@@ -10,8 +10,7 @@ import pytest
 from cmreg import (DenseOracle, PresentedModule, betti_table, parse_session,
                    polynomial_ring)
 from cmreg.freemod import FreeModule, vec_degree
-from cmreg.oracle import (_dtype_mod_p, monomials_of_degree, rref_exact,
-                          rref_mod_p)
+from cmreg.oracle import _rref, monomials_of_degree
 from cmreg.theorems import DEFAULT_CORPUS_SEED, random_ideal_corpus
 
 SESSIONS = os.path.join(os.path.dirname(__file__), "..", "sessions")
@@ -22,22 +21,42 @@ def test_monomial_enumeration_counts():
     assert monomials_of_degree(2, 0) == [(0, 0)]
 
 
+def rref(rows, ncols, p):
+    """_rref on dense rows, rendered densely: (pivot columns, reduced rows
+    in pivot order)."""
+    piv = _rref([{k: a for k, a in enumerate(row) if a} for row in rows], p)
+    pivots = sorted(piv)
+    red = []
+    for c in pivots:
+        row = [0] * ncols
+        row[c] = 1
+        for k, a in piv[c].items():
+            row[k] = a
+        red.append(row)
+    return pivots, red
+
+
+def dense(cols, nrows):
+    """A list of sparse columns {row: coefficient} as a list of rows."""
+    return [[col.get(r, 0) for col in cols] for r in range(nrows)]
+
+
 def test_rref_rank():
     rows = [[1, 2, 0], [2, 4, 0], [0, 0, 5]]
-    pivots, red = rref_mod_p(rows, 3, 7)
+    pivots, red = rref(rows, 3, 7)
     assert pivots == [0, 2]
-    assert [[int(a) for a in row] for row in red] == [[1, 2, 0], [0, 0, 1]]
+    assert red == [[1, 2, 0], [0, 0, 1]]
 
 
 def test_rref_exact_above_int64_range():
     # (p - 1)^2 exceeds 2^63 here; int64 products would wrap around
     p = 4294967311
-    pivots, red = rref_mod_p([[p - 1, p - 2], [p - 3, 1]], 2, p)
+    pivots, red = rref([[p - 1, p - 2], [p - 3, 1]], 2, p)
     assert pivots == [0, 1]
-    assert [[int(a) for a in row] for row in red] == [[1, 0], [0, 1]]
-    pivots, red = rref_mod_p([[p - 1, p - 2], [1, 2]], 2, p)
+    assert red == [[1, 0], [0, 1]]
+    pivots, red = rref([[p - 1, p - 2], [1, 2]], 2, p)
     assert pivots == [0]
-    assert [int(a) for a in red[0]] == [1, 2]
+    assert red == [[1, 2]]
 
 
 def test_oracle_hilbert_agrees_with_series(S3):
@@ -125,8 +144,11 @@ def test_oracle_cap_counts_degrees_above_the_lowest_generator(k):
 def test_oracle_multiplication_matrix_shape(S2):
     M = PresentedModule.cyclic(S2, [])
     oc = DenseOracle(M)
-    rows, cols = len(oc.mult_matrix(0, 1)), None
-    assert rows == oc.hilbert_function(2)
+    cols = oc.mult_matrix(0, 1)
+    assert len(cols) == oc.hilbert_function(1) == 2
+    assert all(max(col) < oc.hilbert_function(2) for col in cols)
+    # x * x = x^2 and x * y = xy, among x^2, xy, y^2
+    assert dense(cols, oc.hilbert_function(2)) == [[1, 0], [0, 1], [0, 0]]
 
 
 # -- reference: the oracle before it cached anything --------------------------
@@ -134,13 +156,18 @@ def test_oracle_multiplication_matrix_shape(S2):
 # ReferenceOracle is the DenseOracle that projected each shifted basis
 # vector onto the quotient basis one pivot at a time, rebuilt all n
 # multiplication matrices for every differential rank, and computed each
-# rank once per Betti number that needs it.  Over GF(p) its row reduction
-# searches pivots one entry at a time; over QQ it shares rref_exact, which
-# is checked against its dense-row loop below.  The new oracle must agree
-# with the reference entry by entry.
+# rank once per Betti number that needs it.  Its row reduction is dense and
+# searches pivots one entry at a time: numpy over GF(p) (int64 while a
+# product of two residues fits, exact Python ints in object arrays above
+# that), lists of Fractions over QQ.  The oracle's sparse elimination must
+# agree with both, and the oracle with the reference entry by entry.
+
+def reference_dtype(p):
+    return np.int64 if (p - 1) ** 2 < 2**63 else object
+
 
 def reference_rref_mod_p(rows, ncols, p):
-    dtype = _dtype_mod_p(p)
+    dtype = reference_dtype(p)
     if not rows:
         return [], np.zeros((0, ncols), dtype=dtype)
     A = np.array(rows, dtype=dtype) % p
@@ -201,7 +228,7 @@ def reference_rank(rows, ncols, field):
     p = field.characteristic
     if p:
         return len(reference_rref_mod_p(rows, ncols, p)[0])
-    return len(rref_exact(rows, ncols)[0])
+    return len(reference_rref_exact(rows, ncols)[0])
 
 
 class ReferenceOracle:
@@ -234,7 +261,7 @@ class ReferenceOracle:
         if p:
             pivots, red = reference_rref_mod_p(rows, len(basis), p)
         else:
-            pivots, red = rref_exact(rows, len(basis))
+            pivots, red = reference_rref_exact(rows, len(basis))
         pivset = set(pivots)
         kept = [a for a in range(len(basis)) if a not in pivset]
         got = (basis, index, pivots, red, kept)
@@ -249,7 +276,7 @@ class ReferenceOracle:
         basis, _, pivots, red, kept = self._piece(j)
         p = self.field.characteristic
         if p:
-            v = np.array(ambient_vec, dtype=_dtype_mod_p(p)) % p
+            v = np.array(ambient_vec, dtype=reference_dtype(p)) % p
             for r, c in enumerate(pivots):
                 if v[c]:
                     v = (v - v[c] * red[r]) % p
@@ -360,26 +387,84 @@ def test_oracle_matches_the_reference_entry_by_entry(field):
                 assert new.betti_number(i, j) == ref.betti_number(i, j), (
                     f"{name}: betti({i},{j})")
         for (var, j), mat in ref.built.items():
-            assert new.mult_matrix(var, j).tolist() == mat, (
+            got = dense(new.mult_matrix(var, j), new.hilbert_function(j + 1))
+            assert got == mat, (
                 f"{name}: mult_matrix({var}, {j})")
         built += len(ref.built)
     assert built > 500
 
 
+def dense_quadrics(S, seed):
+    """S/(f_1..f_n), n quadrics in the n variables of S with every
+    coefficient nonzero: a complete intersection with dense pieces."""
+    rng = random.Random(seed)
+    g = S.gens()
+    quads = [a * b for k, a in enumerate(g) for b in g[k:]]
+    fs = [sum((rng.randint(1, 9) * q for q in quads), S.constant(0))
+          for _ in g]
+    return PresentedModule.cyclic(S, fs)
+
+
+@pytest.mark.parametrize("field", list(FIELDS))
+def test_oracle_on_dense_pieces_reads_the_koszul_table(field):
+    # over QQ an int unit coordinate once made the elimination divide
+    # into floats, and the Betti numbers of this module came out negative
+    M = dense_quadrics(polynomial_ring("abcd", **FIELDS[field]), 4)
+    oc = DenseOracle(M)
+    assert oc.betti_table() == {(0, 0): 1, (1, 2): 4, (2, 4): 6, (3, 6): 4}
+    assert [oc.hilbert_function(j) for j in range(6)] == [1, 4, 6, 4, 1, 0]
+    entries = [c for key, got in oc._cache.items() if key[0] == "piece"
+               for coords in got[3] for c in coords.values()]
+    assert entries and all(type(c) is type(oc.field.one) for c in entries)
+
+
+def random_sparse_matrix(rng, p):
+    """Up to 40 x 40 and mostly zero.  At most as many random rows as
+    columns, so the reduced rows have tails to fill in, and the rest
+    combinations of two earlier rows, so the rank falls short."""
+    m, n = rng.randint(1, 40), rng.randint(1, 40)
+    density = rng.choice([0.05, 0.1, 0.2, 0.4])
+
+    def entry():
+        if p:
+            return rng.choice([1, p - 1, rng.randrange(1, p)])
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                        rng.randint(1, 5))
+
+    rows = [[entry() if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(rng.randint(1, min(m, n)))]
+    while len(rows) < m:
+        a, b = rng.choice(rows), rng.choice(rows)
+        fa, fb = entry(), entry()
+        rows.append([(fa * x + fb * y) % p if p else fa * x + fb * y
+                     for x, y in zip(a, b)])
+    rng.shuffle(rows)
+    return rows, n
+
+
+def mean_weight(rows):
+    return sum(1 for row in rows for a in row if a) / max(len(rows), 1)
+
+
 def test_row_reduction_matches_the_reference_on_random_matrices():
     rng = random.Random("rref")
-    for p in (7, 32003, BIG_PRIME):
-        for _ in range(40):
-            m, n = rng.randint(1, 8), rng.randint(1, 8)
-            rows = [[rng.choice([0, 0, 1, rng.randrange(p)]) for _ in range(n)]
-                    for _ in range(m)]
-            pivots, red = rref_mod_p(rows, n, p)
+    deficient = filled = 0
+    for p in (7, 32003, BIG_PRIME, 0) * 40:
+        rows, n = random_sparse_matrix(rng, p)
+        pivots, red = rref(rows, n, p)
+        if p:
             want_pivots, want_red = reference_rref_mod_p(rows, n, p)
-            assert pivots == want_pivots
-            assert red.tolist() == want_red.tolist()
-            rows = [[Fraction(a - p // 2, rng.randint(1, 5)) for a in row]
-                    for row in rows]
-            assert rref_exact(rows, n) == reference_rref_exact(rows, n)
+            want_red = want_red.tolist()
+        else:
+            want_pivots, want_red = reference_rref_exact(rows, n)
+        assert pivots == want_pivots
+        assert red == want_red
+        # the reduced form is unique, whatever the order of the rows
+        assert rref(rows[::-1], n, p) == (pivots, red)
+        deficient += len(pivots) < min(len(rows), n)
+        filled += mean_weight(red) > mean_weight(rows)
+    # most fall short of full rank, and many reduce to heavier rows
+    assert deficient > 100 and filled > 40
 
 
 def test_a_full_window_computes_each_rank_once(monkeypatch):
