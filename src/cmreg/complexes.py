@@ -76,11 +76,12 @@ class BoundedComplex:
     def shift(self, k):
         """Suspension: spot i of the result is spot i-k of the input."""
         terms = {i + k: t for i, t in self.terms.items()}
-        sign = -1 if k % 2 else 1
+        p = self.ring.field.characteristic
         diffs = {}
         for i, d in self.diffs.items():
-            cols = d.cols if sign == 1 else [
-                {t: self.ring.field.neg(c) for t, c in col.items()} for col in d.cols]
+            cols = d.cols if k % 2 == 0 else [
+                {t: -c % p if p else -c for t, c in col.items()}
+                for col in d.cols]
             diffs[i + k] = ModuleMap(d.source, d.target, cols)
         return BoundedComplex(self.ring, terms, diffs)
 
@@ -212,7 +213,7 @@ def koszul_complex(forms, coefficients=None):
     index = {t: {T: b for b, T in enumerate(subsets[t])} for t in range(d + 1)}
     twists = {t: tuple(sum(degs[i] for i in T) for T in subsets[t])
               for t in range(d + 1)}
-    K = ring.field
+    negs = [-f for f in forms]
     cols = {}
     for t in range(1, d + 1):
         level_cols = []
@@ -221,9 +222,10 @@ def koszul_complex(forms, coefficients=None):
             for a, idx in enumerate(T):
                 rest = T[:a] + T[a + 1:]
                 b2 = index[t - 1][rest]
+                f = forms[idx] if a % 2 == 0 else negs[idx]
                 # each a lands in its own row b2, so no two terms meet
-                for m, c in forms[idx].terms.items():
-                    col[(b2, m)] = c if a % 2 == 0 else K.neg(c)
+                for m, c in f.terms.items():
+                    col[(b2, m)] = c
             level_cols.append(col)
         cols[t] = level_cols
     free_k = free_complex_from_data(ring, twists, cols)
@@ -244,23 +246,23 @@ def _totalize(F, C, s, f_moves, f_sign, c_sign):
     """The totalization shared by F (x) C (s = 1) and Hom(F, C) (s = -1),
     for F a free complex.
 
-    Spot n is the direct sum of blocks (p, q = n - s*p, b), each a copy of
-    C_q twisted by s times the degree of basis vector b of F_p.  Generator
-    g of block (p, q, b) moves along d_F to generator g of block
-    (p - s, q, b2) for each entry ((b2, m), c) of f_moves[p][b], times
-    f_sign(n, p), and along d_C onto block (p, q - 1, b), times
-    c_sign(n, p).  The two moves land in different blocks, so no two terms
+    Spot n is the direct sum of blocks (i, q = n - s*i, b), each a copy of
+    C_q twisted by s times the degree of basis vector b of F_i.  Generator
+    g of block (i, q, b) moves along d_F to generator g of block
+    (i - s, q, b2) for each entry ((b2, m), c) of f_moves[i][b], times
+    f_sign(n, i), and along d_C onto block (i, q - 1, b), times
+    c_sign(n, i).  The two moves land in different blocks, so no two terms
     of a column meet.
     """
     ring = F.ring
-    neg = ring.field.neg
+    p = ring.field.characteristic
     f_levels = F.levels()
     c_levels = C.levels()
     if not f_levels or not c_levels:
         return BoundedComplex(ring, {}, {})
 
     ends = (s * f_levels[0], s * f_levels[-1])
-    offsets = {}  # (p, q, b) -> first position of the block; n = q + s*p
+    offsets = {}  # (i, q, b) -> first position of the block; n = q + s*i
     blocks = {}
     terms = {}
     for n in range(c_levels[0] + min(ends), c_levels[-1] + max(ends) + 1):
@@ -268,15 +270,15 @@ def _totalize(F, C, s, f_moves, f_sign, c_sign):
         summands = []
         twists = []
         rels = []
-        for p in f_levels:
-            q = n - s * p
+        for i in f_levels:
+            q = n - s * i
             Cq = C.terms.get(q)
             if Cq is None:
                 continue
-            for b, a in enumerate(F.terms[p].gens_free.twists):
+            for b, a in enumerate(F.terms[i].gens_free.twists):
                 off = len(twists)
-                offsets[(p, q, b)] = off
-                spot.append((p, q, b))
+                offsets[(i, q, b)] = off
+                spot.append((i, q, b))
                 summands.append((Cq, off))
                 twists.extend(t + s * a for t in Cq.gens_free.twists)
                 for rc in Cq.rel_cols:
@@ -292,21 +294,23 @@ def _totalize(F, C, s, f_moves, f_sign, c_sign):
         if (n - 1) not in blocks:
             continue
         cols = []
-        for p, q, b in spot:
+        for i, q, b in spot:
             f_move = ()
-            if p in f_moves:
-                sf = f_sign(n, p)
-                f_move = [(offsets[(p - s, q, b2)], m, c if sf == 1 else neg(c))
-                          for (b2, m), c in f_moves[p][b].items()]
+            if i in f_moves:
+                sf = f_sign(n, i)
+                f_move = [(offsets[(i - s, q, b2)], m,
+                           c if sf == 1 else -c % p if p else -c)
+                          for (b2, m), c in f_moves[i][b].items()]
             dC = C.diffs.get(q)
             if dC is not None:
-                sc = c_sign(n, p)
-                c_off = offsets[(p, q - 1, b)]
+                sc = c_sign(n, i)
+                c_off = offsets[(i, q - 1, b)]
             for g in range(C.terms[q].rank):
                 col = {(o + g, m): c for o, m, c in f_move}
                 if dC is not None:
                     for (pp, m), c in dC.cols[g].items():
-                        col[(c_off + pp, m)] = c if sc == 1 else neg(c)
+                        col[(c_off + pp, m)] = (c if sc == 1 else
+                                                -c % p if p else -c)
                 cols.append(col)
         diffs[n] = ModuleMap(terms[n], terms[n - 1], cols)
     return BoundedComplex(ring, terms, diffs)

@@ -10,6 +10,11 @@ image of the j-th source basis vector (apply_map applies it).  A free chain
 F_0 <- F_1 <- ... is two dicts, twists[i] the twist tuple of F_i and
 cols[i] the columns of d_i : F_i -> F_{i-1}; free resolutions,
 minimize_chain and free_complex_from_data share that layout.
+
+Coefficients combine with operators on the field's characteristic p
+(cmreg.scalars).  `vec_addmul` is the one accumulate loop: it adds f * v
+into a vector in place and drops the entries that cancel.  apply_map
+runs on it, and so does each Schur step of cmreg.minimize.
 """
 
 from .poly import grevlex_key, mono_deg, mono_mul
@@ -20,48 +25,28 @@ def term_key(t):
     return (-t[0],) + grevlex_key(t[1])
 
 
-def vec_add(u, v, K):
-    out = dict(u)
-    for t, c in v.items():
-        s = K.add(out.get(t, K.zero), c)
-        if K.is_zero(s):
-            out.pop(t, None)
-        else:
-            out[t] = s
-    return out
-
-
-def vec_term_mul(v, mono, c, K):
-    """v multiplied by the term c * x^mono."""
-    if K.is_zero(c):
-        return {}
-    return {(p, mono_mul(m, mono)): K.mul(cc, c) for (p, m), cc in v.items()}
-
-
-def vec_poly_mul(v, poly_terms, K):
-    out = {}
-    for mono, c in poly_terms.items():
-        for (p, m), cc in v.items():
-            t = (p, mono_mul(m, mono))
-            s = K.add(out.get(t, K.zero), K.mul(cc, c))
-            if K.is_zero(s):
-                out.pop(t, None)
-            else:
+def vec_addmul(out, v, f, p):
+    """out += f * v in place, for f a polynomial's terms {monomial: c}, over
+    the field of characteristic p (QQ when p is 0); entries that cancel
+    are dropped."""
+    for mono, c in f.items():
+        for (q, m), cc in v.items():
+            t = (q, mono_mul(m, mono))
+            s = out.get(t, 0) + cc * c
+            if p:
+                s %= p
+            if s:
                 out[t] = s
-    return out
+            else:
+                out.pop(t, None)
 
 
 def apply_map(cols, v, K):
     """Image of v under the map whose j-th column is cols[j]."""
     out = {}
-    for (p, m), c in v.items():
-        for (q, u), cc in cols[p].items():
-            t = (q, mono_mul(u, m))
-            s = K.add(out.get(t, K.zero), K.mul(c, cc))
-            if K.is_zero(s):
-                out.pop(t, None)
-            else:
-                out[t] = s
+    p = K.characteristic
+    for (q, m), c in v.items():
+        vec_addmul(out, cols[q], {m: c}, p)
     return out
 
 

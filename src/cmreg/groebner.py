@@ -70,11 +70,12 @@ largest-term-first, leftmost-reducer loop.  S-vectors come from one
 builder, `_s_vector`, shared by Buchberger, `certify` and the syzygies.
 
 The kernel is one loop for every field, its coefficient arithmetic
-written with operators instead of field method calls: with p the
+written with operators, as in every layer (cmreg.scalars): with p the
 characteristic, a reducer step negates its multiplier once (p - c, or -c
 over QQ), each product term is s = w + (-c) c2, reduced s %= p only when
 p is nonzero, and `if s` tests for zero, which holds for ints and
-Fractions alike.  The values are those of K.sub(w, K.mul(c, c2)) exactly.
+Fractions alike.  So s is w - c c2 in the field, reduced into [0, p)
+over GF(p).
 Each term is reduced at most once, so the trace records each (reducer,
 quotient term) once and never adds.
 
@@ -277,8 +278,8 @@ def _elem(terms, K, twists, P, cls=GBElem):
     lead = min(terms)
     c = terms[lead]
     if c != K.one:
-        ci = K.inv(c)
-        terms = {h: K.mul(cc, ci) for h, cc in terms.items()}
+        ci, p = K.inv(c), K.characteristic
+        terms = {h: cc * ci % p if p else cc * ci for h, cc in terms.items()}
     pos = (lead >> P.S) & P.M
     ltm = P.mono(lead)
     return cls(terms, lead, pos, ltm, mono_deg(ltm) + twists[pos])

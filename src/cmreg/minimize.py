@@ -17,9 +17,9 @@ taken in ascending order.  Within a level no column gains its first unit
 (see `_eliminate_units`), so one ascending pass over the columns that
 start with a unit removes the units in the sweep's order, and an index
 from target position to the columns with an entry there lets a Schur step
-touch only those columns.  Indices stay stable while a level is worked;
-removed rows and columns are dropped, and the rest renumbered, once at
-the end.
+touch only those columns, each in place (`freemod.vec_addmul`).  Indices
+stay stable while a level is worked; removed rows and columns are
+dropped, and the rest renumbered, once at the end.
 
 Passenger rows, at or past the rank of F_{L-1}, carry the map of F_L to
 the complex cmreg.resolution resolves.  They are never pivots, go
@@ -27,7 +27,7 @@ through the Schur updates (as the map does when F_L's basis changes) and
 are renumbered with the other rows, so they start at the rank of F_{L-1}.
 """
 
-from .freemod import vec_add, vec_poly_mul
+from .freemod import vec_addmul
 
 
 def _find_unit(col, rows=None):
@@ -44,37 +44,39 @@ def _eliminate_units(cols, K, dead_src, dead_tgt, rows):
     order the restarting sweep would; records the removed source and
     target indices in dead_src and dead_tgt.  Positions at or past
     `rows` are passengers and never pivots."""
-    # A Schur step adds (column j's entry at p0) / u times the pivot to
-    # column j, so column j gains a constant entry only if it has one at p0
+    # A Schur step adds -(column j's entry at r0) / u times the pivot to
+    # column j, so column j gains a constant entry only if it has one at r0
     # already: no column gains its first unit.  One ascending pass over the
     # columns that start with a unit therefore meets every unit in order.
     todo = [j for j, col in enumerate(cols) if _find_unit(col, rows) is not None]
     if not todo:
         return
+    p = K.characteristic
     index = {}
     for j, col in enumerate(cols):
-        for p, _ in col:
-            index.setdefault(p, set()).add(j)
+        for row, _ in col:
+            index.setdefault(row, set()).add(j)
     for j0 in todo:
         hit = _find_unit(cols[j0], rows)
         if hit is None:
             continue
-        p0, u = hit
+        r0, u = hit
         dead_src.add(j0)
-        dead_tgt.add(p0)
+        dead_tgt.add(r0)
         pivot = cols[j0]
-        support = {p for p, _ in pivot}
-        neg_uinv = K.neg(K.inv(u))
-        for j in index.pop(p0, ()):
+        support = {row for row, _ in pivot}
+        # the factor stays unreduced: vec_addmul reduces each sum mod p
+        neg_uinv = -K.inv(u)
+        for j in index.pop(r0, ()):
             if j in dead_src:
                 continue
             col = cols[j]
-            factor = {m: K.mul(c, neg_uinv) for (p, m), c in col.items() if p == p0}
+            factor = {m: c * neg_uinv for (row, m), c in col.items() if row == r0}
             if not factor:
                 continue
-            cols[j] = vec_add(col, vec_poly_mul(pivot, factor, K), K)
-            for p in support:
-                index.setdefault(p, set()).add(j)
+            vec_addmul(col, pivot, factor, p)
+            for row in support:
+                index.setdefault(row, set()).add(j)
 
 
 def minimize_chain(twists, cols, K):

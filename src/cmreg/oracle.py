@@ -8,14 +8,15 @@ genuinely independent route against the symbolic machinery, at the price
 of a degree cap (dimensions grow fast).
 
 A DenseOracle computes each thing once and keeps it in its `_cache`
-through memo._cached: the row-reduced piece of each degree, the matrix of
-multiplication by each variable out of each degree, and the rank of each
-Koszul differential in each degree.  The pieces are fully reduced, so a
-multiplication matrix is a lookup into the coordinates of the shifted
-basis vectors and needs no arithmetic.  Degrees below the lowest
-generator have empty pieces, so a window may start there, and the degree
-cap counts degrees above it: a piece's size depends on how far its degree
-lies above the generators, not on the degree itself.
+through memo._cached: the monomials of each degree, the row-reduced
+piece of each degree, the matrix of multiplication by each variable out
+of each degree, and the rank of each Koszul differential in each degree.
+The pieces are fully reduced, so a multiplication matrix is a lookup into
+the coordinates of the shifted basis vectors and needs no arithmetic.
+Degrees below the lowest generator have empty pieces, so a window may
+start there, and the degree cap counts degrees above it: a piece's size
+depends on how far its degree lies above the generators, not on the
+degree itself.
 
 "Dense" names the method, every monomial of a degree at once, not the
 storage.  A piece is a Macaulay-style matrix with a few nonzeros per row,
@@ -124,10 +125,15 @@ class DenseOracle:
         self._cache = {}
 
     # -- bases ------------------------------------------------------------
+    def _monomials(self, d):
+        """monomials_of_degree(nvars, d), built once per degree."""
+        return _cached(self, ("monomials", d),
+                       lambda: monomials_of_degree(self.nvars, d))
+
     def ambient_basis(self, j):
         out = []
         for pos, t in enumerate(self.twists):
-            for m in monomials_of_degree(self.nvars, j - t):
+            for m in self._monomials(j - t):
                 out.append((pos, m))
         return out
 
@@ -147,7 +153,7 @@ class DenseOracle:
         index = {bm: a for a, bm in enumerate(basis)}
         rows = []
         for col, d in zip(self.rels, self.rel_degs):
-            for m in monomials_of_degree(self.nvars, j - d):
+            for m in self._monomials(j - d):
                 row = {}
                 for (pos, mono), c in col.items():
                     prod = tuple(a + b for a, b in zip(m, mono))

@@ -91,21 +91,24 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        K = self.ring.field
+        p = self.ring.field.characteristic
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = K.add(terms.get(m, K.zero), c)
-            if K.is_zero(s):
-                terms.pop(m, None)
-            else:
+            s = terms.get(m, 0) + c
+            if p:
+                s %= p
+            if s:
                 terms[m] = s
+            else:
+                terms.pop(m, None)
         return Polynomial(self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        K = self.ring.field
-        return Polynomial(self.ring, {m: K.neg(c) for m, c in self.terms.items()})
+        p = self.ring.field.characteristic
+        return Polynomial(self.ring, {m: -c % p if p else -c
+                                      for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -117,25 +120,21 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            K = self.ring.field
-            c = K.from_int(other)
-            if K.is_zero(c):
-                return Polynomial(self.ring, {})
-            return Polynomial(self.ring, {m: K.mul(cc, c) for m, cc in self.terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        K = self.ring.field
+        p = self.ring.field.characteristic
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
-                s = K.add(terms.get(m, K.zero), K.mul(c1, c2))
-                if K.is_zero(s):
-                    terms.pop(m, None)
-                else:
+                s = terms.get(m, 0) + c1 * c2
+                if p:
+                    s %= p
+                if s:
                     terms[m] = s
+                else:
+                    terms.pop(m, None)
         return Polynomial(self.ring, terms)
 
     __rmul__ = __mul__

@@ -104,8 +104,9 @@ def reg_via_betti(obj, max_len=None):
 
 # -- route 2: Ext against the residue field -------------------------------
 
-def _bass_data(obj):
-    """{(i, j): mu^{i,j}} over the cover, exact and finitely supported."""
+def bass_table(obj):
+    """Bass numbers mu^{i,j} = dim Ext^i(k, obj)_j over the cover, as
+    {(i, j): mu^{i,j}}, exact and finitely supported."""
     C = _as_complex(obj).lift_to_cover()
     cover = C.ring
     if not C.terms:
@@ -129,14 +130,9 @@ def _bass_data(obj):
     return table
 
 
-def bass_table(obj):
-    """Bass numbers mu^{i,j} = dim Ext^i(k, obj)_j over the cover."""
-    return _bass_data(obj)
-
-
 def reg_via_ext(obj):
     """(value, witness) with value = sup{i + j} over nonzero Bass numbers."""
-    return _sup((i + j, (i, j)) for (i, j) in _bass_data(obj))
+    return _sup((i + j, (i, j)) for (i, j) in bass_table(obj))
 
 
 # -- route 3: Koszul homology on the module's own ring --------------------
@@ -402,7 +398,7 @@ def depth_profile(M):
     if Mc.is_zero():
         return {"via_pd": inf, "via_ext": inf, "via_koszul": inf}
     via_pd = depth(Mc)
-    via_ext = min(i for (i, _) in _bass_data(Mc))
+    via_ext = min(i for (i, _) in bass_table(Mc))
     via_koszul = grade_of_sequence(list(Mc.ring.gens()), Mc)
     return {"via_pd": via_pd, "via_ext": via_ext, "via_koszul": via_koszul}
 

@@ -30,10 +30,6 @@ class GradedRing:
                 raise ValueError("defining ideal generator of degree 0")
 
     # -- construction ----------------------------------------------------
-    @classmethod
-    def polynomial_ring(cls, field, names):
-        return cls(field, names)
-
     def quotient(self, gens):
         """S/I for homogeneous gens; quotients of quotients concatenate."""
         cover = self.cover
@@ -64,7 +60,7 @@ class GradedRing:
 
     def constant(self, n):
         c = self.field.from_int(n) if isinstance(n, int) else n
-        if self.field.is_zero(c):
+        if not c:
             return Polynomial(self, {})
         one = tuple(0 for _ in range(self.nvars))
         return Polynomial(self, {one: c})
@@ -76,7 +72,7 @@ class GradedRing:
         if len(expts) != self.nvars:
             raise ValueError("wrong number of exponents")
         c = self.field.one if coeff is None else coeff
-        if self.field.is_zero(c):
+        if not c:
             return Polynomial(self, {})
         return Polynomial(self, {tuple(expts): c})
 
@@ -113,4 +109,4 @@ class GradedRing:
 def polynomial_ring(names, p=DEFAULT_PRIME, rational=False):
     """Convenience constructor used by tests and the session layer."""
     field = QQ if rational else PrimeField(p)
-    return GradedRing.polynomial_ring(field, names)
+    return GradedRing(field, names)

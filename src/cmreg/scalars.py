@@ -1,8 +1,17 @@
-"""Exact coefficient arithmetic: prime fields GF(p) and the rationals.
+"""Coefficient fields: the prime fields GF(p) and the rationals.
 
-Field elements are plain Python values (ints reduced into [0, p) for GF(p),
-fractions.Fraction for the rationals).  A field object supplies the
-operations; hot loops bind them to locals once.
+One class, `Field(p)`, with p = 0 meaning QQ.  Elements are plain Python
+values: ints in [0, p) over GF(p), fractions.Fraction over QQ.  Every
+layer computes with operators on the characteristic p,
+
+    s = a + b * c
+    if p:
+        s %= p
+
+and tests `if s` for zero, which holds for ints and Fractions alike.  A
+field supplies only what operators cannot: its characteristic, its one,
+the image of an int, and inverses.  Over QQ `one` and `from_int` return
+Fractions, since 1 / a of an int a is a float.
 """
 
 from fractions import Fraction
@@ -44,109 +53,50 @@ def _is_prime(n):
     return True
 
 
-class PrimeField:
-    """GF(p) with elements stored as ints in [0, p)."""
+class Field:
+    """GF(p) for a prime p, or QQ for p = 0; `PrimeField` validates p."""
 
     __slots__ = ("p",)
 
-    def __init__(self, p=DEFAULT_PRIME):
-        if not _is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
+    def __init__(self, p):
         self.p = p
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
 
     @property
     def characteristic(self):
         return self.p
 
-    def from_int(self, n):
-        return n % self.p
-
-    def is_zero(self, a):
-        return a == 0
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero in GF(p)")
-        return pow(a, self.p - 2, self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))
-
-    def __repr__(self):
-        return f"GF({self.p})"
-
-
-class RationalField:
-    """The field of rationals; elements are fractions.Fraction."""
-
-    __slots__ = ()
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
     @property
     def one(self):
-        return Fraction(1)
-
-    @property
-    def characteristic(self):
-        return 0
+        return 1 if self.p else Fraction(1)
 
     def from_int(self, n):
-        return Fraction(n)
-
-    def is_zero(self, a):
-        return a == 0
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
+        return n % self.p if self.p else Fraction(n)
 
     def inv(self, a):
+        p = self.p
+        if p:
+            if a % p == 0:
+                raise ZeroDivisionError("inverse of zero in GF(p)")
+            return pow(a, p - 2, p)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
 
     def __eq__(self, other):
-        return isinstance(other, RationalField)
+        return isinstance(other, Field) and other.p == self.p
 
     def __hash__(self):
-        return hash("QQ")
+        return hash(("Field", self.p))
 
     def __repr__(self):
-        return "QQ"
+        return f"GF({self.p})" if self.p else "QQ"
 
 
-QQ = RationalField()
+def PrimeField(p=DEFAULT_PRIME):
+    """GF(p), refusing a p that is not prime (0 included)."""
+    if not _is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+    return Field(p)
+
+
+QQ = Field(0)

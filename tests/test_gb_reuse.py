@@ -335,7 +335,7 @@ def homogeneous_vectors(draw, ring, twists, count):
             for m in draw(st.lists(st.sampled_from(monomials(ring.nvars, d - t)),
                                    max_size=2, unique=True)):
                 c = K.from_int(draw(st.integers(-3, 3).filter(bool)))
-                if not K.is_zero(c):
+                if c:
                     vec[(p, m)] = c
         if vec:
             out.append(vec)

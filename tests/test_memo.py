@@ -5,7 +5,8 @@ resolution loop, `resolution._resolve`, is the only caller of the syzygy
 step and is entered only through `free_resolution`, which alone builds a
 `FreeResolution`, resolutions minimize in three places, Groebner bases
 interreduce in two places, a frame is decoded only by its basis, the
-reduction kernel is one loop with its field arithmetic inline,
+reduction kernel is one loop with its field arithmetic inline, no
+function computes with field methods and there is one field class,
 checker outcomes are built and contradictions raised only by
 `theorems._finish`, the duality series and the depth are computed only
 under their keys on the cover ring (and read there up to twist), nothing
@@ -297,31 +298,71 @@ def test_a_frame_is_decoded_only_by_its_basis():
         ("resolution.py", "_minimal_cols")]
 
 
-FIELD_METHODS = {"add", "sub", "mul", "neg", "is_zero"}
+FIELD_METHODS = {"add", "sub", "mul", "neg", "is_zero", "zero"}
 
 
-def field_method_uses(source, funcs):
-    """(function, line, text) of each `K.add`, `K.sub`, `K.mul`, `K.neg`
-    or `K.is_zero` inside the top-level functions `funcs` of source,
-    called or bound to a name."""
+def _is_field(node):
+    """`K`, `field`, or any `<expr>.field`."""
+    return ((isinstance(node, ast.Name) and node.id in ("K", "field"))
+            or (isinstance(node, ast.Attribute) and node.attr == "field"))
+
+
+def field_method_uses(source, funcs=None):
+    """(function, line, text) of each `add`, `sub`, `mul`, `neg`,
+    `is_zero` or `zero` read off `K`, `field` or `<expr>.field`, called
+    or bound to a name: in every function of source (methods and nested
+    functions under their own name, module level as None), or only in
+    the functions named in `funcs`."""
     out = []
-    for node in ast.parse(source).body:
-        if isinstance(node, ast.FunctionDef) and node.name in funcs:
-            for sub in ast.walk(node):
-                if (isinstance(sub, ast.Attribute)
-                        and sub.attr in FIELD_METHODS
-                        and isinstance(sub.value, ast.Name)
-                        and sub.value.id == "K"):
-                    out.append((node.name, sub.lineno, ast.unparse(sub)))
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Attribute) and node.attr in FIELD_METHODS
+                and _is_field(node.value)
+                and (funcs is None or func in funcs)):
+            out.append((func, node.lineno, ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
     return out
 
 
 def test_field_method_uses_are_recognized():
     src = ("def f(K):\n    return K.mul(a, b)\n"
            "def g(K):\n    sub = K.sub\n    return K.one, K.characteristic\n"
-           "def h(K):\n    return K.neg(a)\n")
+           "def h(K):\n    return K.neg(a)\n"
+           "class C:\n    def m(self):\n        return self.ring.field.add(a, b)\n"
+           "    def n(self, field):\n        return field.zero, H.is_zero()\n"
+           "z = R.field.is_zero(0)\n")
     assert field_method_uses(src, {"f", "g"}) == [
         ("f", 2, "K.mul"), ("g", 4, "K.sub")]
+    assert field_method_uses(src) == [
+        ("f", 2, "K.mul"), ("g", 4, "K.sub"), ("h", 7, "K.neg"),
+        ("m", 10, "self.ring.field.add"), ("n", 12, "field.zero"),
+        (None, 13, "R.field.is_zero")]
+
+
+def test_no_layer_computes_with_field_methods():
+    """Operators are the one coefficient idiom (cmreg.scalars): no
+    function under src/cmreg calls a field method for arithmetic."""
+    offenders = [(name, *use) for name, _, source in sources()
+                 for use in field_method_uses(source)]
+    assert offenders == []
+
+
+def test_one_field_class_with_the_smallest_surface():
+    """GF(p) and QQ are one class, and it offers only what operators
+    cannot do."""
+    from cmreg.scalars import QQ, Field, PrimeField
+    [source] = [src for name, _, src in sources() if name == "scalars.py"]
+    classes = [n.name for n in ast.walk(ast.parse(source))
+               if isinstance(n, ast.ClassDef)]
+    assert classes == ["Field"]
+    assert type(QQ) is Field and type(PrimeField(7)) is Field
+    surface = {n for n in dir(Field) if not n.startswith("_")}
+    assert surface == {"p", "characteristic", "one", "from_int", "inv"}
 
 
 def test_the_reduction_kernel_has_one_loop_with_inline_arithmetic():

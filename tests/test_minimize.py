@@ -8,10 +8,11 @@ import pytest
 
 from cmreg import PresentedModule, free_resolution, module_from_ideal
 from cmreg import polynomial_ring
-from cmreg.freemod import vec_add, vec_poly_mul
+from cmreg.freemod import vec_addmul
 from cmreg.minimize import minimize_chain
 from cmreg.oracle import monomials_of_degree
 from cmreg.theorems import nilpotent_scroll_family, random_ideal_corpus
+from fieldops import field_ops
 
 
 # -- reference: the restart sweep -----------------------------------------
@@ -29,6 +30,7 @@ def _drop_position(col, p0):
 
 
 def _schur_eliminate(cols, j0, p0, u, K):
+    F = field_ops(K)
     uinv = K.inv(u)
     pivot = cols[j0]
     out = []
@@ -37,8 +39,8 @@ def _schur_eliminate(cols, j0, p0, u, K):
             continue
         coeff = {m: c for (p, m), c in col.items() if p == p0}
         if coeff:
-            factor = {m: K.mul(c, K.neg(uinv)) for m, c in coeff.items()}
-            col = vec_add(col, vec_poly_mul(pivot, factor, K), K)
+            factor = {m: F.mul(c, F.neg(uinv)) for m, c in coeff.items()}
+            vec_addmul(col, pivot, factor, F.characteristic)
         out.append(_drop_position(col, p0))
     return out
 
@@ -112,12 +114,12 @@ def random_chain(rng, ring, levels):
                     continue
                 for m in rng.sample(monomials_of_degree(ring.nvars, d - t), 2):
                     c = K.from_int(rng.randint(-9, 9))
-                    if not K.is_zero(c):
+                    if c:
                         col[(p, m)] = c
             k = rng.randrange(len(cs)) if cs else None
             if k is not None and src[k] <= d and rng.random() < 0.3:
                 mono = rng.choice(monomials_of_degree(ring.nvars, d - src[k]))
-                col = vec_add(col, vec_poly_mul(cs[k], {mono: K.one}, K), K)
+                vec_addmul(col, cs[k], {mono: K.one}, K.characteristic)
             cs.append(col)
         cols[lev] = cs
     return twists, cols

@@ -1,3 +1,4 @@
+import importlib
 import os
 import random
 from fractions import Fraction
@@ -465,6 +466,26 @@ def test_row_reduction_matches_the_reference_on_random_matrices():
         filled += mean_weight(red) > mean_weight(rows)
     # most fall short of full rank, and many reduce to heavier rows
     assert deficient > 100 and filled > 40
+
+
+def test_a_full_window_lists_each_degree_monomials_once(monkeypatch):
+    oracle_mod = importlib.import_module("cmreg.oracle")
+    original = oracle_mod.monomials_of_degree
+    lists = []
+
+    def counting(nvars, d):
+        lists.append((nvars, d))
+        return original(nvars, d)
+
+    # the recursion looks the name up again, so inner calls count too;
+    # only the calls with the oracle's own variable count are its lists
+    monkeypatch.setattr(oracle_mod, "monomials_of_degree", counting)
+    for _, M in window_modules():
+        lists.clear()
+        oc = DenseOracle(M)
+        oc.betti_table()
+        top = [d for nvars, d in lists if nvars == oc.nvars]
+        assert top and len(top) == len(set(top))
 
 
 def test_a_full_window_computes_each_rank_once(monkeypatch):

@@ -7,23 +7,15 @@ import pytest
 from cmreg.scalars import MAX_MODULUS, QQ, PrimeField, _is_prime
 
 
-def test_prime_field_arithmetic():
-    F = PrimeField(7)
-    assert F.add(3, 5) == 1
-    assert F.mul(3, 5) == 1
-    assert F.neg(2) == 5
-    assert F.sub(1, 3) == 5
-
-
 def test_prime_field_inverse_covers_units():
     F = PrimeField(13)
     for a in range(1, 13):
-        assert F.mul(a, F.inv(a)) == 1
+        assert a * F.inv(a) % 13 == 1
 
 
 def test_inverse_of_zero_rejected():
     F = PrimeField(5)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ZeroDivisionError, match=r"^inverse of zero in GF\(p\)$"):
         F.inv(0)
 
 
@@ -39,10 +31,33 @@ def test_composite_modulus_rejected():
 
 
 def test_rational_field():
-    assert QQ.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
     assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
     assert QQ.from_int(4) == Fraction(4)
     assert QQ.characteristic == 0
+    # an int one would turn 1 / a into a float
+    assert type(QQ.one) is Fraction and type(QQ.from_int(4)) is Fraction
+    assert type(QQ.inv(2)) is Fraction
+    with pytest.raises(ZeroDivisionError, match="^inverse of zero$"):
+        QQ.inv(Fraction(0))
+
+
+def test_modulus_zero_refused():
+    # p = 0 stands for QQ in the one field class, but PrimeField refuses it
+    with pytest.raises(ValueError, match="^modulus 0 is not prime$"):
+        PrimeField(0)
+
+
+def test_rationals_differ_from_every_prime_field():
+    assert QQ != PrimeField(5) and PrimeField(5) != QQ
+    assert PrimeField(5) == PrimeField(5) != PrimeField(7)
+    assert hash(PrimeField(5)) == hash(PrimeField(5))
+    assert type(QQ) is type(PrimeField(5))
+
+
+def test_reprs():
+    # the CLI reports the ring, field included, in every "ring" field
+    assert repr(PrimeField(32003)) == "GF(32003)"
+    assert repr(QQ) == "QQ"
 
 
 def test_characteristic_exposed():

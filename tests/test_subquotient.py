@@ -23,6 +23,7 @@ from cmreg.groebner import groebner_basis
 from cmreg.minimize import _find_unit, minimize_chain, minimize_presentation
 from cmreg.modules import ModuleMap, colon_by_element, multiplication_map
 from cmreg.theorems import _random_linear_form, random_ideal_corpus
+from fieldops import field_ops
 
 SESSIONS = os.path.join(os.path.dirname(__file__), "..", "sessions")
 
@@ -171,7 +172,7 @@ def naive_free_resolution_of_complex(L, max_len=None):
             shift0 = 0
             shift1 = None
         source = Fi.direct_sum(Lnext) if Lnext.rank else Fi
-        K = ring.field
+        K = field_ops(ring.field)
         columns = []
         for j in range(Fi.rank):
             col = {}

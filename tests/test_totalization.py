@@ -12,6 +12,7 @@ from cmreg import (BoundedComplex, PresentedModule, complex_from_module,
 from cmreg.freemod import FreeModule
 from cmreg.modules import ModuleMap
 from cmreg.theorems import random_ideal_corpus
+from fieldops import field_ops
 
 SESSIONS = os.path.join(os.path.dirname(__file__), "..", "sessions")
 
@@ -20,7 +21,7 @@ SESSIONS = os.path.join(os.path.dirname(__file__), "..", "sessions")
 
 def naive_tensor_free_with_complex(F, C):
     ring = F.ring
-    K = ring.field
+    K = field_ops(ring.field)
     f_levels = F.levels()
     c_levels = C.levels()
     if not f_levels or not c_levels:
@@ -94,7 +95,7 @@ def naive_tensor_free_with_complex(F, C):
 
 def naive_hom_complex(F, C):
     ring = F.ring
-    K = ring.field
+    K = field_ops(ring.field)
     f_levels = F.levels()
     c_levels = C.levels()
     if not f_levels or not c_levels:
