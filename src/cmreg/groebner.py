@@ -108,13 +108,14 @@ by field, with no tuple per pair.  Over a polynomial ring the selected
 pairs have distinct Schreyer leads, so only a quotient ring's syzygies
 are checked for duplicates (`_syzygy_basis`).
 
-Reuse: a Buchberger run can start from a known Groebner basis and queue
-only the pairs that involve a new generator (`_buchberger`'s `known`;
-the homology layer seeds each cokernel's basis with its target's, and
-the module path each tagged relation run with the basis it holds on the
-leading positions, cmreg.modules), and a direct sum's basis is its
-summands' bases side by side (`direct_sum_basis`), since
-position-over-term order never compares two blocks.
+Reuse: a Buchberger run can start from a known Groebner basis
+(`_buchberger`'s `known`; the homology layer seeds each cokernel's basis
+with its target's, and the module path each tagged relation run with the
+basis it holds on the leading positions, cmreg.modules).  The known
+elements get no pair update of their own, so only pairs that involve a
+new element are ever queued.  A direct sum's basis is its summands'
+bases side by side (`direct_sum_basis`), since position-over-term order
+never compares two blocks.
 
 Reduction on read: `_buchberger` returns the basis its loop completed,
 with redundant leads and unreduced tails, and a GroebnerBasis from
@@ -129,10 +130,18 @@ are read for their series only, so they are never reduced.  Whoever
 reads a basis gets the same reduced basis as an eager reduction would
 give; `defining_gb` reduces its own at once.
 
-The coprimality (product) criterion is only applied at rank one.  For
-modules it is wrong: g1 = (x, y), g2 = (y^2, x) in R^2 have coprime lead
-monomials in the same position but their S-vector (0, y^3 - x^2) does not
-reduce to zero.  The chain criterion is valid at any rank.
+Pair update (`_buchberger`; Gebauer and Moeller, On an installation of
+Buchberger's algorithm, JSC 1988): each new basis element t updates the
+pairs once, on packed exponents, when it joins the basis.  B_k drops a
+pending pair whose lcm lt(t) divides, unless t's lcm with either member
+equals it; M drops a new pair whose lcm another new lcm properly
+divides, and F keeps one of equal new lcms, a coprime pair first.  B_k,
+M and F are forms of the chain criterion, which is valid at any rank.
+The coprimality (product) criterion comes last and at rank one only: a
+coprime pair is never reduced, but through M and F it has already
+removed the pairs it dominates.  For modules it is wrong: g1 = (x, y),
+g2 = (y^2, x) in R^2 have coprime lead monomials in the same position
+but their S-vector (0, y^3 - x^2) does not reduce to zero.
 """
 
 import struct
@@ -140,7 +149,7 @@ from heapq import heapify, heappop, heappush
 
 from .freemod import FreeModule, vec_is_homogeneous
 from .memo import _cached
-from .poly import EXPONENT_CAP, mono_deg, mono_lcm, Polynomial
+from .poly import EXPONENT_CAP, mono_deg, Polynomial
 
 _DEG_TOP = (1 << 40) - 1
 _GUARD = 0xFFFFFFFF & ~EXPONENT_CAP
@@ -449,62 +458,86 @@ def _buchberger(gens, K, twists, use_product_criterion, P, known=()):
     `known` first, then the generators in canonical order, then every
     S-vector remainder in the order it was found.
 
-    Seeded (Gebauer and Moeller, On an installation of Buchberger's
-    algorithm, JSC 1988): the known elements come first and a pair of two
-    of them is never queued, since its S-vector reduces to zero already.
-    Such a pair is simply not pending, which is all the chain criterion
-    asks of a processed pair."""
+    Pairs follow the Gebauer-Moeller update (module docstring), run once
+    for each generator and each remainder t as it joins the basis.  The
+    lcm of lt(t) with each earlier lead i of its position is taken on the
+    packed exponent fields, with the field-wise max and the one-multiply
+    degree of `_schreyer_pairs`, and packed with its degree as hl.  Then:
+
+    - B_k: a pending pair (i, j) of t's position is dropped when lt(t)
+      divides its lcm, unless lcm(i, t) or lcm(j, t) equals that lcm;
+    - M and F: the new pairs are taken by (lcm degree, not coprime, i),
+      and one is kept only when no lcm kept before it divides its own;
+      equal lcms divide;
+    - product criterion, at rank one only: a kept coprime pair is not
+      queued.
+
+    A known element gets no update, so a pair of two of them is never
+    pending: its S-vector reduces to zero already, which is all B_k and
+    M ask of a pair that is not pending.  The queue is a heap of (lcm
+    degree + twist, i, j) over {(i, j): hl} per position, so runs are
+    deterministic; a popped pair that B_k dropped is skipped, and any
+    other builds its S-vector from its stored hl."""
     basis = list(known)
     basis += _canonical_sort([_elem(v, K, twists, P) for v in gens if v])
     reducers = _reducers(basis)
-    G = P.G
-
+    G, A, B, emask = P.G, P.A, P.B, P.emask
+    H, ones, top = P.H, P.ones, P.B - 32
     heap = []
-    pending = set()
-
-    def push_pairs(j):
-        g = basis[j]
-        for i, _, _ in reducers[g.pos]:
-            if i == j:
-                break
-            d = sum(map(max, basis[i].ltm, g.ltm)) + twists[g.pos]  # lcm degree
-            heappush(heap, (d, i, j))
-            pending.add((i, j))
-
-    for j in range(len(known), len(basis)):
-        push_pairs(j)
-
-    while heap:
-        d, i, j = heappop(heap)
-        if (i, j) not in pending:
-            continue
-        pending.discard((i, j))
-        gi, gj = basis[i], basis[j]
-        lcm = mono_lcm(gi.ltm, gj.ltm)
-        if use_product_criterion and mono_deg(lcm) == mono_deg(gi.ltm) + mono_deg(gj.ltm):
-            continue
-        hl = P.encode(gi.pos, lcm)
-        skip = False
-        for k, lead, _ in reducers[gi.pos]:
-            if k == i or k == j:
-                continue
-            if not (hl - lead) & G:
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a not in pending and b not in pending:
-                    skip = True
+    pending = {}  # position -> {(i, j): packed lcm}
+    t = len(known)
+    while True:
+        while t < len(basis):
+            g = basis[t]
+            pos, lt = g.pos, g.lead
+            et = lt & emask
+            base = (pos << A) + (_DEG_TOP << B)
+            lcms = {}
+            cands = []
+            for i, lead, _ in reducers[pos]:
+                if i == t:
                     break
-        if skip:
+                ei = lead & emask
+                # field-wise max and degree, as in `_schreyer_pairs`
+                ge = ((et | H) - ei) & H
+                lcm = ei ^ ((ei ^ et) & (ge - (ge >> 16)))
+                d = ((lcm * ones) >> top) & 0xFFFFFFFF
+                hl = lcms[i] = base - (d << B) + lcm
+                # lcm = e_i + e_t exactly when the leads are coprime
+                cands.append((d, lcm != ei + et, i, hl))
+            pend = pending.setdefault(pos, {})
+            if pend:  # B_k
+                dead = [ij for ij, hl in pend.items()
+                        if not (hl - lt) & G and hl != lcms[ij[0]]
+                        and hl != lcms[ij[1]]]
+                for ij in dead:
+                    del pend[ij]
+            cands.sort()  # M and F, then the product criterion
+            kept = []
+            twist = twists[pos]
+            for d, shared, i, hl in cands:
+                for k in kept:
+                    if not (hl - k) & G:
+                        break
+                else:
+                    kept.append(hl)
+                    if shared or not use_product_criterion:
+                        pend[i, t] = hl
+                        heappush(heap, (d + twist, i, t))
+            t += 1
+        if not heap:
+            return basis
+        _, i, j = heappop(heap)
+        gi = basis[i]
+        hl = pending[gi.pos].pop((i, j), None)
+        if hl is None:
             continue
-        s, _, _ = _s_vector(gi, gj, hl, K, G)
+        s, _, _ = _s_vector(gi, basis[j], hl, K, G)
         r, _ = _reduce_packed(s, reducers, K, P)
         if r:
             g = _elem(r, K, twists, P)
+            reducers.setdefault(g.pos, []).append(_reducer(len(basis), g))
             basis.append(g)
-            reducers.setdefault(g.pos, []).append(_reducer(len(basis) - 1, g))
-            push_pairs(len(basis) - 1)
-
-    return basis
 
 
 def defining_gb(ring):

@@ -388,6 +388,17 @@ def test_the_reduction_kernel_has_one_loop_with_inline_arithmetic():
                         "type"}
 
 
+def test_buchberger_takes_lcms_on_packed_exponents():
+    """`_buchberger` takes each pair's lcm and degree on packed exponent
+    fields, once per new element (the Gebauer-Moeller update), and keeps
+    the packed lcm with the pair: it never builds a tuple lcm, sums one, or
+    packs one again."""
+    [source] = [src for name, _, src in sources() if name == "groebner.py"]
+    for name in ("mono_lcm", "mono_deg", "encode"):
+        assert [func for _, func in calls(source, name)
+                if func == "_buchberger"] == [], name
+
+
 def test_checker_outcomes_are_built_only_by_finish():
     """`theorems._finish` is the one home of the checker contradiction
     rule: it alone builds a `CheckOutcome` and raises
