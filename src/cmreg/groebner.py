@@ -51,13 +51,13 @@ divisibility and the cap check carry over unchanged, and one kernel,
 `_reduce_packed`, with one `_s_vector` and one `_schreyer_pairs`, serves
 both orders.
 
-GBElem.vec is the tuple dict {(pos, m): c} of a position-over-grevlex
-element, decoded on first use; the Buchberger loop never decodes its
-intermediate elements.  A syzygy is packed in a Schreyer order its element
-does not know, so reading its vec raises: only its basis decodes it, in
-`GroebnerBasis.module_vectors`, and a resolution does that only when its
-differentials are read (cmreg.resolution).  `_reduce` and
-`GroebnerBasis.normal_form` take and return tuple dicts.
+A GBElem holds packed terms only.  Its packing, position over grevlex or
+a Schreyer order, is known to its basis alone, so the basis decodes it
+(`GroebnerBasis.module_vectors`, into tuple dicts {(pos, m): c}); the
+Buchberger loop never decodes its intermediate elements, and a resolution
+decodes a frame only when its differentials are read (cmreg.resolution).
+`_reduce`, `GroebnerBasis.normal_form` and `lift` take and return tuple
+dicts.
 
 Reduction kernel: `_reduce_packed` takes the next lead from a heap of
 pending terms and skips entries whose term has cancelled or was already
@@ -76,8 +76,14 @@ over QQ), each product term is s = w + (-c) c2, reduced s %= p only when
 p is nonzero, and `if s` tests for zero, which holds for ints and
 Fractions alike.  So s is w - c c2 in the field, reduced into [0, p)
 over GF(p).
-Each term is reduced at most once, so the trace records each (reducer,
-quotient term) once and never adds.
+
+The trace has one form.  Given a head per reducer, the packed basis
+vector its quotient is written on, the kernel records each negated
+quotient term -c q as the packed term heads[i] + (offset of q): a syzygy
+step gives Schreyer-packed heads, a lift e_k in position over grevlex,
+and a reducer whose quotient is not wanted (a defining column) has no
+head.  Each term is reduced at most once, so the trace records each
+(reducer, quotient term) once and never adds.
 
 Pair selection (`_schreyer_pairs`): order syzygies by the Schreyer order
 of a basis g_1..g_s, m e_i > m' e_j when m lt(g_i) > m' lt(g_j), or the
@@ -99,14 +105,15 @@ needs Buchberger only where its columns are more than syzygies
 (cmreg.resolution).
 
 A syzygy is written straight into the Schreyer packing as its S-pair
-reduces: the kernel gets each module element's Schreyer head (e_k packed,
-None for a defining column) and records -q_k e_k as packed terms, grouped
-by k, so `syzygy_generators` only prepends m_i e_i - m_j e_j.  No two of
-these terms meet, since every q_k lt(g_k) lies below the lcm.  The
-candidate lcms of `_schreyer_pairs` are taken on packed exponents, field
-by field, with no tuple per pair.  Over a polynomial ring the selected
-pairs have distinct Schreyer leads, so only a quotient ring's syzygies
-are checked for duplicates (`_syzygy_basis`).
+reduces: with each module element's e_k packed in that order as its
+head, the trace holds -q_k e_k, grouped by k, so `syzygy_generators`
+only prepends m_i e_i - m_j e_j.  No two of these terms meet, since
+every q_k lt(g_k) lies below the lcm.  The candidate lcms of
+`_schreyer_pairs` are taken on packed exponents, field by field, with no
+tuple per pair (`_Packing.lcm`, which `_buchberger`'s pair update
+shares).  Over a polynomial ring the selected pairs have distinct
+Schreyer leads, so only a quotient ring's syzygies are checked for
+duplicates (`_syzygy_basis`).
 
 Reuse: a Buchberger run can start from a known Groebner basis
 (`_buchberger`'s `known`; the homology layer seeds each cokernel's basis
@@ -132,16 +139,17 @@ give; `defining_gb` reduces its own at once.
 
 Pair update (`_buchberger`; Gebauer and Moeller, On an installation of
 Buchberger's algorithm, JSC 1988): each new basis element t updates the
-pairs once, on packed exponents, when it joins the basis.  B_k drops a
-pending pair whose lcm lt(t) divides, unless t's lcm with either member
-equals it; M drops a new pair whose lcm another new lcm properly
-divides, and F keeps one of equal new lcms, a coprime pair first.  B_k,
-M and F are forms of the chain criterion, which is valid at any rank.
-The coprimality (product) criterion comes last and at rank one only: a
-coprime pair is never reduced, but through M and F it has already
-removed the pairs it dominates.  For modules it is wrong: g1 = (x, y),
-g2 = (y^2, x) in R^2 have coprime lead monomials in the same position
-but their S-vector (0, y^3 - x^2) does not reduce to zero.
+pairs once when it joins the basis, on lcms taken by the same
+`_Packing.lcm` as the Schreyer pairs'.  B_k drops a pending pair whose
+lcm lt(t) divides, unless t's lcm with either member equals it; M drops
+a new pair whose lcm another new lcm properly divides, and F keeps one
+of equal new lcms, a coprime pair first.  B_k, M and F are forms of the
+chain criterion, which is valid at any rank.  The coprimality (product)
+criterion comes last and at rank one only: a coprime pair is never
+reduced, but through M and F it has already removed the pairs it
+dominates.  For modules it is wrong: g1 = (x, y), g2 = (y^2, x) in R^2
+have coprime lead monomials in the same position but their S-vector
+(0, y^3 - x^2) does not reduce to zero.
 """
 
 import struct
@@ -177,7 +185,7 @@ class _Packing(_Terms):
     variable count."""
 
     __slots__ = ("struct", "nbytes", "B", "A", "G", "emask", "one", "S",
-                 "base", "H", "ones")
+                 "base", "H", "ones", "top")
     M = -1
     shift = 0
 
@@ -190,9 +198,10 @@ class _Packing(_Terms):
         self.emask = (1 << self.B) - 1
         self.one = _DEG_TOP << self.B  # h(0, 1)
         self.base = self
-        # bit 16 and bit 0 of every field (`_schreyer_pairs`)
+        # bit 16 and bit 0 of every field, and the top field's shift (`lcm`)
         self.H = int.from_bytes(self.struct.pack(*[1 << 16] * nvars), "little")
         self.ones = int.from_bytes(self.struct.pack(*[1] * nvars), "little")
+        self.top = self.B - 32
 
     def encode(self, pos, m):
         e = int.from_bytes(self.struct.pack(*m), "little")
@@ -201,10 +210,19 @@ class _Packing(_Terms):
         return (pos << self.A) + ((_DEG_TOP - sum(m)) << self.B) + e
 
     def mono(self, h):
-        """The monomial of h; also the quotient of an offset h(t) - h(lead)."""
+        """The monomial of h."""
         return self.struct.unpack((h & self.emask).to_bytes(self.nbytes, "little"))
 
-    quotient = mono
+    def lcm(self, ei, ej):
+        """(lcm, degree) of two monomials given as packed exponent fields
+        (h & emask), with no tuple: the lcm's fields, and their sum."""
+        H = self.H
+        # field by field, bit 16 of (2^16 + e_j - e_i) is set where
+        # e_j >= e_i; widened to a mask, it picks the max
+        ge = ((ej | H) - ei) & H
+        lcm = ei ^ ((ei ^ ej) & (ge - (ge >> 16)))
+        # one multiply sums every field into the top one
+        return lcm, ((lcm * self.ones) >> self.top) & 0xFFFFFFFF
 
 
 class _SchreyerPacking(_Terms):
@@ -233,10 +251,6 @@ class _SchreyerPacking(_Terms):
     def mono(self, h):
         return self.base.mono((h >> _INDEX_BITS) - self.bases[h & self.M])
 
-    def quotient(self, d):
-        """The monomial q of an offset d = h(q t) - h(t)."""
-        return self.base.mono(d >> _INDEX_BITS)
-
 
 _PACKINGS = {}
 
@@ -250,10 +264,10 @@ def _packing(nvars):
 
 class GBElem:
     """A monic basis element: packed terms, packed lead and cached
-    lead-term data.  `vec` is the tuple dict, decoded on first use from
-    position over grevlex."""
+    lead-term data.  Only its basis, which knows the packing, decodes it
+    (`GroebnerBasis.module_vectors`)."""
 
-    __slots__ = ("terms", "lead", "pos", "ltm", "deg", "_vec")
+    __slots__ = ("terms", "lead", "pos", "ltm", "deg")
 
     def __init__(self, terms, lead, pos, ltm, deg):
         self.terms = terms
@@ -261,29 +275,10 @@ class GBElem:
         self.pos = pos
         self.ltm = ltm
         self.deg = deg
-        self._vec = None
-
-    @property
-    def vec(self):
-        if self._vec is None:
-            self._vec = _packing(len(self.ltm)).decode_vec(self.terms)
-        return self._vec
 
 
-class _Syzygy(GBElem):
-    """An element packed in the Schreyer order of a syzygy basis, which
-    only the basis knows (`GroebnerBasis.module_vectors` decodes it)."""
-
-    __slots__ = ()
-
-    @property
-    def vec(self):
-        raise TypeError("a Schreyer-packed syzygy is decoded by its basis "
-                        "(GroebnerBasis.module_vectors)")
-
-
-def _elem(terms, K, twists, P, cls=GBElem):
-    """A monic GBElem (or `cls`) from nonzero packed terms."""
+def _elem(terms, K, twists, P):
+    """A monic GBElem from nonzero packed terms in packing P."""
     lead = min(terms)
     c = terms[lead]
     if c != K.one:
@@ -291,13 +286,7 @@ def _elem(terms, K, twists, P, cls=GBElem):
         terms = {h: cc * ci % p if p else cc * ci for h, cc in terms.items()}
     pos = (lead >> P.S) & P.M
     ltm = P.mono(lead)
-    return cls(terms, lead, pos, ltm, mono_deg(ltm) + twists[pos])
-
-
-def _make_elem(vec, K, twists):
-    """A monic GBElem from a nonzero tuple-dict vector."""
-    P = _packing(len(next(iter(vec))[1]))
-    return _elem(P.encode_vec(vec), K, twists, P)
+    return GBElem(terms, lead, pos, ltm, mono_deg(ltm) + twists[pos])
 
 
 def _reducer(i, g):
@@ -314,20 +303,22 @@ def _reducers(elems):
     return groups
 
 
-def _reduce_packed(work, reducers, K, P, collect_trace=False, heads=None,
-                   up=0):
-    """Full normal form of the packed vector `work` (consumed) against
-    `_reducers(elems)`, largest term first, leftmost reducer.  Optionally
-    records the quotients: vec = sum_i q_i elems[i] + r, as {i: {d: c}}
-    with d = h(q t) - h(t) for any term t (decode with `P.quotient`).
+def _reduce_packed(work, reducers, K, P, heads=None, up=0):
+    """Full normal form r of the packed vector `work` (consumed) against
+    `_reducers(elems)`, largest term first, leftmost reducer: work =
+    sum_i q_i elems[i] + r.  Returns (r, trace).
 
-    With `heads` (a syzygy step, `syzygy_generators`) the trace holds
-    -q_i instead, as syzygy terms: {i: {heads[i] + (d << up): -c}}, and
-    nothing for an i whose head is None."""
+    With `heads`, each element's packed basis vector (None for one whose
+    quotient is not wanted), the trace holds each -q_i times its head as
+    packed terms, {i: {heads[i] + (d << up): -c}}, where c q is a
+    quotient term and d = h(q t) - h(t) its offset.  Without heads the
+    trace is None.  A syzygy step packs heads in its Schreyer order
+    (`syzygy_generators`), a lift in position over grevlex
+    (`GroebnerBasis.lift`)."""
     rem = {}
     heap = list(work)
     heapify(heap)
-    trace = {} if collect_trace else None
+    trace = None if heads is None else {}
     p = K.characteristic
     S, M, G = P.S, P.M, P.G
     while heap:
@@ -366,27 +357,20 @@ def _reduce_packed(work, reducers, K, P, collect_trace=False, heads=None,
                 else:
                     del work[u]
         # each h is reduced once, so (i, d) is never recorded twice
-        if collect_trace:
-            if heads is None:
-                trace.setdefault(i, {})[d] = c
-            elif heads[i] is not None:
-                trace.setdefault(i, {})[heads[i] + (d << up)] = nc
+        if heads is not None and heads[i] is not None:
+            trace.setdefault(i, {})[heads[i] + (d << up)] = nc
     return rem, trace
 
 
-def _reduce(vec, reducers, K, collect_trace=False, P=None):
-    """Full normal form of the tuple-dict vec against `_reducers(elems)`
-    (leftmost reducer, largest term first), in the elements' packing P
-    (position over grevlex by default).  Optionally records the
-    quotients: vec = sum_i q_i elems[i] + r, as {i: {q: c}}."""
-    if not vec:
-        return {}, ({} if collect_trace else None)
-    if P is None:
-        P = _packing(len(next(iter(vec))[1]))
-    rem, trace = _reduce_packed(P.encode_vec(vec), reducers, K, P, collect_trace)
-    if collect_trace:
-        trace = {i: {P.quotient(d): c for d, c in quot.items()}
-                 for i, quot in trace.items()}
+def _reduce(vec, reducers, K, P, heads=None):
+    """Full normal form r of the tuple-dict vec against `_reducers(elems)`
+    in the elements' packing P (`_reduce_packed`), decoded.  Returns (r,
+    trace): with `heads`, which must be distinct, the trace is the one
+    vector sum_i -q_i heads[i], decoded; without, it is None."""
+    rem, trace = _reduce_packed(P.encode_vec(vec), reducers, K, P, heads)
+    if trace is not None:
+        trace = P.decode_vec({h: c for part in trace.values()
+                              for h, c in part.items()})
     return P.decode_vec(rem), trace
 
 
@@ -422,11 +406,15 @@ def _canonical_sort(elems):
     return elems
 
 
-def _interreduce(elems, K, twists, P):
-    """Reduced basis: minimal lead terms, tails fully reduced, monic.
+def _interreduce(elems, K, P):
+    """Reduced basis: minimal lead terms, tails fully reduced, monic, in
+    canonical order.
 
     An element is redundant when another one of its position group has a
-    lead dividing its own; of equal leads the earlier element is kept."""
+    lead dividing its own; of equal leads the earlier element is kept.
+    A kept element's tail is reduced against the kept elements, itself
+    included: a lead divides no smaller term, so it never reduces its own
+    tail.  Leads and degrees stay, and so does the canonical order."""
     elems = _canonical_sort(list(elems))
     G = P.G
     groups = _reducers(elems)
@@ -442,14 +430,12 @@ def _interreduce(elems, K, twists, P):
               for p, group in groups.items()}
     out = []
     for i, g in enumerate(elems):
-        if not keep[i]:
-            continue
-        others = dict(groups)
-        others[g.pos] = [e for e in groups[g.pos] if e[0] != i]
-        r, _ = _reduce_packed(dict(g.terms), others, K, P)
-        if r:
-            out.append(_elem(r, K, twists, P))
-    return _canonical_sort(out)
+        if keep[i]:
+            tail = dict(g.terms)
+            c = tail.pop(g.lead)
+            r, _ = _reduce_packed(tail, groups, K, P)
+            out.append(GBElem({g.lead: c, **r}, g.lead, g.pos, g.ltm, g.deg))
+    return out
 
 
 def _buchberger(gens, K, twists, use_product_criterion, P, known=()):
@@ -461,8 +447,8 @@ def _buchberger(gens, K, twists, use_product_criterion, P, known=()):
     Pairs follow the Gebauer-Moeller update (module docstring), run once
     for each generator and each remainder t as it joins the basis.  The
     lcm of lt(t) with each earlier lead i of its position is taken on the
-    packed exponent fields, with the field-wise max and the one-multiply
-    degree of `_schreyer_pairs`, and packed with its degree as hl.  Then:
+    packed exponent fields (`_Packing.lcm`), and packed with its degree as
+    hl.  Then:
 
     - B_k: a pending pair (i, j) of t's position is dropped when lt(t)
       divides its lcm, unless lcm(i, t) or lcm(j, t) equals that lcm;
@@ -481,8 +467,7 @@ def _buchberger(gens, K, twists, use_product_criterion, P, known=()):
     basis = list(known)
     basis += _canonical_sort([_elem(v, K, twists, P) for v in gens if v])
     reducers = _reducers(basis)
-    G, A, B, emask = P.G, P.A, P.B, P.emask
-    H, ones, top = P.H, P.ones, P.B - 32
+    G, A, B, emask, lcm_of = P.G, P.A, P.B, P.emask, P.lcm
     heap = []
     pending = {}  # position -> {(i, j): packed lcm}
     t = len(known)
@@ -498,10 +483,7 @@ def _buchberger(gens, K, twists, use_product_criterion, P, known=()):
                 if i == t:
                     break
                 ei = lead & emask
-                # field-wise max and degree, as in `_schreyer_pairs`
-                ge = ((et | H) - ei) & H
-                lcm = ei ^ ((ei ^ et) & (ge - (ge >> 16)))
-                d = ((lcm * ones) >> top) & 0xFFFFFFFF
+                lcm, d = lcm_of(ei, et)
                 hl = lcms[i] = base - (d << B) + lcm
                 # lcm = e_i + e_t exactly when the leads are coprime
                 cands.append((d, lcm != ei + et, i, hl))
@@ -547,7 +529,7 @@ def defining_gb(ring):
     K, P = ring.field, _packing(ring.nvars)
     return _cached(ring, "defining_gb", lambda: _interreduce(_buchberger(
         [{P.encode(0, m): c for m, c in f.terms.items()} for f in ring.defining],
-        K, (0,), True, P), K, (0,), P))
+        K, (0,), True, P), K, P))
 
 
 def _augmented_columns(ring, free):
@@ -593,7 +575,7 @@ class GroebnerBasis:
         if self._module_indices is None:
             ring, free, P = self.ring, self.free, self.packing
             K = ring.field
-            elems = _interreduce(self._elements, K, free.twists, P)
+            elems = _interreduce(self._elements, K, P)
             if ring.is_polynomial:
                 self._module_indices = list(range(len(elems)))
             else:
@@ -621,11 +603,13 @@ class GroebnerBasis:
         elems = self.elements
         return [elems[i] for i in self._module_indices]
 
-    def module_vectors(self):
-        """The module elements as new tuple dicts, decoded in the basis's
-        own packing: the one place a syzygy basis is decoded."""
+    def module_vectors(self, first=0):
+        """The module elements at position `first` or past, as new tuple
+        dicts decoded in the basis's own packing: the one decoder of basis
+        elements."""
         P = self.packing
-        return [P.decode_vec(g.terms) for g in self.module_elements]
+        return [P.decode_vec(g.terms) for g in self.module_elements
+                if g.pos >= first]
 
     def module_constants(self):
         """The constant part of each module element of a syzygy basis,
@@ -649,7 +633,7 @@ class GroebnerBasis:
 
     def normal_form(self, vec):
         r, _ = _reduce(vec, self._reducer_groups(), self.ring.field,
-                       P=self.packing)
+                       self.packing)
         return r
 
     def contains(self, vec):
@@ -657,14 +641,18 @@ class GroebnerBasis:
 
     def lift(self, vec):
         """c with vec = sum_k c_k module_elements[k] over the ring, for vec
-        in the submodule, read off the reduction trace."""
-        rem, trace = _reduce(vec, self._reducer_groups(), self.ring.field,
-                             collect_trace=True, P=self.packing)
+        in the submodule of a position-over-grevlex basis: the reduction
+        trace with module element k's head e_k packed in that order, and
+        none for a defining column, is -c."""
+        P, K = self.packing, self.ring.field
+        heads = [None] * len(self.elements)
+        for k, i in enumerate(self.module_indices):
+            heads[i] = (k << P.A) + P.one
+        rem, trace = _reduce(vec, self._reducer_groups(), K, P, heads)
         if rem:
             raise ArithmeticError("vector does not lie in the submodule")
-        pos = {i: k for k, i in enumerate(self.module_indices)}
-        return {(pos[i], m): c for i, quot in trace.items()
-                if i in pos for m, c in quot.items()}
+        p = K.characteristic
+        return {t: p - c if p else -c for t, c in trace.items()}
 
 
 def groebner_basis(vectors, ring, free, *, known=None):
@@ -723,7 +711,8 @@ def direct_sum_basis(ring, free, blocks):
 
 def reduce_poly_mod_defining(ring, f):
     vec = {(0, m): c for m, c in f.terms.items()}
-    r, _ = _reduce(vec, _reducers(defining_gb(ring)), ring.field)
+    r, _ = _reduce(vec, _reducers(defining_gb(ring)), ring.field,
+                   _packing(ring.nvars))
     return Polynomial(ring, {m: c for (_, m), c in r.items()})
 
 
@@ -734,7 +723,7 @@ def _schreyer_pairs(elems, P):
     j) order and kept when no lcm kept so far divides theirs, so of equal
     lcms the smallest j survives."""
     B, G, shift = P.base, P.G, P.shift
-    H, ones, top, width = B.H, B.ones, B.B - 32, B.B
+    lcm_of, width = B.lcm, B.B
     # the exponent fields of each lead monomial (P.mono), packed
     exps = [int.from_bytes(B.struct.pack(*g.ltm), "little") for g in elems]
     groups = {}
@@ -746,12 +735,7 @@ def _schreyer_pairs(elems, P):
             ei, lead, di = exps[i], elems[i].lead, sum(elems[i].ltm)
             cands = []
             for j in group[a + 1:]:
-                ej = exps[j]
-                # field by field, bit 16 of (2^16 + e_j - e_i) is set
-                # where e_j >= e_i; widened to a mask, it picks the max
-                ge = ((ej | H) - ei) & H
-                lcm = ei ^ ((ei ^ ej) & (ge - (ge >> 16)))
-                d = ((lcm * ones) >> top) & 0xFFFFFFFF  # sum of the fields
+                lcm, d = lcm_of(ei, exps[j])
                 # lead times lcm / lt(g_i), by linearity; within the cap,
                 # as the lcm of two leads' level-0 terms
                 hl = lead + ((lcm - ei - ((d - di) << width)) << shift)
@@ -832,7 +816,7 @@ def syzygy_generators(gb, degrees=None):
         if degrees is not None and d + gb.free.twists[gi.pos] not in degrees:
             continue
         s, di, dj = _s_vector(gi, gj, hl, K, P.G)
-        r, trace = _reduce_packed(s, reducers, K, P, True, heads, up)
+        r, trace = _reduce_packed(s, reducers, K, P, heads, up)
         if r:
             raise ArithmeticError("S-pair of a Groebner basis did not reduce to zero")
         # m_i e_i - m_j e_j - sum_k q_k e_k, with no term repeated
@@ -857,8 +841,8 @@ def syzygy_generators(gb, degrees=None):
 
 def _syzygy_basis(ring, F, Q, syzygies):
     """The packed syzygies (nonzero, in packing Q over F) as a
-    GroebnerBasis of `_Syzygy` elements: monic, without duplicates, in
-    lead-index order, and never decoded here.
+    GroebnerBasis: monic, without duplicates, in lead-index order, and
+    never decoded here.
 
     Lead-index order sorts by the lead's basis index c, then by the
     exponent of v in the lead monomial, decreasing, with v the first
@@ -882,7 +866,7 @@ def _syzygy_basis(ring, F, Q, syzygies):
                 seen.add(key)
                 unique.append(syz)
         syzygies = unique
-    elems = [_elem(syz, K, F.twists, Q, _Syzygy) for syz in syzygies]
+    elems = [_elem(syz, K, F.twists, Q) for syz in syzygies]
     v = next((x for x in range(ring.nvars) if any(g.ltm[x] for g in elems)), 0)
     elems.sort(key=lambda g: (g.pos, -g.ltm[v], g.lead))
     return GroebnerBasis(ring, F, elems, list(range(len(elems))), Q)

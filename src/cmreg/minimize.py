@@ -9,11 +9,11 @@ unit is left minimizes a free complex.
 
 One pass per level: `minimize_chain` removes the units a sweep that
 restarts after every unit would, in its order: always the first unit (by
-column, then by the column's term order) of the lowest level that has
-one.  Removing a unit of
-d_L creates units only in d_L: the Schur complement changes d_L alone,
-and d_{L+1} and d_{L-1} only lose a row or a column.  So the levels are
-taken in ascending order.  Within a level no column gains its first unit
+column, then by the column's term order, which puts the lowest position
+first) of the lowest level that has one, whatever the dict order of the
+column's terms.  Removing a unit of d_L creates units only in d_L: the
+Schur complement changes d_L alone, and d_{L+1} and d_{L-1} only lose a
+row or a column.  So the levels are taken in ascending order.  Within a level no column gains its first unit
 (see `_eliminate_units`), so one ascending pass over the columns that
 start with a unit removes the units in the sweep's order, and an index
 from target position to the columns with an entry there lets a Schur step
@@ -31,12 +31,13 @@ from .freemod import vec_addmul
 
 
 def _find_unit(col, rows=None):
-    """(position, coefficient) of col's first constant entry, or None;
-    with `rows`, of its first one at a position below `rows`."""
-    for (p, m), c in col.items():
-        if not any(m) and (rows is None or p < rows):
-            return p, c
-    return None
+    """(position, coefficient) of col's first constant entry in term order,
+    the one at the lowest position, or None; with `rows`, of its first one
+    at a position below `rows`.  How the column was summed does not
+    matter."""
+    units = [(p, c) for (p, m), c in col.items()
+             if not any(m) and (rows is None or p < rows)]
+    return min(units) if units else None
 
 
 def _eliminate_units(cols, K, dead_src, dead_tgt, rows):

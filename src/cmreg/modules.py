@@ -81,14 +81,14 @@ class PresentedModule:
     # -- elementary constructions ----------------------------------------
     def twist(self, d):
         return PresentedModule(self.ring, self.gens_free.twist(d),
-                               [dict(c) for c in self.rel_cols])
+                               self.rel_cols)
 
     def direct_sum(self, other):
         if other.ring != self.ring:
             raise ValueError("modules over different rings")
         F = self.gens_free.direct_sum(other.gens_free)
         r = self.rank
-        cols = [dict(c) for c in self.rel_cols]
+        cols = list(self.rel_cols)
         cols += [{(p + r, m): c for (p, m), c in col.items()} for col in other.rel_cols]
         return PresentedModule(self.ring, F, cols)
 
@@ -101,7 +101,7 @@ class PresentedModule:
     def _lift(self):
         ring = self.ring
         F = FreeModule(ring.cover, self.gens_free.twists)
-        cols = [dict(c) for c in self.rel_cols]
+        cols = list(self.rel_cols)
         for f in ring.defining:
             for p in range(F.rank):
                 cols.append({(p, m): c for m, c in f.terms.items()})
@@ -231,8 +231,8 @@ def syzygies_of_vectors(vectors, degrees, gb):
     one = tuple(0 for _ in range(ring.nvars))
     tagged = [{**v, (r + i, one): ring.field.one} for i, v in enumerate(vectors)]
     full = groebner_basis(tagged, ring, big, known=gb)
-    return [{(p - r, m): c for (p, m), c in e.vec.items()}
-            for e in full.module_elements if e.pos >= r]
+    return [{(p - r, m): c for (p, m), c in v.items()}
+            for v in full.module_vectors(first=r)]
 
 
 def present_subquotient(numerators, gb_den):
@@ -311,7 +311,7 @@ def colon_by_element(M, f):
 def quotient_by_element(M, f):
     """M / f M."""
     f = M.ring.reduce(f)
-    cols = [dict(c) for c in M.rel_cols]
+    cols = list(M.rel_cols)
     for i in range(M.rank):
         cols.append({(i, m): c for m, c in f.terms.items()})
     return PresentedModule(M.ring, M.gens_free, cols).minimized()

@@ -8,7 +8,7 @@ from cmreg.freemod import (FreeModule, term_key, vec_addmul, vec_degree,
                            vec_from_column)
 from cmreg import groebner
 from cmreg.groebner import (_INDEX_BITS, GroebnerBasis, _SchreyerPacking,
-                            _augmented_columns, _make_elem, _packing, _reduce,
+                            _augmented_columns, _packing, _reduce,
                             _reduce_packed, _reducers, _s_vector,
                             _schreyer_pairs, _syzygy_basis, certify,
                             defining_gb,
@@ -26,12 +26,37 @@ def vecs_from_polys(polys):
     return [vec_from_column([f]) for f in polys]
 
 
+def make_elem(vec, K, twists):
+    """A monic GBElem from a nonzero tuple-dict vector, packed in position
+    over grevlex."""
+    P = _packing(len(next(iter(vec))[1]))
+    return groebner._elem(P.encode_vec(vec), K, twists, P)
+
+
+def decode(g):
+    """The tuple dict of an element packed in position over grevlex."""
+    return _packing(len(g.ltm)).decode_vec(g.terms)
+
+
+def own_heads(P, n):
+    """Trace heads for n elements in packing P: element i's head is e_i,
+    with the position field and the level-0 shape of P, so a recorded
+    term reads back as (i, q) through `split_head` (in position over
+    grevlex, through `P.decode_vec` as well)."""
+    return [(P.base.one << P.shift) + (i << P.S) for i in range(n)]
+
+
+def split_head(P, h):
+    """(i, q) of a term q e_i packed as in `own_heads`."""
+    return (h >> P.S) & P.M, P.base.mono(h >> P.shift)
+
+
 def test_determinantal_ideal_basis(S4):
     # frozen: these three generators are already a basis under grevlex,
     # after replacing x*t - y*z by its normalized form
     x, y, z, t = S4.gens()
     gb = defining_gb(S4.quotient([x * x, x * z, x * t - y * z]))
-    polys = [Polynomial(S4, {m: c for (_, m), c in g.vec.items()})
+    polys = [Polynomial(S4, {m: c for (_, m), c in decode(g).items()})
              for g in gb]
     assert sorted(str(f) for f in polys) == sorted(
         ["x^2", "x*z", "y*z + 32002*x*t"])
@@ -67,14 +92,14 @@ def test_syzygies_annihilate_generators(S3):
     F = FreeModule(S3, (0,))
     gens = [x * x, x * y - z * z, y * z]
     gb = groebner_basis(vecs_from_polys(gens), S3, F)
-    elems = gb.module_elements
+    rows = gb.module_vectors()
     syzygies = syzygy_generators(gb)[1].module_vectors()
     assert syzygies
     K = S3.field
     for syz in syzygies:
         total = {}
         for (i, mono), c in syz.items():
-            vec_addmul(total, elems[i].vec, {mono: c}, K.characteristic)
+            vec_addmul(total, rows[i], {mono: c}, K.characteristic)
         assert not total
 
 
@@ -105,7 +130,7 @@ def naive_reduce(vec, elems, K):
             continue
         g = elems[hit]
         q = mono_div(mono, g.ltm)
-        for (p2, m2), c2 in g.vec.items():
+        for (p2, m2), c2 in decode(g).items():
             u = (p2, mono_mul(m2, q))
             s = K.sub(work.get(u, K.zero), K.mul(c, c2))
             if K.is_zero(s):
@@ -136,18 +161,20 @@ def random_vec(rng, ring, twists, deg, nterms):
 
 
 def assert_kernel_matches(vec, elems, K):
-    rem, trace = _reduce(vec, _reducers(elems), K, collect_trace=True)
+    P = _packing(len(elems[0].ltm))
+    rem, trace = _reduce(vec, _reducers(elems), K, P, own_heads(P, len(elems)))
     ref_rem, ref_trace = naive_reduce(vec, elems, K)
-    # same terms in the same (decreasing) order, same quotients
+    # same terms in the same (decreasing) order, same quotients, negated
     assert list(rem.items()) == list(ref_rem.items())
-    assert trace == ref_trace
+    neg = field_ops(K).neg
+    assert trace == {(i, q): neg(c) for i, quot in ref_trace.items()
+                     for q, c in quot.items()}
     # vec = sum_i q_i e_i + r
     total = dict(rem)
-    for i, quot in trace.items():
-        for q, c in quot.items():
-            vec_addmul(total, elems[i].vec, {q: c}, K.characteristic)
+    for (i, q), c in trace.items():
+        vec_addmul(total, decode(elems[i]), {q: neg(c)}, K.characteristic)
     assert total == vec
-    plain, none = _reduce(vec, _reducers(elems), K)
+    plain, none = _reduce(vec, _reducers(elems), K, P)
     assert plain == rem and none is None
 
 
@@ -171,10 +198,11 @@ def check_kernel_on_random_vectors(rational, twists, nvars, shift):
         gb = groebner_basis([g for g in gens if g], ring, F)
         # a Groebner basis, and a plain reducer list that is not one
         reducer_lists = [gb.elements,
-                         [_make_elem(g, K, twists) for g in gens if g]]
+                         [make_elem(g, K, twists) for g in gens if g]]
         for elems in reducer_lists:
             if shift:
-                elems = [_make_elem(lift(g.vec, shift), K, twists) for g in elems]
+                elems = [make_elem(lift(decode(g), shift), K, twists)
+                         for g in elems]
             for _ in range(5):
                 vec = random_vec(rng, ring, twists, rng.randint(3, 5), 6)
                 assert_kernel_matches(lift(vec, shift), elems, K)
@@ -224,7 +252,7 @@ def test_s_vector_past_the_cap_raises(S3):
         groebner_basis(vecs_from_polys([y * y - x * z, big]), S3, F)
     # the builder itself raises, also where such terms could cancel later
     K = S3.field
-    gi, gj = (_make_elem(v, K, (0,)) for v in vecs_from_polys([y * y - x * z, big]))
+    gi, gj = (make_elem(v, K, (0,)) for v in vecs_from_polys([y * y - x * z, big]))
     P = _packing(3)
     hl = P.encode(0, mono_lcm(gi.ltm, gj.ltm))
     for a, b in ((gi, gj), (gj, gi)):
@@ -236,10 +264,10 @@ def test_reduction_past_the_cap_raises(S3):
     # x^65535*y^2 reduced by y^2 - x*z: the tail times the quotient is
     # x^65536*z
     K = S3.field
-    g = _make_elem({(0, (0, 2, 0)): K.one, (0, (1, 0, 1)): K.from_int(-1)}, K, (0,))
+    g = make_elem({(0, (0, 2, 0)): K.one, (0, (1, 0, 1)): K.from_int(-1)}, K, (0,))
     vec = {(0, (EXPONENT_CAP, 2, 0)): K.one}
     with pytest.raises(OverflowError):
-        _reduce(vec, _reducers([g]), K)
+        _reduce(vec, _reducers([g]), K, _packing(3))
     with pytest.raises(OverflowError):
         naive_reduce(vec, [g], K)
 
@@ -268,9 +296,8 @@ def naive_buchberger(gens, K, twists, P):
     return basis, done
 
 
-def reduced(elems, K, twists, P):
-    return [(g.lead, g.terms) for g in
-            groebner._interreduce(elems, K, twists, P)]
+def reduced(elems, K, P):
+    return [(g.lead, g.terms) for g in groebner._interreduce(elems, K, P)]
 
 
 @pytest.fixture
@@ -327,14 +354,14 @@ def test_pair_update_gives_the_all_pairs_basis(s_vectors_in_buchberger,
         want, done = naive_buchberger(first, K, twists, P)
         naive_count += done
         got = groebner._buchberger(first, K, twists, rank_one, P)
-        assert reduced(got, K, twists, P) == reduced(want, K, twists, P)
+        assert reduced(got, K, P) == reduced(want, K, P)
         grown += len(want) > len(first)
-        known = groebner._interreduce(got, K, twists, P)
+        known = groebner._interreduce(got, K, P)
         want, done = naive_buchberger([g.terms for g in known] + rest, K,
                                       twists, P)
         naive_count += done
         got = groebner._buchberger(rest, K, twists, rank_one, P, known)
-        assert reduced(got, K, twists, P) == reduced(want, K, twists, P)
+        assert reduced(got, K, P) == reduced(want, K, P)
     assert grown  # not vacuous: some S-vector reduced to a new element
     assert s_vectors_in_buchberger[0] < naive_count
 
@@ -348,10 +375,10 @@ def test_the_product_criterion_only_holds_at_rank_one(S2):
     gens = [P.encode_vec(vec_from_column(col)) for col in ([x, y], [y * y, x])]
     want, _ = naive_buchberger(gens, K, twists, P)
     got = groebner._buchberger(gens, K, twists, False, P)
-    assert reduced(got, K, twists, P) == reduced(want, K, twists, P)
-    assert [g.vec for g in got[2:]] == [vec_from_column([S2.zero_poly(), y ** 3 - x * x])]
+    assert reduced(got, K, P) == reduced(want, K, P)
+    assert [decode(g) for g in got[2:]] == [vec_from_column([S2.zero_poly(), y ** 3 - x * x])]
     wrong = groebner._buchberger(gens, K, twists, True, P)
-    assert reduced(wrong, K, twists, P) != reduced(want, K, twists, P)
+    assert reduced(wrong, K, P) != reduced(want, K, P)
 
 
 def test_the_pair_update_forms_fewer_s_vectors_on_the_corpus(
@@ -378,10 +405,7 @@ def naive_syzygy_generators(gb, degrees=None):
     n_mod = len(mod)
     F = FreeModule(gb.ring, tuple(g.deg for g in mod))
     Q = _SchreyerPacking(P, [g.lead for g in mod])
-
-    def term(k, d):  # q e_k in Q, for the offset d of q in P
-        return Q.encode(k, P.quotient(d))
-
+    heads = own_heads(P, len(ext))
     out = []
     for j in range(len(ext)):
         for i in range(j):
@@ -392,15 +416,19 @@ def naive_syzygy_generators(gb, degrees=None):
             if degrees is not None and mono_deg(lcm) + gb.free.twists[gi.pos] not in degrees:
                 continue
             s, di, dj = _s_vector(gi, gj, P.encode(gi.pos, lcm), K, P.G)
-            r, trace = _reduce_packed(s, reducers, K, P, collect_trace=True)
+            r, trace = _reduce_packed(s, reducers, K, P, heads)
             assert not r
+            # the trace holds -q_k e_k; read each term back as (k, q) and
+            # pack it again as q e_k in the Schreyer order Q
+            B = P.base
             syz = {}
-            for k, d, c in [(i, di, K.one), (j, dj, K.neg(K.one))] + [
-                    (k, d, K.neg(c)) for k, quot in trace.items()
-                    for d, c in quot.items()]:
+            for (k, q), c in [((i, B.mono(di >> P.shift)), K.one),
+                              ((j, B.mono(dj >> P.shift)), K.neg(K.one))] + [
+                    (split_head(P, t), c) for part in trace.values()
+                    for t, c in part.items()]:
                 if k >= n_mod:
                     continue
-                t = term(k, d)
+                t = Q.encode(k, q)
                 s2 = K.add(syz.get(t, K.zero), c)
                 if K.is_zero(s2):
                     syz.pop(t, None)
@@ -573,7 +601,7 @@ def test_certify_rejects_a_non_basis(S3):
     x, y, z = S3.gens()
     F = FreeModule(S3, (0,))
     K = S3.field
-    elems = [_make_elem(v, K, (0,)) for v in vecs_from_polys([x * y - z * z, y * y])]
+    elems = [make_elem(v, K, (0,)) for v in vecs_from_polys([x * y - z * z, y * y])]
     assert not certify(GroebnerBasis(S3, F, elems, [0, 1]))
     assert certify(groebner_basis(vecs_from_polys([x * y - z * z, y * y]), S3, F))
 
@@ -591,6 +619,7 @@ def test_lift_writes_a_member_on_the_module_elements(twists, quotient):
                             for _ in range(len(twists) + 2)) if g]
         gb = groebner_basis(gens, ring, F)
         elems = gb.module_elements
+        rows = gb.module_vectors()
         top = max(vec_degree(g, twists) for g in gens) + 1
         vec = {}
         for g in gens:
@@ -602,7 +631,7 @@ def test_lift_writes_a_member_on_the_module_elements(twists, quotient):
         assert vec_degree(c, [g.deg for g in elems]) == top
         total = {}
         for (k, mono), a in c.items():
-            vec_addmul(total, elems[k].vec, {mono: a}, K.characteristic)
+            vec_addmul(total, rows[k], {mono: a}, K.characteristic)
         vec_addmul(total, vec, {(0,) * ring.nvars: K.from_int(-1)},
                    K.characteristic)
         assert not zero.normal_form(total)
@@ -612,15 +641,15 @@ def test_lift_writes_a_member_on_the_module_elements(twists, quotient):
 
 # -- the inline-arithmetic kernel against the method-call kernel ----------
 
-def method_call_reduce_packed(work, reducers, K, P, collect_trace=False):
+def method_call_reduce_packed(work, reducers, K, P, heads=None, up=0):
     """Reference: the reduction kernel written with field method calls
     (K.mul, K.sub, K.add, K.is_zero), as it was before its arithmetic went
-    inline."""
+    inline, its trace summed term by term."""
     K = field_ops(K)
     rem = {}
     heap = list(work)
     heapq.heapify(heap)
-    trace = {} if collect_trace else None
+    trace = None if heads is None else {}
     zero, mul, sub, is_zero = K.zero, K.mul, K.sub, K.is_zero
     S, M, G = P.S, P.M, P.G
     while heap:
@@ -649,13 +678,14 @@ def method_call_reduce_packed(work, reducers, K, P, collect_trace=False):
                     del work[u]
                 else:
                     work[u] = s
-        if collect_trace:
+        if heads is not None and heads[i] is not None:
             slot = trace.setdefault(i, {})
-            s = K.add(slot.get(d, zero), c)
+            t = heads[i] + (d << up)
+            s = K.sub(slot.get(t, zero), c)
             if is_zero(s):
-                slot.pop(d, None)
+                slot.pop(t, None)
             else:
-                slot[d] = s
+                slot[t] = s
     return rem, trace
 
 
@@ -699,9 +729,9 @@ def tuple_schreyer_pairs(elems, P):
 
 def method_call_syzygy_generators(gb, degrees=None):
     """Reference: the syzygy step with method-call arithmetic, pairs
-    from tuple lcms, its trace read a second time into Schreyer terms,
-    and duplicates always dropped.  Returns (syzygies before the
-    duplicate check, basis)."""
+    from tuple lcms, its trace summed into the syzygy term by term, and
+    duplicates always dropped.  Returns (syzygies before the duplicate
+    check, basis)."""
     ring = gb.ring
     K = field_ops(ring.field)
     P = gb.packing
@@ -711,6 +741,7 @@ def method_call_syzygy_generators(gb, degrees=None):
     n_mod = len(mod)
     Q = _SchreyerPacking(P, [g.lead for g in mod])
     heads = [(b << Q.shift) + k for k, b in enumerate(Q.bases)]
+    heads += [None] * (len(ext) - n_mod)
     up = Q.shift - P.shift
     out = []
     pairs = tuple_schreyer_pairs(ext, P)
@@ -720,19 +751,16 @@ def method_call_syzygy_generators(gb, degrees=None):
         if degrees is not None and d + gb.free.twists[gi.pos] not in degrees:
             continue
         s, di, dj = method_call_s_vector(gi, gj, hl, K, P.G)
-        r, trace = method_call_reduce_packed(s, reducers, K, P, True)
+        r, trace = method_call_reduce_packed(s, reducers, K, P, heads, up)
         assert not r
         syz = {}
         if i < n_mod:
             syz[heads[i] + (di << up)] = K.one
         if j < n_mod:
             syz[heads[j] + (dj << up)] = K.neg(K.one)
-        for k, quot in trace.items():
-            if k >= n_mod:
-                continue
-            for e, c in quot.items():
-                t = heads[k] + (e << up)
-                s2 = K.sub(syz.get(t, K.zero), c)
+        for part in trace.values():
+            for t, c in part.items():
+                s2 = K.add(syz.get(t, K.zero), c)
                 if K.is_zero(s2):
                     syz.pop(t, None)
                 else:
@@ -811,21 +839,22 @@ def test_inline_kernel_matches_the_method_call_kernel(monkeypatch, field,
                            K.characteristic)
             if v:
                 members.append(v)
+        P = gb.packing
+        heads = own_heads(P, len(gb.elements))
         for v in vecs + members:
-            for trace in (False, True):
-                P = gb.packing
-                new = _reduce_packed(P.encode_vec(v), groups, K, P, trace)
+            for hs in (None, heads):
+                new = _reduce_packed(P.encode_vec(v), groups, K, P, hs)
                 ref = method_call_reduce_packed(P.encode_vec(v), groups, K, P,
-                                                trace)
+                                                hs)
                 assert ordered(new[0]) == ordered(ref[0])
-                assert (new[1] is None) == (not trace)
-                if trace:
+                assert (new[1] is None) == (hs is None)
+                if hs:
                     assert ordered(new[1]) == ordered(ref[1])
-            new = _reduce(v, groups, K, collect_trace=True)
+            new = _reduce(v, groups, K, P, heads)
             with monkeypatch.context() as m:
                 m.setattr(groebner, "_reduce_packed",
                           method_call_reduce_packed)
-                ref = _reduce(v, groups, K, collect_trace=True)
+                ref = _reduce(v, groups, K, P, heads)
             assert ordered(new[0]) == ordered(ref[0])
             assert ordered(new[1]) == ordered(ref[1])
         for v in members:
@@ -862,15 +891,15 @@ def test_product_past_the_cap_raises_on_every_kernel_path(field):
     # x^65536*z, on the plain path, the trace path and the syzygy path
     ring = polynomial_ring(["x", "y", "z"], **field)
     K = ring.field
-    g = _make_elem({(0, (0, 2, 0)): K.one, (0, (1, 0, 1)): K.from_int(-1)},
-                   K, (0,))
+    g = make_elem({(0, (0, 2, 0)): K.one, (0, (1, 0, 1)): K.from_int(-1)},
+                  K, (0,))
     vec = {(0, (EXPONENT_CAP, 2, 0)): K.from_int(3)}
     P = _packing(3)
-    for trace in (False, True):
+    for heads in (None, own_heads(P, 1)):
         with pytest.raises(OverflowError):
-            _reduce(vec, _reducers([g]), K, collect_trace=trace)
+            _reduce(vec, _reducers([g]), K, P, heads)
     with pytest.raises(OverflowError):
-        _reduce_packed(P.encode_vec(vec), _reducers([g]), K, P, True,
+        _reduce_packed(P.encode_vec(vec), _reducers([g]), K, P,
                        [P.one << _INDEX_BITS], _INDEX_BITS)
     with pytest.raises(OverflowError):
         method_call_reduce_packed(P.encode_vec(vec), _reducers([g]), K, P)

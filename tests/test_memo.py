@@ -282,20 +282,66 @@ def test_bases_interreduce_in_two_places():
 
 
 def test_a_frame_is_decoded_only_by_its_basis():
-    """A syzygy basis in its Schreyer packing is decoded in
-    `GroebnerBasis.module_vectors` alone: `GBElem.vec` decodes position
-    over grevlex, which a syzygy element refuses, and `_reduce` decodes a
-    normal form's remainder.  The resolution loop decodes the syzygies
-    below its frame as it finds them, and a frame level only in
-    `_minimal_cols`, on the first read of cols."""
+    """Basis elements are decoded in `GroebnerBasis.module_vectors` alone,
+    in the basis's own packing, and `_reduce` decodes a normal form's
+    remainder and trace.  The tag rows of a relation run are read through
+    their basis (`modules.syzygies_of_vectors`); the resolution loop
+    decodes the syzygies below its frame as it finds them, and a frame
+    level only in `_minimal_cols`, on the first read of cols."""
     sites = call_sites("decode_vec")
     assert [(f, func) for f, _, func in sites] == [
-        ("groebner.py", "vec"), ("groebner.py", "_reduce"),
+        ("groebner.py", "_reduce"), ("groebner.py", "_reduce"),
         ("groebner.py", "module_vectors")]
     sites = call_sites("module_vectors")
     assert [(f, func) for f, _, func in sites] == [
+        ("modules.py", "syzygies_of_vectors"),
         ("resolution.py", "_resolve"), ("resolution.py", "_resolve"),
         ("resolution.py", "_minimal_cols")]
+
+
+def _groebner_tree():
+    [source] = [src for name, _, src in sources() if name == "groebner.py"]
+    return ast.parse(source)
+
+
+def test_groebner_elements_hold_packed_terms_only():
+    """A GBElem has no decoded vector, and no element class refuses one:
+    only its basis, which knows the packing, decodes it."""
+    from cmreg.groebner import GBElem
+    assert not hasattr(GBElem, "vec")
+    assert "_vec" not in GBElem.__slots__
+    classes = {n.name for n in ast.walk(_groebner_tree())
+               if isinstance(n, ast.ClassDef)}
+    assert "_Syzygy" not in classes
+    assert not hasattr(cmreg.groebner, "_make_elem")
+
+
+def test_the_reduction_kernel_records_one_trace_form():
+    """`_reduce_packed` records a trace exactly when it is given heads,
+    in the one packed form, so it has no switch for a second format, and
+    no packing decodes a raw quotient offset."""
+    [kernel] = [n for n in _groebner_tree().body
+                if isinstance(n, ast.FunctionDef) and n.name == "_reduce_packed"]
+    assert [a.arg for a in kernel.args.args] == [
+        "work", "reducers", "K", "P", "heads", "up"]
+    from cmreg.groebner import _Packing, _SchreyerPacking
+    assert not hasattr(_Packing, "quotient")
+    assert not hasattr(_SchreyerPacking, "quotient")
+
+
+def test_the_packed_lcm_is_written_once():
+    """The field-wise max of packed exponents (`_Packing.lcm`) serves both
+    pair selections: `>> 16`, which widens its bit-16 comparisons to a
+    mask, appears once in groebner.py."""
+    shifts = [n for n in ast.walk(_groebner_tree())
+              if isinstance(n, ast.BinOp) and isinstance(n.op, ast.RShift)
+              and isinstance(n.right, ast.Constant) and n.right.value == 16]
+    assert len(shifts) == 1
+    readers = [f.name for f in _groebner_tree().body
+               if isinstance(f, ast.FunctionDef)
+               and any(isinstance(n, ast.Attribute) and n.attr == "lcm"
+                       for n in ast.walk(f))]
+    assert readers == ["_buchberger", "_schreyer_pairs"]
 
 
 FIELD_METHODS = {"add", "sub", "mul", "neg", "is_zero", "zero"}

@@ -18,10 +18,13 @@ from fieldops import field_ops
 # -- reference: the restart sweep -----------------------------------------
 
 def _first_unit(cols):
+    """(column, position, coefficient) of the first unit: in the first
+    column that has one, its first constant entry in term order, the one
+    at the lowest position."""
     for j, col in enumerate(cols):
-        for (p, m), c in col.items():
-            if not any(m):
-                return j, p, c
+        units = sorted((p, c) for (p, m), c in col.items() if not any(m))
+        if units:
+            return (j, *units[0])
     return None
 
 
@@ -144,6 +147,26 @@ def test_random_chains_eliminate_units():
         tw, _, _ = minimize_chain(twists, cols, ring.field)
         shrunk += sum(map(len, tw.values())) < sum(map(len, twists.values()))
     assert shrunk >= 10
+
+
+def test_the_unit_is_chosen_by_term_order_not_dict_order():
+    # d_1's first column has units at positions 0 and 1.  With its terms
+    # in either dict order the unit at position 0, first in term order,
+    # goes, so the output does not depend on how the column was summed.
+    ring = polynomial_ring(["x", "y"])
+    K = ring.field
+    one, x, y, xy = (0, 0), (1, 0), (0, 1), (1, 1)
+    units = [((0, one), K.from_int(2)), ((1, one), K.from_int(3))]
+    twists = {0: (0, 0), 1: (0, 1), 2: (2,)}
+    outs = []
+    for order in (units, units[::-1]):
+        cols = {1: [dict(order), {(0, x): K.one, (1, y): K.one}],
+                2: [{(0, xy): K.one, (1, x): K.from_int(5)}]}
+        assert_same_as_reference(twists, cols, K)
+        outs.append(minimize_chain(twists, cols, K))
+    assert outs[0] == outs[1]
+    tw, _, kept = outs[0]
+    assert kept[0] == [1] and kept[1] == [1] and tw[0] == (0,)
 
 
 # -- every minimize_chain call made by real resolutions ----------------------

@@ -723,9 +723,9 @@ def test_a_misnumbered_frame_raises():
 def test_a_frame_syzygy_decodes_only_through_its_basis():
     # The same Koszul frame.  Its elements are packed in a Schreyer order
     # they do not know: read as position over grevlex they would decode
-    # to other vectors, so .vec raises.  module_vectors decodes them in
-    # the basis's own packing, to the Koszul syzygies, and each level's
-    # syzygies annihilate the level below.
+    # to other vectors.  module_vectors decodes them in the basis's own
+    # packing, to the Koszul syzygies, and each level's syzygies
+    # annihilate the level below.
     S = polynomial_ring(["x", "y", "z"])
     K = S.field
     x, y, z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -743,8 +743,6 @@ def test_a_frame_syzygy_decodes_only_through_its_basis():
         vecs = level.module_vectors()
         assert len(vecs) == len(level.elements) > 0
         for g, v in zip(level.elements, vecs):
-            with pytest.raises(TypeError, match="module_vectors"):
-                g.vec
             assert _packing(3).decode_vec(g.terms) != v
             assert v[(g.pos, g.ltm)] == K.one
             total = {}

@@ -19,7 +19,7 @@ from cmreg import (BoundedComplex, PresentedModule, complex_from_module,
                    tensor_free_with_complex)
 from cmreg.complexes import free_complex_from_data, minimal_cover
 from cmreg.freemod import FreeModule, vec_degree
-from cmreg.groebner import groebner_basis
+from cmreg.groebner import _packing, groebner_basis
 from cmreg.minimize import _find_unit, minimize_chain, minimize_presentation
 from cmreg.modules import ModuleMap, colon_by_element, multiplication_map
 from cmreg.theorems import _random_linear_form, random_ideal_corpus
@@ -48,9 +48,11 @@ def syzygies_of_vectors(vectors, ring, free):
         ws.append(w)
     gb = groebner_basis(ws, ring, big)
     out = []
+    P = _packing(ring.nvars)
     for e in gb.module_elements:
-        if all(p >= r for (p, _) in e.vec):
-            out.append({(p - r, m): c for (p, m), c in e.vec.items()})
+        vec = P.decode_vec(e.terms)
+        if all(p >= r for (p, _) in vec):
+            out.append({(p - r, m): c for (p, m), c in vec.items()})
     return out, FreeModule(ring, degs)
 
 
