@@ -145,7 +145,7 @@ def cmd_hilbert(session, args):
             raise UsageError(f"--max-degree {hi} leaves the hilbert window "
                              f"empty: it starts at degree {lo}")
     elif top != inf:
-        hi = top
+        hi = max(top, lo - 1)  # a zero module lists no values
     else:
         hi = max(lo + 10, 10)
     return {"dimension": hs.dimension(), "indeg": ind, "top_degree": top,

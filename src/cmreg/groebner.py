@@ -45,19 +45,21 @@ off its packed lead as lead >> W, provided the elements are numbered in
 lead-index order: two terms of F_2 with equal level-0 terms then compare
 by the F_1 index of their leads exactly when they compare by their own
 index (`_syzygy_basis`).  So every level packs into the same shape, with
-its position in the low W bits (a term's position is (h >> S) & M in
-either packing) and its guard mask G shifted up by W.  Linearity,
-divisibility and the cap check carry over unchanged, and one kernel,
-`_reduce_packed`, with one `_s_vector` and one `_schreyer_pairs`, serves
-both orders.
+its position in the low W bits and its guard mask G shifted up by W, and
+linearity, divisibility and the cap check carry over unchanged.
 
-A GBElem holds packed terms only.  Its packing, position over grevlex or
-a Schreyer order, is known to its basis alone, so the basis decodes it
-(`GroebnerBasis.module_vectors`, into tuple dicts {(pos, m): c}); the
-Buchberger loop never decodes its intermediate elements, and a resolution
-decodes a frame only when its differentials are read (cmreg.resolution).
-`_reduce`, `GroebnerBasis.normal_form` and `lift` take and return tuple
-dicts.
+Only the packings (`_Packing`, `_SchreyerPacking` and their base
+`_Terms`) know the layout.  Every other function reads a term's position
+as (h >> S) & M, and a lead's exponent word (`word`), a pair's packed lcm
+(`pair`) and a basis vector's head (`head`) through them.  So one
+kernel, `_reduce_packed`, with one `_s_vector`, `_schreyer_pairs` and
+`_buchberger`, serves both orders.
+
+A GBElem holds packed terms only, and its basis, which knows the
+packing, decodes it (`GroebnerBasis.module_vectors`, into tuple dicts
+{(pos, m): c}): Buchberger never decodes, and a resolution decodes a
+frame only when its differentials are read (cmreg.resolution).  `_reduce`,
+`GroebnerBasis.normal_form` and `lift` take and return tuple dicts.
 
 Reduction kernel: `_reduce_packed` takes the next lead from a heap of
 pending terms and skips entries whose term has cancelled or was already
@@ -108,10 +110,12 @@ A syzygy is written straight into the Schreyer packing as its S-pair
 reduces: with each module element's e_k packed in that order as its
 head, the trace holds -q_k e_k, grouped by k, so `syzygy_generators`
 only prepends m_i e_i - m_j e_j.  No two of these terms meet, since
-every q_k lt(g_k) lies below the lcm.  The candidate lcms of
-`_schreyer_pairs` are taken on packed exponents, field by field, with no
-tuple per pair (`_Packing.lcm`, which `_buchberger`'s pair update
-shares).  Over a polynomial ring the selected pairs have distinct
+every q_k lt(g_k) lies below the lcm.  A pair's lcm is taken on the
+leads' exponent words, field by field, and packed by linearity as
+head(p) + ((lcm - (deg lcm << 32 n)) << shift) in position p, with no
+tuple per pair (`_Terms.pair`, which `_buchberger` shares).  There is no
+degree filter: a truncated resolution's top step takes every selected
+pair too.  Over a polynomial ring the selected pairs have distinct
 Schreyer leads, so only a quotient ring's syzygies are checked for
 duplicates (`_syzygy_basis`).
 
@@ -139,16 +143,16 @@ give; `defining_gb` reduces its own at once.
 
 Pair update (`_buchberger`; Gebauer and Moeller, On an installation of
 Buchberger's algorithm, JSC 1988): each new basis element t updates the
-pairs once when it joins the basis, on lcms taken by the same
-`_Packing.lcm` as the Schreyer pairs'.  B_k drops a pending pair whose
-lcm lt(t) divides, unless t's lcm with either member equals it; M drops
-a new pair whose lcm another new lcm properly divides, and F keeps one
-of equal new lcms, a coprime pair first.  B_k, M and F are forms of the
+pairs once when it joins the basis, on lcms from the Schreyer pairs'
+formula, in either packing.  B_k drops a pending pair whose lcm lt(t)
+divides, unless t's lcm with either member equals it; M drops a new
+pair whose lcm another new lcm properly divides, and F keeps one of
+equal new lcms, a coprime pair first.  B_k, M and F are forms of the
 chain criterion, which is valid at any rank.  The coprimality (product)
-criterion comes last and at rank one only: a coprime pair is never
-reduced, but through M and F it has already removed the pairs it
-dominates.  For modules it is wrong: g1 = (x, y), g2 = (y^2, x) in R^2
-have coprime lead monomials in the same position but their S-vector
+criterion comes last and at rank one (one twist) only: a coprime pair
+is never reduced, but through M and F it has already removed the pairs
+it dominates.  For modules it is wrong: g1 = (x, y), g2 = (y^2, x) in
+R^2 have coprime lead monomials in the same position but their S-vector
 (0, y^3 - x^2) does not reduce to zero.
 """
 
@@ -179,6 +183,21 @@ class _Terms:
         S, M, mono = self.S, self.M, self.mono
         return {((h >> S) & M, mono(h)): c for h, c in terms.items()}
 
+    def pair(self, head, ea, eb):
+        """(degree, exponent word, packed term in head's position) of the
+        lcm of two monomials given by their exponent words (`word`), the
+        one pair formula (module docstring); as the lcm of two terms of
+        that position, the term is within the cap."""
+        B = self.base
+        H = B.H
+        # field by field, bit 16 of (2^16 + e_b - e_a) is set where
+        # e_b >= e_a; widened to a mask, it picks the max
+        ge = ((eb | H) - ea) & H
+        lcm = ea ^ ((ea ^ eb) & (ge - (ge >> 16)))
+        # one multiply sums every field into the top one
+        d = ((lcm * B.ones) >> B.top) & 0xFFFFFFFF
+        return d, lcm, head + ((lcm - (d << B.B)) << self.shift)
+
 
 class _Packing(_Terms):
     """Encoder and decoder of position-over-grevlex packed terms for one
@@ -198,7 +217,7 @@ class _Packing(_Terms):
         self.emask = (1 << self.B) - 1
         self.one = _DEG_TOP << self.B  # h(0, 1)
         self.base = self
-        # bit 16 and bit 0 of every field, and the top field's shift (`lcm`)
+        # bit 16 and bit 0 of every field, and the top field's shift (`pair`)
         self.H = int.from_bytes(self.struct.pack(*[1 << 16] * nvars), "little")
         self.ones = int.from_bytes(self.struct.pack(*[1] * nvars), "little")
         self.top = self.B - 32
@@ -213,16 +232,13 @@ class _Packing(_Terms):
         """The monomial of h."""
         return self.struct.unpack((h & self.emask).to_bytes(self.nbytes, "little"))
 
-    def lcm(self, ei, ej):
-        """(lcm, degree) of two monomials given as packed exponent fields
-        (h & emask), with no tuple: the lcm's fields, and their sum."""
-        H = self.H
-        # field by field, bit 16 of (2^16 + e_j - e_i) is set where
-        # e_j >= e_i; widened to a mask, it picks the max
-        ge = ((ej | H) - ei) & H
-        lcm = ei ^ ((ei ^ ej) & (ge - (ge >> 16)))
-        # one multiply sums every field into the top one
-        return lcm, ((lcm * self.ones) >> self.top) & 0xFFFFFFFF
+    def word(self, h):
+        """The exponent word of h's monomial: its packed exponent fields."""
+        return h & self.emask
+
+    def head(self, pos):
+        """The packed basis vector e_pos, h(pos, 1)."""
+        return (pos << self.A) + self.one
 
 
 class _SchreyerPacking(_Terms):
@@ -251,6 +267,12 @@ class _SchreyerPacking(_Terms):
     def mono(self, h):
         return self.base.mono((h >> _INDEX_BITS) - self.bases[h & self.M])
 
+    def word(self, h):
+        return self.base.word((h >> _INDEX_BITS) - self.bases[h & self.M])
+
+    def head(self, c):
+        return (self.bases[c] << _INDEX_BITS) + c
+
 
 _PACKINGS = {}
 
@@ -264,8 +286,7 @@ def _packing(nvars):
 
 class GBElem:
     """A monic basis element: packed terms, packed lead and cached
-    lead-term data.  Only its basis, which knows the packing, decodes it
-    (`GroebnerBasis.module_vectors`)."""
+    lead-term data, decoded by its basis alone (module docstring)."""
 
     __slots__ = ("terms", "lead", "pos", "ltm", "deg")
 
@@ -312,9 +333,7 @@ def _reduce_packed(work, reducers, K, P, heads=None, up=0):
     quotient is not wanted), the trace holds each -q_i times its head as
     packed terms, {i: {heads[i] + (d << up): -c}}, where c q is a
     quotient term and d = h(q t) - h(t) its offset.  Without heads the
-    trace is None.  A syzygy step packs heads in its Schreyer order
-    (`syzygy_generators`), a lift in position over grevlex
-    (`GroebnerBasis.lift`)."""
+    trace is None (module docstring, The trace has one form)."""
     rem = {}
     heap = list(work)
     heapify(heap)
@@ -438,25 +457,24 @@ def _interreduce(elems, K, P):
     return out
 
 
-def _buchberger(gens, K, twists, use_product_criterion, P, known=()):
+def _buchberger(gens, K, twists, P, known=()):
     """A Groebner basis, not reduced, of the packed generators `gens`
     together with `known`, GBElems that already form a Groebner basis:
     `known` first, then the generators in canonical order, then every
-    S-vector remainder in the order it was found.
+    S-vector remainder in the order it was found, all in packing P.
 
     Pairs follow the Gebauer-Moeller update (module docstring), run once
-    for each generator and each remainder t as it joins the basis.  The
-    lcm of lt(t) with each earlier lead i of its position is taken on the
-    packed exponent fields (`_Packing.lcm`), and packed with its degree as
-    hl.  Then:
+    for each generator and each remainder t as it joins the basis, on
+    the packed lcm of lt(t) with each earlier lead of its position
+    (`pair`).  Then:
 
     - B_k: a pending pair (i, j) of t's position is dropped when lt(t)
       divides its lcm, unless lcm(i, t) or lcm(j, t) equals that lcm;
     - M and F: the new pairs are taken by (lcm degree, not coprime, i),
       and one is kept only when no lcm kept before it divides its own;
       equal lcms divide;
-    - product criterion, at rank one only: a kept coprime pair is not
-      queued.
+    - product criterion, at rank one only (one twist): a kept coprime
+      pair is not queued.
 
     A known element gets no update, so a pair of two of them is never
     pending: its S-vector reduces to zero already, which is all B_k and
@@ -467,24 +485,23 @@ def _buchberger(gens, K, twists, use_product_criterion, P, known=()):
     basis = list(known)
     basis += _canonical_sort([_elem(v, K, twists, P) for v in gens if v])
     reducers = _reducers(basis)
-    G, A, B, emask, lcm_of = P.G, P.A, P.B, P.emask, P.lcm
+    words = [P.word(g.lead) for g in basis]
+    G, pair = P.G, P.pair
     heap = []
     pending = {}  # position -> {(i, j): packed lcm}
     t = len(known)
     while True:
         while t < len(basis):
             g = basis[t]
-            pos, lt = g.pos, g.lead
-            et = lt & emask
-            base = (pos << A) + (_DEG_TOP << B)
+            pos, lt, et, head = g.pos, g.lead, words[t], P.head(g.pos)
             lcms = {}
             cands = []
-            for i, lead, _ in reducers[pos]:
+            for i, _, _ in reducers[pos]:
                 if i == t:
                     break
-                ei = lead & emask
-                lcm, d = lcm_of(ei, et)
-                hl = lcms[i] = base - (d << B) + lcm
+                ei = words[i]
+                d, lcm, hl = pair(head, ei, et)
+                lcms[i] = hl
                 # lcm = e_i + e_t exactly when the leads are coprime
                 cands.append((d, lcm != ei + et, i, hl))
             pend = pending.setdefault(pos, {})
@@ -503,7 +520,7 @@ def _buchberger(gens, K, twists, use_product_criterion, P, known=()):
                         break
                 else:
                     kept.append(hl)
-                    if shared or not use_product_criterion:
+                    if shared or len(twists) > 1:
                         pend[i, t] = hl
                         heappush(heap, (d + twist, i, t))
             t += 1
@@ -520,6 +537,7 @@ def _buchberger(gens, K, twists, use_product_criterion, P, known=()):
             g = _elem(r, K, twists, P)
             reducers.setdefault(g.pos, []).append(_reducer(len(basis), g))
             basis.append(g)
+            words.append(P.word(g.lead))
 
 
 def defining_gb(ring):
@@ -529,20 +547,30 @@ def defining_gb(ring):
     K, P = ring.field, _packing(ring.nvars)
     return _cached(ring, "defining_gb", lambda: _interreduce(_buchberger(
         [{P.encode(0, m): c for m, c in f.terms.items()} for f in ring.defining],
-        K, (0,), True, P), K, P))
+        K, (0,), P), K, P))
+
+
+def _moved(elems, off, twists, P):
+    """GBElems of position-over-grevlex packing P moved off positions up,
+    into a free module with these twists (a block shift): by linearity,
+    each term moves by e_off - e_0."""
+    s = P.head(off) - P.head(0)
+    out = []
+    for g in elems:
+        pos = g.pos + off
+        terms = {h + s: c for h, c in g.terms.items()} if s else g.terms
+        out.append(GBElem(terms, g.lead + s, pos, g.ltm,
+                          mono_deg(g.ltm) + twists[pos]))
+    return out
 
 
 def _augmented_columns(ring, free):
-    """The defining ideal times each free basis vector, as GBElems."""
-    out = []
-    A = _packing(ring.nvars).A
-    for f in defining_gb(ring):
-        for p in range(free.rank):
-            shift = p << A
-            terms = {h + shift: c for h, c in f.terms.items()}
-            out.append(GBElem(terms, f.lead + shift, p, f.ltm,
-                              f.deg + free.twists[p]))
-    return out
+    """The defining ideal times each free basis vector, as GBElems, in
+    the order of the ideal's basis, then of the positions."""
+    fs, P = defining_gb(ring), _packing(ring.nvars)
+    blocks = [_moved(fs, p, free.twists, P)
+              for p in range(free.rank)] if fs else []
+    return [g for gs in zip(*blocks) for g in gs]
 
 
 class GroebnerBasis:
@@ -612,15 +640,13 @@ class GroebnerBasis:
                 if g.pos >= first]
 
     def module_constants(self):
-        """The constant part of each module element of a syzygy basis,
-        {(position, 1): c}, read off the packed terms: in the Schreyer
-        packing a term m e_p, p = h & M, has m = 1 exactly when its
-        level-0 term h >> shift is e_p's own."""
+        """The constant part of each module element, {(position, 1): c},
+        read off the packed terms: a term m e_p has m = 1 exactly when
+        it is e_p's packed head (`head`), in any packing."""
         Q = self.packing
-        M, shift, bases = Q.M, Q.shift, Q.bases
         one = (0,) * self.ring.nvars
-        return [{(h & M, one): c for h, c in g.terms.items()
-                 if h >> shift == bases[h & M]}
+        heads = {Q.head(k): k for k in range(self.free.rank)}
+        return [{(heads[h], one): c for h, c in g.terms.items() if h in heads}
                 for g in self.module_elements]
 
     def module_degrees(self):
@@ -647,7 +673,7 @@ class GroebnerBasis:
         P, K = self.packing, self.ring.field
         heads = [None] * len(self.elements)
         for k, i in enumerate(self.module_indices):
-            heads[i] = (k << P.A) + P.one
+            heads[i] = P.head(k)
         rem, trace = _reduce(vec, self._reducer_groups(), K, P, heads)
         if rem:
             raise ArithmeticError("vector does not lie in the submodule")
@@ -676,7 +702,7 @@ def groebner_basis(vectors, ring, free, *, known=None):
     start = known.free.rank if known else 0
     packed = [P.encode_vec(v) for v in gens]
     packed += [a.terms for a in aug if a.pos >= start]
-    elems = _buchberger(packed, K, free.twists, free.rank == 1, P, seeds)
+    elems = _buchberger(packed, K, free.twists, P, seeds)
     return GroebnerBasis(ring, free, elems, None)
 
 
@@ -689,21 +715,12 @@ def direct_sum_basis(ring, free, blocks):
     reduced and a Groebner basis, hence the unique reduced basis of the
     sum.  Only positions, degrees (the blocks' twists may differ from
     `free`'s by a shift) and the canonical order change; no Buchberger."""
-    A = _packing(ring.nvars).A
-    twists = free.twists
-    elems = []
-    in_module = set()
+    P = _packing(ring.nvars)
+    elems, in_module = [], set()
     for gb, off in blocks:
-        shift = off << A
-        mod = set(gb.module_indices)
-        for k, g in enumerate(gb.elements):
-            pos = g.pos + off
-            terms = {h + shift: c for h, c in g.terms.items()} if shift else g.terms
-            e = GBElem(terms, g.lead + shift, pos, g.ltm,
-                       mono_deg(g.ltm) + twists[pos])
-            elems.append(e)
-            if k in mod:
-                in_module.add(e)
+        moved = _moved(gb.elements, off, free.twists, P)
+        elems += moved
+        in_module.update(moved[k] for k in gb.module_indices)
     _canonical_sort(elems)
     return GroebnerBasis(ring, free, elems,
                          [i for i, e in enumerate(elems) if e in in_module])
@@ -718,35 +735,30 @@ def reduce_poly_mod_defining(ring, f):
 
 def _schreyer_pairs(elems, P):
     """The same-position pairs (i, j), i < j, whose Schreyer lead term is
-    minimal (module docstring), as (i, j, lcm degree, packed lcm) in the
-    order j, then i.  For each i the candidates are taken in (lcm degree,
+    minimal (module docstring), as (i, j, packed lcm) in the order j,
+    then i.  For each i the candidates are taken in (lcm degree,
     j) order and kept when no lcm kept so far divides theirs, so of equal
     lcms the smallest j survives."""
-    B, G, shift = P.base, P.G, P.shift
-    lcm_of, width = B.lcm, B.B
-    # the exponent fields of each lead monomial (P.mono), packed
-    exps = [int.from_bytes(B.struct.pack(*g.ltm), "little") for g in elems]
+    G, pair = P.G, P.pair
+    words = [P.word(g.lead) for g in elems]
     groups = {}
     for i, g in enumerate(elems):
         groups.setdefault(g.pos, []).append(i)
     kept = []
     for group in groups.values():
+        head = P.head(elems[group[0]].pos)
         for a, i in enumerate(group):
-            ei, lead, di = exps[i], elems[i].lead, sum(elems[i].ltm)
             cands = []
             for j in group[a + 1:]:
-                lcm, d = lcm_of(ei, exps[j])
-                # lead times lcm / lt(g_i), by linearity; within the cap,
-                # as the lcm of two leads' level-0 terms
-                hl = lead + ((lcm - ei - ((d - di) << width)) << shift)
+                d, _, hl = pair(head, words[i], words[j])
                 cands.append((d, j, hl))
             minimal = []
             for d, j, hl in sorted(cands):
                 if all((hl - k) & G for k in minimal):
                     minimal.append(hl)
-                    kept.append((j, i, d, hl))
+                    kept.append((j, i, hl))
     kept.sort()
-    return [(i, j, d, hl) for j, i, d, hl in kept]
+    return [(i, j, hl) for j, i, hl in kept]
 
 
 def certify(gb):
@@ -757,7 +769,7 @@ def certify(gb):
     K = gb.ring.field
     P = gb.packing
     reducers = _reducers(elems)
-    for i, j, _, hl in _schreyer_pairs(elems, P):
+    for i, j, hl in _schreyer_pairs(elems, P):
         s, _, _ = _s_vector(elems[i], elems[j], hl, K, P.G)
         r, _ = _reduce_packed(s, reducers, K, P)
         if r:
@@ -765,35 +777,25 @@ def certify(gb):
     return True
 
 
-def syzygy_generators(gb, degrees=None):
+def syzygy_generators(gb):
     """Generators of the syzygy module of gb's module elements over the
     ring, from the reduction traces of the S-pairs `_schreyer_pairs`
-    selects; with `degrees`, of the selected pairs whose degree lies in
-    `degrees` only.
+    selects.
 
     The reducer list is module elements followed by defining-ideal columns;
     that list is a (non-reduced) Groebner basis of the preimage submodule,
     so the selected trace syzygies generate all its syzygies, and dropping
     the coordinates of the defining columns yields generators over R.
 
-    `degrees` serves a search for units (constant coefficients), which a
-    syzygy of degree d has only at generators of degree d.  Every syzygy
-    of degree d is a K-combination of the selected ones of degree d plus
-    positive-degree multiples of lower-degree ones, and those multiples
-    have no constant coefficient.  So filtering the selected pairs by
-    degree still finds every unit that the whole syzygy module carries.
-
     The trace syzygy of the pair (i, j) of two module elements leads with
     (lcm_ij / lt(g_i)) e_i in the Schreyer order gb induces (module
     docstring); one that leads with another term raises ArithmeticError.
 
     Returns (elements, basis): basis is `_syzygy_basis` of the syzygies,
-    a GroebnerBasis on the free module F on the element degrees
-    (basis.free), packed in that Schreyer order, and elements are its
-    module elements, still packed; `basis.module_vectors()` decodes them.
-    Over a polynomial ring and without `degrees` basis is a Groebner basis
-    of the syzygy module (Schreyer's theorem), so this function takes it
-    again, with no Buchberger run.
+    a GroebnerBasis on the free module on the element degrees, packed in
+    that Schreyer order, and elements are its module elements, still
+    packed.  Over a polynomial ring basis is a Groebner basis of the
+    syzygy module (Schreyer's theorem), so this function takes it again.
     """
     ring = gb.ring
     K = ring.field
@@ -805,17 +807,14 @@ def syzygy_generators(gb, degrees=None):
     Q = _SchreyerPacking(P, [g.lead for g in mod])
     # q e_k packs as heads[k] + (d << up), d the offset of q in P; the
     # defining columns' coordinates are dropped
-    heads = [(b << Q.shift) + k for k, b in enumerate(Q.bases)]
+    heads = [Q.head(k) for k in range(n_mod)]
     heads += [None] * (len(ext) - n_mod)
     up = Q.shift - P.shift
     p, one = K.characteristic, K.one
     minus_one = p - 1 if p else -one
     out = []
-    for i, j, d, hl in _schreyer_pairs(ext, P):
-        gi, gj = ext[i], ext[j]
-        if degrees is not None and d + gb.free.twists[gi.pos] not in degrees:
-            continue
-        s, di, dj = _s_vector(gi, gj, hl, K, P.G)
+    for i, j, hl in _schreyer_pairs(ext, P):
+        s, di, dj = _s_vector(ext[i], ext[j], hl, K, P.G)
         r, trace = _reduce_packed(s, reducers, K, P, heads, up)
         if r:
             raise ArithmeticError("S-pair of a Groebner basis did not reduce to zero")

@@ -49,8 +49,8 @@ of variables (Hilbert's syzygy theorem); the frame can run one level
 longer, but a Betti number past it is an engine bug and raises.  F is
 truncated at max_len (at least 1) levels past the bottom and then
 flagged incomplete, unless the Betti numbers empty a level at or above
-hi; its top level is cut down against the next level's columns,
-syzygies only in its generators' degrees, which are then dropped.
+hi; its top level is cut down against the next level's columns, which
+are then dropped.
 
 `free_resolution` is the one way into the loop.  It takes a presented
 module (the one-term complex at spot 0) or a bounded complex, and keeps
@@ -239,11 +239,7 @@ def _resolve(ring, terms, diffs, max_len):
             del cols[level], twists[level]
             complete = True
             break
-        # A Groebner basis need not generate minimally.  At the top level
-        # only syzygies in the degree of some generator can carry a unit,
-        # so those are the only ones computed there.
-        top = level - lo >= max_len
-        _, nxt = syzygy_generators(gb, set(twists[level]) if top else None)
+        _, nxt = syzygy_generators(gb)
         if level + 1 < frame:
             nxt = nxt.module_vectors()
             nxt += [v for v in map(gb.lift, rels) if v]

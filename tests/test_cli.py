@@ -317,6 +317,22 @@ def test_hilbert_tor_ext_refuse_an_empty_window(tmp_path, capsys, argv, cap,
         assert [len(e["values"]) for e in result[argv[0]]] == lengths
 
 
+@pytest.mark.parametrize("cap, degrees", [(None, []), (2, [0, 1, 2])])
+def test_hilbert_of_a_zero_module_lists_no_values(tmp_path, capsys, cap,
+                                                  degrees):
+    # its top degree is -inf, which once became the end of the window
+    # and raised TypeError; with a cap it lists zeros up to the cap
+    p = tmp_path / "zero.cmreg"
+    p.write_text("ring S = GF(32003)[x, y];\n"
+                 "module Z = coker(S, [0], [[1]]);\n")
+    flags = [] if cap is None else ["--max-degree", str(cap)]
+    code, out, err = run(capsys, "--session", str(p), *flags, "hilbert", "Z")
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    assert result["top_degree"] == {"value": None, "kind": "minus_infinity"}
+    assert result["values"] == [{"degree": j, "dim": 0} for j in degrees]
+
+
 def _shifted_session(tmp_path, k):
     p = tmp_path / f"shift{k}.cmreg"
     p.write_text("ring S = GF(32003)[x, y, z, w];\n"

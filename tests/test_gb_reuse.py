@@ -105,11 +105,11 @@ def test_koszul_homology_builds_no_term_basis_and_no_known_pair(
     buchberger, s_vector = groebner._buchberger, groebner._s_vector
     current = []
 
-    def counting_buchberger(gens, K, twists, use_pc, P, known=()):
+    def counting_buchberger(gens, K, twists, P, known=()):
         runs.append(len(known))
         current.append({id(e) for e in known})
         try:
-            return buchberger(gens, K, twists, use_pc, P, known)
+            return buchberger(gens, K, twists, P, known)
         finally:
             current.pop()
 
@@ -166,8 +166,8 @@ def eager_basis(vectors, ring, free, known):
     packed = [P.encode_vec(v) for v in vectors if v]
     packed += [a.terms for a in aug if a.pos >= start]
     elems = eager_interreduce(groebner._buchberger(
-        packed, K, free.twists, free.rank == 1, P,
-        known.elements if known else ()), K, free.twists, P)
+        packed, K, free.twists, P, known.elements if known else ()),
+        K, free.twists, P)
     if ring.is_polynomial:
         return elems, list(range(len(elems)))
     blockers = groebner._reducers(aug)

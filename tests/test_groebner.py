@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cmreg import polynomial_ring
+from cmreg import PresentedModule, polynomial_ring
 from cmreg.freemod import (FreeModule, term_key, vec_addmul, vec_degree,
                            vec_from_column)
 from cmreg import groebner
@@ -340,7 +340,6 @@ def test_pair_update_gives_the_all_pairs_basis(s_vectors_in_buchberger,
         x, y, z = ring.gens()
         ring = ring.quotient([x * x - y * z, x * z])
     K, P = ring.field, _packing(3)
-    rank_one = len(twists) == 1
     aug = [a.terms for a in _augmented_columns(ring, FreeModule(ring, twists))]
     # one term per position keeps rank-3 bases over QQ small
     nterms = 1 if len(twists) > 1 else 3
@@ -353,14 +352,14 @@ def test_pair_update_gives_the_all_pairs_basis(s_vectors_in_buchberger,
         first, rest = gens[:len(gens) // 2] + aug, gens[len(gens) // 2:]
         want, done = naive_buchberger(first, K, twists, P)
         naive_count += done
-        got = groebner._buchberger(first, K, twists, rank_one, P)
+        got = groebner._buchberger(first, K, twists, P)
         assert reduced(got, K, P) == reduced(want, K, P)
         grown += len(want) > len(first)
         known = groebner._interreduce(got, K, P)
         want, done = naive_buchberger([g.terms for g in known] + rest, K,
                                       twists, P)
         naive_count += done
-        got = groebner._buchberger(rest, K, twists, rank_one, P, known)
+        got = groebner._buchberger(rest, K, twists, P, known)
         assert reduced(got, K, P) == reduced(want, K, P)
     assert grown  # not vacuous: some S-vector reduced to a new element
     assert s_vectors_in_buchberger[0] < naive_count
@@ -368,17 +367,22 @@ def test_pair_update_gives_the_all_pairs_basis(s_vectors_in_buchberger,
 
 def test_the_product_criterion_only_holds_at_rank_one(S2):
     # (x, y) and (y^2, x) have coprime leads x e_0 and y^2 e_0, but their
-    # S-vector (0, y^3 - x^2) is a new basis element (module docstring)
+    # S-vector (0, y^3 - x^2) does not reduce to zero against them
+    # (module docstring), so a run at rank two must form it
     x, y = S2.gens()
     K, P = S2.field, _packing(2)
     twists = (0, 0)
     gens = [P.encode_vec(vec_from_column(col)) for col in ([x, y], [y * y, x])]
     want, _ = naive_buchberger(gens, K, twists, P)
-    got = groebner._buchberger(gens, K, twists, False, P)
+    got = groebner._buchberger(gens, K, twists, P)
     assert reduced(got, K, P) == reduced(want, K, P)
     assert [decode(g) for g in got[2:]] == [vec_from_column([S2.zero_poly(), y ** 3 - x * x])]
-    wrong = groebner._buchberger(gens, K, twists, True, P)
-    assert reduced(wrong, K, P) != reduced(want, K, P)
+    gi, gj = got[:2]
+    lcm = mono_lcm(gi.ltm, gj.ltm)
+    assert gi.pos == gj.pos and lcm == mono_mul(gi.ltm, gj.ltm)
+    s, _, _ = _s_vector(gi, gj, P.encode(gi.pos, lcm), K, P.G)
+    r, _ = _reduce_packed(s, _reducers(got[:2]), K, P)
+    assert P.decode_vec(r) == vec_from_column([S2.zero_poly(), y ** 3 - x * x])
 
 
 def test_the_pair_update_forms_fewer_s_vectors_on_the_corpus(
@@ -393,10 +397,10 @@ def test_the_pair_update_forms_fewer_s_vectors_on_the_corpus(
 
 # -- the Schreyer pair selection against all S-pairs ----------------------
 
-def naive_syzygy_generators(gb, degrees=None):
-    """Reference: the trace syzygies of every same-position S-pair (with
-    `degrees`, of those whose degree lies in it), in the packing and the
-    lead-index order of `syzygy_generators` (`_syzygy_basis`)."""
+def naive_syzygy_generators(gb):
+    """Reference: the trace syzygies of every same-position S-pair, in the
+    packing and the lead-index order of `syzygy_generators`
+    (`_syzygy_basis`)."""
     K = field_ops(gb.ring.field)
     P = gb.packing
     mod = gb.module_elements
@@ -413,8 +417,6 @@ def naive_syzygy_generators(gb, degrees=None):
             if gi.pos != gj.pos:
                 continue
             lcm = mono_lcm(gi.ltm, gj.ltm)
-            if degrees is not None and mono_deg(lcm) + gb.free.twists[gi.pos] not in degrees:
-                continue
             s, di, dj = _s_vector(gi, gj, P.encode(gi.pos, lcm), K, P.G)
             r, trace = _reduce_packed(s, reducers, K, P, heads)
             assert not r
@@ -481,7 +483,8 @@ def syzygy_test_ring(rational, quotient):
 
 def compare_with_all_pairs(rational, twists, quotient, seed):
     """Counts (pruned, naive, units) over seeded random modules, after
-    asserting subset, generation and unit rank on each."""
+    asserting subset, generation and unit rank on each: every constant
+    coefficient of a syzygy comes from a selected one of its degree."""
     rng = random.Random(seed)
     ring = syzygy_test_ring(rational, quotient)
     K = ring.field
@@ -504,24 +507,8 @@ def compare_with_all_pairs(rational, twists, quotient, seed):
         assert all(gen.contains(v) for v in naive)
         counts[0] += len(pruned)
         counts[1] += len(naive)
-        if not naive:
-            continue
-        # degrees closed downward: the low-degree part still generates
-        degs = sorted(vec_degree(v, F1.twists) for v in naive)
-        low = set(range(degs[len(degs) // 2] + 1))
-        pruned_low = syzygy_generators(gb, low)[1].module_vectors()
-        naive_low = naive_syzygy_generators(gb, low)[1].module_vectors()
-        assert as_keys(pruned_low) <= as_keys(naive_low)
-        gen_low = groebner_basis(pruned_low, ring, F1)
-        assert all(gen_low.contains(v) for v in naive_low)
-        # the generator degrees, as at the top of a truncated resolution:
-        # the same units are found
-        top = set(F1.twists)
-        pruned_top = syzygy_generators(gb, top)[1].module_vectors()
-        naive_top = naive_syzygy_generators(gb, top)[1].module_vectors()
-        assert as_keys(pruned_top) <= as_keys(naive_top)
-        units = unit_rank(naive_top, K)
-        assert unit_rank(pruned_top, K) == units
+        units = unit_rank(naive, K)
+        assert unit_rank(pruned, K) == units
         counts[2] += units
     return counts
 
@@ -567,6 +554,60 @@ def test_syzygies_are_a_groebner_basis_in_the_schreyer_order(twists):
             gb = syz
             levels += 1
     assert levels >= 6
+
+
+def summed_neighbours(elems, K):
+    """g_k + g_{k+1} for consecutive packed elements, as packed terms."""
+    p = K.characteristic
+    out = []
+    for g, h in zip(elems, elems[1:]):
+        v = dict(g.terms)
+        for t, c in h.terms.items():
+            c = v.get(t, 0) + c
+            v[t] = c % p if p else c
+        out.append({t: c for t, c in v.items() if c})
+    return out
+
+
+def test_buchberger_runs_in_a_schreyer_packing():
+    # `_buchberger` reads the layout through its packing alone, so it runs
+    # on syzygies in the Schreyer order their basis induces: sums of
+    # consecutive syzygies, which are no Groebner basis, grow into the
+    # all-pairs basis, which `certify` accepts and against which each sum
+    # reduces to zero; the syzygies themselves, a Groebner basis already
+    # (Schreyer's theorem), gain no element
+    S = polynomial_ring(["x", "y", "z"])
+    x, y, z = S.gens()
+    modules = [PresentedModule.cyclic(S, [x * x, x * y, y * z * z, z ** 3]),
+               PresentedModule(S, FreeModule(S, (0, 1)), [
+                   vec_from_column(col) for col in (
+                       [x * x, y], [x * y, z], [y ** 3, x * z],
+                       [S.zero_poly(), z ** 3])])]
+    modules += [inst.module for inst in random_ideal_corpus()[:10]]
+    grown = 0
+    for M in modules:
+        _, syz = syzygy_generators(M.gb())
+        K, Q, twists = S.field, syz.packing, syz.free.twists
+        assert isinstance(Q, _SchreyerPacking)
+        elems = syz.elements
+        before = groebner._buchberger([g.terms for g in elems], K, twists, Q)
+        assert len(before) == len(elems)
+        assert sorted(g.lead for g in before) == sorted(g.lead for g in elems)
+        sums = summed_neighbours(elems, K)
+        if not sums:
+            continue
+        got = groebner._interreduce(groebner._buchberger(sums, K, twists, Q),
+                                    K, Q)
+        want, _ = naive_buchberger(sums, K, twists, Q)
+        assert [(g.lead, g.terms) for g in got] == reduced(want, K, Q)
+        gb = GroebnerBasis(M.ring, syz.free, got, list(range(len(got))), Q)
+        assert certify(gb)
+        groups = gb._reducer_groups()
+        assert all(not _reduce_packed(dict(v), groups, K, Q)[0] for v in sums)
+        start = [groebner._elem(v, K, twists, Q) for v in sums]
+        grown += not certify(GroebnerBasis(M.ring, syz.free, start,
+                                           list(range(len(start))), Q))
+    assert grown >= 3  # not vacuous: most inputs were no Groebner basis
 
 
 def test_frame_leads_lose_a_variable_at_every_level():
@@ -722,12 +763,12 @@ def tuple_schreyer_pairs(elems, P):
             for d, j, hl in sorted(cands):
                 if all((hl - k) & P.G for k in minimal):
                     minimal.append(hl)
-                    kept.append((j, i, d, hl))
+                    kept.append((j, i, hl))
     kept.sort()
-    return [(i, j, d, hl) for j, i, d, hl in kept]
+    return [(i, j, hl) for j, i, hl in kept]
 
 
-def method_call_syzygy_generators(gb, degrees=None):
+def method_call_syzygy_generators(gb):
     """Reference: the syzygy step with method-call arithmetic, pairs
     from tuple lcms, its trace summed into the syzygy term by term, and
     duplicates always dropped.  Returns (syzygies before the duplicate
@@ -746,11 +787,8 @@ def method_call_syzygy_generators(gb, degrees=None):
     out = []
     pairs = tuple_schreyer_pairs(ext, P)
     assert _schreyer_pairs(ext, P) == pairs
-    for i, j, d, hl in pairs:
-        gi, gj = ext[i], ext[j]
-        if degrees is not None and d + gb.free.twists[gi.pos] not in degrees:
-            continue
-        s, di, dj = method_call_s_vector(gi, gj, hl, K, P.G)
+    for i, j, hl in pairs:
+        s, di, dj = method_call_s_vector(ext[i], ext[j], hl, K, P.G)
         r, trace = method_call_reduce_packed(s, reducers, K, P, heads, up)
         assert not r
         syz = {}
@@ -865,23 +903,21 @@ def test_inline_kernel_matches_the_method_call_kernel(monkeypatch, field,
                 ref = gb.lift(v)
             assert ordered(new) == ordered(ref)
         # three frame levels (one over a quotient ring, whose resolution
-        # decodes its syzygies), and the unit search's degree filter
+        # decodes its syzygies)
         level = gb
         for _ in range(3 if ring.is_polynomial else 1):
             if not level.module_elements:
                 break
-            degrees = set(level.module_degrees())
-            for degs in (None, degrees):
-                _, new = syzygy_generators(level, degs)
-                raw, ref = method_call_syzygy_generators(level, degs)
-                assert packed_elements(new) == packed_elements(ref)
-                assert new.free.twists == ref.free.twists
-                assert new.packing.bases == ref.packing.bases
-                if ring.is_polynomial:
-                    # why `_syzygy_basis` skips its duplicate check here
-                    assert len({frozenset(s.items()) for s in raw}) == len(raw)
-                syzygies += len(new.elements)
-            level = syzygy_generators(level)[1]
+            _, new = syzygy_generators(level)
+            raw, ref = method_call_syzygy_generators(level)
+            assert packed_elements(new) == packed_elements(ref)
+            assert new.free.twists == ref.free.twists
+            assert new.packing.bases == ref.packing.bases
+            if ring.is_polynomial:
+                # why `_syzygy_basis` skips its duplicate check here
+                assert len({frozenset(s.items()) for s in raw}) == len(raw)
+            syzygies += len(new.elements)
+            level = new
     assert syzygies > 10
 
 

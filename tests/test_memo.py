@@ -4,8 +4,10 @@ source lints over src/cmreg: only memo writes object caches, the one
 resolution loop, `resolution._resolve`, is the only caller of the syzygy
 step and is entered only through `free_resolution`, which alone builds a
 `FreeResolution`, resolutions minimize in three places, Groebner bases
-interreduce in two places, a frame is decoded only by its basis, the
-reduction kernel is one loop with its field arithmetic inline, no
+interreduce in two places, a frame is decoded only by its basis, only
+the packing classes read the packed-term layout and the pair formula is
+written once, in them, `_buchberger` and the syzygy step take no flag,
+the reduction kernel is one loop with its field arithmetic inline, no
 function computes with field methods and there is one field class,
 checker outcomes are built and contradictions raised only by
 `theorems._finish`, the duality series and the depth are computed only
@@ -330,18 +332,85 @@ def test_the_reduction_kernel_records_one_trace_form():
 
 
 def test_the_packed_lcm_is_written_once():
-    """The field-wise max of packed exponents (`_Packing.lcm`) serves both
-    pair selections: `>> 16`, which widens its bit-16 comparisons to a
-    mask, appears once in groebner.py."""
-    shifts = [n for n in ast.walk(_groebner_tree())
+    """The field-wise max of packed exponents and the pair formula built
+    on it, lead + ((lcm - e - ((d - d_lead) << width)) << shift), are one
+    packing method (`pair`) that serves both pair selections: `>> 16`,
+    which widens its bit-16 comparisons to a mask, appears once in
+    groebner.py, and so does a shift by a packing's `shift`."""
+    tree = _groebner_tree()
+    shifts = [n for n in ast.walk(tree)
               if isinstance(n, ast.BinOp) and isinstance(n.op, ast.RShift)
               and isinstance(n.right, ast.Constant) and n.right.value == 16]
     assert len(shifts) == 1
-    readers = [f.name for f in _groebner_tree().body
+    ups = [n for n in ast.walk(tree)
+           if isinstance(n, ast.BinOp) and isinstance(n.op, ast.LShift)
+           and isinstance(n.right, ast.Attribute) and n.right.attr == "shift"]
+    assert len(ups) == 1
+    defs = [n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    assert defs.count("pair") == 1 and "lcm" not in defs
+    readers = [f.name for f in tree.body
                if isinstance(f, ast.FunctionDef)
-               and any(isinstance(n, ast.Attribute) and n.attr == "lcm"
+               and any(isinstance(n, ast.Attribute) and n.attr == "pair"
                        for n in ast.walk(f))]
     assert readers == ["_buchberger", "_schreyer_pairs"]
+
+
+# the two packings and the base they share
+PACKINGS = {"_Terms", "_Packing", "_SchreyerPacking"}
+LAYOUT_ATTRS = {"A", "B", "emask", "one", "bases", "struct"}
+LAYOUT_NAMES = {"_DEG_TOP", "_INDEX_BITS", "struct"}
+
+
+def layout_reads(source):
+    """(function, line, text) of each read of a packed-term layout name
+    in a function outside the packing classes: an attribute in
+    LAYOUT_ATTRS, except a field's `one`, or a name in LAYOUT_NAMES."""
+    out = []
+
+    def visit(node, func):
+        if isinstance(node, ast.ClassDef) and node.name in PACKINGS:
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if func is not None and (
+                (isinstance(node, ast.Attribute)
+                 and node.attr in LAYOUT_ATTRS and not _is_field(node.value))
+                or (isinstance(node, ast.Name) and node.id in LAYOUT_NAMES)):
+            out.append((func, node.lineno, ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def test_layout_reads_are_recognized():
+    src = ("import struct\n_DEG_TOP = 1\n"
+           "class _Packing:\n    def f(self):\n        return self.A, _DEG_TOP\n"
+           "def g(P, K):\n    return P.A + P.one + K.one\n"
+           "class GroebnerBasis:\n    def h(self):\n"
+           "        return self.packing.bases, struct.pack(_INDEX_BITS)\n")
+    assert layout_reads(src) == [
+        ("g", 7, "P.A"), ("g", 7, "P.one"), ("h", 10, "self.packing.bases"),
+        ("h", 10, "struct"), ("h", 10, "_INDEX_BITS")]
+
+
+def test_only_the_packings_read_the_packed_layout():
+    """`_buchberger`, the Schreyer pairs, lifts, syzygies, the block
+    shifts and the constant parts read exponent words, packed lcms and
+    basis vectors' heads through the packing (`word`, `pair`, `head`),
+    so a new packing needs no change outside its class."""
+    [source] = [src for name, _, src in sources() if name == "groebner.py"]
+    assert layout_reads(source) == []
+
+
+def test_buchberger_and_the_syzygy_step_take_no_flag():
+    """The product criterion follows from the rank (one twist), and the
+    syzygy step has no degree filter."""
+    args = {f.name: [a.arg for a in f.args.args]
+            for f in _groebner_tree().body if isinstance(f, ast.FunctionDef)}
+    assert args["_buchberger"] == ["gens", "K", "twists", "P", "known"]
+    assert args["syzygy_generators"] == ["gb"]
 
 
 FIELD_METHODS = {"add", "sub", "mul", "neg", "is_zero", "zero"}

@@ -347,10 +347,10 @@ def all_pairs_at_step(monkeypatch, k):
         step[0] = 0
         return real_resolve(*args)
 
-    def syz(gb, degrees=None):
+    def syz(gb):
         step[0] += 1
         pick = naive_syzygy_generators if step[0] == k else real_syz
-        return pick(gb, degrees)
+        return pick(gb)
 
     monkeypatch.setattr(res_mod, "_resolve", resolve)
     monkeypatch.setattr(res_mod, "syzygy_generators", syz)
