@@ -12,48 +12,56 @@ Determinism: input generators are sorted, the pair queue is keyed by
 (lcm degree, generator indices), reducers are tried in canonical basis
 order, and the reduced basis is sorted by (degree, lead term).
 
-Packed terms: inside this module a term (pos, m) of an n-variable ring is
-one int
+Packed terms: inside this module a term m e_c of a free module over an
+n-variable ring is one int
 
-    h = pos * 2^A + (2^40 - 1 - deg m) * 2^B + sum_i e_i * 2^(32 (i - 1))
+    h = ((bases[c] + h0(m) - h0(1)) << W) + c,    W = _INDEX_BITS,
 
-with 32-bit exponent fields (16 exponent bits under 16 guard bits),
-B = 32 n and A = B + 40 (`_Packing`, one per variable count).  Then:
+with h0 the level-0 code of a monomial,
 
-- a smaller h is the larger term in position-over-grevlex order (the order
-  of `term_key`), so the heap in `_reduce_packed` holds plain ints;
-- h is linear in m: h(p, m * q) = h(p, m) + h(0, q) - h(0, 1), so a
-  reducer's tail is stored as offsets h(tail term) - h(lead) and each
-  product term costs one int addition;
+    h0(m) = (2^40 - 1 - deg m) * 2^B + sum_i e_i * 2^(32 (i - 1)),
+
+32-bit exponent fields (16 exponent bits under 16 guard bits), B = 32 n,
+and bases[c] the level-0 term of e_c.  A smaller h is the larger term in
+the order that compares level-0 terms bases[c] + h0(m) - h0(1) first
+(a smaller one is larger, grevlex within a degree) and breaks ties by the
+smaller position.  One class, `_Packing`, holds this layout, and a
+packing is a choice of bases:
+
+- position over grevlex (`_packing`, one shared packing per variable
+  count): bases[c] = c * 2^A + h0(1), A = B + 40, so the position is
+  compared first; this is the order of `term_key`.  Its bases cover every
+  position a caller has asked for, so a term of a free module is the same
+  int in any larger one (seeded runs, direct sums, tags, lifts).
+- the Schreyer order of elements g_1..g_s (`_Packing.schreyer`): bases[c]
+  = lead(g_c) >> W, the level-0 term of g_c's lead, so m e_c compares as
+  m lt(g_c) and ties go to the smaller index.  The same holds one level
+  up, with g_c in F_1, provided the elements are numbered in lead-index
+  order: two terms of F_2 with equal level-0 terms then compare by the
+  F_1 index of their leads exactly when they compare by their own index
+  (`_syzygy_basis`).
+
+Then, in every packing:
+
+- a smaller h is the larger term, so the heap in `_reduce_packed` holds
+  plain ints, and the position of h is h & M, M = 2^W - 1;
+- h is linear in m: h(m q e_c) = h(m e_c) + ((h0(q) - h0(1)) << W), so a
+  reducer's tail is stored as offsets h(tail term) - h(lead), each
+  product term costs one int addition, and an offset within a position is
+  a multiple of 2^W;
 - lead | t (same position) exactly when ((t - h_lead) & G) == 0, G the
-  mask of all guard bits: a field that goes negative borrows and sets its
-  guard bits, and exponents below 2^16 never carry into them;
+  mask of all guard bits, shifted up by W: a field that goes negative
+  borrows and sets its guard bits, and exponents below 2^16 never carry
+  into them;
 - an exponent above EXPONENT_CAP is u & G != 0.  That is checked on every
   new product term in `_reduce_packed` and in `_s_vector`, and on every
   encoded input term, with the OverflowError of `poly.mono_mul`.
 
-The Schreyer order (`_SchreyerPacking`).  Let g_1..g_s be elements of a
-free module F_0 packed as above, and F_1 free on e_1..e_s.  A term m e_c
-of F_1 packs as
-
-    h = h0(m lt(g_c)) * 2^W + c,    W = _INDEX_BITS,
-
-h0 the level-0 packed term.  A smaller h is the larger term in the order
-that compares m lt(g_c) first and breaks ties by the smaller index: the
-Schreyer order.  The same holds one level up, with g_c in F_1 and h0 read
-off its packed lead as lead >> W, provided the elements are numbered in
-lead-index order: two terms of F_2 with equal level-0 terms then compare
-by the F_1 index of their leads exactly when they compare by their own
-index (`_syzygy_basis`).  So every level packs into the same shape, with
-its position in the low W bits and its guard mask G shifted up by W, and
-linearity, divisibility and the cap check carry over unchanged.
-
-Only the packings (`_Packing`, `_SchreyerPacking` and their base
-`_Terms`) know the layout.  Every other function reads a term's position
-as (h >> S) & M, and a lead's exponent word (`word`), a pair's packed lcm
-(`pair`) and a basis vector's head (`head`) through them.  So one
-kernel, `_reduce_packed`, with one `_s_vector`, `_schreyer_pairs` and
-`_buchberger`, serves both orders.
+Only `_Packing` knows the layout.  Every other function reads a term's
+position as h & M, and a lead's exponent word (`word`), a pair's packed
+lcm (`pair`) and a basis vector's head (`head`) through the packing.  So
+one kernel, `_reduce_packed`, with one `_s_vector`, `_schreyer_pairs` and
+`_buchberger`, serves every order.
 
 A GBElem holds packed terms only, and its basis, which knows the
 packing, decodes it (`GroebnerBasis.module_vectors`, into tuple dicts
@@ -81,11 +89,12 @@ over GF(p).
 
 The trace has one form.  Given a head per reducer, the packed basis
 vector its quotient is written on, the kernel records each negated
-quotient term -c q as the packed term heads[i] + (offset of q): a syzygy
-step gives Schreyer-packed heads, a lift e_k in position over grevlex,
-and a reducer whose quotient is not wanted (a defining column) has no
-head.  Each term is reduced at most once, so the trace records each
-(reducer, quotient term) once and never adds.
+quotient term -c q as the packed term heads[i] + d, d = h(q t) - h(t) the
+offset of q: an offset is a multiple of 2^W, so that is q e_i in the
+head's own packing.  A syzygy step gives Schreyer-packed heads, a lift
+e_k in position over grevlex, and a reducer whose quotient is not wanted
+(a defining column) has no head.  Each term is reduced at most once, so
+the trace records each (reducer, quotient term) once and never adds.
 
 Pair selection (`_schreyer_pairs`): order syzygies by the Schreyer order
 of a basis g_1..g_s, m e_i > m' e_j when m lt(g_i) > m' lt(g_j), or the
@@ -112,8 +121,8 @@ head, the trace holds -q_k e_k, grouped by k, so `syzygy_generators`
 only prepends m_i e_i - m_j e_j.  No two of these terms meet, since
 every q_k lt(g_k) lies below the lcm.  A pair's lcm is taken on the
 leads' exponent words, field by field, and packed by linearity as
-head(p) + ((lcm - (deg lcm << 32 n)) << shift) in position p, with no
-tuple per pair (`_Terms.pair`, which `_buchberger` shares).  There is no
+head(p) + ((lcm - (deg lcm << B)) << W) in position p, with no tuple per
+pair (`_Packing.pair`, which `_buchberger` shares).  There is no
 degree filter: a truncated resolution's top step takes every selected
 pair too.  Over a polynomial ring the selected pairs have distinct
 Schreyer leads, so only a quotient ring's syzygies are checked for
@@ -166,121 +175,97 @@ from .poly import EXPONENT_CAP, mono_deg, Polynomial
 _DEG_TOP = (1 << 40) - 1
 _GUARD = 0xFFFFFFFF & ~EXPONENT_CAP
 _OVERFLOW = f"monomial exponent exceeds {EXPONENT_CAP}"
-_INDEX_BITS = 32  # room for the basis index in a Schreyer-packed term
+_INDEX_BITS = 32  # W: room for a term's position below its level-0 term
 
 
-class _Terms:
-    """What every packing shares: a term's position is (h >> S) & M, and
-    h >> shift is its level-0 term (the term itself for position over
-    grevlex)."""
+class _Packing:
+    """Encoder and decoder of the packed terms of one free module over a
+    ring of nvars variables: m e_c packs as ((bases[c] + h0(m) - h0(1))
+    << W) + c, bases[c] the level-0 term of e_c (module docstring)."""
 
-    __slots__ = ()
+    __slots__ = ("nvars", "struct", "nbytes", "B", "A", "G0", "G", "emask",
+                 "one", "H", "ones", "top", "bases")
+    M = (1 << _INDEX_BITS) - 1
+
+    def __init__(self, nvars, bases):
+        self.nvars = nvars
+        self.struct = struct.Struct(f"<{nvars}I")
+        self.nbytes = 4 * nvars
+        self.B = 32 * nvars
+        self.A = self.B + 40
+        self.G0 = int.from_bytes(self.struct.pack(*[_GUARD] * nvars), "little")
+        self.G = self.G0 << _INDEX_BITS
+        self.emask = (1 << self.B) - 1
+        self.one = _DEG_TOP << self.B  # h0(1)
+        # bit 16 and bit 0 of every field, and the top field's shift (`pair`)
+        self.H = int.from_bytes(self.struct.pack(*[1 << 16] * nvars), "little")
+        self.ones = int.from_bytes(self.struct.pack(*[1] * nvars), "little")
+        self.top = self.B - 32
+        self.bases = bases
+
+    def grow(self, rank):
+        """Extend position-over-grevlex bases to rank positions: e_c's
+        level-0 term is c * 2^A + h0(1)."""
+        bases = self.bases
+        bases += [(c << self.A) + self.one for c in range(len(bases), rank)]
+
+    def schreyer(self, leads):
+        """The packing of the Schreyer order that elements with these
+        packed leads induce on the free module with one basis vector e_c
+        per element: e_c's level-0 term is lead c's."""
+        return _Packing(self.nvars, [lead >> _INDEX_BITS for lead in leads])
+
+    def encode(self, c, m):
+        e = int.from_bytes(self.struct.pack(*m), "little")
+        h0 = self.bases[c] + e - (sum(m) << self.B)
+        if (e | h0) & self.G0:
+            raise OverflowError(_OVERFLOW)
+        return (h0 << _INDEX_BITS) + c
 
     def encode_vec(self, vec):
         return {self.encode(p, m): c for (p, m), c in vec.items()}
 
+    def word(self, h):
+        """The exponent word of h's monomial: its packed exponent fields."""
+        return ((h >> _INDEX_BITS) - self.bases[h & self.M]) & self.emask
+
+    def mono(self, h):
+        """The monomial of h."""
+        return self.struct.unpack(self.word(h).to_bytes(self.nbytes, "little"))
+
     def decode_vec(self, terms):
-        S, M, mono = self.S, self.M, self.mono
-        return {((h >> S) & M, mono(h)): c for h, c in terms.items()}
+        M, mono = self.M, self.mono
+        return {(h & M, mono(h)): c for h, c in terms.items()}
+
+    def head(self, c):
+        """The packed basis vector e_c."""
+        return (self.bases[c] << _INDEX_BITS) + c
 
     def pair(self, head, ea, eb):
         """(degree, exponent word, packed term in head's position) of the
         lcm of two monomials given by their exponent words (`word`), the
         one pair formula (module docstring); as the lcm of two terms of
         that position, the term is within the cap."""
-        B = self.base
-        H = B.H
+        H = self.H
         # field by field, bit 16 of (2^16 + e_b - e_a) is set where
         # e_b >= e_a; widened to a mask, it picks the max
         ge = ((eb | H) - ea) & H
         lcm = ea ^ ((ea ^ eb) & (ge - (ge >> 16)))
         # one multiply sums every field into the top one
-        d = ((lcm * B.ones) >> B.top) & 0xFFFFFFFF
-        return d, lcm, head + ((lcm - (d << B.B)) << self.shift)
-
-
-class _Packing(_Terms):
-    """Encoder and decoder of position-over-grevlex packed terms for one
-    variable count."""
-
-    __slots__ = ("struct", "nbytes", "B", "A", "G", "emask", "one", "S",
-                 "base", "H", "ones", "top")
-    M = -1
-    shift = 0
-
-    def __init__(self, nvars):
-        self.struct = struct.Struct(f"<{nvars}I")
-        self.nbytes = 4 * nvars
-        self.B = 32 * nvars
-        self.A = self.S = self.B + 40
-        self.G = int.from_bytes(self.struct.pack(*[_GUARD] * nvars), "little")
-        self.emask = (1 << self.B) - 1
-        self.one = _DEG_TOP << self.B  # h(0, 1)
-        self.base = self
-        # bit 16 and bit 0 of every field, and the top field's shift (`pair`)
-        self.H = int.from_bytes(self.struct.pack(*[1 << 16] * nvars), "little")
-        self.ones = int.from_bytes(self.struct.pack(*[1] * nvars), "little")
-        self.top = self.B - 32
-
-    def encode(self, pos, m):
-        e = int.from_bytes(self.struct.pack(*m), "little")
-        if e & self.G:
-            raise OverflowError(_OVERFLOW)
-        return (pos << self.A) + ((_DEG_TOP - sum(m)) << self.B) + e
-
-    def mono(self, h):
-        """The monomial of h."""
-        return self.struct.unpack((h & self.emask).to_bytes(self.nbytes, "little"))
-
-    def word(self, h):
-        """The exponent word of h's monomial: its packed exponent fields."""
-        return h & self.emask
-
-    def head(self, pos):
-        """The packed basis vector e_pos, h(pos, 1)."""
-        return (pos << self.A) + self.one
-
-
-class _SchreyerPacking(_Terms):
-    """Packed terms of the Schreyer order that elements with packed leads
-    `leads` (in packing P) induce on the free module with one basis vector
-    e_c per element: m e_c packs as (h0 << W) + c, h0 the level-0 packed
-    term of m lead(c) and W = _INDEX_BITS (module docstring)."""
-
-    __slots__ = ("base", "bases", "G")
-    S = 0
-    M = (1 << _INDEX_BITS) - 1
-    shift = _INDEX_BITS
-
-    def __init__(self, P, leads):
-        self.base = P.base
-        self.bases = [lead >> P.shift for lead in leads]  # level-0 leads
-        self.G = P.base.G << _INDEX_BITS
-
-    def encode(self, c, m):
-        B = self.base
-        h0 = self.bases[c] + B.encode(0, m) - B.one
-        if h0 & B.G:
-            raise OverflowError(_OVERFLOW)
-        return (h0 << _INDEX_BITS) + c
-
-    def mono(self, h):
-        return self.base.mono((h >> _INDEX_BITS) - self.bases[h & self.M])
-
-    def word(self, h):
-        return self.base.word((h >> _INDEX_BITS) - self.bases[h & self.M])
-
-    def head(self, c):
-        return (self.bases[c] << _INDEX_BITS) + c
+        d = ((lcm * self.ones) >> self.top) & 0xFFFFFFFF
+        return d, lcm, head + ((lcm - (d << self.B)) << _INDEX_BITS)
 
 
 _PACKINGS = {}
 
 
-def _packing(nvars):
+def _packing(nvars, rank):
+    """The shared position-over-grevlex packing of nvars variables, its
+    bases covering at least positions 0..rank - 1."""
     P = _PACKINGS.get(nvars)
     if P is None:
-        P = _PACKINGS[nvars] = _Packing(nvars)
+        P = _PACKINGS[nvars] = _Packing(nvars, [])
+    P.grow(rank)
     return P
 
 
@@ -305,7 +290,7 @@ def _elem(terms, K, twists, P):
     if c != K.one:
         ci, p = K.inv(c), K.characteristic
         terms = {h: cc * ci % p if p else cc * ci for h, cc in terms.items()}
-    pos = (lead >> P.S) & P.M
+    pos = lead & P.M
     ltm = P.mono(lead)
     return GBElem(terms, lead, pos, ltm, mono_deg(ltm) + twists[pos])
 
@@ -324,29 +309,29 @@ def _reducers(elems):
     return groups
 
 
-def _reduce_packed(work, reducers, K, P, heads=None, up=0):
+def _reduce_packed(work, reducers, K, P, heads=None):
     """Full normal form r of the packed vector `work` (consumed) against
     `_reducers(elems)`, largest term first, leftmost reducer: work =
     sum_i q_i elems[i] + r.  Returns (r, trace).
 
     With `heads`, each element's packed basis vector (None for one whose
     quotient is not wanted), the trace holds each -q_i times its head as
-    packed terms, {i: {heads[i] + (d << up): -c}}, where c q is a
-    quotient term and d = h(q t) - h(t) its offset.  Without heads the
-    trace is None (module docstring, The trace has one form)."""
+    packed terms, {i: {heads[i] + d: -c}}, where c q is a quotient term
+    and d = h(q t) - h(t) its offset, a multiple of 2^W.  Without heads
+    the trace is None (module docstring, The trace has one form)."""
     rem = {}
     heap = list(work)
     heapify(heap)
     trace = None if heads is None else {}
     p = K.characteristic
-    S, M, G = P.S, P.M, P.G
+    M, G = P.M, P.G
     while heap:
         h = heappop(heap)
         c = work.pop(h, None)
         if c is None:
             # lazy deletion: h cancelled, or was processed already
             continue
-        for i, lead, tail in reducers.get((h >> S) & M, ()):
+        for i, lead, tail in reducers.get(h & M, ()):
             d = h - lead
             if not d & G:
                 break
@@ -377,7 +362,7 @@ def _reduce_packed(work, reducers, K, P, heads=None, up=0):
                     del work[u]
         # each h is reduced once, so (i, d) is never recorded twice
         if heads is not None and heads[i] is not None:
-            trace.setdefault(i, {})[heads[i] + (d << up)] = nc
+            trace.setdefault(i, {})[heads[i] + d] = nc
     return rem, trace
 
 
@@ -544,7 +529,7 @@ def defining_gb(ring):
     """Reduced rank-one basis of the defining ideal over the cover (cached)."""
     if ring.is_polynomial:
         return []
-    K, P = ring.field, _packing(ring.nvars)
+    K, P = ring.field, _packing(ring.nvars, 1)
     return _cached(ring, "defining_gb", lambda: _interreduce(_buchberger(
         [{P.encode(0, m): c for m, c in f.terms.items()} for f in ring.defining],
         K, (0,), P), K, P))
@@ -567,7 +552,7 @@ def _moved(elems, off, twists, P):
 def _augmented_columns(ring, free):
     """The defining ideal times each free basis vector, as GBElems, in
     the order of the ideal's basis, then of the positions."""
-    fs, P = defining_gb(ring), _packing(ring.nvars)
+    fs, P = defining_gb(ring), _packing(ring.nvars, free.rank)
     blocks = [_moved(fs, p, free.twists, P)
               for p in range(free.rank)] if fs else []
     return [g for gs in zip(*blocks) for g in gs]
@@ -595,7 +580,7 @@ class GroebnerBasis:
         self.free = free
         self._elements = elements
         self._module_indices = module_indices
-        self.packing = packing or _packing(ring.nvars)
+        self.packing = packing or _packing(ring.nvars, free.rank)
         self._groups = None
 
     @property
@@ -669,8 +654,11 @@ class GroebnerBasis:
         """c with vec = sum_k c_k module_elements[k] over the ring, for vec
         in the submodule of a position-over-grevlex basis: the reduction
         trace with module element k's head e_k packed in that order, and
-        none for a defining column, is -c."""
-        P, K = self.packing, self.ring.field
+        none for a defining column, is -c.  The shared packing covers the
+        free module on the module elements too, and packs its terms to the
+        same ints as the basis's own positions."""
+        K = self.ring.field
+        P = _packing(self.ring.nvars, len(self.module_indices))
         heads = [None] * len(self.elements)
         for k, i in enumerate(self.module_indices):
             heads[i] = P.head(k)
@@ -692,7 +680,7 @@ def groebner_basis(vectors, ring, free, *, known=None):
     grown from `known` without reducing its pairs again (`_buchberger`);
     only positions past `known.free` get defining columns of their own."""
     K = ring.field
-    P = _packing(ring.nvars)
+    P = _packing(ring.nvars, free.rank)
     gens = [v for v in vectors if v]
     for v in gens:
         if not vec_is_homogeneous(v, free.twists):
@@ -715,7 +703,7 @@ def direct_sum_basis(ring, free, blocks):
     reduced and a Groebner basis, hence the unique reduced basis of the
     sum.  Only positions, degrees (the blocks' twists may differ from
     `free`'s by a shift) and the canonical order change; no Buchberger."""
-    P = _packing(ring.nvars)
+    P = _packing(ring.nvars, free.rank)
     elems, in_module = [], set()
     for gb, off in blocks:
         moved = _moved(gb.elements, off, free.twists, P)
@@ -729,7 +717,7 @@ def direct_sum_basis(ring, free, blocks):
 def reduce_poly_mod_defining(ring, f):
     vec = {(0, m): c for m, c in f.terms.items()}
     r, _ = _reduce(vec, _reducers(defining_gb(ring)), ring.field,
-                   _packing(ring.nvars))
+                   _packing(ring.nvars, 1))
     return Polynomial(ring, {m: c for (_, m), c in r.items()})
 
 
@@ -804,28 +792,27 @@ def syzygy_generators(gb):
     ext = list(mod) + _augmented_columns(ring, gb.free)
     reducers = _reducers(ext)
     n_mod = len(mod)
-    Q = _SchreyerPacking(P, [g.lead for g in mod])
-    # q e_k packs as heads[k] + (d << up), d the offset of q in P; the
-    # defining columns' coordinates are dropped
+    Q = P.schreyer([g.lead for g in mod])
+    # q e_k packs as heads[k] + d, d the offset of q in P; the defining
+    # columns' coordinates are dropped
     heads = [Q.head(k) for k in range(n_mod)]
     heads += [None] * (len(ext) - n_mod)
-    up = Q.shift - P.shift
     p, one = K.characteristic, K.one
     minus_one = p - 1 if p else -one
     out = []
     for i, j, hl in _schreyer_pairs(ext, P):
         s, di, dj = _s_vector(ext[i], ext[j], hl, K, P.G)
-        r, trace = _reduce_packed(s, reducers, K, P, heads, up)
+        r, trace = _reduce_packed(s, reducers, K, P, heads)
         if r:
             raise ArithmeticError("S-pair of a Groebner basis did not reduce to zero")
         # m_i e_i - m_j e_j - sum_k q_k e_k, with no term repeated
         # (module docstring)
         syz = {}
         if i < n_mod:
-            lead = heads[i] + (di << up)
+            lead = heads[i] + di
             syz[lead] = one
         if j < n_mod:
-            syz[heads[j] + (dj << up)] = minus_one
+            syz[heads[j] + dj] = minus_one
         for part in trace.values():
             syz.update(part)
         if i < n_mod and min(syz, default=None) != lead:

@@ -23,12 +23,14 @@ keeps it (lift_to_cover), so the two share that resolution over quotient
 rings as they do over polynomial rings.  The betti route reads twists and
 shares no homology code with the other three.
 
-reg_via_duality, default-form reg_via_koszul and reg_complex keep their
-result on the object they were asked about, next to its Groebner basis,
-Hilbert series and resolutions, under the one cache rule of cmreg.memo,
-so a checker that asks twice pays once.  Explicit Koszul forms are never
-cached, and the cross_check betti run is repeated on every call, reading
-the resolution kept on the cover.
+reg_via_duality and default-form reg_via_koszul keep their result on the
+object they were asked about, next to its Groebner basis, Hilbert series
+and resolutions, under the one cache rule of cmreg.memo, so a checker
+that asks twice pays once.  reg_complex keeps no entry of its own: it
+reads the koszul entry of the module's or complex's cover, the object
+itself over a polynomial ring.  Explicit Koszul forms are never cached,
+and the cross_check betti run is repeated on every call, reading the
+resolution kept on the cover.
 
 The duality series and the depth are kept one level down, on the cover
 ring, under the module's key (_module_key: its generator twists less the
@@ -71,6 +73,14 @@ def _require_module(M):
         raise TypeError("expected a presented module")
 
 
+def _cover(obj):
+    """A module's or complex's cover, built once (itself over a polynomial
+    ring)."""
+    if not isinstance(obj, (PresentedModule, BoundedComplex)):
+        raise TypeError("expected a presented module or a bounded complex")
+    return obj.lift_to_cover()
+
+
 # -- route 1: resolution twists -------------------------------------------
 
 def _sup(candidates):
@@ -94,9 +104,7 @@ def reg_via_betti(obj, max_len=None):
 
     witness is a (homological spot, twist) pair attaining the sup.
     """
-    if not isinstance(obj, (PresentedModule, BoundedComplex)):
-        raise TypeError("expected a presented module or a bounded complex")
-    res = free_resolution(obj.lift_to_cover(), max_len=max_len)
+    res = free_resolution(_cover(obj), max_len=max_len)
     if not res.complete:
         raise RuntimeError("free resolution was truncated")
     return _twist_sup(res)
@@ -375,10 +383,9 @@ def reg_complex(L, cross_check=False):
     With cross_check the value is recomputed through the betti route on
     every call, and a mismatch raises; the two routes share no homology
     code.  That route reads the resolution kept on L's cover, so only the
-    first cross-check resolves.  The value is cached on L."""
-    C = _as_complex(L)
-    value = _cached(L, "reg_complex",
-                    lambda: reg_via_koszul(C.lift_to_cover())[0])
+    first cross-check resolves.  The value is the koszul route's entry on
+    L's cover, which reg_via_koszul of the cover shares."""
+    value = reg_via_koszul(_cover(L))[0]
     if cross_check:
         other, _ = reg_via_betti(L)
         if other != value:

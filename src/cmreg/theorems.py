@@ -356,13 +356,15 @@ def check_hom_dim1(ideal_gens, N, instance="pair", seed=None):
 # -- one linear (or higher-degree) cut -------------------------------------
 
 def check_filter_regular_formula(M, x, instance="module", seed=None):
-    """reg M = max{reg(0:x), reg M/xM - d + 1} for a form x of degree d,
-    under depth M/xM >= dim(0:x) - 1.  Without the hypothesis only <=
-    survives, and the outcome records whether the gap is strict."""
+    """reg M = max{reg(0:x), reg M/xM - d + 1} for a form x of degree
+    d >= 1, under depth M/xM >= dim(0:x) - 1.  Without the hypothesis only
+    <= survives, and the outcome records whether the gap is strict."""
     x = M.ring.reduce(x)
     if x.is_zero() or not x.is_homogeneous():
         raise ValueError("need a nonzero homogeneous form")
     d = x.homogeneous_degree()
+    if d < 1:
+        raise ValueError("the filter formula needs a form of positive degree")
     C, _ = colon_by_element(M, x)
     Q = quotient_by_element(M, x)
     dep_q = depth(Q)

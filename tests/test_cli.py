@@ -140,6 +140,16 @@ def test_filter_form_past_the_exponent_cap_exits_one(session_file, capsys,
                    "exceeds 65535\n")
 
 
+def test_filter_form_of_degree_zero_exits_two(session_file, capsys):
+    # it exited 3, "contradiction: filter on M: lhs=1 rhs=-inf", which
+    # reports a broken engine; a unit form is a bad input
+    code, out, err = run(capsys, "--session", session_file, "check",
+                         "filter", "--module", "M", "--form", "z^0")
+    assert (code, out) == (2, "")
+    assert err == ("cmreg: the filter formula needs a form of positive "
+                   "degree\n")
+
+
 def test_unknown_binding_exits_one(session_file, capsys):
     code, _, err = run(capsys, "--session", session_file, "reg", "ghost")
     assert code == 1

@@ -160,7 +160,7 @@ def eager_interreduce(elems, K, twists, P):
 def eager_basis(vectors, ring, free, known):
     """(elements, module_indices) of `groebner_basis(vectors, ring, free,
     known=known)` reduced right after its Buchberger run."""
-    K, P = ring.field, groebner._packing(ring.nvars)
+    K, P = ring.field, groebner._packing(ring.nvars, free.rank)
     aug = groebner._augmented_columns(ring, free)
     start = known.free.rank if known else 0
     packed = [P.encode_vec(v) for v in vectors if v]

@@ -3,17 +3,18 @@ import random
 
 import pytest
 
-from cmreg import PresentedModule, polynomial_ring
+from cmreg import PresentedModule, free_resolution, polynomial_ring
 from cmreg.freemod import (FreeModule, term_key, vec_addmul, vec_degree,
                            vec_from_column)
 from cmreg import groebner
-from cmreg.groebner import (_INDEX_BITS, GroebnerBasis, _SchreyerPacking,
+from cmreg.groebner import (_INDEX_BITS, GroebnerBasis, _Packing,
                             _augmented_columns, _packing, _reduce,
                             _reduce_packed, _reducers, _s_vector,
                             _schreyer_pairs, _syzygy_basis, certify,
                             defining_gb,
                             groebner_basis, reduce_poly_mod_defining,
                             syzygy_generators)
+from cmreg.modules import quotient_series
 from cmreg.oracle import monomials_of_degree
 from cmreg.poly import (EXPONENT_CAP, Polynomial, mono_deg, mono_div,
                         mono_divides, mono_lcm, mono_mul)
@@ -29,26 +30,30 @@ def vecs_from_polys(polys):
 def make_elem(vec, K, twists):
     """A monic GBElem from a nonzero tuple-dict vector, packed in position
     over grevlex."""
-    P = _packing(len(next(iter(vec))[1]))
+    P = _packing(len(next(iter(vec))[1]), len(twists))
     return groebner._elem(P.encode_vec(vec), K, twists, P)
 
 
 def decode(g):
-    """The tuple dict of an element packed in position over grevlex."""
-    return _packing(len(g.ltm)).decode_vec(g.terms)
+    """The tuple dict of an element packed in position over grevlex (the
+    shared packing already covers every position it was packed in)."""
+    return _packing(len(g.ltm), g.pos + 1).decode_vec(g.terms)
 
 
-def own_heads(P, n):
-    """Trace heads for n elements in packing P: element i's head is e_i,
-    with the position field and the level-0 shape of P, so a recorded
-    term reads back as (i, q) through `split_head` (in position over
-    grevlex, through `P.decode_vec` as well)."""
-    return [(P.base.one << P.shift) + (i << P.S) for i in range(n)]
+def own_heads(nvars, n):
+    """Trace heads for n elements: element i's head is e_i in position
+    over grevlex.  A quotient offset is a multiple of 2^W in every
+    packing, so whatever the reducers' packing, a recorded term q e_i is
+    that packing's term (i, q) and reads back through `split_head` (or
+    through the packing's `decode_vec`)."""
+    P = _packing(nvars, n)
+    return [P.head(i) for i in range(n)]
 
 
-def split_head(P, h):
+def split_head(nvars, h):
     """(i, q) of a term q e_i packed as in `own_heads`."""
-    return (h >> P.S) & P.M, P.base.mono(h >> P.shift)
+    i = h & _Packing.M
+    return i, _packing(nvars, i + 1).mono(h)
 
 
 def test_determinantal_ideal_basis(S4):
@@ -161,8 +166,9 @@ def random_vec(rng, ring, twists, deg, nterms):
 
 
 def assert_kernel_matches(vec, elems, K):
-    P = _packing(len(elems[0].ltm))
-    rem, trace = _reduce(vec, _reducers(elems), K, P, own_heads(P, len(elems)))
+    n = len(elems[0].ltm)
+    P = _packing(n, 1 + max(p for p, _ in vec))
+    rem, trace = _reduce(vec, _reducers(elems), K, P, own_heads(n, len(elems)))
     ref_rem, ref_trace = naive_reduce(vec, elems, K)
     # same terms in the same (decreasing) order, same quotients, negated
     assert list(rem.items()) == list(ref_rem.items())
@@ -253,7 +259,7 @@ def test_s_vector_past_the_cap_raises(S3):
     # the builder itself raises, also where such terms could cancel later
     K = S3.field
     gi, gj = (make_elem(v, K, (0,)) for v in vecs_from_polys([y * y - x * z, big]))
-    P = _packing(3)
+    P = _packing(3, 1)
     hl = P.encode(0, mono_lcm(gi.ltm, gj.ltm))
     for a, b in ((gi, gj), (gj, gi)):
         with pytest.raises(OverflowError):
@@ -267,7 +273,7 @@ def test_reduction_past_the_cap_raises(S3):
     g = make_elem({(0, (0, 2, 0)): K.one, (0, (1, 0, 1)): K.from_int(-1)}, K, (0,))
     vec = {(0, (EXPONENT_CAP, 2, 0)): K.one}
     with pytest.raises(OverflowError):
-        _reduce(vec, _reducers([g]), K, _packing(3))
+        _reduce(vec, _reducers([g]), K, _packing(3, 1))
     with pytest.raises(OverflowError):
         naive_reduce(vec, [g], K)
 
@@ -339,7 +345,7 @@ def test_pair_update_gives_the_all_pairs_basis(s_vectors_in_buchberger,
     if quotient:
         x, y, z = ring.gens()
         ring = ring.quotient([x * x - y * z, x * z])
-    K, P = ring.field, _packing(3)
+    K, P = ring.field, _packing(3, len(twists))
     aug = [a.terms for a in _augmented_columns(ring, FreeModule(ring, twists))]
     # one term per position keeps rank-3 bases over QQ small
     nterms = 1 if len(twists) > 1 else 3
@@ -370,7 +376,7 @@ def test_the_product_criterion_only_holds_at_rank_one(S2):
     # S-vector (0, y^3 - x^2) does not reduce to zero against them
     # (module docstring), so a run at rank two must form it
     x, y = S2.gens()
-    K, P = S2.field, _packing(2)
+    K, P = S2.field, _packing(2, 2)
     twists = (0, 0)
     gens = [P.encode_vec(vec_from_column(col)) for col in ([x, y], [y * y, x])]
     want, _ = naive_buchberger(gens, K, twists, P)
@@ -408,8 +414,9 @@ def naive_syzygy_generators(gb):
     reducers = _reducers(ext)
     n_mod = len(mod)
     F = FreeModule(gb.ring, tuple(g.deg for g in mod))
-    Q = _SchreyerPacking(P, [g.lead for g in mod])
-    heads = own_heads(P, len(ext))
+    Q = P.schreyer([g.lead for g in mod])
+    n = gb.ring.nvars
+    heads = own_heads(n, len(ext))
     out = []
     for j in range(len(ext)):
         for i in range(j):
@@ -422,11 +429,10 @@ def naive_syzygy_generators(gb):
             assert not r
             # the trace holds -q_k e_k; read each term back as (k, q) and
             # pack it again as q e_k in the Schreyer order Q
-            B = P.base
             syz = {}
-            for (k, q), c in [((i, B.mono(di >> P.shift)), K.one),
-                              ((j, B.mono(dj >> P.shift)), K.neg(K.one))] + [
-                    (split_head(P, t), c) for part in trace.values()
+            for (k, q), c in [(split_head(n, heads[i] + di), K.one),
+                              (split_head(n, heads[j] + dj), K.neg(K.one))] + [
+                    (split_head(n, t), c) for part in trace.values()
                     for t, c in part.items()]:
                 if k >= n_mod:
                     continue
@@ -588,7 +594,9 @@ def test_buchberger_runs_in_a_schreyer_packing():
     for M in modules:
         _, syz = syzygy_generators(M.gb())
         K, Q, twists = S.field, syz.packing, syz.free.twists
-        assert isinstance(Q, _SchreyerPacking)
+        # the Schreyer order is the one packing class over the leads
+        assert Q.bases == [g.lead >> _INDEX_BITS
+                           for g in M.gb().module_elements]
         elems = syz.elements
         before = groebner._buchberger([g.terms for g in elems], K, twists, Q)
         assert len(before) == len(elems)
@@ -608,6 +616,57 @@ def test_buchberger_runs_in_a_schreyer_packing():
         grown += not certify(GroebnerBasis(M.ring, syz.free, start,
                                            list(range(len(start))), Q))
     assert grown >= 3  # not vacuous: most inputs were no Groebner basis
+
+
+# -- one packing class: an order is a list of bases -------------------------
+
+@pytest.mark.parametrize("rank", [1, 3, 7])
+def test_position_over_grevlex_is_the_schreyer_layout_over_its_heads(rank):
+    # the Schreyer construction over the leads head(c) gives back position
+    # over grevlex term for term, and a term packs to the same int in a
+    # larger free module
+    n = 3
+    P = _packing(n, rank)
+    Q = P.schreyer([P.head(c) for c in range(rank)])
+    R = _Packing(n, [])
+    R.grow(1)
+    small = {m: R.encode(0, m) for d in range(4)
+             for m in monomials_of_degree(n, d)}
+    R.grow(rank)
+    for c in range(rank):
+        assert Q.head(c) == P.head(c)
+        for d in range(4):
+            for m in monomials_of_degree(n, d):
+                h = P.encode(c, m)
+                assert Q.encode(c, m) == R.encode(c, m) == h
+                assert Q.decode_vec({h: 1}) == {(c, m): 1}
+                assert c or small[m] == h
+
+
+def test_a_degree_first_order_is_a_list_of_bases():
+    # e_p's level-0 term is 1 in degree twist_p: terms compare by total
+    # degree, then grevlex, then position.  `_buchberger` runs unchanged on
+    # corpus cokernels in that order, `certify` accepts its bases, and by
+    # Macaulay's theorem the quotient has the series of the
+    # position-over-grevlex run
+    differ = 0
+    for inst in random_ideal_corpus()[:10]:
+        S = inst.ring
+        K, n = S.field, S.nvars
+        res = free_resolution(inst.module)
+        for i, cols in res.cols.items():
+            F = FreeModule(S, res.twists[i - 1])
+            P = _packing(n, F.rank)
+            T = _Packing(n, [P.one - (t << P.B) for t in F.twists])
+            want = groebner_basis(cols, S, F)
+            elems = groebner._buchberger([T.encode_vec(v) for v in cols],
+                                         K, F.twists, T)
+            got = GroebnerBasis(S, F, elems, None, T)
+            assert certify(got)
+            assert quotient_series(got) == quotient_series(want)
+            differ += (sorted(got.lead_terms())
+                       != sorted(want.lead_terms()))
+    assert differ >= 3  # not vacuous: the two orders pick other leads
 
 
 def test_frame_leads_lose_a_variable_at_every_level():
@@ -682,7 +741,7 @@ def test_lift_writes_a_member_on_the_module_elements(twists, quotient):
 
 # -- the inline-arithmetic kernel against the method-call kernel ----------
 
-def method_call_reduce_packed(work, reducers, K, P, heads=None, up=0):
+def method_call_reduce_packed(work, reducers, K, P, heads=None):
     """Reference: the reduction kernel written with field method calls
     (K.mul, K.sub, K.add, K.is_zero), as it was before its arithmetic went
     inline, its trace summed term by term."""
@@ -692,13 +751,13 @@ def method_call_reduce_packed(work, reducers, K, P, heads=None, up=0):
     heapq.heapify(heap)
     trace = None if heads is None else {}
     zero, mul, sub, is_zero = K.zero, K.mul, K.sub, K.is_zero
-    S, M, G = P.S, P.M, P.G
+    M, G = P.M, P.G
     while heap:
         h = heapq.heappop(heap)
         c = work.pop(h, None)
         if c is None:
             continue
-        for i, lead, tail in reducers.get((h >> S) & M, ()):
+        for i, lead, tail in reducers.get(h & M, ()):
             d = h - lead
             if not d & G:
                 break
@@ -721,7 +780,7 @@ def method_call_reduce_packed(work, reducers, K, P, heads=None, up=0):
                     work[u] = s
         if heads is not None and heads[i] is not None:
             slot = trace.setdefault(i, {})
-            t = heads[i] + (d << up)
+            t = heads[i] + d
             s = K.sub(slot.get(t, zero), c)
             if is_zero(s):
                 slot.pop(t, None)
@@ -780,22 +839,21 @@ def method_call_syzygy_generators(gb):
     ext = list(mod) + _augmented_columns(ring, gb.free)
     reducers = _reducers(ext)
     n_mod = len(mod)
-    Q = _SchreyerPacking(P, [g.lead for g in mod])
-    heads = [(b << Q.shift) + k for k, b in enumerate(Q.bases)]
+    Q = P.schreyer([g.lead for g in mod])
+    heads = [(b << _INDEX_BITS) + k for k, b in enumerate(Q.bases)]
     heads += [None] * (len(ext) - n_mod)
-    up = Q.shift - P.shift
     out = []
     pairs = tuple_schreyer_pairs(ext, P)
     assert _schreyer_pairs(ext, P) == pairs
     for i, j, hl in pairs:
         s, di, dj = method_call_s_vector(ext[i], ext[j], hl, K, P.G)
-        r, trace = method_call_reduce_packed(s, reducers, K, P, heads, up)
+        r, trace = method_call_reduce_packed(s, reducers, K, P, heads)
         assert not r
         syz = {}
         if i < n_mod:
-            syz[heads[i] + (di << up)] = K.one
+            syz[heads[i] + di] = K.one
         if j < n_mod:
-            syz[heads[j] + (dj << up)] = K.neg(K.one)
+            syz[heads[j] + dj] = K.neg(K.one)
         for part in trace.values():
             for t, c in part.items():
                 s2 = K.add(syz.get(t, K.zero), c)
@@ -878,7 +936,7 @@ def test_inline_kernel_matches_the_method_call_kernel(monkeypatch, field,
             if v:
                 members.append(v)
         P = gb.packing
-        heads = own_heads(P, len(gb.elements))
+        heads = own_heads(ring.nvars, len(gb.elements))
         for v in vecs + members:
             for hs in (None, heads):
                 new = _reduce_packed(P.encode_vec(v), groups, K, P, hs)
@@ -930,12 +988,12 @@ def test_product_past_the_cap_raises_on_every_kernel_path(field):
     g = make_elem({(0, (0, 2, 0)): K.one, (0, (1, 0, 1)): K.from_int(-1)},
                   K, (0,))
     vec = {(0, (EXPONENT_CAP, 2, 0)): K.from_int(3)}
-    P = _packing(3)
-    for heads in (None, own_heads(P, 1)):
+    P = _packing(3, 1)
+    for heads in (None, own_heads(3, 1)):
         with pytest.raises(OverflowError):
             _reduce(vec, _reducers([g]), K, P, heads)
     with pytest.raises(OverflowError):
         _reduce_packed(P.encode_vec(vec), _reducers([g]), K, P,
-                       [P.one << _INDEX_BITS], _INDEX_BITS)
+                       [P.schreyer([g.lead]).head(0)])
     with pytest.raises(OverflowError):
         method_call_reduce_packed(P.encode_vec(vec), _reducers([g]), K, P)

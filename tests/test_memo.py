@@ -325,27 +325,21 @@ def test_the_reduction_kernel_records_one_trace_form():
     [kernel] = [n for n in _groebner_tree().body
                 if isinstance(n, ast.FunctionDef) and n.name == "_reduce_packed"]
     assert [a.arg for a in kernel.args.args] == [
-        "work", "reducers", "K", "P", "heads", "up"]
-    from cmreg.groebner import _Packing, _SchreyerPacking
+        "work", "reducers", "K", "P", "heads"]
+    from cmreg.groebner import _Packing
     assert not hasattr(_Packing, "quotient")
-    assert not hasattr(_SchreyerPacking, "quotient")
 
 
 def test_the_packed_lcm_is_written_once():
     """The field-wise max of packed exponents and the pair formula built
-    on it, lead + ((lcm - e - ((d - d_lead) << width)) << shift), are one
-    packing method (`pair`) that serves both pair selections: `>> 16`,
-    which widens its bit-16 comparisons to a mask, appears once in
-    groebner.py, and so does a shift by a packing's `shift`."""
+    on it, head + ((lcm - (d << B)) << W), are one packing method
+    (`pair`) that serves both pair selections: `>> 16`, which widens its
+    bit-16 comparisons to a mask, appears once in groebner.py."""
     tree = _groebner_tree()
     shifts = [n for n in ast.walk(tree)
               if isinstance(n, ast.BinOp) and isinstance(n.op, ast.RShift)
               and isinstance(n.right, ast.Constant) and n.right.value == 16]
     assert len(shifts) == 1
-    ups = [n for n in ast.walk(tree)
-           if isinstance(n, ast.BinOp) and isinstance(n.op, ast.LShift)
-           and isinstance(n.right, ast.Attribute) and n.right.attr == "shift"]
-    assert len(ups) == 1
     defs = [n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
     assert defs.count("pair") == 1 and "lcm" not in defs
     readers = [f.name for f in tree.body
@@ -355,8 +349,8 @@ def test_the_packed_lcm_is_written_once():
     assert readers == ["_buchberger", "_schreyer_pairs"]
 
 
-# the two packings and the base they share
-PACKINGS = {"_Terms", "_Packing", "_SchreyerPacking"}
+# the one packing class
+PACKINGS = {"_Packing"}
 LAYOUT_ATTRS = {"A", "B", "emask", "one", "bases", "struct"}
 LAYOUT_NAMES = {"_DEG_TOP", "_INDEX_BITS", "struct"}
 
@@ -402,6 +396,56 @@ def test_only_the_packings_read_the_packed_layout():
     so a new packing needs no change outside its class."""
     [source] = [src for name, _, src in sources() if name == "groebner.py"]
     assert layout_reads(source) == []
+
+
+def position_reads(source):
+    """(line, text) of each read of a packing's `S`, `shift` or `base`,
+    and of each `M` that is not the right operand of `h & M` (nor bound
+    to a local name, or assigned in the class)."""
+    tree = ast.parse(source)
+    parents = {child: node for node in ast.walk(tree)
+               for child in ast.iter_child_nodes(node)}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("S", "shift",
+                                                             "base"):
+            out.append((node.lineno, ast.unparse(node)))
+        is_m = ((isinstance(node, ast.Attribute) and node.attr == "M")
+                or (isinstance(node, ast.Name) and node.id == "M"))
+        if not is_m or isinstance(node.ctx, ast.Store):
+            continue
+        up = parents[node]
+        if isinstance(up, ast.Tuple):  # M, G = P.M, P.G
+            up = parents[up]
+        if isinstance(up, ast.Assign):
+            continue
+        if (isinstance(up, ast.BinOp) and isinstance(up.op, ast.BitAnd)
+                and up.right is node
+                and isinstance(up.left, (ast.Name, ast.Attribute))):
+            continue
+        out.append((node.lineno, ast.unparse(up)))
+    return sorted(out)
+
+
+def test_position_reads_are_recognized():
+    src = ("def f(P, h):\n    M, G = P.M, P.G\n    return h & M, g.lead & P.M\n"
+           "def g(P, h):\n    return (h >> P.S) & P.M, h >> P.shift, P.base\n"
+           "def k(P, h):\n    return P.M & h, (h >> 32) & P.M\n")
+    assert position_reads(src) == [
+        (5, "P.S"), (5, "P.base"), (5, "P.shift"), (5, "h >> P.S & P.M"),
+        (7, "P.M & h"), (7, "h >> 32 & P.M")]
+
+
+def test_one_layout_reads_a_position_as_h_and_m():
+    """Every packed term is (level-0 term << W) + position in one packing
+    class, so groebner.py has no second layout to tell apart: no packing
+    attribute `S`, `shift` or `base` is read, a position is read only as
+    h & M, and the kernel takes no shift between two layouts."""
+    [source] = [src for name, _, src in sources() if name == "groebner.py"]
+    assert position_reads(source) == []
+    classes = {n.name for n in ast.walk(_groebner_tree())
+               if isinstance(n, ast.ClassDef)}
+    assert classes == {"_Packing", "GBElem", "GroebnerBasis"}
 
 
 def test_buchberger_and_the_syzygy_step_take_no_flag():

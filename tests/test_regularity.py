@@ -509,6 +509,25 @@ def test_explicit_koszul_arguments_bypass_the_cache(monkeypatch, det_module):
     assert len(kos) == 2
 
 
+def test_reg_complex_reads_the_koszul_entry_of_the_cover(monkeypatch, S3,
+                                                        det_ring):
+    # reg_complex kept its own "reg_complex" entry, and ran the koszul
+    # route on a complex built afresh from a module, so reg_via_koszul on
+    # the same cover built a second Koszul complex for the same value
+    x, y, z = S3.gens()
+    mods = [PresentedModule.cyclic(S3, [x * x, x * y, y * z * z]),
+            PresentedModule.cyclic(det_ring, [])]
+    cuts = [koszul_complex([M.ring.gens()[-1]], M) for M in mods]
+    built = counting(monkeypatch, "koszul_complex")
+    for obj in mods + cuts:
+        built.clear()
+        value = reg_complex(obj)
+        assert reg_complex(obj) == value
+        assert reg_via_koszul(obj.lift_to_cover())[0] == value
+        assert len(built) == 1
+        assert "reg_complex" not in obj._cache
+
+
 def test_cross_check_runs_the_betti_route_every_call(monkeypatch, S3):
     x, y, z = S3.gens()
     L = koszul_complex([x, y], PresentedModule.cyclic(S3, [x * z]))

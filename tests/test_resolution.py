@@ -14,7 +14,8 @@ from cmreg import (BettiTable, BoundedComplex, ModuleMap, PresentedModule,
                    resolution_to_complex, tor)
 from cmreg.complexes import free_complex_from_data
 from cmreg.freemod import FreeModule, vec_addmul
-from cmreg.groebner import (GroebnerBasis, _packing, _SchreyerPacking, _Terms,
+from cmreg import groebner
+from cmreg.groebner import (_INDEX_BITS, GroebnerBasis, _Packing, _packing,
                             certify, groebner_basis, syzygy_generators)
 from cmreg.minimize import _find_unit, minimize_chain
 from cmreg.poly import mono_div
@@ -743,7 +744,7 @@ def test_a_frame_syzygy_decodes_only_through_its_basis():
         vecs = level.module_vectors()
         assert len(vecs) == len(level.elements) > 0
         for g, v in zip(level.elements, vecs):
-            assert _packing(3).decode_vec(g.terms) != v
+            assert _packing(3, level.free.rank).decode_vec(g.terms) != v
             assert v[(g.pos, g.ltm)] == K.one
             total = {}
             for (k, mono), c in v.items():
@@ -801,15 +802,17 @@ def recorded_chains(monkeypatch):
 def schreyer_decodes(monkeypatch):
     """A list that gets the term count of every vector decoded from a
     Schreyer packing."""
-    real = _Terms.decode_vec
+    real = _Packing.decode_vec
     decoded = []
 
     def counting(self, terms):
-        if isinstance(self, _SchreyerPacking):
+        # every packing but the shared position-over-grevlex one is a
+        # Schreyer order
+        if groebner._PACKINGS.get(self.nvars) is not self:
             decoded.append(len(terms))
         return real(self, terms)
 
-    monkeypatch.setattr(_Terms, "decode_vec", counting)
+    monkeypatch.setattr(_Packing, "decode_vec", counting)
     return decoded
 
 
@@ -834,10 +837,16 @@ def test_betti_numbers_decode_no_frame_syzygy(monkeypatch):
 
 def reference_decode(basis):
     """A packed syzygy basis as tuple dicts, each monomial the quotient of
-    its term's level-0 monomial by its basis vector's."""
+    its term's level-0 monomial by its basis vector's, the level-0
+    exponents read field by field."""
     Q = basis.packing
-    mono = Q.base.mono
-    return [{(h & Q.M, mono_div(mono(h >> Q.shift), mono(Q.bases[h & Q.M]))): c
+    n = basis.ring.nvars
+
+    def mono(h0):
+        return tuple((h0 >> (32 * v)) & 0xFFFF for v in range(n))
+
+    return [{(h & Q.M, mono_div(mono(h >> _INDEX_BITS),
+                                mono(Q.bases[h & Q.M]))): c
              for h, c in g.terms.items()} for g in basis.module_elements]
 
 

@@ -48,7 +48,7 @@ def syzygies_of_vectors(vectors, ring, free):
         ws.append(w)
     gb = groebner_basis(ws, ring, big)
     out = []
-    P = _packing(ring.nvars)
+    P = _packing(ring.nvars, big.rank)
     for e in gb.module_elements:
         vec = P.decode_vec(e.terms)
         if all(p >= r for (p, _) in vec):

@@ -68,6 +68,14 @@ def test_filter_formula_on_determinantal(det_module):
     assert not out.invariants["strict"]
 
 
+def test_filter_formula_refuses_a_form_of_degree_zero(det_module):
+    # a unit form was reported as an engine contradiction (lhs = 1,
+    # rhs = -inf with the hypothesis holding): the formula needs a form of
+    # positive degree, so the checker refuses it before computing anything
+    with pytest.raises(ValueError, match="positive degree"):
+        check_filter_regular_formula(det_module, det_module.ring.constant(3))
+
+
 def test_cmd1_on_determinantal_cut(det_module):
     z = det_module.ring.gens()[2]
     L = koszul_complex([z], complex_from_module(det_module))
