@@ -8,6 +8,10 @@ of the d_F move and the Koszul signs, which their public functions pass in.
 Each term it builds remembers its blocks, twisted copies of the C_q, so
 the term's Groebner basis is assembled from theirs.
 
+homology(i) presents H_i and keeps it; homology_series(i) sums the two
+cokernel series kept on the complex, so the two paths share nothing
+above the Groebner kernel and each checks the other.
+
 Homological indexing throughout: d_i maps spot i to spot i-1, cohomological
 objects sit at negated spots (Ext^i lives in spot -i).  The suspension
 (shift(1)) moves spot i to i+1 and negates differentials.
@@ -131,29 +135,24 @@ class BoundedComplex:
 
     def homology_series(self, i):
         """Hilbert series of H_i without presenting it, by additivity:
-        HS(H_i) = HS(coker d_{i+1}) + HS(coker d_i) - HS(C_{i-1}).
+        HS(H_i) = HS(coker d_{i+1}) + HS(coker d_i) - HS(C_{i-1}), from
+        the two cokernel series kept on the complex; nothing of its own
+        is kept.
 
         No kernels or subquotients, and in a tensor or Hom totalization no
         Groebner basis from scratch: a term's basis is its summands' bases
         side by side (`_totalize` records the summands), and a cokernel's
         grows from its target's, one seeded Buchberger run per
         differential (`_coker_series`)."""
-        H = self._cache.get(("H", i))
-        if H is not None:
-            return H.hilbert_series()
-
-        def compute():
-            if self.term(i).rank == 0:
-                return HilbertSeries({}, self.ring.cover.nvars)
-            d_in, d_out = self.diffs.get(i + 1), self.diffs.get(i)
-            # an unstored differential is zero, and so is its composite
-            if (d_in is not None and d_out is not None
-                    and not d_out.compose(d_in).is_zero_map()):
-                raise ValueError("composition is not zero, homology undefined")
-            return self._coker_series(i + 1).add(self._coker_series(i)).sub(
-                self.term(i - 1).hilbert_series())
-
-        return _cached(self, ("HS", i), compute)
+        if self.term(i).rank == 0:
+            return HilbertSeries({}, self.ring.cover.nvars)
+        d_in, d_out = self.diffs.get(i + 1), self.diffs.get(i)
+        # an unstored differential is zero, and so is its composite
+        if (d_in is not None and d_out is not None
+                and not d_out.compose(d_in).is_zero_map()):
+            raise ValueError("composition is not zero, homology undefined")
+        return self._coker_series(i + 1).add(self._coker_series(i)).sub(
+            self.term(i - 1).hilbert_series())
 
     def sup_homology(self):
         for i in range(self.max_level, self.min_level - 1, -1):

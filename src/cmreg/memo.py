@@ -8,11 +8,12 @@ failing call fails again.  Keys are strings or (name, argument) tuples,
 for example "gb", ("H", i) or ("resolution", max_len).
 
 A key may name a thing up to an equivalence, so that equal things share
-one entry.  The cover ring keeps the duality series of a module under
-("duality", key), key the module's generator twists less the lowest one
-and its reduced Groebner basis (regularity._module_key): the entry holds
-the series of the module shifted to start in degree 0, and M and M(d)
-both read it, each shifting it back by its own lowest twist.
+one entry.  The cover ring keeps the local cohomology rows of a module
+under ("duality", key), key the module's generator twists less the
+lowest one and its reduced Groebner basis (regularity._module_key): the
+entry holds the rows of the module shifted to start in degree 0, and M
+and M(d) both read it, each shifting it back by its own lowest twist.
+It is the duality route's only entry.
 """
 
 

@@ -108,13 +108,11 @@ class PresentedModule:
         return PresentedModule(ring.cover, F, cols)
 
     def minimized(self):
-        """Isomorphic module with a minimal presentation."""
-        def compute():
-            tw, cols, _ = minimize_presentation(self.gens_free.twists,
-                                                self.rel_cols, self.ring.field)
-            return PresentedModule(self.ring, FreeModule(self.ring, tw), cols)
-
-        return _cached(self, "minimized", compute)
+        """Isomorphic module with a minimal presentation, built afresh on
+        every call."""
+        tw, cols, _ = minimize_presentation(self.gens_free.twists,
+                                            self.rel_cols, self.ring.field)
+        return PresentedModule(self.ring, FreeModule(self.ring, tw), cols)
 
     # -- numerical invariants --------------------------------------------
     def hilbert_series(self):

@@ -23,24 +23,23 @@ keeps it (lift_to_cover), so the two share that resolution over quotient
 rings as they do over polynomial rings.  The betti route reads twists and
 shares no homology code with the other three.
 
-reg_via_duality and default-form reg_via_koszul keep their result on the
-object they were asked about, next to its Groebner basis, Hilbert series
-and resolutions, under the one cache rule of cmreg.memo, so a checker
-that asks twice pays once.  reg_complex keeps no entry of its own: it
-reads the koszul entry of the module's or complex's cover, the object
-itself over a polynomial ring.  Explicit Koszul forms are never cached,
-and the cross_check betti run is repeated on every call, reading the
-resolution kept on the cover.
+Default-form reg_via_koszul keeps its result on the object it was asked
+about under the one cache rule of cmreg.memo, so a checker that asks
+twice pays once; reg_complex reads that entry on the module's or
+complex's cover.  Explicit Koszul forms are never cached, and the
+cross_check betti run is repeated on every call, reading the resolution
+kept on the cover.
 
-The duality series and the depth are kept one level down, on the cover
-ring, under the module's key (_module_key: its generator twists less the
-lowest, t0, and its reduced Groebner basis).  Ext and depth are
-invariants of the module, not of its presentation, and a twist only
-shifts Ext.  So a module met again under another twist or presentation
-(Tor_1(S/(f), M) = (0 :_M f)(-1) in one checker and (0 :_M f) in
-another, or M and M(-1) in the termwise bound) reads the stored series
-and shifts them by its own t0.  The betti, ext and koszul routes never
-read these entries.
+The duality route keeps nothing on the module.  Its rows, {i: the series
+of Ext^{n-i}_S(M, S(-n))}, and the depth are kept on the cover ring under
+the module's key (_module_key: its generator twists less the lowest, t0,
+and its reduced Groebner basis).  Ext and depth are invariants of the
+module, not of its presentation, and a twist only shifts Ext.  So a
+module met again under another twist or presentation (Tor_1(S/(f), M) =
+(0 :_M f)(-1) in one checker and (0 :_M f) in another, or M and M(-1) in
+the termwise bound) reads the stored rows and shifts them by its own t0.
+reg_via_duality, local_cohomology_table and a_invariant read those rows;
+the betti, ext and koszul routes never do.
 
 Absolute invariants of quotient-ring modules are routed through the
 polynomial cover; the Koszul route is the one that works directly over the
@@ -99,12 +98,13 @@ def _twist_sup(res):
     return _sup((a - i, (i, a)) for i, tw in res.twists.items() for a in tw)
 
 
-def reg_via_betti(obj, max_len=None):
-    """(value, witness) from the minimal free resolution over the cover.
+def reg_via_betti(obj):
+    """(value, witness) from the full minimal free resolution over the
+    cover; a truncated one raises.
 
     witness is a (homological spot, twist) pair attaining the sup.
     """
-    res = free_resolution(_cover(obj), max_len=max_len)
+    res = free_resolution(_cover(obj))
     if not res.complete:
         raise RuntimeError("free resolution was truncated")
     return _twist_sup(res)
@@ -209,10 +209,12 @@ def _module_key(Mc):
 
 
 def _duality_series(M):
-    """{q: HS(Ext^q_S(M, S(-n)))} over the cover S, n = number of cover
-    vars, read off Hom(F, S(-n)) for the minimal free resolution F of M.
+    """{i: HS(Ext^{n-i}_S(M, S(-n)))} over the nonzero rows, S the cover in
+    n variables, read off Hom(F, S(-n)) for the minimal free resolution F
+    of M.  By graded local duality the row i is the dual of H^i_m(M):
+    dim H^i_m(M)_j = dim Ext^{n-i}_S(M, S(-n))_{-j}.
 
-    Computed once per module up to twist and presentation: the series of
+    Computed once per module up to twist and presentation: the rows of
     M(t0), t0 the lowest generator twist, are kept on S under the module's
     key, and each caller shifts them back by its own t0."""
     Mc = M.lift_to_cover()
@@ -226,30 +228,25 @@ def _duality_series(M):
         for s in D.levels():
             H = D.homology_series(s)
             if not H.is_zero():
-                out[-s] = H.twist(-t0)
+                # Ext^q sits at spot -q, and its row is i = n - q
+                out[n + s] = H.twist(-t0)
         return out
 
-    series = _cached(S, ("duality", key), compute)
-    return {q: H.twist(t0) for q, H in series.items()}, n
+    rows = _cached(S, ("duality", key), compute)
+    return {i: E.twist(t0) for i, E in rows.items()}
 
 
 def reg_via_duality(M):
     """(value, witness) with value = max{i + j : H^i_m(M)_j != 0}.
 
-    dim H^i_m(M)_j = dim Ext^{n-i}_S(M, S(-n))_{-j}, so the top degree of
-    H^i is read off the initial degree of the dual Ext module.  The result
-    is cached on M.
-    """
+    The top degree of H^i is minus the initial degree of its dual row
+    (_duality_series).  Nothing is kept on M: the rows are kept on the
+    cover ring."""
     _require_module(M)
-
-    def compute():
-        if M.is_zero():
-            return -inf, None
-        ext_series, n = _duality_series(M)
-        return _sup((n - q - E.indeg(), (n - q, -E.indeg()))
-                    for q, E in ext_series.items())
-
-    return _cached(M, "duality", compute)
+    if M.is_zero():
+        return -inf, None
+    return _sup((i - E.indeg(), (i, -E.indeg()))
+                for i, E in _duality_series(M).items())
 
 
 class LocalCohomologyTable:
@@ -301,32 +298,33 @@ WINDOW_HARD_CAP_FACTOR = 8
 
 
 def local_cohomology_table(M, window=None):
+    """dim H^i_m(M)_j over a window, from the rows of _duality_series.  The
+    window's end doubles, clamped to 8(n + 2), until it reaches every
+    row's top degree; a window that must grow past that cap raises."""
     _require_module(M)
     if window is not None and window[0] > window[1]:
         raise ValueError(f"empty local cohomology window {tuple(window)}: "
                          "it ends below its start")
     if M.is_zero():
         return LocalCohomologyTable({}, window or (0, 0), {}, 0)
-    ext_series, n = _duality_series(M)
+    rows = _duality_series(M)
+    n = M.ring.cover.nvars
     if window is None:
         window = (-2 * n - 4, 2 * n + 4)
     lo, hi = window
     support = {}
-    for q, E in ext_series.items():
-        i = n - q
-        end = -E.indeg()
+    for i, E in rows.items():
         top = E.top_degree()
-        start = -inf if top == inf else -top
-        support[i] = (start, end)
+        support[i] = (-inf if top == inf else -top, -E.indeg())
     needed = max((e for (_, e) in support.values()), default=0)
+    cap = WINDOW_HARD_CAP_FACTOR * (n + 2)
     while hi < needed:
-        hi = 2 * hi + 4 if hi > 0 else needed
-        if hi > WINDOW_HARD_CAP_FACTOR * (n + 2):
+        if needed > cap:
             raise ValueError(
                 f"local cohomology window cap exceeded (need degree {needed})")
+        hi = min(2 * hi + 4 if hi > 0 else needed, cap)
     entries = {}
-    for q, E in ext_series.items():
-        i = n - q
+    for i, E in rows.items():
         for j in range(lo, hi + 1):
             d = E.coefficient(-j)
             if d:
@@ -340,9 +338,7 @@ def a_invariant(ring):
     d = M.dimension()
     if d == -inf:
         raise ValueError("the zero ring has no a-invariant")
-    ext_series, n = _duality_series(M)
-    q = n - d
-    E = ext_series.get(q)
+    E = _duality_series(M).get(d)
     if E is None:
         raise ArithmeticError("top local cohomology vanished; corrupt input")
     return -E.indeg()

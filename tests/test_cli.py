@@ -473,6 +473,23 @@ def test_check_ring_indep_via_cli(session_file, capsys):
     assert json.loads(out)["result"]["conclusion"]["verdict"] == "equality"
 
 
+def test_check_ring_indep_grows_both_windows_to_their_caps(monkeypatch,
+                                                         capsys):
+    # the tables need degree 37 under the caps 40 and 48; the doubled
+    # ends passed the caps, and the check exited 2 with "need degree 37"
+    import io
+    monkeypatch.setattr(sys, "stdin", io.StringIO(
+        "ring S = GF(32003)[x, y, z]; ideal I = x^40; "
+        "module M = cyclic(S, I);"))
+    code, out, err = run(capsys, "--session", "-", "check", "ring-indep",
+                         "--module", "M")
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    assert result["conclusion"] == {"lhs": 39, "rhs": 39,
+                                    "verdict": "equality"}
+    assert result["invariants"]["tables_match"] is True
+
+
 @pytest.mark.parametrize("extra", ["0", "-1"])
 def test_check_ring_indep_refuses_no_extra_variable(session_file, capsys,
                                                     extra):

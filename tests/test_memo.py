@@ -10,11 +10,12 @@ written once, in them, `_buchberger` and the syzygy step take no flag,
 the reduction kernel is one loop with its field arithmetic inline, no
 function computes with field methods and there is one field class,
 checker outcomes are built and contradictions raised only by
-`theorems._finish`, the duality series and the depth are computed only
-under their keys on the cover ring (and read there up to twist), nothing
-calls `free_resolution_of_complex`, the complex layer presents no
-kernels, the dense oracle imports nothing from the Groebner, Hilbert
-or resolution layers, and nothing imports numpy."""
+`theorems._finish`, the cache keys are a fixed inventory, a homology
+series reads only the cokernel series, the duality rows and the depth
+are computed only under their keys on the cover ring (and read there up
+to twist), nothing calls `free_resolution_of_complex`, the complex layer
+presents no kernels, the dense oracle imports nothing from the Groebner,
+Hilbert or resolution layers, and nothing imports numpy."""
 
 import ast
 import importlib
@@ -75,8 +76,6 @@ def _twisted(M):
 # from the first])
 CASES = [
     ("gb", _module, lambda M: M.gb(), (cmreg.modules, "groebner_basis")),
-    ("minimized", _module, lambda M: M.minimized(),
-     (cmreg.modules, "minimize_presentation")),
     ("hilbert_series", _module, lambda M: M.hilbert_series(),
      (cmreg.modules, "hilbert_series")),
     ("free_resolution", _module, free_resolution,
@@ -92,8 +91,8 @@ CASES = [
      (BoundedComplex, "_lift")),
     ("homology", _koszul, lambda K: K.homology(1),
      (cmreg.complexes, "homology_at")),
-    ("homology_series", _koszul, lambda K: K.homology_series(1),
-     (BoundedComplex, "_coker_series")),
+    ("coker_series", _koszul, lambda K: K._coker_series(1),
+     (cmreg.complexes, "groebner_basis")),
     ("koszul_resolution_of_k", lambda: polynomial_ring(["x", "y", "z"]),
      koszul_resolution_of_k, (cmreg.complexes, "koszul_complex")),
     ("defining_gb", _quotient_ring, defining_gb,
@@ -133,6 +132,25 @@ def test_second_call_returns_the_cached_object(monkeypatch, fresh, call,
     assert len(calls) == computed
 
 
+def test_minimized_is_built_afresh_on_every_call(monkeypatch):
+    """A minimal presentation is read once where it is built
+    (`quotient_by_element`), so it keeps no entry."""
+    calls = []
+    original = cmreg.modules.minimize_presentation
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cmreg.modules, "minimize_presentation", counting)
+    M = _module()
+    first, second = M.minimized(), M.minimized()
+    assert first is not second and len(calls) == 2
+    assert (first.gens_free.twists, first.rel_cols) == (
+        second.gens_free.twists, second.rel_cols)
+    assert M._cache == {}
+
+
 def test_a_failing_compute_is_not_stored():
     S = polynomial_ring(["x", "y", "z"])
     x, y, _ = S.gens()
@@ -142,8 +160,10 @@ def test_a_failing_compute_is_not_stored():
                         2: ModuleMap.from_entries(F[2], F[1], [[y]])})
     for _ in range(2):
         with pytest.raises(ValueError):
+            C.homology(1)
+        with pytest.raises(ValueError):
             C.homology_series(1)
-    assert ("HS", 1) not in C._cache
+    assert C._cache == {}
 
 
 def test_defining_gb_of_a_polynomial_ring_is_empty_and_not_cached():
@@ -629,6 +649,63 @@ def test_duality_and_depth_are_computed_only_under_their_cover_keys():
                and getattr(node.value.func, "id", None) == "free_resolution"]
     assert lengths and all(name == "regularity.py" and lo <= line <= hi
                            for name, line in lengths)
+
+
+def cache_keys(source):
+    """The key of each `_cached(obj, key, compute)` call in source: a
+    string key as itself, a tuple key as (its tag, its length)."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_cached" and len(node.args) == 3):
+            key = node.args[1]
+            out.append((key.elts[0].value, len(key.elts))
+                       if isinstance(key, ast.Tuple) else key.value)
+    return out
+
+
+def test_cache_keys_are_recognized():
+    src = ("def f(M, i):\n    return _cached(M, 'gb', g)\n"
+           "def h(S, k, j):\n    return _cached(S, ('mult', k, j), g)\n"
+           "def k(M):\n    return M._cache.get('hs')\n")
+    assert cache_keys(src) == ["gb", ("mult", 3)]
+
+
+# every key under which src/cmreg keeps a result, by file
+CACHE_INVENTORY = {
+    "complexes.py": {"cover", ("H", 2), ("coker", 2), "koszul_k"},
+    "groebner.py": {"defining_gb"},
+    "modules.py": {"gb", "cover", "hs"},
+    "oracle.py": {("monomials", 2), ("piece", 2), ("mult", 3), ("rank", 3)},
+    "regularity.py": {"koszul", ("duality", 2), ("depth", 2)},
+    "resolution.py": {("resolution", 2)},
+}
+
+
+def test_the_cache_keys_are_the_inventory():
+    """A result is kept only where a second read happens: a homology
+    series is read off the cokernel entries (no ("HS", i)), a minimal
+    presentation is built afresh (no "minimized"), and the duality route
+    keeps its rows on the cover ring alone (no per-module "duality")."""
+    found = {name: set(cache_keys(source)) for name, _, source in sources()}
+    assert {name: keys for name, keys in found.items() if keys} == (
+        CACHE_INVENTORY)
+
+
+def test_homology_series_reads_only_the_cokernel_series():
+    """The series path never reads a presented H_i, so comparing it with
+    `homology` compares two computations."""
+    [source] = [src for name, _, src in sources() if name == "complexes.py"]
+    [method] = [node for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "homology_series"]
+    reads = [ast.unparse(node) for node in ast.walk(method)
+             if (isinstance(node, ast.Attribute)
+                 and node.attr in ("_cache", "homology"))
+             or (isinstance(node, ast.Name) and node.id == "_cached")]
+    assert reads == []
+    assert {func for _, func in calls(source, "_coker_series")} >= {
+        "homology_series"}
 
 
 def test_nothing_calls_free_resolution_of_complex():

@@ -265,15 +265,20 @@ def test_library_tor_and_ext_reach_past_a_short_max_len():
     assert tor1.hilbert_series() == k.hilbert_series().twist(-1)  # k(-1)
 
 
-def test_reg_via_betti_refuses_a_truncated_resolution():
+def test_reg_via_betti_refuses_a_truncated_resolution(monkeypatch):
     S = polynomial_ring(["x", "y"])
     x, y = S.gens()
     M = PresentedModule.cyclic(S, [x * x, y * y])
     assert reg_via_betti(M)[0] == 2
-    assert reg_via_betti(M, max_len=2)[0] == 2
     assert pd(M, max_len=2) == 2 and betti_table(M, max_len=2).complete
+    # the route takes no truncation: it reads the full resolution, and
+    # refuses one that stops short
+    routes = importlib.import_module("cmreg.regularity")
+    full = routes.free_resolution
+    monkeypatch.setattr(routes, "free_resolution",
+                        lambda obj: full(obj, max_len=1))
     with pytest.raises(RuntimeError, match="truncated"):
-        reg_via_betti(M, max_len=1)
+        reg_via_betti(M)
 
 
 # -- the Schreyer pair selection leaves every resolution's Betti table ------
