@@ -281,40 +281,30 @@ def cmd_family(session, args):
 
 
 def cmd_oracle(session, args):
+    """The resolution's Betti numbers and the Hilbert function against the
+    dense oracle's, at every (i, j) and degree of the oracle's own window,
+    window(d_cap): the Betti tables agree only when equal there."""
     M = session.get(args.name, ("module",))
     Mc = M.lift_to_cover()
     d_cap = args.max_degree if args.max_degree is not None else 6
-    # both windows reach down to the lowest generator, below which every
-    # Betti number and Hilbert value vanishes, and end d_cap above it when
-    # it lies above 0
-    lowest = min(Mc.gens_free.twists, default=0)
-    lo, hi = min(0, lowest), d_cap + max(0, lowest)
+    oc = DenseOracle(Mc, max_degree=max(8, d_cap + Mc.ring.nvars))
+    lo, hi = oc.window(d_cap)
     if hi < lo:
         raise UsageError(f"--max-degree {d_cap} leaves the oracle window "
                          f"empty: it would end at degree {hi}, below its "
                          f"start at degree {lo}")
-    bt = betti_table(Mc)
-    oc = DenseOracle(Mc, max_degree=max(8, d_cap + Mc.ring.nvars))
-    betti_rows = []
-    agree = True
-    pairs = {(i, j) for (i, j) in bt.entries if j <= hi}
-    for i in range(Mc.ring.nvars + 1):
-        for j in range(lo, hi + 1):
-            sym = bt.entries.get((i, j), 0)
-            if (i, j) not in pairs and sym == 0 and i > bt.projective_dimension():
-                continue
-            orc = oc.betti_number(i, j)
-            if sym or orc:
-                betti_rows.append({"i": i, "j": j, "resolution": sym,
-                                   "oracle": orc})
-            agree = agree and sym == orc
+    sym = {(i, j): b for (i, j), b in betti_table(Mc).entries.items()
+           if lo <= j <= hi}
+    orc = oc.betti_table(max_degree=d_cap)
+    betti_rows = [{"i": i, "j": j, "resolution": sym.get((i, j), 0),
+                   "oracle": orc.get((i, j), 0)}
+                  for (i, j) in sorted(sym.keys() | orc.keys())]
     hs = Mc.hilbert_series()
-    hilbert_rows = []
-    for j in range(lo, hi + 1):
-        a = hs.coefficient(j)
-        b = oc.hilbert_function(j)
-        hilbert_rows.append({"degree": j, "series": a, "oracle": b})
-        agree = agree and a == b
+    hilbert_rows = [{"degree": j, "series": hs.coefficient(j),
+                     "oracle": oc.hilbert_function(j)}
+                    for j in range(lo, hi + 1)]
+    agree = sym == orc and all(r["series"] == r["oracle"]
+                               for r in hilbert_rows)
     return {"max_degree": d_cap, "agrees": agree, "betti": betti_rows,
             "hilbert": hilbert_rows}
 

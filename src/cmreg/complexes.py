@@ -197,13 +197,16 @@ def koszul_complex(forms, coefficients=None):
     """K[f_1..f_d; coefficients].
 
     forms: nonzero homogeneous polynomials over a common ring.
-    coefficients: None for the ring, a PresentedModule, or a BoundedComplex.
+    coefficients: None for the ring, or a PresentedModule or BoundedComplex
+    over the forms' ring; other rings raise ValueError.
     """
     if not forms:
         raise ValueError("empty Koszul sequence")
     ring = forms[0].ring
     degs = []
     for f in forms:
+        if f.ring != ring:
+            raise ValueError("Koszul forms live over different rings")
         if f.is_zero() or not f.is_homogeneous():
             raise ValueError("Koszul forms must be nonzero and homogeneous")
         degs.append(f.homogeneous_degree())
@@ -251,9 +254,11 @@ def _totalize(F, C, s, f_moves, f_sign, c_sign):
     (i - s, q, b2) for each entry ((b2, m), c) of f_moves[i][b], times
     f_sign(n, i), and along d_C onto block (i, q - 1, b), times
     c_sign(n, i).  The two moves land in different blocks, so no two terms
-    of a column meet.
+    of a column meet.  F and C must live over one ring.
     """
     ring = F.ring
+    if C.ring != ring:
+        raise ValueError("the complexes live over different rings")
     p = ring.field.characteristic
     f_levels = F.levels()
     c_levels = C.levels()

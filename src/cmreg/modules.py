@@ -285,11 +285,14 @@ def image(phi):
 
 
 def homology_at(psi, phi):
-    """ker(phi) / im(psi) for composable maps with phi after psi zero.
+    """ker(phi) / im(psi) for maps through one module (one ring, generator
+    twists and relations) with phi after psi zero.
 
     One subquotient: phi's kernel vectors over the middle module's basis
     grown by psi's columns."""
-    if psi.target is not phi.source and psi.target.gens_free.twists != phi.source.gens_free.twists:
+    a, b = psi.target, phi.source
+    if a is not b and ((a.ring, a.gens_free.twists, a.rel_cols)
+                       != (b.ring, b.gens_free.twists, b.rel_cols)):
         raise ValueError("maps are not composable")
     comp = phi.compose(psi)
     if not comp.is_zero_map():

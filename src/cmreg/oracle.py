@@ -109,7 +109,8 @@ class DenseOracle:
     the defining relations are folded in automatically.  Pieces,
     multiplication matrices and Koszul differential ranks are each
     computed once per oracle and kept in its `_cache`.  A piece of degree
-    more than max_degree above the lowest generator is refused.
+    more than max_degree above the lowest generator is refused.  Its
+    Betti table, over its own window, is the one `cmreg oracle` reads.
     """
 
     def __init__(self, module, max_degree=DEFAULT_DEGREE_CAP):
@@ -233,15 +234,18 @@ class DenseOracle:
                 cols.append(col)
         return len(_rref(cols, p))
 
+    def window(self, max_degree):
+        """(lo, hi), the degrees a table reads: from min(0, lowest), below
+        which every piece is empty, to max_degree above max(0, lowest)."""
+        return min(0, self.lowest), max_degree + max(0, self.lowest)
+
     def betti_table(self, max_i=None, max_degree=6):
-        n = self.nvars
-        if max_i is None:
-            max_i = n
+        """The nonzero Betti numbers {(i, j): beta_{i,j}} with 0 <= i <=
+        max_i (the number of variables by default), j in window(max_degree)."""
+        lo, hi = self.window(max_degree)
         out = {}
-        # from min(0, lowest) up to max_degree above max(0, lowest)
-        top = max_degree + max(0, self.lowest)
-        for i in range(0, max_i + 1):
-            for j in range(min(0, self.lowest), top + 1):
+        for i in range((self.nvars if max_i is None else max_i) + 1):
+            for j in range(lo, hi + 1):
                 b = self.betti_number(i, j)
                 if b:
                     out[(i, j)] = b

@@ -20,8 +20,11 @@ both read as a block), the Hilbert-series code (homology_series
 included) and, for betti and duality, the minimal free resolution of the
 module over the cover.  A module or complex builds its cover once and
 keeps it (lift_to_cover), so the two share that resolution over quotient
-rings as they do over polynomial rings.  The betti route reads twists and
-shares no homology code with the other three.
+rings as they do over polynomial rings.  The betti route reads the
+Betti table (resolution.BettiTable), as relative_reg does, and shares no
+homology code with the other three.  Routes that disagree mean the
+engine is broken: regularity, reg_complex(cross_check=True) and
+depth_profile raise on a disagreement rather than report it.
 
 Default-form reg_via_koszul keeps its result on the object it was asked
 about under the one cache rule of cmreg.memo, so a checker that asks
@@ -53,7 +56,7 @@ from .complexes import (BoundedComplex, _as_complex, ext_complex,
                         koszul_resolution_of_k)
 from .memo import _cached
 from .modules import PresentedModule
-from .resolution import free_resolution
+from .resolution import betti_table, free_resolution
 
 
 class KoszulHypothesisError(ValueError):
@@ -80,7 +83,16 @@ def _cover(obj):
     return obj.lift_to_cover()
 
 
-# -- route 1: resolution twists -------------------------------------------
+def _agreed(what, routes):
+    """Raise unless every route in routes, {route: value}, gives one value:
+    routes that disagree mean the engine is broken.  The message names
+    each route's value."""
+    if len(set(routes.values())) != 1:
+        raise RuntimeError(f"internal disagreement on {what}: " + ", ".join(
+            f"{route} gives {v}" for route, v in routes.items()))
+
+
+# -- route 1: the Betti table ----------------------------------------------
 
 def _sup(candidates):
     """sup of the values of (value, witness) candidates, and the witness of
@@ -92,22 +104,16 @@ def _sup(candidates):
     return best, wit
 
 
-def _twist_sup(res):
-    """sup{a - i} over the twists a at each spot i of a resolution, with
-    the first (i, a) attaining it."""
-    return _sup((a - i, (i, a)) for i, tw in res.twists.items() for a in tw)
-
-
 def reg_via_betti(obj):
-    """(value, witness) from the full minimal free resolution over the
-    cover; a truncated one raises.
+    """(value, witness) from the Betti table of the full minimal free
+    resolution over the cover; a truncated one raises.
 
-    witness is a (homological spot, twist) pair attaining the sup.
+    witness is the (spot, twist) pair attaining the sup at the lowest spot.
     """
-    res = free_resolution(_cover(obj))
-    if not res.complete:
+    bt = betti_table(_cover(obj))
+    if not bt.complete:
         raise RuntimeError("free resolution was truncated")
-    return _twist_sup(res)
+    return bt.regularity(), bt.witness()
 
 
 # -- route 2: Ext against the residue field -------------------------------
@@ -171,6 +177,8 @@ def _koszul_route(C, forms):
     else:
         forms = list(forms)
         for f in forms:
+            if f.ring != ring:
+                raise ValueError("Koszul forms over a different ring")
             if f.is_zero() or not f.is_homogeneous() or f.homogeneous_degree() != 1:
                 raise ValueError("Koszul-route sequences consist of linear forms")
         # linear forms span R_1 exactly when (R/(forms))_1 = 0
@@ -294,13 +302,11 @@ class LocalCohomologyTable:
         }
 
 
-WINDOW_HARD_CAP_FACTOR = 8
-
-
 def local_cohomology_table(M, window=None):
-    """dim H^i_m(M)_j over a window, from the rows of _duality_series.  The
-    window's end doubles, clamped to 8(n + 2), until it reaches every
-    row's top degree; a window that must grow past that cap raises."""
+    """dim H^i_m(M)_j over a window, (-2n - 4, 2n + 4) by default, from the
+    rows of _duality_series.  The rows are exact, so the window ends no
+    lower than the last row does: past the given end it runs on to the
+    highest degree in which some H^i is nonzero."""
     _require_module(M)
     if window is not None and window[0] > window[1]:
         raise ValueError(f"empty local cohomology window {tuple(window)}: "
@@ -316,13 +322,7 @@ def local_cohomology_table(M, window=None):
     for i, E in rows.items():
         top = E.top_degree()
         support[i] = (-inf if top == inf else -top, -E.indeg())
-    needed = max((e for (_, e) in support.values()), default=0)
-    cap = WINDOW_HARD_CAP_FACTOR * (n + 2)
-    while hi < needed:
-        if needed > cap:
-            raise ValueError(
-                f"local cohomology window cap exceeded (need degree {needed})")
-        hi = min(2 * hi + 4 if hi > 0 else needed, cap)
+    hi = max([hi, *(e for (_, e) in support.values())])
     entries = {}
     for i, E in rows.items():
         for j in range(lo, hi + 1):
@@ -369,7 +369,8 @@ def relative_reg(obj, max_len=None):
     """RelativeReg of a module or complex, read off its resolution over its
     own ring."""
     res = free_resolution(obj, max_len=max_len)
-    return RelativeReg(_twist_sup(res)[0], res.complete, res.length)
+    return RelativeReg(betti_table(obj, max_len).regularity(), res.complete,
+                       res.length)
 
 
 def reg_complex(L, cross_check=False):
@@ -377,17 +378,13 @@ def reg_complex(L, cross_check=False):
     the polynomial cover.
 
     With cross_check the value is recomputed through the betti route on
-    every call, and a mismatch raises; the two routes share no homology
-    code.  That route reads the resolution kept on L's cover, so only the
-    first cross-check resolves.  The value is the koszul route's entry on
-    L's cover, which reg_via_koszul of the cover shares."""
+    every call, and a mismatch raises (_agreed); the two routes share no
+    homology code.  That route reads the resolution kept on L's cover, so
+    only the first cross-check resolves.  The value is the koszul route's
+    entry on L's cover, which reg_via_koszul of the cover shares."""
     value = reg_via_koszul(_cover(L))[0]
     if cross_check:
-        other, _ = reg_via_betti(L)
-        if other != value:
-            raise RuntimeError(
-                f"internal disagreement on a complex: totalization gives "
-                f"{value}, the resolution route gives {other}")
+        _agreed("a complex", {"koszul": value, "betti": reg_via_betti(L)[0]})
     return value
 
 
@@ -395,7 +392,7 @@ def reg_complex(L, cross_check=False):
 
 def depth_profile(M):
     """Depth by pd (Auslander-Buchsbaum), by Bass numbers, and by Koszul
-    homology, all over the cover.  The three agree for correct inputs."""
+    homology, all over the cover; a disagreement raises (_agreed)."""
     _require_module(M)
     Mc = M.lift_to_cover()
     if Mc.is_zero():
@@ -403,7 +400,9 @@ def depth_profile(M):
     via_pd = depth(Mc)
     via_ext = min(i for (i, _) in bass_table(Mc))
     via_koszul = grade_of_sequence(list(Mc.ring.gens()), Mc)
-    return {"via_pd": via_pd, "via_ext": via_ext, "via_koszul": via_koszul}
+    profile = {"via_pd": via_pd, "via_ext": via_ext, "via_koszul": via_koszul}
+    _agreed("the depth", profile)
+    return profile
 
 
 def depth(M):
@@ -454,12 +453,14 @@ class RegularityReport:
 
 
 def regularity(M, max_len=None):
-    """Four-route regularity report for a presented module."""
+    """Four-route regularity report for a presented module; routes that
+    disagree raise (_agreed)."""
     rb, wb = reg_via_betti(M)
     re_, we = reg_via_ext(M)
     rk, wk = reg_via_koszul(M)
     rd, wd = reg_via_duality(M)
     routes = {"betti": rb, "ext": re_, "koszul": rk, "duality": rd}
+    _agreed("a module", routes)
     wits = {"betti": wb, "ext": we, "koszul": wk, "duality": wd}
     rel = relative_reg(M, max_len=max_len)
     cover = M.ring if M.ring.is_polynomial else M.ring.cover

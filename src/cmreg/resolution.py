@@ -318,12 +318,11 @@ def _sort_by_degree(twists, cols, i):
 class BettiTable:
     """Graded Betti numbers beta_{i,j}, Macaulay-style rendering."""
 
-    __slots__ = ("entries", "complete", "ring_repr")
+    __slots__ = ("entries", "complete")
 
-    def __init__(self, entries, complete, ring_repr=""):
+    def __init__(self, entries, complete):
         self.entries = {k: v for k, v in entries.items() if v}
         self.complete = complete
-        self.ring_repr = ring_repr
 
     def regularity(self):
         if not self.entries:
@@ -376,15 +375,10 @@ class BettiTable:
 
 def betti_table(M, max_len=None):
     res = free_resolution(M, max_len=max_len)
-    return BettiTable(res.betti(), res.complete, repr(M.ring))
+    return BettiTable(res.betti(), res.complete)
 
 
 def pd(M, max_len=None):
     """Projective dimension; +inf when the truncated resolution has not
     reached zero (a certified lower bound is the truncation length)."""
-    res = free_resolution(M, max_len=max_len)
-    if not res.betti():
-        return -inf
-    if res.complete:
-        return res.length
-    return inf
+    return betti_table(M, max_len).projective_dimension()

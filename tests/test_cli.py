@@ -473,19 +473,23 @@ def test_check_ring_indep_via_cli(session_file, capsys):
     assert json.loads(out)["result"]["conclusion"]["verdict"] == "equality"
 
 
-def test_check_ring_indep_grows_both_windows_to_their_caps(monkeypatch,
-                                                         capsys):
-    # the tables need degree 37 under the caps 40 and 48; the doubled
-    # ends passed the caps, and the check exited 2 with "need degree 37"
+@pytest.mark.parametrize("power", [40, 44])
+def test_check_ring_indep_reads_both_tables_to_their_last_rows(
+        monkeypatch, capsys, power):
+    # the tables' windows grew by doubling up to caps of 40 and 48: x^40
+    # needs degree 37, which the doubled ends passed ("need degree 37"),
+    # and x^44 needs 41, past the cap ("local cohomology window cap
+    # exceeded (need degree 41)") though `reg` reads 43 on all four
+    # routes.  Both exited 2; the windows now end at the last row
     import io
     monkeypatch.setattr(sys, "stdin", io.StringIO(
-        "ring S = GF(32003)[x, y, z]; ideal I = x^40; "
+        f"ring S = GF(32003)[x, y, z]; ideal I = x^{power}; "
         "module M = cyclic(S, I);"))
     code, out, err = run(capsys, "--session", "-", "check", "ring-indep",
                          "--module", "M")
     assert (code, err) == (0, "")
     result = json.loads(out)["result"]
-    assert result["conclusion"] == {"lhs": 39, "rhs": 39,
+    assert result["conclusion"] == {"lhs": power - 1, "rhs": power - 1,
                                     "verdict": "equality"}
     assert result["invariants"]["tables_match"] is True
 

@@ -7,6 +7,7 @@ from cmreg import (BoundedComplex, ModuleMap, PresentedModule,
                    complex_from_module, ext, free_resolution_of_complex,
                    grade_of_sequence, hom_complex, koszul_complex,
                    koszul_resolution_of_k, local_cohomology_table,
+                   polynomial_ring,
                    resolution_to_complex, tensor_complexes,
                    tensor_free_with_complex, tor, free_resolution)
 from cmreg.regularity import LocalCohomologyTable
@@ -66,6 +67,17 @@ def test_tor_symmetry(S3):
         B = tor(N, M, i)
         for j in range(8):
             assert A.hilbert_function(j) == B.hilbert_function(j)
+
+
+def test_totalizations_refuse_factors_over_different_rings(S3):
+    # tensor and Hom read F's ring and C's modules, over two rings at once
+    x, y, z = S3.gens()
+    T = polynomial_ring(["x", "y", "z"], p=7)
+    F = koszul_complex([x, y])
+    C = complex_from_module(PresentedModule.cyclic(T, [T.gens()[0]]))
+    for build in (tensor_free_with_complex, hom_complex):
+        with pytest.raises(ValueError, match="different rings"):
+            build(F, C)
 
 
 def test_tor_zero_is_tensor_product(S3):

@@ -15,7 +15,10 @@ series reads only the cokernel series, the duality rows and the depth
 are computed only under their keys on the cover ring (and read there up
 to twist), nothing calls `free_resolution_of_complex`, the complex layer
 presents no kernels, the dense oracle imports nothing from the Groebner,
-Hilbert or resolution layers, and nothing imports numpy."""
+Hilbert or resolution layers, only the oracle's own table reads single
+Betti numbers, regularity.py keeps no twist sup and no window cap and
+grows no local cohomology window in a loop, and nothing imports
+numpy."""
 
 import ast
 import importlib
@@ -714,6 +717,39 @@ def test_nothing_calls_free_resolution_of_complex():
 
 def test_complex_layer_presents_no_kernels():
     assert [s for s in call_sites("kernel") if s[0] == "complexes.py"] == []
+
+
+def test_the_oracle_table_has_one_reader():
+    """`cmreg oracle` compares the oracle's own table, so only
+    `DenseOracle.betti_table` reads single Betti numbers."""
+    assert [(f, func) for f, _, func in call_sites("betti_number")] == [
+        ("oracle.py", "betti_table")]
+
+
+def _regularity_tree():
+    [source] = [src for name, _, src in sources() if name == "regularity.py"]
+    return ast.parse(source)
+
+
+def test_reg_and_the_local_cohomology_window_have_one_reader():
+    """The betti route and `relative_reg` read reg off the Betti table,
+    with no twist sup of their own, and the local cohomology window has
+    no cap."""
+    tree = _regularity_tree()
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {t.id for node in tree.body if isinstance(node, ast.Assign)
+                for t in node.targets if isinstance(t, ast.Name)}
+    assert not defined & {"_twist_sup", "WINDOW_HARD_CAP_FACTOR"}
+
+
+def test_the_local_cohomology_window_ends_with_no_loop():
+    """Its rows are exact, so the window runs to the last row's end in
+    one step: nothing grows it in a loop."""
+    [table] = [node for node in ast.walk(_regularity_tree())
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "local_cohomology_table"]
+    assert not [n for n in ast.walk(table) if isinstance(n, ast.While)]
 
 
 def cmreg_imports(source):

@@ -138,6 +138,23 @@ def test_koszul_middle_homology_vanishes(S3):
     assert H.is_zero()
 
 
+def test_homology_at_refuses_maps_that_do_not_compose(S3):
+    # only the generator twists were compared, so psi into S/(x) and phi
+    # out of S/(y) gave k without complaint
+    x, y, z = S3.gens()
+    into = PresentedModule.cyclic(S3, [x])
+    out_of = PresentedModule.cyclic(S3, [y])
+    psi = ModuleMap.from_entries(PresentedModule.free(S3, (1,)), into, [[x]])
+    phi = ModuleMap.zero(out_of, PresentedModule.zero(S3))
+    with pytest.raises(ValueError, match="not composable"):
+        homology_at(psi, phi)
+    # an equal module built again composes
+    again = PresentedModule.cyclic(S3, [y])
+    psi = ModuleMap.from_entries(PresentedModule.free(S3, (1,)), again, [[x]])
+    assert homology_at(psi, phi).hilbert_series() == PresentedModule.cyclic(
+        S3, [x, y]).hilbert_series()
+
+
 def test_from_entries_checks_the_matrix_shape(S3):
     x, y, z = S3.gens()
     top = PresentedModule.free(S3, (0,))

@@ -266,6 +266,39 @@ def test_depth_profile_routes_agree(det_module, S3):
     assert depth(N) == 1
 
 
+def test_a_route_disagreement_raises(monkeypatch, S3):
+    # a disagreement is an engine bug, not a report: regularity returned
+    # a report with agree false, and depth_profile never compared its
+    # three values
+    x, y, z = S3.gens()
+    M = PresentedModule.cyclic(S3, [x * y, x * z])
+    assert regularity(M).value == 1 and depth(M) == 1
+    monkeypatch.setattr(routes, "reg_via_duality", lambda M: (5, None))
+    with pytest.raises(RuntimeError, match="duality gives 5"):
+        regularity(M)
+    monkeypatch.setattr(routes, "grade_of_sequence", lambda forms, M: 2)
+    with pytest.raises(RuntimeError, match="via_koszul gives 2"):
+        depth_profile(M)
+
+
+def test_koszul_builders_refuse_forms_over_other_rings(S3):
+    # forms over GF(7) raised ZeroDivisionError in the route and built a
+    # Koszul complex with wrong homology; forms in other variables raised
+    # struct.error
+    x, y, z = S3.gens()
+    M = PresentedModule.cyclic(S3, [x * y + 7 * y * z, x * z])
+    a, b, c = polynomial_ring(["x", "y", "z"], p=7).gens()
+    u, v, w, _ = polynomial_ring(["u", "v", "w", "t"]).gens()
+    with pytest.raises(ValueError, match="different ring"):
+        reg_via_koszul(M, forms=[a, b, c])
+    with pytest.raises(ValueError, match="different ring"):
+        koszul_complex([a ** 7 + b ** 7, (a + b) ** 7], M)
+    with pytest.raises(ValueError, match="different ring"):
+        reg_via_koszul(M, forms=[u, v, w])
+    with pytest.raises(ValueError, match="different ring"):
+        koszul_complex([x, a])
+
+
 def test_depth_of_zero_module_is_plus_infinity(S3):
     assert depth(PresentedModule.zero(S3)) == inf
 
@@ -503,21 +536,28 @@ def test_local_cohomology_refuses_an_inverted_window(make):
     assert local_cohomology_table(M, window=(1, 1)).window[0] == 1
 
 
-def test_the_window_grows_to_its_cap_before_it_refuses():
-    # the doubled end 10 -> 24 -> 52 passed the cap 8(n + 2) = 40, which
-    # raised "need degree 27" though 27 lies below the cap
+def test_the_window_runs_to_the_last_row_with_no_cap():
+    # the window's end doubled up to a cap of 8(n + 2) = 40, so x^30 read
+    # on to degree 40 and x^44, whose rows are as exact, raised "need
+    # degree 41"; the window now ends where the last row does
     S = polynomial_ring(["x", "y", "z"])
     x = S.gens()[0]
     M = PresentedModule.cyclic(S, [x ** 30])
     table = local_cohomology_table(M)
-    assert table.window == (-10, 40)
+    assert table.window == (-10, 27)
     assert table.row_support == {2: (-inf, 27)}
     assert table.regularity() == reg_via_betti(M)[0] == 29
     # H^2_m(M)_j is dual to Ext^1(M, S(-3))_{-j} = M(27)_{-j}
     assert [table.entries.get((2, j), 0) for j in (28, 27, 26, 25)] == [
         0, 1, 3, 6]
-    with pytest.raises(ValueError, match="need degree 41"):
-        local_cohomology_table(PresentedModule.cyclic(S, [x ** 44]))
+    M = PresentedModule.cyclic(S, [x ** 44])
+    table = local_cohomology_table(M)
+    assert table.window == (-10, 41)
+    assert table.row_support == {2: (-inf, 41)}
+    assert max(j for (_, j) in table.entries) == 41
+    assert table.regularity() == reg_via_betti(M)[0] == 43
+    # a window that already reaches past the last row is kept as given
+    assert local_cohomology_table(M, (0, 50)).window == (0, 50)
 
 
 def test_explicit_koszul_arguments_bypass_the_cache(monkeypatch, det_module):

@@ -271,11 +271,11 @@ def test_reg_via_betti_refuses_a_truncated_resolution(monkeypatch):
     M = PresentedModule.cyclic(S, [x * x, y * y])
     assert reg_via_betti(M)[0] == 2
     assert pd(M, max_len=2) == 2 and betti_table(M, max_len=2).complete
-    # the route takes no truncation: it reads the full resolution, and
-    # refuses one that stops short
+    # the route takes no truncation: it reads the full resolution's Betti
+    # table, and refuses one that stops short
     routes = importlib.import_module("cmreg.regularity")
-    full = routes.free_resolution
-    monkeypatch.setattr(routes, "free_resolution",
+    full = routes.betti_table
+    monkeypatch.setattr(routes, "betti_table",
                         lambda obj: full(obj, max_len=1))
     with pytest.raises(RuntimeError, match="truncated"):
         reg_via_betti(M)

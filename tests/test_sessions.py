@@ -8,6 +8,7 @@ import pytest
 
 import cmreg.cli as cli
 from cmreg import betti_table, free_resolution, parse_session
+from cmreg.resolution import BettiTable
 
 HERE = os.path.dirname(__file__)
 SESSIONS = os.path.join(HERE, "..", "sessions")
@@ -127,6 +128,29 @@ def session_modules(name):
     return [(b, s.get(b)) for b in s.order if s.kind_of(b) == "module"]
 
 
+def test_the_oracle_sees_a_dropped_top_level(monkeypatch):
+    # the oracle command skipped every spot past the resolution's own pd,
+    # so a table that lost its top level still agreed on every module
+    real = cli.betti_table
+
+    def dropped(M, max_len=None):
+        bt = real(M, max_len)
+        top = max(i for (i, _) in bt.entries)
+        return BettiTable({k: v for k, v in bt.entries.items()
+                           if k[0] != top}, bt.complete)
+
+    monkeypatch.setattr(cli, "betti_table", dropped)
+    seen = []
+    for name in sorted(os.listdir(SESSIONS)):
+        for binding, _ in session_modules(name):
+            code, out = run("--session", path(name), "oracle", binding)
+            assert code == 0
+            seen.append((name, binding,
+                         json.loads(out)["result"]["agrees"]))
+    assert len(seen) == 8
+    assert [s for s in seen if s[2] is not False] == []
+
+
 @pytest.mark.parametrize("name", sorted(os.listdir(SESSIONS)))
 def test_a_truncated_table_is_a_longer_tables_prefix(name):
     # the top level of a truncation is cut down against all of the next
@@ -163,6 +187,19 @@ def test_reg_on_a_complex_runs_the_betti_route_once(monkeypatch):
     monkeypatch.setattr(reg_mod, "reg_via_betti", lambda obj: (5, None))
     code, _ = run("--session", path("determinantal.cmreg"), "reg", "K")
     assert code == 2
+
+
+def test_reg_and_depth_on_a_module_exit_two_when_routes_disagree(
+        monkeypatch):
+    # a faulted duality route exited 0 with "agree": false
+    reg_mod = importlib.import_module("cmreg.regularity")
+    det = path("determinantal.cmreg")
+    assert run("--session", det, "reg", "M")[0] == 0
+    assert run("--session", det, "depth", "M")[0] == 0
+    monkeypatch.setattr(reg_mod, "reg_via_duality", lambda M: (5, None))
+    assert run("--session", det, "reg", "M") == (2, "")
+    monkeypatch.setattr(reg_mod, "grade_of_sequence", lambda forms, M: 7)
+    assert run("--session", det, "depth", "M") == (2, "")
 
 
 @pytest.mark.parametrize("name", sorted(os.listdir(SESSIONS)))
