@@ -181,13 +181,9 @@ def _derived(session, args, key, build, sign):
     res = free_resolution(A, max_len=args.max_len)
     C = build(A, B, max_len=args.max_len)
     top = inf if res.complete else res.length
-    entries = []
-    for i in sorted(sign * s for s in C.levels()):
-        if i < 0 or i >= top:
-            continue
-        H = C.homology_series(sign * i)
-        if not H.is_zero():
-            entries.append({"i": i, **_module_profile(H, args.max_degree)})
+    series = {sign * s: H for s, H in C.nonzero_homology_series().items()}
+    entries = [{"i": i, **_module_profile(series[i], args.max_degree)}
+               for i in sorted(series) if 0 <= i < top]
     if entries and not any(e["values"] for e in entries):
         start = min(e["indeg"] for e in entries)
         raise UsageError(f"--max-degree {args.max_degree} leaves every {key} "

@@ -11,6 +11,11 @@ the term's Groebner basis is assembled from theirs.
 homology(i) presents H_i and keeps it; homology_series(i) sums the two
 cokernel series kept on the complex, so the two paths share nothing
 above the Groebner kernel and each checks the other.
+nonzero_homology_series() is the one reader of the nonzero series,
+spot by spot, for the ext, koszul and duality routes and the CLI's tor
+and ext.  Two loops that need fewer spots keep their own: sup_homology
+stops at the top nonzero spot, and theorems._saturation_failure reads
+the positive spots alone, never H_0.
 
 Homological indexing throughout: d_i maps spot i to spot i-1, cohomological
 objects sit at negated spots (Ext^i lives in spot -i).  The suspension
@@ -153,6 +158,12 @@ class BoundedComplex:
             raise ValueError("composition is not zero, homology undefined")
         return self._coker_series(i + 1).add(self._coker_series(i)).sub(
             self.term(i - 1).hilbert_series())
+
+    def nonzero_homology_series(self):
+        """{spot: homology_series(spot)} over the spots with nonzero
+        homology, in ascending order."""
+        return {i: H for i in self.levels()
+                if not (H := self.homology_series(i)).is_zero()}
 
     def sup_homology(self):
         for i in range(self.max_level, self.min_level - 1, -1):

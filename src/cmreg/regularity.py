@@ -8,12 +8,13 @@ Routes:
   duality  top degrees of local cohomology read off Ext^q(M, S(-n))
 
 The ext, koszul and duality routes (and reg_complex, which runs the
-koszul route) never present a homology module: they read each homology
-Hilbert series off the cokernels of the differentials
-(BoundedComplex.homology_series).  Inside one totalization no Groebner
-basis is built twice: each term's basis is assembled from the bases of
-its blocks, twisted copies of the coefficient terms, and each cokernel's
-basis grows from its target's by a seeded Buchberger run.  Across routes
+koszul route) never present a homology module: each reads the nonzero
+homology series of one complex through one reader
+(BoundedComplex.nonzero_homology_series), off the cokernels of the
+differentials.  Inside one totalization no Groebner basis is built
+twice: each term's basis is assembled from the bases of its blocks,
+twisted copies of the coefficient terms, and each cokernel's basis grows
+from its target's by a seeded Buchberger run.  Across routes
 only this is shared: the Groebner kernel and its output for the same
 module (the basis cached on that module, which the ext and koszul routes
 both read as a block), the Hilbert-series code (homology_series
@@ -84,12 +85,14 @@ def _cover(obj):
 
 
 def _agreed(what, routes):
-    """Raise unless every route in routes, {route: value}, gives one value:
-    routes that disagree mean the engine is broken.  The message names
-    each route's value."""
-    if len(set(routes.values())) != 1:
+    """The one value every route in routes, {route: value}, gives; raise
+    otherwise: routes that disagree mean the engine is broken.  The
+    message names each route's value."""
+    values = set(routes.values())
+    if len(values) != 1:
         raise RuntimeError(f"internal disagreement on {what}: " + ", ".join(
             f"{route} gives {v}" for route, v in routes.items()))
+    return values.pop()
 
 
 # -- route 1: the Betti table ----------------------------------------------
@@ -122,16 +125,11 @@ def bass_table(obj):
     """Bass numbers mu^{i,j} = dim Ext^i(k, obj)_j over the cover, as
     {(i, j): mu^{i,j}}, exact and finitely supported."""
     C = _as_complex(obj).lift_to_cover()
-    cover = C.ring
     if not C.terms:
         return {}
-    K = koszul_resolution_of_k(cover)
-    E = hom_complex(K, C)
+    E = hom_complex(koszul_resolution_of_k(C.ring), C)
     table = {}
-    for s in E.levels():
-        H = E.homology_series(s)
-        if H.is_zero():
-            continue
+    for s, H in E.nonzero_homology_series().items():
         i = -s
         lo, hi = H.indeg(), H.top_degree()
         if hi == inf:
@@ -156,9 +154,9 @@ def reg_via_koszul(obj, forms=None):
     object's own ring.
 
     forms defaults to the ring variables (always a valid sequence).  A
-    user-supplied sequence must consist of linear forms; unless the forms
-    span the degree-1 piece of the ring, every homology module must have
-    finite length, and a KoszulHypothesisError reports the first that
+    user-supplied sequence must consist of linear forms, and every
+    homology module must have finite length (forms spanning the degree-1
+    piece always pass); a KoszulHypothesisError reports the first that
     does not.  Only the default call (no forms) is cached on obj.
     """
     C = _as_complex(obj)
@@ -173,7 +171,6 @@ def _koszul_route(C, forms):
         return -inf, None
     if forms is None:
         forms = list(ring.gens())
-        verify = False
     else:
         forms = list(forms)
         for f in forms:
@@ -181,24 +178,16 @@ def _koszul_route(C, forms):
                 raise ValueError("Koszul forms over a different ring")
             if f.is_zero() or not f.is_homogeneous() or f.homogeneous_degree() != 1:
                 raise ValueError("Koszul-route sequences consist of linear forms")
-        # linear forms span R_1 exactly when (R/(forms))_1 = 0
-        verify = PresentedModule.cyclic(ring, forms).hilbert_function(1) != 0
-    Kx = koszul_complex(forms, C)
-    series = {i: Kx.homology_series(i) for i in Kx.levels()}
-    if verify:
-        # the finite-length condition on positive homology is the
-        # load-bearing hypothesis; the degeneracy guard on H_0 comes after
-        spots = sorted(i for i in series if i > 0) + [i for i in series if i <= 0]
-        for i in spots:
-            if not series[i].is_zero() and series[i].dimension() > 0:
-                raise KoszulHypothesisError(i, series[i].dimension())
-    tops = {}
-    for i, H in series.items():
-        if not H.is_zero():
-            tops[i] = H.top_degree()
-            if tops[i] == inf:
-                raise KoszulHypothesisError(i, H.dimension())
-    return _sup((top - i, (i, top)) for i, top in tops.items())
+    series = koszul_complex(forms, C).nonzero_homology_series()
+    # One pass serves every sequence: H_i(forms; C) is killed by the
+    # forms, so forms spanning R_1 give finite-length homology and never
+    # raise.  Positive spots first: they carry the hypothesis, and the
+    # guard on H_0 (and below) comes after.
+    for i in sorted(series, key=lambda i: i <= 0):
+        if series[i].dimension() > 0:
+            raise KoszulHypothesisError(i, series[i].dimension())
+    return _sup((H.top_degree() - i, (i, H.top_degree()))
+                for i, H in series.items())
 
 
 # -- route 4: graded local duality ----------------------------------------
@@ -232,13 +221,9 @@ def _duality_series(M):
 
     def compute():
         D = ext_complex(Mc, PresentedModule.free(S, (n,)))
-        out = {}
-        for s in D.levels():
-            H = D.homology_series(s)
-            if not H.is_zero():
-                # Ext^q sits at spot -q, and its row is i = n - q
-                out[n + s] = H.twist(-t0)
-        return out
+        # Ext^q sits at spot -q, and its row is i = n - q
+        return {n + s: H.twist(-t0)
+                for s, H in D.nonzero_homology_series().items()}
 
     rows = _cached(S, ("duality", key), compute)
     return {i: E.twist(t0) for i, E in rows.items()}
@@ -308,16 +293,14 @@ def local_cohomology_table(M, window=None):
     lower than the last row does: past the given end it runs on to the
     highest degree in which some H^i is nonzero."""
     _require_module(M)
-    if window is not None and window[0] > window[1]:
-        raise ValueError(f"empty local cohomology window {tuple(window)}: "
+    n = M.ring.cover.nvars
+    lo, hi = window or (-2 * n - 4, 2 * n + 4)
+    if lo > hi:
+        raise ValueError(f"empty local cohomology window {(lo, hi)}: "
                          "it ends below its start")
     if M.is_zero():
-        return LocalCohomologyTable({}, window or (0, 0), {}, 0)
+        return LocalCohomologyTable({}, (lo, hi), {}, n)
     rows = _duality_series(M)
-    n = M.ring.cover.nvars
-    if window is None:
-        window = (-2 * n - 4, 2 * n + 4)
-    lo, hi = window
     support = {}
     for i, E in rows.items():
         top = E.top_degree()
@@ -422,18 +405,22 @@ def depth(M):
 # -- the report ------------------------------------------------------------
 
 class RegularityReport:
-    __slots__ = ("ring_repr", "cover_repr", "routes", "witnesses",
-                 "relative", "agree", "value")
+    """The four routes' values and witnesses, the value they agree on
+    (regularity raises first on a disagreement, so agree is always true)
+    and the relative regularity."""
 
-    def __init__(self, ring_repr, cover_repr, routes, witnesses, relative):
+    __slots__ = ("ring_repr", "cover_repr", "routes", "witnesses",
+                 "relative", "value")
+    agree = True
+
+    def __init__(self, ring_repr, cover_repr, routes, witnesses, relative,
+                 value):
         self.ring_repr = ring_repr
         self.cover_repr = cover_repr
         self.routes = routes
         self.witnesses = witnesses
         self.relative = relative
-        vals = set(routes.values())
-        self.agree = len(vals) == 1
-        self.value = routes["betti"] if self.agree else None
+        self.value = value
 
     def as_dict(self):
         return {
@@ -460,8 +447,9 @@ def regularity(M, max_len=None):
     rk, wk = reg_via_koszul(M)
     rd, wd = reg_via_duality(M)
     routes = {"betti": rb, "ext": re_, "koszul": rk, "duality": rd}
-    _agreed("a module", routes)
+    value = _agreed("a module", routes)
     wits = {"betti": wb, "ext": we, "koszul": wk, "duality": wd}
     rel = relative_reg(M, max_len=max_len)
     cover = M.ring if M.ring.is_polynomial else M.ring.cover
-    return RegularityReport(repr(M.ring), repr(cover), routes, wits, rel)
+    return RegularityReport(repr(M.ring), repr(cover), routes, wits, rel,
+                            value)

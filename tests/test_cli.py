@@ -590,6 +590,17 @@ def test_koszul_refuses_a_sequence_from_another_ring(tmp_path, capsys,
     assert message in err
 
 
+def test_koszul_reports_an_infinite_h0_and_exits_two(tmp_path, capsys):
+    # behaviour pin: z is regular on F = S/(x) + S(-1), so H_0 is the only
+    # homology of positive dimension, and it is reported
+    p = tmp_path / "h0.cmreg"
+    p.write_text("ring S = GF(32003)[x, y, z];\nsequence s = z;\n"
+                 "module F = coker(S, [0, 1], [[x], [0]]);\n")
+    code, out, err = run(capsys, "--session", str(p), "koszul", "s", "F")
+    assert (code, out) == (2, "")
+    assert "H_0 of the Koszul complex has dimension 2" in err
+
+
 def test_check_tensor_needs_two_modules(session_file, capsys):
     code, out, err = run(capsys, "--session", session_file, "check",
                          "tensor", "--modules", "M")

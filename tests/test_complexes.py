@@ -223,6 +223,39 @@ def test_homology_series_matches_homology_on_checker_complexes(inst):
         assert_series_match_homology(C)
 
 
+def assert_reader_is_the_filtered_series(C):
+    """nonzero_homology_series() against homology_series at every spot from
+    the lowest to the highest term: the nonzero ones, ascending."""
+    want = {}
+    for i in range(C.min_level, C.max_level + 1):
+        H = C.homology_series(i)
+        if not H.is_zero():
+            want[i] = H
+    got = C.nonzero_homology_series()
+    assert got == want
+    assert list(got) == sorted(got)
+    return got
+
+
+@pytest.mark.parametrize("inst", random_ideal_corpus(count=5),
+                         ids=lambda inst: inst.name)
+def test_nonzero_homology_series_reads_every_nonzero_spot(inst):
+    complexes = checker_complexes(inst)
+    complexes["bass"] = hom_complex(koszul_resolution_of_k(inst.ring),
+                                    complexes["cut"])
+    for name, C in complexes.items():
+        assert assert_reader_is_the_filtered_series(C), name
+
+
+def test_an_exact_complex_has_no_nonzero_homology_series(S3):
+    x, y, _ = S3.gens()
+    # the Koszul complex on a unit: M --1--> M, exact at both spots
+    C = koszul_complex([S3.constant(1)], PresentedModule.cyclic(S3, [x * y]))
+    assert C.levels() == [0, 1]
+    assert assert_reader_is_the_filtered_series(C) == {}
+    assert C.sup_homology() == -inf
+
+
 def test_homology_series_matches_homology_over_quotient(det_module):
     R = det_module.ring
     assert_series_match_homology(

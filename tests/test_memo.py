@@ -11,7 +11,10 @@ the reduction kernel is one loop with its field arithmetic inline, no
 function computes with field methods and there is one field class,
 checker outcomes are built and contradictions raised only by
 `theorems._finish`, the cache keys are a fixed inventory, a homology
-series reads only the cokernel series, the duality rows and the depth
+series reads only the cokernel series and outside the complex layer
+only the saturation check reads one spot by spot (everything else reads
+`nonzero_homology_series`), the Koszul route builds no probe module and
+runs no separate hypothesis pass, the duality rows and the depth
 are computed only under their keys on the cover ring (and read there up
 to twist), nothing calls `free_resolution_of_complex`, the complex layer
 presents no kernels, the dense oracle imports nothing from the Groebner,
@@ -711,6 +714,19 @@ def test_homology_series_reads_only_the_cokernel_series():
         "homology_series"}
 
 
+def test_homology_series_has_one_reader_outside_the_complex_layer():
+    """The ext, koszul and duality routes and the CLI's tor and ext read a
+    complex's nonzero series through `nonzero_homology_series`; only
+    the saturation check, which must not compute H_0, reads spots one at
+    a time."""
+    sites = [(f, func) for f, _, func in call_sites("homology_series")
+             if f != "complexes.py"]
+    assert sites == [("theorems.py", "_saturation_failure")]
+    [source] = [src for name, _, src in sources() if name == "complexes.py"]
+    assert {func for _, func in calls(source, "homology_series")} == {
+        "nonzero_homology_series", "sup_homology"}
+
+
 def test_nothing_calls_free_resolution_of_complex():
     assert call_sites("free_resolution_of_complex") == []
 
@@ -750,6 +766,18 @@ def test_the_local_cohomology_window_ends_with_no_loop():
                if isinstance(node, ast.FunctionDef)
                and node.name == "local_cohomology_table"]
     assert not [n for n in ast.walk(table) if isinstance(n, ast.While)]
+
+
+def test_the_koszul_route_is_one_pass_with_no_probe_module():
+    """Forms that span R_1 never fail the finite-length test, so the route
+    needs no module to tell whether they do, and no flag to skip it."""
+    [route] = [node for node in ast.walk(_regularity_tree())
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "_koszul_route"]
+    names = {node.id if isinstance(node, ast.Name) else node.attr
+             for node in ast.walk(route)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    assert not names & {"PresentedModule", "verify"}
 
 
 def cmreg_imports(source):

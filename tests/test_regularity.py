@@ -1,6 +1,6 @@
 import importlib
 import random
-from math import inf
+from math import comb, inf
 
 import pytest
 
@@ -14,9 +14,11 @@ from cmreg import (KoszulHypothesisError, PresentedModule, a_invariant,
                    polynomial_ring, reg_complex, reg_via_betti,
                    reg_via_duality, reg_via_ext, reg_via_koszul, regularity,
                    relative_reg)
+from cmreg.freemod import FreeModule
 from cmreg.oracle import DenseOracle
 from cmreg.modules import colon_by_element, quotient_by_element
-from cmreg.theorems import corpus_checks, random_ideal_corpus
+from cmreg.theorems import (corpus_checks, nilpotent_scroll_family,
+                            random_ideal_corpus)
 from test_oracle import reference_rank
 
 # the package exports a function named regularity, which shadows the
@@ -173,9 +175,9 @@ def test_koszul_hypothesis_error_carries_witness(det_module):
 
 
 def oracle_spans_degree_one(forms, ring):
-    """Reference for the koszul route's hypothesis test: do these linear
-    forms span the degree-1 piece of the ring?  Dense ranks of the forms'
-    rows over the quotient's degree-1 relations."""
+    """Reference for whether linear forms span the degree-1 piece of the
+    ring: dense ranks of the forms' rows over the quotient's degree-1
+    relations."""
     oc = DenseOracle(PresentedModule.cyclic(ring, []), max_degree=2)
     basis = oc.ambient_basis(1)
     index = {bm: a for a, bm in enumerate(basis)}
@@ -247,6 +249,34 @@ def test_koszul_route_checks_its_hypothesis_without_the_oracle(
     assert reg_via_koszul(M, forms=[u + v, v, w])[0] == 3
 
 
+def test_forms_spanning_degree_one_in_another_basis_give_the_default(
+        det_module, S3):
+    # behaviour pin: a probe module once told such forms to skip the
+    # finite-length pass; the one pass gives the same value and witness
+    x, y, z, t = det_module.ring.gens()
+    assert (reg_via_koszul(det_module, forms=[x + y, y, z, t])
+            == reg_via_koszul(det_module))
+    u, v, w = S3.gens()
+    M = PresentedModule.cyclic(S3, [u * u, u * v, v * w * w])
+    assert reg_via_koszul(M, forms=[u + v, v, w]) == reg_via_koszul(M)
+
+
+def test_the_koszul_route_reports_positive_spots_before_h0(S3):
+    # behaviour pin: the first spot whose homology has positive dimension,
+    # positive spots first and then H_0
+    x, y, z = S3.gens()
+    # F = S/(x) + S(-1): z is regular on F, so only H_0 is infinite
+    F = PresentedModule(S3, FreeModule(S3, (0, 1)),
+                        [{(0, m): c for m, c in x.terms.items()}])
+    with pytest.raises(KoszulHypothesisError) as ei:
+        reg_via_koszul(F, forms=[z])
+    assert (ei.value.spot, ei.value.dimension) == (0, 2)
+    # x on S/(x): H_1 = S/(x)(-1) and H_0 = S/(x) are both infinite
+    with pytest.raises(KoszulHypothesisError) as ei:
+        reg_via_koszul(PresentedModule.cyclic(S3, [x]), forms=[x])
+    assert (ei.value.spot, ei.value.dimension) == (1, 2)
+
+
 def test_koszul_accepts_appended_forms(S3):
     x, y, z = S3.gens()
     M = PresentedModule.cyclic(S3, [x * x, x * y])
@@ -279,6 +309,15 @@ def test_a_route_disagreement_raises(monkeypatch, S3):
     monkeypatch.setattr(routes, "grade_of_sequence", lambda forms, M: 2)
     with pytest.raises(RuntimeError, match="via_koszul gives 2"):
         depth_profile(M)
+
+
+def test_the_report_takes_the_agreed_value(S3):
+    # _agreed returned nothing, and the report recounted the routes' values
+    assert routes._agreed("a module", {"betti": 3, "ext": 3}) == 3
+    x, y, z = S3.gens()
+    rep = regularity(PresentedModule.cyclic(S3, [x * y, x * z]))
+    assert (rep.agree, rep.value) == (True, 1)
+    assert rep.as_dict()["agree"] is True
 
 
 def test_koszul_builders_refuse_forms_over_other_rings(S3):
@@ -536,6 +575,19 @@ def test_local_cohomology_refuses_an_inverted_window(make):
     assert local_cohomology_table(M, window=(1, 1)).window[0] == 1
 
 
+def test_the_zero_module_table_has_the_default_window(S3, det_ring):
+    # the zero module's table read window (0, 0) and nvars 0, where every
+    # other module gets (-2n - 4, 2n + 4) and the cover's n
+    table = local_cohomology_table(PresentedModule.zero(S3))
+    assert (table.window, table.nvars) == ((-10, 10), 3)
+    assert (table.entries, table.row_support) == ({}, {})
+    assert table.regularity() == -inf
+    table = local_cohomology_table(PresentedModule.zero(det_ring))
+    assert (table.window, table.nvars) == ((-12, 12), 4)
+    table = local_cohomology_table(PresentedModule.zero(S3), window=(1, 2))
+    assert (table.window, table.nvars) == ((1, 2), 3)
+
+
 def test_the_window_runs_to_the_last_row_with_no_cap():
     # the window's end doubled up to a cap of 8(n + 2) = 40, so x^30 read
     # on to degree 40 and x^44, whose rows are as exact, raised "need
@@ -599,3 +651,33 @@ def test_cross_check_runs_the_betti_route_every_call(monkeypatch, S3):
     monkeypatch.setattr(routes, "reg_via_betti", lambda obj: (99, None))
     with pytest.raises(RuntimeError):
         reg_complex(L, cross_check=True)
+
+
+# -- known-answer members: closed forms where the dense oracle cannot reach
+
+ROUTES = ("betti", "ext", "koszul", "duality")
+
+
+def test_the_scroll_cut_at_n_5_has_regularity_5_by_every_route():
+    # reg(I + z) = n + 1 on the nilpotent scroll, so reg S/(I + z) = n
+    Rn, minors, z = nilpotent_scroll_family(5)
+    rep = regularity(PresentedModule.cyclic(Rn, minors + [z]))
+    assert rep.routes == dict.fromkeys(ROUTES, 5)
+    assert rep.value == 5
+
+
+def test_four_dense_quadrics_in_five_variables_have_the_koszul_table():
+    # c general forms of degrees d_1..d_c cut out a complete intersection:
+    # reg S/I = sum(d_i - 1) = 4, and the Betti table is the Koszul
+    # complex's, beta_{i,2i} = C(4, i)
+    S = polynomial_ring(["a", "b", "c", "d", "e"])
+    gens = S.gens()
+    rng = random.Random("dense-quadrics:5:4")
+    quadrics = [sum((rng.randrange(1, 32003) * u * v
+                     for k, u in enumerate(gens) for v in gens[k:]),
+                    S.constant(0)) for _ in range(4)]
+    M = PresentedModule.cyclic(S, quadrics)
+    rep = regularity(M)
+    assert rep.routes == dict.fromkeys(ROUTES, 4)
+    assert betti_table(M).entries == {(i, 2 * i): comb(4, i)
+                                      for i in range(5)}
