@@ -694,6 +694,18 @@ def groebner_basis(vectors, ring, free, *, known=None):
     return GroebnerBasis(ring, free, elems, None)
 
 
+def reduced_basis(vectors, ring, free):
+    """The GroebnerBasis of `vectors` over a polynomial ring, monic
+    vectors that already are the reduced basis of their submodule of
+    `free`, in canonical order: packed as given, with no Buchberger run
+    and no reduction.  A reduced basis that involves no pivot variable of
+    a linear cut is one over the other variables, in the order their
+    grevlex restricts to (cmreg.resolution)."""
+    K, P = ring.field, _packing(ring.nvars, free.rank)
+    elems = [_elem(P.encode_vec(v), K, free.twists, P) for v in vectors]
+    return GroebnerBasis(ring, free, elems, list(range(len(elems))))
+
+
 def direct_sum_basis(ring, free, blocks):
     """Reduced basis of a direct sum of submodules, from their own bases.
 

@@ -43,6 +43,27 @@ The loop's bottom level is final as built: the loop minimizes d_{lo+1}
 before its Groebner step, and a Groebner basis of columns with no unit
 has no unit.
 
+A module killed by linear forms is resolved over the smaller ring.
+Right after the loop's first Groebner step of a module over a polynomial
+ring (the cover of a quotient-ring module included), `_linear_cut` reads
+the linear forms l with l e_p in that reduced basis at every generator
+position p, l_1..l_c with c <= n - 1.  No term of a reduced basis is
+divisible by another element's lead, so no other element involves a
+form's pivot (its lead variable): with the pivots' coordinates dropped,
+the rest is already the reduced Groebner basis of a module M' over
+S' = k[the other variables] (groebner.reduced_basis), and the loop goes
+on over S' with no new Buchberger run.  M is M' (x)_{S'} S/(l), and
+l_1..l_c is a regular sequence on M' (x)_{S'} S, so F = F' (x)
+K(l_1..l_c), with F' the minimal resolution of M' read into S, is the
+minimal resolution of M: beta_{i,j}(M) = sum_k C(c, k)
+beta_{i-k,j-k}(M').  `free_resolution` reads F's twists in that closed
+form (`_tensor_cut`), and on the first read of cols assembles d(a (x)
+e_J) = d'a (x) e_J + (-1)^|a| sum_r (-1)^r l_{J_r} a (x) e_{J - J_r} in
+the free-chain layout: the entries of F' embedded in S and the +-l_k
+blocks, every level above the bottom sorted by degree
+(`_koszul_cols`).  Complexes and resolutions over a quotient ring
+itself never split.
+
 An empty level at or above L's top spot hi ends the loop: F is
 complete.  Over a polynomial ring that happens by level hi + the number
 of variables (Hilbert's syzygy theorem); the frame can run one level
@@ -50,26 +71,32 @@ longer, but a Betti number past it is an engine bug and raises.  F is
 truncated at max_len (at least 1) levels past the bottom and then
 flagged incomplete, unless the Betti numbers empty a level at or above
 hi; its top level is cut down against the next level's columns, which
-are then dropped.
+are then dropped.  A linear cut runs F' to the same max_len, and F is
+complete when F' is and pd M' + c < max_len.
 
 `free_resolution` is the one way into the loop.  It takes a presented
 module (the one-term complex at spot 0) or a bounded complex, and keeps
 the result on that object; a complex of free modules needs no loop, as
 it is its own chain, and its twists and cols are read the same way.
 cmreg.complexes imports this module, so a complex is recognized by its
-terms and diffs dicts, not by its class.  A FreeResolution keeps the
-chain in the free-chain layout of cmreg.freemod, the dicts twists and
-cols, keyed by spot, that the loop builds and minimize_chain and
-free_complex_from_data read.
+terms and diffs dicts, not by its class.  A FreeResolution keeps F in
+the free-chain layout of cmreg.freemod, the dicts twists and cols, keyed
+by spot, that the loop builds and minimize_chain and
+free_complex_from_data read; its cols come from the chain minimized
+(`_minimal_cols`), tensored with the Koszul complex of a linear cut.
 """
 
+from itertools import combinations
 from math import inf
+from operator import itemgetter
 
 from .freemod import FreeModule, vec_degree
-from .groebner import GroebnerBasis, groebner_basis, syzygy_generators
+from .groebner import (GroebnerBasis, groebner_basis, reduced_basis,
+                       syzygy_generators)
 from .memo import _cached
 from .minimize import _find_unit, minimize_chain
 from .modules import PresentedModule
+from .rings import GradedRing
 
 
 class FreeResolution:
@@ -78,25 +105,25 @@ class FreeResolution:
     cols[i] the columns of d_i : F_i -> F_{i-1}.  A module's resolution
     starts at spot 0.
 
-    The twists are the minimal ones, read off `chain`, the unminimized
-    (twists, cols) pair they come from; cols is that chain minimized on
-    its first read, and the chain is then dropped."""
+    The twists are the minimal ones.  cols is computed on its first read
+    by `build`, which minimizes the unminimized chain the twists were
+    read off (and tensors it with the Koszul complex of a linear cut),
+    and build is then dropped."""
 
-    __slots__ = ("ring", "twists", "complete", "_cols", "_chain")
+    __slots__ = ("ring", "twists", "complete", "_cols", "_build")
 
-    def __init__(self, ring, twists, complete, chain):
+    def __init__(self, ring, twists, complete, build):
         self.ring = ring
         self.twists = twists
         self.complete = complete
         self._cols = None
-        self._chain = chain
+        self._build = build
 
     @property
     def cols(self):
         if self._cols is None:
-            self._cols = _minimal_cols(self.twists, *self._chain,
-                                       self.ring.field)
-            self._chain = None
+            self._cols = self._build()
+            self._build = None
         return self._cols
 
     @property
@@ -161,21 +188,146 @@ def free_resolution(obj, max_len=None):
     span = max(terms) - min(terms) if terms else 0
     max_len = _truncation(ring, span, max_len)
     return _cached(obj, ("resolution", max_len), lambda: FreeResolution(
-        ring, *(_free_chain(ring, terms, diffs) if free
-                else _resolve(ring, terms, diffs, max_len))))
+        ring, *_tensor_cut(ring, max_len, *(
+            _free_chain(ring, terms, diffs) if free
+            else _resolve(ring, terms, diffs, max_len)))))
+
+
+def _tensor_cut(ring, max_len, twists, complete, chain, cut):
+    """(twists, complete, build) of F from what the loop returns: the
+    minimal twists of its chain, completeness, the chain, and its linear
+    cut, None or (keep, forms).  With no cut, F is the chain minimized on
+    the first read of cols (`_minimal_cols`).  With one, the chain is F'
+    over the variables keep, and F = F' (x) K(l_1..l_c) (module
+    docstring): beta_{i,j}(M) = sum_k C(c, k) beta_{i-k,j-k}(M'), level
+    by level up to max_len past the bottom, and F is complete when F' is
+    and pd M' + c < max_len, as the loop would leave it on M."""
+    K = ring.field
+    if cut is None:
+        return twists, complete, lambda: _minimal_cols(twists, *chain, K)
+    keep, forms = cut
+    lo, c = min(twists), len(forms)
+    complete = complete and max(twists) - lo + c < max_len
+    top = max(twists) + c if complete else lo + max_len
+    levels = {i: _koszul_basis(twists, c, i) for i in range(lo, top + 1)}
+    return ({i: tuple(b[0] for b in bs) for i, bs in levels.items()},
+            complete,
+            lambda: _koszul_cols(ring, keep, forms, levels,
+                                 _minimal_cols(twists, *chain, K)))
+
+
+def _koszul_basis(inner, c, i):
+    """The basis of F_i, F = F' (x) K(l_1..l_c) and F' with twists
+    `inner` from its bottom spot lo: (twist, k, J, a) for the generator
+    a of F'_{i-k} times e_J, J a k-subset of the forms, of twist
+    inner[i-k][a] + k.  Above lo it is sorted by twist, stably."""
+    lo = min(inner)
+    basis = [(t + k, k, J, a) for k in range(min(i - lo, c) + 1)
+             for J in combinations(range(c), k)
+             for a, t in enumerate(inner.get(i - k, ()))]
+    if i > lo:
+        basis.sort(key=itemgetter(0))
+    return basis
+
+
+def _koszul_cols(ring, keep, forms, levels, inner):
+    """The columns of F = F' (x) K(l_1..l_c) on the bases `levels` of
+    `_koszul_basis`, from the minimal columns `inner` of F' over the
+    variables keep, whose monomials are embedded in the ring's:
+    d(a (x) e_J) = d'a (x) e_J + (-1)^|a| sum_r (-1)^r l_{J_r} a (x)
+    e_{J - J_r}, with |a| = i - k on F_i."""
+    n, p = ring.nvars, ring.field.characteristic
+    embedded = {}
+
+    def embed(m):
+        e = embedded.get(m)
+        if e is None:
+            e = [0] * n
+            for v, x in zip(keep, m):
+                e[v] = x
+            e = embedded[m] = tuple(e)
+        return e
+
+    negated = [{m: p - c if p else -c for m, c in f.items()} for f in forms]
+    lo = min(levels)
+    cols = {}
+    for i in range(lo + 1, max(levels) + 1):
+        row = {b[1:]: q for q, b in enumerate(levels[i - 1])}
+        cols[i] = out = []
+        for _, k, J, a in levels[i]:
+            col = {}
+            if i - k > lo:
+                for (q, m), c in inner[i - k][a].items():
+                    col[row[k, J, q], embed(m)] = c
+            for r, j in enumerate(J):
+                q = row[k - 1, J[:r] + J[r + 1:], a]
+                for m, c in (negated if (i - k + r) % 2 else forms)[j].items():
+                    col[q, m] = c
+            out.append(col)
+    return cols
+
+
+def _linear_cut(ring, rank, cols, degrees):
+    """(sub, (keep, forms), cols, degrees) for the reduced basis `cols`,
+    with these degrees, of a module's relations on `rank` generators over
+    a polynomial ring in n variables, when it holds l e_p at every
+    generator position p for some linear forms l; else None.
+
+    The forms l_1..l_c, as {monomial: c}, are the first n - 1 such by
+    pivot, a form's lead variable.  In a reduced basis no term is
+    divisible by another element's lead, so with l e_p a member at every
+    p no other element involves a pivot: the rest of the basis, in its
+    order, is the reduced basis of M' over sub, the ring on the other
+    variables `keep` (module docstring)."""
+    n = ring.nvars
+    if not rank or n < 2:
+        return None
+    at = [set() for _ in range(rank)]
+    keys = []
+    for col in cols:
+        p, m = next(iter(col))
+        key = None
+        if sum(m) == 1 and all(q == p for q, _ in col):
+            key = frozenset((m, c) for (_, m), c in col.items())
+            at[p].add(key)
+        keys.append(key)
+    common = set.intersection(*at)
+    if not common:
+        return None
+    pivot = {key: min(m.index(1) for m, _ in key) for key in common}
+    chosen = sorted(common, key=pivot.__getitem__)[:n - 1]
+    pivots = {pivot[key] for key in chosen}
+    keep = [v for v in range(n) if v not in pivots]
+    rest, rest_degrees = [], []
+    for col, key, d in zip(cols, keys, degrees):
+        if key in chosen:
+            continue
+        vec = {}
+        for (q, m), c in col.items():
+            m2 = tuple(m[v] for v in keep)
+            if sum(m2) != sum(m):
+                raise RuntimeError("a reduced basis element involves the "
+                                   "pivot of a linear cut")
+            vec[q, m2] = c
+        rest.append(vec)
+        rest_degrees.append(d)
+    sub = GradedRing(ring.field, [ring.names[v] for v in keep])
+    return (sub, (keep, [dict(key) for key in chosen]), rest,
+            tuple(rest_degrees))
 
 
 def _free_chain(ring, terms, diffs):
-    """(twists, True, chain) for a complex of free modules, which is its
-    own chain: a level at every spot from its bottom to its top, empty
-    where it has no term.  An unstored differential is zero, and the
-    minimizer still needs a column list of the right length for it."""
+    """(twists, True, chain, None) for a complex of free modules, which
+    is its own chain, with no linear cut: a level at every spot from its
+    bottom to its top, empty where it has no term.  An unstored
+    differential is zero, and the minimizer still needs a column list of
+    the right length for it."""
     twists = {i: tuple(terms[i].gens_free.twists) if i in terms else ()
               for i in range(min(terms, default=0), max(terms, default=-1) + 1)}
     cols = {i: [dict(c) for c in diffs[i].cols] if i in diffs
             else [{} for _ in twists[i]]
             for i in twists if i - 1 in twists}
-    return _betti_twists(twists, cols, ring), True, (twists, cols)
+    return _betti_twists(twists, cols, ring), True, (twists, cols), None
 
 
 def _shift(vec, rows):
@@ -191,11 +343,14 @@ def _cover_columns(ring, terms, diffs, n, rank, lift):
 
 
 def _resolve(ring, terms, diffs, max_len):
-    """(twists, complete, chain) of F for the complex L with these terms
-    and differentials (module docstring): the minimal twists, read off
-    chain, the unminimized (twists, cols) pair the loop builds."""
+    """(twists, complete, chain, cut) of F for the complex L with these
+    terms and differentials (module docstring): the minimal twists, read
+    off chain, the unminimized (twists, cols) pair the loop builds, and
+    None; or, for a module killed by linear forms, those of F' over the
+    other variables and the cut (keep, forms) (`_linear_cut`)."""
     K = ring.field
     lo, hi = min(terms), max(terms)
+    cut = None
     # from this level on d_k's columns are the trace syzygies alone
     frame = hi + 2 if ring.is_polynomial else inf
 
@@ -234,6 +389,15 @@ def _resolve(ring, terms, diffs, max_len):
             cols[level] = [{(p, m): c for (p, m), c in col.items() if p < rank}
                            for col in gb.module_vectors()]
             twists[level] = tuple(gb.module_degrees())
+            if level == lo + 1 == hi + 1 and ring.is_polynomial:
+                # a module's relations: the loop goes on over the other
+                # variables when linear forms kill it
+                found = _linear_cut(ring, len(twists[lo]), cols[level],
+                                    twists[level])
+                if found:
+                    ring, cut, cols[level], twists[level] = found
+                    gb = reduced_basis(cols[level], ring,
+                                       FreeModule(ring, twists[lo]))
         if not twists[level] and level >= hi:
             # nothing is left to resolve
             del cols[level], twists[level]
@@ -262,7 +426,7 @@ def _resolve(ring, terms, diffs, max_len):
         raise RuntimeError(
             f"resolution over a polynomial ring in {ring.nvars} "
             f"variables has generators at level {max(twists)}")
-    return twists, complete, chain
+    return twists, complete, chain, cut
 
 
 def _betti_twists(twists, cols, ring):

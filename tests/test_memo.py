@@ -3,7 +3,8 @@ per object and key, and a compute that raises stores nothing.  Also the
 source lints over src/cmreg: only memo writes object caches, the one
 resolution loop, `resolution._resolve`, is the only caller of the syzygy
 step and is entered only through `free_resolution`, which alone builds a
-`FreeResolution`, resolutions minimize in three places, Groebner bases
+`FreeResolution`, the loop alone reads a linear cut, off its own basis,
+resolutions minimize in three places, Groebner bases
 interreduce in two places, a frame is decoded only by its basis, only
 the packing classes read the packed-term layout and the pair formula is
 written once, in them, `_buchberger` and the syzygy step take no flag,
@@ -280,6 +281,17 @@ def test_a_resolution_is_built_only_by_free_resolution():
     sites = call_sites("FreeResolution")
     assert [(f, func) for f, _, func in sites] == [
         ("resolution.py", "free_resolution")]
+
+
+def test_only_the_loop_reads_a_linear_cut():
+    """A module killed by linear forms is split off the loop's own first
+    reduced basis, and the loop goes on over the smaller ring from that
+    basis: no separate Groebner basis finds the forms, and no second
+    loop resolves the cut module."""
+    for name in ("_linear_cut", "reduced_basis"):
+        sites = call_sites(name)
+        assert [(f, func) for f, _, func in sites] == [
+            ("resolution.py", "_resolve")], name
 
 
 def test_resolutions_minimize_in_three_places():

@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import random
 from math import inf
 
 import pytest
@@ -13,16 +14,18 @@ from cmreg import (BettiTable, BoundedComplex, ModuleMap, PresentedModule,
                    polynomial_ring, reg_via_betti, regularity, relative_reg,
                    resolution_to_complex, tor)
 from cmreg.complexes import free_complex_from_data
-from cmreg.freemod import FreeModule, vec_addmul
+from cmreg.freemod import FreeModule, vec_addmul, vec_from_column
 from cmreg import groebner
 from cmreg.groebner import (_INDEX_BITS, GroebnerBasis, _Packing, _packing,
                             certify, groebner_basis, syzygy_generators)
 from cmreg.minimize import _find_unit, minimize_chain
+from cmreg.modules import colon_by_element, quotient_by_element
+from cmreg.oracle import DenseOracle
 from cmreg.poly import mono_div
-from cmreg.theorems import (nilpotent_scroll_family, random_ideal_corpus,
-                            scroll_member)
+from cmreg.theorems import (_random_linear_form, nilpotent_scroll_family,
+                            random_ideal_corpus, scroll_member)
 from test_groebner import naive_syzygy_generators
-from test_oracle import FIELDS, over_field
+from test_oracle import BIG_PRIME, FIELDS, over_field
 from test_sessions import SESSIONS, load
 from test_subquotient import corpus_complexes, session_complexes
 
@@ -776,12 +779,175 @@ def test_a_module_over_a_polynomial_ring_runs_buchberger_once(label,
             assert res.complete and len(calls) == 1, name
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_scroll_member_matches_the_ideal_as_a_module(n):
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_scroll_member_matches_the_ideal_as_a_module(monkeypatch, n):
+    # S/(I + z) is killed by z and resolves over the other variables; the
+    # ideal as a module is killed by no form, so it checks that path
+    cuts = recorded_cuts(monkeypatch)
     ring, minors, z = nilpotent_scroll_family(n)
-    assert scroll_member(n)[3:] == (
-        reg_via_betti(module_from_ideal(ring, minors))[0],
-        reg_via_betti(module_from_ideal(ring, minors + [z]))[0])
+    got = scroll_member(n)[3:]
+    assert got == (2, n + 1)
+    assert [c is not None for c in cuts] == [False, True]
+    cuts.clear()
+    assert got == (reg_via_betti(module_from_ideal(ring, minors))[0],
+                   reg_via_betti(module_from_ideal(ring, minors + [z]))[0])
+    assert cuts == [None, None]
+
+
+# -- a module killed by linear forms: F' over the other variables (x) K(l) ---
+
+def recorded_cuts(monkeypatch):
+    """The linear cut of every resolution, None or (keep, forms), appended
+    as it comes."""
+    res_mod = importlib.import_module("cmreg.resolution")
+    real = res_mod._tensor_cut
+    cuts = []
+
+    def recording(*args):
+        cuts.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(res_mod, "_tensor_cut", recording)
+    return cuts
+
+
+SPLIT_SESSION_COVERS = {"free-socle.cmreg:k", "hypersurface-pair.cmreg:M",
+                        "hypersurface-pair.cmreg:N", "two-quadrics.cmreg:k"}
+
+
+def cut_modules():
+    """(label, module) pairs of modules killed by linear forms, built fresh
+    on every call: for each corpus instance M and two seeded linear forms,
+    M/lM, (0 :_M l) and M/(l_1, l_2)M; the residue field of k[x, y, z]
+    over GF(7), QQ and GF(4294967311); a rank-two module with twists 0
+    and 1 killed by x - 2y + 3z; and the session covers that split."""
+    for inst in random_ideal_corpus():
+        M, S = inst.module, inst.ring
+        rng = random.Random(f"{inst.name}:cut")
+        l1, l2 = _random_linear_form(S, rng), _random_linear_form(S, rng)
+        yield f"{inst.name}/l", quotient_by_element(M, l1)
+        yield f"{inst.name}/colon", colon_by_element(M, l1)[0]
+        yield f"{inst.name}/l1l2", quotient_by_element(
+            quotient_by_element(M, l1), l2)
+    for args in (dict(p=7), dict(rational=True), dict(p=BIG_PRIME)):
+        S = polynomial_ring(["x", "y", "z"], **args)
+        yield f"k over {S.field}", PresentedModule.cyclic(S, list(S.gens()))
+    S = polynomial_ring(["x", "y", "z"])
+    x, y, z = S.gens()
+    F = FreeModule(S, (0, 1))
+    rels = [{(p, m): c for m, c in (x - 2 * y + 3 * z).terms.items()}
+            for p in (0, 1)]
+    rels += [vec_from_column([x * x, -y]), vec_from_column([y * z, z])]
+    yield "rank two", PresentedModule(S, F, rels)
+    for label, M in corpus_and_session_modules():
+        if label in SPLIT_SESSION_COVERS:
+            yield f"{label} cover", M.lift_to_cover()
+
+
+def test_the_session_covers_that_split(monkeypatch):
+    cuts = recorded_cuts(monkeypatch)
+    split = set()
+    for label, M in corpus_and_session_modules():
+        cuts.clear()
+        free_resolution(M.lift_to_cover())
+        if cuts[-1] is not None:
+            split.add(label)
+    assert split == SPLIT_SESSION_COVERS
+
+
+def test_a_cut_module_resolves_as_the_oracle_and_the_routes_read_it(
+        monkeypatch):
+    cuts = recorded_cuts(monkeypatch)
+    count = zero = 0
+    for label, M in cut_modules():
+        cuts.clear()
+        res = free_resolution(M)
+        bt = betti_table(M)
+        assert bt.complete, label
+        if M.is_zero():
+            assert bt.entries == {} and cuts == [None], label
+            zero += 1
+            continue
+        (cut,) = cuts
+        assert cut is not None, label
+        oc = DenseOracle(M)
+        lo, hi = oc.window(6)
+        assert oc.betti_table() == {
+            (i, j): b for (i, j), b in bt.entries.items() if lo <= j <= hi}, \
+            label
+        F = resolution_to_complex(res)
+        assert F.verify() and res.is_minimal(), label
+        assert F.nonzero_homology_series() == {0: M.hilbert_series()}, label
+        # a disagreement raises
+        assert regularity(M).value == bt.regularity(), label
+        pd = bt.projective_dimension()
+        for max_len in (1, 2, 3):
+            cut_bt = betti_table(M, max_len=max_len)
+            assert cut_bt.entries == {(i, j): b for (i, j), b
+                                      in bt.entries.items() if i <= max_len}
+            # past max_len = n the cut is the full resolution; below it a
+            # level max_len is never read as the last
+            full = max_len >= M.ring.nvars
+            assert cut_bt.complete == (full or pd < max_len), (label, max_len)
+        count += 1
+    assert (count, zero) == (74, 24)
+
+
+def cut_scroll():
+    """(S/(I + z), z) for the scroll member n = 2, built fresh."""
+    ring, minors, z = nilpotent_scroll_family(2)
+    return PresentedModule.cyclic(ring, minors + [z]), z
+
+
+def test_an_off_by_one_koszul_twist_is_caught(monkeypatch):
+    res_mod = importlib.import_module("cmreg.resolution")
+    real = res_mod._koszul_basis
+    bt = betti_table(cut_scroll()[0])
+    # the last twist of the witness's level attains the regularity
+    level = bt.witness()[0]
+
+    def bumped(inner, c, i):
+        basis = real(inner, c, i)
+        if i == level:
+            t, *rest = basis[-1]
+            basis[-1] = (t + 1, *rest)
+        return basis
+
+    monkeypatch.setattr(res_mod, "_koszul_basis", bumped)
+    M = cut_scroll()[0]
+    assert betti_table(M).regularity() == bt.regularity() + 1
+    # the duality route reads the differentials, which no longer fit
+    with pytest.raises(ValueError, match="not homogeneous"):
+        regularity(cut_scroll()[0])
+    with pytest.raises(ValueError, match="not homogeneous"):
+        resolution_to_complex(free_resolution(M)).verify()
+
+
+def test_a_flipped_koszul_sign_is_caught(monkeypatch):
+    res_mod = importlib.import_module("cmreg.resolution")
+    real = res_mod._koszul_cols
+    M, z = cut_scroll()
+    (zm,) = z.terms
+    flipped = []
+
+    def flip(ring, keep, forms, levels, inner):
+        assert forms == [z.terms]
+        cols = real(ring, keep, forms, levels, inner)
+        # a column of d_2 with an entry of d' and one of z
+        col = next(col for col in cols[2]
+                   if len({m == zm for _, m in col}) == 2)
+        for t, c in col.items():
+            if t[1] == zm:
+                col[t] = ring.field.characteristic - c
+                flipped.append(t)
+        return cols
+
+    monkeypatch.setattr(res_mod, "_koszul_cols", flip)
+    assert not resolution_to_complex(free_resolution(M)).verify()
+    assert len(flipped) == 1
+    # the duality route's homology sees d^2 != 0
+    with pytest.raises(ValueError, match="composition is not zero"):
+        regularity(cut_scroll()[0])
 
 
 # -- Betti numbers off the frame: ranks of constant parts ---------------------
@@ -802,6 +968,23 @@ def recorded_chains(monkeypatch):
 
     monkeypatch.setattr(res_mod, "_betti_twists", recording)
     return chains
+
+
+def recorded_loops(monkeypatch):
+    """What `_resolve` returns, (twists, complete, chain, cut), appended
+    as it comes: for a module killed by linear forms, the twists and
+    chain are those of F' over the other variables."""
+    res_mod = importlib.import_module("cmreg.resolution")
+    real = res_mod._resolve
+    loops = []
+
+    def recording(*args):
+        out = real(*args)
+        loops.append(out)
+        return out
+
+    monkeypatch.setattr(res_mod, "_resolve", recording)
+    return loops
 
 
 def schreyer_decodes(monkeypatch):
@@ -857,31 +1040,32 @@ def reference_decode(basis):
 
 def test_cols_are_the_frame_decoded(monkeypatch):
     # the differentials minimize the decoded frame, as a loop that decoded
-    # every syzygy when it was found would
+    # every syzygy when it was found would (and a linear cut tensors that
+    # with its Koszul complex)
     res_mod = importlib.import_module("cmreg.resolution")
-    real = res_mod._betti_twists
-    chains = []
-
-    def recording(twists, cols, ring):
-        chains.append((twists, dict(cols), ring))
-        return real(twists, cols, ring)
-
-    monkeypatch.setattr(res_mod, "_betti_twists", recording)
-    frames = 0
+    loops = recorded_loops(monkeypatch)
+    frames = cuts = 0
     for label, M in corpus_and_session_modules():
         for N in {M, M.lift_to_cover()}:
-            chains.clear()
+            loops.clear()
             res = free_resolution(N)
-            (twists, cols, ring), = chains
+            (twists, complete, (chain_twists, cols), cut), = loops
+            cols = dict(cols)
             packed = [i for i, cs in cols.items()
                       if isinstance(cs, GroebnerBasis)]
             frames += len(packed)
             for i in packed:
                 assert cols[i].module_vectors() == reference_decode(cols[i])
                 cols[i] = reference_decode(cols[i])
-            ref = res_mod._minimal_cols(res.twists, twists, cols, ring.field)
-            assert res.cols == ref, label
-    assert frames > 38
+            _, _, build = res_mod._tensor_cut(
+                N.ring, res_mod._truncation(N.ring, 0, None), twists,
+                complete, (chain_twists, cols), cut)
+            assert res.cols == build(), label
+            cuts += cut is not None
+    # the four cut modules' frames run over fewer variables, so they are
+    # shorter: 38 frame levels here, where resolving them over all the
+    # variables took 43
+    assert frames == 38 and cuts == 4
 
 
 def minimized_twists(twists, cols, K):
@@ -894,22 +1078,29 @@ def minimized_twists(twists, cols, K):
 @pytest.mark.parametrize("field", sorted(FIELDS))
 def test_rank_betti_numbers_equal_the_minimized_twists(monkeypatch, field,
                                                        max_len):
+    # the twists the loop reads off its chain: F's, or F''s over the other
+    # variables when a linear cut splits the module
     chains = recorded_chains(monkeypatch)
+    loops = recorded_loops(monkeypatch)
     units = 0
     for label, M in corpus_and_session_modules():
         M = over_field(M, FIELDS[field])
         chains.clear()
+        loops.clear()
         res = free_resolution(M, max_len=max_len)
         (twists, cols, ring), = chains
+        (loop_twists, complete, _, cut), = loops
+        if cut is None:
+            assert (loop_twists, complete) == (res.twists, res.complete)
         ref = minimized_twists(twists, cols, ring.field)
         units += sum(map(len, twists.values())) - sum(map(len, ref.values()))
-        got = {i: sorted(t) for i, t in res.twists.items()}
+        got = {i: sorted(t) for i, t in loop_twists.items()}
         assert got == {i: ref[i] for i in got}, label
         # a cut resolution drops the level of degree-restricted syzygies
         # above its top; every other level it drops is empty
         dropped = set(ref) - set(got)
         assert all(not ref[i] for i in dropped if i < max(ref)), label
-        if not res.complete:
+        if not complete:
             assert dropped == {max(ref)}, label
         before = dict(res.twists)
         assert res.is_minimal(), label
