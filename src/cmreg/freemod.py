@@ -17,12 +17,7 @@ into a vector in place and drops the entries that cancel.  apply_map
 runs on it, and so does each Schur step of cmreg.minimize.
 """
 
-from .poly import grevlex_key, mono_deg, mono_mul
-
-
-def term_key(t):
-    """Sort key for (position, monomial); larger key = larger term."""
-    return (-t[0],) + grevlex_key(t[1])
+from .poly import mono_deg, mono_mul
 
 
 def vec_addmul(out, v, f, p):

@@ -30,9 +30,10 @@ packing is a choice of bases:
 
 - position over grevlex (`_packing`, one shared packing per variable
   count): bases[c] = c * 2^A + h0(1), A = B + 40, so the position is
-  compared first; this is the order of `term_key`.  Its bases cover every
-  position a caller has asked for, so a term of a free module is the same
-  int in any larger one (seeded runs, direct sums, tags, lifts).
+  compared first; this is the term order of cmreg.freemod.  Its bases
+  cover every position a caller has asked for, so a term of a free module
+  is the same int in any larger one (seeded runs, direct sums, tags,
+  lifts).
 - the Schreyer order of elements g_1..g_s (`_Packing.schreyer`): bases[c]
   = lead(g_c) >> W, the level-0 term of g_c's lead, so m e_c compares as
   m lt(g_c) and ties go to the smaller index.  The same holds one level

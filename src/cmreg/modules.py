@@ -15,8 +15,8 @@ over the basis of the source's relations (kernel), the target's (image)
 or the middle module's grown by the incoming map's columns (homology).
 """
 
-from .freemod import (FreeModule, apply_map, columns_from_rows, vec_degree,
-                      vec_from_column, vec_is_homogeneous)
+from .freemod import (FreeModule, apply_map, vec_degree, vec_from_column,
+                      vec_is_homogeneous)
 from .groebner import direct_sum_basis, groebner_basis
 from .hilbert import HilbertSeries, monomial_ideal_numerator
 from .memo import _cached
@@ -168,13 +168,6 @@ class ModuleMap:
         return self.source.ring
 
     @classmethod
-    def from_entries(cls, source, target, rows):
-        """rows[i][j] is the (i, j) entry, i indexing the target."""
-        if len(rows) != target.rank:
-            raise ValueError("entry matrix shape does not match module ranks")
-        return cls(source, target, columns_from_rows(rows, source.rank))
-
-    @classmethod
     def zero(cls, source, target):
         return cls(source, target, [{} for _ in range(source.rank)])
 
@@ -183,13 +176,6 @@ class ModuleMap:
         K = self.ring.field
         return ModuleMap(other.source, self.target,
                          [apply_map(self.cols, c, K) for c in other.cols])
-
-    def is_well_defined(self):
-        """Images of source relations must die in the target."""
-        gb = self.target.gb()
-        K = self.ring.field
-        return all(gb.contains(apply_map(self.cols, r, K))
-                   for r in self.source.rel_cols)
 
     def is_zero_map(self):
         gb = self.target.gb()

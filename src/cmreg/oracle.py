@@ -239,12 +239,12 @@ class DenseOracle:
         which every piece is empty, to max_degree above max(0, lowest)."""
         return min(0, self.lowest), max_degree + max(0, self.lowest)
 
-    def betti_table(self, max_i=None, max_degree=6):
-        """The nonzero Betti numbers {(i, j): beta_{i,j}} with 0 <= i <=
-        max_i (the number of variables by default), j in window(max_degree)."""
+    def betti_table(self, max_degree=6):
+        """The nonzero Betti numbers {(i, j): beta_{i,j}} with 0 <= i <= n,
+        the number of variables, and j in window(max_degree)."""
         lo, hi = self.window(max_degree)
         out = {}
-        for i in range((self.nvars if max_i is None else max_i) + 1):
+        for i in range(self.nvars + 1):
             for j in range(lo, hi + 1):
                 b = self.betti_number(i, j)
                 if b:

@@ -7,7 +7,7 @@ coefficients; they carry a reference to their ring for coefficient
 arithmetic and printing.
 """
 
-from operator import add, le, sub
+from operator import add
 
 EXPONENT_CAP = 2**16 - 1
 
@@ -21,20 +21,6 @@ def mono_mul(a, b):
     if m and max(m) > EXPONENT_CAP:
         raise OverflowError(f"monomial exponent exceeds {EXPONENT_CAP}")
     return m
-
-
-def mono_divides(a, b):
-    """True when a | b componentwise."""
-    return all(map(le, a, b))
-
-
-def mono_div(b, a):
-    """b / a, assuming a | b."""
-    return tuple(map(sub, b, a))
-
-
-def mono_lcm(a, b):
-    return tuple(map(max, a, b))
 
 
 def grevlex_key(m):
@@ -62,12 +48,6 @@ class Polynomial:
     def is_homogeneous(self):
         degs = {mono_deg(m) for m in self.terms}
         return len(degs) <= 1
-
-    def degree(self):
-        """Total degree, -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(mono_deg(m) for m in self.terms)
 
     def homogeneous_degree(self):
         if not self.terms:

@@ -258,34 +258,6 @@ class LocalCohomologyTable:
         self.row_support = row_support
         self.nvars = nvars
 
-    def regularity(self):
-        return _sup((i + end, None) for i, (_, end) in self.row_support.items()
-                    if end is not None)[0]
-
-    def depth_dim(self):
-        """(min, max) cohomological degree with a nonzero row."""
-        rows = sorted(self.row_support)
-        if not rows:
-            return inf, -inf
-        return rows[0], rows[-1]
-
-    def to_json(self):
-        return {
-            "window": list(self.window),
-            "entries": [
-                {"i": i, "j": j, "dim": d}
-                for (i, j), d in sorted(self.entries.items())
-            ],
-            "row_support": {
-                str(i): {
-                    "start": None if s == -inf else s,
-                    "start_kind": "minus_infinity" if s == -inf else "finite",
-                    "end": e,
-                }
-                for i, (s, e) in sorted(self.row_support.items())
-            },
-        }
-
 
 def local_cohomology_table(M, window=None):
     """dim H^i_m(M)_j over a window, (-2n - 4, 2n + 4) by default, from the

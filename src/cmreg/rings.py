@@ -68,13 +68,10 @@ class GradedRing:
     def zero_poly(self):
         return Polynomial(self, {})
 
-    def monomial(self, expts, coeff=None):
+    def monomial(self, expts):
         if len(expts) != self.nvars:
             raise ValueError("wrong number of exponents")
-        c = self.field.one if coeff is None else coeff
-        if not c:
-            return Polynomial(self, {})
-        return Polynomial(self, {tuple(expts): c})
+        return Polynomial(self, {tuple(expts): self.field.one})
 
     def reduce(self, f):
         """Normal form of a representative modulo the defining ideal."""

@@ -79,10 +79,6 @@ class CheckOutcome:
         self.seed = seed
 
     @property
-    def hypothesis_holds(self):
-        return self.hypothesis["verdict"] == "holds"
-
-    @property
     def verdict(self):
         return self.conclusion["verdict"]
 

@@ -306,10 +306,9 @@ def test_criterion_11_append_linear_forms(corpus, det_module):
             for _ in range(3):
                 f = S.zero_poly()
                 while f.is_zero():
-                    f = sum((S.monomial(
-                        tuple(1 if i == v else 0 for i in range(S.nvars)),
-                        rng.randrange(S.field.p)) for v in range(S.nvars)),
-                        S.zero_poly())
+                    f = sum((rng.randrange(S.field.p) * S.monomial(
+                        tuple(1 if i == v else 0 for i in range(S.nvars)))
+                        for v in range(S.nvars)), S.zero_poly())
                 extras.append(f)
                 forms = list(S.gens()) + extras
                 assert reg_via_koszul(M, forms=forms)[0] == base, inst.name

@@ -12,6 +12,7 @@ from cmreg import (BoundedComplex, ModuleMap, PresentedModule,
                    tensor_free_with_complex, tor, free_resolution)
 from cmreg.regularity import LocalCohomologyTable
 from cmreg.complexes import ext_complex
+from cmreg.freemod import columns_from_rows
 from cmreg.theorems import _random_linear_form, random_ideal_corpus
 
 
@@ -187,6 +188,12 @@ def reference_local_cohomology(M):
     return LocalCohomologyTable(entries, (lo, hi), support, n)
 
 
+def table_fields(t):
+    """What a local cohomology table reads: its window, entries and row
+    support."""
+    return t.window, t.entries, t.row_support
+
+
 @pytest.mark.parametrize("inst", random_ideal_corpus(count=8),
                          ids=lambda inst: inst.name)
 def test_homology_series_matches_homology_on_corpus(inst):
@@ -266,14 +273,14 @@ def test_homology_series_matches_homology_over_quotient(det_module):
 @pytest.mark.parametrize("inst", random_ideal_corpus(count=8),
                          ids=lambda inst: inst.name)
 def test_local_cohomology_table_matches_module_path(inst):
-    assert (local_cohomology_table(inst.module).to_json()
-            == reference_local_cohomology(inst.module).to_json())
+    assert (table_fields(local_cohomology_table(inst.module))
+            == table_fields(reference_local_cohomology(inst.module)))
 
 
 def test_local_cohomology_table_matches_module_path_over_quotient(
         det_module):
-    assert (local_cohomology_table(det_module).to_json()
-            == reference_local_cohomology(det_module).to_json())
+    assert (table_fields(local_cohomology_table(det_module))
+            == table_fields(reference_local_cohomology(det_module)))
 
 
 def test_homology_series_rejects_noncomplex(S3):
@@ -281,8 +288,8 @@ def test_homology_series_rejects_noncomplex(S3):
     F0 = PresentedModule.free(S3, [0])
     F1 = PresentedModule.free(S3, [1])
     F2 = PresentedModule.free(S3, [2])
-    d1 = ModuleMap.from_entries(F1, F0, [[x]])
-    d2 = ModuleMap.from_entries(F2, F1, [[y]])
+    d1 = ModuleMap(F1, F0, columns_from_rows([[x]], 1))
+    d2 = ModuleMap(F2, F1, columns_from_rows([[y]], 1))
     C = BoundedComplex(S3, {0: F0, 1: F1, 2: F2}, {1: d1, 2: d2})
     with pytest.raises(ValueError):
         C.homology(1)

@@ -4,8 +4,7 @@ import random
 import pytest
 
 from cmreg import PresentedModule, free_resolution, polynomial_ring
-from cmreg.freemod import (FreeModule, term_key, vec_addmul, vec_degree,
-                           vec_from_column)
+from cmreg.freemod import FreeModule, vec_addmul, vec_degree, vec_from_column
 from cmreg import groebner
 from cmreg.groebner import (_INDEX_BITS, GroebnerBasis, _Packing,
                             _augmented_columns, _packing, _reduce,
@@ -16,11 +15,11 @@ from cmreg.groebner import (_INDEX_BITS, GroebnerBasis, _Packing,
                             syzygy_generators)
 from cmreg.modules import quotient_series
 from cmreg.oracle import monomials_of_degree
-from cmreg.poly import (EXPONENT_CAP, Polynomial, mono_deg, mono_div,
-                        mono_divides, mono_lcm, mono_mul)
+from cmreg.poly import EXPONENT_CAP, Polynomial, mono_deg, mono_mul
 from cmreg.regularity import regularity
 from cmreg.theorems import random_ideal_corpus
 from fieldops import field_ops
+from monomials import mono_div, mono_divides, mono_lcm, term_key
 
 
 def vecs_from_polys(polys):

@@ -21,12 +21,17 @@ to twist), nothing calls `free_resolution_of_complex`, the complex layer
 presents no kernels, the dense oracle imports nothing from the Groebner,
 Hilbert or resolution layers, only the oracle's own table reads single
 Betti numbers, regularity.py keeps no twist sup and no window cap and
-grows no local cohomology window in a loop, and nothing imports
-numpy."""
+grows no local cohomology window in a loop, nothing imports numpy, and
+every function, class and method is read in src, exported by the
+package or on an allow-list with its reason.  A guard checks that
+perfbench, which Tier-1 does not run, still finds every cmreg name it
+reaches."""
 
 import ast
 import importlib
+import importlib.util
 import os
+from fnmatch import fnmatch
 
 import pytest
 
@@ -38,6 +43,7 @@ import cmreg.resolution
 from cmreg import (BoundedComplex, ModuleMap, PresentedModule,
                    free_resolution, koszul_complex, koszul_resolution_of_k,
                    polynomial_ring)
+from cmreg.freemod import columns_from_rows
 from cmreg.groebner import defining_gb
 
 # the package exports a function named regularity, which shadows the
@@ -109,7 +115,7 @@ CASES = [
     ("depth_up_to_twist", _module, routes.depth,
      (routes, "free_resolution"), _twisted),
     ("duality_up_to_twist", _module,
-     lambda M: routes.local_cohomology_table(M).depth_dim(),
+     lambda M: sorted(routes.local_cohomology_table(M).row_support),
      (routes, "ext_complex"), _twisted),
 ]
 
@@ -163,8 +169,8 @@ def test_a_failing_compute_is_not_stored():
     x, y, _ = S.gens()
     F = [PresentedModule.free(S, [d]) for d in range(3)]
     C = BoundedComplex(S, dict(enumerate(F)),
-                       {1: ModuleMap.from_entries(F[1], F[0], [[x]]),
-                        2: ModuleMap.from_entries(F[2], F[1], [[y]])})
+                       {1: ModuleMap(F[1], F[0], columns_from_rows([[x]], 1)),
+                        2: ModuleMap(F[2], F[1], columns_from_rows([[y]], 1))})
     for _ in range(2):
         with pytest.raises(ValueError):
             C.homology(1)
@@ -870,3 +876,154 @@ def test_nothing_under_src_imports_numpy():
     offenders = [name for name, _, source in sources()
                  if "numpy" in top_level_imports(source)]
     assert offenders == []
+
+
+# -- every library name has a reader ---------------------------------------
+
+TEST_ORACLE = "a test oracle: tests check the library's results with it"
+PERFBENCH = ("reached by perfbench; goes with the in-library counters "
+             "(ROADMAP item 9) or the next benchmark-only change")
+
+# the names under src/cmreg that nothing in src reads, with why each stays
+UNREAD_ALLOWED = {
+    "resolution.FreeResolution.is_minimal": TEST_ORACLE,
+    "resolution.BettiTable.render": TEST_ORACLE,
+    "groebner.certify": TEST_ORACLE,
+    "complexes.minimal_cover": PERFBENCH,
+    "session.Session.kind_of": PERFBENCH,
+    "complexes.BoundedComplex.shift":
+        "tests build complexes at other spots with it",
+    "session._Parser.decl_*": "dispatched by name in _Parser.parse",
+}
+
+
+def unread_names(texts):
+    """Names defined in texts, {module name: source}, that nothing there
+    reads: a module-level function or class that no other place
+    references (as a name or an attribute) and `__init__` does not
+    import, and a method that no source reads as `.name` outside its own
+    body.  Dunder methods are called by the language and are skipped.
+    Names read "module.name" and "module.Class.method".
+
+    A read is matched by name alone, so a method that shares its name
+    with one read elsewhere passes unseen.  Two such methods stay:
+    `FreeResolution.module`, which perfbench's tracer calls in
+    `_resolution_post`, and `BoundedComplex.twist`, which tests use to
+    build twisted complexes."""
+    trees = {mod: ast.parse(src) for mod, src in texts.items()}
+    reads = {"name": {}, "attr": {}}  # identifier -> [(module, line)]
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                reads["name"].setdefault(node.id, []).append(
+                    (mod, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                reads["attr"].setdefault(node.attr, []).append(
+                    (mod, node.lineno))
+    exported = {alias.asname or alias.name
+                for node in ast.walk(trees["__init__"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+    def read_outside(mod, node, kinds):
+        return any(not (m == mod and node.lineno <= line <= node.end_lineno)
+                   for kind in kinds
+                   for m, line in reads[kind].get(node.name, ()))
+
+    out = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if (node.name not in exported
+                    and not read_outside(mod, node, ("name", "attr"))):
+                out.append(f"{mod}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                out += [f"{mod}.{node.name}.{f.name}" for f in node.body
+                        if isinstance(f, ast.FunctionDef)
+                        and not (f.name.startswith("__")
+                                 and f.name.endswith("__"))
+                        and not read_outside(mod, f, ("attr",))]
+    return out
+
+
+def test_unread_names_are_recognized():
+    srcs = {"__init__": "from .a import exported\n",
+            "a": ("def exported():\n    pass\n"
+                  "def helper():\n    return helper()\n"
+                  "def used():\n    pass\n"
+                  "class C:\n    def __init__(self):\n        self.m()\n"
+                  "    def m(self):\n        return self.m\n"
+                  "    def only_self(self):\n        return self.only_self()\n"),
+            "b": "from .a import used, C\nx = used()\nC().n\n"}
+    assert unread_names(srcs) == ["a.helper", "a.C.only_self"]
+
+
+def test_every_library_name_has_a_reader():
+    """A name in src/cmreg is read by src or exported by the package;
+    anything else is on UNREAD_ALLOWED with its reason, and every entry
+    there still names an unread name."""
+    unread = unread_names({name[:-3]: source
+                           for name, _, source in sources()})
+    assert [n for n in unread
+            if not any(fnmatch(n, pat) for pat in UNREAD_ALLOWED)] == []
+    assert [pat for pat in UNREAD_ALLOWED
+            if not any(fnmatch(n, pat) for n in unread)] == []
+
+
+# -- what perfbench reaches in cmreg ---------------------------------------
+
+PERFBENCH_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             os.pardir, "perfbench")
+
+
+def perfbench_source(name):
+    with open(os.path.join(PERFBENCH_DIR, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def workload_reads(source):
+    """(module, name) of each `_mod("cmreg.X").name` read in source."""
+    return sorted({(node.value.args[0].value, node.attr)
+                   for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.value, ast.Call)
+                   and isinstance(node.value.func, ast.Name)
+                   and node.value.func.id == "_mod"
+                   and isinstance(node.value.args[0], ast.Constant)})
+
+
+def test_workload_reads_are_recognized():
+    src = ("def f(M):\n    bt = _mod('cmreg.resolution').betti_table(M)\n"
+           "    _mod('cmreg.cli')\n    return _mod('cmreg.resolution').x\n")
+    assert workload_reads(src) == [("cmreg.resolution", "betti_table"),
+                                   ("cmreg.resolution", "x")]
+
+
+def test_perfbench_finds_every_cmreg_name_it_uses():
+    """`python -m pytest perfbench` is not part of Tier-1, so a trim of
+    the library is checked here against what `perfbench/run.py --trace 1`
+    reaches: each tracer target by the lookup `Tracer.install` makes,
+    each `_mod("cmreg.X").name` of the workloads, and the two methods
+    called on cmreg objects (`Session.kind_of` by the sessions workload,
+    `FreeResolution.module` by the tracer's `_resolution_post`)."""
+    from cmreg.resolution import FreeResolution
+    from cmreg.session import Session
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(PERFBENCH_DIR, "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [t.key for t in tracer.TARGETS
+               if t.attr not in tracer._resolve(t.owner).__dict__]
+    reads = workload_reads(perfbench_source("workloads.py"))
+    assert reads
+    missing += [f"{mod}.{name}" for mod, name in reads
+                if not hasattr(importlib.import_module(mod), name)]
+    missing += [f"{cls.__name__}.{attr}"
+                for cls, attr in ((Session, "kind_of"),
+                                  (FreeResolution, "module"))
+                if attr not in cls.__dict__]
+    assert missing == []
+    # each name kept for perfbench is still in perfbench's source
+    text = perfbench_source("tracer.py") + perfbench_source("workloads.py")
+    assert [n for n, why in UNREAD_ALLOWED.items() if why == PERFBENCH
+            and n.rpartition(".")[2] not in text] == []

@@ -20,7 +20,7 @@ def test_int_coercion(S3):
 def test_degree_and_homogeneity(S3):
     x, y, z = S3.gens()
     f = x * y + z * z
-    assert f.degree() == 2
+    assert f.homogeneous_degree() == 2
     assert f.is_homogeneous()
     assert not (x + y * z).is_homogeneous()
     assert S3.zero_poly().is_homogeneous()

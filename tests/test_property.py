@@ -24,7 +24,7 @@ def poly_from_parts(parts):
     # parts: list of (coeff, (a, b, c))
     f = S.zero_poly()
     for c, e in parts:
-        f = f + S.monomial(tuple(e), c)
+        f = f + c * S.monomial(tuple(e))
     return f
 
 
@@ -56,7 +56,7 @@ def test_additive_inverse(f):
                           st.integers(0, 2)),
                 min_size=1, max_size=3))
 def test_monomial_ideal_hilbert_matches_oracle(expts):
-    gens = [S.monomial((a, b, c), 1) for (a, b, c) in expts]
+    gens = [S.monomial((a, b, c)) for (a, b, c) in expts]
     M = PresentedModule.cyclic(S, gens)
     oc = DenseOracle(M)
     for j in range(6):
@@ -68,7 +68,7 @@ def test_monomial_ideal_hilbert_matches_oracle(expts):
                           st.integers(0, 2)).filter(lambda e: sum(e) > 0),
                 min_size=1, max_size=3))
 def test_reg_routes_agree_on_monomial_ideals(expts):
-    gens = [S.monomial(e, 1) for e in expts]
+    gens = [S.monomial(e) for e in expts]
     M = PresentedModule.cyclic(S, gens)
     assert reg_via_betti(M)[0] == reg_via_duality(M)[0]
 
@@ -84,12 +84,12 @@ def test_degree_adds_on_homogeneous_products(parts, d):
     top = max(a + b + c for (_, a, b, c) in parts)
     f = S.zero_poly()
     for coeff, a, b, c in parts:
-        f = f + S.monomial((a + top - (a + b + c), b, c), coeff)
+        f = f + coeff * S.monomial((a + top - (a + b + c), b, c))
     g = (X + Y) ** d
     if f.is_zero():
         return
-    assert f.is_homogeneous() and f.degree() == top
-    assert (f * g).degree() == top + d
+    assert f.is_homogeneous() and f.homogeneous_degree() == top
+    assert (f * g).homogeneous_degree() == top + d
 
 
 # -- truncated resolutions ----------------------------------------------------

@@ -14,16 +14,17 @@ from cmreg import (BettiTable, BoundedComplex, ModuleMap, PresentedModule,
                    polynomial_ring, reg_via_betti, regularity, relative_reg,
                    resolution_to_complex, tor)
 from cmreg.complexes import free_complex_from_data
-from cmreg.freemod import FreeModule, vec_addmul, vec_from_column
+from cmreg.freemod import (FreeModule, columns_from_rows, vec_addmul,
+                           vec_from_column)
 from cmreg import groebner
 from cmreg.groebner import (_INDEX_BITS, GroebnerBasis, _Packing, _packing,
                             certify, groebner_basis, syzygy_generators)
 from cmreg.minimize import _find_unit, minimize_chain
 from cmreg.modules import colon_by_element, quotient_by_element
 from cmreg.oracle import DenseOracle
-from cmreg.poly import mono_div
 from cmreg.theorems import (_random_linear_form, nilpotent_scroll_family,
                             random_ideal_corpus, scroll_member)
+from monomials import mono_div
 from test_groebner import naive_syzygy_generators
 from test_oracle import BIG_PRIME, FIELDS, over_field
 from test_sessions import SESSIONS, load
@@ -500,8 +501,8 @@ def test_units_of_the_complex_cancel_and_passengers_follow():
     S = polynomial_ring(["x", "y"])
     x, y = S.gens()
     L1, L2 = PresentedModule.free(S, (0, 1)), PresentedModule.free(S, (0, 2))
-    d2 = ModuleMap.from_entries(L2, L1, [[S.constant(1), S.constant(0)],
-                                         [S.constant(0), x]])
+    d2 = ModuleMap(L2, L1, columns_from_rows([[S.constant(1), S.constant(0)],
+                                              [S.constant(0), x]], 2))
     L = BoundedComplex(S, {0: PresentedModule.cyclic(S, [y]), 1: L1, 2: L2},
                        {2: d2})
     full = [(0, (0,)), (1, (1, 1)), (2, (2,))]
@@ -565,10 +566,10 @@ def test_relative_reg_levels_of_complexes():
     assert (rel.value, rel.certified, rel.levels) == (0, True, 1)
     exact = BoundedComplex(S, {0: PresentedModule.free(S, (0,)),
                                1: PresentedModule.free(S, (0,))},
-                           {1: ModuleMap.from_entries(
+                           {1: ModuleMap(
                                PresentedModule.free(S, (0,)),
                                PresentedModule.free(S, (0,)),
-                               [[S.constant(1)]])})
+                               columns_from_rows([[S.constant(1)]], 1))})
     rel = relative_reg(exact)
     assert (rel.value, rel.certified, rel.levels) == (-inf, True, 0)
 
@@ -587,7 +588,8 @@ def test_a_free_complex_is_only_minimized(monkeypatch):
     # d_1 = 1 cancels both terms
     F = PresentedModule.free(S, (0,))
     one = BoundedComplex(S, {0: F, 1: F},
-                         {1: ModuleMap.from_entries(F, F, [[S.constant(1)]])})
+                         {1: ModuleMap(F, F, columns_from_rows(
+                             [[S.constant(1)]], 1))})
     res = free_resolution(one)
     assert res.complete and res.betti() == {} and res.length == 0
     assert reg_via_betti(one) == (-inf, None)

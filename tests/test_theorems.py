@@ -33,7 +33,7 @@ def test_finish_reports_inequality_without_hypotheses():
     hyp = {"verdict": "fails", "witnesses": [{"spot": 0}]}
     out = _finish("demo", "synthetic", hyp, 3, 5, {}, slack="lhs<=rhs")
     assert out.verdict == "inequality"
-    assert not out.hypothesis_holds
+    assert out.hypothesis["verdict"] == "fails"
 
 
 def test_finish_raises_on_breached_slack_even_when_hypothesis_fails():
@@ -439,7 +439,7 @@ def test_scroll_family_shape():
     assert Rn.nvars == 5
     # the appended linear form is the last x-variable
     assert str(z) == "x3"
-    assert all(m.is_homogeneous() and m.degree() == 2 for m in minors)
+    assert all(m.homogeneous_degree() == 2 for m in minors)
 
 
 def test_scroll_family_rejects_small_n():
@@ -472,7 +472,7 @@ def test_saturated_sequence_length_matches_dimension(S3):
     M = PresentedModule.cyclic(S3, [x * y])
     forms = saturated_sequence(M, seed=3)
     assert len(forms) == 2
-    assert all(f.degree() == 1 for f in forms)
+    assert all(f.homogeneous_degree() == 1 for f in forms)
 
 
 def test_saturated_sequence_empty_for_finite_length(S3):
