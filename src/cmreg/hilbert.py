@@ -145,6 +145,17 @@ class HilbertSeries:
         """Series of M(d): pieces shift, coefficient(j) of M(d) = old (d + j)."""
         return HilbertSeries({e - d: c for e, c in self.numerator.items()}, self.nvars)
 
+    def over(self, n):
+        """The same series over n >= nvars variables: its numerator
+        times (1 - t)^(n - nvars)."""
+        num = self.numerator
+        for _ in range(n - self.nvars):
+            nxt = dict(num)
+            for d, c in num.items():
+                nxt[d + 1] = nxt.get(d + 1, 0) - c
+            num = nxt
+        return HilbertSeries(num, n)
+
     def add(self, other):
         if self.nvars != other.nvars:
             raise ValueError("series over different covers")

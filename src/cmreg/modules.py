@@ -13,6 +13,15 @@ seeded relation run: the vectors that generate ker(phi) (the relations of
 phi's columns modulo the target's basis) or im(phi) go in as numerators,
 over the basis of the source's relations (kernel), the target's (image)
 or the middle module's grown by the incoming map's columns (homology).
+
+At a bottom spot, where phi maps into a module of rank 0, ker(phi) is the
+whole middle module, so the homology is the cokernel mid/D, D spanned by
+mid's relations and psi's columns: it is presented by D's reduced basis,
+which homology_at has just grown, minimized, with no relation run
+(`_cokernel`).  When minimizing removes nothing the module keeps that
+basis as its gb().  A basis element with a constant lead makes a
+generator redundant modulo D, and then present_subquotient's normal
+forms present it as at any other spot.
 """
 
 from .freemod import (FreeModule, apply_map, vec_degree, vec_from_column,
@@ -30,9 +39,12 @@ class PresentedModule:
     `_summands`, set by the totalizations in cmreg.complexes, is a tuple
     of (module, first position) pairs whose direct sum this module is,
     block by block; gb() then assembles the basis from theirs
-    (groebner.direct_sum_basis)."""
+    (groebner.direct_sum_basis).  `_basis`, set by `homology_at` at a
+    bottom spot, is a reduced basis whose module vectors are rel_cols;
+    gb() then returns it with no Buchberger run."""
 
-    __slots__ = ("ring", "gens_free", "rel_cols", "_summands", "_cache")
+    __slots__ = ("ring", "gens_free", "rel_cols", "_summands", "_basis",
+                 "_cache")
 
     def __init__(self, ring, gens_free, rel_cols):
         self.ring = ring
@@ -46,6 +58,7 @@ class PresentedModule:
             cols.append(dict(c))
         self.rel_cols = tuple(cols)
         self._summands = None
+        self._basis = None
         self._cache = {}
 
     # -- constructors ----------------------------------------------------
@@ -71,6 +84,8 @@ class PresentedModule:
 
     def gb(self):
         def compute():
+            if self._basis is not None:
+                return self._basis
             if self._summands:
                 return direct_sum_basis(self.ring, self.gens_free, [
                     (M.gb(), off) for M, off in self._summands])
@@ -285,7 +300,25 @@ def homology_at(psi, phi):
         raise ValueError("composition is not zero, homology undefined")
     mid = phi.source
     gb_den = groebner_basis(psi.cols, mid.ring, mid.gens_free, known=mid.gb())
+    if not phi.target.rank and all(any(g.ltm) for g in gb_den.module_elements):
+        return _cokernel(mid, gb_den)
     module, _ = present_subquotient(_kernel_vectors(phi), gb_den)
+    return module
+
+
+def _cokernel(mid, gb_den):
+    """mid / D for the submodule D of mid's generator module whose basis
+    gb_den holds, no element of it with a constant lead: the homology at
+    a bottom spot, where ker phi is all of mid.  Its relations are the
+    basis, minimized; when minimizing removes nothing, they are the basis
+    itself, which the module keeps as its gb()."""
+    ring = mid.ring
+    rels = gb_den.module_vectors()
+    tw, cols, _ = minimize_presentation(mid.gens_free.twists, rels,
+                                        ring.field)
+    module = PresentedModule(ring, FreeModule(ring, tw), cols)
+    if len(tw) == mid.rank:
+        module._basis = gb_den
     return module
 
 

@@ -7,6 +7,7 @@ coefficients; they carry a reference to their ring for coefficient
 arithmetic and printing.
 """
 
+from fractions import Fraction
 from operator import add
 
 EXPONENT_CAP = 2**16 - 1
@@ -63,7 +64,9 @@ class Polynomial:
             if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("polynomials from different rings")
             return other
-        if isinstance(other, int):
+        # a Fraction is a field element over QQ alone
+        if isinstance(other, int) or (isinstance(other, Fraction)
+                                      and not self.ring.field.characteristic):
             return self.ring.constant(other)
         return NotImplemented
 

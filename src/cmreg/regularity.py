@@ -43,7 +43,10 @@ module met again under another twist or presentation (Tor_1(S/(f), M) =
 (0 :_M f)(-1) in one checker and (0 :_M f) in another, or M and M(-1) in
 the termwise bound) reads the stored rows and shifts them by its own t0.
 reg_via_duality, local_cohomology_table and a_invariant read those rows;
-the betti, ext and koszul routes never do.
+the betti, ext and koszul routes never do.  A module killed by linear
+forms l_1..l_c is dualized over the smaller ring S' of the other
+variables, from the F' its resolution keeps (Rees' lemma,
+_duality_series); its rows are still series over n variables.
 
 Absolute invariants of quotient-ring modules are routed through the
 polynomial cover; the Koszul route is the one that works directly over the
@@ -52,9 +55,9 @@ quotient, which is what makes the four-way agreement a real test.
 
 from math import inf
 
-from .complexes import (BoundedComplex, _as_complex, ext_complex,
+from .complexes import (BoundedComplex, _as_complex, complex_from_module,
                         grade_of_sequence, hom_complex, koszul_complex,
-                        koszul_resolution_of_k)
+                        koszul_resolution_of_k, resolution_to_complex)
 from .memo import _cached
 from .modules import PresentedModule
 from .resolution import betti_table, free_resolution
@@ -211,6 +214,14 @@ def _duality_series(M):
     of M.  By graded local duality the row i is the dual of H^i_m(M):
     dim H^i_m(M)_j = dim Ext^{n-i}_S(M, S(-n))_{-j}.
 
+    A module killed by linear forms l_1..l_c is dualized over the smaller
+    ring: its resolution keeps F', the resolution of M' over S' in n' =
+    n - c variables with M = M' (x)_{S'} S/(l) (cmreg.resolution), and
+    Ext^{n-i}_S(M, S(-n)) = Ext^{n'-i}_{S'}(M', S'(-n')) as graded vector
+    spaces (Bruns and Herzog, Lemma 3.1.16, with graded local duality,
+    Theorem 3.6.19, on both rings).  So the row i is read off Hom(F',
+    S'(-n')), its series written over n variables.
+
     Computed once per module up to twist and presentation: the rows of
     M(t0), t0 the lowest generator twist, are kept on S under the module's
     key, and each caller shifts them back by its own t0."""
@@ -220,9 +231,13 @@ def _duality_series(M):
     t0, key = _module_key(Mc)
 
     def compute():
-        D = ext_complex(Mc, PresentedModule.free(S, (n,)))
-        # Ext^q sits at spot -q, and its row is i = n - q
-        return {n + s: H.twist(-t0)
+        res = free_resolution(Mc)
+        F = res.cut or res
+        m = F.ring.nvars
+        D = hom_complex(resolution_to_complex(F), complex_from_module(
+            PresentedModule.free(F.ring, (m,))))
+        # Ext^q sits at spot -q, and its row is i = m - q
+        return {m + s: H.over(n).twist(-t0)
                 for s, H in D.nonzero_homology_series().items()}
 
     rows = _cached(S, ("duality", key), compute)

@@ -14,6 +14,13 @@ JSC 1998), the lift over it of each 0 + rho, and lift(0 + d l_j) + e_j for
 each generator l_j of L_{i+1}.  Then d_i's passengers are dropped, and
 unit elimination sweeps the chain before the next Groebner basis.
 
+A module's first Groebner step is the module's own relation basis: when
+unit elimination removes none of its relations, the columns of d_1 are
+those relations, and the loop reads M.gb() (filling it when nothing has
+yet) instead of running Buchberger on them again.  The kernel is
+deterministic, so that basis is the one a run of the loop's own would
+give.
+
 Over a polynomial ring the columns of d_i are the trace syzygies alone
 for every i >= hi + 2, hi L's top spot (i >= 2 for a module).  Those
 levels are a frame: by Schreyer's theorem the syzygies are a Groebner
@@ -61,8 +68,10 @@ form (`_tensor_cut`), and on the first read of cols assembles d(a (x)
 e_J) = d'a (x) e_J + (-1)^|a| sum_r (-1)^r l_{J_r} a (x) e_{J - J_r} in
 the free-chain layout: the entries of F' embedded in S and the +-l_k
 blocks, every level above the bottom sorted by degree
-(`_koszul_cols`).  Complexes and resolutions over a quotient ring
-itself never split.
+(`_koszul_cols`).  The resolution keeps F' as its cut (a LinearCut over
+S', whose cols are read on first use and tensored from), so the duality
+route can dualize M over S' (cmreg.regularity).  Complexes and
+resolutions over a quotient ring itself never split.
 
 An empty level at or above L's top spot hi ends the loop: F is
 complete.  Over a polynomial ring that happens by level hi + the number
@@ -83,7 +92,8 @@ terms and diffs dicts, not by its class.  A FreeResolution keeps F in
 the free-chain layout of cmreg.freemod, the dicts twists and cols, keyed
 by spot, that the loop builds and minimize_chain and
 free_complex_from_data read; its cols come from the chain minimized
-(`_minimal_cols`), tensored with the Koszul complex of a linear cut.
+(`_minimal_cols`), tensored with the Koszul complex of a linear cut,
+whose F' it keeps.
 """
 
 from itertools import combinations
@@ -99,23 +109,17 @@ from .modules import PresentedModule
 from .rings import GradedRing
 
 
-class FreeResolution:
-    """Chain ... <- F_i <- F_{i+1} <- ... in the free-chain layout, keyed
-    by spot in ascending order: twists[i] is the twist tuple of F_i and
-    cols[i] the columns of d_i : F_i -> F_{i-1}.  A module's resolution
-    starts at spot 0.
+class FreeChain:
+    """A free complex in the free-chain layout over `ring`, keyed by spot
+    in ascending order: twists[i] is the twist tuple of F_i and cols[i]
+    the columns of d_i : F_i -> F_{i-1}.  cols is computed on its first
+    read by `build`, which is then dropped."""
 
-    The twists are the minimal ones.  cols is computed on its first read
-    by `build`, which minimizes the unminimized chain the twists were
-    read off (and tensors it with the Koszul complex of a linear cut),
-    and build is then dropped."""
+    __slots__ = ("ring", "twists", "_cols", "_build")
 
-    __slots__ = ("ring", "twists", "complete", "_cols", "_build")
-
-    def __init__(self, ring, twists, complete, build):
+    def __init__(self, ring, twists, build):
         self.ring = ring
         self.twists = twists
-        self.complete = complete
         self._cols = None
         self._build = build
 
@@ -125,6 +129,36 @@ class FreeResolution:
             self._cols = self._build()
             self._build = None
         return self._cols
+
+
+class LinearCut(FreeChain):
+    """The linear cut of a module's resolution F = F' (x) K(l_1..l_c)
+    (module docstring): F', the minimal resolution of M' over S' =
+    k[the variables keep], whose cols are the chain the loop left
+    minimized (`_minimal_cols`), and the forms l_1..l_c over S, each
+    {monomial: c}."""
+
+    __slots__ = ("keep", "forms")
+
+    def __init__(self, ring, twists, build, keep, forms):
+        super().__init__(ring, twists, build)
+        self.keep = keep
+        self.forms = forms
+
+
+class FreeResolution(FreeChain):
+    """A minimal free resolution: a FreeChain whose twists are the
+    minimal ones, read off the unminimized chain, and whose cols `build`
+    minimizes (tensoring with the Koszul complex of a linear cut).  A
+    module's resolution starts at spot 0.  `cut` is the LinearCut whose
+    F' it was tensored from, or None."""
+
+    __slots__ = ("complete", "cut")
+
+    def __init__(self, ring, twists, complete, build, cut):
+        super().__init__(ring, twists, build)
+        self.complete = complete
+        self.cut = cut
 
     @property
     def length(self):
@@ -194,26 +228,28 @@ def free_resolution(obj, max_len=None):
 
 
 def _tensor_cut(ring, max_len, twists, complete, chain, cut):
-    """(twists, complete, build) of F from what the loop returns: the
-    minimal twists of its chain, completeness, the chain, and its linear
-    cut, None or (keep, forms).  With no cut, F is the chain minimized on
-    the first read of cols (`_minimal_cols`).  With one, the chain is F'
-    over the variables keep, and F = F' (x) K(l_1..l_c) (module
-    docstring): beta_{i,j}(M) = sum_k C(c, k) beta_{i-k,j-k}(M'), level
-    by level up to max_len past the bottom, and F is complete when F' is
-    and pd M' + c < max_len, as the loop would leave it on M."""
+    """(twists, complete, build, cut) of F from what the loop returns:
+    the minimal twists of its chain, completeness, the chain, and its
+    linear cut, None or (sub, keep, forms).  With no cut, F is the chain
+    minimized on the first read of cols (`_minimal_cols`).  With one, the
+    chain is F' over sub, the ring on the variables keep, kept as a
+    LinearCut, and F = F' (x) K(l_1..l_c) (module docstring):
+    beta_{i,j}(M) = sum_k C(c, k) beta_{i-k,j-k}(M'), level by level up
+    to max_len past the bottom, and F is complete when F' is and pd M' +
+    c < max_len, as the loop would leave it on M."""
     K = ring.field
     if cut is None:
-        return twists, complete, lambda: _minimal_cols(twists, *chain, K)
-    keep, forms = cut
+        return (twists, complete,
+                lambda: _minimal_cols(twists, *chain, K), None)
+    sub, keep, forms = cut
+    inner = LinearCut(sub, twists, lambda: _minimal_cols(twists, *chain, K),
+                      keep, forms)
     lo, c = min(twists), len(forms)
     complete = complete and max(twists) - lo + c < max_len
     top = max(twists) + c if complete else lo + max_len
     levels = {i: _koszul_basis(twists, c, i) for i in range(lo, top + 1)}
     return ({i: tuple(b[0] for b in bs) for i, bs in levels.items()},
-            complete,
-            lambda: _koszul_cols(ring, keep, forms, levels,
-                                 _minimal_cols(twists, *chain, K)))
+            complete, lambda: _koszul_cols(ring, inner, levels), inner)
 
 
 def _koszul_basis(inner, c, i):
@@ -230,12 +266,13 @@ def _koszul_basis(inner, c, i):
     return basis
 
 
-def _koszul_cols(ring, keep, forms, levels, inner):
+def _koszul_cols(ring, cut, levels):
     """The columns of F = F' (x) K(l_1..l_c) on the bases `levels` of
-    `_koszul_basis`, from the minimal columns `inner` of F' over the
-    variables keep, whose monomials are embedded in the ring's:
-    d(a (x) e_J) = d'a (x) e_J + (-1)^|a| sum_r (-1)^r l_{J_r} a (x)
-    e_{J - J_r}, with |a| = i - k on F_i."""
+    `_koszul_basis`, from the minimal columns of F', the LinearCut cut,
+    whose monomials over the variables cut.keep are embedded in the
+    ring's: d(a (x) e_J) = d'a (x) e_J + (-1)^|a| sum_r (-1)^r l_{J_r} a
+    (x) e_{J - J_r}, with |a| = i - k on F_i."""
+    keep, forms, inner = cut.keep, cut.forms, cut.cols
     n, p = ring.nvars, ring.field.characteristic
     embedded = {}
 
@@ -347,7 +384,8 @@ def _resolve(ring, terms, diffs, max_len):
     terms and differentials (module docstring): the minimal twists, read
     off chain, the unminimized (twists, cols) pair the loop builds, and
     None; or, for a module killed by linear forms, those of F' over the
-    other variables and the cut (keep, forms) (`_linear_cut`)."""
+    ring sub on the other variables and the cut (sub, keep, forms)
+    (`_linear_cut`)."""
     K = ring.field
     lo, hi = min(terms), max(terms)
     cut = None
@@ -379,12 +417,18 @@ def _resolve(ring, terms, diffs, max_len):
             # Schreyer: the trace syzygies are a Groebner basis already
             gb = cols[level]
         else:
+            built = len(cols[level])
             twists, cols, _ = minimize_chain(twists, cols, K)
             rank = len(twists[level - 1])
             rels = [_shift(c, rank) for c in terms[level].rel_cols] \
                 if level in terms else []
-            gb = groebner_basis(cols[level] + rels, ring,
-                                FreeModule(ring, rows(level)))
+            if level == lo + 1 == hi + 1 and len(cols[level]) == built:
+                # no unit left a module's relations: their basis is the
+                # module's own
+                gb = terms[lo].gb()
+            else:
+                gb = groebner_basis(cols[level] + rels, ring,
+                                    FreeModule(ring, rows(level)))
             # d_level's map to L_level is no longer needed
             cols[level] = [{(p, m): c for (p, m), c in col.items() if p < rank}
                            for col in gb.module_vectors()]
@@ -395,7 +439,8 @@ def _resolve(ring, terms, diffs, max_len):
                 found = _linear_cut(ring, len(twists[lo]), cols[level],
                                     twists[level])
                 if found:
-                    ring, cut, cols[level], twists[level] = found
+                    ring, (keep, forms), cols[level], twists[level] = found
+                    cut = ring, keep, forms
                     gb = reduced_basis(cols[level], ring,
                                        FreeModule(ring, twists[lo]))
         if not twists[level] and level >= hi:

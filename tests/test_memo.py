@@ -116,7 +116,7 @@ CASES = [
      (routes, "free_resolution"), _twisted),
     ("duality_up_to_twist", _module,
      lambda M: sorted(routes.local_cohomology_table(M).row_support),
-     (routes, "ext_complex"), _twisted),
+     (routes, "resolution_to_complex"), _twisted),
 ]
 
 
@@ -330,17 +330,18 @@ def test_bases_interreduce_in_two_places():
 def test_a_frame_is_decoded_only_by_its_basis():
     """Basis elements are decoded in `GroebnerBasis.module_vectors` alone,
     in the basis's own packing, and `_reduce` decodes a normal form's
-    remainder and trace.  The tag rows of a relation run are read through
-    their basis (`modules.syzygies_of_vectors`); the resolution loop
-    decodes the syzygies below its frame as it finds them, and a frame
-    level only in `_minimal_cols`, on the first read of cols."""
+    remainder and trace.  The tag rows of a relation run and the
+    relations of a bottom homology module are read through their basis
+    (`modules.syzygies_of_vectors`, `modules._cokernel`); the resolution
+    loop decodes the syzygies below its frame as it finds them, and a
+    frame level only in `_minimal_cols`, on the first read of cols."""
     sites = call_sites("decode_vec")
     assert [(f, func) for f, _, func in sites] == [
         ("groebner.py", "_reduce"), ("groebner.py", "_reduce"),
         ("groebner.py", "module_vectors")]
     sites = call_sites("module_vectors")
     assert [(f, func) for f, _, func in sites] == [
-        ("modules.py", "syzygies_of_vectors"),
+        ("modules.py", "syzygies_of_vectors"), ("modules.py", "_cokernel"),
         ("resolution.py", "_resolve"), ("resolution.py", "_resolve"),
         ("resolution.py", "_minimal_cols")]
 
@@ -653,13 +654,14 @@ def test_cached_computes_are_recognized():
 
 
 def test_duality_and_depth_are_computed_only_under_their_cover_keys():
-    """The dual complex Hom(F, S(-n)) is built only in the compute kept on
+    """The dual complex Hom(F, S(-n)), or Hom(F', S'(-n')) over the
+    smaller ring of a linear cut, is built only in the compute kept on
     the cover ring under ("duality", key), and depth reads pd off a
     resolution only in the compute kept there under ("depth", key), so a
     module met again up to twist or presentation pays for neither."""
     [source] = [src for name, _, src in sources() if name == "regularity.py"]
     [(lo, hi)] = cached_computes(source, "duality")
-    sites = [line for line, _ in calls(source, "ext_complex")]
+    sites = [line for line, _ in calls(source, "resolution_to_complex")]
     assert sites and all(lo <= line <= hi for line in sites)
     [(lo, hi)] = cached_computes(source, "depth")
     sites = [line for line, func in calls(source, "free_resolution")

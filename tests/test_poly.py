@@ -1,3 +1,8 @@
+from fractions import Fraction
+
+import pytest
+
+from cmreg import polynomial_ring
 from cmreg.poly import Polynomial, grevlex_key
 from cmreg.session import parse_polynomial
 
@@ -15,6 +20,29 @@ def test_int_coercion(S3):
     assert 3 * x == x + x + x
     assert x * 0 == S3.zero_poly()
     assert (x + 1) * (x - 1) == x * x - S3.constant(1)
+
+
+def test_fraction_coercion_over_qq():
+    # Fraction(1, 2) * x raised TypeError: only ints were coerced
+    S = polynomial_ring(["x", "y"], rational=True)
+    x, y = S.gens()
+    half = Fraction(1, 2)
+    h = S.constant(half)
+    assert half * x == x * half == h * x
+    assert x + half == half + x == x + h
+    assert x - half == x - h
+    assert Fraction(3) - x == S.constant(3) - x
+    assert (half * x).terms == {(1, 0): half}
+    assert (x - x * half) * 2 == x
+
+
+def test_a_fraction_is_no_element_of_a_prime_field(S3):
+    x = S3.gens()[0]
+    for op in (lambda f: Fraction(1, 2) * f, lambda f: f * Fraction(1, 2),
+               lambda f: f + Fraction(1, 2), lambda f: Fraction(1, 2) + f,
+               lambda f: f - Fraction(1, 2), lambda f: Fraction(3) - f):
+        with pytest.raises(TypeError):
+            op(x)
 
 
 def test_degree_and_homogeneity(S3):

@@ -10,16 +10,17 @@ import cmreg.oracle
 from cmreg import (KoszulHypothesisError, PresentedModule, a_invariant,
                    bass_table, betti_table, complex_from_module, depth,
                    depth_profile, ext_complex, free_resolution,
-                   koszul_complex,
+                   hom_complex, koszul_complex,
                    local_cohomology_table, module_from_ideal,
                    polynomial_ring, reg_complex, reg_via_betti,
                    reg_via_duality, reg_via_ext, reg_via_koszul, regularity,
-                   relative_reg)
+                   relative_reg, resolution_to_complex)
 from cmreg.freemod import FreeModule
 from cmreg.oracle import DenseOracle
 from cmreg.modules import colon_by_element, quotient_by_element
-from cmreg.theorems import (corpus_checks, nilpotent_scroll_family,
-                            random_ideal_corpus)
+from cmreg.theorems import (_random_linear_form, corpus_checks,
+                            nilpotent_scroll_family, random_ideal_corpus)
+from test_resolution import cut_modules
 from test_sessions import SESSIONS, session_modules
 
 # the package exports a function named regularity, which shadows the
@@ -435,6 +436,11 @@ def counting(monkeypatch, name):
     return calls
 
 
+# the duality compute builds its dual complex, Hom(F, S(-n)) or, for a
+# module killed by linear forms, Hom(F', S'(-n')), on this complex
+DUAL = "resolution_to_complex"
+
+
 def test_route_results_are_cached_on_the_object(monkeypatch):
     # a ring of its own: the duality entry lives on the cover ring, so a
     # module met in an earlier test must not have paid for it already
@@ -444,7 +450,7 @@ def test_route_results_are_cached_on_the_object(monkeypatch):
     def fresh():
         return PresentedModule.cyclic(S, [x * x, x * y, y * z * z])
 
-    dual = counting(monkeypatch, "ext_complex")
+    dual = counting(monkeypatch, DUAL)
     kos = counting(monkeypatch, "_koszul_route")
     M = fresh()
     L = koszul_complex([z], M)
@@ -478,12 +484,13 @@ def _duality_invariants(M):
 
 @pytest.mark.parametrize("d", [-2, 3])
 def test_duality_and_depth_run_once_per_module_up_to_twist(monkeypatch, d):
-    dual = counting(monkeypatch, "ext_complex")
+    dual = counting(monkeypatch, DUAL)
     pd = counting(monkeypatch, "free_resolution")
     M = _two_generator_module(polynomial_ring(["x", "y", "z"]))
     first = _duality_invariants(M)
     shifted = _duality_invariants(M.twist(d))
-    assert (len(dual), len(pd)) == (1, 1)
+    # the duality compute and the depth compute each read the resolution
+    assert (len(dual), len(pd)) == (1, 2)
     # the shifted reads are exactly what a fresh ring computes
     fresh = _two_generator_module(polynomial_ring(["x", "y", "z"]))
     assert _duality_invariants(fresh) == first
@@ -496,7 +503,7 @@ def test_one_module_under_two_constructions_shares_one_entry(monkeypatch):
     S = polynomial_ring(["x", "y", "z"])
     x, y, z = S.gens()
     M = PresentedModule.cyclic(S, [x * y, x * z * z])
-    dual = counting(monkeypatch, "ext_complex")
+    dual = counting(monkeypatch, DUAL)
     # (0 :_M x) = Hom(S/(x), M) = Ext^0(S/(x), M)
     C, _ = colon_by_element(M, x)
     E = ext_complex(PresentedModule.cyclic(S, [x]), M).homology(0)
@@ -512,7 +519,7 @@ def test_one_module_under_two_constructions_shares_one_entry(monkeypatch):
 def test_modules_that_differ_never_share_an_entry(monkeypatch):
     S = polynomial_ring(["x", "y", "z"])
     x, y, z = S.gens()
-    dual = counting(monkeypatch, "ext_complex")
+    dual = counting(monkeypatch, DUAL)
     pd = counting(monkeypatch, "free_resolution")
     X, Y = (PresentedModule.cyclic(S, [v]) for v in (x, y))
     mods = [
@@ -527,7 +534,9 @@ def test_modules_that_differ_never_share_an_entry(monkeypatch):
     assert len(keys) == len(mods)
     regs = [reg_via_duality(M)[0] for M in mods]
     depths = [depth(M) for M in mods]
-    assert (len(dual), len(pd)) == (4, 4)
+    # per module, the duality compute and the depth compute each read the
+    # resolution once
+    assert (len(dual), len(pd)) == (4, 8)
     assert regs == [1, 1, 1, 2]
     assert depths == [2, 2, 2, 2]
 
@@ -537,7 +546,7 @@ def test_a_quotient_module_and_its_cover_share_the_entry_on_the_cover(
     S = polynomial_ring(["x", "y", "z"])
     x, y, z = S.gens()
     R = S.quotient([x * y, y * z])
-    dual = counting(monkeypatch, "ext_complex")
+    dual = counting(monkeypatch, DUAL)
     M = PresentedModule.cyclic(R, [x * z])
     N = PresentedModule.cyclic(S, [x * z, x * y, y * z])
     assert reg_via_duality(M) == reg_via_duality(N)
@@ -558,10 +567,57 @@ def test_a_quotient_module_and_its_cover_share_the_entry_on_the_cover(
 def test_the_checks_sweep_computes_each_duality_series_once(monkeypatch):
     # per module object alone, the 13 instances ran the route 90 times;
     # 48 of those modules repeat another up to twist or presentation
-    dual = counting(monkeypatch, "ext_complex")
+    dual = counting(monkeypatch, DUAL)
     for inst in random_ideal_corpus(count=13):
         corpus_checks(inst)
     assert len(dual) == 42
+
+
+# -- a cut module is dualized over the smaller ring (Rees) -----------------
+
+def rows_over_the_cover(M):
+    """The duality rows of M off Hom(F, S(-n)), F = F' (x) K(l) the
+    tensored resolution of M's cover over all n variables: the rows as
+    computed before a linear cut was dualized over S'."""
+    Mc = M.lift_to_cover()
+    S = Mc.ring
+    n = S.nvars
+    D = hom_complex(resolution_to_complex(free_resolution(Mc)),
+                    complex_from_module(PresentedModule.free(S, (n,))))
+    return {n + s: H for s, H in D.nonzero_homology_series().items()}
+
+
+def duality_reads(M):
+    lc = local_cohomology_table(M)
+    return (routes._duality_series(M), lc.entries, lc.window,
+            lc.row_support, reg_via_duality(M))
+
+
+def sections_of_the_corpus():
+    """(label, M/fM) and (label, M/gM) for each corpus instance, f and g
+    the auxiliary forms of its checks."""
+    for inst in random_ideal_corpus():
+        rng = random.Random(f"{inst.name}:aux")
+        for name in ("f", "g"):
+            yield (f"{inst.name}/{name}", quotient_by_element(
+                inst.module, _random_linear_form(inst.ring, rng)))
+
+
+def test_a_cut_module_is_dualized_over_the_smaller_ring(monkeypatch):
+    count = 0
+    cuts = set()
+    for label, M in (*cut_modules(), *sections_of_the_corpus()):
+        if M.is_zero():
+            continue
+        cut = free_resolution(M.lift_to_cover()).cut
+        assert cut is not None, label
+        cuts.add(len(cut.forms))
+        got = duality_reads(M)
+        with monkeypatch.context() as m:
+            m.setattr(routes, "_duality_series", rows_over_the_cover)
+            assert duality_reads(M) == got, label
+        count += 1
+    assert count == 134 and cuts == {1, 2, 3}
 
 
 @pytest.mark.parametrize("make", [

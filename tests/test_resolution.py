@@ -13,7 +13,7 @@ from cmreg import (BettiTable, BoundedComplex, ModuleMap, PresentedModule,
                    koszul_complex, module_from_ideal, parse_session, pd,
                    polynomial_ring, reg_via_betti, regularity, relative_reg,
                    resolution_to_complex, tor)
-from cmreg.complexes import free_complex_from_data
+from cmreg.complexes import free_complex_from_data, tor_complex
 from cmreg.freemod import (FreeModule, columns_from_rows, vec_addmul,
                            vec_from_column)
 from cmreg import groebner
@@ -22,8 +22,9 @@ from cmreg.groebner import (_INDEX_BITS, GroebnerBasis, _Packing, _packing,
 from cmreg.minimize import _find_unit, minimize_chain
 from cmreg.modules import colon_by_element, quotient_by_element
 from cmreg.oracle import DenseOracle
-from cmreg.theorems import (_random_linear_form, nilpotent_scroll_family,
-                            random_ideal_corpus, scroll_member)
+from cmreg.theorems import (_random_linear_form, check_cor_tensor,
+                            nilpotent_scroll_family, random_ideal_corpus,
+                            scroll_member)
 from monomials import mono_div
 from test_groebner import naive_syzygy_generators
 from test_oracle import BIG_PRIME, FIELDS, over_field
@@ -762,23 +763,99 @@ def test_a_frame_syzygy_decodes_only_through_its_basis():
             assert not total
 
 
-@pytest.mark.parametrize("label", ["corpus", "family"])
-def test_a_module_over_a_polynomial_ring_runs_buchberger_once(label,
-                                                              monkeypatch):
-    res_mod = importlib.import_module("cmreg.resolution")
-    real = res_mod.groebner_basis
+def buchberger_runs(monkeypatch):
+    """A list that gets the arguments of every `_buchberger` run."""
+    real = groebner._buchberger
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(res_mod, "groebner_basis", counting)
+    monkeypatch.setattr(groebner, "_buchberger", counting)
+    return calls
+
+
+@pytest.mark.parametrize("label", ["corpus", "family"])
+def test_a_module_over_a_polynomial_ring_runs_buchberger_once(label,
+                                                              monkeypatch):
+    # counted at the kernel: the level-1 basis is the module's own, filled
+    # by the loop when nothing read it before
+    calls = buchberger_runs(monkeypatch)
     for name, obj in frame_inputs():
         if name.startswith(label) and isinstance(obj, PresentedModule):
             calls.clear()
             res = free_resolution(obj)
             assert res.complete and len(calls) == 1, name
+
+
+def resolution_text(res):
+    return repr((res.twists, res.complete, res.cols))
+
+
+def own_level_one(monkeypatch):
+    """Make every module's gb() a fresh, unkept Buchberger run, so that
+    the loop's first level is a basis of its own."""
+    def fresh(M):
+        return groebner_basis(M.rel_cols, M.ring, M.gens_free)
+
+    monkeypatch.setattr(PresentedModule, "gb", fresh)
+
+
+def test_the_first_level_is_the_modules_own_basis(monkeypatch):
+    # over a polynomial ring a module's loop needs Buchberger at level 1
+    # alone, so with M.gb() read first, in either order, it runs none
+    refs = {}
+    with monkeypatch.context() as m:
+        own_level_one(m)
+        for label, M in frame_inputs():
+            if isinstance(M, PresentedModule):
+                refs[label] = resolution_text(free_resolution(M))
+    runs = buchberger_runs(monkeypatch)
+    count = 0
+    for label, M in frame_inputs():
+        if not isinstance(M, PresentedModule):
+            continue
+        M.gb()
+        runs.clear()
+        res = free_resolution(M)
+        assert resolution_text(res) == refs[label], label
+        if M.ring.is_polynomial:
+            assert runs == [], label
+            count += 1
+    for label, M in frame_inputs():
+        if isinstance(M, PresentedModule) and M.ring.is_polynomial:
+            res = free_resolution(M)
+            runs.clear()
+            M.gb()
+            assert runs == [], label
+            assert resolution_text(res) == refs[label], label
+    assert count == 41
+
+
+def test_a_unit_relation_leaves_the_loop_its_own_first_basis(S3,
+                                                             monkeypatch):
+    # x e_0 + e_1 is minimized away before the first Groebner step, so the
+    # loop's relations are no longer the module's: it runs its own basis
+    x, y, z = S3.gens()
+    one = S3.field.one
+    M = PresentedModule(S3, FreeModule(S3, (0, 1)), [
+        {(0, (1, 0, 0)): one, (1, (0, 0, 0)): one},
+        vec_from_column([y * y, S3.zero_poly()]),
+        vec_from_column([S3.zero_poly(), z * z])])
+    res_mod = importlib.import_module("cmreg.resolution")
+    real = res_mod.groebner_basis
+    runs = []
+
+    def counting(*args, **kwargs):
+        runs.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(res_mod, "groebner_basis", counting)
+    res = free_resolution(M)
+    assert len(runs) == 1 and "gb" not in M._cache
+    assert res.twists[0] == (0,)
+    assert betti_table(M) == betti_table(M.minimized())
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -901,6 +978,27 @@ def cut_scroll():
     return PresentedModule.cyclic(ring, minors + [z]), z
 
 
+def residue_field(ring):
+    return PresentedModule.cyclic(ring, list(ring.gens()))
+
+
+def tor_k_table(M):
+    """{(i, j): dim Tor_i(M, k)_j} off the series of F (x) k, F the
+    resolution of M: the Betti table when F is minimal."""
+    return {(i, j): d
+            for i, H in tor_complex(M, residue_field(M.ring))
+            .nonzero_homology_series().items()
+            for j in range(H.indeg(), H.top_degree() + 1)
+            if (d := H.coefficient(j))}
+
+
+def test_tor_against_k_reads_a_cut_betti_table():
+    # the readers of a cut module's tensored cols: Tor against k here,
+    # check tensor on the corpus (S/(g) is cut by g)
+    for label, M in cut_modules():
+        assert tor_k_table(M) == betti_table(M).entries, label
+
+
 def test_an_off_by_one_koszul_twist_is_caught(monkeypatch):
     res_mod = importlib.import_module("cmreg.resolution")
     real = res_mod._koszul_basis
@@ -918,9 +1016,11 @@ def test_an_off_by_one_koszul_twist_is_caught(monkeypatch):
     monkeypatch.setattr(res_mod, "_koszul_basis", bumped)
     M = cut_scroll()[0]
     assert betti_table(M).regularity() == bt.regularity() + 1
-    # the duality route reads the differentials, which no longer fit
+    # Tor against k reads the tensored differentials, which no longer fit
+    # (the duality route reads F' alone)
+    M, k = cut_scroll()[0], residue_field(M.ring)
     with pytest.raises(ValueError, match="not homogeneous"):
-        regularity(cut_scroll()[0])
+        tor_complex(M, k)
     with pytest.raises(ValueError, match="not homogeneous"):
         resolution_to_complex(free_resolution(M)).verify()
 
@@ -932,9 +1032,9 @@ def test_a_flipped_koszul_sign_is_caught(monkeypatch):
     (zm,) = z.terms
     flipped = []
 
-    def flip(ring, keep, forms, levels, inner):
-        assert forms == [z.terms]
-        cols = real(ring, keep, forms, levels, inner)
+    def flip(ring, cut, levels):
+        assert cut.forms == [z.terms]
+        cols = real(ring, cut, levels)
         # a column of d_2 with an entry of d' and one of z
         col = next(col for col in cols[2]
                    if len({m == zm for _, m in col}) == 2)
@@ -947,9 +1047,11 @@ def test_a_flipped_koszul_sign_is_caught(monkeypatch):
     monkeypatch.setattr(res_mod, "_koszul_cols", flip)
     assert not resolution_to_complex(free_resolution(M)).verify()
     assert len(flipped) == 1
-    # the duality route's homology sees d^2 != 0
+    # check tensor reads F (x) R, whose homology sees d^2 != 0 (the
+    # duality route reads F' alone, and F (x) k has zero differentials)
+    M = cut_scroll()[0]
     with pytest.raises(ValueError, match="composition is not zero"):
-        regularity(cut_scroll()[0])
+        check_cor_tensor(M, PresentedModule.cyclic(M.ring, []))
 
 
 # -- Betti numbers off the frame: ranks of constant parts ---------------------
@@ -1059,7 +1161,7 @@ def test_cols_are_the_frame_decoded(monkeypatch):
             for i in packed:
                 assert cols[i].module_vectors() == reference_decode(cols[i])
                 cols[i] = reference_decode(cols[i])
-            _, _, build = res_mod._tensor_cut(
+            _, _, build, _ = res_mod._tensor_cut(
                 N.ring, res_mod._truncation(N.ring, 0, None), twists,
                 complete, (chain_twists, cols), cut)
             assert res.cols == build(), label

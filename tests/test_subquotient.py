@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+import cmreg.groebner as groebner
 import cmreg.modules as modules
 from cmreg import (BoundedComplex, PresentedModule, complex_from_module,
                    free_resolution, free_resolution_of_complex, hom_complex,
@@ -390,3 +391,99 @@ def test_colon_matches_reference_over_a_quotient_ring(S3):
     for M in modules_:
         for f in (x, y, z, x + y, x * z):
             assert_colon_matches_reference(M, f)
+
+
+# -- the bottom spot: a cokernel of the held basis -----------------------
+
+def bottom_reference(psi, phi):
+    """ker(phi) / im(psi) as `homology_at` presents it at any spot: phi's
+    kernel vectors and one subquotient over the middle basis grown by
+    psi's columns."""
+    mid = phi.source
+    gb_den = groebner_basis(psi.cols, mid.ring, mid.gens_free,
+                            known=mid.gb())
+    return modules.present_subquotient(modules._kernel_vectors(phi),
+                                       gb_den)[0]
+
+
+def cokernel_calls(monkeypatch):
+    real = modules._cokernel
+    calls = []
+
+    def counting(mid, gb_den):
+        calls.append(mid)
+        return real(mid, gb_den)
+
+    monkeypatch.setattr(modules, "_cokernel", counting)
+    return calls
+
+
+def assert_bottom_spots_match_reference(C):
+    """Each spot of C above a zero term against `bottom_reference`:
+    equal twists and relation columns; returns how many there are."""
+    count = 0
+    for s in C.levels():
+        if C.term(s - 1).rank:
+            continue
+        psi, phi = C.diff(s + 1), C.diff(s)
+        got, ref = homology_at(psi, phi), bottom_reference(psi, phi)
+        assert got.gens_free.twists == ref.gens_free.twists, (C, s)
+        assert [dict(c) for c in got.rel_cols] == [
+            dict(c) for c in ref.rel_cols], (C, s)
+        count += 1
+    return count
+
+
+def test_the_bottom_homology_is_the_reference_subquotient(monkeypatch):
+    calls = cokernel_calls(monkeypatch)
+    spots = sum(assert_bottom_spots_match_reference(C)
+                for idx in range(30) for C in corpus_complexes(idx))
+    assert spots == len(calls) == 90
+    calls.clear()
+    spots = sum(assert_bottom_spots_match_reference(C)
+                for name in sorted(os.listdir(SESSIONS))
+                for C in session_complexes(name))
+    assert spots == len(calls) == 9
+
+
+def test_a_unit_in_the_incoming_map_takes_the_subquotient(S3, monkeypatch):
+    # e_0 + x e_1 leads with the constant e_0, so e_0 is redundant modulo
+    # the image: the normal forms of present_subquotient present the
+    # homology, here S(0) on e_1
+    x = S3.gens()[0]
+    one = S3.field.one
+    T0, T1 = (PresentedModule.free(S3, tw) for tw in ((1, 0), (1,)))
+    d = ModuleMap(T1, T0, [{(0, (0, 0, 0)): one, (1, (1, 0, 0)): one}])
+    C = BoundedComplex(S3, {0: T0, 1: T1}, {1: d})
+    calls = cokernel_calls(monkeypatch)
+    H = C.homology(0)
+    assert calls == []
+    assert H.gens_free.twists == (0,) and H.rel_cols == ()
+    assert assert_bottom_spots_match_reference(C) == 1
+
+
+def test_a_bottom_homology_reads_its_held_basis(monkeypatch):
+    # H_0 of Koszul([f], M) is M/fM, whose relations are the reduced basis
+    # that homology_at grew; its gb() is that basis, with no Buchberger
+    runs = []
+    real = groebner._buchberger
+
+    def counting(*args, **kwargs):
+        runs.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_buchberger", counting)
+    held = 0
+    for idx in range(30):
+        C = corpus_complexes(idx)[0]
+        H = C.homology(C.min_level)
+        if H._basis is None:
+            continue
+        held += 1
+        runs.clear()
+        gb = H.gb()
+        assert runs == [] and gb is H._basis
+        assert [dict(c) for c in H.rel_cols] == gb.module_vectors()
+        fresh = groebner_basis(H.rel_cols, H.ring, H.gens_free)
+        assert fresh.module_vectors() == gb.module_vectors()
+    assert held == 30
