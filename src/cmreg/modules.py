@@ -19,9 +19,7 @@ whole middle module, so the homology is the cokernel mid/D, D spanned by
 mid's relations and psi's columns: it is presented by D's reduced basis,
 which homology_at has just grown, minimized, with no relation run
 (`_cokernel`).  When minimizing removes nothing the module keeps that
-basis as its gb().  A basis element with a constant lead makes a
-generator redundant modulo D, and then present_subquotient's normal
-forms present it as at any other spot.
+basis as its gb().
 """
 
 from .freemod import (FreeModule, apply_map, vec_degree, vec_from_column,
@@ -300,7 +298,7 @@ def homology_at(psi, phi):
         raise ValueError("composition is not zero, homology undefined")
     mid = phi.source
     gb_den = groebner_basis(psi.cols, mid.ring, mid.gens_free, known=mid.gb())
-    if not phi.target.rank and all(any(g.ltm) for g in gb_den.module_elements):
+    if not phi.target.rank:
         return _cokernel(mid, gb_den)
     module, _ = present_subquotient(_kernel_vectors(phi), gb_den)
     return module
@@ -308,10 +306,11 @@ def homology_at(psi, phi):
 
 def _cokernel(mid, gb_den):
     """mid / D for the submodule D of mid's generator module whose basis
-    gb_den holds, no element of it with a constant lead: the homology at
-    a bottom spot, where ker phi is all of mid.  Its relations are the
-    basis, minimized; when minimizing removes nothing, they are the basis
-    itself, which the module keeps as its gb()."""
+    gb_den holds: the homology at a bottom spot, where ker phi is all of
+    mid.  Its relations are the basis, minimized, which drops a generator
+    that an element with a constant lead makes redundant; when minimizing
+    removes nothing, they are the basis itself, which the module keeps as
+    its gb()."""
     ring = mid.ring
     rels = gb_den.module_vectors()
     tw, cols, _ = minimize_presentation(mid.gens_free.twists, rels,

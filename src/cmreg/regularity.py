@@ -287,7 +287,14 @@ def local_cohomology_table(M, window=None):
                          "it ends below its start")
     if M.is_zero():
         return LocalCohomologyTable({}, (lo, hi), {}, n)
-    rows = _duality_series(M)
+    return _table_of_rows(_duality_series(M), (lo, hi), n)
+
+
+def _table_of_rows(rows, window, n):
+    """The LocalCohomologyTable over a cover in n variables whose duality
+    rows are rows, {i: HS(Ext^{n-i}_S(M, S(-n)))}, as local_cohomology_table
+    reads the window."""
+    lo, hi = window
     support = {}
     for i, E in rows.items():
         top = E.top_degree()

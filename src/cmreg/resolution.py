@@ -68,10 +68,11 @@ form (`_tensor_cut`), and on the first read of cols assembles d(a (x)
 e_J) = d'a (x) e_J + (-1)^|a| sum_r (-1)^r l_{J_r} a (x) e_{J - J_r} in
 the free-chain layout: the entries of F' embedded in S and the +-l_k
 blocks, every level above the bottom sorted by degree
-(`_koszul_cols`).  The resolution keeps F' as its cut (a LinearCut over
-S', whose cols are read on first use and tensored from), so the duality
-route can dualize M over S' (cmreg.regularity).  Complexes and
-resolutions over a quotient ring itself never split.
+(`_koszul_cols`).  The resolution keeps F' as its cut, a FreeChain over
+S' whose cols are read on first use and tensored from, with keep and
+the forms, so the duality route can dualize M over S'
+(cmreg.regularity).  Complexes and resolutions over a quotient ring
+itself never split.
 
 An empty level at or above L's top spot hi ends the loop: F is
 complete.  Over a polynomial ring that happens by level hi + the number
@@ -131,34 +132,21 @@ class FreeChain:
         return self._cols
 
 
-class LinearCut(FreeChain):
-    """The linear cut of a module's resolution F = F' (x) K(l_1..l_c)
-    (module docstring): F', the minimal resolution of M' over S' =
-    k[the variables keep], whose cols are the chain the loop left
-    minimized (`_minimal_cols`), and the forms l_1..l_c over S, each
-    {monomial: c}."""
-
-    __slots__ = ("keep", "forms")
-
-    def __init__(self, ring, twists, build, keep, forms):
-        super().__init__(ring, twists, build)
-        self.keep = keep
-        self.forms = forms
-
-
 class FreeResolution(FreeChain):
     """A minimal free resolution: a FreeChain whose twists are the
     minimal ones, read off the unminimized chain, and whose cols `build`
-    minimizes (tensoring with the Koszul complex of a linear cut).  A
-    module's resolution starts at spot 0.  `cut` is the LinearCut whose
-    F' it was tensored from, or None."""
+    minimizes.  A module's resolution starts at spot 0.  For a module
+    killed by linear forms, F = F' (x) K(l_1..l_c) (module docstring):
+    `cut` is F', a FreeChain over S' = k[the variables keep] whose cols
+    are the chain the loop left minimized, and `forms` are l_1..l_c over
+    S, each {monomial: c}; with no cut all three are None."""
 
-    __slots__ = ("complete", "cut")
+    __slots__ = ("complete", "cut", "keep", "forms")
 
     def __init__(self, ring, twists, complete, build, cut):
         super().__init__(ring, twists, build)
         self.complete = complete
-        self.cut = cut
+        self.cut, self.keep, self.forms = cut or (None, None, None)
 
     @property
     def length(self):
@@ -232,24 +220,25 @@ def _tensor_cut(ring, max_len, twists, complete, chain, cut):
     the minimal twists of its chain, completeness, the chain, and its
     linear cut, None or (sub, keep, forms).  With no cut, F is the chain
     minimized on the first read of cols (`_minimal_cols`).  With one, the
-    chain is F' over sub, the ring on the variables keep, kept as a
-    LinearCut, and F = F' (x) K(l_1..l_c) (module docstring):
-    beta_{i,j}(M) = sum_k C(c, k) beta_{i-k,j-k}(M'), level by level up
-    to max_len past the bottom, and F is complete when F' is and pd M' +
-    c < max_len, as the loop would leave it on M."""
+    chain is F' over sub, the ring on the variables keep, returned as the
+    cut (F', keep, forms), and F = F' (x) K(l_1..l_c) (module
+    docstring): beta_{i,j}(M) = sum_k C(c, k) beta_{i-k,j-k}(M'), level
+    by level up to max_len past the bottom, and F is complete when F' is
+    and pd M' + c < max_len, as the loop would leave it on M."""
     K = ring.field
     if cut is None:
         return (twists, complete,
                 lambda: _minimal_cols(twists, *chain, K), None)
     sub, keep, forms = cut
-    inner = LinearCut(sub, twists, lambda: _minimal_cols(twists, *chain, K),
-                      keep, forms)
+    inner = FreeChain(sub, twists, lambda: _minimal_cols(twists, *chain, K))
     lo, c = min(twists), len(forms)
     complete = complete and max(twists) - lo + c < max_len
     top = max(twists) + c if complete else lo + max_len
     levels = {i: _koszul_basis(twists, c, i) for i in range(lo, top + 1)}
     return ({i: tuple(b[0] for b in bs) for i, bs in levels.items()},
-            complete, lambda: _koszul_cols(ring, inner, levels), inner)
+            complete,
+            lambda: _koszul_cols(ring, keep, forms, levels, inner.cols),
+            (inner, keep, forms))
 
 
 def _koszul_basis(inner, c, i):
@@ -266,13 +255,12 @@ def _koszul_basis(inner, c, i):
     return basis
 
 
-def _koszul_cols(ring, cut, levels):
+def _koszul_cols(ring, keep, forms, levels, inner):
     """The columns of F = F' (x) K(l_1..l_c) on the bases `levels` of
-    `_koszul_basis`, from the minimal columns of F', the LinearCut cut,
-    whose monomials over the variables cut.keep are embedded in the
-    ring's: d(a (x) e_J) = d'a (x) e_J + (-1)^|a| sum_r (-1)^r l_{J_r} a
-    (x) e_{J - J_r}, with |a| = i - k on F_i."""
-    keep, forms, inner = cut.keep, cut.forms, cut.cols
+    `_koszul_basis`, from the minimal columns `inner` of F' over the
+    variables keep, whose monomials are embedded in the ring's:
+    d(a (x) e_J) = d'a (x) e_J + (-1)^|a| sum_r (-1)^r l_{J_r} a (x)
+    e_{J - J_r}, with |a| = i - k on F_i."""
     n, p = ring.nvars, ring.field.characteristic
     embedded = {}
 

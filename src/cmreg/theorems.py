@@ -24,16 +24,16 @@ import random
 from math import inf
 
 from .complexes import (_as_complex, complex_from_module, ext_complex,
-                        koszul_complex, resolution_to_complex,
+                        hom_complex, koszul_complex, resolution_to_complex,
                         tensor_complexes, tensor_free_with_complex,
                         tor_complex)
 from .freemod import FreeModule
 from .modules import (PresentedModule, colon_by_element, kernel,
                       multiplication_map, quotient_by_element)
 from .poly import Polynomial
-from .regularity import (depth, local_cohomology_table, reg_complex,
-                         reg_via_betti, reg_via_duality, reg_via_ext,
-                         reg_via_koszul, relative_reg)
+from .regularity import (_table_of_rows, depth, local_cohomology_table,
+                         reg_complex, reg_via_betti, reg_via_duality,
+                         reg_via_ext, reg_via_koszul, relative_reg)
 from .resolution import free_resolution
 from .rings import GradedRing, polynomial_ring
 
@@ -408,10 +408,31 @@ def _with_extra_vars(M, extra):
     return PresentedModule(R2, F2, cols2)
 
 
+def _tensored_table(M, window):
+    """M's local cohomology table over a window, read off Hom(F, S(-n))
+    for F the resolution of M's cover S in n variables, the tensored F'
+    (x) K(l) of a linear cut included, and kept nowhere."""
+    Mc = M.lift_to_cover()
+    S = Mc.ring
+    n = S.nvars
+    D = hom_complex(resolution_to_complex(free_resolution(Mc)),
+                    complex_from_module(PresentedModule.free(S, (n,))))
+    # Ext^q sits at spot -q, and its row is i = n - q
+    return _table_of_rows({n + s: H for s, H in
+                           D.nonzero_homology_series().items()}, window, n)
+
+
 def check_ring_independence(M, extra_vars=1, instance="module", seed=None):
     """The Ext-route value and the local cohomology table do not depend on
     which polynomial ring presents the module, compared over a cover
-    with extra_vars >= 1 more variables."""
+    with extra_vars >= 1 more variables.
+
+    The larger cover's module is killed by the extra variables, so its
+    resolution is F' (x) K(u) with F' over M's own variables, the F' the
+    duality route would dualize on both sides (cmreg.regularity).  Its
+    table is read off Hom(F, S2(-n2)) on the tensored F instead
+    (`_tensored_table`), so the two tables come from two Hom complexes
+    over two rings."""
     if extra_vars < 1:
         raise ValueError("ring independence needs at least one extra variable")
     M2 = _with_extra_vars(M, extra_vars)
@@ -420,7 +441,7 @@ def check_ring_independence(M, extra_vars=1, instance="module", seed=None):
     n2 = M.ring.cover.nvars + extra_vars
     window = (-2 * n2 - 4, 2 * n2 + 4)
     t1 = local_cohomology_table(M, window)
-    t2 = local_cohomology_table(M2, window)
+    t2 = _tensored_table(M2, window)
     tables_match = (t1.entries == t2.entries
                     and t1.row_support == t2.row_support)
     hypothesis = _hypothesis(

@@ -654,11 +654,13 @@ def test_cached_computes_are_recognized():
 
 
 def test_duality_and_depth_are_computed_only_under_their_cover_keys():
-    """The dual complex Hom(F, S(-n)), or Hom(F', S'(-n')) over the
-    smaller ring of a linear cut, is built only in the compute kept on
-    the cover ring under ("duality", key), and depth reads pd off a
-    resolution only in the compute kept there under ("depth", key), so a
-    module met again up to twist or presentation pays for neither."""
+    """The routes build the dual complex Hom(F, S(-n)), or Hom(F',
+    S'(-n')) over the smaller ring of a linear cut, only in the compute
+    kept on the cover ring under ("duality", key), and depth reads pd off
+    a resolution only in the compute kept there under ("depth", key), so
+    a module met again up to twist or presentation pays for neither.
+    (check ring-indep builds one more, on the tensored F, and keeps it
+    nowhere: cmreg.theorems._tensored_table.)"""
     [source] = [src for name, _, src in sources() if name == "regularity.py"]
     [(lo, hi)] = cached_computes(source, "duality")
     sites = [line for line, _ in calls(source, "resolution_to_complex")]

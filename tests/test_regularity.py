@@ -609,9 +609,9 @@ def test_a_cut_module_is_dualized_over_the_smaller_ring(monkeypatch):
     for label, M in (*cut_modules(), *sections_of_the_corpus()):
         if M.is_zero():
             continue
-        cut = free_resolution(M.lift_to_cover()).cut
-        assert cut is not None, label
-        cuts.add(len(cut.forms))
+        res = free_resolution(M.lift_to_cover())
+        assert res.cut is not None, label
+        cuts.add(len(res.forms))
         got = duality_reads(M)
         with monkeypatch.context() as m:
             m.setattr(routes, "_duality_series", rows_over_the_cover)

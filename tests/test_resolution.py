@@ -1032,9 +1032,9 @@ def test_a_flipped_koszul_sign_is_caught(monkeypatch):
     (zm,) = z.terms
     flipped = []
 
-    def flip(ring, cut, levels):
-        assert cut.forms == [z.terms]
-        cols = real(ring, cut, levels)
+    def flip(ring, keep, forms, levels, inner):
+        assert forms == [z.terms]
+        cols = real(ring, keep, forms, levels, inner)
         # a column of d_2 with an entry of d' and one of z
         col = next(col for col in cols[2]
                    if len({m == zm for _, m in col}) == 2)

@@ -1,3 +1,4 @@
+import importlib
 import types
 
 import pytest
@@ -200,18 +201,14 @@ def test_ring_independence_raises_when_only_the_tables_differ(S3,
                                                               monkeypatch):
     x, y, z = S3.gens()
     M = PresentedModule.cyclic(S3, [x * y, x * z])
-    table = theorems.local_cohomology_table
-    seen = []
+    table = theorems._tensored_table
 
     def second_differs(module, window):
+        # the larger cover's table, read off the tensored resolution
         t = table(module, window)
-        seen.append(t)
-        if len(seen) == 2:
-            return types.SimpleNamespace(entries={},
-                                         row_support=t.row_support)
-        return t
+        return types.SimpleNamespace(entries={}, row_support=t.row_support)
 
-    monkeypatch.setattr(theorems, "local_cohomology_table", second_differs)
+    monkeypatch.setattr(theorems, "_tensored_table", second_differs)
     with pytest.raises(TheoremContradiction) as e:
         check_ring_independence(M, instance="mod", seed=1)
     assert e.value.outcome.as_dict() == {
@@ -289,6 +286,27 @@ def test_hom_dim1_asserts_bound_when_hypothesis_holds(S3):
     if holds(out):
         assert out.conclusion["lhs"] <= out.conclusion["rhs"]
     assert out.verdict in ("equality", "inequality")
+
+
+def test_ring_independence_dualizes_each_cover_over_its_own_ring(
+        monkeypatch):
+    # the larger cover's module is killed by u0, so the duality route
+    # would dualize the same F' over k[x, y, z] on both sides; the checker
+    # reads the larger table off the tensored F over k[x, y, z, u0]
+    S = polynomial_ring(["x", "y", "z"])
+    x, y, z = S.gens()
+    M = PresentedModule.cyclic(S, [x * y, x * z])
+    rings = []
+    for mod in (importlib.import_module("cmreg.regularity"), theorems):
+        real = mod.resolution_to_complex
+
+        def recording(F, real=real):
+            rings.append(repr(F.ring))
+            return real(F)
+
+        monkeypatch.setattr(mod, "resolution_to_complex", recording)
+    assert check_ring_independence(M).invariants["tables_match"]
+    assert rings == ["GF(32003)[x,y,z]", "GF(32003)[x,y,z,u0]"]
 
 
 def test_ring_independence_on_determinantal(det_module):
