@@ -20,10 +20,10 @@ import json
 import sys
 from math import inf
 
-from .complexes import BoundedComplex, ext_complex, tor_complex
+from .complexes import ext_complex, tor_complex
 from .modules import PresentedModule
-from .regularity import (depth, depth_profile, reg_complex, reg_via_koszul,
-                         regularity)
+from .regularity import (depth, depth_profile, reg_via_koszul, regularity,
+                         run_routes)
 from .resolution import betti_table, check_max_len, free_resolution
 from .oracle import DenseOracle
 from .session import (ParseError, Session, UnknownBinding, parse_polynomial,
@@ -120,9 +120,9 @@ def cmd_reg(session, args):
     obj = session.get(args.name, ("module", "complex"))
     if isinstance(obj, PresentedModule):
         return regularity(obj, max_len=args.max_len).as_dict()
-    # the cross-check raises on a mismatch, so the betti route agrees here
-    value = reg_complex(obj, cross_check=True)
-    return {"routes": {"koszul": value, "betti": value},
+    # run_routes raises on a mismatch, so the routes agree here
+    value, runs = run_routes(obj)
+    return {"routes": {name: v for name, (v, _) in runs.items()},
             "agree": True, "value": value}
 
 

@@ -94,13 +94,6 @@ class BoundedComplex:
             diffs[i + k] = ModuleMap(d.source, d.target, cols)
         return BoundedComplex(self.ring, terms, diffs)
 
-    def twist(self, d):
-        terms = {i: t.twist(d) for i, t in self.terms.items()}
-        diffs = {}
-        for i, dd in self.diffs.items():
-            diffs[i] = ModuleMap(terms[i], terms[i - 1], dd.cols)
-        return BoundedComplex(self.ring, terms, diffs)
-
     def lift_to_cover(self):
         """The same complex over the polynomial cover, built once."""
         if self.ring.is_polynomial:

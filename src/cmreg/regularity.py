@@ -7,9 +7,15 @@ Routes:
   koszul   sup{j - i : H_i(y; M)_j != 0} on the module's own ring
   duality  top degrees of local cohomology read off Ext^q(M, S(-n))
 
-The ext, koszul and duality routes (and reg_complex, which runs the
-koszul route) never present a homology module: each reads the nonzero
-homology series of one complex through one reader
+ROUTES names once which routes certify which kind of object: a module
+by all four, a complex by koszul and betti on its cover.  run_routes
+runs an object's row, looking each route up as the module attribute
+reg_via_<name> as it runs (so a wrapper or fault put there is run), and
+regularity and cmreg reg read it.  Routes that disagree mean the engine
+is broken: run_routes and depth_profile raise rather than report it.
+
+The ext, koszul and duality routes never present a homology module: each
+reads the nonzero homology series of one complex through one reader
 (BoundedComplex.nonzero_homology_series), off the cokernels of the
 differentials.  Inside one totalization no Groebner basis is built
 twice: each term's basis is assembled from the bases of its blocks,
@@ -23,16 +29,12 @@ module over the cover.  A module or complex builds its cover once and
 keeps it (lift_to_cover), so the two share that resolution over quotient
 rings as they do over polynomial rings.  The betti route reads the
 Betti table (resolution.BettiTable), as relative_reg does, and shares no
-homology code with the other three.  Routes that disagree mean the
-engine is broken: regularity, reg_complex(cross_check=True) and
-depth_profile raise on a disagreement rather than report it.
+homology code with the other three.
 
 Default-form reg_via_koszul keeps its result on the object it was asked
 about under the one cache rule of cmreg.memo, so a checker that asks
-twice pays once; reg_complex reads that entry on the module's or
-complex's cover.  Explicit Koszul forms are never cached, and the
-cross_check betti run is repeated on every call, reading the resolution
-kept on the cover.
+twice pays once; reg_complex is that entry on the module's or complex's
+cover.  Explicit Koszul forms are never cached.
 
 The duality route keeps nothing on the module.  Its rows, {i: the series
 of Ext^{n-i}_S(M, S(-n))}, and the depth are kept on the cover ring under
@@ -321,6 +323,26 @@ def a_invariant(ring):
     return -E.indeg()
 
 
+# -- the route table -------------------------------------------------------
+
+ROUTES = {PresentedModule: ("betti", "ext", "koszul", "duality"),
+          BoundedComplex: ("koszul", "betti")}
+
+
+def run_routes(obj):
+    """(value, {name: (value, witness)}) over obj's row of ROUTES, a
+    complex's routes run on its cover; routes that disagree raise
+    (_agreed).  Each route is read as the attribute reg_via_<name> of this
+    module as it runs, never held, so a route rebound here is run."""
+    if isinstance(obj, PresentedModule):
+        kind, what = PresentedModule, "a module"
+    else:
+        kind, what, obj = BoundedComplex, "a complex", _cover(obj)
+    runs = {name: globals()["reg_via_" + name](obj) for name in ROUTES[kind]}
+    value = _agreed(what, {name: v for name, (v, _) in runs.items()})
+    return value, runs
+
+
 # -- relative invariants ---------------------------------------------------
 
 class RelativeReg:
@@ -350,19 +372,10 @@ def relative_reg(obj, max_len=None):
                        res.length)
 
 
-def reg_complex(L, cross_check=False):
+def reg_complex(L):
     """Regularity of a bounded complex: Koszul homology of K[vars; L] over
-    the polynomial cover.
-
-    With cross_check the value is recomputed through the betti route on
-    every call, and a mismatch raises (_agreed); the two routes share no
-    homology code.  That route reads the resolution kept on L's cover, so
-    only the first cross-check resolves.  The value is the koszul route's
-    entry on L's cover, which reg_via_koszul of the cover shares."""
-    value = reg_via_koszul(_cover(L))[0]
-    if cross_check:
-        _agreed("a complex", {"koszul": value, "betti": reg_via_betti(L)[0]})
-    return value
+    the polynomial cover, the koszul route's entry on L's cover."""
+    return reg_via_koszul(_cover(L))[0]
 
 
 # -- depth by three routes -------------------------------------------------
@@ -399,20 +412,20 @@ def depth(M):
 # -- the report ------------------------------------------------------------
 
 class RegularityReport:
-    """The four routes' values and witnesses, the value they agree on
-    (regularity raises first on a disagreement, so agree is always true)
-    and the relative regularity."""
+    """The four routes' values and witnesses, from run_routes' {name:
+    (value, witness)}, the value they agree on (run_routes raises first on
+    a disagreement, so agree is always true) and the relative
+    regularity."""
 
     __slots__ = ("ring_repr", "cover_repr", "routes", "witnesses",
                  "relative", "value")
     agree = True
 
-    def __init__(self, ring_repr, cover_repr, routes, witnesses, relative,
-                 value):
+    def __init__(self, ring_repr, cover_repr, runs, relative, value):
         self.ring_repr = ring_repr
         self.cover_repr = cover_repr
-        self.routes = routes
-        self.witnesses = witnesses
+        self.routes = {name: v for name, (v, _) in runs.items()}
+        self.witnesses = {name: w for name, (_, w) in runs.items()}
         self.relative = relative
         self.value = value
 
@@ -435,15 +448,9 @@ class RegularityReport:
 
 def regularity(M, max_len=None):
     """Four-route regularity report for a presented module; routes that
-    disagree raise (_agreed)."""
-    rb, wb = reg_via_betti(M)
-    re_, we = reg_via_ext(M)
-    rk, wk = reg_via_koszul(M)
-    rd, wd = reg_via_duality(M)
-    routes = {"betti": rb, "ext": re_, "koszul": rk, "duality": rd}
-    value = _agreed("a module", routes)
-    wits = {"betti": wb, "ext": we, "koszul": wk, "duality": wd}
-    rel = relative_reg(M, max_len=max_len)
+    disagree raise (run_routes)."""
+    _require_module(M)
+    value, runs = run_routes(M)
     cover = M.ring if M.ring.is_polynomial else M.ring.cover
-    return RegularityReport(repr(M.ring), repr(cover), routes, wits, rel,
-                            value)
+    return RegularityReport(repr(M.ring), repr(cover), runs,
+                            relative_reg(M, max_len=max_len), value)

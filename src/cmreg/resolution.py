@@ -68,11 +68,10 @@ form (`_tensor_cut`), and on the first read of cols assembles d(a (x)
 e_J) = d'a (x) e_J + (-1)^|a| sum_r (-1)^r l_{J_r} a (x) e_{J - J_r} in
 the free-chain layout: the entries of F' embedded in S and the +-l_k
 blocks, every level above the bottom sorted by degree
-(`_koszul_cols`).  The resolution keeps F' as its cut, a FreeChain over
-S' whose cols are read on first use and tensored from, with keep and
-the forms, so the duality route can dualize M over S'
-(cmreg.regularity).  Complexes and resolutions over a quotient ring
-itself never split.
+(`_koszul_cols`).  The resolution keeps F' alone as its cut, a
+FreeChain over S' whose cols are read on first use and tensored from, so
+the duality route can dualize M over S' (cmreg.regularity).  Complexes
+and resolutions over a quotient ring itself never split.
 
 An empty level at or above L's top spot hi ends the loop: F is
 complete.  Over a polynomial ring that happens by level hi + the number
@@ -136,17 +135,17 @@ class FreeResolution(FreeChain):
     """A minimal free resolution: a FreeChain whose twists are the
     minimal ones, read off the unminimized chain, and whose cols `build`
     minimizes.  A module's resolution starts at spot 0.  For a module
-    killed by linear forms, F = F' (x) K(l_1..l_c) (module docstring):
-    `cut` is F', a FreeChain over S' = k[the variables keep] whose cols
-    are the chain the loop left minimized, and `forms` are l_1..l_c over
-    S, each {monomial: c}; with no cut all three are None."""
+    killed by linear forms l_1..l_c, F = F' (x) K(l_1..l_c) (module
+    docstring): `cut` is F', a FreeChain over S' = k[the other variables]
+    whose cols are the chain the loop left minimized, so c is
+    ring.nvars - cut.ring.nvars; with no cut it is None."""
 
-    __slots__ = ("complete", "cut", "keep", "forms")
+    __slots__ = ("complete", "cut")
 
     def __init__(self, ring, twists, complete, build, cut):
         super().__init__(ring, twists, build)
         self.complete = complete
-        self.cut, self.keep, self.forms = cut or (None, None, None)
+        self.cut = cut
 
     @property
     def length(self):
@@ -220,11 +219,12 @@ def _tensor_cut(ring, max_len, twists, complete, chain, cut):
     the minimal twists of its chain, completeness, the chain, and its
     linear cut, None or (sub, keep, forms).  With no cut, F is the chain
     minimized on the first read of cols (`_minimal_cols`).  With one, the
-    chain is F' over sub, the ring on the variables keep, returned as the
-    cut (F', keep, forms), and F = F' (x) K(l_1..l_c) (module
-    docstring): beta_{i,j}(M) = sum_k C(c, k) beta_{i-k,j-k}(M'), level
-    by level up to max_len past the bottom, and F is complete when F' is
-    and pd M' + c < max_len, as the loop would leave it on M."""
+    chain is F' over sub, the ring on the variables keep, returned alone
+    as the cut (keep and forms live on in the cols closure), and F = F'
+    (x) K(l_1..l_c) (module docstring): beta_{i,j}(M) = sum_k C(c, k)
+    beta_{i-k,j-k}(M'), level by level up to max_len past the bottom, and
+    F is complete when F' is and pd M' + c < max_len, as the loop would
+    leave it on M."""
     K = ring.field
     if cut is None:
         return (twists, complete,
@@ -238,7 +238,7 @@ def _tensor_cut(ring, max_len, twists, complete, chain, cut):
     return ({i: tuple(b[0] for b in bs) for i, bs in levels.items()},
             complete,
             lambda: _koszul_cols(ring, keep, forms, levels, inner.cols),
-            (inner, keep, forms))
+            inner)
 
 
 def _koszul_basis(inner, c, i):

@@ -24,7 +24,7 @@ import random
 from math import inf
 
 from .complexes import (_as_complex, complex_from_module, ext_complex,
-                        hom_complex, koszul_complex, resolution_to_complex,
+                        koszul_complex, resolution_to_complex,
                         tensor_complexes, tensor_free_with_complex,
                         tor_complex)
 from .freemod import FreeModule
@@ -415,8 +415,7 @@ def _tensored_table(M, window):
     Mc = M.lift_to_cover()
     S = Mc.ring
     n = S.nvars
-    D = hom_complex(resolution_to_complex(free_resolution(Mc)),
-                    complex_from_module(PresentedModule.free(S, (n,))))
+    D = ext_complex(Mc, PresentedModule.free(S, (n,)))
     # Ext^q sits at spot -q, and its row is i = n - q
     return _table_of_rows({n + s: H for s, H in
                            D.nonzero_homology_series().items()}, window, n)

@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import os
 import subprocess
@@ -166,6 +167,36 @@ def test_computation_error_exits_two(session_file, capsys):
     code, _, err = run(capsys, "--session", session_file, "koszul", "zz", "M")
     assert code == 2
     assert "H_1" in err
+
+
+def test_a_route_disagreement_exits_two(session_file, capsys, monkeypatch):
+    # a fault put on one route reaches cmreg reg through the route table,
+    # on a module and on a complex, and stderr names each route's value
+    routes = importlib.import_module("cmreg.regularity")
+    monkeypatch.setattr(routes, "reg_via_betti", lambda obj: (99, None))
+    for name, what in (("M", "a module: betti gives 99, ext gives 1, "
+                              "koszul gives 1, duality gives 1"),
+                       ("K", "a complex: koszul gives 1, betti gives 99")):
+        assert run(capsys, "--session", session_file, "reg", name) == (
+            2, "", f"cmreg: internal disagreement on {what}\n")
+
+
+@pytest.mark.parametrize("decl, value", [
+    ("chain(S, [0], [[x, y]], [1, 1])", 0),
+    ("chain(S, [])", {"kind": "minus_infinity", "value": None})],
+    ids=["free", "empty"])
+def test_reg_of_a_free_or_empty_complex(tmp_path, capsys, decl, value):
+    # no shipped session holds either: each route of the complex row
+    # prints its own value, the same on both
+    p = tmp_path / "chain.cmreg"
+    p.write_text(f"ring S = GF(32003)[x, y];\ncomplex C = {decl};\n",
+                 encoding="utf-8")
+    result = {"agree": True, "routes": {"betti": value, "koszul": value},
+              "value": value}
+    assert run(capsys, "--session", str(p), "reg", "C") == (
+        0, json.dumps({"schema": "cmreg/1", "command": "reg",
+                       "result": result}, indent=2, sort_keys=True) + "\n",
+        "")
 
 
 def test_contradiction_exits_three(session_file, capsys, monkeypatch):

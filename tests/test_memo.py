@@ -910,10 +910,9 @@ def unread_names(texts):
     Names read "module.name" and "module.Class.method".
 
     A read is matched by name alone, so a method that shares its name
-    with one read elsewhere passes unseen.  Two such methods stay:
+    with one read elsewhere passes unseen.  One such method stays:
     `FreeResolution.module`, which perfbench's tracer calls in
-    `_resolution_post`, and `BoundedComplex.twist`, which tests use to
-    build twisted complexes."""
+    `_resolution_post`."""
     trees = {mod: ast.parse(src) for mod, src in texts.items()}
     reads = {"name": {}, "attr": {}}  # identifier -> [(module, line)]
     for mod, tree in trees.items():

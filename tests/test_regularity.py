@@ -156,10 +156,13 @@ def test_single_form_shifts_reg_by_degree_minus_one(S3):
         assert reg_complex(L) == 0 + d - 1
 
 
-def test_reg_of_complex_cross_checks(det_module):
+def test_run_routes_cross_checks_a_complex(det_module):
     z = det_module.ring.gens()[2]
     L = koszul_complex([z], complex_from_module(det_module))
-    assert reg_complex(L, cross_check=True) == 1
+    value, runs = routes.run_routes(L)
+    assert value == 1 == reg_complex(L)
+    assert {name: v for name, (v, _) in runs.items()} == {"koszul": 1,
+                                                          "betti": 1}
 
 
 def test_short_exact_sequence_bounds(S3):
@@ -611,7 +614,7 @@ def test_a_cut_module_is_dualized_over_the_smaller_ring(monkeypatch):
             continue
         res = free_resolution(M.lift_to_cover())
         assert res.cut is not None, label
-        cuts.add(len(res.forms))
+        cuts.add(res.ring.nvars - res.cut.ring.nvars)
         got = duality_reads(M)
         with monkeypatch.context() as m:
             m.setattr(routes, "_duality_series", rows_over_the_cover)
@@ -697,20 +700,35 @@ def test_reg_complex_reads_the_koszul_entry_of_the_cover(monkeypatch, S3,
         assert "reg_complex" not in obj._cache
 
 
-def test_cross_check_runs_the_betti_route_every_call(monkeypatch, S3):
+def test_run_routes_runs_the_betti_route_every_call(monkeypatch, S3):
     x, y, z = S3.gens()
     L = koszul_complex([x, y], PresentedModule.cyclic(S3, [x * z]))
     betti = counting(monkeypatch, "reg_via_betti")
-    assert reg_complex(L, cross_check=True) == reg_complex(L, cross_check=True)
+    assert routes.run_routes(L) == routes.run_routes(L)
     assert len(betti) == 2
     monkeypatch.setattr(routes, "reg_via_betti", lambda obj: (99, None))
     with pytest.raises(RuntimeError):
-        reg_complex(L, cross_check=True)
+        routes.run_routes(L)
+
+
+def test_a_route_rebound_on_the_module_is_the_route_that_runs(monkeypatch,
+                                                              det_module):
+    # the table names its routes, and each is read off cmreg.regularity as
+    # it runs: a fault put there reaches the module and the complex rows
+    z = det_module.ring.gens()[2]
+    L = koszul_complex([z], complex_from_module(det_module))
+    monkeypatch.setattr(routes, "reg_via_betti", lambda obj: (99, None))
+    with pytest.raises(RuntimeError, match="on a module: betti gives 99, "
+                       "ext gives 1, koszul gives 1, duality gives 1"):
+        regularity(det_module)
+    with pytest.raises(RuntimeError, match="on a complex: koszul gives 1, "
+                       "betti gives 99"):
+        routes.run_routes(L)
 
 
 # -- known-answer members: closed forms where the dense oracle cannot reach
 
-ROUTES = ("betti", "ext", "koszul", "duality")
+ROUTES = routes.ROUTES[PresentedModule]
 
 
 def test_the_scroll_cut_at_n_5_has_regularity_5_by_every_route():

@@ -297,7 +297,8 @@ def test_ring_independence_dualizes_each_cover_over_its_own_ring(
     x, y, z = S.gens()
     M = PresentedModule.cyclic(S, [x * y, x * z])
     rings = []
-    for mod in (importlib.import_module("cmreg.regularity"), theorems):
+    for mod in (importlib.import_module("cmreg.regularity"),
+                importlib.import_module("cmreg.complexes")):
         real = mod.resolution_to_complex
 
         def recording(F, real=real):
