@@ -120,6 +120,9 @@ def cmd_reg(session, args):
     obj = session.get(args.name, ("module", "complex"))
     if isinstance(obj, PresentedModule):
         return regularity(obj, max_len=args.max_len).as_dict()
+    if args.max_len is not None:
+        raise UsageError("reg on a complex takes no --max-len: no value it "
+                         "reports reads a truncated resolution")
     # run_routes raises on a mismatch, so the routes agree here
     value, runs = run_routes(obj)
     return {"routes": {name: v for name, (v, _) in runs.items()},

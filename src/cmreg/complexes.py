@@ -5,8 +5,8 @@ complex is resolved by cmreg.resolution.free_resolution, as a module is.
 One builder lays out and differentiates both totalizations: F (x) C and
 Hom(F, C) differ only in the index sign, the twist sign, the direction
 of the d_F move and the Koszul signs, which their public functions pass in.
-Each term it builds remembers its blocks, twisted copies of the C_q, so
-the term's Groebner basis is assembled from theirs.
+Each term it builds is a direct sum of blocks, twisted copies of the C_q,
+and is built with its Groebner basis: theirs, assembled on first use.
 
 homology(i) presents H_i and keeps it; homology_series(i) sums the two
 cokernel series kept on the complex, so the two paths share nothing
@@ -26,7 +26,7 @@ from itertools import combinations
 from math import inf
 
 from .freemod import FreeModule
-from .groebner import groebner_basis
+from .groebner import direct_sum_basis, groebner_basis
 from .hilbert import HilbertSeries
 from .memo import _cached
 from .minimize import minimize_presentation
@@ -139,7 +139,7 @@ class BoundedComplex:
 
         No kernels or subquotients, and in a tensor or Hom totalization no
         Groebner basis from scratch: a term's basis is its summands' bases
-        side by side (`_totalize` records the summands), and a cokernel's
+        side by side (`_totalize` builds the term with it), and a cokernel's
         grows from its target's, one seeded Buchberger run per
         differential (`_coker_series`)."""
         if self.term(i).rank == 0:
@@ -293,9 +293,13 @@ def _totalize(F, C, s, f_moves, f_sign, c_sign):
                     rels.append({(pp + off, m): c for (pp, m), c in rc.items()})
         if twists:
             blocks[n] = spot
-            terms[n] = PresentedModule(ring, FreeModule(ring, tuple(twists)), rels)
-            # its Groebner basis is assembled from the blocks' own bases
-            terms[n]._summands = tuple(summands)
+            free = FreeModule(ring, tuple(twists))
+            # its Groebner basis is assembled from the blocks' own bases;
+            # the defaults bind this spot's free module and summands
+            terms[n] = PresentedModule(
+                ring, free, rels,
+                basis=lambda free=free, summands=summands: direct_sum_basis(
+                    ring, free, [(M.gb(), off) for M, off in summands]))
 
     diffs = {}
     for n, spot in blocks.items():

@@ -18,8 +18,16 @@ At a bottom spot, where phi maps into a module of rank 0, ker(phi) is the
 whole middle module, so the homology is the cokernel mid/D, D spanned by
 mid's relations and psi's columns: it is presented by D's reduced basis,
 which homology_at has just grown, minimized, with no relation run
-(`_cokernel`).  When minimizing removes nothing the module keeps that
-basis as its gb().
+(`_cokernel`).
+
+A module whose Groebner basis is known where it is built is given it:
+the constructor's `basis` is a function of no arguments that gb() calls
+in place of a Buchberger run.  Four builders know one.  A tensor or Hom
+totalization term's basis is its blocks' bases side by side
+(cmreg.complexes, groebner.direct_sum_basis); a bottom homology keeps
+the basis of D when minimizing removes nothing; a twist M(d) has M's
+basis with its degrees shifted; and the module M' of a linear cut holds
+the rest of the reduced basis it was cut from (cmreg.resolution).
 """
 
 from .freemod import (FreeModule, apply_map, vec_degree, vec_from_column,
@@ -34,17 +42,13 @@ from .poly import Polynomial
 class PresentedModule:
     """coker(rel_cols) over the free module gens_free.
 
-    `_summands`, set by the totalizations in cmreg.complexes, is a tuple
-    of (module, first position) pairs whose direct sum this module is,
-    block by block; gb() then assembles the basis from theirs
-    (groebner.direct_sum_basis).  `_basis`, set by `homology_at` at a
-    bottom spot, is a reduced basis whose module vectors are rel_cols;
-    gb() then returns it with no Buchberger run."""
+    `basis`, internal, is for a module whose Groebner basis is known
+    where it is built: a function of no arguments that returns it, which
+    gb() calls in place of a Buchberger run (module docstring)."""
 
-    __slots__ = ("ring", "gens_free", "rel_cols", "_summands", "_basis",
-                 "_cache")
+    __slots__ = ("ring", "gens_free", "rel_cols", "_basis", "_cache")
 
-    def __init__(self, ring, gens_free, rel_cols):
+    def __init__(self, ring, gens_free, rel_cols, *, basis=None):
         self.ring = ring
         self.gens_free = gens_free
         cols = []
@@ -55,8 +59,7 @@ class PresentedModule:
                 raise ValueError("relation column is not homogeneous")
             cols.append(dict(c))
         self.rel_cols = tuple(cols)
-        self._summands = None
-        self._basis = None
+        self._basis = basis
         self._cache = {}
 
     # -- constructors ----------------------------------------------------
@@ -81,20 +84,16 @@ class PresentedModule:
         return self.gens_free.rank
 
     def gb(self):
-        def compute():
-            if self._basis is not None:
-                return self._basis
-            if self._summands:
-                return direct_sum_basis(self.ring, self.gens_free, [
-                    (M.gb(), off) for M, off in self._summands])
-            return groebner_basis(self.rel_cols, self.ring, self.gens_free)
-
-        return _cached(self, "gb", compute)
+        return _cached(self, "gb", self._basis or (lambda: groebner_basis(
+            self.rel_cols, self.ring, self.gens_free)))
 
     # -- elementary constructions ----------------------------------------
     def twist(self, d):
-        return PresentedModule(self.ring, self.gens_free.twist(d),
-                               self.rel_cols)
+        """M(d), whose reduced basis is M's with its degrees shifted."""
+        F = self.gens_free.twist(d)
+        return PresentedModule(
+            self.ring, F, self.rel_cols,
+            basis=lambda: direct_sum_basis(self.ring, F, [(self.gb(), 0)]))
 
     def direct_sum(self, other):
         if other.ring != self.ring:
@@ -315,10 +314,9 @@ def _cokernel(mid, gb_den):
     rels = gb_den.module_vectors()
     tw, cols, _ = minimize_presentation(mid.gens_free.twists, rels,
                                         ring.field)
-    module = PresentedModule(ring, FreeModule(ring, tw), cols)
-    if len(tw) == mid.rank:
-        module._basis = gb_den
-    return module
+    held = len(tw) == mid.rank
+    return PresentedModule(ring, FreeModule(ring, tw), cols,
+                           basis=(lambda: gb_den) if held else None)
 
 
 def colon_by_element(M, f):

@@ -58,20 +58,21 @@ position p, l_1..l_c with c <= n - 1.  No term of a reduced basis is
 divisible by another element's lead, so no other element involves a
 form's pivot (its lead variable): with the pivots' coordinates dropped,
 the rest is already the reduced Groebner basis of a module M' over
-S' = k[the other variables] (groebner.reduced_basis), and the loop goes
-on over S' with no new Buchberger run.  M is M' (x)_{S'} S/(l), and
-l_1..l_c is a regular sequence on M' (x)_{S'} S, so F = F' (x)
-K(l_1..l_c), with F' the minimal resolution of M' read into S, is the
-minimal resolution of M: beta_{i,j}(M) = sum_k C(c, k)
-beta_{i-k,j-k}(M').  `free_resolution` reads F's twists in that closed
-form (`_tensor_cut`), and on the first read of cols assembles d(a (x)
-e_J) = d'a (x) e_J + (-1)^|a| sum_r (-1)^r l_{J_r} a (x) e_{J - J_r} in
-the free-chain layout: the entries of F' embedded in S and the +-l_k
-blocks, every level above the bottom sorted by degree
-(`_koszul_cols`).  The resolution keeps F' alone as its cut, a
-FreeChain over S' whose cols are read on first use and tensored from, so
-the duality route can dualize M over S' (cmreg.regularity).  Complexes
-and resolutions over a quotient ring itself never split.
+S' = k[the other variables] (groebner.reduced_basis).  `_linear_cut`
+builds M' holding that basis, and the loop hands M' to
+`free_resolution` and stops: M''s own loop, over S', takes the held
+basis as its first Groebner step and runs no Buchberger at all.  M is
+M' (x)_{S'} S/(l), and l_1..l_c is a regular sequence on M' (x)_{S'} S,
+so F = F' (x) K(l_1..l_c), with F' the minimal resolution of M' read
+into S, is the minimal resolution of M: beta_{i,j}(M) = sum_k C(c, k)
+beta_{i-k,j-k}(M').  `_tensor_cut` reads F's twists in that closed
+form, and on the first read of cols assembles d(a (x) e_J) = d'a (x)
+e_J + (-1)^|a| sum_r (-1)^r l_{J_r} a (x) e_{J - J_r} in the free-chain
+layout: the entries of F' embedded in S and the +-l_k blocks, every
+level above the bottom sorted by degree (`_koszul_cols`).  F keeps F'
+as its cut, so the duality route can dualize M over S'
+(cmreg.regularity).  Complexes and resolutions over a quotient ring
+itself never split.
 
 An empty level at or above L's top spot hi ends the loop: F is
 complete.  Over a polynomial ring that happens by level hi + the number
@@ -80,20 +81,21 @@ longer, but a Betti number past it is an engine bug and raises.  F is
 truncated at max_len (at least 1) levels past the bottom and then
 flagged incomplete, unless the Betti numbers empty a level at or above
 hi; its top level is cut down against the next level's columns, which
-are then dropped.  A linear cut runs F' to the same max_len, and F is
-complete when F' is and pd M' + c < max_len.
+are then dropped.  A linear cut resolves M' with the same max_len, and
+F is complete when F' is and pd M' + c < max_len.
 
 `free_resolution` is the one way into the loop.  It takes a presented
 module (the one-term complex at spot 0) or a bounded complex, and keeps
 the result on that object; a complex of free modules needs no loop, as
 it is its own chain, and its twists and cols are read the same way.
 cmreg.complexes imports this module, so a complex is recognized by its
-terms and diffs dicts, not by its class.  A FreeResolution keeps F in
-the free-chain layout of cmreg.freemod, the dicts twists and cols, keyed
-by spot, that the loop builds and minimize_chain and
-free_complex_from_data read; its cols come from the chain minimized
-(`_minimal_cols`), tensored with the Koszul complex of a linear cut,
-whose F' it keeps.
+terms and diffs dicts, not by its class.  Each of the three builders,
+`_free_chain`, `_resolve` and `_tensor_cut`, returns a FreeResolution,
+which keeps F in the free-chain layout of cmreg.freemod, the dicts
+twists and cols, keyed by spot, that the loop builds and minimize_chain
+and free_complex_from_data read; its cols come from the chain minimized
+(`_minimal_cols`), or from F' tensored with the Koszul complex of a
+linear cut.
 """
 
 from itertools import combinations
@@ -109,17 +111,24 @@ from .modules import PresentedModule
 from .rings import GradedRing
 
 
-class FreeChain:
-    """A free complex in the free-chain layout over `ring`, keyed by spot
-    in ascending order: twists[i] is the twist tuple of F_i and cols[i]
-    the columns of d_i : F_i -> F_{i-1}.  cols is computed on its first
-    read by `build`, which is then dropped."""
+class FreeResolution:
+    """A minimal free resolution in the free-chain layout over `ring`,
+    keyed by spot in ascending order: twists[i] is the twist tuple of
+    F_i, the minimal one read off the unminimized chain, and cols[i] the
+    columns of d_i : F_i -> F_{i-1}, computed on their first read by
+    `build`, which is then dropped.  A module's resolution starts at spot
+    0.  For a module killed by linear forms l_1..l_c, F = F' (x)
+    K(l_1..l_c) (module docstring): `cut` is F', the resolution of the
+    cut module M' over S' = k[the other variables], so c is ring.nvars -
+    cut.ring.nvars; with no cut it is None."""
 
-    __slots__ = ("ring", "twists", "_cols", "_build")
+    __slots__ = ("ring", "twists", "complete", "cut", "_cols", "_build")
 
-    def __init__(self, ring, twists, build):
+    def __init__(self, ring, twists, complete, build, cut=None):
         self.ring = ring
         self.twists = twists
+        self.complete = complete
+        self.cut = cut
         self._cols = None
         self._build = build
 
@@ -129,23 +138,6 @@ class FreeChain:
             self._cols = self._build()
             self._build = None
         return self._cols
-
-
-class FreeResolution(FreeChain):
-    """A minimal free resolution: a FreeChain whose twists are the
-    minimal ones, read off the unminimized chain, and whose cols `build`
-    minimizes.  A module's resolution starts at spot 0.  For a module
-    killed by linear forms l_1..l_c, F = F' (x) K(l_1..l_c) (module
-    docstring): `cut` is F', a FreeChain over S' = k[the other variables]
-    whose cols are the chain the loop left minimized, so c is
-    ring.nvars - cut.ring.nvars; with no cut it is None."""
-
-    __slots__ = ("complete", "cut")
-
-    def __init__(self, ring, twists, complete, build, cut):
-        super().__init__(ring, twists, build)
-        self.complete = complete
-        self.cut = cut
 
     @property
     def length(self):
@@ -168,8 +160,14 @@ class FreeResolution(FreeChain):
 
 
 def check_max_len(max_len):
-    """A truncation length is None (the default) or a positive int."""
-    if max_len is not None and max_len < 1:
+    """A truncation length is None (the default) or a positive int; a
+    float or a bool is refused, whatever its value."""
+    if max_len is None:
+        return
+    if not isinstance(max_len, int) or isinstance(max_len, bool):
+        raise TypeError(f"max_len must be an int, got "
+                        f"{type(max_len).__name__} {max_len!r}")
+    if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
 
 
@@ -208,37 +206,27 @@ def free_resolution(obj, max_len=None):
     ring = obj.ring
     span = max(terms) - min(terms) if terms else 0
     max_len = _truncation(ring, span, max_len)
-    return _cached(obj, ("resolution", max_len), lambda: FreeResolution(
-        ring, *_tensor_cut(ring, max_len, *(
-            _free_chain(ring, terms, diffs) if free
-            else _resolve(ring, terms, diffs, max_len)))))
+    return _cached(obj, ("resolution", max_len), lambda: (
+        _free_chain(ring, terms, diffs) if free
+        else _resolve(ring, terms, diffs, max_len)))
 
 
-def _tensor_cut(ring, max_len, twists, complete, chain, cut):
-    """(twists, complete, build, cut) of F from what the loop returns:
-    the minimal twists of its chain, completeness, the chain, and its
-    linear cut, None or (sub, keep, forms).  With no cut, F is the chain
-    minimized on the first read of cols (`_minimal_cols`).  With one, the
-    chain is F' over sub, the ring on the variables keep, returned alone
-    as the cut (keep and forms live on in the cols closure), and F = F'
-    (x) K(l_1..l_c) (module docstring): beta_{i,j}(M) = sum_k C(c, k)
-    beta_{i-k,j-k}(M'), level by level up to max_len past the bottom, and
-    F is complete when F' is and pd M' + c < max_len, as the loop would
-    leave it on M."""
-    K = ring.field
-    if cut is None:
-        return (twists, complete,
-                lambda: _minimal_cols(twists, *chain, K), None)
-    sub, keep, forms = cut
-    inner = FreeChain(sub, twists, lambda: _minimal_cols(twists, *chain, K))
-    lo, c = min(twists), len(forms)
-    complete = complete and max(twists) - lo + c < max_len
+def _tensor_cut(ring, max_len, inner, keep, forms):
+    """F = F' (x) K(l_1..l_c) for a module killed by the linear forms
+    l_1..l_c, from the resolution `inner` of its cut module M' over the
+    ring on the variables keep (module docstring), which F keeps as its
+    cut: beta_{i,j}(M) = sum_k C(c, k) beta_{i-k,j-k}(M'), level by level
+    up to max_len past the bottom, and F is complete when F' is and pd M'
+    + c < max_len, as a loop run on M would leave it."""
+    twists, c = inner.twists, len(forms)
+    lo = min(twists)
+    complete = inner.complete and max(twists) - lo + c < max_len
     top = max(twists) + c if complete else lo + max_len
     levels = {i: _koszul_basis(twists, c, i) for i in range(lo, top + 1)}
-    return ({i: tuple(b[0] for b in bs) for i, bs in levels.items()},
-            complete,
-            lambda: _koszul_cols(ring, keep, forms, levels, inner.cols),
-            inner)
+    return FreeResolution(
+        ring, {i: tuple(b[0] for b in bs) for i, bs in levels.items()},
+        complete, lambda: _koszul_cols(ring, keep, forms, levels, inner.cols),
+        inner)
 
 
 def _koszul_basis(inner, c, i):
@@ -292,22 +280,22 @@ def _koszul_cols(ring, keep, forms, levels, inner):
     return cols
 
 
-def _linear_cut(ring, rank, cols, degrees):
-    """(sub, (keep, forms), cols, degrees) for the reduced basis `cols`,
-    with these degrees, of a module's relations on `rank` generators over
-    a polynomial ring in n variables, when it holds l e_p at every
-    generator position p for some linear forms l; else None.
+def _linear_cut(ring, gens, cols):
+    """(M', keep, forms) for the reduced basis `cols` of a module's
+    relations on generators of twists `gens` over a polynomial ring in n
+    variables, when it holds l e_p at every generator position p for
+    some linear forms l; else None.
 
     The forms l_1..l_c, as {monomial: c}, are the first n - 1 such by
     pivot, a form's lead variable.  In a reduced basis no term is
     divisible by another element's lead, so with l e_p a member at every
     p no other element involves a pivot: the rest of the basis, in its
-    order, is the reduced basis of M' over sub, the ring on the other
-    variables `keep` (module docstring)."""
+    order, is the reduced basis of M' over the ring on the other
+    variables `keep` (module docstring), and M' holds it as its gb()."""
     n = ring.nvars
-    if not rank or n < 2:
+    if not gens or n < 2:
         return None
-    at = [set() for _ in range(rank)]
+    at = [set() for _ in gens]
     keys = []
     for col in cols:
         p, m = next(iter(col))
@@ -323,8 +311,8 @@ def _linear_cut(ring, rank, cols, degrees):
     chosen = sorted(common, key=pivot.__getitem__)[:n - 1]
     pivots = {pivot[key] for key in chosen}
     keep = [v for v in range(n) if v not in pivots]
-    rest, rest_degrees = [], []
-    for col, key, d in zip(cols, keys, degrees):
+    rest = []
+    for col, key in zip(cols, keys):
         if key in chosen:
             continue
         vec = {}
@@ -335,24 +323,26 @@ def _linear_cut(ring, rank, cols, degrees):
                                    "pivot of a linear cut")
             vec[q, m2] = c
         rest.append(vec)
-        rest_degrees.append(d)
     sub = GradedRing(ring.field, [ring.names[v] for v in keep])
-    return (sub, (keep, [dict(key) for key in chosen]), rest,
-            tuple(rest_degrees))
+    free = FreeModule(sub, gens)
+    cut = PresentedModule(sub, free, rest,
+                          basis=lambda: reduced_basis(rest, sub, free))
+    return cut, keep, [dict(key) for key in chosen]
 
 
 def _free_chain(ring, terms, diffs):
-    """(twists, True, chain, None) for a complex of free modules, which
-    is its own chain, with no linear cut: a level at every spot from its
-    bottom to its top, empty where it has no term.  An unstored
-    differential is zero, and the minimizer still needs a column list of
-    the right length for it."""
+    """The resolution of a complex of free modules, which is its own
+    chain: a level at every spot from its bottom to its top, empty where
+    it has no term.  An unstored differential is zero, and the minimizer
+    still needs a column list of the right length for it."""
     twists = {i: tuple(terms[i].gens_free.twists) if i in terms else ()
               for i in range(min(terms, default=0), max(terms, default=-1) + 1)}
     cols = {i: [dict(c) for c in diffs[i].cols] if i in diffs
             else [{} for _ in twists[i]]
             for i in twists if i - 1 in twists}
-    return _betti_twists(twists, cols, ring), True, (twists, cols), None
+    tw = _betti_twists(twists, cols, ring)
+    return FreeResolution(ring, tw, True,
+                          lambda: _minimal_cols(tw, twists, cols, ring.field))
 
 
 def _shift(vec, rows):
@@ -368,15 +358,13 @@ def _cover_columns(ring, terms, diffs, n, rank, lift):
 
 
 def _resolve(ring, terms, diffs, max_len):
-    """(twists, complete, chain, cut) of F for the complex L with these
-    terms and differentials (module docstring): the minimal twists, read
-    off chain, the unminimized (twists, cols) pair the loop builds, and
-    None; or, for a module killed by linear forms, those of F' over the
-    ring sub on the other variables and the cut (sub, keep, forms)
-    (`_linear_cut`)."""
+    """F for the complex L with these terms and differentials (module
+    docstring), its minimal twists read off the chain the loop builds,
+    which its cols minimize; for a module killed by linear forms, F' (x)
+    K(l) with F' the resolution of the cut module (`_linear_cut`,
+    `_tensor_cut`)."""
     K = ring.field
     lo, hi = min(terms), max(terms)
-    cut = None
     # from this level on d_k's columns are the trace syzygies alone
     frame = hi + 2 if ring.is_polynomial else inf
 
@@ -422,15 +410,14 @@ def _resolve(ring, terms, diffs, max_len):
                            for col in gb.module_vectors()]
             twists[level] = tuple(gb.module_degrees())
             if level == lo + 1 == hi + 1 and ring.is_polynomial:
-                # a module's relations: the loop goes on over the other
-                # variables when linear forms kill it
-                found = _linear_cut(ring, len(twists[lo]), cols[level],
-                                    twists[level])
+                # a module's relations: when linear forms kill it, it is
+                # resolved as its cut module over the other variables
+                found = _linear_cut(ring, twists[lo], cols[level])
                 if found:
-                    ring, (keep, forms), cols[level], twists[level] = found
-                    cut = ring, keep, forms
-                    gb = reduced_basis(cols[level], ring,
-                                       FreeModule(ring, twists[lo]))
+                    cut, keep, forms = found
+                    return _tensor_cut(ring, max_len,
+                                       free_resolution(cut, max_len),
+                                       keep, forms)
         if not twists[level] and level >= hi:
             # nothing is left to resolve
             del cols[level], twists[level]
@@ -443,23 +430,23 @@ def _resolve(ring, terms, diffs, max_len):
             nxt += _cover_columns(ring, terms, diffs, level + 1,
                                   len(cols[level]),
                                   lambda v: gb.lift(_shift(v, rank)))
-    chain = (twists, cols)
-    twists = _betti_twists(twists, cols, ring)
+    tw = _betti_twists(twists, cols, ring)
     if not complete:
-        del twists[level + 1]
+        del tw[level + 1]
     # A frame level can be left with no Betti numbers.  Past an empty
     # level at or above hi every level is empty (Nakayama), and F is
     # complete.
-    ends = [i for i, tw in twists.items() if not tw and i > lo and i >= hi]
+    ends = [i for i, t in tw.items() if not t and i > lo and i >= hi]
     if ends:
         for i in range(min(ends), level + 2):
-            twists.pop(i, None)
+            tw.pop(i, None)
         complete = True
-    if ring.is_polynomial and max(twists) > hi + ring.nvars:
+    if ring.is_polynomial and max(tw) > hi + ring.nvars:
         raise RuntimeError(
             f"resolution over a polynomial ring in {ring.nvars} "
-            f"variables has generators at level {max(twists)}")
-    return twists, complete, chain, cut
+            f"variables has generators at level {max(tw)}")
+    return FreeResolution(ring, tw, complete,
+                          lambda: _minimal_cols(tw, twists, cols, K))
 
 
 def _betti_twists(twists, cols, ring):

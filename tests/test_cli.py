@@ -181,6 +181,21 @@ def test_a_route_disagreement_exits_two(session_file, capsys, monkeypatch):
             2, "", f"cmreg: internal disagreement on {what}\n")
 
 
+def test_reg_of_a_complex_refuses_max_len(session_file, capsys):
+    # no value of the complex report reads a truncation, so the flag is
+    # refused as a usage problem rather than silently ignored; a module's
+    # report still takes it
+    for flag in ("1", "2"):
+        code, out, err = run(capsys, "--session", session_file, "reg", "K",
+                             "--max-len", flag)
+        assert (code, out) == (1, "")
+        assert err.startswith("cmreg: reg on a complex takes no --max-len")
+    assert run(capsys, "--session", session_file, "reg", "K")[0] == 0
+    code, out, _ = run(capsys, "--session", session_file, "reg", "M",
+                       "--max-len", "2")
+    assert code == 0 and json.loads(out)["result"]["value"] == 1
+
+
 @pytest.mark.parametrize("decl, value", [
     ("chain(S, [0], [[x, y]], [1, 1])", 0),
     ("chain(S, [])", {"kind": "minus_infinity", "value": None})],

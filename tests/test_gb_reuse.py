@@ -34,6 +34,10 @@ def assert_same_basis(got, want):
     assert got.module_indices == want.module_indices
 
 
+def no_buchberger(*args):
+    raise AssertionError("a held basis ran Buchberger")
+
+
 def totalizations(C):
     """The Koszul (tensor) and Hom totalizations of C on its own ring."""
     ring = C.ring
@@ -41,10 +45,16 @@ def totalizations(C):
             hom_complex(koszul_resolution_of_k(ring), C)]
 
 
-def assert_reuse_matches_scratch(T):
+def assert_reuse_matches_scratch(T, blocks, monkeypatch):
+    """T's term bases are assembled from the bases of its blocks, the
+    modules `blocks`, with no Buchberger run of their own."""
+    for M in blocks:
+        M.gb()
     for n, term in T.terms.items():
-        assert term._summands, n
-        assert_same_basis(term.gb(), groebner_basis(
+        with monkeypatch.context() as m:
+            m.setattr(groebner, "_buchberger", no_buchberger)
+            got = term.gb()
+        assert_same_basis(got, groebner_basis(
             term.rel_cols, term.ring, term.gens_free))
     for n, d in T.diffs.items():
         target = d.target
@@ -70,26 +80,44 @@ def session_objects():
 
 @pytest.mark.parametrize("inst", random_ideal_corpus(count=30),
                          ids=lambda inst: inst.name)
-def test_reused_bases_match_scratch_on_corpus(inst):
+def test_reused_bases_match_scratch_on_corpus(inst, monkeypatch):
     C = complex_from_module(inst.module)
     for T in totalizations(C):
-        assert_reuse_matches_scratch(T)
+        assert_reuse_matches_scratch(T, C.terms.values(), monkeypatch)
 
 
 @pytest.mark.parametrize("inst", random_ideal_corpus(count=6),
                          ids=lambda inst: inst.name)
-def test_reused_bases_match_scratch_on_derived_complexes(inst):
+def test_reused_bases_match_scratch_on_derived_complexes(inst, monkeypatch):
     # several blocks per spot, twisted copies of a module with relations
     M = inst.module
     for T in (tor_complex(M, M), ext_complex(M, M)):
-        assert_reuse_matches_scratch(T)
+        assert_reuse_matches_scratch(T, [M], monkeypatch)
 
 
 @pytest.mark.parametrize("obj, kind", session_objects())
-def test_reused_bases_match_scratch_on_sessions(obj, kind):
+def test_reused_bases_match_scratch_on_sessions(obj, kind, monkeypatch):
     C = complex_from_module(obj) if kind == "module" else obj
     for T in totalizations(C):
-        assert_reuse_matches_scratch(T)
+        assert_reuse_matches_scratch(T, C.terms.values(), monkeypatch)
+
+
+def test_a_twist_reads_its_modules_basis(monkeypatch):
+    # M(d) has M's reduced basis with its degrees shifted, so once M's is
+    # known the twist runs no Buchberger, over polynomial and quotient
+    # rings alike, and its basis is the scratch one
+    modules = [inst.module for inst in random_ideal_corpus(count=6)]
+    modules += [obj for obj, kind in (p.values for p in session_objects())
+                if kind == "module"]
+    for M in modules:
+        M.gb()
+        for d in (-2, 0, 3):
+            T = M.twist(d)
+            with monkeypatch.context() as m:
+                m.setattr(groebner, "_buchberger", no_buchberger)
+                got = T.gb()
+            assert_same_basis(got, groebner_basis(T.rel_cols, T.ring,
+                                                  T.gens_free))
 
 
 def test_koszul_homology_builds_no_term_basis_and_no_known_pair(

@@ -2,12 +2,14 @@
 per object and key, and a compute that raises stores nothing.  Also the
 source lints over src/cmreg: only memo writes object caches, the one
 resolution loop, `resolution._resolve`, is the only caller of the syzygy
-step and is entered only through `free_resolution`, which alone builds a
-`FreeResolution`, the loop alone reads a linear cut, off its own basis,
-resolutions minimize in three places, Groebner bases
-interreduce in two places, a frame is decoded only by its basis, only
-the packing classes read the packed-term layout and the pair formula is
-written once, in them, `_buchberger` and the syzygy step take no flag,
+step and is entered only through `free_resolution`, a `FreeResolution`
+is built by its three builders alone, the loop alone reads a linear cut,
+off its own basis, which the cut module holds, so it runs no Buchberger
+over the smaller ring, a known Groebner basis reaches a module only
+through its constructor, from four builders, resolutions minimize in
+three places, Groebner bases interreduce in two places, a frame is
+decoded only by its basis, only the packing classes read the packed-term
+layout and the pair formula is written once, in them, `_buchberger` and the syzygy step take no flag,
 the reduction kernel is one loop with its field arithmetic inline, no
 function computes with field methods and there is one field class,
 checker outcomes are built and contradictions raised only by
@@ -31,6 +33,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import random
 from fnmatch import fnmatch
 
 import pytest
@@ -283,21 +286,105 @@ def test_the_resolution_loop_is_entered_only_through_free_resolution():
         ("resolution.py", "free_resolution")]
 
 
-def test_a_resolution_is_built_only_by_free_resolution():
-    sites = call_sites("FreeResolution")
-    assert [(f, func) for f, _, func in sites] == [
-        ("resolution.py", "free_resolution")]
+def test_a_resolution_is_built_only_by_its_three_builders():
+    """A complex of free modules is its own chain, the loop builds every
+    other resolution, and a linear cut tensors its cut module's; each
+    returns a FreeResolution, which `free_resolution` alone calls for."""
+    def callers(name):
+        return [(f, func) for f, _, func in call_sites(name)]
+
+    assert callers("FreeResolution") == [
+        ("resolution.py", "_tensor_cut"), ("resolution.py", "_free_chain"),
+        ("resolution.py", "_resolve")]
+    assert callers("_free_chain") == [("resolution.py", "free_resolution")]
+    assert callers("_tensor_cut") == [("resolution.py", "_resolve")]
 
 
 def test_only_the_loop_reads_a_linear_cut():
     """A module killed by linear forms is split off the loop's own first
-    reduced basis, and the loop goes on over the smaller ring from that
-    basis: no separate Groebner basis finds the forms, and no second
-    loop resolves the cut module."""
-    for name in ("_linear_cut", "reduced_basis"):
-        sites = call_sites(name)
-        assert [(f, func) for f, _, func in sites] == [
-            ("resolution.py", "_resolve")], name
+    reduced basis, which the cut module holds: no separate Groebner basis
+    finds the forms, and the cut module's resolution runs no Buchberger
+    over the smaller ring."""
+    assert [(f, func) for f, _, func in call_sites("_linear_cut")] == [
+        ("resolution.py", "_resolve")]
+    assert [(f, func) for f, _, func in call_sites("reduced_basis")] == [
+        ("resolution.py", "_linear_cut")]
+
+
+def held_basis_sites(source):
+    """(kind, enclosing qualified name) of each assignment to an
+    attribute named `_basis` or `_summands` ("set") and each call that
+    passes `basis=` ("pass") in source."""
+    out = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        targets = []
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+        for t in targets:
+            for sub in ast.walk(t):
+                if (isinstance(sub, ast.Attribute)
+                        and sub.attr in ("_basis", "_summands")):
+                    out.append(("set", scope))
+        if isinstance(node, ast.Call) and any(
+                k.arg == "basis" for k in node.keywords):
+            out.append(("pass", scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def test_held_basis_sites_are_recognized():
+    src = ("class A:\n    def __init__(self, basis):\n"
+           "        self._basis = basis\n"
+           "def f(m):\n    m._summands, x = 1, 2\n"
+           "    return A(basis=lambda: 1)\n")
+    assert held_basis_sites(src) == [("set", "A.__init__"), ("set", "f"),
+                                     ("pass", "f")]
+
+
+def test_a_held_basis_is_passed_only_where_the_module_is_built():
+    """A module whose Groebner basis is known where it is built gets it
+    as its constructor's `basis`: no code patches a basis or a list of
+    summands onto a module afterwards, and only four builders know one
+    (a totalization term, a bottom homology, a twist and a linear
+    cut's module)."""
+    sites = sorted((kind, f"{name}:{scope}") for name, _, source in sources()
+                   for kind, scope in held_basis_sites(source))
+    assert sites == [
+        ("pass", "complexes.py:_totalize"),
+        ("pass", "modules.py:PresentedModule.twist"),
+        ("pass", "modules.py:_cokernel"),
+        ("pass", "resolution.py:_linear_cut"),
+        ("set", "modules.py:PresentedModule.__init__")]
+
+
+def test_a_cut_module_runs_no_buchberger_over_the_smaller_ring(monkeypatch):
+    # M/lM for each corpus instance and a seeded linear form l
+    from cmreg.modules import quotient_by_element
+    from cmreg.theorems import _random_linear_form, random_ideal_corpus
+    runs = []
+    real = cmreg.groebner._buchberger
+
+    def counting(*args):
+        runs.append(args[3].nvars)  # the packing's
+        return real(*args)
+
+    monkeypatch.setattr(cmreg.groebner, "_buchberger", counting)
+    cuts = 0
+    for inst in random_ideal_corpus():
+        l = _random_linear_form(inst.ring, random.Random(f"{inst.name}:cut"))
+        M = quotient_by_element(inst.module, l)
+        runs.clear()
+        res = free_resolution(M)
+        assert res.cut is not None and res.cut.ring.nvars < M.ring.nvars
+        assert set(runs) <= {M.ring.nvars}, inst.name
+        cuts += 1
+    assert cuts == 30
 
 
 def test_resolutions_minimize_in_three_places():

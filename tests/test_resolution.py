@@ -243,6 +243,22 @@ def test_non_positive_max_len_is_refused(max_len):
         free_resolution_of_complex(complex_from_module(N), max_len=max_len)
 
 
+@pytest.mark.parametrize("max_len", [1.5, 2.0, True, False, "2"])
+def test_a_max_len_that_is_not_an_int_is_refused(max_len):
+    # up front, before any level is built: unchecked, a float would stop
+    # the loop between levels or reach the cut's range(), and True would
+    # act as 1.  S/(xy, yz, xz) is killed by no linear form and S/(x, yz)
+    # is cut by x.
+    S = polynomial_ring(["x", "y", "z"])
+    x, y, z = S.gens()
+    for M in (PresentedModule.cyclic(S, [x * y, y * z, x * z]),
+              PresentedModule.cyclic(S, [x, y * z])):
+        with pytest.raises(TypeError, match="max_len must be an int"):
+            betti_table(M, max_len=max_len)
+        assert M._cache == {}
+        assert betti_table(M, max_len=3).complete
+
+
 @pytest.mark.parametrize("max_len", ["0", "-1"])
 @pytest.mark.parametrize("argv", [["betti", "k"], ["tor", "k", "N"]])
 def test_cli_refuses_non_positive_max_len(argv, max_len, tmp_path, capsys):
@@ -625,19 +641,26 @@ def test_regularity_over_a_quotient_ring_resolves_twice(monkeypatch, name,
     # once over the cover, where the betti and duality routes share one
     # resolution, and once over the quotient ring for relative_reg; each
     # route built its own cover, and resolved it, before the cover was kept
+    # (a cover killed by linear forms resolves its cut module over fewer
+    # variables as well, in a loop of its own, counted apart)
     res_mod = importlib.import_module("cmreg.resolution")
     real = res_mod._resolve
-    over_cover = []
+    rings = []
 
     def counting(ring, *args):
-        over_cover.append(ring.is_polynomial)
+        rings.append(ring)
         return real(ring, *args)
 
     monkeypatch.setattr(res_mod, "_resolve", counting)
     M = parse_session(load(name)).get(binding)
     assert not M.ring.is_polynomial
     assert regularity(M).agree
-    assert sorted(over_cover) == [False, True]
+    R, S = M.ring, M.ring.cover
+    assert (rings.count(R), rings.count(S)) == (1, 1)
+    cut = [ring for ring in rings if ring not in (R, S)]
+    assert all(ring.nvars < S.nvars for ring in cut)
+    split = f"{name}:{binding}" in SPLIT_SESSION_COVERS
+    assert len(cut) == split
     assert M.lift_to_cover() is M.lift_to_cover()
 
 
@@ -876,17 +899,25 @@ def test_scroll_member_matches_the_ideal_as_a_module(monkeypatch, n):
 # -- a module killed by linear forms: F' over the other variables (x) K(l) ---
 
 def recorded_cuts(monkeypatch):
-    """The linear cut of every resolution, None or (keep, forms), appended
-    as it comes."""
+    """The linear cut of every module or complex resolved by the loop,
+    None or the resolution F' of its cut module, appended as it comes.
+    The loop that resolves a cut module runs inside its module's loop,
+    and is not counted."""
     res_mod = importlib.import_module("cmreg.resolution")
-    real = res_mod._tensor_cut
-    cuts = []
+    real = res_mod._resolve
+    cuts, depth = [], [0]
 
     def recording(*args):
-        cuts.append(args[-1])
-        return real(*args)
+        depth[0] += 1
+        try:
+            res = real(*args)
+        finally:
+            depth[0] -= 1
+        if not depth[0]:
+            cuts.append(res.cut)
+        return res
 
-    monkeypatch.setattr(res_mod, "_tensor_cut", recording)
+    monkeypatch.setattr(res_mod, "_resolve", recording)
     return cuts
 
 
@@ -1074,21 +1105,22 @@ def recorded_chains(monkeypatch):
     return chains
 
 
-def recorded_loops(monkeypatch):
-    """What `_resolve` returns, (twists, complete, chain, cut), appended
-    as it comes: for a module killed by linear forms, the twists and
-    chain are those of F' over the other variables."""
+def recorded_minimal_cols(monkeypatch):
+    """The arguments of every `_minimal_cols` call, (twists, chain
+    twists, chain cols, field), appended as they come: the chain a
+    resolution's cols minimize, on their first read, with each frame level
+    still a packed syzygy basis.  For a module killed by linear forms it
+    is the chain of F' over the other variables."""
     res_mod = importlib.import_module("cmreg.resolution")
-    real = res_mod._resolve
-    loops = []
+    real = res_mod._minimal_cols
+    calls = []
 
     def recording(*args):
-        out = real(*args)
-        loops.append(out)
-        return out
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(res_mod, "_resolve", recording)
-    return loops
+    monkeypatch.setattr(res_mod, "_minimal_cols", recording)
+    return calls
 
 
 def schreyer_decodes(monkeypatch):
@@ -1147,25 +1179,42 @@ def test_cols_are_the_frame_decoded(monkeypatch):
     # every syzygy when it was found would (and a linear cut tensors that
     # with its Koszul complex)
     res_mod = importlib.import_module("cmreg.resolution")
-    loops = recorded_loops(monkeypatch)
+    minimal = recorded_minimal_cols(monkeypatch)
+    real_cut = res_mod._tensor_cut
+    cut_args = []
+
+    def recording(*args):
+        cut_args.append(args)
+        return real_cut(*args)
+
+    monkeypatch.setattr(res_mod, "_tensor_cut", recording)
     frames = cuts = 0
     for label, M in corpus_and_session_modules():
         for N in {M, M.lift_to_cover()}:
-            loops.clear()
+            minimal.clear()
+            cut_args.clear()
             res = free_resolution(N)
-            (twists, complete, (chain_twists, cols), cut), = loops
-            cols = dict(cols)
-            packed = [i for i, cs in cols.items()
+            cols = res.cols
+            (twists, chain_twists, chain_cols, K), = minimal
+            chain_cols = dict(chain_cols)
+            packed = [i for i, cs in chain_cols.items()
                       if isinstance(cs, GroebnerBasis)]
             frames += len(packed)
             for i in packed:
-                assert cols[i].module_vectors() == reference_decode(cols[i])
-                cols[i] = reference_decode(cols[i])
-            _, _, build, _ = res_mod._tensor_cut(
-                N.ring, res_mod._truncation(N.ring, 0, None), twists,
-                complete, (chain_twists, cols), cut)
-            assert res.cols == build(), label
-            cuts += cut is not None
+                assert (chain_cols[i].module_vectors()
+                        == reference_decode(chain_cols[i]))
+                chain_cols[i] = reference_decode(chain_cols[i])
+            decoded = res_mod._minimal_cols(twists, chain_twists,
+                                            chain_cols, K)
+            if res.cut is None:
+                assert cols == decoded, label
+                continue
+            ring, max_len, inner, keep, forms = cut_args[-1]
+            assert inner is res.cut and inner.cols == decoded, label
+            F = res_mod.FreeResolution(inner.ring, inner.twists,
+                                       inner.complete, lambda: decoded)
+            assert cols == real_cut(ring, max_len, F, keep, forms).cols, label
+            cuts += 1
     # the four cut modules' frames run over fewer variables, so they are
     # shorter: 38 frame levels here, where resolving them over all the
     # variables took 43
@@ -1185,20 +1234,17 @@ def test_rank_betti_numbers_equal_the_minimized_twists(monkeypatch, field,
     # the twists the loop reads off its chain: F's, or F''s over the other
     # variables when a linear cut splits the module
     chains = recorded_chains(monkeypatch)
-    loops = recorded_loops(monkeypatch)
     units = 0
     for label, M in corpus_and_session_modules():
         M = over_field(M, FIELDS[field])
         chains.clear()
-        loops.clear()
         res = free_resolution(M, max_len=max_len)
         (twists, cols, ring), = chains
-        (loop_twists, complete, _, cut), = loops
-        if cut is None:
-            assert (loop_twists, complete) == (res.twists, res.complete)
+        loop = res.cut or res
+        complete = loop.complete
         ref = minimized_twists(twists, cols, ring.field)
         units += sum(map(len, twists.values())) - sum(map(len, ref.values()))
-        got = {i: sorted(t) for i, t in loop_twists.items()}
+        got = {i: sorted(t) for i, t in loop.twists.items()}
         assert got == {i: ref[i] for i in got}, label
         # a cut resolution drops the level of degree-restricted syzygies
         # above its top; every other level it drops is empty
