@@ -31,7 +31,7 @@ from .hilbert import HilbertSeries
 from .memo import _cached
 from .minimize import minimize_presentation
 from .modules import ModuleMap, PresentedModule, homology_at, quotient_series
-from .resolution import _truncation, free_resolution
+from .resolution import _check_int, _truncation, free_resolution
 
 
 class BoundedComplex:
@@ -371,7 +371,9 @@ def hom_complex(F, C):
 def _derived_len(M, i, max_len):
     """A resolution length for Tor_i or Ext^i: both read d_{i+1}, which a
     resolution truncated at length i lacks, so max_len, read as
-    `free_resolution` reads it, is raised to i + 1."""
+    `free_resolution` reads it, is raised to i + 1.  It must be an int
+    (_check_int), 0 included."""
+    _check_int(max_len)
     return max(i + 1, _truncation(M.ring, 0, max_len))
 
 

@@ -4,15 +4,16 @@ relative and duality-side invariants.
 Routes:
   betti    max{j - i} over the minimal free resolution over the cover
   ext      sup{i + j : Ext^i(k, M)_j != 0} (Bass numbers over the cover)
-  koszul   sup{j - i : H_i(y; M)_j != 0} on the module's own ring
+  koszul   sup{j - i : H_i(y; M)_j != 0} on the object's own ring
   duality  top degrees of local cohomology read off Ext^q(M, S(-n))
 
 ROUTES names once which routes certify which kind of object: a module
-by all four, a complex by koszul and betti on its cover.  run_routes
-runs an object's row, looking each route up as the module attribute
-reg_via_<name> as it runs (so a wrapper or fault put there is run), and
-regularity and cmreg reg read it.  Routes that disagree mean the engine
-is broken: run_routes and depth_profile raise rather than report it.
+by all four, a complex by koszul and betti.  run_routes runs an
+object's row on the object itself, module or complex alike, looking
+each route up as the module attribute reg_via_<name> as it runs (so a
+wrapper or fault put there is run), and regularity and cmreg reg read
+it.  Routes that disagree mean the engine is broken: run_routes and
+depth_profile raise rather than report it.
 
 The ext, koszul and duality routes never present a homology module: each
 reads the nonzero homology series of one complex through one reader
@@ -33,8 +34,8 @@ homology code with the other three.
 
 Default-form reg_via_koszul keeps its result on the object it was asked
 about under the one cache rule of cmreg.memo, so a checker that asks
-twice pays once; reg_complex is that entry on the module's or complex's
-cover.  Explicit Koszul forms are never cached.
+twice pays once; reg_complex is that entry, which run_routes fills on
+the same object.  Explicit Koszul forms are never cached.
 
 The duality route keeps nothing on the module.  Its rows, {i: the series
 of Ext^{n-i}_S(M, S(-n))}, and the depth are kept on the cover ring under
@@ -48,9 +49,9 @@ reg_via_duality, local_cohomology_table and a_invariant read those rows;
 the betti, ext and koszul routes never do.  A module killed by linear
 forms l_1..l_c is dualized over the smaller ring S' of the other
 variables, from the F' its resolution keeps (Rees' lemma,
-_duality_series); its rows are still series over n variables.
+_duality_series), and _duality_rows writes its rows over n variables.
 
-Absolute invariants of quotient-ring modules are routed through the
+Absolute invariants of quotient-ring objects are routed through the
 polynomial cover; the Koszul route is the one that works directly over the
 quotient, which is what makes the four-way agreement a real test.
 """
@@ -210,10 +211,21 @@ def _module_key(Mc):
                           for g in Mc.gb().elements))
 
 
+def _duality_rows(F, n):
+    """{i: HS(Ext^{m-i}_{S'}(M, S'(-m)))} over the nonzero rows, for F a
+    free resolution of M over a polynomial ring S' in m variables, read
+    off Hom(F, S'(-m)): Ext^q sits at spot -q, and its row is i = m - q.
+    Each series is written over n >= m variables."""
+    m = F.ring.nvars
+    D = hom_complex(resolution_to_complex(F), complex_from_module(
+        PresentedModule.free(F.ring, (m,))))
+    return {m + s: H.over(n) for s, H in D.nonzero_homology_series().items()}
+
+
 def _duality_series(M):
     """{i: HS(Ext^{n-i}_S(M, S(-n)))} over the nonzero rows, S the cover in
-    n variables, read off Hom(F, S(-n)) for the minimal free resolution F
-    of M.  By graded local duality the row i is the dual of H^i_m(M):
+    n variables, from the minimal free resolution F of M (_duality_rows).
+    By graded local duality the row i is the dual of H^i_m(M):
     dim H^i_m(M)_j = dim Ext^{n-i}_S(M, S(-n))_{-j}.
 
     A module killed by linear forms l_1..l_c is dualized over the smaller
@@ -221,28 +233,20 @@ def _duality_series(M):
     n - c variables with M = M' (x)_{S'} S/(l) (cmreg.resolution), and
     Ext^{n-i}_S(M, S(-n)) = Ext^{n'-i}_{S'}(M', S'(-n')) as graded vector
     spaces (Bruns and Herzog, Lemma 3.1.16, with graded local duality,
-    Theorem 3.6.19, on both rings).  So the row i is read off Hom(F',
-    S'(-n')), its series written over n variables.
+    Theorem 3.6.19, on both rings).  So the rows are read off F'.
 
     Computed once per module up to twist and presentation: the rows of
     M(t0), t0 the lowest generator twist, are kept on S under the module's
     key, and each caller shifts them back by its own t0."""
     Mc = M.lift_to_cover()
-    S = Mc.ring
-    n = S.nvars
     t0, key = _module_key(Mc)
 
     def compute():
         res = free_resolution(Mc)
-        F = res.cut or res
-        m = F.ring.nvars
-        D = hom_complex(resolution_to_complex(F), complex_from_module(
-            PresentedModule.free(F.ring, (m,))))
-        # Ext^q sits at spot -q, and its row is i = m - q
-        return {m + s: H.over(n).twist(-t0)
-                for s, H in D.nonzero_homology_series().items()}
+        return {i: E.twist(-t0) for i, E in
+                _duality_rows(res.cut or res, Mc.ring.nvars).items()}
 
-    rows = _cached(S, ("duality", key), compute)
+    rows = _cached(Mc.ring, ("duality", key), compute)
     return {i: E.twist(t0) for i, E in rows.items()}
 
 
@@ -330,16 +334,15 @@ ROUTES = {PresentedModule: ("betti", "ext", "koszul", "duality"),
 
 
 def run_routes(obj):
-    """(value, {name: (value, witness)}) over obj's row of ROUTES, a
-    complex's routes run on its cover; routes that disagree raise
-    (_agreed).  Each route is read as the attribute reg_via_<name> of this
-    module as it runs, never held, so a route rebound here is run."""
-    if isinstance(obj, PresentedModule):
-        kind, what = PresentedModule, "a module"
-    else:
-        kind, what, obj = BoundedComplex, "a complex", _cover(obj)
-    runs = {name: globals()["reg_via_" + name](obj) for name in ROUTES[kind]}
-    value = _agreed(what, {name: v for name, (v, _) in runs.items()})
+    """(value, {name: (value, witness)}) over obj's row of ROUTES, each
+    route run on obj itself; routes that disagree raise (_agreed).  Each
+    route is read as the attribute reg_via_<name> of this module as it
+    runs, never held, so a route rebound here is run."""
+    module = isinstance(obj, PresentedModule)
+    runs = {name: globals()["reg_via_" + name](obj)
+            for name in ROUTES[PresentedModule if module else BoundedComplex]}
+    value = _agreed("a module" if module else "a complex",
+                    {name: v for name, (v, _) in runs.items()})
     return value, runs
 
 
@@ -374,8 +377,8 @@ def relative_reg(obj, max_len=None):
 
 def reg_complex(L):
     """Regularity of a bounded complex: Koszul homology of K[vars; L] over
-    the polynomial cover, the koszul route's entry on L's cover."""
-    return reg_via_koszul(_cover(L))[0]
+    L's own ring, the koszul route's entry on L."""
+    return reg_via_koszul(L)[0]
 
 
 # -- depth by three routes -------------------------------------------------

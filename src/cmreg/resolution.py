@@ -78,11 +78,12 @@ An empty level at or above L's top spot hi ends the loop: F is
 complete.  Over a polynomial ring that happens by level hi + the number
 of variables (Hilbert's syzygy theorem); the frame can run one level
 longer, but a Betti number past it is an engine bug and raises.  F is
-truncated at max_len (at least 1) levels past the bottom and then
-flagged incomplete, unless the Betti numbers empty a level at or above
-hi; its top level is cut down against the next level's columns, which
-are then dropped.  A linear cut resolves M' with the same max_len, and
-F is complete when F' is and pd M' + c < max_len.
+truncated at max_len (at least 1) levels past the bottom.  The loop
+resolves one level past that cut and cuts it down against its own
+syzygies, which are then dropped, so its Betti numbers are exact: F is
+complete when they are empty at or above hi, and the level is dropped
+too.  A linear cut resolves M' with the same max_len, and F is complete
+when F' is and pd M' + c <= max_len.
 
 `free_resolution` is the one way into the loop.  It takes a presented
 module (the one-term complex at spot 0) or a bounded complex, and keeps
@@ -159,15 +160,20 @@ class FreeResolution:
         return out
 
 
-def check_max_len(max_len):
-    """A truncation length is None (the default) or a positive int; a
-    float or a bool is refused, whatever its value."""
-    if max_len is None:
-        return
-    if not isinstance(max_len, int) or isinstance(max_len, bool):
+def _check_int(max_len):
+    """A truncation length is None or an int; a float or a bool is
+    refused, whatever its value."""
+    if max_len is not None and (not isinstance(max_len, int)
+                                or isinstance(max_len, bool)):
         raise TypeError(f"max_len must be an int, got "
                         f"{type(max_len).__name__} {max_len!r}")
-    if max_len < 1:
+
+
+def check_max_len(max_len):
+    """A truncation length is None (the default) or a positive int
+    (_check_int)."""
+    _check_int(max_len)
+    if max_len is not None and max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
 
 
@@ -217,10 +223,10 @@ def _tensor_cut(ring, max_len, inner, keep, forms):
     ring on the variables keep (module docstring), which F keeps as its
     cut: beta_{i,j}(M) = sum_k C(c, k) beta_{i-k,j-k}(M'), level by level
     up to max_len past the bottom, and F is complete when F' is and pd M'
-    + c < max_len, as a loop run on M would leave it."""
+    + c <= max_len, as a loop run on M would leave it."""
     twists, c = inner.twists, len(forms)
     lo = min(twists)
-    complete = inner.complete and max(twists) - lo + c < max_len
+    complete = inner.complete and max(twists) - lo + c <= max_len
     top = max(twists) + c if complete else lo + max_len
     levels = {i: _koszul_basis(twists, c, i) for i in range(lo, top + 1)}
     return FreeResolution(
@@ -386,7 +392,7 @@ def _resolve(ring, terms, diffs, max_len):
         else:
             twists[level + 1] = tuple(vec_degree(v, rows(level + 1))
                                       for v in nxt)
-        if level - lo >= max_len:
+        if level - lo > max_len:
             break
         level += 1
         if level >= frame:
@@ -433,14 +439,16 @@ def _resolve(ring, terms, diffs, max_len):
     tw = _betti_twists(twists, cols, ring)
     if not complete:
         del tw[level + 1]
-    # A frame level can be left with no Betti numbers.  Past an empty
-    # level at or above hi every level is empty (Nakayama), and F is
-    # complete.
+    # A frame level, or the level past a truncation, can be left with no
+    # Betti numbers.  Past an empty level at or above hi every level is
+    # empty (Nakayama), and F is complete.
     ends = [i for i, t in tw.items() if not t and i > lo and i >= hi]
     if ends:
         for i in range(min(ends), level + 2):
             tw.pop(i, None)
         complete = True
+    # the level past a truncation was resolved only to be read
+    tw.pop(lo + max_len + 1, None)
     if ring.is_polynomial and max(tw) > hi + ring.nvars:
         raise RuntimeError(
             f"resolution over a polynomial ring in {ring.nvars} "

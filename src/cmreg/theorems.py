@@ -31,9 +31,10 @@ from .freemod import FreeModule
 from .modules import (PresentedModule, colon_by_element, kernel,
                       multiplication_map, quotient_by_element)
 from .poly import Polynomial
-from .regularity import (_table_of_rows, depth, local_cohomology_table,
-                         reg_complex, reg_via_betti, reg_via_duality,
-                         reg_via_ext, reg_via_koszul, relative_reg)
+from .regularity import (_duality_rows, _table_of_rows, depth,
+                         local_cohomology_table, reg_complex, reg_via_betti,
+                         reg_via_duality, reg_via_ext, reg_via_koszul,
+                         relative_reg)
 from .resolution import free_resolution
 from .rings import GradedRing, polynomial_ring
 
@@ -413,12 +414,8 @@ def _tensored_table(M, window):
     for F the resolution of M's cover S in n variables, the tensored F'
     (x) K(l) of a linear cut included, and kept nowhere."""
     Mc = M.lift_to_cover()
-    S = Mc.ring
-    n = S.nvars
-    D = ext_complex(Mc, PresentedModule.free(S, (n,)))
-    # Ext^q sits at spot -q, and its row is i = n - q
-    return _table_of_rows({n + s: H for s, H in
-                           D.nonzero_homology_series().items()}, window, n)
+    n = Mc.ring.nvars
+    return _table_of_rows(_duality_rows(free_resolution(Mc), n), window, n)
 
 
 def check_ring_independence(M, extra_vars=1, instance="module", seed=None):

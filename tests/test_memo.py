@@ -17,9 +17,11 @@ checker outcomes are built and contradictions raised only by
 series reads only the cokernel series and outside the complex layer
 only the saturation check reads one spot by spot (everything else reads
 `nonzero_homology_series`), the Koszul route builds no probe module and
-runs no separate hypothesis pass, the duality rows and the depth
-are computed only under their keys on the cover ring (and read there up
-to twist), nothing calls `free_resolution_of_complex`, the complex layer
+runs no separate hypothesis pass, the duality rows are read off a
+resolution by `_duality_rows` alone, and with the depth are computed
+only under their keys on the cover ring (and read there up to twist),
+the routes reach the cover through `_cover` only in the betti route,
+nothing calls `free_resolution_of_complex`, the complex layer
 presents no kernels, the dense oracle imports nothing from the Groebner,
 Hilbert or resolution layers, only the oracle's own table reads single
 Betti numbers, regularity.py keeps no twist sup and no window cap and
@@ -741,19 +743,30 @@ def test_cached_computes_are_recognized():
 
 
 def test_duality_and_depth_are_computed_only_under_their_cover_keys():
-    """The routes build the dual complex Hom(F, S(-n)), or Hom(F',
-    S'(-n')) over the smaller ring of a linear cut, only in the compute
-    kept on the cover ring under ("duality", key), and depth reads pd off
-    a resolution only in the compute kept there under ("depth", key), so
-    a module met again up to twist or presentation pays for neither.
-    (check ring-indep builds one more, on the tensored F, and keeps it
-    nowhere: cmreg.theorems._tensored_table.)"""
-    [source] = [src for name, _, src in sources() if name == "regularity.py"]
-    [(lo, hi)] = cached_computes(source, "duality")
-    sites = [line for line, _ in calls(source, "resolution_to_complex")]
-    assert sites and all(lo <= line <= hi for line in sites)
-    [(lo, hi)] = cached_computes(source, "depth")
-    sites = [line for line, func in calls(source, "free_resolution")
+    """Only `_duality_rows` builds the dual complex Hom(F, S'(-m)), its
+    `resolution_to_complex` call and its free target of twist m, and no
+    checker dualizes through `ext_complex` into a free module.  It runs
+    only in the compute kept on the cover ring under ("duality", key) and
+    for check ring-indep's tensored F, kept nowhere
+    (`theorems._tensored_table`).  Depth reads pd off a resolution only in
+    the compute kept there under ("depth", key), so a module met again up
+    to twist or presentation pays for neither.  The routes reach the
+    cover through `_cover` only in the betti route: run_routes and
+    reg_complex run on the object itself."""
+    source = {name: src for name, _, src in sources()}
+    reg = source["regularity.py"]
+    for name in ("resolution_to_complex", "free"):
+        assert {func for _, func in calls(reg, name)} == {"_duality_rows"}
+    assert not calls(source["theorems.py"], "free")
+    assert {func for _, func in calls(source["theorems.py"], "ext_complex")
+            } == {"check_cor_hom"}
+    [(lo, hi)] = cached_computes(reg, "duality")
+    sites = sorted(call_sites("_duality_rows"))
+    assert [(name, func) for name, _, func in sites] == [
+        ("regularity.py", "compute"), ("theorems.py", "_tensored_table")]
+    assert lo <= sites[0][1] <= hi
+    [(lo, hi)] = cached_computes(reg, "depth")
+    sites = [line for line, func in calls(reg, "free_resolution")
              if func == "depth"]
     assert sites and all(lo <= line <= hi for line in sites)
     # pd read straight off a resolution: nowhere else in src/cmreg
@@ -764,6 +777,8 @@ def test_duality_and_depth_are_computed_only_under_their_cover_keys():
                and getattr(node.value.func, "id", None) == "free_resolution"]
     assert lengths and all(name == "regularity.py" and lo <= line <= hi
                            for name, line in lengths)
+    assert [(name, func) for name, _, func in call_sites("_cover")] == [
+        ("regularity.py", "reg_via_betti")]
 
 
 def cache_keys(source):

@@ -150,10 +150,10 @@ def test_truncation_agrees_with_one_more_level(case, max_len):
     assert all(i <= max_len for i, _ in short.entries)
     assert short.entries == {k: v for k, v in longer.entries.items()
                              if k[0] <= max_len}
-    # complete exactly when the resolution ends below max_len, or over a
-    # polynomial ring when max_len reaches the number of variables
-    reaches_nvars = M.ring.is_polynomial and max_len >= M.ring.nvars
-    assert short.complete == (proj_dim < max_len or reaches_nvars)
+    # complete exactly when the resolution ends at or below max_len: the
+    # level past the cut is resolved, so its emptiness is known (over a
+    # polynomial ring pd is at most the number of variables)
+    assert short.complete == (proj_dim <= max_len)
     full = betti_table(M)
     assert full.projective_dimension() == proj_dim
     assert full.complete == (proj_dim < inf)

@@ -12,7 +12,7 @@ from cmreg import (KoszulHypothesisError, PresentedModule, a_invariant,
                    depth_profile, ext_complex, free_resolution,
                    hom_complex, koszul_complex,
                    local_cohomology_table, module_from_ideal,
-                   polynomial_ring, reg_complex, reg_via_betti,
+                   parse_session, polynomial_ring, reg_complex, reg_via_betti,
                    reg_via_duality, reg_via_ext, reg_via_koszul, regularity,
                    relative_reg, resolution_to_complex)
 from cmreg.freemod import FreeModule
@@ -21,7 +21,7 @@ from cmreg.modules import colon_by_element, quotient_by_element
 from cmreg.theorems import (_random_linear_form, corpus_checks,
                             nilpotent_scroll_family, random_ideal_corpus)
 from test_resolution import cut_modules
-from test_sessions import SESSIONS, session_modules
+from test_sessions import SESSIONS, load, session_modules
 
 # the package exports a function named regularity, which shadows the
 # submodule as an attribute of cmreg
@@ -590,6 +590,23 @@ def rows_over_the_cover(M):
     return {n + s: H for s, H in D.nonzero_homology_series().items()}
 
 
+def test_duality_rows_of_a_resolution_are_the_rows_over_the_cover():
+    # one reader turns a free resolution into rows: the tensored F over all
+    # the variables gives the reference's rows, and so does F' over S'
+    count = 0
+    for label, M in (*((inst.name, inst.module)
+                       for inst in random_ideal_corpus()),
+                     *sections_of_the_corpus()):
+        Mc = M.lift_to_cover()
+        n = Mc.ring.nvars
+        res = free_resolution(Mc)
+        ref = rows_over_the_cover(M)
+        assert routes._duality_rows(res, n) == ref, label
+        assert routes._duality_rows(res.cut or res, n) == ref, label
+        count += 1
+    assert count == 90
+
+
 def duality_reads(M):
     lc = local_cohomology_table(M)
     return (routes._duality_series(M), lc.entries, lc.window,
@@ -681,11 +698,11 @@ def test_explicit_koszul_arguments_bypass_the_cache(monkeypatch, det_module):
     assert len(kos) == 2
 
 
-def test_reg_complex_reads_the_koszul_entry_of_the_cover(monkeypatch, S3,
-                                                        det_ring):
-    # reg_complex kept its own "reg_complex" entry, and ran the koszul
-    # route on a complex built afresh from a module, so reg_via_koszul on
-    # the same cover built a second Koszul complex for the same value
+def test_reg_complex_reads_the_koszul_entry_of_the_object(monkeypatch, S3,
+                                                         det_ring):
+    # reg_complex kept its own "reg_complex" entry, and later read the
+    # koszul entry of the object's cover; it reads the entry kept on the
+    # object itself, which run_routes fills, with one Koszul complex built
     x, y, z = S3.gens()
     mods = [PresentedModule.cyclic(S3, [x * x, x * y, y * z * z]),
             PresentedModule.cyclic(det_ring, [])]
@@ -693,11 +710,42 @@ def test_reg_complex_reads_the_koszul_entry_of_the_cover(monkeypatch, S3,
     built = counting(monkeypatch, "koszul_complex")
     for obj in mods + cuts:
         built.clear()
-        value = reg_complex(obj)
-        assert reg_complex(obj) == value
-        assert reg_via_koszul(obj.lift_to_cover())[0] == value
+        value = (reg_complex(obj) if isinstance(obj, PresentedModule)
+                 else routes.run_routes(obj)[0])
+        assert reg_complex(obj) == value == reg_via_koszul(obj)[0]
         assert len(built) == 1
         assert "reg_complex" not in obj._cache
+        if not obj.ring.is_polynomial:
+            assert "koszul" not in obj.lift_to_cover()._cache
+
+
+def koszul_complexes_over_quotient_rings():
+    """(label, complex): K of the determinantal session, and K([z]; M)
+    and K([x, y]; M), z the last variable, for each module M of the
+    two-quadrics, hypersurface-pair and determinantal sessions."""
+    session = parse_session(load("determinantal.cmreg"))
+    yield "determinantal K", session.get("K")
+    for name in ("two-quadrics.cmreg", "hypersurface-pair.cmreg",
+                 "determinantal.cmreg"):
+        for label, M in session_modules(name):
+            gens = M.ring.gens()
+            yield f"{name} K([z]; {label})", koszul_complex([gens[-1]], M)
+            yield f"{name} K([x, y]; {label})", koszul_complex(gens[:2], M)
+
+
+def test_a_complex_runs_the_koszul_route_over_its_own_ring():
+    # over the quotient ring the koszul route gives the value and witness
+    # it gives on the cover (the CLI payload of `cmreg reg K` is pinned in
+    # test_sessions)
+    count = 0
+    for label, L in koszul_complexes_over_quotient_rings():
+        assert not L.ring.is_polynomial, label
+        value, runs = routes.run_routes(L)
+        assert runs["koszul"] == reg_via_koszul(L)
+        assert runs["koszul"] == reg_via_koszul(L.lift_to_cover()), label
+        assert reg_complex(L) == value, label
+        count += 1
+    assert count == 11
 
 
 def test_run_routes_runs_the_betti_route_every_call(monkeypatch, S3):

@@ -286,6 +286,46 @@ def test_library_tor_and_ext_reach_past_a_short_max_len():
     assert tor1.hilbert_series() == k.hilbert_series().twist(-1)  # k(-1)
 
 
+@pytest.mark.parametrize("max_len", [1.5, 2.0, True, False])
+def test_library_tor_and_ext_refuse_a_max_len_that_is_not_an_int(max_len):
+    # the derived length read max_len before free_resolution checked it:
+    # max(i + 1, 1.5) is the int i + 1, and True and False act as ints
+    S = polynomial_ring(["x", "y", "z"])
+    x, y, z = S.gens()
+    M = PresentedModule.cyclic(S, [x * y, y * z, x * z])
+    k = PresentedModule.cyclic(S, [x, y, z])
+    for i in (0, 1, 2):
+        for derived in (tor, ext):
+            with pytest.raises(TypeError, match="max_len must be an int"):
+                derived(M, k, i, max_len)
+
+
+def test_a_truncation_at_the_projective_dimension_is_complete(capsys):
+    # the level past the cut was dropped before it was read, so a
+    # resolution cut at its own pd was flagged incomplete, with pd inf
+    S = polynomial_ring(["x", "y"])
+    M = PresentedModule.cyclic(S, [S.gens()[0]])
+    res = free_resolution(M, max_len=1)
+    assert res.cut is not None  # the linear cut's path
+    assert res.complete and res.twists == {0: (0,), 1: (1,)}
+    assert pd(M, max_len=1) == 1
+    # the loop's path: R/(y) over R = k[x, y, z]/(x^2) has pd 1
+    S = polynomial_ring(["x", "y", "z"])
+    R = S.quotient([S.gens()[0] ** 2])
+    M = PresentedModule.cyclic(R, [R.gens()[1]])
+    assert free_resolution(M, max_len=1).cut is None
+    assert regularity(M, max_len=1).relative.certified
+    # Tor_1(M, N) = k(-2) on the hypersurface pair, where the cut at 1
+    # withheld it as the top of a truncation
+    code = cli.main(["--session", os.path.join(SESSIONS,
+                                               "hypersurface-pair.cmreg"),
+                     "tor", "M", "N", "--max-len", "1"])
+    out = json.loads(capsys.readouterr().out)["result"]
+    assert code == 0 and out["truncated"] is False
+    assert [(e["i"], e["values"]) for e in out["tor"]] == [
+        (0, [{"degree": 0, "dim": 1}]), (1, [{"degree": 2, "dim": 1}])]
+
+
 def test_reg_via_betti_refuses_a_truncated_resolution(monkeypatch):
     S = polynomial_ring(["x", "y"])
     x, y = S.gens()
@@ -485,12 +525,13 @@ def test_hypersurface_pair_completes_at_max_len_two(monkeypatch):
 
 # (session, position among its quotient-ring complexes) -> top level and
 # complete flag at max_len=2, as the fiber-product loop this one replaced
-# left them
+# left them, except that the hypersurface-pair complexes, which end at
+# level 2, are complete: the level past the cut is resolved and empty
 QUOTIENT_COMPLEX_STOPS = {
     ("determinantal.cmreg", 0): (1, True),
     ("determinantal.cmreg", 1): (1, True),
-    ("hypersurface-pair.cmreg", 0): (2, False),
-    ("hypersurface-pair.cmreg", 1): (2, False),
+    ("hypersurface-pair.cmreg", 0): (2, True),
+    ("hypersurface-pair.cmreg", 1): (2, True),
     ("two-quadrics.cmreg", 0): (1, True),
     ("two-quadrics.cmreg", 1): (2, False),
 }
@@ -523,8 +564,10 @@ def test_units_of_the_complex_cancel_and_passengers_follow():
     L = BoundedComplex(S, {0: PresentedModule.cyclic(S, [y]), 1: L1, 2: L2},
                        {2: d2})
     full = [(0, (0,)), (1, (1, 1)), (2, (2,))]
+    # F ends at level 2, so a cut there is complete: level 3 is resolved
+    # and empty
     for max_len, complete, twists in ((None, True, full),
-                                      (2, False, full),
+                                      (2, True, full),
                                       (1, False, full[:2])):
         F, got = free_resolution_of_complex(L, max_len=max_len)
         assert got is complete
@@ -995,10 +1038,9 @@ def test_a_cut_module_resolves_as_the_oracle_and_the_routes_read_it(
             cut_bt = betti_table(M, max_len=max_len)
             assert cut_bt.entries == {(i, j): b for (i, j), b
                                       in bt.entries.items() if i <= max_len}
-            # past max_len = n the cut is the full resolution; below it a
-            # level max_len is never read as the last
-            full = max_len >= M.ring.nvars
-            assert cut_bt.complete == (full or pd < max_len), (label, max_len)
+            # the level past the cut is resolved, so a cut at pd or above
+            # is complete (past max_len = n it is the full resolution)
+            assert cut_bt.complete == (pd <= max_len), (label, max_len)
         count += 1
     assert (count, zero) == (74, 24)
 
@@ -1216,9 +1258,9 @@ def test_cols_are_the_frame_decoded(monkeypatch):
             assert cols == real_cut(ring, max_len, F, keep, forms).cols, label
             cuts += 1
     # the four cut modules' frames run over fewer variables, so they are
-    # shorter: 38 frame levels here, where resolving them over all the
+    # shorter: 37 frame levels here, where resolving them over all the
     # variables took 43
-    assert frames == 38 and cuts == 4
+    assert frames == 37 and cuts == 4
 
 
 def minimized_twists(twists, cols, K):
@@ -1246,12 +1288,17 @@ def test_rank_betti_numbers_equal_the_minimized_twists(monkeypatch, field,
         units += sum(map(len, twists.values())) - sum(map(len, ref.values()))
         got = {i: sorted(t) for i, t in loop.twists.items()}
         assert got == {i: ref[i] for i in got}, label
-        # a cut resolution drops the level of degree-restricted syzygies
-        # above its top; every other level it drops is empty
         dropped = set(ref) - set(got)
-        assert all(not ref[i] for i in dropped if i < max(ref)), label
-        if not complete:
-            assert dropped == {max(ref)}, label
+        if complete:
+            # it drops the level of degree-restricted syzygies above its
+            # top; every other level it drops is empty
+            assert all(not ref[i] for i in dropped if i < max(ref)), label
+        else:
+            # a truncation drops the level past the cut, resolved only to
+            # be read, and the syzygies above it; it is incomplete because
+            # that level has Betti numbers
+            top = max(got)
+            assert dropped == {top + 1, top + 2} and ref[top + 1], label
         before = dict(res.twists)
         assert res.is_minimal(), label
         assert res.twists == before, label
