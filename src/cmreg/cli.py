@@ -323,7 +323,14 @@ _HANDLERS = {
 }
 
 
+# the commands whose values read a truncated resolution
+_TRUNCATED = ("reg", "betti", "tor", "ext")
+
+
 def run_command(session, args):
+    if args.max_len is not None and args.command not in _TRUNCATED:
+        raise UsageError(f"{args.command} takes no --max-len: no value it "
+                         f"reports reads a truncated resolution")
     return _HANDLERS[args.command](session, args)
 
 
@@ -352,11 +359,10 @@ def _add_global_flags(p, trailing):
                    help="degree window cap for tables", **d)
     p.add_argument("--max-len", type=_max_len_arg, dest="max_len",
                    metavar="N",
-                   help="truncate free resolutions after homological "
-                        "degree N >= 1, over polynomial and quotient rings "
-                        "alike; "
-                        "a truncated table is exact up to N and marked "
-                        "incomplete", **d)
+                   help="reg, betti, tor and ext: truncate free "
+                        "resolutions after homological degree N >= 1, over "
+                        "polynomial and quotient rings alike; a truncated "
+                        "table is exact up to N and marked incomplete", **d)
     p.add_argument("--field", type=int,
                    help="override the prime of every GF declaration", **d)
 

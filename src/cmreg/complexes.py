@@ -31,7 +31,7 @@ from .hilbert import HilbertSeries
 from .memo import _cached
 from .minimize import minimize_presentation
 from .modules import ModuleMap, PresentedModule, homology_at, quotient_series
-from .resolution import _check_int, _truncation, free_resolution
+from .resolution import free_resolution
 
 
 class BoundedComplex:
@@ -368,18 +368,10 @@ def hom_complex(F, C):
 
 # -- derived functors ------------------------------------------------------
 
-def _derived_len(M, i, max_len):
-    """A resolution length for Tor_i or Ext^i: both read d_{i+1}, which a
-    resolution truncated at length i lacks, so max_len, read as
-    `free_resolution` reads it, is raised to i + 1.  It must be an int
-    (_check_int), 0 included."""
-    _check_int(max_len)
-    return max(i + 1, _truncation(M.ring, 0, max_len))
-
-
-def tor(M, N, i, max_len=None):
-    """Tor_i(M, N) over the modules' common ring."""
-    return tor_complex(M, N, max_len=_derived_len(M, i, max_len)).homology(i)
+def tor(M, N, i):
+    """Tor_i(M, N) over the modules' common ring.  H_i reads d_{i+1} and
+    nothing past it, so M's resolution is read to level max(i + 1, 1)."""
+    return tor_complex(M, N, max_len=max(i + 1, 1)).homology(i)
 
 
 def tor_complex(M, N, max_len=None):
@@ -388,9 +380,10 @@ def tor_complex(M, N, max_len=None):
                                     complex_from_module(N))
 
 
-def ext(M, N, i, max_len=None):
-    """Ext^i(M, N), stored at homological spot -i of Hom(F_M, N)."""
-    return ext_complex(M, N, max_len=_derived_len(M, i, max_len)).homology(-i)
+def ext(M, N, i):
+    """Ext^i(M, N), stored at homological spot -i of Hom(F_M, N), which
+    reads M's resolution to level max(i + 1, 1), as `tor` does."""
+    return ext_complex(M, N, max_len=max(i + 1, 1)).homology(-i)
 
 
 def ext_complex(M, N, max_len=None):

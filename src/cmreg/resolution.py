@@ -78,12 +78,14 @@ An empty level at or above L's top spot hi ends the loop: F is
 complete.  Over a polynomial ring that happens by level hi + the number
 of variables (Hilbert's syzygy theorem); the frame can run one level
 longer, but a Betti number past it is an engine bug and raises.  F is
-truncated at max_len (at least 1) levels past the bottom.  The loop
-resolves one level past that cut and cuts it down against its own
-syzygies, which are then dropped, so its Betti numbers are exact: F is
-complete when they are empty at or above hi, and the level is dropped
-too.  A linear cut resolves M' with the same max_len, and F is complete
-when F' is and pd M' + c <= max_len.
+truncated at max_len (at least 1) levels past the bottom, where the loop
+stops.  The syzygies it found last cut that top level down, so its
+Betti numbers are exact; they are then dropped.  Whether F is complete
+there is one exact test on Hilbert series (`_resolves`), so no level
+past the cut is resolved.  A linear cut resolves M' with the same
+max_len, and F is complete when F' is and pd M' + c <= max_len; a
+complex of free modules is cut at the same level and is complete when
+no minimal twist lies past it.
 
 `free_resolution` is the one way into the loop.  It takes a presented
 module (the one-term complex at spot 0) or a bounded complex, and keeps
@@ -104,8 +106,9 @@ from math import inf
 from operator import itemgetter
 
 from .freemod import FreeModule, vec_degree
-from .groebner import (GroebnerBasis, groebner_basis, reduced_basis,
-                       syzygy_generators)
+from .groebner import (GroebnerBasis, defining_gb, groebner_basis,
+                       reduced_basis, syzygy_generators)
+from .hilbert import monomial_ideal_numerator
 from .memo import _cached
 from .minimize import _find_unit, minimize_chain
 from .modules import PresentedModule
@@ -160,20 +163,15 @@ class FreeResolution:
         return out
 
 
-def _check_int(max_len):
-    """A truncation length is None or an int; a float or a bool is
-    refused, whatever its value."""
-    if max_len is not None and (not isinstance(max_len, int)
-                                or isinstance(max_len, bool)):
+def check_max_len(max_len):
+    """A truncation length is None (the default) or a positive int; a
+    float or a bool is refused, whatever its value."""
+    if max_len is None:
+        return
+    if not isinstance(max_len, int) or isinstance(max_len, bool):
         raise TypeError(f"max_len must be an int, got "
                         f"{type(max_len).__name__} {max_len!r}")
-
-
-def check_max_len(max_len):
-    """A truncation length is None (the default) or a positive int
-    (_check_int)."""
-    _check_int(max_len)
-    if max_len is not None and max_len < 1:
+    if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
 
 
@@ -194,9 +192,10 @@ def _truncation(ring, span, max_len):
 def free_resolution(obj, max_len=None):
     """Minimal free resolution of a presented module, the one-term complex
     at spot 0, or of a bounded complex, over the object's own ring,
-    truncated as `_truncation` reads max_len.  The result is cached on
-    obj; equal truncations share one entry.  The Betti numbers are read
-    off an unminimized chain, which is minimized only when the
+    truncated as `_truncation` reads max_len: the only reader of a
+    truncation length in the library.  The result is cached on obj;
+    equal truncations share one entry.  The Betti numbers are read off
+    an unminimized chain, which is minimized only when the
     differentials, cols, are first read (module docstring)."""
     check_max_len(max_len)
     if isinstance(obj, PresentedModule):
@@ -213,7 +212,7 @@ def free_resolution(obj, max_len=None):
     span = max(terms) - min(terms) if terms else 0
     max_len = _truncation(ring, span, max_len)
     return _cached(obj, ("resolution", max_len), lambda: (
-        _free_chain(ring, terms, diffs) if free
+        _free_chain(ring, terms, diffs, max_len) if free
         else _resolve(ring, terms, diffs, max_len)))
 
 
@@ -336,18 +335,23 @@ def _linear_cut(ring, gens, cols):
     return cut, keep, [dict(key) for key in chosen]
 
 
-def _free_chain(ring, terms, diffs):
+def _free_chain(ring, terms, diffs, max_len):
     """The resolution of a complex of free modules, which is its own
     chain: a level at every spot from its bottom to its top, empty where
     it has no term.  An unstored differential is zero, and the minimizer
-    still needs a column list of the right length for it."""
+    still needs a column list of the right length for it.  Its minimal
+    twists are cut at max_len levels past the bottom, and F is complete
+    when no level past the cut has one."""
     twists = {i: tuple(terms[i].gens_free.twists) if i in terms else ()
               for i in range(min(terms, default=0), max(terms, default=-1) + 1)}
     cols = {i: [dict(c) for c in diffs[i].cols] if i in diffs
             else [{} for _ in twists[i]]
             for i in twists if i - 1 in twists}
-    tw = _betti_twists(twists, cols, ring)
-    return FreeResolution(ring, tw, True,
+    minimal = _betti_twists(twists, cols, ring)
+    cut = min(minimal, default=0) + max_len
+    tw = {i: t for i, t in minimal.items() if i <= cut}
+    complete = not any(t for i, t in minimal.items() if i > cut)
+    return FreeResolution(ring, tw, complete,
                           lambda: _minimal_cols(tw, twists, cols, ring.field))
 
 
@@ -392,7 +396,7 @@ def _resolve(ring, terms, diffs, max_len):
         else:
             twists[level + 1] = tuple(vec_degree(v, rows(level + 1))
                                       for v in nxt)
-        if level - lo > max_len:
+        if level - lo >= max_len:
             break
         level += 1
         if level >= frame:
@@ -437,24 +441,50 @@ def _resolve(ring, terms, diffs, max_len):
                                   len(cols[level]),
                                   lambda v: gb.lift(_shift(v, rank)))
     tw = _betti_twists(twists, cols, ring)
-    if not complete:
-        del tw[level + 1]
-    # A frame level, or the level past a truncation, can be left with no
-    # Betti numbers.  Past an empty level at or above hi every level is
-    # empty (Nakayama), and F is complete.
+    # the syzygies past the cut only cut its top level down
+    tw.pop(level + 1, None)
+    # A frame level can be left with no Betti numbers.  Past an empty
+    # level at or above hi every level is empty (Nakayama), and F is
+    # complete.
     ends = [i for i, t in tw.items() if not t and i > lo and i >= hi]
     if ends:
-        for i in range(min(ends), level + 2):
+        for i in range(min(ends), level + 1):
             tw.pop(i, None)
         complete = True
-    # the level past a truncation was resolved only to be read
-    tw.pop(lo + max_len + 1, None)
+    if not complete:
+        # the loop stopped at its cut
+        complete = _resolves(ring, terms, tw)
     if ring.is_polynomial and max(tw) > hi + ring.nvars:
         raise RuntimeError(
             f"resolution over a polynomial ring in {ring.nvars} "
             f"variables has generators at level {max(tw)}")
     return FreeResolution(ring, tw, complete,
                           lambda: _minimal_cols(tw, twists, cols, K))
+
+
+def _resolves(ring, terms, tw):
+    """Whether F, with twists tw and stopped at its cut c = max(tw),
+    resolves L: c >= hi - 1 and sum (-1)^i HS(F_i) = sum (-1)^i HS(L_i).
+    The mapping cone of F -> L is exact below c + 1, and with c >= hi - 1
+    its top term is F_c + L_{c+1}, so the module H it leaves at c + 1, the
+    one F_{c+1} would cover, has series +-(the difference of the two sums)
+    (additivity on exact sequences; Bruns and Herzog, Lemma 4.1.13), and
+    H = 0 exactly when its series is.  Below hi - 1 the sums can agree
+    by accident.  HS(F_i) is HS(R) sum t^a over F_i's twists a, HS(R)
+    read off the leads of the defining ideal's basis."""
+    if max(tw) < max(terms) - 1:
+        return False
+    base = monomial_ideal_numerator(
+        tuple(g.ltm for g in defining_gb(ring)), ring.nvars)
+    chi = {}
+    for i, t in tw.items():
+        for a in t:
+            for d, c in base.items():
+                chi[a + d] = chi.get(a + d, 0) + (-1) ** i * c
+    for i, L in terms.items():
+        for d, c in L.hilbert_series().numerator.items():
+            chi[d] = chi.get(d, 0) - (-1) ** i * c
+    return not any(chi.values())
 
 
 def _betti_twists(twists, cols, ring):

@@ -196,6 +196,24 @@ def test_reg_of_a_complex_refuses_max_len(session_file, capsys):
     assert code == 0 and json.loads(out)["result"]["value"] == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["hilbert", "M"], ["dim", "M"], ["depth", "M"], ["oracle", "M"],
+    ["koszul", "zz", "M"], ["check", "filter", "--module", "M", "--form", "z"],
+    ["family", "nilpotent-scroll", "--n", "2"]],
+    ids=lambda argv: argv[0])
+def test_max_len_is_refused_where_no_value_reads_a_truncation(
+        session_file, capsys, argv):
+    # only reg, betti, tor and ext report values read off a truncated
+    # resolution; every other command refused nothing and printed a value
+    # of the full resolution, or none at all
+    for flags in (argv + ["--max-len", "1"], ["--max-len", "2"] + argv):
+        code, out, err = run(capsys, "--session", session_file, *flags)
+        assert (code, out) == (1, ""), flags
+        assert err == (f"cmreg: {argv[0]} takes no --max-len: no value it "
+                       f"reports reads a truncated resolution\n"), flags
+    assert run(capsys, "--session", session_file, "dim", "M")[0] == 0
+
+
 @pytest.mark.parametrize("decl, value", [
     ("chain(S, [0], [[x, y]], [1, 1])", 0),
     ("chain(S, [])", {"kind": "minus_infinity", "value": None})],

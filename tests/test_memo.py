@@ -302,6 +302,26 @@ def test_a_resolution_is_built_only_by_its_three_builders():
     assert callers("_tensor_cut") == [("resolution.py", "_resolve")]
 
 
+def test_the_truncation_rule_is_kept_in_the_resolution_layer():
+    """`free_resolution` alone reads a max_len, through `check_max_len`
+    and `_truncation`; the CLI checks its flag with the same rule, the
+    loop alone decides completeness at its cut (`_resolves`), and
+    cmreg.complexes takes nothing else from the resolution layer."""
+    def callers(name):
+        return [(f, func) for f, _, func in call_sites(name)]
+
+    assert callers("_truncation") == [("resolution.py", "free_resolution")]
+    assert sorted(callers("check_max_len")) == [
+        ("cli.py", "_max_len_arg"), ("resolution.py", "free_resolution")]
+    assert callers("_resolves") == [("resolution.py", "_resolve")]
+    [source] = [src for name, _, src in sources() if name == "complexes.py"]
+    imported = [alias.name for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "resolution"
+                for alias in node.names]
+    assert imported == ["free_resolution"]
+
+
 def test_only_the_loop_reads_a_linear_cut():
     """A module killed by linear forms is split off the loop's own first
     reduced basis, which the cut module holds: no separate Groebner basis

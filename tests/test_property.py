@@ -150,8 +150,8 @@ def test_truncation_agrees_with_one_more_level(case, max_len):
     assert all(i <= max_len for i, _ in short.entries)
     assert short.entries == {k: v for k, v in longer.entries.items()
                              if k[0] <= max_len}
-    # complete exactly when the resolution ends at or below max_len: the
-    # level past the cut is resolved, so its emptiness is known (over a
+    # complete exactly when the resolution ends at or below max_len:
+    # completeness at the cut is read off Hilbert series, exactly (over a
     # polynomial ring pd is at most the number of variables)
     assert short.complete == (proj_dim <= max_len)
     full = betti_table(M)

@@ -271,33 +271,26 @@ def test_cli_refuses_non_positive_max_len(argv, max_len, tmp_path, capsys):
         assert "--max-len: max_len must be at least 1" in out.err
 
 
-def test_library_tor_and_ext_reach_past_a_short_max_len():
-    # tor and ext resolve at least one level past i, so a max_len at or
-    # below i still gives Tor_i and Ext^i rather than the truncation's top
+def test_library_tor_and_ext_read_one_level_past_i():
+    # Tor_i and Ext^i read d_{i+1} and nothing past it, so they resolve M
+    # to level i + 1 and agree with the complexes on the full resolution
     s = parse_session(TOR_SESSION)
     k, N = s.get("k"), s.get("N")
-    for i in (0, 1, 2):
-        for max_len in (0, 1, 2):
-            assert (tor(k, N, i, max_len=max_len).hilbert_series()
-                    == tor(k, N, i).hilbert_series()), (i, max_len)
-            assert (ext(k, N, i, max_len=max_len).hilbert_series()
-                    == ext(k, N, i).hilbert_series()), (i, max_len)
-    tor1 = tor(k, N, 1, max_len=1)
-    assert tor1.hilbert_series() == k.hilbert_series().twist(-1)  # k(-1)
-
-
-@pytest.mark.parametrize("max_len", [1.5, 2.0, True, False])
-def test_library_tor_and_ext_refuse_a_max_len_that_is_not_an_int(max_len):
-    # the derived length read max_len before free_resolution checked it:
-    # max(i + 1, 1.5) is the int i + 1, and True and False act as ints
-    S = polynomial_ring(["x", "y", "z"])
-    x, y, z = S.gens()
-    M = PresentedModule.cyclic(S, [x * y, y * z, x * z])
-    k = PresentedModule.cyclic(S, [x, y, z])
-    for i in (0, 1, 2):
-        for derived in (tor, ext):
-            with pytest.raises(TypeError, match="max_len must be an int"):
-                derived(M, k, i, max_len)
+    T, E = tor_complex(k, N), ext_complex(k, N)
+    for i in range(4):
+        assert (tor(k, N, i).hilbert_series()
+                == T.homology(i).hilbert_series()), i
+        assert (ext(k, N, i).hilbert_series()
+                == E.homology(-i).hilbert_series()), i
+    assert tor(k, N, 1).hilbert_series() == k.hilbert_series().twist(-1)
+    # over the two-quadrics ring k's resolution never ends; Tor_1(k, k)
+    # resolves it to level 2 and no further
+    k = residue_field_of_two_quadrics()
+    assert tor(k, k, 1).hilbert_series() == k.hilbert_series().twist(-1).add(
+        k.hilbert_series().twist(-1))
+    assert [key for key in k._cache if key[0] == "resolution"] == [
+        ("resolution", 2)]
+    assert max(free_resolution(k, max_len=2).twists) == 2
 
 
 def test_a_truncation_at_the_projective_dimension_is_complete(capsys):
@@ -324,6 +317,105 @@ def test_a_truncation_at_the_projective_dimension_is_complete(capsys):
     assert code == 0 and out["truncated"] is False
     assert [(e["i"], e["values"]) for e in out["tor"]] == [
         (0, [{"degree": 0, "dim": 1}]), (1, [{"degree": 2, "dim": 1}])]
+
+
+def test_the_two_quadrics_residue_field_resolves_nothing_past_its_cut(
+        monkeypatch):
+    # the loop stops at its cut: the default truncation (2n + 4 = 8
+    # levels) runs 8 syzygy steps and 7 Groebner runs of its own (the
+    # first basis is the module's), and max_len 3 runs 3 and 2
+    res_mod = importlib.import_module("cmreg.resolution")
+    runs = {"syzygy_generators": 0, "groebner_basis": 0}
+    for name in runs:
+        real = getattr(res_mod, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            runs[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(res_mod, name, counting)
+    for max_len, calls in ((None, (8, 7)), (3, (3, 2))):
+        for name in runs:
+            runs[name] = 0
+        res = free_resolution(residue_field_of_two_quadrics(), max_len)
+        assert (runs["syzygy_generators"], runs["groebner_basis"]) == calls
+        top = 8 if max_len is None else max_len
+        assert res.twists == {i: (i,) * (i + 1) for i in range(top + 1)}
+        assert not res.complete
+
+
+def test_a_free_complex_honours_its_cut():
+    # K(x, y, z) over k[x, y, z] resolves the residue field, and a cut
+    # below its top leaves it incomplete as the residue field's does
+    S = polynomial_ring(["x", "y", "z"])
+    k = PresentedModule.cyclic(S, list(S.gens()))
+    K = koszul_complex(list(S.gens()))
+    for max_len in (1, 3):
+        got, ref = free_resolution(K, max_len), free_resolution(k, max_len)
+        assert got.twists == ref.twists, max_len
+        assert got.complete == ref.complete == (max_len == 3), max_len
+        assert pd(k, max_len) == (3 if max_len == 3 else inf)
+        assert resolution_to_complex(got).verify()
+
+
+def quotient_corpus():
+    """(label, module) pairs: seeded cyclic modules over quotients of
+    k[x, y] and k[x, y, z] by one or two quadrics, over GF(2), GF(3),
+    GF(32003) and QQ."""
+    for field in (dict(p=2), dict(p=3), dict(p=32003), dict(rational=True)):
+        rng = random.Random(f"quotient-corpus:{field}")
+        for idx in range(5):
+            S = polynomial_ring(["x", "y", "z"][:rng.choice([2, 3])], **field)
+
+            def form(d):
+                f = S.zero_poly()
+                for _ in range(3):
+                    e = [0] * S.nvars
+                    for _ in range(d):
+                        e[rng.randrange(S.nvars)] += 1
+                    f = f + rng.randint(1, 5) * S.monomial(tuple(e))
+                return f
+
+            defining = [f for f in (form(2) for _ in range(rng.choice([1, 2])))
+                        if not f.is_zero()] or [S.gens()[0] ** 2]
+            R = S.quotient(defining)
+            gens = [g for g in (R.reduce(form(rng.choice([1, 2])))
+                                for _ in range(rng.choice([1, 2])))
+                    if not g.is_zero()]
+            yield f"{field}-{idx}", PresentedModule.cyclic(R, gens)
+
+
+def test_a_cut_is_complete_exactly_when_one_more_level_is_empty():
+    # completeness at a cut is read off Hilbert series: it must agree with
+    # resolving one level more, on modules and on a Koszul complex of each
+    seen = set()
+    for label, M in quotient_corpus():
+        # both start at spot 0
+        for obj in (M, koszul_complex([M.ring.gens()[0]], M)):
+            for max_len in (1, 2, 3):
+                short = free_resolution(obj, max_len)
+                longer = free_resolution(obj, max_len + 1)
+                assert short.twists == {i: t for i, t in longer.twists.items()
+                                        if i <= max_len}, label
+                assert short.complete == (
+                    not longer.twists.get(max_len + 1)), (label, max_len)
+                seen.add(short.complete)
+    assert seen == {True, False}
+
+
+def test_a_cut_below_the_top_of_a_complex_reads_no_series():
+    # L = S/(x) + S/(y)[2] + S/(y)[3] with zero differentials: cut at 1,
+    # F_0 and F_1 resolve S/(x), and the series of the last two terms
+    # cancel, so the Euler sums agree though H_2(L) and H_3(L) are left
+    S = polynomial_ring(["x", "y"])
+    x, y = S.gens()
+    L = BoundedComplex(S, {0: PresentedModule.cyclic(S, [x]),
+                           2: PresentedModule.cyclic(S, [y]),
+                           3: PresentedModule.cyclic(S, [y])}, {})
+    res = free_resolution(L, 1)
+    assert res.twists == {0: (0,), 1: (1,)} and not res.complete
+    assert free_resolution(L).twists == {
+        0: (0,), 1: (1,), 2: (0,), 3: (0, 1), 4: (1,)}
 
 
 def test_reg_via_betti_refuses_a_truncated_resolution(monkeypatch):
@@ -526,7 +618,7 @@ def test_hypersurface_pair_completes_at_max_len_two(monkeypatch):
 # (session, position among its quotient-ring complexes) -> top level and
 # complete flag at max_len=2, as the fiber-product loop this one replaced
 # left them, except that the hypersurface-pair complexes, which end at
-# level 2, are complete: the level past the cut is resolved and empty
+# level 2, are complete: nothing lies past the cut
 QUOTIENT_COMPLEX_STOPS = {
     ("determinantal.cmreg", 0): (1, True),
     ("determinantal.cmreg", 1): (1, True),
@@ -564,8 +656,7 @@ def test_units_of_the_complex_cancel_and_passengers_follow():
     L = BoundedComplex(S, {0: PresentedModule.cyclic(S, [y]), 1: L1, 2: L2},
                        {2: d2})
     full = [(0, (0,)), (1, (1, 1)), (2, (2,))]
-    # F ends at level 2, so a cut there is complete: level 3 is resolved
-    # and empty
+    # F ends at level 2, so a cut there is complete: nothing lies past it
     for max_len, complete, twists in ((None, True, full),
                                       (2, True, full),
                                       (1, False, full[:2])):
@@ -1038,8 +1129,8 @@ def test_a_cut_module_resolves_as_the_oracle_and_the_routes_read_it(
             cut_bt = betti_table(M, max_len=max_len)
             assert cut_bt.entries == {(i, j): b for (i, j), b
                                       in bt.entries.items() if i <= max_len}
-            # the level past the cut is resolved, so a cut at pd or above
-            # is complete (past max_len = n it is the full resolution)
+            # a cut at pd or above is complete (past max_len = n it is
+            # the full resolution)
             assert cut_bt.complete == (pd <= max_len), (label, max_len)
         count += 1
     assert (count, zero) == (74, 24)
@@ -1258,9 +1349,9 @@ def test_cols_are_the_frame_decoded(monkeypatch):
             assert cols == real_cut(ring, max_len, F, keep, forms).cols, label
             cuts += 1
     # the four cut modules' frames run over fewer variables, so they are
-    # shorter: 37 frame levels here, where resolving them over all the
+    # shorter: 38 frame levels here, where resolving them over all the
     # variables took 43
-    assert frames == 37 and cuts == 4
+    assert frames == 38 and cuts == 4
 
 
 def minimized_twists(twists, cols, K):
@@ -1294,11 +1385,10 @@ def test_rank_betti_numbers_equal_the_minimized_twists(monkeypatch, field,
             # top; every other level it drops is empty
             assert all(not ref[i] for i in dropped if i < max(ref)), label
         else:
-            # a truncation drops the level past the cut, resolved only to
-            # be read, and the syzygies above it; it is incomplete because
-            # that level has Betti numbers
+            # a truncation drops the syzygies past its cut, which cut its
+            # top level down; it is incomplete because they do not vanish
             top = max(got)
-            assert dropped == {top + 1, top + 2} and ref[top + 1], label
+            assert dropped == {top + 1} and ref[top + 1], label
         before = dict(res.twists)
         assert res.is_minimal(), label
         assert res.twists == before, label
