@@ -5,7 +5,8 @@ there goes through `_cached`.  The rule: compute() runs once per object
 and key; None in the cache is a miss (no cached computation returns
 None); an exception from compute() propagates and stores nothing, so a
 failing call fails again.  Keys are strings or (name, argument) tuples,
-for example "gb", ("H", i) or ("resolution", max_len).
+for example "gb" or ("H", i).  "resolution" grows once stored: it holds
+an object's longest resolution so far, which a longer cut resumes.
 
 A key may name a thing up to an equivalence, so that equal things share
 one entry.  The cover ring keeps the local cohomology rows of a module

@@ -63,7 +63,7 @@ from .complexes import (BoundedComplex, _as_complex, complex_from_module,
                         koszul_resolution_of_k, resolution_to_complex)
 from .memo import _cached
 from .modules import PresentedModule
-from .resolution import betti_table, free_resolution
+from .resolution import BettiTable, betti_table, free_resolution
 
 
 class KoszulHypothesisError(ValueError):
@@ -371,8 +371,8 @@ def relative_reg(obj, max_len=None):
     """RelativeReg of a module or complex, read off its resolution over its
     own ring."""
     res = free_resolution(obj, max_len=max_len)
-    return RelativeReg(betti_table(obj, max_len).regularity(), res.complete,
-                       res.length)
+    return RelativeReg(BettiTable(res.betti(), res.complete).regularity(),
+                       res.complete, res.length)
 
 
 def reg_complex(L):

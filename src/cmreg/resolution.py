@@ -59,8 +59,8 @@ divisible by another element's lead, so no other element involves a
 form's pivot (its lead variable): with the pivots' coordinates dropped,
 the rest is already the reduced Groebner basis of a module M' over
 S' = k[the other variables] (groebner.reduced_basis).  `_linear_cut`
-builds M' holding that basis, and the loop hands M' to
-`free_resolution` and stops: M''s own loop, over S', takes the held
+builds M' holding that basis, and from then on the loop reads M''s
+resolution (`_tensored`): M''s own loop, over S', takes the held
 basis as its first Groebner step and runs no Buchberger at all.  M is
 M' (x)_{S'} S/(l), and l_1..l_c is a regular sequence on M' (x)_{S'} S,
 so F = F' (x) K(l_1..l_c), with F' the minimal resolution of M' read
@@ -82,28 +82,30 @@ truncated at max_len (at least 1) levels past the bottom, where the loop
 stops.  The syzygies it found last cut that top level down, so its
 Betti numbers are exact; they are then dropped.  Whether F is complete
 there is one exact test on Hilbert series (`_resolves`), so no level
-past the cut is resolved.  A linear cut resolves M' with the same
-max_len, and F is complete when F' is and pd M' + c <= max_len; a
-complex of free modules is cut at the same level and is complete when
-no minimal twist lies past it.
+past the cut is resolved.  The loop, a generator, yields F there and
+stays suspended for a longer cut to resume; a linear cut resumes M''s
+loop and tensors again, as far as F' is exact.
 
 `free_resolution` is the one way into the loop.  It takes a presented
 module (the one-term complex at spot 0) or a bounded complex, and keeps
-the result on that object; a complex of free modules needs no loop, as
-it is its own chain, and its twists and cols are read the same way.
+one resolution on that object, the longest cut so far, with its loop
+until it is complete; a shorter cut is read off it by the one cut rule,
+FreeResolution.truncate.  A complex of free modules needs no loop: it
+is its own chain, whole and complete, read the same way.
 cmreg.complexes imports this module, so a complex is recognized by its
 terms and diffs dicts, not by its class.  Each of the three builders,
-`_free_chain`, `_resolve` and `_tensor_cut`, returns a FreeResolution,
-which keeps F in the free-chain layout of cmreg.freemod, the dicts
-twists and cols, keyed by spot, that the loop builds and minimize_chain
-and free_complex_from_data read; its cols come from the chain minimized
-(`_minimal_cols`), or from F' tensored with the Koszul complex of a
-linear cut.
+`_free_chain`, `_read_chain` (the loop's) and `_tensor_cut`, returns a
+FreeResolution, which keeps F in the free-chain layout of
+cmreg.freemod, the dicts twists and cols, keyed by spot, that the loop
+builds and minimize_chain and free_complex_from_data read; its cols
+come from the chain minimized (`_minimal_cols`), or from F' tensored
+with the Koszul complex of a linear cut.
 """
 
 from itertools import combinations
 from math import inf
 from operator import itemgetter
+from types import SimpleNamespace
 
 from .freemod import FreeModule, vec_degree
 from .groebner import (GroebnerBasis, defining_gb, groebner_basis,
@@ -147,6 +149,19 @@ class FreeResolution:
     def length(self):
         """The highest spot with a nonzero term, or 0 when there is none."""
         return max([0, *(i for i, tw in self.twists.items() if tw)])
+
+    def truncate(self, max_len):
+        """F cut at max_len levels past its bottom, the one cut rule: twists
+        and cols up to the cut, complete when F is with no generator past."""
+        top = min(self.twists, default=0) + max_len
+        if max(self.twists, default=0) <= top:
+            return self
+        past = any(t for i, t in self.twists.items() if i > top)
+        return FreeResolution(
+            self.ring, {i: t for i, t in self.twists.items() if i <= top},
+            self.complete and not past,
+            lambda: {i: cs for i, cs in self.cols.items() if i <= top},
+            self.cut and self.cut.truncate(max_len))
 
     def module(self, i):
         return FreeModule(self.ring, self.twists.get(i, ()))
@@ -193,10 +208,11 @@ def free_resolution(obj, max_len=None):
     """Minimal free resolution of a presented module, the one-term complex
     at spot 0, or of a bounded complex, over the object's own ring,
     truncated as `_truncation` reads max_len: the only reader of a
-    truncation length in the library.  The result is cached on obj;
-    equal truncations share one entry.  The Betti numbers are read off
-    an unminimized chain, which is minimized only when the
-    differentials, cols, are first read (module docstring)."""
+    truncation length in the library.  The object keeps one entry: res,
+    its longest cut so far, and loop, suspended at that cut while res is
+    incomplete for a longer cut to resume; a failed run leaves no loop,
+    so the next call starts afresh.  The Betti numbers are read off an
+    unminimized chain, minimized when the cols are first read."""
     check_max_len(max_len)
     if isinstance(obj, PresentedModule):
         terms, diffs, free = {0: obj}, {}, False
@@ -211,27 +227,47 @@ def free_resolution(obj, max_len=None):
     ring = obj.ring
     span = max(terms) - min(terms) if terms else 0
     max_len = _truncation(ring, span, max_len)
-    return _cached(obj, ("resolution", max_len), lambda: (
-        _free_chain(ring, terms, diffs, max_len) if free
-        else _resolve(ring, terms, diffs, max_len)))
+
+    def run(held):
+        loop, held.loop = held.loop, None
+        if loop is None:  # a first call, or one after a failed run
+            loop = _resolve(ring, terms, diffs, max_len)
+            held.res = next(loop)
+        else:
+            held.res = loop.send(max_len)
+        held.loop = None if held.res.complete else loop
+        return held
+
+    held = _cached(obj, "resolution", lambda: SimpleNamespace(
+        res=_free_chain(ring, terms, diffs), loop=None) if free
+        else run(SimpleNamespace(loop=None)))
+    res = held.res
+    if not res.complete and max(res.twists) - min(res.twists) < max_len:
+        res = run(held).res
+    return res.truncate(max_len)
 
 
-def _tensor_cut(ring, max_len, inner, keep, forms):
+def _tensor_cut(ring, inner, keep, forms):
     """F = F' (x) K(l_1..l_c) for a module killed by the linear forms
     l_1..l_c, from the resolution `inner` of its cut module M' over the
     ring on the variables keep (module docstring), which F keeps as its
-    cut: beta_{i,j}(M) = sum_k C(c, k) beta_{i-k,j-k}(M'), level by level
-    up to max_len past the bottom, and F is complete when F' is and pd M'
-    + c <= max_len, as a loop run on M would leave it."""
-    twists, c = inner.twists, len(forms)
-    lo = min(twists)
-    complete = inner.complete and max(twists) - lo + c <= max_len
-    top = max(twists) + c if complete else lo + max_len
-    levels = {i: _koszul_basis(twists, c, i) for i in range(lo, top + 1)}
+    cut: beta_{i,j}(M) = sum_k C(c, k) beta_{i-k,j-k}(M'), as far as F'
+    is exact (all of F when F' is complete), and complete when F' is."""
+    twists, c, complete = inner.twists, len(forms), inner.complete
+    levels = {i: _koszul_basis(twists, c, i) for i in range(
+        min(twists), max(twists) + (c if complete else 0) + 1)}
     return FreeResolution(
         ring, {i: tuple(b[0] for b in bs) for i, bs in levels.items()},
         complete, lambda: _koszul_cols(ring, keep, forms, levels, inner.cols),
         inner)
+
+
+def _tensored(ring, cut, keep, forms, max_len):
+    """The loop of a module with a linear cut: F' (x) K(l) at each cut,
+    F' the cut module's own resolution, which a longer cut resumes."""
+    while True:
+        max_len = yield _tensor_cut(ring, free_resolution(cut, max_len),
+                                    keep, forms)
 
 
 def _koszul_basis(inner, c, i):
@@ -335,23 +371,18 @@ def _linear_cut(ring, gens, cols):
     return cut, keep, [dict(key) for key in chosen]
 
 
-def _free_chain(ring, terms, diffs, max_len):
-    """The resolution of a complex of free modules, which is its own
-    chain: a level at every spot from its bottom to its top, empty where
-    it has no term.  An unstored differential is zero, and the minimizer
-    still needs a column list of the right length for it.  Its minimal
-    twists are cut at max_len levels past the bottom, and F is complete
-    when no level past the cut has one."""
+def _free_chain(ring, terms, diffs):
+    """The resolution of a complex of free modules, its own chain, whole:
+    a level at every spot from its bottom to its top, empty where it has
+    no term.  An unstored differential is zero, and the minimizer still
+    needs a column list of the right length for it."""
     twists = {i: tuple(terms[i].gens_free.twists) if i in terms else ()
               for i in range(min(terms, default=0), max(terms, default=-1) + 1)}
     cols = {i: [dict(c) for c in diffs[i].cols] if i in diffs
             else [{} for _ in twists[i]]
             for i in twists if i - 1 in twists}
-    minimal = _betti_twists(twists, cols, ring)
-    cut = min(minimal, default=0) + max_len
-    tw = {i: t for i, t in minimal.items() if i <= cut}
-    complete = not any(t for i, t in minimal.items() if i > cut)
-    return FreeResolution(ring, tw, complete,
+    tw = _betti_twists(twists, cols, ring)
+    return FreeResolution(ring, tw, True,
                           lambda: _minimal_cols(tw, twists, cols, ring.field))
 
 
@@ -368,11 +399,11 @@ def _cover_columns(ring, terms, diffs, n, rank, lift):
 
 
 def _resolve(ring, terms, diffs, max_len):
-    """F for the complex L with these terms and differentials (module
-    docstring), its minimal twists read off the chain the loop builds,
-    which its cols minimize; for a module killed by linear forms, F' (x)
-    K(l) with F' the resolution of the cut module (`_linear_cut`,
-    `_tensor_cut`)."""
+    """The loop: a generator of F for the complex L with these terms and
+    differentials (module docstring), cut at max_len and then at each
+    longer max_len it is sent, until F is complete; for a module killed
+    by linear forms, F' (x) K(l) with F' the resolution of the cut module
+    (`_linear_cut`, `_tensored`)."""
     K = ring.field
     lo, hi = min(terms), max(terms)
     # from this level on d_k's columns are the trace syzygies alone
@@ -387,7 +418,6 @@ def _resolve(ring, terms, diffs, max_len):
     nxt = [dict(c) for c in terms[lo].rel_cols] + _cover_columns(
         ring, terms, diffs, lo + 1, len(twists[lo]), dict)
     level = lo
-    complete = False
     while True:
         cols[level + 1] = nxt
         if level + 1 >= frame:
@@ -397,7 +427,9 @@ def _resolve(ring, terms, diffs, max_len):
             twists[level + 1] = tuple(vec_degree(v, rows(level + 1))
                                       for v in nxt)
         if level - lo >= max_len:
-            break
+            # frame levels are written into these dicts in place
+            max_len = yield _read_chain(ring, terms, dict(twists),
+                                        dict(cols), level, False)
         level += 1
         if level >= frame:
             # Schreyer: the trace syzygies are a Groebner basis already
@@ -424,14 +456,10 @@ def _resolve(ring, terms, diffs, max_len):
                 # resolved as its cut module over the other variables
                 found = _linear_cut(ring, twists[lo], cols[level])
                 if found:
-                    cut, keep, forms = found
-                    return _tensor_cut(ring, max_len,
-                                       free_resolution(cut, max_len),
-                                       keep, forms)
+                    yield from _tensored(ring, *found, max_len)
         if not twists[level] and level >= hi:
             # nothing is left to resolve
             del cols[level], twists[level]
-            complete = True
             break
         _, nxt = syzygy_generators(gb)
         if level + 1 < frame:
@@ -440,26 +468,32 @@ def _resolve(ring, terms, diffs, max_len):
             nxt += _cover_columns(ring, terms, diffs, level + 1,
                                   len(cols[level]),
                                   lambda v: gb.lift(_shift(v, rank)))
+    yield _read_chain(ring, terms, twists, cols, level, True)
+
+
+def _read_chain(ring, terms, twists, cols, level, complete):
+    """F read off the loop's chain, complete or stopped at its cut `level`
+    with d_{level+1} the syzygies past it."""
     tw = _betti_twists(twists, cols, ring)
     # the syzygies past the cut only cut its top level down
     tw.pop(level + 1, None)
     # A frame level can be left with no Betti numbers.  Past an empty
     # level at or above hi every level is empty (Nakayama), and F is
     # complete.
+    lo, hi = min(terms), max(terms)
     ends = [i for i, t in tw.items() if not t and i > lo and i >= hi]
     if ends:
         for i in range(min(ends), level + 1):
             tw.pop(i, None)
         complete = True
-    if not complete:
-        # the loop stopped at its cut
-        complete = _resolves(ring, terms, tw)
+    # at its cut the loop reads completeness off Hilbert series
+    complete = complete or _resolves(ring, terms, tw)
     if ring.is_polynomial and max(tw) > hi + ring.nvars:
         raise RuntimeError(
             f"resolution over a polynomial ring in {ring.nvars} "
             f"variables has generators at level {max(tw)}")
     return FreeResolution(ring, tw, complete,
-                          lambda: _minimal_cols(tw, twists, cols, K))
+                          lambda: _minimal_cols(tw, twists, cols, ring.field))
 
 
 def _resolves(ring, terms, tw):

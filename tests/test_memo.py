@@ -2,8 +2,9 @@
 per object and key, and a compute that raises stores nothing.  Also the
 source lints over src/cmreg: only memo writes object caches, the one
 resolution loop, `resolution._resolve`, is the only caller of the syzygy
-step and is entered only through `free_resolution`, a `FreeResolution`
-is built by its three builders alone, the loop alone reads a linear cut,
+step and is started and resumed only in `free_resolution`, a
+`FreeResolution` is built by its three builders alone and cut by one
+method, the loop alone reads a linear cut,
 off its own basis, which the cut module holds, so it runs no Buchberger
 over the smaller ring, a known Groebner basis reaches a module only
 through its constructor, from four builders, resolutions minimize in
@@ -282,40 +283,82 @@ def test_syzygy_step_has_one_call_site():
     assert [(f, func) for f, _, func in sites] == [("resolution.py", "_resolve")]
 
 
+def enclosing_top_level(name, files=None):
+    """(file, top-level function or class) around each call to `name` in
+    files, (name, path, source) triples, by default those of src/cmreg;
+    nested functions and lambdas count as their top-level one."""
+    out = []
+    for fname, _, source in files or sources():
+        body = [node for node in ast.parse(source).body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        for line, _ in calls(source, name):
+            out += [(fname, node.name) for node in body
+                    if node.lineno <= line <= node.end_lineno]
+    return out
+
+
+def test_enclosing_top_level_is_recognized():
+    src = ("def f():\n    def g():\n        h()\n    return lambda: h()\n"
+           "class C:\n    def m(self):\n        h()\n")
+    assert enclosing_top_level("h", [("a.py", "", src)]) == [
+        ("a.py", "f"), ("a.py", "f"), ("a.py", "C")]
+
+
 def test_the_resolution_loop_is_entered_only_through_free_resolution():
-    sites = call_sites("_resolve")
-    assert [(f, func) for f, _, func in sites] == [
+    """The loop starts, and a held loop resumes, only in
+    `free_resolution`, which alone makes an object's one resolution
+    entry."""
+    assert enclosing_top_level("_resolve") == [
         ("resolution.py", "free_resolution")]
+    assert enclosing_top_level("send") == [
+        ("resolution.py", "free_resolution")]
+    assert enclosing_top_level("SimpleNamespace") == [
+        ("resolution.py", "free_resolution")] * 2
 
 
 def test_a_resolution_is_built_only_by_its_three_builders():
     """A complex of free modules is its own chain, the loop builds every
-    other resolution, and a linear cut tensors its cut module's; each
-    returns a FreeResolution, which `free_resolution` alone calls for."""
+    other resolution off its chain, and a linear cut tensors its cut
+    module's; a cut of one is read off it (FreeResolution.truncate)."""
     def callers(name):
         return [(f, func) for f, _, func in call_sites(name)]
 
     assert callers("FreeResolution") == [
-        ("resolution.py", "_tensor_cut"), ("resolution.py", "_free_chain"),
-        ("resolution.py", "_resolve")]
+        ("resolution.py", "truncate"), ("resolution.py", "_tensor_cut"),
+        ("resolution.py", "_free_chain"), ("resolution.py", "_read_chain")]
     assert callers("_free_chain") == [("resolution.py", "free_resolution")]
-    assert callers("_tensor_cut") == [("resolution.py", "_resolve")]
+    assert callers("_tensor_cut") == [("resolution.py", "_tensored")]
+    assert callers("_tensored") == [("resolution.py", "_resolve")]
+    assert callers("_read_chain") == [("resolution.py", "_resolve")] * 2
 
 
 def test_the_truncation_rule_is_kept_in_the_resolution_layer():
     """`free_resolution` alone reads a max_len, through `check_max_len`
-    and `_truncation`; the CLI checks its flag with the same rule, the
-    loop alone decides completeness at its cut (`_resolves`), and
-    cmreg.complexes takes nothing else from the resolution layer."""
+    and `_truncation`, and cuts what it returns by the one rule,
+    FreeResolution.truncate; the CLI checks its flag with the same rule.
+    The loop alone decides completeness at its cut (`_resolves`), and
+    passes its cut only to the cut module's resolution: the free chain
+    and the tensored F take none.  cmreg.complexes takes nothing else
+    from the resolution layer."""
     def callers(name):
         return [(f, func) for f, _, func in call_sites(name)]
 
     assert callers("_truncation") == [("resolution.py", "free_resolution")]
     assert sorted(callers("check_max_len")) == [
         ("cli.py", "_max_len_arg"), ("resolution.py", "free_resolution")]
-    assert callers("_resolves") == [("resolution.py", "_resolve")]
-    [source] = [src for name, _, src in sources() if name == "complexes.py"]
-    imported = [alias.name for node in ast.walk(ast.parse(source))
+    assert callers("_resolves") == [("resolution.py", "_read_chain")]
+    assert callers("truncate") == [("resolution.py", "truncate"),
+                                   ("resolution.py", "free_resolution")]
+    source = {name: src for name, _, src in sources()}
+    takes_a_cut = sorted(
+        node.name for node in ast.walk(ast.parse(source["resolution.py"]))
+        if isinstance(node, ast.FunctionDef)
+        and "max_len" in [a.arg for a in node.args.args])
+    assert takes_a_cut == ["_resolve", "_tensored", "_truncation",
+                           "betti_table", "check_max_len", "free_resolution",
+                           "pd", "truncate"]
+    imported = [alias.name
+                for node in ast.walk(ast.parse(source["complexes.py"]))
                 if isinstance(node, ast.ImportFrom)
                 and node.module == "resolution"
                 for alias in node.names]
@@ -828,7 +871,7 @@ CACHE_INVENTORY = {
     "modules.py": {"gb", "cover", "hs"},
     "oracle.py": {("monomials", 2), ("piece", 2), ("mult", 3), ("rank", 3)},
     "regularity.py": {"koszul", ("duality", 2), ("depth", 2)},
-    "resolution.py": {("resolution", 2)},
+    "resolution.py": {"resolution"},
 }
 
 

@@ -288,9 +288,8 @@ def test_library_tor_and_ext_read_one_level_past_i():
     k = residue_field_of_two_quadrics()
     assert tor(k, k, 1).hilbert_series() == k.hilbert_series().twist(-1).add(
         k.hilbert_series().twist(-1))
-    assert [key for key in k._cache if key[0] == "resolution"] == [
-        ("resolution", 2)]
-    assert max(free_resolution(k, max_len=2).twists) == 2
+    assert max(k._cache["resolution"].res.twists) == 2
+    assert free_resolution(k, max_len=2) is k._cache["resolution"].res
 
 
 def test_a_truncation_at_the_projective_dimension_is_complete(capsys):
@@ -356,6 +355,123 @@ def test_a_free_complex_honours_its_cut():
         assert got.complete == ref.complete == (max_len == 3), max_len
         assert pd(k, max_len) == (3 if max_len == 3 else inf)
         assert resolution_to_complex(got).verify()
+
+
+def counted_loops(monkeypatch):
+    """{"loops": fresh loops started, "syzygy_generators": syzygy steps}
+    in cmreg.resolution, counted as they come."""
+    res_mod = importlib.import_module("cmreg.resolution")
+    runs = {"loops": 0, "syzygy_generators": 0}
+    real_loop, real_syz = res_mod._resolve, res_mod.syzygy_generators
+
+    def loop(*args):
+        runs["loops"] += 1
+        return real_loop(*args)
+
+    def syz(*args, **kwargs):
+        runs["syzygy_generators"] += 1
+        return real_syz(*args, **kwargs)
+
+    monkeypatch.setattr(res_mod, "_resolve", loop)
+    monkeypatch.setattr(res_mod, "syzygy_generators", syz)
+    return runs
+
+
+@pytest.mark.parametrize("reads, top", [
+    (lambda k: [tor(k, k, i) for i in range(7)], 7),
+    (lambda k: [relative_reg(k, n) for n in range(1, 11)], 10)],
+    ids=["tor", "relative_reg"])
+def test_successive_cuts_resume_one_loop(monkeypatch, reads, top):
+    # each longer cut of the two-quadrics residue field resumes the loop
+    # held on k, and a shorter one is read off the resolution held
+    runs = counted_loops(monkeypatch)
+    free_resolution(residue_field_of_two_quadrics(), top)
+    once = dict(runs)
+    assert once == {"loops": 1, "syzygy_generators": top}
+    k = residue_field_of_two_quadrics()
+    for name in runs:
+        runs[name] = 0
+    reads(k)
+    assert runs == once
+    assert [key for key in k._cache if "resolution" in key] == ["resolution"]
+    assert max(free_resolution(k, 3).twists) == 3 and runs == once
+
+
+def test_a_failed_resume_fails_again_and_stores_nothing(monkeypatch):
+    # resuming is a computation: an error in it leaves no suspended loop
+    # behind, so the next call fails the same way, and once the fault is
+    # gone the resolution is the one a fresh loop gives
+    res_mod = importlib.import_module("cmreg.resolution")
+    ref = free_resolution(residue_field_of_two_quadrics())
+    k = residue_field_of_two_quadrics()
+    free_resolution(k, 1)
+
+    def broken(*args, **kwargs):
+        raise ArithmeticError("injected")
+
+    monkeypatch.setattr(res_mod, "syzygy_generators", broken)
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match="injected"):
+            free_resolution(k)
+    monkeypatch.undo()
+    assert max(free_resolution(k, 1).twists) == 1
+    res = free_resolution(k)
+    assert (res.twists, res.complete, res.cols) == (
+        ref.twists, ref.complete, ref.cols)
+
+
+def cut_order_objects():
+    """(label, builder of a fresh object): a quotient-ring module over
+    each field, two modules with a linear cut (the residue field of
+    k[x, y, z] and M/lM for a corpus module M, whose cut module has a
+    longer resolution), a Koszul complex on a corpus module, the free
+    Koszul complex and a complex with a gap."""
+    out, fields = [], set()
+    for label, _ in quotient_corpus():
+        if label.split("-")[0] not in fields:
+            fields.add(label.split("-")[0])
+            out.append((label, lambda label=label: dict(quotient_corpus())[
+                label]))
+    S = polynomial_ring(["x", "y", "z"])
+    x, y, z = S.gens()
+    inst = random_ideal_corpus()[0]
+    out += [
+        ("k", lambda: PresentedModule.cyclic(S, [x, y, z])),
+        ("corpus-00/l", lambda: quotient_by_element(
+            inst.module, _random_linear_form(
+                inst.ring, random.Random(f"{inst.name}:cut")))),
+        ("K(x, y; corpus-00)", lambda: koszul_complex(
+            list(inst.ring.gens())[:2], random_ideal_corpus()[0].module)),
+        ("K(x, y, z)", lambda: koszul_complex([x, y, z])),
+        ("gap", lambda: BoundedComplex(
+            S, {0: PresentedModule.cyclic(S, [x]),
+                2: PresentedModule.cyclic(S, [y]),
+                3: PresentedModule.cyclic(S, [y, z])}, {}))]
+    return out
+
+
+@pytest.mark.parametrize("order", [(1, 2, 3, None), (6, 3, 1, None, 2),
+                                   (None, 2, 9, 4)],
+                         ids=["ascending", "descending", "mixed"])
+def test_every_cut_in_any_order_matches_a_fresh_loop(order):
+    # one resolution kept per object: a shorter cut is read off it and a
+    # longer one resumes its loop; cols are read on one object as each
+    # cut comes, on another only after every cut of the order
+    for label, build in cut_order_objects():
+        at_once, late = build(), build()
+        got = []
+        for n in order:
+            res = free_resolution(at_once, n)
+            got.append((n, res, res.cols, free_resolution(late, n)))
+        for obj in (at_once, late):
+            assert [key for key in obj._cache if "resolution" in key] == [
+                "resolution"], label
+        for n, res, cols, res_late in got:
+            ref = free_resolution(build(), n)
+            for r in (res, res_late):
+                assert (r.twists, r.complete) == (ref.twists, ref.complete), (
+                    label, n)
+            assert cols == res_late.cols == ref.cols, (label, n)
 
 
 def quotient_corpus():
@@ -1034,22 +1150,24 @@ def test_scroll_member_matches_the_ideal_as_a_module(monkeypatch, n):
 
 def recorded_cuts(monkeypatch):
     """The linear cut of every module or complex resolved by the loop,
-    None or the resolution F' of its cut module, appended as it comes.
-    The loop that resolves a cut module runs inside its module's loop,
-    and is not counted."""
+    None or the resolution F' of its cut module, appended as the loop
+    reaches its first cut.  The loop that resolves a cut module runs
+    inside its module's loop, and is not counted."""
     res_mod = importlib.import_module("cmreg.resolution")
     real = res_mod._resolve
     cuts, depth = [], [0]
 
     def recording(*args):
+        loop = real(*args)
         depth[0] += 1
         try:
-            res = real(*args)
+            res = next(loop)
         finally:
             depth[0] -= 1
         if not depth[0]:
             cuts.append(res.cut)
-        return res
+        while True:
+            res = loop.send((yield res))
 
     monkeypatch.setattr(res_mod, "_resolve", recording)
     return cuts
@@ -1342,11 +1460,11 @@ def test_cols_are_the_frame_decoded(monkeypatch):
             if res.cut is None:
                 assert cols == decoded, label
                 continue
-            ring, max_len, inner, keep, forms = cut_args[-1]
+            ring, inner, keep, forms = cut_args[-1]
             assert inner is res.cut and inner.cols == decoded, label
             F = res_mod.FreeResolution(inner.ring, inner.twists,
                                        inner.complete, lambda: decoded)
-            assert cols == real_cut(ring, max_len, F, keep, forms).cols, label
+            assert cols == real_cut(ring, F, keep, forms).cols, label
             cuts += 1
     # the four cut modules' frames run over fewer variables, so they are
     # shorter: 38 frame levels here, where resolving them over all the
