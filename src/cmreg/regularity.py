@@ -33,9 +33,11 @@ Betti table (resolution.BettiTable), as relative_reg does, and shares no
 homology code with the other three.
 
 Default-form reg_via_koszul keeps its result on the object it was asked
-about under the one cache rule of cmreg.memo, so a checker that asks
-twice pays once; reg_complex is that entry, which run_routes fills on
-the same object.  Explicit Koszul forms are never cached.
+about under the one cache rule of cmreg.memo; reg_complex is that entry,
+which run_routes fills on the same object.  Explicit Koszul forms are
+never cached.  The checkers (cmreg.theorems) take every module value
+from the duality rows kept by key, below, and reach the Koszul route
+only through reg_complex.
 
 The duality route keeps nothing on the module.  Its rows, {i: the series
 of Ext^{n-i}_S(M, S(-n))}, and the depth are kept on the cover ring under

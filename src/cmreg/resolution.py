@@ -150,16 +150,19 @@ class FreeResolution:
         """The highest spot with a nonzero term, or 0 when there is none."""
         return max([0, *(i for i, tw in self.twists.items() if tw)])
 
-    def truncate(self, max_len):
+    def truncate(self, max_len, span=0):
         """F cut at max_len levels past its bottom, the one cut rule: twists
-        and cols up to the cut, complete when F is with no generator past."""
+        and cols up to the cut, complete when F is with no generator past
+        and the cut at hi - 1 or above, for a complex spanning `span` spots
+        from its bottom to hi; below, no cut can tell (`_resolves`)."""
         top = min(self.twists, default=0) + max_len
-        if max(self.twists, default=0) <= top:
+        complete = self.complete and max_len >= span - 1
+        if max(self.twists, default=0) <= top and complete == self.complete:
             return self
         past = any(t for i, t in self.twists.items() if i > top)
         return FreeResolution(
             self.ring, {i: t for i, t in self.twists.items() if i <= top},
-            self.complete and not past,
+            complete and not past,
             lambda: {i: cs for i, cs in self.cols.items() if i <= top},
             self.cut and self.cut.truncate(max_len))
 
@@ -244,7 +247,7 @@ def free_resolution(obj, max_len=None):
     res = held.res
     if not res.complete and max(res.twists) - min(res.twists) < max_len:
         res = run(held).res
-    return res.truncate(max_len)
+    return res.truncate(max_len, span)
 
 
 def _tensor_cut(ring, inner, keep, forms):

@@ -2,11 +2,12 @@
 modules and complexes.
 
 Each checker evaluates the hypotheses of one identity on a concrete input
-and then compares the two sides of the claimed conclusion, with the two
-sides computed through independent routes: the totalized-Koszul route
-never feeds the per-homology duality route and vice versa.  The outcome
-records the hypothesis verdict with witnesses, both values, and the
-intermediate invariants, so a corpus run can be audited line by line.
+and then compares the two sides of the claimed conclusion.  A complex's
+regularity is read by the totalized-Koszul route (reg_complex) and every
+module's, each homology module included, off its duality rows (`_reg`),
+so the two routes never feed each other.  The outcome records the
+hypothesis verdict with witnesses, both values, and the intermediate
+invariants, so a corpus run can be audited line by line.
 
 A false conclusion under verified hypotheses cannot be blamed on the
 input; it means the engine is broken.  Checkers raise
@@ -33,8 +34,7 @@ from .modules import (PresentedModule, colon_by_element, kernel,
 from .poly import Polynomial
 from .regularity import (_duality_rows, _table_of_rows, depth,
                          local_cohomology_table, reg_complex, reg_via_betti,
-                         reg_via_duality, reg_via_ext, reg_via_koszul,
-                         relative_reg)
+                         reg_via_duality, reg_via_ext, relative_reg)
 from .resolution import free_resolution
 from .rings import GradedRing, polynomial_ring
 
@@ -142,6 +142,9 @@ def _not_asserted(name, instance, witness, seed):
 
 
 def _reg(M):
+    """reg M off the duality rows kept on the cover ring under M's key
+    (cmreg.regularity): the one reader of a module's value in every
+    checker, which starts no other route on a module."""
     return reg_via_duality(M)[0]
 
 
@@ -170,8 +173,9 @@ def _homology_profile(C):
 
 
 def _homology_formula(L, name, instance, witness_fn, seed=None):
-    """Shared core: reg L (totalized Koszul) against sup{reg H_i - i}
-    (per-homology duality), with the hypothesis delegated to witness_fn.
+    """Shared core: reg L (totalized Koszul, reg_complex) against
+    sup{reg H_i - i} (each H_i's duality rows, `_reg`), with the
+    hypothesis delegated to witness_fn.
 
     Also enforces the two unconditional bounds: reg L never exceeds the
     homology-wise sup, and never exceeds the termwise sup{reg L_i - i}.
@@ -286,10 +290,10 @@ def check_cor_tensor(*modules, instance="tensor", seed=None):
                   for i, p in profile.items()}
     witnesses = [{"spot": i, "dim": p["dim"]} for i, p in profile.items()
                  if i >= 1 and p["dim"] > 1]
-    reg_r = reg_via_koszul(PresentedModule.cyclic(ring, []))[0]
+    reg_r = _reg(PresentedModule.cyclic(ring, []))
     rhs = -inf if any(M.is_zero() for M in modules) else -(len(modules) - 1) * reg_r
     for t, M in enumerate(modules):
-        r = reg_via_koszul(M)[0]
+        r = _reg(M)
         invariants[f"reg_factor_{t}"] = r
         rhs += r
     invariants["reg_ring"] = reg_r
@@ -322,7 +326,7 @@ def check_cor_hom(M, N, instance="pair", seed=None):
     witnesses = [{"index": -s, "depth": profile[s]["depth"],
                   "dim_below": profile[t]["dim"]}
                  for s, t in reversed(_staircase(profile))]
-    reg_n = reg_via_koszul(N)[0]
+    reg_n = _reg(N)
     rhs = reg_n - M.indeg() if not M.is_zero() else -inf
     invariants["reg_N"] = reg_n
     invariants["indeg_M"] = M.indeg()
@@ -344,7 +348,7 @@ def check_hom_dim1(ideal_gens, N, instance="pair", seed=None):
     dm = H.dimension()
     hypothesis = _hypothesis([] if dm <= 1 else [{"dim": dm}])
     lhs = _reg(H)
-    rhs = reg_via_koszul(N)[0]
+    rhs = _reg(N)
     invariants = {"dim_hom": dm, "reg_hom": lhs, "reg_N": rhs}
     return _finish("hom-dim1", instance, hypothesis, lhs, rhs, invariants,
                    seed=seed, asserts="lhs<=rhs", slack=None)
@@ -369,7 +373,7 @@ def check_filter_regular_formula(M, x, instance="module", seed=None):
     hypothesis = _hypothesis(
         [] if dep_q >= dim_c - 1
         else [{"depth_quotient": dep_q, "dim_colon": dim_c}])
-    lhs = reg_via_koszul(M)[0]
+    lhs = _reg(M)
     reg_c = _reg(C)
     reg_q = _reg(Q)
     rhs = max(reg_c, reg_q - (d - 1))
@@ -421,7 +425,8 @@ def _tensored_table(M, window):
 def check_ring_independence(M, extra_vars=1, instance="module", seed=None):
     """The Ext-route value and the local cohomology table do not depend on
     which polynomial ring presents the module, compared over a cover
-    with extra_vars >= 1 more variables.
+    with extra_vars >= 1 more variables.  The identity is about the ext
+    route itself, so it runs that route, not `_reg`.
 
     The larger cover's module is killed by the extra variables, so its
     resolution is F' (x) K(u) with F' over M's own variables, the F' the
@@ -482,7 +487,7 @@ def scroll_member(n):
     """(ring, ideal generators, form, reg of the ideal, reg of the ideal
     plus the form) for member n of the scroll family, by the betti route
     on the cyclic modules S/I: reg I = reg(S/I) + 1 for a proper nonzero
-    ideal I."""
+    ideal I.  The family is no checker: it reads Betti tables alone."""
     Rn, minors, z = nilpotent_scroll_family(n)
     return (Rn, minors, z,
             reg_via_betti(PresentedModule.cyclic(Rn, minors))[0] + 1,

@@ -14,9 +14,11 @@ layout and the pair formula is written once, in them, `_buchberger` and the syzy
 the reduction kernel is one loop with its field arithmetic inline, no
 function computes with field methods and there is one field class,
 checker outcomes are built and contradictions raised only by
-`theorems._finish`, the cache keys are a fixed inventory, a homology
-series reads only the cokernel series and outside the complex layer
-only the saturation check reads one spot by spot (everything else reads
+`theorems._finish`, a checker reads a module's value only through
+`theorems._reg` (two other route calls are listed with reasons), the
+cache keys are a fixed inventory, a homology series reads only the
+cokernel series and outside the complex layer only the saturation check
+reads one spot by spot (everything else reads
 `nonzero_homology_series`), the Koszul route builds no probe module and
 runs no separate hypothesis pass, the duality rows are read off a
 resolution by `_duality_rows` alone, and with the depth are computed
@@ -768,6 +770,34 @@ def test_checker_outcomes_are_built_only_by_finish():
                if isinstance(node, ast.FunctionDef)}
     assert not defined & {"_xadd", "_xsub"}
     assert call_sites("_xadd") == call_sites("_xsub") == []
+
+
+# (route, function) of each route call in theorems.py that sits outside
+# `_reg`, with its reason
+ROUTE_CALLS_OUTSIDE_REG = {
+    ("reg_via_ext", "check_ring_independence"):
+        "ring-indep compares the ext route's own value over two covers",
+    ("reg_via_betti", "scroll_member"):
+        "the scroll family is no checker: it reads its values off Betti "
+        "tables, with no homology",
+}
+
+
+def test_the_checkers_read_a_module_value_only_through_reg():
+    """In theorems.py every call to a `reg_via_*` route sits in `_reg`,
+    which reads a module's value off the duality rows kept under its key
+    (cmreg.regularity), so no checker starts a second route on a module;
+    the Koszul route is reached only through `reg_complex`.  The calls
+    outside `_reg` are exactly those of ROUTE_CALLS_OUTSIDE_REG."""
+    theorems = [f for f in sources() if f[0] == "theorems.py"]
+    sites = [(route, func)
+             for route in ("reg_via_" + name
+                           for name in routes.ROUTES[PresentedModule])
+             for _, func in enclosing_top_level(route, theorems)]
+    assert [site for site in sites if site[1] == "_reg"] == [
+        ("reg_via_duality", "_reg")]
+    assert {site for site in sites if site[1] != "_reg"} == set(
+        ROUTE_CALLS_OUTSIDE_REG)
 
 
 def cached_computes(source, tag):

@@ -568,12 +568,19 @@ def test_a_quotient_module_and_its_cover_share_the_entry_on_the_cover(
 
 
 def test_the_checks_sweep_computes_each_duality_series_once(monkeypatch):
-    # per module object alone, the 13 instances ran the route 90 times;
-    # 48 of those modules repeat another up to twist or presentation
+    # every module value of the checkers is read off the duality rows: per
+    # module object alone, the 13 instances ran the route 129 times, and
+    # 61 of those modules repeat another up to twist or presentation; the
+    # ring and S/(g) of each instance are dualized once each
     dual = counting(monkeypatch, DUAL)
+    koszul = counting(monkeypatch, "_koszul_route")
     for inst in random_ideal_corpus(count=13):
         corpus_checks(inst)
-    assert len(dual) == 42
+    assert len(dual) == 68
+    # the Koszul route runs only on the cut complex K(f; M) of each
+    # instance, through reg_complex; a module would enter as a complex
+    # at spot 0 alone
+    assert [sorted(C.terms) for C, _ in koszul] == [[0, 1]] * 13
 
 
 # -- a cut module is dualized over the smaller ring (Rees) -----------------

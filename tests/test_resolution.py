@@ -534,6 +534,31 @@ def test_a_cut_below_the_top_of_a_complex_reads_no_series():
         0: (0,), 1: (1,), 2: (0,), 3: (0, 1), 4: (1,)}
 
 
+def test_a_cut_below_the_top_of_a_complex_is_incomplete_in_any_order():
+    # L = S/(x) + (S --1--> S at spots 3 -> 2) resolves as S/(x) does, so
+    # the full resolution holds nothing past level 1; a cut at 1 is below
+    # hi - 1 = 2 and reports incomplete whether the loop stops there or
+    # the cut is read off the held full resolution
+    S = polynomial_ring(["x", "y"])
+    x, _ = S.gens()
+    F = PresentedModule.free(S, (0,))
+
+    def build():
+        return BoundedComplex(
+            S, {0: PresentedModule.cyclic(S, [x]), 2: F, 3: F},
+            {3: ModuleMap(F, F, columns_from_rows([[S.constant(1)]], 1))})
+
+    for order in ((1, None), (None, 1)):
+        L = build()
+        got = {n: free_resolution(L, n) for n in order}
+        assert got[None].betti() == {(0, 0): 1, (1, 1): 1}
+        assert got[None].complete
+        assert got[1].twists == {0: (0,), 1: (1,)}, order
+        assert not got[1].complete, order
+        # from spot 0 to 3 a cut at 2 decides, read off the held one
+        assert free_resolution(L, 2).complete, order
+
+
 def test_reg_via_betti_refuses_a_truncated_resolution(monkeypatch):
     S = polynomial_ring(["x", "y"])
     x, y = S.gens()

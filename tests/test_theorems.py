@@ -534,3 +534,26 @@ def test_run_corpus_keeps_instance_order():
     rows = run_corpus(insts)
     assert [o.instance for o in rows] == [
         o.instance for inst in insts for o in corpus_checks(inst)]
+
+
+def test_checker_values_do_not_depend_on_the_route_reading_a_module(
+        monkeypatch):
+    # the checkers read every module value through _reg, off the duality
+    # rows; the routes agree, so reading the checkers' own modules (H_i,
+    # Tor, Ext, the colon and the quotient, which the route sweeps never
+    # see) by the Koszul route instead changes no outcome
+    def outcomes():
+        return [o.as_dict() for inst in random_ideal_corpus(count=8)
+                for o in corpus_checks(inst)]
+
+    expected = outcomes()
+    read = []
+
+    def koszul_reg(M):
+        read.append(M)
+        return reg_via_koszul(M)[0]
+
+    monkeypatch.setattr(theorems, "_reg", koszul_reg)
+    assert outcomes() == expected
+    # 120 module values, each read by the Koszul route
+    assert len(read) == 120
