@@ -32,8 +32,7 @@ from .theorems import (CheckOutcome, SaturationError, TheoremContradiction,
                        check_hom_dim1, check_ring_independence,
                        check_thm_cmd1, check_thm_dim1,
                        nilpotent_scroll_family, random_ideal_corpus,
-                       run_corpus, saturated_sequence, scroll_sweep,
-                       summary_table)
+                       run_corpus, saturated_sequence)
 from .session import (ParseError, Session, UnknownBinding, parse_polynomial,
                       parse_session)
 

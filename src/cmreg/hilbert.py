@@ -9,7 +9,10 @@ of at most _NUMERATOR_CACHE_CAP entries, emptied when full.  The pivot
 variable x_v divides the most generators and k is the lower median of
 its positive exponents, so the recursion depth grows with the logarithm
 of the exponents, not with the exponents themselves; when every exponent
-of x_v is 1 the pivot is x_v.
+of x_v is 1 the pivot is x_v.  Pairwise coprime generators are the base
+case, whose numerator is the product of the (1 - t^deg): the recursion
+ends there, not only goes faster, since on a pure power x_v^k the pivot
+is x_v^k itself and the pivot step would call itself on the same ideal.
 """
 
 from math import comb, inf

@@ -47,8 +47,11 @@ module, not of its presentation, and a twist only shifts Ext.  So a
 module met again under another twist or presentation (Tor_1(S/(f), M) =
 (0 :_M f)(-1) in one checker and (0 :_M f) in another, or M and M(-1) in
 the termwise bound) reads the stored rows and shifts them by its own t0.
-reg_via_duality, local_cohomology_table and a_invariant read those rows;
-the betti, ext and koszul routes never do.  A module killed by linear
+reg_via_duality, local_cohomology_table, a_invariant and check
+ring-indep read those rows; the betti, ext and koszul routes never do.
+local_cohomology_table is the one reader of a degree window: the rows
+are exact in every degree, and check ring-indep compares them as they
+are.  A zero module has no rows.  A module killed by linear
 forms l_1..l_c is dualized over the smaller ring S' of the other
 variables, from the F' its resolution keeps (Rees' lemma,
 _duality_series), and _duality_rows writes its rows over n variables.
@@ -182,8 +185,6 @@ def _koszul_route(C, forms):
     else:
         forms = list(forms)
         for f in forms:
-            if f.ring != ring:
-                raise ValueError("Koszul forms over a different ring")
             if f.is_zero() or not f.is_homogeneous() or f.homogeneous_degree() != 1:
                 raise ValueError("Koszul-route sequences consist of linear forms")
     series = koszul_complex(forms, C).nonzero_homology_series()
@@ -239,7 +240,10 @@ def _duality_series(M):
 
     Computed once per module up to twist and presentation: the rows of
     M(t0), t0 the lowest generator twist, are kept on S under the module's
-    key, and each caller shifts them back by its own t0."""
+    key, and each caller shifts them back by its own t0.  A zero module
+    has no rows."""
+    if M.is_zero():
+        return {}
     Mc = M.lift_to_cover()
     t0, key = _module_key(Mc)
 
@@ -259,8 +263,6 @@ def reg_via_duality(M):
     (_duality_series).  Nothing is kept on M: the rows are kept on the
     cover ring."""
     _require_module(M)
-    if M.is_zero():
-        return -inf, None
     return _sup((i - E.indeg(), (i, -E.indeg()))
                 for i, E in _duality_series(M).items())
 
@@ -284,7 +286,8 @@ class LocalCohomologyTable:
 
 def local_cohomology_table(M, window=None):
     """dim H^i_m(M)_j over a window, (-2n - 4, 2n + 4) by default, from the
-    rows of _duality_series.  The rows are exact, so the window ends no
+    rows of _duality_series: the one builder of a LocalCohomologyTable and
+    the one reader of a window.  The rows are exact, so the window ends no
     lower than the last row does: past the given end it runs on to the
     highest degree in which some H^i is nonzero."""
     _require_module(M)
@@ -293,27 +296,14 @@ def local_cohomology_table(M, window=None):
     if lo > hi:
         raise ValueError(f"empty local cohomology window {(lo, hi)}: "
                          "it ends below its start")
-    if M.is_zero():
-        return LocalCohomologyTable({}, (lo, hi), {}, n)
-    return _table_of_rows(_duality_series(M), (lo, hi), n)
-
-
-def _table_of_rows(rows, window, n):
-    """The LocalCohomologyTable over a cover in n variables whose duality
-    rows are rows, {i: HS(Ext^{n-i}_S(M, S(-n)))}, as local_cohomology_table
-    reads the window."""
-    lo, hi = window
+    rows = _duality_series(M)
     support = {}
     for i, E in rows.items():
         top = E.top_degree()
         support[i] = (-inf if top == inf else -top, -E.indeg())
     hi = max([hi, *(e for (_, e) in support.values())])
-    entries = {}
-    for i, E in rows.items():
-        for j in range(lo, hi + 1):
-            d = E.coefficient(-j)
-            if d:
-                entries[(i, j)] = d
+    entries = {(i, j): d for i, E in rows.items() for j in range(lo, hi + 1)
+               if (d := E.coefficient(-j))}
     return LocalCohomologyTable(entries, (lo, hi), support, n)
 
 
@@ -456,6 +446,5 @@ def regularity(M, max_len=None):
     disagree raise (run_routes)."""
     _require_module(M)
     value, runs = run_routes(M)
-    cover = M.ring if M.ring.is_polynomial else M.ring.cover
-    return RegularityReport(repr(M.ring), repr(cover), runs,
+    return RegularityReport(repr(M.ring), repr(M.ring.cover), runs,
                             relative_reg(M, max_len=max_len), value)

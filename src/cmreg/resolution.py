@@ -223,8 +223,7 @@ def free_resolution(obj, max_len=None):
             and isinstance(getattr(obj, "diffs", None), dict)):
         # a BoundedComplex, whose terms all have positive rank; a complex of
         # free modules, the empty one included, needs no loop
-        terms, diffs = obj.terms, obj.diffs
-        free = all(not t.rel_cols for t in terms.values())
+        terms, diffs, free = obj.terms, obj.diffs, obj.is_free
     else:
         raise TypeError("expected a presented module or a bounded complex")
     ring = obj.ring
@@ -575,7 +574,7 @@ def _sort_by_degree(twists, cols, i):
 
 
 class BettiTable:
-    """Graded Betti numbers beta_{i,j}, Macaulay-style rendering."""
+    """Graded Betti numbers beta_{i,j}."""
 
     __slots__ = ("entries", "complete")
 
@@ -600,27 +599,6 @@ class BettiTable:
             return None
         r = self.regularity()
         return min((i, j) for (i, j) in self.entries if j - i == r)
-
-    def render(self):
-        if not self.entries:
-            return "(zero module)"
-        # a complex can have entries at negative spots
-        spots = range(min(0, *(i for (i, _) in self.entries)),
-                      max(i for (i, _) in self.entries) + 1)
-        rows = sorted({j - i for (i, j) in self.entries})
-        width = max(len(str(v)) for v in self.entries.values())
-        width = max(width, *(len(str(i)) for i in spots), 2)
-        head = "  j-i | " + " ".join(f"{i:>{width}}" for i in spots)
-        lines = [head, "  " + "-" * (len(head) - 2)]
-        for r in rows:
-            cells = []
-            for i in spots:
-                v = self.entries.get((i, r + i), 0)
-                cells.append(f"{v if v else '.':>{width}}")
-            lines.append(f"{r:>5} | " + " ".join(cells))
-        if not self.complete:
-            lines.append("  (truncated)")
-        return "\n".join(lines)
 
     def to_json(self):
         ent = [[i, j, v] for (i, j), v in sorted(self.entries.items())]

@@ -32,9 +32,9 @@ from .freemod import FreeModule
 from .modules import (PresentedModule, colon_by_element, kernel,
                       multiplication_map, quotient_by_element)
 from .poly import Polynomial
-from .regularity import (_duality_rows, _table_of_rows, depth,
-                         local_cohomology_table, reg_complex, reg_via_betti,
-                         reg_via_duality, reg_via_ext, relative_reg)
+from .regularity import (_duality_rows, _duality_series, depth, reg_complex,
+                         reg_via_betti, reg_via_duality, reg_via_ext,
+                         relative_reg)
 from .resolution import free_resolution
 from .rings import GradedRing, polynomial_ring
 
@@ -413,43 +413,43 @@ def _with_extra_vars(M, extra):
     return PresentedModule(R2, F2, cols2)
 
 
-def _tensored_table(M, window):
-    """M's local cohomology table over a window, read off Hom(F, S(-n))
-    for F the resolution of M's cover S in n variables, the tensored F'
-    (x) K(l) of a linear cut included, and kept nowhere."""
+def _tensored_rows(M):
+    """M's duality rows over its cover S in n variables, read off
+    Hom(F, S(-n)) for F the resolution of M over S, the tensored F' (x)
+    K(l) of a linear cut included, and kept nowhere."""
     Mc = M.lift_to_cover()
-    n = Mc.ring.nvars
-    return _table_of_rows(_duality_rows(free_resolution(Mc), n), window, n)
+    return _duality_rows(free_resolution(Mc), Mc.ring.nvars)
 
 
 def check_ring_independence(M, extra_vars=1, instance="module", seed=None):
-    """The Ext-route value and the local cohomology table do not depend on
-    which polynomial ring presents the module, compared over a cover
+    """The Ext-route value and the local cohomology of the module do not
+    depend on which polynomial ring presents it, compared over a cover
     with extra_vars >= 1 more variables.  The identity is about the ext
     route itself, so it runs that route, not `_reg`.
 
-    The larger cover's module is killed by the extra variables, so its
-    resolution is F' (x) K(u) with F' over M's own variables, the F' the
-    duality route would dualize on both sides (cmreg.regularity).  Its
-    table is read off Hom(F, S2(-n2)) on the tensored F instead
-    (`_tensored_table`), so the two tables come from two Hom complexes
-    over two rings."""
+    The local cohomology is compared as its duality rows,
+    {i: HS(Ext^{n-i}_S(M, S(-n)))}, which are exact in every degree: the
+    rows kept for M (cmreg.regularity), written over the n2 variables of
+    the larger cover, against rows read off Hom(F, S2(-n2)).  The larger
+    cover's module is killed by the extra variables, so its resolution
+    is F' (x) K(u) with F' over M's own variables, the F' the duality
+    route would dualize on both sides; its rows are read off the
+    tensored F instead (`_tensored_rows`), so the two sides come from two
+    Hom complexes over two rings (Rees' lemma and graded local duality,
+    Bruns and Herzog 3.1.16 and 3.6.19)."""
     if extra_vars < 1:
         raise ValueError("ring independence needs at least one extra variable")
     M2 = _with_extra_vars(M, extra_vars)
     e1 = reg_via_ext(M)[0]
     e2 = reg_via_ext(M2)[0]
-    n2 = M.ring.cover.nvars + extra_vars
-    window = (-2 * n2 - 4, 2 * n2 + 4)
-    t1 = local_cohomology_table(M, window)
-    t2 = _tensored_table(M2, window)
-    tables_match = (t1.entries == t2.entries
-                    and t1.row_support == t2.row_support)
+    n2 = M2.ring.cover.nvars
+    rows1 = {i: E.over(n2) for i, E in _duality_series(M).items()}
+    rows2 = _tensored_rows(M2)
+    tables_match = rows1 == rows2
     hypothesis = _hypothesis(
         [], covers=[repr(M.ring.cover), repr(M2.ring.cover)])
     invariants = {"ext_route": [e1, e2],
-                  "row_support": [sorted(t1.row_support),
-                                  sorted(t2.row_support)],
+                  "row_support": [sorted(rows1), sorted(rows2)],
                   "tables_match": tables_match}
     return _finish("ring-indep", instance, hypothesis, e1, e2, invariants,
                    seed=seed, closed=tables_match)
@@ -494,17 +494,6 @@ def scroll_member(n):
             reg_via_betti(PresentedModule.cyclic(Rn, minors + [z]))[0] + 1)
 
 
-def scroll_sweep(n_max):
-    """Growth report across the scroll family: regularity of the ideal
-    stays at 2 while the ideal-plus-form column grows linearly."""
-    rows = []
-    for n in range(2, n_max + 1):
-        *_, reg_i, reg_iz = scroll_member(n)
-        rows.append({"n": n, "reg_ideal": reg_i,
-                     "reg_ideal_plus_form": reg_iz})
-    return rows
-
-
 # -- random saturated sequences --------------------------------------------
 
 def _random_linear_form(ring, rng):
@@ -545,12 +534,9 @@ def _saturation_failure(forms, M, mods):
                 return {"reason": "prefix not regular", "module": t,
                         "step": s}
             cur = quotient_by_element(cur, forms[s])
-        Kx = koszul_complex(forms, N)
-        for i in Kx.levels():
-            if i <= 0:
-                continue
-            H = Kx.homology_series(i)
-            if not H.is_zero() and H.dimension() > 0:
+        series = koszul_complex(forms, N).nonzero_homology_series()
+        for i, H in series.items():
+            if i > 0 and H.dimension() > 0:
                 return {"reason": "positive homology not finite length",
                         "module": t, "spot": i, "dim": H.dimension()}
     return None
@@ -664,28 +650,3 @@ def run_corpus(instances=None):
     for inst in instances:
         rows.extend(corpus_checks(inst))
     return rows
-
-
-def summary_table(outcomes):
-    """Plain-text table: instance, check, hypothesis, lhs, rhs, verdict."""
-    headers = ("instance", "check", "hypothesis", "lhs", "rhs", "verdict")
-
-    def fmt(v):
-        if v is None:
-            return "-"
-        if v == -inf:
-            return "-inf"
-        if v == inf:
-            return "+inf"
-        return str(v)
-
-    rows = [(o.instance, o.name, o.hypothesis["verdict"],
-             fmt(o.conclusion["lhs"]), fmt(o.conclusion["rhs"]),
-             o.verdict) for o in outcomes]
-    widths = [max(len(headers[c]), *(len(r[c]) for r in rows)) if rows
-              else len(headers[c]) for c in range(len(headers))]
-    line = "  ".join(h.ljust(w) for h, w in zip(headers, widths))
-    sep = "  ".join("-" * w for w in widths)
-    body = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths))
-            for r in rows]
-    return "\n".join([line, sep] + body)

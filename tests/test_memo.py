@@ -17,9 +17,10 @@ checker outcomes are built and contradictions raised only by
 `theorems._finish`, a checker reads a module's value only through
 `theorems._reg` (two other route calls are listed with reasons), the
 cache keys are a fixed inventory, a homology series reads only the
-cokernel series and outside the complex layer only the saturation check
-reads one spot by spot (everything else reads
-`nonzero_homology_series`), the Koszul route builds no probe module and
+cokernel series and nothing outside the complex layer reads one spot by
+spot (everything reads `nonzero_homology_series`), only
+`local_cohomology_table` reads a degree window and builds a local
+cohomology table, the Koszul route builds no probe module and
 runs no separate hypothesis pass, the duality rows are read off a
 resolution by `_duality_rows` alone, and with the depth are computed
 only under their keys on the cover ring (and read there up to twist),
@@ -32,9 +33,11 @@ grows no local cohomology window in a loop, nothing imports numpy, and
 every function, class and method is read in src, exported by the
 package or on an allow-list with its reason.  A guard checks that
 perfbench, which Tier-1 does not run, still finds every cmreg name it
-reaches."""
+reaches.  The lints read the sources, their trees and the calls in
+them once per session (`sources`, `parse`, `_calls_by_name`)."""
 
 import ast
+import functools
 import importlib
 import importlib.util
 import os
@@ -202,7 +205,7 @@ def cache_writes(source):
     `x._cache[k] = ...`, `del x._cache[k]`, augmented assignment, or a
     mutating method call on `x._cache`."""
     out = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(parse(source)):
         if (isinstance(node, ast.Subscript)
                 and isinstance(node.value, ast.Attribute)
                 and node.value.attr == "_cache"
@@ -225,15 +228,26 @@ def test_cache_writes_are_recognized():
         "d._cache.setdefault(k, 1)"]
 
 
+@functools.cache
 def sources():
-    """(file name, path, source) of each .py file under src/cmreg."""
+    """(file name, path, source) of each .py file under src/cmreg, read
+    once per session."""
     root = os.path.dirname(cmreg.memo.__file__)
+    out = []
     for dirpath, _, files in os.walk(root):
         for name in sorted(files):
             if name.endswith(".py"):
                 path = os.path.join(dirpath, name)
                 with open(path, encoding="utf-8") as fh:
-                    yield name, path, fh.read()
+                    out.append((name, path, fh.read()))
+    return tuple(out)
+
+
+@functools.cache
+def parse(source):
+    """The tree of source, parsed once per session: every lint reads the
+    same trees and none of them changes one."""
+    return ast.parse(source)
 
 
 def test_only_memo_writes_object_caches():
@@ -249,7 +263,14 @@ def test_only_memo_writes_object_caches():
 def calls(source, name):
     """(line, enclosing function) of each call to `name` in source, as a
     plain name or as an attribute."""
-    out = []
+    return list(_calls_by_name(source).get(name, ()))
+
+
+@functools.cache
+def _calls_by_name(source):
+    """{called name: [(line, enclosing function)]} over every call in
+    source, in one walk of its tree per session."""
+    out = {}
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -258,12 +279,11 @@ def calls(source, name):
             f = node.func
             called = f.id if isinstance(f, ast.Name) else (
                 f.attr if isinstance(f, ast.Attribute) else None)
-            if called == name:
-                out.append((node.lineno, func))
+            out.setdefault(called, []).append((node.lineno, func))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
 
-    visit(ast.parse(source), None)
+    visit(parse(source), None)
     return out
 
 
@@ -291,7 +311,7 @@ def enclosing_top_level(name, files=None):
     nested functions and lambdas count as their top-level one."""
     out = []
     for fname, _, source in files or sources():
-        body = [node for node in ast.parse(source).body
+        body = [node for node in parse(source).body
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
         for line, _ in calls(source, name):
             out += [(fname, node.name) for node in body
@@ -353,14 +373,14 @@ def test_the_truncation_rule_is_kept_in_the_resolution_layer():
                                    ("resolution.py", "free_resolution")]
     source = {name: src for name, _, src in sources()}
     takes_a_cut = sorted(
-        node.name for node in ast.walk(ast.parse(source["resolution.py"]))
+        node.name for node in ast.walk(parse(source["resolution.py"]))
         if isinstance(node, ast.FunctionDef)
         and "max_len" in [a.arg for a in node.args.args])
     assert takes_a_cut == ["_resolve", "_tensored", "_truncation",
                            "betti_table", "check_max_len", "free_resolution",
                            "pd", "truncate"]
     imported = [alias.name
-                for node in ast.walk(ast.parse(source["complexes.py"]))
+                for node in ast.walk(parse(source["complexes.py"]))
                 if isinstance(node, ast.ImportFrom)
                 and node.module == "resolution"
                 for alias in node.names]
@@ -401,7 +421,7 @@ def held_basis_sites(source):
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
-    visit(ast.parse(source), None)
+    visit(parse(source), None)
     return out
 
 
@@ -463,7 +483,7 @@ def test_resolutions_minimize_in_three_places():
     assert [func for func, _ in sites] == [
         "_resolve", "_betti_twists", "_minimal_cols"]
     [source] = [src for name, _, src in sources() if name == "resolution.py"]
-    [resolve] = [node for node in ast.walk(ast.parse(source))
+    [resolve] = [node for node in ast.walk(parse(source))
                  if isinstance(node, ast.FunctionDef)
                  and node.name == "_resolve"]
     [loop] = [node for node in ast.walk(resolve)
@@ -502,7 +522,7 @@ def test_a_frame_is_decoded_only_by_its_basis():
 
 def _groebner_tree():
     [source] = [src for name, _, src in sources() if name == "groebner.py"]
-    return ast.parse(source)
+    return parse(source)
 
 
 def test_groebner_elements_hold_packed_terms_only():
@@ -573,7 +593,7 @@ def layout_reads(source):
         for child in ast.iter_child_nodes(node):
             visit(child, func)
 
-    visit(ast.parse(source), None)
+    visit(parse(source), None)
     return out
 
 
@@ -601,7 +621,7 @@ def position_reads(source):
     """(line, text) of each read of a packing's `S`, `shift` or `base`,
     and of each `M` that is not the right operand of `h & M` (nor bound
     to a local name, or assigned in the class)."""
-    tree = ast.parse(source)
+    tree = parse(source)
     parents = {child: node for node in ast.walk(tree)
                for child in ast.iter_child_nodes(node)}
     out = []
@@ -683,7 +703,7 @@ def field_method_uses(source, funcs=None):
         for child in ast.iter_child_nodes(node):
             visit(child, func)
 
-    visit(ast.parse(source), None)
+    visit(parse(source), None)
     return out
 
 
@@ -715,7 +735,7 @@ def test_one_field_class_with_the_smallest_surface():
     cannot do."""
     from cmreg.scalars import QQ, Field, PrimeField
     [source] = [src for name, _, src in sources() if name == "scalars.py"]
-    classes = [n.name for n in ast.walk(ast.parse(source))
+    classes = [n.name for n in ast.walk(parse(source))
                if isinstance(n, ast.ClassDef)]
     assert classes == ["Field"]
     assert type(QQ) is Field and type(PrimeField(7)) is Field
@@ -735,7 +755,7 @@ def test_the_reduction_kernel_has_one_loop_with_inline_arithmetic():
     # the kernel pops a heap of terms; `_buchberger` pops its pair queue
     assert sorted(func for f, _, func in call_sites("heappop")
                   if f == "groebner.py") == ["_buchberger", "_reduce_packed"]
-    tree = ast.parse(source)
+    tree = parse(source)
     [kernel] = [node for node in tree.body if isinstance(node, ast.FunctionDef)
                 and node.name == "_reduce_packed"]
     assert len([n for n in ast.walk(kernel) if isinstance(n, ast.While)]) == 1
@@ -766,7 +786,7 @@ def test_checker_outcomes_are_built_only_by_finish():
         assert [(f, func) for f, _, func in sites] == [
             ("theorems.py", "_finish")], name
     defined = {node.name for _, _, source in sources()
-               for node in ast.walk(ast.parse(source))
+               for node in ast.walk(parse(source))
                if isinstance(node, ast.FunctionDef)}
     assert not defined & {"_xadd", "_xsub"}
     assert call_sites("_xadd") == call_sites("_xsub") == []
@@ -805,7 +825,7 @@ def cached_computes(source, tag):
     `_cached` under a key (tag, ...): a lambda, or a function of that name
     defined in the same function."""
     out = []
-    for scope in ast.walk(ast.parse(source)):
+    for scope in ast.walk(parse(source)):
         if not isinstance(scope, ast.FunctionDef):
             continue
         local = {node.name: node for node in ast.walk(scope)
@@ -841,7 +861,7 @@ def test_duality_and_depth_are_computed_only_under_their_cover_keys():
     checker dualizes through `ext_complex` into a free module.  It runs
     only in the compute kept on the cover ring under ("duality", key) and
     for check ring-indep's tensored F, kept nowhere
-    (`theorems._tensored_table`).  Depth reads pd off a resolution only in
+    (`theorems._tensored_rows`).  Depth reads pd off a resolution only in
     the compute kept there under ("depth", key), so a module met again up
     to twist or presentation pays for neither.  The routes reach the
     cover through `_cover` only in the betti route: run_routes and
@@ -856,7 +876,7 @@ def test_duality_and_depth_are_computed_only_under_their_cover_keys():
     [(lo, hi)] = cached_computes(reg, "duality")
     sites = sorted(call_sites("_duality_rows"))
     assert [(name, func) for name, _, func in sites] == [
-        ("regularity.py", "compute"), ("theorems.py", "_tensored_table")]
+        ("regularity.py", "compute"), ("theorems.py", "_tensored_rows")]
     assert lo <= sites[0][1] <= hi
     [(lo, hi)] = cached_computes(reg, "depth")
     sites = [line for line, func in calls(reg, "free_resolution")
@@ -864,7 +884,7 @@ def test_duality_and_depth_are_computed_only_under_their_cover_keys():
     assert sites and all(lo <= line <= hi for line in sites)
     # pd read straight off a resolution: nowhere else in src/cmreg
     lengths = [(name, node.lineno) for name, _, src in sources()
-               for node in ast.walk(ast.parse(src))
+               for node in ast.walk(parse(src))
                if isinstance(node, ast.Attribute) and node.attr == "length"
                and isinstance(node.value, ast.Call)
                and getattr(node.value.func, "id", None) == "free_resolution"]
@@ -878,7 +898,7 @@ def cache_keys(source):
     """The key of each `_cached(obj, key, compute)` call in source: a
     string key as itself, a tuple key as (its tag, its length)."""
     out = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(parse(source)):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == "_cached" and len(node.args) == 3):
             key = node.args[1]
@@ -919,7 +939,7 @@ def test_homology_series_reads_only_the_cokernel_series():
     """The series path never reads a presented H_i, so comparing it with
     `homology` compares two computations."""
     [source] = [src for name, _, src in sources() if name == "complexes.py"]
-    [method] = [node for node in ast.walk(ast.parse(source))
+    [method] = [node for node in ast.walk(parse(source))
                 if isinstance(node, ast.FunctionDef)
                 and node.name == "homology_series"]
     reads = [ast.unparse(node) for node in ast.walk(method)
@@ -932,13 +952,13 @@ def test_homology_series_reads_only_the_cokernel_series():
 
 
 def test_homology_series_has_one_reader_outside_the_complex_layer():
-    """The ext, koszul and duality routes and the CLI's tor and ext read a
-    complex's nonzero series through `nonzero_homology_series`; only
-    the saturation check, which must not compute H_0, reads spots one at
-    a time."""
-    sites = [(f, func) for f, _, func in call_sites("homology_series")
-             if f != "complexes.py"]
-    assert sites == [("theorems.py", "_saturation_failure")]
+    """The ext, koszul and duality routes, the saturation check and the
+    CLI's tor and ext read a complex's nonzero series through
+    `nonzero_homology_series`; only `sup_homology` reads spots one at a
+    time, since it stops at the top nonzero spot (without that stop
+    `cmreg depth M` on sessions/scroll-2.cmreg ran about 10% slower)."""
+    assert [s for s in call_sites("homology_series")
+            if s[0] != "complexes.py"] == []
     [source] = [src for name, _, src in sources() if name == "complexes.py"]
     assert {func for _, func in calls(source, "homology_series")} == {
         "nonzero_homology_series", "sup_homology"}
@@ -961,7 +981,7 @@ def test_the_oracle_table_has_one_reader():
 
 def _regularity_tree():
     [source] = [src for name, _, src in sources() if name == "regularity.py"]
-    return ast.parse(source)
+    return parse(source)
 
 
 def test_reg_and_the_local_cohomology_window_have_one_reader():
@@ -985,6 +1005,22 @@ def test_the_local_cohomology_window_ends_with_no_loop():
     assert not [n for n in ast.walk(table) if isinstance(n, ast.While)]
 
 
+def test_one_function_reads_a_local_cohomology_window():
+    """`local_cohomology_table` is the one function that takes a degree
+    window and the one builder of a LocalCohomologyTable, and the
+    checkers read none: check ring-indep compares exact duality rows."""
+    readers = {node.name for _, _, source in sources()
+               for node in ast.walk(parse(source))
+               if isinstance(node, ast.FunctionDef)
+               and node.name != "__init__"
+               and "window" in {a.arg for a in node.args.args}}
+    assert readers == {"local_cohomology_table"}
+    assert [(f, func) for f, _, func in call_sites("LocalCohomologyTable")
+            ] == [("regularity.py", "local_cohomology_table")]
+    [theorems] = [src for name, _, src in sources() if name == "theorems.py"]
+    assert not any(calls(theorems, name) for name in readers)
+
+
 def test_the_koszul_route_is_one_pass_with_no_probe_module():
     """Forms that span R_1 never fail the finite-length test, so the route
     needs no module to tell whether they do, and no flag to skip it."""
@@ -1003,7 +1039,7 @@ def cmreg_imports(source):
     (`import cmreg.x`, `from cmreg.x import`, `from cmreg import x`).
     `import cmreg` itself reads as "cmreg"."""
     out = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(parse(source)):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 parts = alias.name.split(".")
@@ -1054,7 +1090,7 @@ def top_level_imports(source):
     """Top-level package names that source imports, at any depth;
     relative imports are left out."""
     out = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(parse(source)):
         if isinstance(node, ast.Import):
             out.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and not node.level:
@@ -1086,7 +1122,6 @@ PERFBENCH = ("reached by perfbench; goes with the in-library counters "
 # the names under src/cmreg that nothing in src reads, with why each stays
 UNREAD_ALLOWED = {
     "resolution.FreeResolution.is_minimal": TEST_ORACLE,
-    "resolution.BettiTable.render": TEST_ORACLE,
     "groebner.certify": TEST_ORACLE,
     "complexes.minimal_cover": PERFBENCH,
     "session.Session.kind_of": PERFBENCH,
@@ -1108,7 +1143,7 @@ def unread_names(texts):
     with one read elsewhere passes unseen.  One such method stays:
     `FreeResolution.module`, which perfbench's tracer calls in
     `_resolution_post`."""
-    trees = {mod: ast.parse(src) for mod, src in texts.items()}
+    trees = {mod: parse(src) for mod, src in texts.items()}
     reads = {"name": {}, "attr": {}}  # identifier -> [(module, line)]
     for mod, tree in trees.items():
         for node in ast.walk(tree):
@@ -1182,7 +1217,7 @@ def perfbench_source(name):
 def workload_reads(source):
     """(module, name) of each `_mod("cmreg.X").name` read in source."""
     return sorted({(node.value.args[0].value, node.attr)
-                   for node in ast.walk(ast.parse(source))
+                   for node in ast.walk(parse(source))
                    if isinstance(node, ast.Attribute)
                    and isinstance(node.value, ast.Call)
                    and isinstance(node.value.func, ast.Name)

@@ -11,11 +11,11 @@ from cmreg import (PresentedModule, check_ab_formula, check_cor_hom,
                    koszul_complex, module_from_ideal, nilpotent_scroll_family,
                    polynomial_ring, random_ideal_corpus, reg_via_betti,
                    reg_via_ext, reg_via_koszul, relative_reg,
-                   resolution_to_complex, run_corpus, saturated_sequence,
-                   summary_table)
+                   resolution_to_complex, run_corpus, saturated_sequence)
 from cmreg.complexes import free_complex_from_data
+from cmreg.hilbert import HilbertSeries
 from cmreg.theorems import (TheoremContradiction, _finish, _staircase,
-                            corpus_checks, scroll_sweep)
+                            corpus_checks)
 
 
 def holds(out):
@@ -201,14 +201,14 @@ def test_ring_independence_raises_when_only_the_tables_differ(S3,
                                                               monkeypatch):
     x, y, z = S3.gens()
     M = PresentedModule.cyclic(S3, [x * y, x * z])
-    table = theorems._tensored_table
+    rows = theorems._tensored_rows
 
-    def second_differs(module, window):
-        # the larger cover's table, read off the tensored resolution
-        t = table(module, window)
-        return types.SimpleNamespace(entries={}, row_support=t.row_support)
+    def second_differs(module):
+        # the larger cover's rows, read off the tensored resolution, each
+        # moved one degree: same row support, other entries
+        return {i: E.twist(1) for i, E in rows(module).items()}
 
-    monkeypatch.setattr(theorems, "_tensored_table", second_differs)
+    monkeypatch.setattr(theorems, "_tensored_rows", second_differs)
     with pytest.raises(TheoremContradiction) as e:
         check_ring_independence(M, instance="mod", seed=1)
     assert e.value.outcome.as_dict() == {
@@ -220,6 +220,30 @@ def test_ring_independence_raises_when_only_the_tables_differ(S3,
         "invariants": {"ext_route": [1, 1],
                        "row_support": [[1, 2], [1, 2]],
                        "tables_match": False}}
+
+
+def test_ring_independence_sees_a_fault_below_any_window(S3, monkeypatch):
+    # one extra dimension in H^2_m of the larger cover's side at degree
+    # -18, below the default window (-12, 12) over n2 = 4 variables and
+    # inside a row that already runs to -inf, so the row support does not
+    # move; compared over that window the two sides matched
+    x, y, z = S3.gens()
+    M = PresentedModule.cyclic(S3, [x * y, x * z])
+    assert check_ring_independence(M).verdict == "equality"
+    rows = theorems._duality_rows
+
+    def one_more(F, n):
+        out = rows(F, n)
+        # dim H^2_m(M)_j is the coefficient of t^(-j) in row 2
+        out[2] = out[2].add(HilbertSeries({18: 1}, 0).over(n))
+        return out
+
+    monkeypatch.setattr(theorems, "_duality_rows", one_more)
+    with pytest.raises(TheoremContradiction) as e:
+        check_ring_independence(M, extra_vars=1)
+    assert e.value.outcome.invariants == {
+        "ext_route": [1, 1], "row_support": [[1, 2], [1, 2]],
+        "tables_match": False}
 
 
 def test_cmd1_staircase_between_neighbours_is_unchanged():
@@ -466,12 +490,6 @@ def test_scroll_family_rejects_small_n():
         nilpotent_scroll_family(1)
 
 
-def test_scroll_sweep_values():
-    rows = scroll_sweep(3)
-    assert [(r["n"], r["reg_ideal"], r["reg_ideal_plus_form"])
-            for r in rows] == [(2, 2, 3), (3, 2, 4)]
-
-
 def test_scroll_filter_strictness():
     Rn, minors, z = nilpotent_scroll_family(2)
     M = PresentedModule.cyclic(Rn, minors)
@@ -525,8 +543,6 @@ def test_corpus_checks_produce_outcomes():
     assert len(outs) == 5
     names = {o.name for o in outs}
     assert names == {"cmd1", "dim1", "tensor", "hom", "filter"}
-    text = summary_table(outs)
-    assert inst.name in text
 
 
 def test_run_corpus_keeps_instance_order():
