@@ -47,7 +47,7 @@ Then, in every packing:
 - a smaller h is the larger term, so the heap in `_reduce_packed` holds
   plain ints, and the position of h is h & M, M = 2^W - 1;
 - h is linear in m: h(m q e_c) = h(m e_c) + ((h0(q) - h0(1)) << W), so a
-  reducer's tail is stored as offsets h(tail term) - h(lead), each
+  basis element's tail is stored as offsets h(tail term) - h(lead), each
   product term costs one int addition, and an offset within a position is
   a multiple of 2^W;
 - lead | t (same position) exactly when ((t - h_lead) & G) == 0, G the
@@ -64,8 +64,15 @@ lcm (`pair`) and a basis vector's head (`head`) through the packing.  So
 one kernel, `_reduce_packed`, with one `_s_vector`, `_schreyer_pairs` and
 `_buchberger`, serves every order.
 
-A GBElem holds packed terms only, and its basis, which knows the
-packing, decodes it (`GroebnerBasis.module_vectors`, into tuple dicts
+A basis element has one form, a GBElem: its packed lead, whose
+coefficient is the field's one (every element is monic), and its tail,
+a tuple of offsets (h - lead, c) over its other terms.  Every reader
+takes that form as it is: the reduction kernel walks the tail, an
+S-vector adds two tails at the packed lcm, interreduction reduces the
+tail, and a block shift moves the lead alone and shares the tail, since
+an offset does not change when every term moves by one offset.  Only its
+basis, which knows the packing, decodes an element
+(`GroebnerBasis.module_vectors`, lead then tail, into tuple dicts
 {(pos, m): c}): Buchberger never decodes, and a resolution decodes a
 frame only when its differentials are read (cmreg.resolution).  `_reduce`,
 `GroebnerBasis.normal_form` and `lift` take and return tuple dicts.
@@ -75,10 +82,11 @@ pending terms and skips entries whose term has cancelled or was already
 processed (lazy deletion; terms only shrink, so a processed term never
 returns).  This follows Monagan and Pearce, Sparse polynomial division
 using a heap (JSC 2011).  Reducers are grouped by position once
-(`_reducers`), each group in canonical order, so the first divisor found
-is still the leftmost and the normal form and trace are those of a plain
-largest-term-first, leftmost-reducer loop.  S-vectors come from one
-builder, `_s_vector`, shared by Buchberger, `certify` and the syzygies.
+(`_reducers`), each group in canonical order and each reducer with its
+element's own tail, so the first divisor found is still the leftmost
+and the normal form and trace are those of a plain largest-term-first,
+leftmost-reducer loop.  S-vectors come from one builder, `_s_vector`,
+shared by Buchberger, `certify` and the syzygies.
 
 The kernel is one loop for every field, its coefficient arithmetic
 written with operators, as in every layer (cmreg.scalars): with p the
@@ -136,7 +144,8 @@ basis it holds on the leading positions, cmreg.modules).  The known
 elements get no pair update of their own, so only pairs that involve a
 new element are ever queued.  A direct sum's basis is its summands'
 bases side by side (`direct_sum_basis`), since position-over-term order
-never compares two blocks.
+never compares two blocks: each block element is moved by its lead
+alone, and shares its tail with the block's own element (`_moved`).
 
 Reduction on read: `_buchberger` returns the basis its loop completed,
 with redundant leads and unreduced tails, and a GroebnerBasis from
@@ -208,6 +217,8 @@ class _Packing:
         """Extend position-over-grevlex bases to rank positions: e_c's
         level-0 term is c * 2^A + h0(1)."""
         bases = self.bases
+        if len(bases) >= rank:
+            return
         bases += [(c << self.A) + self.one for c in range(len(bases), rank)]
 
     def schreyer(self, leads):
@@ -235,8 +246,9 @@ class _Packing:
         return self.struct.unpack(self.word(h).to_bytes(self.nbytes, "little"))
 
     def decode_vec(self, terms):
+        """The tuple dict {(position, monomial): c} of packed (h, c) pairs."""
         M, mono = self.M, self.mono
-        return {(h & M, mono(h)): c for h, c in terms.items()}
+        return {(h & M, mono(h)): c for h, c in terms}
 
     def head(self, c):
         """The packed basis vector e_c."""
@@ -271,35 +283,46 @@ def _packing(nvars, rank):
 
 
 class GBElem:
-    """A monic basis element: packed terms, packed lead and cached
-    lead-term data, decoded by its basis alone (module docstring)."""
+    """A monic basis element in its one form: the packed lead, whose
+    coefficient is the field's one, and the tail, an immutable tuple of
+    offsets (h - lead, c) over the other packed terms h, with cached
+    lead-term data; decoded by its basis alone (module docstring)."""
 
-    __slots__ = ("terms", "lead", "pos", "ltm", "deg")
+    __slots__ = ("lead", "tail", "pos", "ltm", "deg")
 
-    def __init__(self, terms, lead, pos, ltm, deg):
-        self.terms = terms
+    def __init__(self, lead, tail, pos, ltm, deg):
         self.lead = lead
+        self.tail = tail
         self.pos = pos
         self.ltm = ltm
         self.deg = deg
 
+    def items(self, one):
+        """The packed terms as (h, c) pairs, lead first with coefficient
+        `one`, the field's one."""
+        lead = self.lead
+        return [(lead, one)] + [(lead + off, c) for off, c in self.tail]
+
 
 def _elem(terms, K, twists, P):
-    """A monic GBElem from nonzero packed terms in packing P."""
+    """A monic GBElem from nonzero packed terms {h: c} in packing P, its
+    tail in the terms' order."""
     lead = min(terms)
     c = terms[lead]
     if c != K.one:
         ci, p = K.inv(c), K.characteristic
-        terms = {h: cc * ci % p if p else cc * ci for h, cc in terms.items()}
+        tail = tuple([(h - lead, cc * ci % p if p else cc * ci)
+                      for h, cc in terms.items() if h != lead])
+    else:
+        tail = tuple([(h - lead, cc) for h, cc in terms.items() if h != lead])
     pos = lead & P.M
     ltm = P.mono(lead)
-    return GBElem(terms, lead, pos, ltm, mono_deg(ltm) + twists[pos])
+    return GBElem(lead, tail, pos, ltm, mono_deg(ltm) + twists[pos])
 
 
 def _reducer(i, g):
-    """(index, packed lead, tail offsets [(h - lead, c)]) of element i."""
-    lead = g.lead
-    return i, lead, [(h - lead, c) for h, c in g.terms.items() if h != lead]
+    """(index, packed lead, tail offsets ((h - lead, c), ...)) of element i."""
+    return i, g.lead, g.tail
 
 
 def _reducers(elems):
@@ -374,25 +397,25 @@ def _reduce(vec, reducers, K, P, heads=None):
     vector sum_i -q_i heads[i], decoded; without, it is None."""
     rem, trace = _reduce_packed(P.encode_vec(vec), reducers, K, P, heads)
     if trace is not None:
-        trace = P.decode_vec({h: c for part in trace.values()
-                              for h, c in part.items()})
-    return P.decode_vec(rem), trace
+        trace = P.decode_vec([(h, c) for part in trace.values()
+                              for h, c in part.items()])
+    return P.decode_vec(rem.items()), trace
 
 
 def _s_vector(gi, gj, hl, K, G):
     """S-vector m_i g_i - m_j g_j of two same-position monic elements, with
-    m_i = lcm / lt(g_i) and hl the packed lcm.  Returns (s, d_i, d_j),
+    m_i = lcm / lt(g_i) and hl the packed lcm: the two leads cancel at hl,
+    and a tail term at offset d lands on hl + d.  Returns (s, d_i, d_j),
     d_i = hl - lead_i the packed offset of m_i."""
-    di, dj = hl - gi.lead, hl - gj.lead
     s = {}
-    for h, c in gi.terms.items():
-        u = h + di
+    for off, c in gi.tail:
+        u = hl + off
         if u & G:
             raise OverflowError(_OVERFLOW)
         s[u] = c
     p = K.characteristic
-    for h, c in gj.terms.items():
-        u = h + dj
+    for off, c in gj.tail:
+        u = hl + off
         if u & G:
             raise OverflowError(_OVERFLOW)
         r = s.get(u, 0) - c
@@ -402,7 +425,7 @@ def _s_vector(gi, gj, hl, K, G):
             s[u] = r
         else:
             del s[u]
-    return s, di, dj
+    return s, hl - gi.lead, hl - gj.lead
 
 
 def _canonical_sort(elems):
@@ -419,7 +442,8 @@ def _interreduce(elems, K, P):
     lead dividing its own; of equal leads the earlier element is kept.
     A kept element's tail is reduced against the kept elements, itself
     included: a lead divides no smaller term, so it never reduces its own
-    tail.  Leads and degrees stay, and so does the canonical order."""
+    tail.  Leads and degrees stay, and so does the canonical order; a
+    reduced tail is in decreasing term order."""
     elems = _canonical_sort(list(elems))
     G = P.G
     groups = _reducers(elems)
@@ -436,10 +460,11 @@ def _interreduce(elems, K, P):
     out = []
     for i, g in enumerate(elems):
         if keep[i]:
-            tail = dict(g.terms)
-            c = tail.pop(g.lead)
-            r, _ = _reduce_packed(tail, groups, K, P)
-            out.append(GBElem({g.lead: c, **r}, g.lead, g.pos, g.ltm, g.deg))
+            lead = g.lead
+            r, _ = _reduce_packed({lead + off: c for off, c in g.tail},
+                                  groups, K, P)
+            tail = tuple([(h - lead, c) for h, c in r.items()])
+            out.append(GBElem(lead, tail, g.pos, g.ltm, g.deg))
     return out
 
 
@@ -539,13 +564,13 @@ def defining_gb(ring):
 def _moved(elems, off, twists, P):
     """GBElems of position-over-grevlex packing P moved off positions up,
     into a free module with these twists (a block shift): by linearity,
-    each term moves by e_off - e_0."""
+    each term moves by e_off - e_0, so the lead moves and the tail's
+    offsets stay; a moved element shares its tail."""
     s = P.head(off) - P.head(0)
     out = []
     for g in elems:
         pos = g.pos + off
-        terms = {h + s: c for h, c in g.terms.items()} if s else g.terms
-        out.append(GBElem(terms, g.lead + s, pos, g.ltm,
+        out.append(GBElem(g.lead + s, g.tail, pos, g.ltm,
                           mono_deg(g.ltm) + twists[pos]))
     return out
 
@@ -596,7 +621,7 @@ class GroebnerBasis:
                 blockers = _reducers(_augmented_columns(ring, free))
                 self._module_indices = [
                     i for i, g in enumerate(elems)
-                    if _reduce_packed(dict(g.terms), blockers, K, P)[0]]
+                    if _reduce_packed(dict(g.items(K.one)), blockers, K, P)[0]]
             self._elements = elems
         return self._elements
 
@@ -619,21 +644,28 @@ class GroebnerBasis:
 
     def module_vectors(self, first=0):
         """The module elements at position `first` or past, as new tuple
-        dicts decoded in the basis's own packing: the one decoder of basis
-        elements."""
-        P = self.packing
-        return [P.decode_vec(g.terms) for g in self.module_elements
+        dicts decoded in the basis's own packing, lead then tail: the one
+        decoder of basis elements."""
+        P, one = self.packing, self.ring.field.one
+        return [P.decode_vec(g.items(one)) for g in self.module_elements
                 if g.pos >= first]
 
     def module_constants(self):
         """The constant part of each module element, {(position, 1): c},
         read off the packed terms: a term m e_p has m = 1 exactly when
         it is e_p's packed head (`head`), in any packing."""
-        Q = self.packing
-        one = (0,) * self.ring.nvars
+        Q, one = self.packing, self.ring.field.one
+        unit = (0,) * self.ring.nvars
         heads = {Q.head(k): k for k in range(self.free.rank)}
-        return [{(heads[h], one): c for h, c in g.terms.items() if h in heads}
+        return [{(heads[h], unit): c for h, c in g.items(one) if h in heads}
                 for g in self.module_elements]
+
+    def key(self):
+        """A hashable value of the elements: over one ring and free
+        module, two bases have equal keys exactly when they have the
+        same elements, so two reduced bases exactly when they span the
+        same submodule."""
+        return frozenset((g.lead, frozenset(g.tail)) for g in self.elements)
 
     def module_degrees(self):
         return [g.deg for g in self.module_elements]
@@ -690,7 +722,7 @@ def groebner_basis(vectors, ring, free, *, known=None):
     seeds = known.elements if known else ()
     start = known.free.rank if known else 0
     packed = [P.encode_vec(v) for v in gens]
-    packed += [a.terms for a in aug if a.pos >= start]
+    packed += [dict(a.items(K.one)) for a in aug if a.pos >= start]
     elems = _buchberger(packed, K, free.twists, P, seeds)
     return GroebnerBasis(ring, free, elems, None)
 

@@ -13,8 +13,20 @@ of x_v is 1 the pivot is x_v.  Pairwise coprime generators are the base
 case, whose numerator is the product of the (1 - t^deg): the recursion
 ends there, not only goes faster, since on a pure power x_v^k the pivot
 is x_v^k itself and the pivot step would call itself on the same ideal.
+
+The recursion (`_numerator`) takes minimal generators sorted by
+(degree, monomial), and each step keeps that form.  The sum branch needs
+no minimalizing (`_with_pivot`): x_v^k removes the generators it
+divides, no generator divides it (a pure power x_v^j of J has the
+largest exponent of x_v, above the lower median k, since x_v divides at
+least two generators), and it is inserted in place.  Only the colon
+branch minimalizes.  `monomial_ideal_numerator`, the one entry point,
+minimalizes its generators once, and its own generator tuple, as given,
+becomes a cache key next to the minimal tuple, so a caller that asks
+again with the same leads reads the cache without minimalizing.
 """
 
+from bisect import insort
 from math import comb, inf
 from operator import le
 
@@ -33,23 +45,51 @@ def _minimalize(gens):
     return tuple(out)
 
 
+def _with_pivot(gens, v, k):
+    """The minimal generators of J + (x_v^k), sorted by (degree,
+    monomial), from gens, J's minimal generators sorted so, when none of
+    them divides x_v^k: those x_v^k does not divide, with x_v^k inserted."""
+    pivot = tuple(k if i == v else 0 for i in range(len(gens[0])))
+    out = [m for m in gens if m[v] < k]
+    insort(out, pivot, key=lambda m: (sum(m), m))
+    return tuple(out)
+
+
 _NUMERATOR_CACHE = {}
 _NUMERATOR_CACHE_CAP = 1 << 16
 
 
+def _store(key, out):
+    if len(_NUMERATOR_CACHE) >= _NUMERATOR_CACHE_CAP:
+        _NUMERATOR_CACHE.clear()
+    _NUMERATOR_CACHE[key] = out
+
+
 def monomial_ideal_numerator(gens, nvars):
-    """Numerator dict {degree: coeff} of S/J for the monomial ideal J."""
-    gens = _minimalize(gens)
-    key = gens
-    hit = _NUMERATOR_CACHE.get(key)
-    if hit is not None:
-        return dict(hit)
+    """Numerator dict {degree: coeff} of S/J for the monomial ideal J
+    generated by gens, a tuple or list of exponent tuples."""
+    raw = tuple(gens)
+    out = _NUMERATOR_CACHE.get(raw)
+    if out is None:
+        gens = _minimalize(raw)
+        out = _numerator(gens, nvars)
+        if gens != raw:
+            _store(raw, out)
+    return dict(out)
+
+
+def _numerator(gens, nvars):
+    """The numerator of S/(gens), gens minimal and sorted by (degree,
+    monomial), memoized under gens; the cached dict is never changed."""
+    out = _NUMERATOR_CACHE.get(gens)
+    if out is not None:
+        return out
     if not gens:
         out = {0: 1}
-    elif any(mono_deg(m) == 0 for m in gens):
+    elif not any(gens[0]):  # the unit ideal: 1 comes first, and alone
         out = {}
     else:
-        support = [sum(1 for m in gens if m[v]) for v in range(nvars)]
+        support = [len(gens) - col.count(0) for col in zip(*gens)]
         if max(support) == 1:
             # pairwise coprime generators: product of (1 - t^deg)
             out = {0: 1}
@@ -67,36 +107,40 @@ def monomial_ideal_numerator(gens, nvars):
             # that x_v divides, and the colon drops v from at least half
             exps = sorted(m[v] for m in gens if m[v])
             k = exps[(len(exps) - 1) // 2]
-            pivot = tuple(k if i == v else 0 for i in range(nvars))
-            plus = monomial_ideal_numerator(gens + (pivot,), nvars)
-            colon = monomial_ideal_numerator(
-                tuple(m[:v] + (max(m[v] - k, 0),) + m[v + 1:] for m in gens),
+            plus = _numerator(_with_pivot(gens, v, k), nvars)
+            colon = _numerator(_minimalize(
+                tuple(m[:v] + (max(m[v] - k, 0),) + m[v + 1:] for m in gens)),
                 nvars)
             out = dict(plus)
             for e, c in colon.items():
                 out[e + k] = out.get(e + k, 0) + c
                 if out[e + k] == 0:
                     del out[e + k]
-    if len(_NUMERATOR_CACHE) >= _NUMERATOR_CACHE_CAP:
-        _NUMERATOR_CACHE.clear()
-    _NUMERATOR_CACHE[key] = dict(out)
+    _store(gens, out)
     return out
 
 
 class HilbertSeries:
     """numerator / (1 - t)^nvars with a Laurent polynomial numerator."""
 
-    __slots__ = ("numerator", "nvars")
+    __slots__ = ("numerator", "nvars", "_red")
 
     def __init__(self, numerator, nvars):
         self.numerator = {d: c for d, c in numerator.items() if c}
         self.nvars = nvars
+        self._red = None
 
     def is_zero(self):
         return not self.numerator
 
     def _reduced(self):
-        """(numerator with all (1-t) factors cancelled, remaining pole order)."""
+        """(numerator with all (1-t) factors cancelled, remaining pole
+        order), divided out on the first call and kept."""
+        if self._red is None:
+            self._red = self._divided()
+        return self._red
+
+    def _divided(self):
         num = dict(self.numerator)
         pole = self.nvars
         while num and sum(num.values()) == 0:

@@ -209,9 +209,7 @@ def _module_key(Mc):
     shift t0."""
     twists = Mc.gens_free.twists
     t0 = min(twists)
-    return t0, (tuple(t - t0 for t in twists),
-                frozenset(frozenset(g.terms.items())
-                          for g in Mc.gb().elements))
+    return t0, (tuple(t - t0 for t in twists), Mc.gb().key())
 
 
 def _duality_rows(F, n):

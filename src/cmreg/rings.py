@@ -89,8 +89,8 @@ class GradedRing:
             return False
         # equal ideals: equal reduced bases, whatever generators defined them
         from .groebner import defining_gb
-        return ([g.terms for g in defining_gb(self)]
-                == [g.terms for g in defining_gb(other)])
+        return ([(g.lead, g.tail) for g in defining_gb(self)]
+                == [(g.lead, g.tail) for g in defining_gb(other)])
 
     def __hash__(self):
         # equal ideals may have different numbers of generators

@@ -26,7 +26,7 @@ SESSIONS = os.path.join(os.path.dirname(__file__), "..", "sessions")
 
 
 def elements(gb):
-    return [(e.terms, e.lead, e.deg) for e in gb.elements]
+    return [(e.lead, e.tail, e.deg) for e in gb.elements]
 
 
 def assert_same_basis(got, want):
@@ -179,7 +179,7 @@ def eager_interreduce(elems, K, twists, P):
     for i, g in enumerate(kept):
         others = dict(groups)
         others[g.pos] = [e for e in groups[g.pos] if e[0] != i]
-        r, _ = groebner._reduce_packed(dict(g.terms), others, K, P)
+        r, _ = groebner._reduce_packed(dict(g.items(K.one)), others, K, P)
         if r:
             out.append(groebner._elem(r, K, twists, P))
     return groebner._canonical_sort(out)
@@ -192,7 +192,7 @@ def eager_basis(vectors, ring, free, known):
     aug = groebner._augmented_columns(ring, free)
     start = known.free.rank if known else 0
     packed = [P.encode_vec(v) for v in vectors if v]
-    packed += [a.terms for a in aug if a.pos >= start]
+    packed += [dict(a.items(K.one)) for a in aug if a.pos >= start]
     elems = eager_interreduce(groebner._buchberger(
         packed, K, free.twists, P, known.elements if known else ()),
         K, free.twists, P)
@@ -200,11 +200,12 @@ def eager_basis(vectors, ring, free, known):
         return elems, list(range(len(elems)))
     blockers = groebner._reducers(aug)
     return elems, [i for i, g in enumerate(elems)
-                   if groebner._reduce_packed(dict(g.terms), blockers, K, P)[0]]
+                   if groebner._reduce_packed(dict(g.items(K.one)), blockers,
+                                              K, P)[0]]
 
 
 def entries(elems):
-    return [(g.terms, g.lead, g.pos, g.deg) for g in elems]
+    return [(g.lead, g.tail, g.pos, g.deg) for g in elems]
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ from cmreg.groebner import (_INDEX_BITS, GroebnerBasis, _Packing,
                             _augmented_columns, _packing, _reduce,
                             _reduce_packed, _reducers, _s_vector,
                             _schreyer_pairs, _syzygy_basis, certify,
-                            defining_gb,
+                            defining_gb, direct_sum_basis,
                             groebner_basis, reduce_poly_mod_defining,
                             syzygy_generators)
 from cmreg.modules import quotient_series
@@ -19,6 +19,7 @@ from cmreg.poly import EXPONENT_CAP, Polynomial, mono_deg, mono_mul
 from cmreg.regularity import regularity
 from cmreg.theorems import random_ideal_corpus
 from fieldops import field_ops
+from test_oracle import over_field
 from monomials import mono_div, mono_divides, mono_lcm, term_key
 
 
@@ -33,10 +34,16 @@ def make_elem(vec, K, twists):
     return groebner._elem(P.encode_vec(vec), K, twists, P)
 
 
+def terms(g):
+    """The packed terms {h: c} of a monic element, lead first (its
+    coefficient 1 equals the field's one over every field)."""
+    return dict(g.items(1))
+
+
 def decode(g):
     """The tuple dict of an element packed in position over grevlex (the
     shared packing already covers every position it was packed in)."""
-    return _packing(len(g.ltm), g.pos + 1).decode_vec(g.terms)
+    return _packing(len(g.ltm), g.pos + 1).decode_vec(g.items(1))
 
 
 def own_heads(nvars, n):
@@ -302,7 +309,7 @@ def naive_buchberger(gens, K, twists, P):
 
 
 def reduced(elems, K, P):
-    return [(g.lead, g.terms) for g in groebner._interreduce(elems, K, P)]
+    return [(g.lead, g.tail) for g in groebner._interreduce(elems, K, P)]
 
 
 @pytest.fixture
@@ -345,7 +352,7 @@ def test_pair_update_gives_the_all_pairs_basis(s_vectors_in_buchberger,
         x, y, z = ring.gens()
         ring = ring.quotient([x * x - y * z, x * z])
     K, P = ring.field, _packing(3, len(twists))
-    aug = [a.terms for a in _augmented_columns(ring, FreeModule(ring, twists))]
+    aug = [terms(a) for a in _augmented_columns(ring, FreeModule(ring, twists))]
     # one term per position keeps rank-3 bases over QQ small
     nterms = 1 if len(twists) > 1 else 3
     naive_count = 0
@@ -361,7 +368,7 @@ def test_pair_update_gives_the_all_pairs_basis(s_vectors_in_buchberger,
         assert reduced(got, K, P) == reduced(want, K, P)
         grown += len(want) > len(first)
         known = groebner._interreduce(got, K, P)
-        want, done = naive_buchberger([g.terms for g in known] + rest, K,
+        want, done = naive_buchberger([terms(g) for g in known] + rest, K,
                                       twists, P)
         naive_count += done
         got = groebner._buchberger(rest, K, twists, P, known)
@@ -387,7 +394,7 @@ def test_the_product_criterion_only_holds_at_rank_one(S2):
     assert gi.pos == gj.pos and lcm == mono_mul(gi.ltm, gj.ltm)
     s, _, _ = _s_vector(gi, gj, P.encode(gi.pos, lcm), K, P.G)
     r, _ = _reduce_packed(s, _reducers(got[:2]), K, P)
-    assert P.decode_vec(r) == vec_from_column([S2.zero_poly(), y ** 3 - x * x])
+    assert P.decode_vec(r.items()) == vec_from_column([S2.zero_poly(), y ** 3 - x * x])
 
 
 def test_the_pair_update_forms_fewer_s_vectors_on_the_corpus(
@@ -566,8 +573,8 @@ def summed_neighbours(elems, K):
     p = K.characteristic
     out = []
     for g, h in zip(elems, elems[1:]):
-        v = dict(g.terms)
-        for t, c in h.terms.items():
+        v = terms(g)
+        for t, c in terms(h).items():
             c = v.get(t, 0) + c
             v[t] = c % p if p else c
         out.append({t: c for t, c in v.items() if c})
@@ -597,7 +604,7 @@ def test_buchberger_runs_in_a_schreyer_packing():
         assert Q.bases == [g.lead >> _INDEX_BITS
                            for g in M.gb().module_elements]
         elems = syz.elements
-        before = groebner._buchberger([g.terms for g in elems], K, twists, Q)
+        before = groebner._buchberger([terms(g) for g in elems], K, twists, Q)
         assert len(before) == len(elems)
         assert sorted(g.lead for g in before) == sorted(g.lead for g in elems)
         sums = summed_neighbours(elems, K)
@@ -606,7 +613,7 @@ def test_buchberger_runs_in_a_schreyer_packing():
         got = groebner._interreduce(groebner._buchberger(sums, K, twists, Q),
                                     K, Q)
         want, _ = naive_buchberger(sums, K, twists, Q)
-        assert [(g.lead, g.terms) for g in got] == reduced(want, K, Q)
+        assert [(g.lead, g.tail) for g in got] == reduced(want, K, Q)
         gb = GroebnerBasis(M.ring, syz.free, got, list(range(len(got))), Q)
         assert certify(gb)
         groups = gb._reducer_groups()
@@ -638,7 +645,7 @@ def test_position_over_grevlex_is_the_schreyer_layout_over_its_heads(rank):
             for m in monomials_of_degree(n, d):
                 h = P.encode(c, m)
                 assert Q.encode(c, m) == R.encode(c, m) == h
-                assert Q.decode_vec({h: 1}) == {(c, m): 1}
+                assert Q.decode_vec([(h, 1)]) == {(c, m): 1}
                 assert c or small[m] == h
 
 
@@ -792,8 +799,8 @@ def method_call_s_vector(gi, gj, hl, K, G):
     """Reference: `_s_vector` with field method calls."""
     K = field_ops(K)
     di, dj = hl - gi.lead, hl - gj.lead
-    s = {gi_h + di: c for gi_h, c in gi.terms.items()}
-    for h, c in gj.terms.items():
+    s = {gi_h + di: c for gi_h, c in terms(gi).items()}
+    for h, c in terms(gj).items():
         u = h + dj
         r = K.sub(s.get(u, K.zero), c)
         if K.is_zero(r):
@@ -894,8 +901,7 @@ def ordered(x):
 
 
 def packed_elements(basis):
-    return [(ordered(g.terms), g.lead, g.pos, g.ltm, g.deg)
-            for g in basis.elements]
+    return [(g.tail, g.lead, g.pos, g.ltm, g.deg) for g in basis.elements]
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS)
@@ -996,3 +1002,174 @@ def test_product_past_the_cap_raises_on_every_kernel_path(field):
                        [P.schreyer([g.lead]).head(0)])
     with pytest.raises(OverflowError):
         method_call_reduce_packed(P.encode_vec(vec), _reducers([g]), K, P)
+
+
+# -- the element form against the terms-dict form it replaced -------------
+
+class TermsElem:
+    """A basis element in the form GBElem had before it held a lead plus
+    a tail: a dict of all its packed terms, its packed lead and cached
+    lead-term data."""
+
+    __slots__ = ("terms", "lead", "pos", "ltm", "deg")
+
+    def __init__(self, terms, lead, pos, ltm, deg):
+        self.terms = terms
+        self.lead = lead
+        self.pos = pos
+        self.ltm = ltm
+        self.deg = deg
+
+
+def terms_form(g, K):
+    return TermsElem(dict(g.items(K.one)), g.lead, g.pos, g.ltm, g.deg)
+
+
+def terms_reducers(elems):
+    """Reference `_reducers`: each tail rebuilt from the terms dict."""
+    groups = {}
+    for i, g in enumerate(elems):
+        lead = g.lead
+        groups.setdefault(g.pos, []).append(
+            (i, lead, [(h - lead, c) for h, c in g.terms.items() if h != lead]))
+    return groups
+
+
+def terms_s_vector(gi, gj, hl, K, G):
+    """Reference `_s_vector`: every term of both elements moved to the
+    lcm, the leads cancelling there."""
+    di, dj = hl - gi.lead, hl - gj.lead
+    s = {}
+    for h, c in gi.terms.items():
+        u = h + di
+        if u & G:
+            raise OverflowError
+        s[u] = c
+    p = K.characteristic
+    for h, c in gj.terms.items():
+        u = h + dj
+        if u & G:
+            raise OverflowError
+        r = s.get(u, 0) - c
+        if p:
+            r %= p
+        if r:
+            s[u] = r
+        else:
+            del s[u]
+    return s, di, dj
+
+
+def terms_interreduce(elems, K, P):
+    """Reference `_interreduce`: the lead popped off a copy of the terms
+    dict, the rest reduced and put back behind it."""
+    elems = groebner._canonical_sort(list(elems))
+    G = P.G
+    groups = terms_reducers(elems)
+    keep = [True] * len(elems)
+    for group in groups.values():
+        for i, lead, _ in group:
+            for j, other, _ in group:
+                if (i != j and not (lead - other) & G
+                        and (other != lead or j < i)):
+                    keep[i] = False
+                    break
+    groups = {p: [e for e in group if keep[e[0]]]
+              for p, group in groups.items()}
+    out = []
+    for i, g in enumerate(elems):
+        if keep[i]:
+            tail = dict(g.terms)
+            c = tail.pop(g.lead)
+            r, _ = _reduce_packed(tail, groups, K, P)
+            out.append(TermsElem({g.lead: c, **r}, g.lead, g.pos, g.ltm, g.deg))
+    return out
+
+
+def terms_moved(elems, off, twists, P):
+    """Reference `_moved`: every term moved by e_off - e_0."""
+    s = P.head(off) - P.head(0)
+    return [TermsElem({h + s: c for h, c in g.terms.items()}, g.lead + s,
+                      g.pos + off, g.ltm, mono_deg(g.ltm) + twists[g.pos + off])
+            for g in elems]
+
+
+def as_decoded(P, elems, K):
+    """(lead, position, degree, decoded terms in order) of each element of
+    either form."""
+    return [(g.lead, g.pos, g.ltm, g.deg, ordered(P.decode_vec(
+        g.terms.items() if isinstance(g, TermsElem) else g.items(K.one))))
+            for g in elems]
+
+
+def recorded_buchberger_runs(monkeypatch, modules):
+    """(basis, K, twists, P) of every `_buchberger` run that the
+    regularity of each module makes: its own basis, the cokernels of its
+    Koszul and Hom totalizations, and every seeded run on the way."""
+    runs = []
+    inner = groebner._buchberger
+
+    def recording(gens, K, twists, P, known=()):
+        basis = inner(gens, K, twists, P, known)
+        runs.append((list(basis), K, twists, P))
+        return basis
+
+    monkeypatch.setattr(groebner, "_buchberger", recording)
+    for M in modules:
+        regularity(M)
+    monkeypatch.undo()
+    return runs
+
+
+@pytest.mark.parametrize("field", [
+    pytest.param({"p": 32003}, id="GF(32003)"),
+    pytest.param({"rational": True}, id="QQ")])
+def test_the_element_form_matches_the_terms_dict_form(monkeypatch, field):
+    # `_interreduce`, `_s_vector` and `_moved` on lead plus tail against the
+    # terms-dict versions they replaced, term for term and in the same
+    # order after decoding, on every basis the corpus builds
+    modules = [over_field(inst.module, field)
+               for inst in random_ideal_corpus(count=30)]
+    runs = recorded_buchberger_runs(monkeypatch, modules)
+    assert len(runs) > 100
+    pairs = moved = 0
+    for basis, K, twists, P in runs:
+        got = groebner._interreduce(basis, K, P)
+        want = terms_interreduce([terms_form(g, K) for g in basis], K, P)
+        assert as_decoded(P, got, K) == as_decoded(P, want, K)
+        for i, j, hl in _schreyer_pairs(got, P):
+            s, di, dj = _s_vector(got[i], got[j], hl, K, P.G)
+            ref, ri, rj = terms_s_vector(want[i], want[j], hl, K, P.G)
+            assert (di, dj) == (ri, rj)
+            assert ordered(P.decode_vec(s.items())) == ordered(
+                P.decode_vec(ref.items()))
+            pairs += 1
+        off = 2
+        wide = (0,) * off + tuple(twists)
+        Q = _packing(P.nvars, len(wide))
+        new = groebner._moved(got, off, wide, Q)
+        assert as_decoded(Q, new, K) == as_decoded(
+            Q, terms_moved(want, off, wide, Q), K)
+        moved += len(new)
+    assert pairs > 100 and moved > 100
+
+
+def test_a_direct_sum_shares_its_blocks_tails(S3):
+    # a block shift moves the lead alone: every element of the sum holds
+    # its block element's own tail object, and decodes to that element
+    # moved to the block's positions
+    x, y, z = S3.gens()
+    a = groebner_basis(vecs_from_polys([x * x - y * z, x * y + z * z]), S3,
+                       FreeModule(S3, (0,)))
+    b = groebner_basis([vec_from_column([y * y - x * z, x * y])], S3,
+                       FreeModule(S3, (1, 1)))
+    total = FreeModule(S3, (0, 1, 1))
+    gb = direct_sum_basis(S3, total, [(a, 0), (b, 1)])
+    blocks = a.elements + b.elements
+    assert any(g.tail for g in blocks)
+    assert sorted(map(id, (g.tail for g in gb.elements))) == sorted(
+        map(id, (g.tail for g in blocks)))
+    shifted = a.module_vectors() + [{(p + 1, m): c for (p, m), c in v.items()}
+                                    for v in b.module_vectors()]
+    assert sorted(map(ordered, gb.module_vectors())) == sorted(
+        map(ordered, shifted))

@@ -4,7 +4,8 @@ from math import inf
 import cmreg.modules
 from cmreg import (PresentedModule, hilbert, module_from_ideal,
                    polynomial_ring)
-from cmreg.hilbert import _minimalize, monomial_ideal_numerator
+from cmreg.hilbert import (HilbertSeries, _minimalize,
+                           monomial_ideal_numerator)
 from cmreg.poly import EXPONENT_CAP, mono_deg
 from cmreg.regularity import regularity
 from cmreg.theorems import DEFAULT_CORPUS_SEED, random_ideal_corpus
@@ -160,6 +161,97 @@ def test_numerators_match_the_reference_on_random_ideals(monkeypatch):
                      for _ in range(rng.randint(1, 7)))
         assert (monomial_ideal_numerator(gens, nvars)
                 == reference_numerator(gens, nvars)), gens
+
+
+def checked_sum_branches(monkeypatch):
+    """Every sum-branch tuple from now on, each checked against the
+    minimal generators of J + (x_v^k); returns the count checked."""
+    checked = [0]
+    inner = hilbert._with_pivot
+
+    def checking(gens, v, k):
+        got = inner(gens, v, k)
+        pivot = tuple(k if i == v else 0 for i in range(len(gens[0])))
+        assert got == _minimalize(gens + (pivot,)), (gens, v, k)
+        checked[0] += 1
+        return got
+
+    monkeypatch.setattr(hilbert, "_with_pivot", checking)
+    monkeypatch.setattr(hilbert, "_NUMERATOR_CACHE", {})
+    return checked
+
+
+def test_the_sum_branch_keeps_the_minimal_generators(monkeypatch):
+    # the pivot is inserted into J's generators that it does not divide,
+    # with no second minimalizing: the corpus replay and 300 random ideals
+    calls = []
+    original = cmreg.modules.monomial_ideal_numerator
+
+    def recording(gens, nvars):
+        calls.append((gens, nvars))
+        return original(gens, nvars)
+
+    monkeypatch.setattr(cmreg.modules, "monomial_ideal_numerator", recording)
+    for inst in random_ideal_corpus(seed=DEFAULT_CORPUS_SEED, count=30):
+        regularity(inst.module)
+    checked = checked_sum_branches(monkeypatch)
+    for gens, nvars in calls:
+        monomial_ideal_numerator(gens, nvars)
+    corpus = checked[0]
+    assert corpus > 100
+    rng = random.Random("sum branch")
+    for _ in range(300):
+        nvars = rng.randint(1, 4)
+        top = rng.choice([2, 4, 12])
+        gens = tuple(tuple(rng.randint(0, top) for _ in range(nvars))
+                     for _ in range(rng.randint(1, 7)))
+        assert (monomial_ideal_numerator(gens, nvars)
+                == reference_numerator(gens, nvars)), gens
+    assert checked[0] - corpus > 100
+
+
+def test_raw_generators_in_any_form_give_one_numerator(monkeypatch):
+    # a list, a permutation and a tuple with repeated and redundant
+    # generators all read the numerator of the ideal they generate; each
+    # top-level tuple, as given, is a cache key next to the minimal one
+    rng = random.Random("raw keys")
+    monkeypatch.setattr(hilbert, "_NUMERATOR_CACHE", {})
+    for _ in range(100):
+        nvars = rng.randint(1, 4)
+        gens = tuple(tuple(rng.randint(0, 4) for _ in range(nvars))
+                     for _ in range(rng.randint(1, 6)))
+        want = reference_numerator(gens, nvars)
+        permuted = list(gens)
+        rng.shuffle(permuted)
+        multiple = tuple(e + rng.randint(0, 2) for e in rng.choice(gens))
+        redundant = tuple(permuted) + (multiple, gens[0])
+        for raw in (gens, list(gens), tuple(permuted), redundant):
+            got = monomial_ideal_numerator(raw, nvars)
+            assert got == want, raw
+            got[-1] = 7  # the caller's copy, not the cache's
+            assert monomial_ideal_numerator(raw, nvars) == want
+            assert tuple(raw) in hilbert._NUMERATOR_CACHE
+        assert _minimalize(gens) in hilbert._NUMERATOR_CACHE
+
+
+def test_a_series_divides_out_its_poles_once(monkeypatch, S3):
+    # `dimension` and `top_degree` share one division by (1 - t)
+    x, y, z = S3.gens()
+    calls = []
+    inner = HilbertSeries._divided
+
+    def counting(self):
+        calls.append(self)
+        return inner(self)
+
+    monkeypatch.setattr(HilbertSeries, "_divided", counting)
+    for gens, dim, top in (([x * x, y * y, z * z], 0, 3),
+                           ([x * y, x * z], 2, inf)):
+        hs = PresentedModule.cyclic(S3, gens).hilbert_series()
+        assert [hs.dimension(), hs.top_degree(), hs.top_degree(),
+                hs.dimension()] == [dim, top, top, dim]
+        assert calls == [hs]
+        calls.clear()
 
 
 def test_minimalize_keeps_the_minimal_generators_in_degree_order():

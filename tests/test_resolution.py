@@ -1031,7 +1031,8 @@ def test_a_frame_syzygy_decodes_only_through_its_basis():
         vecs = level.module_vectors()
         assert len(vecs) == len(level.elements) > 0
         for g, v in zip(level.elements, vecs):
-            assert _packing(3, level.free.rank).decode_vec(g.terms) != v
+            assert _packing(3, level.free.rank).decode_vec(
+                g.items(K.one)) != v
             assert v[(g.pos, g.ltm)] == K.one
             total = {}
             for (k, mono), c in v.items():
@@ -1425,7 +1426,8 @@ def reference_decode(basis):
 
     return [{(h & Q.M, mono_div(mono(h >> _INDEX_BITS),
                                 mono(Q.bases[h & Q.M]))): c
-             for h, c in g.terms.items()} for g in basis.module_elements]
+             for h, c in g.items(basis.ring.field.one)}
+            for g in basis.module_elements]
 
 
 def test_cols_are_the_frame_decoded(monkeypatch):

@@ -51,7 +51,7 @@ def syzygies_of_vectors(vectors, ring, free):
     out = []
     P = _packing(ring.nvars, big.rank)
     for e in gb.module_elements:
-        vec = P.decode_vec(e.terms)
+        vec = P.decode_vec(e.items(ring.field.one))
         if all(p >= r for (p, _) in vec):
             out.append({(p - r, m): c for (p, m), c in vec.items()})
     return out, FreeModule(ring, degs)
