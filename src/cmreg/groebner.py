@@ -59,14 +59,16 @@ Then, in every packing:
   encoded input term, with the OverflowError of `poly.mono_mul`.
 
 Only `_Packing` knows the layout.  Every other function reads a term's
-position as h & M, and a lead's exponent word (`word`), a pair's packed
-lcm (`pair`) and a basis vector's head (`head`) through the packing.  So
-one kernel, `_reduce_packed`, with one `_s_vector`, `_schreyer_pairs` and
-`_buchberger`, serves every order.
+position as h & M, and a lead's exponent word and monomial (`unpack`), a
+pair's packed lcm (`pair`) and a basis vector's head (`head`) through the
+packing.  So one kernel, `_reduce_packed`, with one `_s_vector`,
+`_schreyer_pairs` and `_buchberger`, serves every order.
 
 A basis element has one form, a GBElem: its packed lead, whose
 coefficient is the field's one (every element is monic), and its tail,
-a tuple of offsets (h - lead, c) over its other terms.  Every reader
+a tuple of offsets (h - lead, c) over its other terms.  It keeps its
+lead's exponent word and monomial, unpacked once where it is made; the
+two pair selections read the word from the element.  Every reader
 takes that form as it is: the reduction kernel walks the tail, an
 S-vector adds two tails at the packed lcm, interreduction reduces the
 tail, and a block shift moves the lead alone and shares the tail, since
@@ -96,14 +98,17 @@ p is nonzero, and `if s` tests for zero, which holds for ints and
 Fractions alike.  So s is w - c c2 in the field, reduced into [0, p)
 over GF(p).
 
-The trace has one form.  Given a head per reducer, the packed basis
-vector its quotient is written on, the kernel records each negated
-quotient term -c q as the packed term heads[i] + d, d = h(q t) - h(t) the
-offset of q: an offset is a multiple of 2^W, so that is q e_i in the
-head's own packing.  A syzygy step gives Schreyer-packed heads, a lift
-e_k in position over grevlex, and a reducer whose quotient is not wanted
-(a defining column) has no head.  Each term is reduced at most once, so
-the trace records each (reducer, quotient term) once and never adds.
+The trace has one form, one flat dict.  Given a head per reducer, the
+packed basis vector its quotient is written on, the kernel records each
+negated quotient term -c q as the packed term heads[i] + d, d = h(q t) -
+h(t) the offset of q: an offset is a multiple of 2^W, so that is q e_i in
+the head's own packing.  A syzygy step gives Schreyer-packed heads, a
+lift e_k in position over grevlex, and a reducer whose quotient is not
+wanted (a defining column) has no head.  Each term is reduced at most
+once, so the trace records each (reducer, quotient term) once and never
+adds; the heads lie in distinct positions, so no two reducers' terms
+meet, and the dict is the vector sum_i -q_i heads[i] as it stands, its
+terms in the order they were reduced.
 
 Pair selection (`_schreyer_pairs`): order syzygies by the Schreyer order
 of a basis g_1..g_s, m e_i > m' e_j when m lt(g_i) > m' lt(g_j), or the
@@ -126,16 +131,19 @@ needs Buchberger only where its columns are more than syzygies
 
 A syzygy is written straight into the Schreyer packing as its S-pair
 reduces: with each module element's e_k packed in that order as its
-head, the trace holds -q_k e_k, grouped by k, so `syzygy_generators`
-only prepends m_i e_i - m_j e_j.  No two of these terms meet, since
-every q_k lt(g_k) lies below the lcm.  A pair's lcm is taken on the
+head, the trace holds -sum_k q_k e_k, so `syzygy_generators` only adds
+-m_j e_j and makes the element from its known lead m_i e_i, whose
+coefficient is one: the trace, then -m_j e_j, is its tail.  No two of
+these terms meet, since every q_k lt(g_k) lies below the lcm, and a
+trace term at or above the lead raises.  A pair's lcm is taken on the
 leads' exponent words, field by field, and packed by linearity as
 head(p) + ((lcm - (deg lcm << B)) << W) in position p, with no tuple per
-pair (`_Packing.pair`, which `_buchberger` shares).  There is no
-degree filter: a truncated resolution's top step takes every selected
-pair too.  Over a polynomial ring the selected pairs have distinct
-Schreyer leads, so only a quotient ring's syzygies are checked for
-duplicates (`_syzygy_basis`).
+pair (`_Packing.pair`, which `_buchberger` shares).  There is no degree
+filter: a truncated resolution's top step takes every selected pair too.
+A pair of two defining columns of a quotient ring is not reduced at all
+(`syzygy_generators` has the proof), so every kept pair (i, j) has a
+module element i and its own Schreyer lead: no syzygy repeats, over any
+ring.
 
 Reuse: a Buchberger run can start from a known Groebner basis
 (`_buchberger`'s `known`; the homology layer seeds each cokernel's basis
@@ -245,6 +253,12 @@ class _Packing:
         """The monomial of h."""
         return self.struct.unpack(self.word(h).to_bytes(self.nbytes, "little"))
 
+    def unpack(self, h):
+        """(exponent word, monomial) of h, from one read of its fields: a
+        lead's two forms, which a GBElem keeps."""
+        w = self.word(h)
+        return w, self.struct.unpack(w.to_bytes(self.nbytes, "little"))
+
     def decode_vec(self, terms):
         """The tuple dict {(position, monomial): c} of packed (h, c) pairs."""
         M, mono = self.M, self.mono
@@ -286,14 +300,19 @@ class GBElem:
     """A monic basis element in its one form: the packed lead, whose
     coefficient is the field's one, and the tail, an immutable tuple of
     offsets (h - lead, c) over the other packed terms h, with cached
-    lead-term data; decoded by its basis alone (module docstring)."""
+    lead-term data: the position, the lead's exponent word (`word`,
+    which both pair selections read) and monomial, and the degree.  The
+    lead is unpacked once, where the element is made (`_elem`,
+    `syzygy_generators`); a moved or reduced element shares the word.
+    Decoded by its basis alone (module docstring)."""
 
-    __slots__ = ("lead", "tail", "pos", "ltm", "deg")
+    __slots__ = ("lead", "tail", "pos", "word", "ltm", "deg")
 
-    def __init__(self, lead, tail, pos, ltm, deg):
+    def __init__(self, lead, tail, pos, word, ltm, deg):
         self.lead = lead
         self.tail = tail
         self.pos = pos
+        self.word = word
         self.ltm = ltm
         self.deg = deg
 
@@ -316,8 +335,8 @@ def _elem(terms, K, twists, P):
     else:
         tail = tuple([(h - lead, cc) for h, cc in terms.items() if h != lead])
     pos = lead & P.M
-    ltm = P.mono(lead)
-    return GBElem(lead, tail, pos, ltm, mono_deg(ltm) + twists[pos])
+    word, ltm = P.unpack(lead)
+    return GBElem(lead, tail, pos, word, ltm, mono_deg(ltm) + twists[pos])
 
 
 def _reducer(i, g):
@@ -339,10 +358,12 @@ def _reduce_packed(work, reducers, K, P, heads=None):
     sum_i q_i elems[i] + r.  Returns (r, trace).
 
     With `heads`, each element's packed basis vector (None for one whose
-    quotient is not wanted), the trace holds each -q_i times its head as
-    packed terms, {i: {heads[i] + d: -c}}, where c q is a quotient term
-    and d = h(q t) - h(t) its offset, a multiple of 2^W.  Without heads
-    the trace is None (module docstring, The trace has one form)."""
+    quotient is not wanted), in distinct positions, the trace is the one
+    flat dict {heads[i] + d: -c} of the packed terms of sum_i -q_i
+    heads[i], where c q is a quotient term and d = h(q t) - h(t) its
+    offset, a multiple of 2^W; the terms come in the order they were
+    reduced.  Without heads the trace is None (module docstring, The
+    trace has one form)."""
     rem = {}
     heap = list(work)
     heapify(heap)
@@ -384,21 +405,21 @@ def _reduce_packed(work, reducers, K, P, heads=None):
                     work[u] = s
                 else:
                     del work[u]
-        # each h is reduced once, so (i, d) is never recorded twice
+        # each h is reduced once, so (i, d) is never recorded twice, and
+        # the heads' positions keep two reducers' terms apart
         if heads is not None and heads[i] is not None:
-            trace.setdefault(i, {})[heads[i] + d] = nc
+            trace[heads[i] + d] = nc
     return rem, trace
 
 
 def _reduce(vec, reducers, K, P, heads=None):
     """Full normal form r of the tuple-dict vec against `_reducers(elems)`
     in the elements' packing P (`_reduce_packed`), decoded.  Returns (r,
-    trace): with `heads`, which must be distinct, the trace is the one
+    trace): with `heads`, in distinct positions, the trace is the one
     vector sum_i -q_i heads[i], decoded; without, it is None."""
     rem, trace = _reduce_packed(P.encode_vec(vec), reducers, K, P, heads)
     if trace is not None:
-        trace = P.decode_vec([(h, c) for part in trace.values()
-                              for h, c in part.items()])
+        trace = P.decode_vec(trace.items())
     return P.decode_vec(rem.items()), trace
 
 
@@ -464,7 +485,7 @@ def _interreduce(elems, K, P):
             r, _ = _reduce_packed({lead + off: c for off, c in g.tail},
                                   groups, K, P)
             tail = tuple([(h - lead, c) for h, c in r.items()])
-            out.append(GBElem(lead, tail, g.pos, g.ltm, g.deg))
+            out.append(GBElem(lead, tail, g.pos, g.word, g.ltm, g.deg))
     return out
 
 
@@ -496,7 +517,6 @@ def _buchberger(gens, K, twists, P, known=()):
     basis = list(known)
     basis += _canonical_sort([_elem(v, K, twists, P) for v in gens if v])
     reducers = _reducers(basis)
-    words = [P.word(g.lead) for g in basis]
     G, pair = P.G, P.pair
     heap = []
     pending = {}  # position -> {(i, j): packed lcm}
@@ -504,13 +524,13 @@ def _buchberger(gens, K, twists, P, known=()):
     while True:
         while t < len(basis):
             g = basis[t]
-            pos, lt, et, head = g.pos, g.lead, words[t], P.head(g.pos)
+            pos, lt, et, head = g.pos, g.lead, g.word, P.head(g.pos)
             lcms = {}
             cands = []
             for i, _, _ in reducers[pos]:
                 if i == t:
                     break
-                ei = words[i]
+                ei = basis[i].word
                 d, lcm, hl = pair(head, ei, et)
                 lcms[i] = hl
                 # lcm = e_i + e_t exactly when the leads are coprime
@@ -548,17 +568,29 @@ def _buchberger(gens, K, twists, P, known=()):
             g = _elem(r, K, twists, P)
             reducers.setdefault(g.pos, []).append(_reducer(len(basis), g))
             basis.append(g)
-            words.append(P.word(g.lead))
 
 
 def defining_gb(ring):
     """Reduced rank-one basis of the defining ideal over the cover (cached)."""
     if ring.is_polynomial:
         return []
+    return _cached(ring, "defining_gb", lambda: _defining_basis(ring))
+
+
+def _defining_basis(ring):
+    """The defining ideal's reduced basis, certified once here: the
+    syzygy step reduces no S-pair of two defining columns
+    (`syzygy_generators`), so it relies on this basis being a Groebner
+    basis without seeing its pairs vanish.  ArithmeticError if not."""
     K, P = ring.field, _packing(ring.nvars, 1)
-    return _cached(ring, "defining_gb", lambda: _interreduce(_buchberger(
+    elems = _interreduce(_buchberger(
         [{P.encode(0, m): c for m, c in f.terms.items()} for f in ring.defining],
-        K, (0,), P), K, P))
+        K, (0,), P), K, P)
+    if not certify(GroebnerBasis(ring, FreeModule(ring, (0,)), elems,
+                                 list(range(len(elems))), P)):
+        raise ArithmeticError("the defining ideal's basis is not a "
+                              "Groebner basis")
+    return elems
 
 
 def _moved(elems, off, twists, P):
@@ -570,7 +602,7 @@ def _moved(elems, off, twists, P):
     out = []
     for g in elems:
         pos = g.pos + off
-        out.append(GBElem(g.lead + s, g.tail, pos, g.ltm,
+        out.append(GBElem(g.lead + s, g.tail, pos, g.word, g.ltm,
                           mono_deg(g.ltm) + twists[pos]))
     return out
 
@@ -652,13 +684,22 @@ class GroebnerBasis:
 
     def module_constants(self):
         """The constant part of each module element, {(position, 1): c},
-        read off the packed terms: a term m e_p has m = 1 exactly when
-        it is e_p's packed head (`head`), in any packing."""
+        read off the packed terms, the lead and then each tail offset: a
+        term m e_p has m = 1 exactly when it is e_p's packed head
+        (`head`), in any packing."""
         Q, one = self.packing, self.ring.field.one
         unit = (0,) * self.ring.nvars
         heads = {Q.head(k): k for k in range(self.free.rank)}
-        return [{(heads[h], unit): c for h, c in g.items(one) if h in heads}
-                for g in self.module_elements]
+        out = []
+        for g in self.module_elements:
+            lead = g.lead
+            const = {(heads[lead], unit): one} if lead in heads else {}
+            for off, c in g.tail:
+                k = heads.get(lead + off)
+                if k is not None:
+                    const[k, unit] = c
+            out.append(const)
+        return out
 
     def key(self):
         """A hashable value of the elements: over one ring and free
@@ -773,21 +814,24 @@ def _schreyer_pairs(elems, P):
     j) order and kept when no lcm kept so far divides theirs, so of equal
     lcms the smallest j survives."""
     G, pair = P.G, P.pair
-    words = [P.word(g.lead) for g in elems]
     groups = {}
     for i, g in enumerate(elems):
-        groups.setdefault(g.pos, []).append(i)
+        groups.setdefault(g.pos, []).append((i, g.word))
     kept = []
-    for group in groups.values():
-        head = P.head(elems[group[0]].pos)
-        for a, i in enumerate(group):
+    for pos, group in groups.items():
+        head = P.head(pos)
+        for a, (i, ei) in enumerate(group):
             cands = []
-            for j in group[a + 1:]:
-                d, _, hl = pair(head, words[i], words[j])
+            for j, ej in group[a + 1:]:
+                d, _, hl = pair(head, ei, ej)
                 cands.append((d, j, hl))
+            cands.sort()
             minimal = []
-            for d, j, hl in sorted(cands):
-                if all((hl - k) & G for k in minimal):
+            for d, j, hl in cands:
+                for k in minimal:
+                    if not (hl - k) & G:
+                        break
+                else:
                     minimal.append(hl)
                     kept.append((j, i, hl))
     kept.sort()
@@ -820,9 +864,23 @@ def syzygy_generators(gb):
     so the selected trace syzygies generate all its syzygies, and dropping
     the coordinates of the defining columns yields generators over R.
 
-    The trace syzygy of the pair (i, j) of two module elements leads with
-    (lcm_ij / lt(g_i)) e_i in the Schreyer order gb induces (module
-    docstring); one that leads with another term raises ArithmeticError.
+    A pair of two defining columns a < b is skipped.  Replace its trace
+    tau_ab by tau'_ab, the trace of its S-vector's reduction by the
+    defining columns alone, which reduces to zero because `defining_gb`
+    is a Groebner basis (certified where it is built).  Every quotient of
+    either reduction lies below the lcm, so tau'_ab keeps the Schreyer
+    lead (lcm_ab / lt(g_a)) e_a, and the kept traces with the tau'_ab
+    still form a Groebner basis of the syzygies of the reducer list.  A
+    tau'_ab is zero on the module coordinates, so dropping them leaves
+    the same generators over R.
+
+    So every kept pair (i, j) has a module element i, and its trace
+    syzygy leads with (lcm_ij / lt(g_i)) e_i in the Schreyer order gb
+    induces (module docstring): the step builds the element from that
+    lead, coefficient one, with the -m_j e_j term (when j is a module
+    element) and the trace as its tail.  A trace term at or above the lead
+    raises ArithmeticError.  Of one i, `_schreyer_pairs` keeps distinct
+    lcms, so no two kept syzygies share a lead and none repeats.
 
     Returns (elements, basis): basis is `_syzygy_basis` of the syzygies,
     a GroebnerBasis on the free module on the element degrees, packed in
@@ -837,43 +895,40 @@ def syzygy_generators(gb):
     ext = list(mod) + _augmented_columns(ring, gb.free)
     reducers = _reducers(ext)
     n_mod = len(mod)
+    twists = tuple(g.deg for g in mod)
     Q = P.schreyer([g.lead for g in mod])
     # q e_k packs as heads[k] + d, d the offset of q in P; the defining
     # columns' coordinates are dropped
     heads = [Q.head(k) for k in range(n_mod)]
     heads += [None] * (len(ext) - n_mod)
-    p, one = K.characteristic, K.one
-    minus_one = p - 1 if p else -one
+    p = K.characteristic
+    minus_one = p - 1 if p else -K.one
     out = []
     for i, j, hl in _schreyer_pairs(ext, P):
+        if i >= n_mod:
+            continue  # two defining columns (docstring)
         s, di, dj = _s_vector(ext[i], ext[j], hl, K, P.G)
         r, trace = _reduce_packed(s, reducers, K, P, heads)
         if r:
             raise ArithmeticError("S-pair of a Groebner basis did not reduce to zero")
         # m_i e_i - m_j e_j - sum_k q_k e_k, with no term repeated
         # (module docstring)
-        syz = {}
-        if i < n_mod:
-            lead = heads[i] + di
-            syz[lead] = one
+        lead = heads[i] + di
         if j < n_mod:
-            syz[heads[j] + dj] = minus_one
-        for part in trace.values():
-            syz.update(part)
-        if i < n_mod and min(syz, default=None) != lead:
+            trace[heads[j] + dj] = minus_one
+        if trace and min(trace) <= lead:
             raise ArithmeticError("a trace syzygy does not lead with its "
                                   "Schreyer term")
-        if syz:
-            out.append(syz)
-    basis = _syzygy_basis(ring, FreeModule(ring, tuple(g.deg for g in mod)),
-                          Q, out)
+        word, ltm = Q.unpack(lead)
+        out.append(GBElem(lead, tuple([(h - lead, c) for h, c in trace.items()]),
+                          i, word, ltm, mono_deg(ltm) + twists[i]))
+    basis = _syzygy_basis(ring, FreeModule(ring, twists), Q, out)
     return basis.module_elements, basis
 
 
-def _syzygy_basis(ring, F, Q, syzygies):
-    """The packed syzygies (nonzero, in packing Q over F) as a
-    GroebnerBasis: monic, without duplicates, in lead-index order, and
-    never decoded here.
+def _syzygy_basis(ring, F, Q, elems):
+    """The syzygies, GBElems in packing Q over F, as a GroebnerBasis in
+    lead-index order, never decoded here.
 
     Lead-index order sorts by the lead's basis index c, then by the
     exponent of v in the lead monomial, decreasing, with v the first
@@ -882,22 +937,7 @@ def _syzygy_basis(ring, F, Q, syzygies):
     (module docstring).  By v next, i < j in one position has
     lt(g_j) no higher in v than lt(g_i), so the next level's leads lack v
     and every variable these lack (Schreyer's proof of the syzygy
-    theorem): a frame over n variables ends within n levels.
-
-    Over a polynomial ring every selected pair (i, j) leads with its own
-    term (lcm_ij / lt(g_i)) e_i, since `_schreyer_pairs` keeps distinct
-    lcms for each i, so only a quotient ring's syzygies need the
-    duplicate check."""
-    K = ring.field
-    if not ring.is_polynomial:
-        seen, unique = set(), []
-        for syz in syzygies:
-            key = frozenset(syz.items())
-            if key not in seen:
-                seen.add(key)
-                unique.append(syz)
-        syzygies = unique
-    elems = [_elem(syz, K, F.twists, Q) for syz in syzygies]
+    theorem): a frame over n variables ends within n levels."""
     v = next((x for x in range(ring.nvars) if any(g.ltm[x] for g in elems)), 0)
     elems.sort(key=lambda g: (g.pos, -g.ltm[v], g.lead))
     return GroebnerBasis(ring, F, elems, list(range(len(elems))), Q)

@@ -194,7 +194,11 @@ class HilbertSeries:
 
     def over(self, n):
         """The same series over n >= nvars variables: its numerator
-        times (1 - t)^(n - nvars)."""
+        times (1 - t)^(n - nvars).  ValueError for n < nvars, where no
+        polynomial numerator need exist."""
+        if n < self.nvars:
+            raise ValueError(f"a series over {self.nvars} variables cannot "
+                             f"be written over {n}")
         num = self.numerator
         for _ in range(n - self.nvars):
             nxt = dict(num)

@@ -1,4 +1,7 @@
+import ast
 import heapq
+import inspect
+import os
 import random
 
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from cmreg import PresentedModule, free_resolution, polynomial_ring
 from cmreg.freemod import FreeModule, vec_addmul, vec_degree, vec_from_column
 from cmreg import groebner
+from cmreg import resolution as res_mod
 from cmreg.groebner import (_INDEX_BITS, GroebnerBasis, _Packing,
                             _augmented_columns, _packing, _reduce,
                             _reduce_packed, _reducers, _s_vector,
@@ -17,9 +21,10 @@ from cmreg.modules import quotient_series
 from cmreg.oracle import monomials_of_degree
 from cmreg.poly import EXPONENT_CAP, Polynomial, mono_deg, mono_mul
 from cmreg.regularity import regularity
-from cmreg.theorems import random_ideal_corpus
+from cmreg.session import parse_session
+from cmreg.theorems import nilpotent_scroll_family, random_ideal_corpus
 from fieldops import field_ops
-from test_oracle import over_field
+from test_oracle import SESSIONS, over_field
 from monomials import mono_div, mono_divides, mono_lcm, term_key
 
 
@@ -410,9 +415,10 @@ def test_the_pair_update_forms_fewer_s_vectors_on_the_corpus(
 # -- the Schreyer pair selection against all S-pairs ----------------------
 
 def naive_syzygy_generators(gb):
-    """Reference: the trace syzygies of every same-position S-pair, in the
-    packing and the lead-index order of `syzygy_generators`
-    (`_syzygy_basis`)."""
+    """Reference: the trace syzygies of every same-position S-pair, two
+    defining columns included, in the packing and the lead-index order of
+    `syzygy_generators` (`_syzygy_basis`); over a quotient ring, without
+    duplicates."""
     K = field_ops(gb.ring.field)
     P = gb.packing
     mod = gb.module_elements
@@ -438,8 +444,7 @@ def naive_syzygy_generators(gb):
             syz = {}
             for (k, q), c in [(split_head(n, heads[i] + di), K.one),
                               (split_head(n, heads[j] + dj), K.neg(K.one))] + [
-                    (split_head(n, t), c) for part in trace.values()
-                    for t, c in part.items()]:
+                    (split_head(n, t), c) for t, c in trace.items()]:
                 if k >= n_mod:
                     continue
                 t = Q.encode(k, q)
@@ -450,8 +455,23 @@ def naive_syzygy_generators(gb):
                     syz[t] = s2
             if syz:
                 out.append(syz)
-    basis = _syzygy_basis(gb.ring, F, Q, out)
+    if not gb.ring.is_polynomial:
+        out = unique(out)
+    basis = _syzygy_basis(gb.ring, F, Q, [groebner._elem(syz, gb.ring.field,
+                                                         F.twists, Q)
+                                          for syz in out])
     return basis.module_elements, basis
+
+
+def unique(syzygies):
+    """The packed syzygies {h: c} without repeats, in first-seen order."""
+    seen, out = set(), []
+    for syz in syzygies:
+        key = frozenset(syz.items())
+        if key not in seen:
+            seen.add(key)
+            out.append(syz)
+    return out
 
 
 def unit_rank(vecs, K):
@@ -750,7 +770,7 @@ def test_lift_writes_a_member_on_the_module_elements(twists, quotient):
 def method_call_reduce_packed(work, reducers, K, P, heads=None):
     """Reference: the reduction kernel written with field method calls
     (K.mul, K.sub, K.add, K.is_zero), as it was before its arithmetic went
-    inline, its trace summed term by term."""
+    inline, its flat trace summed term by term."""
     K = field_ops(K)
     rem = {}
     heap = list(work)
@@ -785,13 +805,12 @@ def method_call_reduce_packed(work, reducers, K, P, heads=None):
                 else:
                     work[u] = s
         if heads is not None and heads[i] is not None:
-            slot = trace.setdefault(i, {})
             t = heads[i] + d
-            s = K.sub(slot.get(t, zero), c)
+            s = K.sub(trace.get(t, zero), c)
             if is_zero(s):
-                slot.pop(t, None)
+                trace.pop(t, None)
             else:
-                slot[t] = s
+                trace[t] = s
     return rem, trace
 
 
@@ -835,9 +854,10 @@ def tuple_schreyer_pairs(elems, P):
 
 def method_call_syzygy_generators(gb):
     """Reference: the syzygy step with method-call arithmetic, pairs
-    from tuple lcms, its trace summed into the syzygy term by term, and
-    duplicates always dropped.  Returns (syzygies before the duplicate
-    check, basis)."""
+    from tuple lcms, pairs of two defining columns skipped, its trace and
+    then -m_j e_j summed into the syzygy term by term behind the lead,
+    and duplicates always dropped.  Returns (syzygies before the
+    duplicate check, basis)."""
     ring = gb.ring
     K = field_ops(ring.field)
     P = gb.packing
@@ -852,30 +872,25 @@ def method_call_syzygy_generators(gb):
     pairs = tuple_schreyer_pairs(ext, P)
     assert _schreyer_pairs(ext, P) == pairs
     for i, j, hl in pairs:
+        if i >= n_mod:
+            continue
         s, di, dj = method_call_s_vector(ext[i], ext[j], hl, K, P.G)
         r, trace = method_call_reduce_packed(s, reducers, K, P, heads)
         assert not r
-        syz = {}
-        if i < n_mod:
-            syz[heads[i] + di] = K.one
+        syz = {heads[i] + di: K.one}
+        summands = list(trace.items())
         if j < n_mod:
-            syz[heads[j] + dj] = K.neg(K.one)
-        for part in trace.values():
-            for t, c in part.items():
-                s2 = K.add(syz.get(t, K.zero), c)
-                if K.is_zero(s2):
-                    syz.pop(t, None)
-                else:
-                    syz[t] = s2
-        if syz:
-            out.append(syz)
-    seen, unique = set(), []
-    for syz in out:
-        if frozenset(syz.items()) not in seen:
-            seen.add(frozenset(syz.items()))
-            unique.append(syz)
+            summands.append((heads[j] + dj, K.neg(K.one)))
+        for t, c in summands:
+            s2 = K.add(syz.get(t, K.zero), c)
+            if K.is_zero(s2):
+                syz.pop(t, None)
+            else:
+                syz[t] = s2
+        out.append(syz)
     F = FreeModule(ring, tuple(g.deg for g in mod))
-    return out, _syzygy_basis(ring, F, Q, unique)
+    return out, _syzygy_basis(ring, F, Q, [
+        groebner._elem(syz, ring.field, F.twists, Q) for syz in unique(out)])
 
 
 KERNEL_FIELDS = [pytest.param({"p": 32003}, id="GF(32003)"),
@@ -976,9 +991,9 @@ def test_inline_kernel_matches_the_method_call_kernel(monkeypatch, field,
             assert packed_elements(new) == packed_elements(ref)
             assert new.free.twists == ref.free.twists
             assert new.packing.bases == ref.packing.bases
-            if ring.is_polynomial:
-                # why `_syzygy_basis` skips its duplicate check here
-                assert len({frozenset(s.items()) for s in raw}) == len(raw)
+            # why the step has no duplicate check: with no pair of two
+            # defining columns, every syzygy has its own lead
+            assert len({min(s) for s in raw}) == len(raw)
             syzygies += len(new.elements)
             level = new
     assert syzygies > 10
@@ -1173,3 +1188,194 @@ def test_a_direct_sum_shares_its_blocks_tails(S3):
                                     for v in b.module_vectors()]
     assert sorted(map(ordered, gb.module_vectors())) == sorted(
         map(ordered, shifted))
+
+
+# -- the frame step against the grouped-trace step it replaced ------------
+
+def grouped(trace, M):
+    """A flat trace {heads[k] + d: -c} in the form the kernel recorded
+    before it went flat, {k: {heads[k] + d: -c}} in the order of each
+    reducer's first use: every module head is e_k in its own position k,
+    which is h & M."""
+    out = {}
+    for h, c in trace.items():
+        out.setdefault(h & M, {})[h] = c
+    return out
+
+
+def grouped_syzygy_generators(gb):
+    """Reference: the syzygy step before it read each lead once.  Every
+    selected pair is reduced, two defining columns included (pairs from
+    tuple lcms); the per-reducer trace is merged behind m_i e_i - m_j e_j,
+    the Schreyer lead is checked by the minimum, and `grouped_syzygy_basis`
+    takes the raw syzygies."""
+    ring = gb.ring
+    K = ring.field
+    P = gb.packing
+    mod = gb.module_elements
+    ext = list(mod) + _augmented_columns(ring, gb.free)
+    reducers = _reducers(ext)
+    n_mod = len(mod)
+    Q = P.schreyer([g.lead for g in mod])
+    heads = [Q.head(k) for k in range(n_mod)]
+    heads += [None] * (len(ext) - n_mod)
+    p, one = K.characteristic, K.one
+    minus_one = p - 1 if p else -one
+    out = []
+    for i, j, hl in tuple_schreyer_pairs(ext, P):
+        s, di, dj = _s_vector(ext[i], ext[j], hl, K, P.G)
+        r, trace = _reduce_packed(s, reducers, K, P, heads)
+        assert not r
+        syz = {}
+        if i < n_mod:
+            lead = heads[i] + di
+            syz[lead] = one
+        if j < n_mod:
+            syz[heads[j] + dj] = minus_one
+        for part in grouped(trace, Q.M).values():
+            syz.update(part)
+        assert i >= n_mod or min(syz) == lead
+        if syz:
+            out.append(syz)
+    F = FreeModule(ring, tuple(g.deg for g in mod))
+    return out, grouped_syzygy_basis(ring, F, Q, out)
+
+
+def grouped_syzygy_basis(ring, F, Q, syzygies):
+    """Reference `_syzygy_basis` on raw packed syzygies: duplicates
+    dropped over a quotient ring, each made monic by `_elem` (lead by
+    the minimum), sorted in lead-index order."""
+    if not ring.is_polynomial:
+        syzygies = unique(syzygies)
+    elems = [groebner._elem(syz, ring.field, F.twists, Q) for syz in syzygies]
+    v = next((x for x in range(ring.nvars) if any(g.ltm[x] for g in elems)), 0)
+    elems.sort(key=lambda g: (g.pos, -g.ltm[v], g.lead))
+    return GroebnerBasis(ring, F, elems, list(range(len(elems))), Q)
+
+
+def items_module_constants(basis):
+    """Reference `GroebnerBasis.module_constants`: every element's terms
+    listed by `items` and tested against the heads."""
+    Q, one = basis.packing, basis.ring.field.one
+    unit = (0,) * basis.ring.nvars
+    heads = {Q.head(k): k for k in range(basis.free.rank)}
+    return [{(heads[h], unit): c for h, c in g.items(one) if h in heads}
+            for g in basis.module_elements]
+
+
+def frame_elements(basis):
+    """(lead, tail terms, position, lead monomial, degree) per element, in
+    order.  A frame element's tail is in the order its pair reduced, where
+    it was grouped per reducer, so the tail is compared as its terms."""
+    return [(g.lead, dict(g.tail), g.pos, g.ltm, g.deg) for g in basis.elements]
+
+
+def over_rationals(M):
+    """M with its coefficients read as signed integers over QQ, over the
+    quotient of QQ[vars] by its ring's defining forms read the same way."""
+    R = M.ring
+    S = polynomial_ring(list(R.names), rational=True)
+    p = R.field.characteristic
+
+    def lift(c):
+        c = int(c)
+        return S.field.from_int(c - p if c > p // 2 else c)
+
+    if not R.is_polynomial:
+        S = S.quotient([Polynomial(S, {m: lift(c) for m, c in f.terms.items()})
+                        for f in R.defining])
+    cols = [{k: lift(c) for k, c in col.items()} for col in M.rel_cols]
+    return PresentedModule(S, FreeModule(S, M.gens_free.twists), cols)
+
+
+def frame_test_modules(rational):
+    """The scroll family's two modules for n = 2..5, the 30 corpus
+    modules and every session module, over GF(32003) or QQ."""
+    mods = []
+    for n in range(2, 6):
+        Rn, minors, z = nilpotent_scroll_family(n)
+        mods += [PresentedModule.cyclic(Rn, minors),
+                 PresentedModule.cyclic(Rn, minors + [z])]
+    mods += [inst.module for inst in random_ideal_corpus(count=30)]
+    for name in sorted(os.listdir(SESSIONS)):
+        with open(os.path.join(SESSIONS, name), encoding="utf-8") as fh:
+            s = parse_session(fh.read())
+        mods += [s.get(b) for b in s.order if s.kind_of(b) == "module"]
+    return [over_rationals(M) for M in mods] if rational else mods
+
+
+def check_words(monkeypatch, seen):
+    """Check `g.word == P.word(g.lead)` on every element each builder of
+    GBElems returns, counting them into seen[builder]."""
+    def check(name, elems, P):
+        for g in elems:
+            assert g.word == P.word(g.lead), name
+        seen[name] = seen.get(name, 0) + len(elems)
+
+    elem, moved = groebner._elem, groebner._moved
+    interreduce, step = groebner._interreduce, res_mod.syzygy_generators
+
+    def checked_elem(terms, K, twists, P):
+        g = elem(terms, K, twists, P)
+        check("_elem", [g], P)
+        return g
+
+    def checked_moved(elems, off, twists, P):
+        out = moved(elems, off, twists, P)
+        check("_moved", out, P)
+        return out
+
+    def checked_interreduce(elems, K, P):
+        out = interreduce(elems, K, P)
+        check("_interreduce", out, P)
+        return out
+
+    def checked_step(gb):
+        elems, basis = step(gb)
+        check("syzygy_generators", basis.elements, basis.packing)
+        return elems, basis
+
+    monkeypatch.setattr(groebner, "_elem", checked_elem)
+    monkeypatch.setattr(groebner, "_moved", checked_moved)
+    monkeypatch.setattr(groebner, "_interreduce", checked_interreduce)
+    monkeypatch.setattr(res_mod, "syzygy_generators", checked_step)
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["GF(32003)", "QQ"])
+def test_the_frame_step_matches_the_grouped_trace_step(monkeypatch, rational):
+    # every syzygy step of every resolution: the frame built from each
+    # known lead against the step it replaced, element by element and in
+    # order, with the same constant parts, free module and packing; and
+    # each builder's elements carry their lead's exponent word
+    words = {}
+    check_words(monkeypatch, words)
+    step = res_mod.syzygy_generators
+    steps = quotient_steps = 0
+
+    def compared(gb):
+        nonlocal steps, quotient_steps
+        elems, basis = step(gb)
+        _, ref = grouped_syzygy_generators(gb)
+        assert frame_elements(basis) == frame_elements(ref)
+        assert basis.module_constants() == items_module_constants(ref)
+        assert basis.free.twists == ref.free.twists
+        assert basis.packing.bases == ref.packing.bases
+        assert elems == basis.module_elements
+        steps += 1
+        quotient_steps += not gb.ring.is_polynomial
+        return elems, basis
+
+    monkeypatch.setattr(res_mod, "syzygy_generators", compared)
+    for M in frame_test_modules(rational):
+        free_resolution(M)
+    # 117 steps, 10 of them over the sessions' quotient rings
+    assert steps > 100 and quotient_steps > 5
+    assert all(words.get(b, 0) > 100 for b in (
+        "_elem", "_interreduce", "syzygy_generators"))
+    assert words.get("_moved", 0) > 10
+    # every GBElem is made in one of the four checked builders
+    tree = ast.parse(inspect.getsource(groebner))
+    makers = {f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+              for n in ast.walk(f) if isinstance(n, ast.Call)
+              and getattr(n.func, "id", None) == "GBElem"}
+    assert makers == {"_elem", "_moved", "_interreduce", "syzygy_generators"}

@@ -1,6 +1,8 @@
 import random
 from math import inf
 
+import pytest
+
 import cmreg.modules
 from cmreg import (PresentedModule, hilbert, module_from_ideal,
                    polynomial_ring)
@@ -301,3 +303,20 @@ def test_huge_exponents_through_the_module_layer():
     assert hs.numerator == {0: 1, 5001: -2, 5002: 1}
     assert hs.dimension() == 2
     assert regularity(M).value == 5000
+
+
+def test_a_series_is_written_over_no_fewer_variables():
+    # over(n) multiplies the numerator by (1 - t)^(n - nvars); below nvars
+    # it used to return another series under the smaller count:
+    # 1/(1 - t)^2 over 3 variables read coefficient(2) = 1, not 3
+    hs = HilbertSeries({0: 1, 1: -1}, 3)
+    assert hs.coefficient(2) == 3
+    for n in (3, 4, 6):
+        wider = hs.over(n)
+        assert wider.nvars == n
+        assert [wider.coefficient(j) for j in range(6)] == [
+            hs.coefficient(j) for j in range(6)]
+    for n in (2, 0):
+        with pytest.raises(ValueError):
+            hs.over(n)
+    assert HilbertSeries({}, 2).over(5) == HilbertSeries({}, 5)

@@ -10,8 +10,11 @@ over the smaller ring, a known Groebner basis reaches a module only
 through its constructor, from four builders, resolutions minimize in
 three places, Groebner bases interreduce in two places, a frame is
 decoded only by its basis, only the packing classes read the packed-term
-layout and the pair formula is written once, in them, `_buchberger` and the syzygy step take no flag,
-the reduction kernel is one loop with its field arithmetic inline, no
+layout and the pair formula is written once, in them, an exponent word
+is read off the packing only where an element is built (never in
+`_buchberger` or `_schreyer_pairs`), `_buchberger` and the syzygy step
+take no flag, the reduction kernel is one loop with its field arithmetic
+inline and records its trace as one flat dict, no
 function computes with field methods and there is one field class,
 checker outcomes are built and contradictions raised only by
 `theorems._finish`, a checker reads a module's value only through
@@ -495,10 +498,11 @@ def test_resolutions_minimize_in_three_places():
 def test_bases_interreduce_in_two_places():
     """A basis from `groebner_basis` is reduced on its first read
     (`GroebnerBasis.elements`), so a Hilbert series never reduces one;
-    the defining ideal's basis is reduced at once."""
+    the defining ideal's basis is reduced at once, where it is built and
+    certified (`_defining_basis`)."""
     sites = call_sites("_interreduce")
     assert [(f, func) for f, _, func in sites] == [
-        ("groebner.py", "defining_gb"), ("groebner.py", "elements")]
+        ("groebner.py", "_defining_basis"), ("groebner.py", "elements")]
 
 
 def test_a_frame_is_decoded_only_by_its_basis():
@@ -539,14 +543,30 @@ def test_groebner_elements_hold_packed_terms_only():
 
 def test_the_reduction_kernel_records_one_trace_form():
     """`_reduce_packed` records a trace exactly when it is given heads,
-    in the one packed form, so it has no switch for a second format, and
-    no packing decodes a raw quotient offset."""
+    in the one packed form, the flat dict {heads[i] + d: -c} of the terms
+    of sum_i -q_i heads[i], not grouped per reducer (no `setdefault` in
+    the kernel).  So it has no switch for a second format, and no packing
+    decodes a raw quotient offset."""
     [kernel] = [n for n in _groebner_tree().body
                 if isinstance(n, ast.FunctionDef) and n.name == "_reduce_packed"]
     assert [a.arg for a in kernel.args.args] == [
         "work", "reducers", "K", "P", "heads"]
+    assert not [n for n in ast.walk(kernel) if isinstance(n, ast.Attribute)
+                and n.attr == "setdefault"]
     from cmreg.groebner import _Packing
     assert not hasattr(_Packing, "quotient")
+
+
+def test_a_lead_is_unpacked_only_where_an_element_is_built():
+    """A GBElem carries its lead's exponent word, read off the packing
+    once, where the element is made: `_elem` and the syzygy step
+    (`_Packing.unpack`); a moved or reduced element shares it.  So no
+    pair selection reads a word off the packing: `_buchberger` and
+    `_schreyer_pairs` read `GBElem.word`."""
+    readers = {func for f, _, func in call_sites("word") + call_sites("unpack")
+               if f == "groebner.py"}
+    # `mono` and `unpack` are the packing's own decoders
+    assert readers == {"mono", "unpack", "_elem", "syzygy_generators"}
 
 
 def test_the_packed_lcm_is_written_once():
@@ -1122,7 +1142,6 @@ PERFBENCH = ("reached by perfbench; goes with the in-library counters "
 # the names under src/cmreg that nothing in src reads, with why each stays
 UNREAD_ALLOWED = {
     "resolution.FreeResolution.is_minimal": TEST_ORACLE,
-    "groebner.certify": TEST_ORACLE,
     "complexes.minimal_cover": PERFBENCH,
     "session.Session.kind_of": PERFBENCH,
     "complexes.BoundedComplex.shift":

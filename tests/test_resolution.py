@@ -26,7 +26,7 @@ from cmreg.theorems import (_random_linear_form, check_cor_tensor,
                             nilpotent_scroll_family, random_ideal_corpus,
                             scroll_member)
 from monomials import mono_div
-from test_groebner import naive_syzygy_generators
+from test_groebner import grouped_syzygy_generators, naive_syzygy_generators
 from test_oracle import BIG_PRIME, FIELDS, over_field
 from test_sessions import SESSIONS, load
 from test_subquotient import corpus_complexes, session_complexes
@@ -495,6 +495,94 @@ def test_a_cut_is_complete_exactly_when_one_more_level_is_empty():
                     not longer.twists.get(max_len + 1)), (label, max_len)
                 seen.add(short.complete)
     assert seen == {True, False}
+
+
+def quotient_session_modules():
+    """(session file, binding) of every module over a quotient ring in
+    the shipped sessions."""
+    out = []
+    for name in sorted(os.listdir(SESSIONS)):
+        s = parse_session(load(name))
+        out += [(name, b) for b in s.order if s.kind_of(b) == "module"
+                and not s.get(b).ring.is_polynomial]
+    return out
+
+
+def skipped_pair_projections(gb):
+    """The syzygy each S-pair of two defining columns gives on the module
+    coordinates, as `grouped_syzygy_generators` computes it, decoded."""
+    P = gb.packing
+    mod = gb.module_elements
+    ext = list(mod) + groebner._augmented_columns(gb.ring, gb.free)
+    Q = P.schreyer([g.lead for g in mod])
+    heads = [Q.head(k) for k in range(len(mod))]
+    heads += [None] * (len(ext) - len(mod))
+    K, reducers = gb.ring.field, groebner._reducers(ext)
+    out = []
+    for i, j, hl in groebner._schreyer_pairs(ext, P):
+        if i >= len(mod):
+            s, _, _ = groebner._s_vector(ext[i], ext[j], hl, K, P.G)
+            r, trace = groebner._reduce_packed(s, reducers, K, P, heads)
+            assert not r
+            out.append(Q.decode_vec(trace.items()))
+    return out
+
+
+def test_skipping_pairs_of_two_defining_columns_changes_no_table(
+        monkeypatch, capsys):
+    # The step skips every S-pair of two defining columns (the proof is in
+    # `syzygy_generators`).  Against the step that reduces them
+    # (`grouped_syzygy_generators`): the same Betti tables on the seeded
+    # quotient modules and every quotient-ring session module, and the
+    # same CLI stdout on the latter; and at every step the syzygy of each
+    # skipped pair lies in the span of the kept ones.
+    res_mod = importlib.import_module("cmreg.resolution")
+    step, s_vector = res_mod.syzygy_generators, groebner._s_vector
+    skipped = nonzero = 0
+
+    def spanned(gb):
+        nonlocal skipped, nonzero
+        reduced = []
+        with monkeypatch.context() as m:
+            m.setattr(groebner, "_s_vector", lambda gi, gj, *rest: (
+                reduced.append(gi) or s_vector(gi, gj, *rest)))
+            elems, basis = step(gb)
+        # every reduced pair's first element is a module element
+        mod = {id(g) for g in gb.module_elements}
+        assert all(id(g) in mod for g in reduced)
+        projections = skipped_pair_projections(gb)
+        skipped += len(projections)
+        kept = groebner_basis(basis.module_vectors(), gb.ring, basis.free)
+        for v in projections:
+            nonzero += bool(v)
+            assert kept.contains(v)
+        return elems, basis
+
+    def reducing(gb):
+        _, basis = grouped_syzygy_generators(gb)
+        return basis.module_elements, basis
+
+    sessions = quotient_session_modules()
+
+    def outputs():
+        tables = [betti_table(M, max_len=3).entries
+                  for _, M in quotient_corpus()]
+        for name, b in sessions:
+            tables.append(betti_table(parse_session(load(name)).get(b)).entries)
+            for cmd in ("reg", "betti", "depth", "oracle"):
+                cli.main(["--session", os.path.join(SESSIONS, name), cmd, b])
+                tables.append(capsys.readouterr())
+        return tables
+
+    with monkeypatch.context() as m:
+        m.setattr(res_mod, "syzygy_generators", spanned)
+        kept = outputs()
+    with monkeypatch.context() as m:
+        m.setattr(res_mod, "syzygy_generators", reducing)
+        assert outputs() == kept
+    assert len(sessions) >= 4
+    # not vacuous: 151 pairs were skipped, 28 of them with a nonzero syzygy
+    assert skipped > 100 and nonzero > 10, (skipped, nonzero)
 
 
 def test_a_cut_below_the_top_of_a_complex_reads_no_series():
