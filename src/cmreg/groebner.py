@@ -19,10 +19,11 @@ n-variable ring is one int
 
 with h0 the level-0 code of a monomial,
 
-    h0(m) = (2^40 - 1 - deg m) * 2^B + sum_i e_i * 2^(32 (i - 1)),
+    h0(m) = (2^40 - 1 - deg m) * 2^B + word(m),
 
-32-bit exponent fields (16 exponent bits under 16 guard bits), B = 32 n,
-and bases[c] the level-0 term of e_c.  A smaller h is the larger term in
+word(m) the exponent word of m in B = 32 n bits (cmreg.poly.Words: a
+32-bit field per variable, 16 exponent bits under 16 guard bits), and
+bases[c] the level-0 term of e_c.  A smaller h is the larger term in
 the order that compares level-0 terms bases[c] + h0(m) - h0(1) first
 (a smaller one is larger, grevlex within a degree) and breaks ties by the
 smaller position.  One class, `_Packing`, holds this layout, and a
@@ -58,11 +59,16 @@ Then, in every packing:
   new product term in `_reduce_packed` and in `_s_vector`, and on every
   encoded input term, with the OverflowError of `poly.mono_mul`.
 
-Only `_Packing` knows the layout.  Every other function reads a term's
-position as h & M, and a lead's exponent word and monomial (`unpack`), a
-pair's packed lcm (`pair`) and a basis vector's head (`head`) through the
-packing.  So one kernel, `_reduce_packed`, with one `_s_vector`,
-`_schreyer_pairs` and `_buchberger`, serves every order.
+Only `_Packing` knows the layout of a packed term, and only `Words`,
+which `_Packing` extends, the layout of the exponent word inside it:
+field width, guard mask and degree multiply.  The Hilbert layer's
+numerator recursion reads the same `Words` (cmreg.hilbert), so a lead's
+word goes to it as the element keeps it.  Every other function reads a
+term's position as h & M, and a lead's exponent word and monomial
+(`unpack`), a pair's packed lcm (`pair`, on `Words.lcm`) and a basis
+vector's head (`head`) through the packing.  So one kernel,
+`_reduce_packed`, with one `_s_vector`, `_schreyer_pairs` and
+`_buchberger`, serves every order.
 
 A basis element has one form, a GBElem: its packed lead, whose
 coefficient is the field's one (every element is monic), and its tail,
@@ -160,7 +166,7 @@ with redundant leads and unreduced tails, and a GroebnerBasis from
 `groebner_basis` interreduces it on the first read of `elements`,
 `module_elements`, `module_indices` or the reducer groups (normal forms,
 lifts), which every seeded run, syzygy step, kernel and membership test
-does.  A Hilbert series reads the leads alone (`lead_terms`): by
+does.  A Hilbert series reads the leads' words alone (`lead_words`): by
 Macaulay's theorem HS(F/U) = HS(F/in(U)), and the leads of any Groebner
 basis of U generate in(U), so redundant leads change nothing once
 `hilbert._minimalize` drops them.  The homology layer's cokernel bases
@@ -183,42 +189,30 @@ R^2 have coprime lead monomials in the same position but their S-vector
 (0, y^3 - x^2) does not reduce to zero.
 """
 
-import struct
 from heapq import heapify, heappop, heappush
 
 from .freemod import FreeModule, vec_is_homogeneous
 from .memo import _cached
-from .poly import EXPONENT_CAP, mono_deg, Polynomial
+from .poly import _OVERFLOW, mono_deg, Polynomial, Words
 
 _DEG_TOP = (1 << 40) - 1
-_GUARD = 0xFFFFFFFF & ~EXPONENT_CAP
-_OVERFLOW = f"monomial exponent exceeds {EXPONENT_CAP}"
 _INDEX_BITS = 32  # W: room for a term's position below its level-0 term
 
 
-class _Packing:
+class _Packing(Words):
     """Encoder and decoder of the packed terms of one free module over a
     ring of nvars variables: m e_c packs as ((bases[c] + h0(m) - h0(1))
-    << W) + c, bases[c] the level-0 term of e_c (module docstring)."""
+    << W) + c, bases[c] the level-0 term of e_c (module docstring).  The
+    exponent fields are the words of `Words`, whose operations it has."""
 
-    __slots__ = ("nvars", "struct", "nbytes", "B", "A", "G0", "G", "emask",
-                 "one", "H", "ones", "top", "bases")
+    __slots__ = ("A", "G", "one", "bases")
     M = (1 << _INDEX_BITS) - 1
 
     def __init__(self, nvars, bases):
-        self.nvars = nvars
-        self.struct = struct.Struct(f"<{nvars}I")
-        self.nbytes = 4 * nvars
-        self.B = 32 * nvars
+        super().__init__(nvars)
         self.A = self.B + 40
-        self.G0 = int.from_bytes(self.struct.pack(*[_GUARD] * nvars), "little")
-        self.G = self.G0 << _INDEX_BITS
-        self.emask = (1 << self.B) - 1
+        self.G = self.guard << _INDEX_BITS
         self.one = _DEG_TOP << self.B  # h0(1)
-        # bit 16 and bit 0 of every field, and the top field's shift (`pair`)
-        self.H = int.from_bytes(self.struct.pack(*[1 << 16] * nvars), "little")
-        self.ones = int.from_bytes(self.struct.pack(*[1] * nvars), "little")
-        self.top = self.B - 32
         self.bases = bases
 
     def grow(self, rank):
@@ -236,9 +230,9 @@ class _Packing:
         return _Packing(self.nvars, [lead >> _INDEX_BITS for lead in leads])
 
     def encode(self, c, m):
-        e = int.from_bytes(self.struct.pack(*m), "little")
+        e = self.pack(m)
         h0 = self.bases[c] + e - (sum(m) << self.B)
-        if (e | h0) & self.G0:
+        if h0 & self.guard:
             raise OverflowError(_OVERFLOW)
         return (h0 << _INDEX_BITS) + c
 
@@ -251,13 +245,13 @@ class _Packing:
 
     def mono(self, h):
         """The monomial of h."""
-        return self.struct.unpack(self.word(h).to_bytes(self.nbytes, "little"))
+        return self.monomial(self.word(h))
 
     def unpack(self, h):
         """(exponent word, monomial) of h, from one read of its fields: a
         lead's two forms, which a GBElem keeps."""
         w = self.word(h)
-        return w, self.struct.unpack(w.to_bytes(self.nbytes, "little"))
+        return w, self.monomial(w)
 
     def decode_vec(self, terms):
         """The tuple dict {(position, monomial): c} of packed (h, c) pairs."""
@@ -273,13 +267,7 @@ class _Packing:
         lcm of two monomials given by their exponent words (`word`), the
         one pair formula (module docstring); as the lcm of two terms of
         that position, the term is within the cap."""
-        H = self.H
-        # field by field, bit 16 of (2^16 + e_b - e_a) is set where
-        # e_b >= e_a; widened to a mask, it picks the max
-        ge = ((eb | H) - ea) & H
-        lcm = ea ^ ((ea ^ eb) & (ge - (ge >> 16)))
-        # one multiply sums every field into the top one
-        d = ((lcm * self.ones) >> self.top) & 0xFFFFFFFF
+        d, lcm = self.lcm(ea, eb)
         return d, lcm, head + ((lcm - (d << self.B)) << _INDEX_BITS)
 
 
@@ -627,7 +615,7 @@ class GroebnerBasis:
     Buchberger run, with `module_indices` None, and becomes the reduced
     basis on the first read of `elements`, `module_elements`,
     `module_indices` or the reducer groups (module docstring, Reduction
-    on read).  `lead_terms` never forces that.  Every other basis is
+    on read).  `lead_words` never forces that.  Every other basis is
     given in its final form."""
 
     __slots__ = ("ring", "free", "_elements", "_module_indices", "packing",
@@ -663,11 +651,11 @@ class GroebnerBasis:
             self.elements  # the first read reduces and sets them
         return self._module_indices
 
-    def lead_terms(self):
-        """(position, lead monomial) of each element, read without reducing
-        the basis: its leads may include redundant ones, but generate the
-        same lead module."""
-        return [(g.pos, g.ltm) for g in self._elements]
+    def lead_words(self):
+        """(position, lead's exponent word) of each element, read without
+        reducing the basis: its leads may include redundant ones, but
+        generate the same lead module."""
+        return [(g.pos, g.word) for g in self._elements]
 
     @property
     def module_elements(self):
@@ -807,12 +795,13 @@ def reduce_poly_mod_defining(ring, f):
     return Polynomial(ring, {m: c for (_, m), c in r.items()})
 
 
-def _schreyer_pairs(elems, P):
-    """The same-position pairs (i, j), i < j, whose Schreyer lead term is
-    minimal (module docstring), as (i, j, packed lcm) in the order j,
-    then i.  For each i the candidates are taken in (lcm degree,
+def _schreyer_pairs(elems, P, stop):
+    """The same-position pairs (i, j), i < j and i < stop, whose Schreyer
+    lead term is minimal (module docstring), as (i, j, packed lcm) in the
+    order j, then i.  For each i the candidates are taken in (lcm degree,
     j) order and kept when no lcm kept so far divides theirs, so of equal
-    lcms the smallest j survives."""
+    lcms the smallest j survives.  The pairs of one i do not depend on
+    those of another, so no lcm is formed for an i at or past stop."""
     G, pair = P.G, P.pair
     groups = {}
     for i, g in enumerate(elems):
@@ -821,6 +810,8 @@ def _schreyer_pairs(elems, P):
     for pos, group in groups.items():
         head = P.head(pos)
         for a, (i, ei) in enumerate(group):
+            if i >= stop:
+                break  # a group lists its elements in index order
             cands = []
             for j, ej in group[a + 1:]:
                 d, _, hl = pair(head, ei, ej)
@@ -846,7 +837,7 @@ def certify(gb):
     K = gb.ring.field
     P = gb.packing
     reducers = _reducers(elems)
-    for i, j, hl in _schreyer_pairs(elems, P):
+    for i, j, hl in _schreyer_pairs(elems, P, len(elems)):
         s, _, _ = _s_vector(elems[i], elems[j], hl, K, P.G)
         r, _ = _reduce_packed(s, reducers, K, P)
         if r:
@@ -864,7 +855,9 @@ def syzygy_generators(gb):
     so the selected trace syzygies generate all its syzygies, and dropping
     the coordinates of the defining columns yields generators over R.
 
-    A pair of two defining columns a < b is skipped.  Replace its trace
+    A pair of two defining columns a < b is not formed: the defining
+    columns come last in the reducer list, and `_schreyer_pairs` forms
+    no pair (a, b) with a past the module elements.  Replace its trace
     tau_ab by tau'_ab, the trace of its S-vector's reduction by the
     defining columns alone, which reduces to zero because `defining_gb`
     is a Groebner basis (certified where it is built).  Every quotient of
@@ -904,9 +897,7 @@ def syzygy_generators(gb):
     p = K.characteristic
     minus_one = p - 1 if p else -K.one
     out = []
-    for i, j, hl in _schreyer_pairs(ext, P):
-        if i >= n_mod:
-            continue  # two defining columns (docstring)
+    for i, j, hl in _schreyer_pairs(ext, P, n_mod):
         s, di, dj = _s_vector(ext[i], ext[j], hl, K, P.G)
         r, trace = _reduce_packed(s, reducers, K, P, heads)
         if r:

@@ -4,54 +4,71 @@ The numerator of a graded module comes from the lead-term module of its
 relation basis: per free position, a monomial ideal whose quotient's
 numerator is computed by the colon/sum pivot recursion
 N(J) = N(J + (x_v^k)) + t^k * N(J : x_v^k) (Bigatti, Computation of
-Hilbert-Poincare series, JPAA 1997), memoized in one process-wide cache
-of at most _NUMERATOR_CACHE_CAP entries, emptied when full.  The pivot
-variable x_v divides the most generators and k is the lower median of
-its positive exponents, so the recursion depth grows with the logarithm
-of the exponents, not with the exponents themselves; when every exponent
-of x_v is 1 the pivot is x_v.  Pairwise coprime generators are the base
-case, whose numerator is the product of the (1 - t^deg): the recursion
-ends there, not only goes faster, since on a pure power x_v^k the pivot
-is x_v^k itself and the pivot step would call itself on the same ideal.
+Hilbert-Poincare series, JPAA 1997).  The pivot variable x_v divides the
+most generators and k is the lower median of its positive exponents, so
+the recursion depth grows with the logarithm of the exponents, not with
+the exponents themselves; when every exponent of x_v is 1 the pivot is
+x_v.  Pairwise coprime generators are the base case, whose numerator is
+the product of the (1 - t^deg): the recursion ends there, not only goes
+faster, since on a pure power x_v^k the pivot is x_v^k itself and the
+pivot step would call itself on the same ideal.
 
-The recursion (`_numerator`) takes minimal generators sorted by
-(degree, monomial), and each step keeps that form.  The sum branch needs
-no minimalizing (`_with_pivot`): x_v^k removes the generators it
-divides, no generator divides it (a pure power x_v^j of J has the
-largest exponent of x_v, above the lower median k, since x_v divides at
-least two generators), and it is inserted in place.  Only the colon
-branch minimalizes.  `monomial_ideal_numerator`, the one entry point,
-minimalizes its generators once, and its own generator tuple, as given,
-becomes a cache key next to the minimal tuple, so a caller that asks
-again with the same leads reads the cache without minimalizing.
+The recursion runs on exponent words (cmreg.poly.Words), the ints a
+Groebner basis element already keeps for its lead, so the callers pass
+the words of their leads as they are and nothing is unpacked.  g divides
+m exactly when (m - g) & guard == 0; a degree is one multiply, the
+support counts that pick x_v one field-wise sum, and the colon one
+subtraction per generator.  A proper divisor has the smaller word, so
+generators sorted by word list each divisor before its multiples.
+
+The recursion (`_numerator`) takes minimal generators sorted by word,
+and each step keeps that form.  The sum branch needs no minimalizing
+(`_with_pivot`): x_v^k removes the generators it divides, no generator
+divides it (a pure power x_v^j of J has the largest exponent of x_v,
+above the lower median k, since x_v divides at least two generators),
+and it is inserted in place.  Only the colon branch minimalizes.
+`monomial_ideal_numerator`, the one entry point, minimalizes its
+generators once.  One process-wide cache, keyed by word tuples, holds at
+most _NUMERATOR_CACHE_CAP numerators and is emptied when full.  The
+entry point's own generator tuple, as given, becomes a key next to the
+minimal tuple, so a caller that asks again with the same leads reads the
+cache without minimalizing.  The numerator of a monomial ideal does not
+depend on how many variables its ring has, so one key serves every
+variable count.
 """
 
 from bisect import insort
 from math import comb, inf
-from operator import le
 
-from .poly import mono_deg
+from .poly import words
 
 
-def _minimalize(gens):
-    """The minimal generators of (gens), sorted by (degree, monomial)."""
+def _minimalize(gens, L=None):
+    """The minimal generators of (gens), words of layout L, as a tuple
+    sorted by word.  gens may also be exponent tuples (L None), packed
+    here with the layout of their length."""
+    if L is None:
+        if not gens:
+            return ()
+        L = words(len(gens[0]))
+        gens = [L.pack(m) for m in gens]
+    guard = L.guard
     out = []
-    for m in sorted(sorted(set(gens)), key=sum):  # stable: degree, then m
+    for m in sorted(set(gens)):
         for g in out:
-            if all(map(le, g, m)):  # g divides m
+            if not (m - g) & guard:  # g divides m
                 break
         else:
             out.append(m)
     return tuple(out)
 
 
-def _with_pivot(gens, v, k):
-    """The minimal generators of J + (x_v^k), sorted by (degree,
-    monomial), from gens, J's minimal generators sorted so, when none of
-    them divides x_v^k: those x_v^k does not divide, with x_v^k inserted."""
-    pivot = tuple(k if i == v else 0 for i in range(len(gens[0])))
-    out = [m for m in gens if m[v] < k]
-    insort(out, pivot, key=lambda m: (sum(m), m))
+def _with_pivot(gens, pivot, guard):
+    """The minimal generators of J + (pivot), sorted by word, from gens,
+    J's minimal generators sorted so, when none of them divides the
+    pivot x_v^k: those the pivot does not divide, with it inserted."""
+    out = [m for m in gens if (m - pivot) & guard]
+    insort(out, pivot)
     return tuple(out)
 
 
@@ -67,34 +84,38 @@ def _store(key, out):
 
 def monomial_ideal_numerator(gens, nvars):
     """Numerator dict {degree: coeff} of S/J for the monomial ideal J
-    generated by gens, a tuple or list of exponent tuples."""
+    generated by gens, a tuple or list of exponent words of nvars
+    variables, or of exponent tuples, packed on entry."""
     raw = tuple(gens)
+    if raw and type(raw[0]) is tuple:
+        raw = tuple(map(words(nvars).pack, raw))
     out = _NUMERATOR_CACHE.get(raw)
     if out is None:
-        gens = _minimalize(raw)
-        out = _numerator(gens, nvars)
+        L = words(nvars)
+        gens = _minimalize(raw, L)
+        out = _numerator(gens, L)
         if gens != raw:
             _store(raw, out)
     return dict(out)
 
 
-def _numerator(gens, nvars):
-    """The numerator of S/(gens), gens minimal and sorted by (degree,
-    monomial), memoized under gens; the cached dict is never changed."""
+def _numerator(gens, L):
+    """The numerator of S/(gens), gens minimal words of layout L sorted by
+    word, memoized under gens; the cached dict is never changed."""
     out = _NUMERATOR_CACHE.get(gens)
     if out is not None:
         return out
     if not gens:
         out = {0: 1}
-    elif not any(gens[0]):  # the unit ideal: 1 comes first, and alone
+    elif not gens[0]:  # the unit ideal: 1 comes first, and alone
         out = {}
     else:
-        support = [len(gens) - col.count(0) for col in zip(*gens)]
-        if max(support) == 1:
+        support = L.support(gens)
+        most = max(support)
+        if most == 1:
             # pairwise coprime generators: product of (1 - t^deg)
             out = {0: 1}
-            for m in gens:
-                d = mono_deg(m)
+            for d in L.degrees(gens):
                 nxt = dict(out)
                 for e, c in out.items():
                     nxt[e + d] = nxt.get(e + d, 0) - c
@@ -102,15 +123,14 @@ def _numerator(gens, nvars):
                         del nxt[e + d]
                 out = nxt
         else:
-            v = max(range(nvars), key=lambda i: support[i])
+            v = support.index(most)
+            col = L.column(gens, v)
             # lower median: x_v^k divides at least half of the generators
             # that x_v divides, and the colon drops v from at least half
-            exps = sorted(m[v] for m in gens if m[v])
+            exps = sorted([e for e in col if e])
             k = exps[(len(exps) - 1) // 2]
-            plus = _numerator(_with_pivot(gens, v, k), nvars)
-            colon = _numerator(_minimalize(
-                tuple(m[:v] + (max(m[v] - k, 0),) + m[v + 1:] for m in gens)),
-                nvars)
+            plus = _numerator(_with_pivot(gens, L.power(v, k), L.guard), L)
+            colon = _numerator(_minimalize(L.colon(gens, col, v, k), L), L)
             out = dict(plus)
             for e, c in colon.items():
                 out[e + k] = out.get(e + k, 0) + c

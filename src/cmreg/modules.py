@@ -379,13 +379,18 @@ def quotient_series(gb):
     """HS(F/U) for U the submodule of F = gb.free with Groebner basis gb,
     from gb's leads, position by position: by Macaulay's theorem HS(F/U) =
     HS(F/in(U)), and in(U) is generated by the leads of any Groebner
-    basis of U, so the basis is never reduced for this
-    (`GroebnerBasis.lead_terms`).  Positions with the same lead tuple, as
-    the blocks of a totalization have, share one numerator."""
+    basis of U, so the basis is never reduced for this.  Each lead is
+    passed as the exponent word its element keeps
+    (`GroebnerBasis.lead_words`), which the numerator recursion runs on.
+    Positions with the same lead tuple, as the blocks of a totalization
+    have, share one numerator; so do the ext and Koszul routes' cokernels,
+    whose leads agree position by position up to relabelling
+    (cmreg.complexes.koszul_resolution_of_k), through the numerator
+    cache."""
     n = gb.ring.cover.nvars
     per_pos = {}
-    for p, m in gb.lead_terms():
-        per_pos.setdefault(p, []).append(m)
+    for p, w in gb.lead_words():
+        per_pos.setdefault(p, []).append(w)
     numerators = {}
     total = {}
     for p, t in enumerate(gb.free.twists):

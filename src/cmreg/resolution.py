@@ -507,19 +507,22 @@ def _resolves(ring, terms, tw):
     (additivity on exact sequences; Bruns and Herzog, Lemma 4.1.13), and
     H = 0 exactly when its series is.  Below hi - 1 the sums can agree
     by accident.  HS(F_i) is HS(R) sum t^a over F_i's twists a, HS(R)
-    read off the leads of the defining ideal's basis."""
+    read off the exponent words of the defining ideal's leads.  The signs
+    are ints at every spot, negative ones too, so the sums are exact."""
     if max(tw) < max(terms) - 1:
         return False
     base = monomial_ideal_numerator(
-        tuple(g.ltm for g in defining_gb(ring)), ring.nvars)
+        tuple(g.word for g in defining_gb(ring)), ring.nvars)
     chi = {}
     for i, t in tw.items():
+        sign = -1 if i % 2 else 1
         for a in t:
             for d, c in base.items():
-                chi[a + d] = chi.get(a + d, 0) + (-1) ** i * c
+                chi[a + d] = chi.get(a + d, 0) + sign * c
     for i, L in terms.items():
+        sign = -1 if i % 2 else 1
         for d, c in L.hilbert_series().numerator.items():
-            chi[d] = chi.get(d, 0) - (-1) ** i * c
+            chi[d] = chi.get(d, 0) - sign * c
     return not any(chi.values())
 
 

@@ -690,8 +690,8 @@ def test_a_degree_first_order_is_a_list_of_bases():
             got = GroebnerBasis(S, F, elems, None, T)
             assert certify(got)
             assert quotient_series(got) == quotient_series(want)
-            differ += (sorted(got.lead_terms())
-                       != sorted(want.lead_terms()))
+            differ += (sorted(got.lead_words())
+                       != sorted(want.lead_words()))
     assert differ >= 3  # not vacuous: the two orders pick other leads
 
 
@@ -870,10 +870,10 @@ def method_call_syzygy_generators(gb):
     heads += [None] * (len(ext) - n_mod)
     out = []
     pairs = tuple_schreyer_pairs(ext, P)
-    assert _schreyer_pairs(ext, P) == pairs
+    assert _schreyer_pairs(ext, P, len(ext)) == pairs
+    pairs = [(i, j, hl) for i, j, hl in pairs if i < n_mod]
+    assert _schreyer_pairs(ext, P, n_mod) == pairs
     for i, j, hl in pairs:
-        if i >= n_mod:
-            continue
         s, di, dj = method_call_s_vector(ext[i], ext[j], hl, K, P.G)
         r, trace = method_call_reduce_packed(s, reducers, K, P, heads)
         assert not r
@@ -1152,7 +1152,7 @@ def test_the_element_form_matches_the_terms_dict_form(monkeypatch, field):
         got = groebner._interreduce(basis, K, P)
         want = terms_interreduce([terms_form(g, K) for g in basis], K, P)
         assert as_decoded(P, got, K) == as_decoded(P, want, K)
-        for i, j, hl in _schreyer_pairs(got, P):
+        for i, j, hl in _schreyer_pairs(got, P, len(got)):
             s, di, dj = _s_vector(got[i], got[j], hl, K, P.G)
             ref, ri, rj = terms_s_vector(want[i], want[j], hl, K, P.G)
             assert (di, dj) == (ri, rj)

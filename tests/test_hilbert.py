@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from math import inf
 
 import pytest
@@ -6,12 +7,13 @@ import pytest
 import cmreg.modules
 from cmreg import (PresentedModule, hilbert, module_from_ideal,
                    polynomial_ring)
+from cmreg.groebner import _packing
 from cmreg.hilbert import (HilbertSeries, _minimalize,
                            monomial_ideal_numerator)
-from cmreg.poly import EXPONENT_CAP, mono_deg
+from cmreg.poly import EXPONENT_CAP, mono_deg, words
 from cmreg.regularity import regularity
 from cmreg.theorems import DEFAULT_CORPUS_SEED, random_ideal_corpus
-from monomials import mono_divides
+from monomials import mono_divides, mono_lcm
 
 
 def test_polynomial_ring_counts_monomials(S3):
@@ -102,10 +104,17 @@ def test_numerator_cache_is_bounded(monkeypatch):
     assert Watched.peak == 8
 
 
+def minimal_tuples(gens):
+    """The minimal generators of (gens), exponent tuples, as a set."""
+    gens = set(gens)
+    return {m for m in gens
+            if not any(g != m and mono_divides(g, m) for g in gens)}
+
+
 def reference_numerator(gens, nvars):
-    """The colon/sum recursion that pivots on x_v alone, uncached: its
-    depth grows with the exponents."""
-    gens = _minimalize(gens)
+    """The colon/sum recursion on exponent tuples that pivots on x_v
+    alone, uncached: its depth grows with the exponents."""
+    gens = tuple(minimal_tuples(gens))
     if not gens:
         return {0: 1}
     if any(mono_deg(m) == 0 for m in gens):
@@ -135,7 +144,23 @@ def reference_numerator(gens, nvars):
     return out
 
 
-def test_numerators_match_the_reference_on_the_corpus(monkeypatch):
+def inclusion_exclusion_numerator(gens, nvars):
+    """sum over subsets A of the generators of (-1)^|A| t^deg lcm(A), the
+    numerator the Taylor resolution gives: exact at any exponent, and
+    exponential in the number of generators."""
+    out = {}
+    for r in range(len(gens) + 1):
+        for subset in combinations(gens, r):
+            lcm = (0,) * nvars
+            for m in subset:
+                lcm = mono_lcm(lcm, m)
+            out[mono_deg(lcm)] = out.get(mono_deg(lcm), 0) + (-1) ** r
+    return {d: c for d, c in out.items() if c}
+
+
+def recorded_corpus_numerators(monkeypatch):
+    """(gens, nvars) of every call the module layer makes to
+    `monomial_ideal_numerator` on the corpus."""
     calls = []
     original = cmreg.modules.monomial_ideal_numerator
 
@@ -146,35 +171,81 @@ def test_numerators_match_the_reference_on_the_corpus(monkeypatch):
     monkeypatch.setattr(cmreg.modules, "monomial_ideal_numerator", recording)
     for inst in random_ideal_corpus(seed=DEFAULT_CORPUS_SEED, count=30):
         regularity(inst.module)
+    monkeypatch.undo()
+    return calls
+
+
+def test_numerators_match_the_reference_on_the_corpus(monkeypatch):
+    # the module layer passes its leads' exponent words as they are
+    calls = recorded_corpus_numerators(monkeypatch)
     assert len(calls) > 100
+    assert all(type(w) is int for gens, _ in calls for w in gens)
     monkeypatch.setattr(hilbert, "_NUMERATOR_CACHE", {})
     for gens, nvars in calls:
+        tuples = tuple(map(words(nvars).monomial, gens))
         assert (monomial_ideal_numerator(gens, nvars)
-                == reference_numerator(gens, nvars)), gens
+                == reference_numerator(tuples, nvars)), tuples
+
+
+def random_exponent(rng, top):
+    """An exponent up to top, or at or just below EXPONENT_CAP when top is
+    the cap."""
+    if top == EXPONENT_CAP and rng.random() < 0.5:
+        return EXPONENT_CAP - rng.choice([0, 0, 1, 2, 7])
+    return rng.randint(0, top)
 
 
 def test_numerators_match_the_reference_on_random_ideals(monkeypatch):
+    # exponent words and exponent tuples, in 1 to 6 variables, exponents
+    # at the cap included; the x_v recursion is the reference where its
+    # depth allows, inclusion-exclusion at any exponent
     rng = random.Random("numerators")
     monkeypatch.setattr(hilbert, "_NUMERATOR_CACHE", {})
-    for _ in range(300):
-        nvars = rng.randint(1, 4)
-        top = rng.choice([2, 4, 12])
-        gens = tuple(tuple(rng.randint(0, top) for _ in range(nvars))
+    at_cap = 0
+    for _ in range(400):
+        nvars = rng.randint(1, 6)
+        top = rng.choice([2, 4, 12, EXPONENT_CAP])
+        gens = tuple(tuple(random_exponent(rng, top) for _ in range(nvars))
                      for _ in range(rng.randint(1, 7)))
-        assert (monomial_ideal_numerator(gens, nvars)
-                == reference_numerator(gens, nvars)), gens
+        at_cap += any(EXPONENT_CAP in m for m in gens)
+        want = inclusion_exclusion_numerator(gens, nvars)
+        if top < EXPONENT_CAP:
+            assert reference_numerator(gens, nvars) == want, gens
+        packed = tuple(map(words(nvars).pack, gens))
+        assert monomial_ideal_numerator(packed, nvars) == want, gens
+        assert monomial_ideal_numerator(gens, nvars) == want, gens
+    assert at_cap > 40
+
+
+def test_an_exponent_above_the_cap_is_not_packed():
+    # as `_Packing.encode` does, packing a tuple raises OverflowError,
+    # also for an exponent too wide for any field
+    for nvars in (1, 3, 6):
+        L, P = words(nvars), _packing(nvars, 1)
+        for e in (EXPONENT_CAP + 1, 1 << 20, 1 << 40):
+            m = (0,) * (nvars - 1) + (e,)
+            for pack in (L.pack, lambda m: P.encode(0, m),
+                         lambda m: monomial_ideal_numerator((m,), nvars),
+                         lambda m: _minimalize((m, m))):
+                with pytest.raises(OverflowError):
+                    pack(m)
+        assert L.monomial(L.pack((EXPONENT_CAP,) * nvars)) == (
+            (EXPONENT_CAP,) * nvars)
 
 
 def checked_sum_branches(monkeypatch):
     """Every sum-branch tuple from now on, each checked against the
-    minimal generators of J + (x_v^k); returns the count checked."""
+    minimal generators of J + (x_v^k), taken on exponent tuples; returns
+    the count checked."""
     checked = [0]
     inner = hilbert._with_pivot
 
-    def checking(gens, v, k):
-        got = inner(gens, v, k)
-        pivot = tuple(k if i == v else 0 for i in range(len(gens[0])))
-        assert got == _minimalize(gens + (pivot,)), (gens, v, k)
+    def checking(gens, pivot, guard):
+        got = inner(gens, pivot, guard)
+        # the guard covers the top field's guard bits
+        L = words((guard.bit_length() + 31) // 32)
+        want = minimal_tuples(map(L.monomial, gens + (pivot,)))
+        assert got == tuple(sorted(map(L.pack, want))), (gens, pivot)
         checked[0] += 1
         return got
 
@@ -186,16 +257,7 @@ def checked_sum_branches(monkeypatch):
 def test_the_sum_branch_keeps_the_minimal_generators(monkeypatch):
     # the pivot is inserted into J's generators that it does not divide,
     # with no second minimalizing: the corpus replay and 300 random ideals
-    calls = []
-    original = cmreg.modules.monomial_ideal_numerator
-
-    def recording(gens, nvars):
-        calls.append((gens, nvars))
-        return original(gens, nvars)
-
-    monkeypatch.setattr(cmreg.modules, "monomial_ideal_numerator", recording)
-    for inst in random_ideal_corpus(seed=DEFAULT_CORPUS_SEED, count=30):
-        regularity(inst.module)
+    calls = recorded_corpus_numerators(monkeypatch)
     checked = checked_sum_branches(monkeypatch)
     for gens, nvars in calls:
         monomial_ideal_numerator(gens, nvars)
@@ -203,7 +265,7 @@ def test_the_sum_branch_keeps_the_minimal_generators(monkeypatch):
     assert corpus > 100
     rng = random.Random("sum branch")
     for _ in range(300):
-        nvars = rng.randint(1, 4)
+        nvars = rng.randint(1, 6)
         top = rng.choice([2, 4, 12])
         gens = tuple(tuple(rng.randint(0, top) for _ in range(nvars))
                      for _ in range(rng.randint(1, 7)))
@@ -214,12 +276,14 @@ def test_the_sum_branch_keeps_the_minimal_generators(monkeypatch):
 
 def test_raw_generators_in_any_form_give_one_numerator(monkeypatch):
     # a list, a permutation and a tuple with repeated and redundant
-    # generators all read the numerator of the ideal they generate; each
-    # top-level tuple, as given, is a cache key next to the minimal one
+    # generators, as exponent tuples or as words, all read the numerator
+    # of the ideal they generate; each top-level tuple, as given and
+    # packed, is a cache key next to the minimal word tuple
     rng = random.Random("raw keys")
     monkeypatch.setattr(hilbert, "_NUMERATOR_CACHE", {})
     for _ in range(100):
         nvars = rng.randint(1, 4)
+        L = words(nvars)
         gens = tuple(tuple(rng.randint(0, 4) for _ in range(nvars))
                      for _ in range(rng.randint(1, 6)))
         want = reference_numerator(gens, nvars)
@@ -228,12 +292,14 @@ def test_raw_generators_in_any_form_give_one_numerator(monkeypatch):
         multiple = tuple(e + rng.randint(0, 2) for e in rng.choice(gens))
         redundant = tuple(permuted) + (multiple, gens[0])
         for raw in (gens, list(gens), tuple(permuted), redundant):
-            got = monomial_ideal_numerator(raw, nvars)
-            assert got == want, raw
-            got[-1] = 7  # the caller's copy, not the cache's
-            assert monomial_ideal_numerator(raw, nvars) == want
-            assert tuple(raw) in hilbert._NUMERATOR_CACHE
+            for form in (raw, [L.pack(m) for m in raw]):
+                got = monomial_ideal_numerator(form, nvars)
+                assert got == want, form
+                got[-1] = 7  # the caller's copy, not the cache's
+                assert monomial_ideal_numerator(form, nvars) == want
+                assert tuple(map(L.pack, raw)) in hilbert._NUMERATOR_CACHE
         assert _minimalize(gens) in hilbert._NUMERATOR_CACHE
+        assert _minimalize(tuple(map(L.pack, gens)), L) == _minimalize(gens)
 
 
 def test_a_series_divides_out_its_poles_once(monkeypatch, S3):
@@ -256,18 +322,24 @@ def test_a_series_divides_out_its_poles_once(monkeypatch, S3):
         calls.clear()
 
 
-def test_minimalize_keeps_the_minimal_generators_in_degree_order():
-    """The numerator cache key: the generators no other one divides, once
-    each, sorted by (degree, monomial)."""
+def test_minimalize_keeps_the_minimal_generators_in_word_order():
+    """The numerator cache key: the words of the generators no other one
+    divides, once each, sorted by word, from exponent tuples or words."""
     rng = random.Random("minimalize")
     for _ in range(300):
-        nvars = rng.randint(1, 4)
-        gens = tuple(tuple(rng.randint(0, 3) for _ in range(nvars))
+        nvars = rng.randint(1, 6)
+        L = words(nvars)
+        gens = tuple(tuple(rng.choice([0, 1, 2, 3, EXPONENT_CAP])
+                           for _ in range(nvars))
                      for _ in range(rng.randint(0, 12)))
-        minimal = {m for m in gens
-                   if not any(g != m and mono_divides(g, m) for g in gens)}
-        assert _minimalize(gens) == tuple(
-            sorted(minimal, key=lambda m: (mono_deg(m), m))), gens
+        want = tuple(sorted(map(L.pack, minimal_tuples(gens))))
+        assert _minimalize(gens) == want, gens
+        assert _minimalize([L.pack(m) for m in gens], L) == want, gens
+        # a proper divisor's word is the smaller: word order refines
+        # divisibility
+        for a, b in combinations(gens, 2):
+            if a != b and mono_divides(a, b):
+                assert L.pack(a) < L.pack(b)
 
 
 def staircase_numerator(stairs):

@@ -570,22 +570,29 @@ def test_a_lead_is_unpacked_only_where_an_element_is_built():
 
 
 def test_the_packed_lcm_is_written_once():
-    """The field-wise max of packed exponents and the pair formula built
-    on it, head + ((lcm - (d << B)) << W), are one packing method
-    (`pair`) that serves both pair selections: `>> 16`, which widens its
-    bit-16 comparisons to a mask, appears once in groebner.py."""
+    """The field-wise max of exponent words is one method, `Words.lcm`,
+    and the pair formula built on it, head + ((lcm - (d << B)) << W), is
+    one packing method (`pair`) that serves both pair selections.  The
+    max's bit-16 comparisons stay inside `Words` with the rest of the word
+    layout (`test_only_the_packings_read_the_packed_layout`)."""
     tree = _groebner_tree()
-    shifts = [n for n in ast.walk(tree)
-              if isinstance(n, ast.BinOp) and isinstance(n.op, ast.RShift)
-              and isinstance(n.right, ast.Constant) and n.right.value == 16]
-    assert len(shifts) == 1
     defs = [n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
     assert defs.count("pair") == 1 and "lcm" not in defs
+    [pair] = [n for n in ast.walk(tree)
+              if isinstance(n, ast.FunctionDef) and n.name == "pair"]
+    assert "lcm" in {n.func.attr for n in ast.walk(pair)
+                     if isinstance(n, ast.Call)
+                     and isinstance(n.func, ast.Attribute)}
     readers = [f.name for f in tree.body
                if isinstance(f, ast.FunctionDef)
                and any(isinstance(n, ast.Attribute) and n.attr == "pair"
                        for n in ast.walk(f))]
     assert readers == ["_buchberger", "_schreyer_pairs"]
+    [words] = [n for name, _, src in sources() if name == "poly.py"
+               for n in ast.walk(parse(src))
+               if isinstance(n, ast.ClassDef) and n.name == "Words"]
+    assert [f.name for f in words.body
+            if isinstance(f, ast.FunctionDef)].count("lcm") == 1
 
 
 # the one packing class
@@ -632,9 +639,77 @@ def test_only_the_packings_read_the_packed_layout():
     """`_buchberger`, the Schreyer pairs, lifts, syzygies, the block
     shifts and the constant parts read exponent words, packed lcms and
     basis vectors' heads through the packing (`word`, `pair`, `head`),
-    so a new packing needs no change outside its class."""
+    so a new packing needs no change outside its class.  The exponent
+    words under the packed terms have one owner, `Words`: in groebner.py,
+    hilbert.py and poly.py no other function reads their field width,
+    guard mask or degree multiply, so `_Packing` and the numerator
+    recursion share one layout."""
     [source] = [src for name, _, src in sources() if name == "groebner.py"]
     assert layout_reads(source) == []
+    for name, _, source in sources():
+        if name in ("groebner.py", "hilbert.py", "poly.py"):
+            assert word_layout_reads(source) == [], name
+
+
+# the exponent-word layout: its constants, its struct, the masks and
+# shifts of its fields and the degree multiply, known to `Words` alone
+WORD_NAMES = {"_FIELD_BITS", "_FIELD", "_GUARD", "struct"}
+WORD_ATTRS = {"struct", "nbytes", "ones", "top", "high", "low"}
+WORD_CONSTANTS = {16, 32, 0xFFFF, 0xFFFFFFFF}
+
+
+def word_layout_reads(source):
+    """(function, line, text) of each read of the exponent-word layout in a
+    function outside class Words: a name in WORD_NAMES, an attribute in
+    WORD_ATTRS, or a constant in WORD_CONSTANTS as an operand."""
+    out = []
+
+    def visit(node, func):
+        if isinstance(node, ast.ClassDef) and node.name == "Words":
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if func is not None and (
+                (isinstance(node, ast.Name) and node.id in WORD_NAMES)
+                or (isinstance(node, ast.Attribute)
+                    and node.attr in WORD_ATTRS)
+                or (isinstance(node, ast.BinOp) and any(
+                    isinstance(side, ast.Constant)
+                    and side.value in WORD_CONSTANTS
+                    for side in (node.left, node.right)))):
+            out.append((func, node.lineno, ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(parse(source), None)
+    return out
+
+
+def test_word_layout_reads_are_recognized():
+    src = ("_FIELD_BITS = 32\nX = 1 << 16\n"
+           "class Words:\n    def deg(self, w):\n"
+           "        return (w * self.ones >> self.top) & _FIELD\n"
+           "def f(L, w, v):\n    return w >> 32 * v, L.ones, L.guard\n"
+           "def g(m):\n    return struct.pack(*m), (m + 0xFFFF) >> 16\n")
+    assert word_layout_reads(src) == [
+        ("f", 7, "32 * v"), ("f", 7, "L.ones"), ("g", 9, "struct"),
+        ("g", 9, "m + 65535 >> 16"), ("g", 9, "m + 65535")]
+
+
+def test_the_series_readers_pass_words_and_read_no_monomial():
+    """`quotient_series` and `_resolves` pass their leads' exponent words
+    (`lead_words`, `GBElem.word`) to the numerator recursion, and read no
+    lead monomial (`ltm`)."""
+    funcs = {}
+    for name, _, source in sources():
+        for node in parse(source).body:
+            if isinstance(node, ast.FunctionDef):
+                funcs[name, node.name] = node
+    for key, reads in ((("modules.py", "quotient_series"), "lead_words"),
+                       (("resolution.py", "_resolves"), "word")):
+        attrs = {n.attr for n in ast.walk(funcs[key])
+                 if isinstance(n, ast.Attribute)}
+        assert "ltm" not in attrs and reads in attrs, key
 
 
 def position_reads(source):

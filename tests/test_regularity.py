@@ -7,6 +7,7 @@ import pytest
 
 import cmreg.modules
 import cmreg.oracle
+from cmreg import groebner
 from cmreg import (KoszulHypothesisError, PresentedModule, a_invariant,
                    bass_table, betti_table, complex_from_module, depth,
                    depth_profile, ext_complex, free_resolution,
@@ -792,6 +793,48 @@ def test_the_scroll_cut_at_n_5_has_regularity_5_by_every_route():
     rep = regularity(PresentedModule.cyclic(Rn, minors + [z]))
     assert rep.routes == dict.fromkeys(ROUTES, 5)
     assert rep.value == 5
+
+
+def cokernel_elements(monkeypatch, run):
+    """How many basis elements the seeded Buchberger runs, the cokernel
+    runs of the homology layer, add past their generators while run()
+    runs."""
+    added = [0]
+    inner = groebner._buchberger
+
+    def counting(gens, K, twists, P, known=()):
+        out = inner(gens, K, twists, P, known)
+        if known:
+            added[0] += len(out) - len(known) - sum(1 for v in gens if v)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "_buchberger", counting)
+        run()
+    return added[0]
+
+
+def test_the_ext_route_grows_the_koszul_routes_cokernel_bases(monkeypatch):
+    # The residue field's Koszul resolution is built on the variables in
+    # reverse order, so each column of Hom(K, M) leads as a column of the
+    # Koszul route's K (x) M does, and the ext route's cokernel runs add
+    # as many elements as the Koszul route's; on the variables' own order
+    # they add 57.  Every route still agrees on the scroll family.
+    def scroll_m():
+        return parse_session(load("scroll-2.cmreg")).get("M")
+
+    M = scroll_m()
+    ext = cokernel_elements(monkeypatch, lambda: bass_table(M))
+    koszul = cokernel_elements(monkeypatch, lambda: reg_via_koszul(M))
+    C = complex_from_module(scroll_m())
+    forward = cokernel_elements(monkeypatch, lambda: hom_complex(
+        koszul_complex(list(C.ring.gens())), C).nonzero_homology_series())
+    assert (ext, koszul, forward) == (12, 12, 57)
+    for n in range(2, 6):
+        Rn, minors, z = nilpotent_scroll_family(n)
+        for gens, value in ((minors, 1), (minors + [z], n)):
+            rep = regularity(PresentedModule.cyclic(Rn, gens))
+            assert rep.routes == dict.fromkeys(ROUTES, value), (n, value)
 
 
 def test_four_dense_quadrics_in_five_variables_have_the_koszul_table():

@@ -519,7 +519,7 @@ def skipped_pair_projections(gb):
     heads += [None] * (len(ext) - len(mod))
     K, reducers = gb.ring.field, groebner._reducers(ext)
     out = []
-    for i, j, hl in groebner._schreyer_pairs(ext, P):
+    for i, j, hl in groebner._schreyer_pairs(ext, P, len(ext)):
         if i >= len(mod):
             s, _, _ = groebner._s_vector(ext[i], ext[j], hl, K, P.G)
             r, trace = groebner._reduce_packed(s, reducers, K, P, heads)
@@ -583,6 +583,73 @@ def test_skipping_pairs_of_two_defining_columns_changes_no_table(
     assert len(sessions) >= 4
     # not vacuous: 151 pairs were skipped, 28 of them with a nonzero syzygy
     assert skipped > 100 and nonzero > 10, (skipped, nonzero)
+
+
+def test_the_syzygy_step_forms_no_lcm_of_two_defining_columns(monkeypatch):
+    # The step reduces no pair of two defining columns, so it forms none
+    # of their lcms either: at each syzygy step over a quotient ring the
+    # candidates formed are the same-position pairs (i, j), i < j, with i
+    # a module element, while `certify` still forms every pair.  Counted
+    # on every quotient-ring session module, resolved and run by every
+    # route from a fresh parse.
+    inner_pair, inner_pairs = groebner._Packing.pair, groebner._schreyer_pairs
+    formed = [0]
+    steps, certified = [], []
+
+    def pair(self, *args):
+        formed[0] += 1
+        return inner_pair(self, *args)
+
+    def pairs(elems, P, stop):
+        before = formed[0]
+        out = inner_pairs(elems, P, stop)
+        pos = [g.pos for g in elems]
+        same = [(i, j) for j in range(len(pos)) for i in range(j)
+                if pos[i] == pos[j]]
+        wanted = sum(1 for i, _ in same if i < stop)
+        (steps if stop < len(elems) else certified).append(
+            (formed[0] - before, wanted, len(same)))
+        return out
+
+    monkeypatch.setattr(groebner._Packing, "pair", pair)
+    monkeypatch.setattr(groebner, "_schreyer_pairs", pairs)
+    for name, b in quotient_session_modules():
+        M = parse_session(load(name)).get(b)
+        betti_table(M)
+        regularity(M)
+    assert all(got == wanted for got, wanted, _ in steps + certified)
+    assert all(wanted == every for _, wanted, every in certified)
+    # not vacuous: 10 syzygy steps, where 36 of 147 same-position pairs
+    # join two defining columns, and 14 certified bases
+    assert len(steps) >= 10 and len(certified) >= 5
+    assert sum(every - wanted for _, wanted, every in steps) > 30
+
+
+def test_completeness_at_a_negative_spot_is_read_exactly(monkeypatch):
+    # `_resolves` weighs spot i by an int sign.  (-1) ** i is the float
+    # -1.0 at i = -1, so with numerator coefficients above 2^53 its
+    # Euler-characteristic sums rounded, and this cut, complete, read
+    # incomplete once every numerator was scaled by 2^53 + 1
+    S = polynomial_ring(["x", "y", "z"])
+    x, y, z = S.gens()
+
+    def cut():
+        L = BoundedComplex(S, {-1: PresentedModule.cyclic(S, [x, y, z]),
+                               0: PresentedModule.cyclic(S, [x * y])}, {})
+        return free_resolution(L, max_len=3)
+
+    want = cut()
+    assert want.complete
+    big = 2 ** 53 + 1
+    res_mod, mod_mod = (importlib.import_module("cmreg.resolution"),
+                        importlib.import_module("cmreg.modules"))
+    for m in (res_mod, mod_mod):
+        inner = m.monomial_ideal_numerator
+        monkeypatch.setattr(m, "monomial_ideal_numerator", lambda gens, n,
+                            inner=inner: {d: big * c for d, c in
+                                          inner(gens, n).items()})
+    got = cut()
+    assert got.complete and got.twists == want.twists
 
 
 def test_a_cut_below_the_top_of_a_complex_reads_no_series():
