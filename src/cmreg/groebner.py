@@ -64,17 +64,19 @@ which `_Packing` extends, the layout of the exponent word inside it:
 field width, guard mask and degree multiply.  The Hilbert layer's
 numerator recursion reads the same `Words` (cmreg.hilbert), so a lead's
 word goes to it as the element keeps it.  Every other function reads a
-term's position as h & M, and a lead's exponent word and monomial
-(`unpack`), a pair's packed lcm (`pair`, on `Words.lcm`) and a basis
-vector's head (`head`) through the packing.  So one kernel,
+term's position as h & M, and a lead's exponent word (`word`), a pair's
+packed lcm (`pair`, on `Words.lcm`) and a basis vector's head (`head`)
+through the packing.  So one kernel,
 `_reduce_packed`, with one `_s_vector`, `_schreyer_pairs` and
 `_buchberger`, serves every order.
 
 A basis element has one form, a GBElem: its packed lead, whose
 coefficient is the field's one (every element is monic), and its tail,
 a tuple of offsets (h - lead, c) over its other terms.  It keeps its
-lead's exponent word and monomial, unpacked once where it is made; the
-two pair selections read the word from the element.  Every reader
+lead's exponent word, read off the lead once where it is made, and its
+degree, read off the word (`Words.degree`); the two pair selections and
+the lead-index sort read the word from the element, and only the decoder
+turns a word into a monomial.  Every reader
 takes that form as it is: the reduction kernel walks the tail, an
 S-vector adds two tails at the packed lcm, interreduction reduces the
 tail, and a block shift moves the lead alone and shares the tail, since
@@ -137,11 +139,12 @@ needs Buchberger only where its columns are more than syzygies
 
 A syzygy is written straight into the Schreyer packing as its S-pair
 reduces: with each module element's e_k packed in that order as its
-head, the trace holds -sum_k q_k e_k, so `syzygy_generators` only adds
--m_j e_j and makes the element from its known lead m_i e_i, whose
-coefficient is one: the trace, then -m_j e_j, is its tail.  No two of
-these terms meet, since every q_k lt(g_k) lies below the lcm, and a
-trace term at or above the lead raises.  A pair's lcm is taken on the
+head, the trace holds -sum_k q_k e_k, so the one tail routine
+(`_syzygy_tail`) only adds -m_j e_j: the element's lead is its known
+Schreyer lead m_i e_i, whose coefficient is one, and the trace, then
+-m_j e_j, is its tail.  No two of these terms meet, since every q_k
+lt(g_k) lies below the lcm, and a trace term at or above the lead
+raises.  A pair's lcm is taken on the
 leads' exponent words, field by field, and packed by linearity as
 head(p) + ((lcm - (deg lcm << B)) << W) in position p, with no tuple per
 pair (`_Packing.pair`, which `_buchberger` shares).  There is no degree
@@ -164,15 +167,26 @@ alone, and shares its tail with the block's own element (`_moved`).
 Reduction on read: `_buchberger` returns the basis its loop completed,
 with redundant leads and unreduced tails, and a GroebnerBasis from
 `groebner_basis` interreduces it on the first read of `elements`,
-`module_elements`, `module_indices` or the reducer groups (normal forms,
-lifts), which every seeded run, syzygy step, kernel and membership test
-does.  A Hilbert series reads the leads' words alone (`lead_words`): by
-Macaulay's theorem HS(F/U) = HS(F/in(U)), and the leads of any Groebner
-basis of U generate in(U), so redundant leads change nothing once
-`hilbert._minimalize` drops them.  The homology layer's cokernel bases
-are read for their series only, so they are never reduced.  Whoever
-reads a basis gets the same reduced basis as an eager reduction would
-give; `defining_gb` reduces its own at once.
+`module_elements`, `module_indices`, `module_leads` or the reducer groups
+(normal forms, lifts), which every seeded run, syzygy step, kernel and
+membership test does.  A Hilbert series reads the leads' words alone
+(`lead_words`): by Macaulay's theorem HS(F/U) = HS(F/in(U)), and the
+leads of any Groebner basis of U generate in(U), so redundant leads
+change nothing once `hilbert._minimalize` drops them.  The homology
+layer's cokernel bases are read for their series only, so they are never
+reduced.  Whoever reads a basis gets the same reduced basis as an eager
+reduction would give; `defining_gb` reduces its own at once.
+
+A frame from `syzygy_generators` knows each syzygy's lead, position and
+degree before any S-pair is reduced, and its tails are reduced on read
+too, one degree at a time (`GroebnerBasis._complete`): the leads, the
+degrees and the next step's pairs never need a tail, and a constant
+term c e_p of a homogeneous syzygy has the degree of e_p, so
+`module_constants` completes only the syzygies whose degree is a twist
+of their free module.  A syzygy of degree d reduces against the
+elements of degree at most d one level down, which are completed first;
+every tail comes from the same reduction against the same reducers,
+whichever read asks for it first.
 
 Pair update (`_buchberger`; Gebauer and Moeller, On an installation of
 Buchberger's algorithm, JSC 1988): each new basis element t updates the
@@ -193,7 +207,7 @@ from heapq import heapify, heappop, heappush
 
 from .freemod import FreeModule, vec_is_homogeneous
 from .memo import _cached
-from .poly import _OVERFLOW, mono_deg, Polynomial, Words
+from .poly import _OVERFLOW, Polynomial, Words
 
 _DEG_TOP = (1 << 40) - 1
 _INDEX_BITS = 32  # W: room for a term's position below its level-0 term
@@ -247,12 +261,6 @@ class _Packing(Words):
         """The monomial of h."""
         return self.monomial(self.word(h))
 
-    def unpack(self, h):
-        """(exponent word, monomial) of h, from one read of its fields: a
-        lead's two forms, which a GBElem keeps."""
-        w = self.word(h)
-        return w, self.monomial(w)
-
     def decode_vec(self, terms):
         """The tuple dict {(position, monomial): c} of packed (h, c) pairs."""
         M, mono = self.M, self.mono
@@ -289,19 +297,20 @@ class GBElem:
     coefficient is the field's one, and the tail, an immutable tuple of
     offsets (h - lead, c) over the other packed terms h, with cached
     lead-term data: the position, the lead's exponent word (`word`,
-    which both pair selections read) and monomial, and the degree.  The
-    lead is unpacked once, where the element is made (`_elem`,
-    `syzygy_generators`); a moved or reduced element shares the word.
-    Decoded by its basis alone (module docstring)."""
+    which both pair selections read) and the degree, read off the word
+    (`Words.degree`).  The word is read off the lead once, where the
+    element is made (`_elem`, `syzygy_generators`); a moved or reduced
+    element shares it.  A frame syzygy's tail is None until its basis
+    reads it (`GroebnerBasis`).  Decoded by its basis alone (module
+    docstring)."""
 
-    __slots__ = ("lead", "tail", "pos", "word", "ltm", "deg")
+    __slots__ = ("lead", "tail", "pos", "word", "deg")
 
-    def __init__(self, lead, tail, pos, word, ltm, deg):
+    def __init__(self, lead, tail, pos, word, deg):
         self.lead = lead
         self.tail = tail
         self.pos = pos
         self.word = word
-        self.ltm = ltm
         self.deg = deg
 
     def items(self, one):
@@ -323,8 +332,8 @@ def _elem(terms, K, twists, P):
     else:
         tail = tuple([(h - lead, cc) for h, cc in terms.items() if h != lead])
     pos = lead & P.M
-    word, ltm = P.unpack(lead)
-    return GBElem(lead, tail, pos, word, ltm, mono_deg(ltm) + twists[pos])
+    word = P.word(lead)
+    return GBElem(lead, tail, pos, word, P.degree(word) + twists[pos])
 
 
 def _reducer(i, g):
@@ -473,7 +482,7 @@ def _interreduce(elems, K, P):
             r, _ = _reduce_packed({lead + off: c for off, c in g.tail},
                                   groups, K, P)
             tail = tuple([(h - lead, c) for h, c in r.items()])
-            out.append(GBElem(lead, tail, g.pos, g.word, g.ltm, g.deg))
+            out.append(GBElem(lead, tail, g.pos, g.word, g.deg))
     return out
 
 
@@ -590,8 +599,8 @@ def _moved(elems, off, twists, P):
     out = []
     for g in elems:
         pos = g.pos + off
-        out.append(GBElem(g.lead + s, g.tail, pos, g.word, g.ltm,
-                          mono_deg(g.ltm) + twists[pos]))
+        out.append(GBElem(g.lead + s, g.tail, pos, g.word,
+                          P.degree(g.word) + twists[pos]))
     return out
 
 
@@ -611,26 +620,40 @@ class GroebnerBasis:
     term order: position over grevlex, or the Schreyer order of a
     syzygy module (`syzygy_generators`).
 
-    A basis built by `groebner_basis` holds the unreduced basis of its
-    Buchberger run, with `module_indices` None, and becomes the reduced
-    basis on the first read of `elements`, `module_elements`,
-    `module_indices` or the reducer groups (module docstring, Reduction
-    on read).  `lead_words` never forces that.  Every other basis is
-    given in its final form."""
+    Reduction on read (module docstring).  A basis built by
+    `groebner_basis` holds the unreduced basis of its Buchberger run,
+    with `module_indices` None, and becomes the reduced basis on the
+    first read of `elements`, `module_elements`, `module_indices`,
+    `module_leads` or the reducer groups.  A frame from
+    `syzygy_generators` holds each element's lead, position and degree,
+    its tail None until read, and `pending`, {degree: [(element, i, j,
+    packed lcm)]}, the S-pairs of the tails not yet read, which
+    `_complete` reduces with `step`: (the basis one level down, its
+    reducer list, the trace heads).  `elements`, `module_elements`,
+    `module_vectors`, `key` and the reducer groups complete a frame;
+    `lead_words`, `module_leads`, `module_degrees` and `module_indices`
+    read no tail; `module_constants` completes only the elements whose
+    degree is a twist of `free`.  Every other basis is given in its
+    final form."""
 
     __slots__ = ("ring", "free", "_elements", "_module_indices", "packing",
-                 "_groups")
+                 "_groups", "_pending", "_step")
 
-    def __init__(self, ring, free, elements, module_indices, packing=None):
+    def __init__(self, ring, free, elements, module_indices, packing=None,
+                 pending=None, step=None):
         self.ring = ring
         self.free = free
         self._elements = elements
         self._module_indices = module_indices
         self.packing = packing or _packing(ring.nvars, free.rank)
         self._groups = None
+        self._pending = pending
+        self._step = step
 
-    @property
-    def elements(self):
+    def _interreduced(self):
+        """The elements with their final leads: a Buchberger run's basis
+        is interreduced on this first read; a frame's pending tails stay
+        pending."""
         if self._module_indices is None:
             ring, free, P = self.ring, self.free, self.packing
             K = ring.field
@@ -645,10 +668,46 @@ class GroebnerBasis:
             self._elements = elems
         return self._elements
 
+    def _complete(self, degrees=None):
+        """Reduce the pending S-pairs of the frame elements whose degree is
+        in `degrees`, of all of them by default, one degree d at a time,
+        lowest first, in the one tail routine (`_syzygy_tail`).  The basis
+        below is completed through d first: only its elements of degree at
+        most d can reduce a vector of degree d, so the reducer groups may
+        hold an element of higher degree whose tail is still pending, never
+        read there, and they are built again only after that completion
+        reduced something.  A degree is dropped from `pending` only once
+        all its tails are read, so a failed reduction raises again on the
+        next read."""
+        pending = self._pending
+        if not pending:
+            return
+        below, ext, heads = self._step
+        K, P = self.ring.field, below.packing
+        reducers = None
+        for d in sorted(pending if degrees is None
+                        else pending.keys() & degrees):
+            lower = [e for e in below._pending or () if e <= d]
+            if lower:
+                below._complete(lower)
+                reducers = None
+            if reducers is None:
+                reducers = _reducers(ext)
+            for g, i, j, hl in pending[d]:
+                g.tail = _syzygy_tail(g.lead, i, j, hl, ext, reducers,
+                                      heads, K, P)
+            del pending[d]
+        if not pending:
+            self._step = None
+
+    @property
+    def elements(self):
+        self._complete()
+        return self._interreduced()
+
     @property
     def module_indices(self):
-        if self._module_indices is None:
-            self.elements  # the first read reduces and sets them
+        self._interreduced()
         return self._module_indices
 
     def lead_words(self):
@@ -657,10 +716,17 @@ class GroebnerBasis:
         generate the same lead module."""
         return [(g.pos, g.word) for g in self._elements]
 
+    def module_leads(self):
+        """The module elements with their final leads, positions and
+        degrees, read without completing a frame: a pending tail is
+        None."""
+        elems = self._interreduced()
+        return [elems[i] for i in self._module_indices]
+
     @property
     def module_elements(self):
-        elems = self.elements
-        return [elems[i] for i in self._module_indices]
+        self._complete()
+        return self.module_leads()
 
     def module_vectors(self, first=0):
         """The module elements at position `first` or past, as new tuple
@@ -674,18 +740,26 @@ class GroebnerBasis:
         """The constant part of each module element, {(position, 1): c},
         read off the packed terms, the lead and then each tail offset: a
         term m e_p has m = 1 exactly when it is e_p's packed head
-        (`head`), in any packing."""
+        (`head`), in any packing.  A term c e_p of a homogeneous element
+        has e_p's degree, the twist at p, so an element whose degree is
+        no twist has no constant part: only the others are completed and
+        read."""
         Q, one = self.packing, self.ring.field.one
         unit = (0,) * self.ring.nvars
+        twists = set(self.free.twists)
+        self._complete(twists)
         heads = {Q.head(k): k for k in range(self.free.rank)}
         out = []
-        for g in self.module_elements:
-            lead = g.lead
-            const = {(heads[lead], unit): one} if lead in heads else {}
-            for off, c in g.tail:
-                k = heads.get(lead + off)
-                if k is not None:
-                    const[k, unit] = c
+        for g in self.module_leads():
+            const = {}
+            if g.deg in twists:
+                lead = g.lead
+                if lead in heads:
+                    const[heads[lead], unit] = one
+                for off, c in g.tail:
+                    k = heads.get(lead + off)
+                    if k is not None:
+                        const[k, unit] = c
             out.append(const)
         return out
 
@@ -697,7 +771,7 @@ class GroebnerBasis:
         return frozenset((g.lead, frozenset(g.tail)) for g in self.elements)
 
     def module_degrees(self):
-        return [g.deg for g in self.module_elements]
+        return [g.deg for g in self.module_leads()]
 
     def _reducer_groups(self):
         if self._groups is None:
@@ -869,24 +943,36 @@ def syzygy_generators(gb):
 
     So every kept pair (i, j) has a module element i, and its trace
     syzygy leads with (lcm_ij / lt(g_i)) e_i in the Schreyer order gb
-    induces (module docstring): the step builds the element from that
-    lead, coefficient one, with the -m_j e_j term (when j is a module
-    element) and the trace as its tail.  A trace term at or above the lead
-    raises ArithmeticError.  Of one i, `_schreyer_pairs` keeps distinct
-    lcms, so no two kept syzygies share a lead and none repeats.
+    induces (module docstring): the step builds each element from that
+    lead, coefficient one, its position i, and its degree, read off the
+    lead's word, plus the twist of e_i.  Of one i, `_schreyer_pairs`
+    keeps distinct lcms, so no two kept syzygies share a lead and none
+    repeats.  The step reads gb's leads alone (`module_leads`), so a
+    frame below stays as complete as it was.
+
+    Reduction on read: no S-pair is reduced here.  Each element's tail,
+    the trace and then the -m_j e_j term (when j is a module element),
+    comes from `_syzygy_tail` on the first read that needs it
+    (`GroebnerBasis`), which checks the zero remainder and the Schreyer
+    lead on every tail it computes and raises ArithmeticError.  A
+    syzygy of degree d reduces its S-vector, homogeneous of degree d,
+    against the elements of degree at most d alone, its pair's own two
+    among them, since no other lead divides one of its terms.  So the
+    basis below is completed through degree d first
+    (`GroebnerBasis._complete`), and reading every tail gives what
+    reducing every pair at once would.
 
     Returns (elements, basis): basis is `_syzygy_basis` of the syzygies,
     a GroebnerBasis on the free module on the element degrees, packed in
-    that Schreyer order, and elements are its module elements, still
-    packed.  Over a polynomial ring basis is a Groebner basis of the
-    syzygy module (Schreyer's theorem), so this function takes it again.
+    that Schreyer order, and elements are its module elements, tails
+    pending until basis reads them.  Over a polynomial ring basis is a
+    Groebner basis of the syzygy module (Schreyer's theorem), so this
+    function takes it again.
     """
     ring = gb.ring
-    K = ring.field
     P = gb.packing
-    mod = gb.module_elements
-    ext = list(mod) + _augmented_columns(ring, gb.free)
-    reducers = _reducers(ext)
+    mod = gb.module_leads()
+    ext = mod + _augmented_columns(ring, gb.free)
     n_mod = len(mod)
     twists = tuple(g.deg for g in mod)
     Q = P.schreyer([g.lead for g in mod])
@@ -894,41 +980,61 @@ def syzygy_generators(gb):
     # columns' coordinates are dropped
     heads = [Q.head(k) for k in range(n_mod)]
     heads += [None] * (len(ext) - n_mod)
-    p = K.characteristic
-    minus_one = p - 1 if p else -K.one
-    out = []
-    for i, j, hl in _schreyer_pairs(ext, P, n_mod):
-        s, di, dj = _s_vector(ext[i], ext[j], hl, K, P.G)
-        r, trace = _reduce_packed(s, reducers, K, P, heads)
-        if r:
-            raise ArithmeticError("S-pair of a Groebner basis did not reduce to zero")
-        # m_i e_i - m_j e_j - sum_k q_k e_k, with no term repeated
-        # (module docstring)
-        lead = heads[i] + di
-        if j < n_mod:
-            trace[heads[j] + dj] = minus_one
-        if trace and min(trace) <= lead:
-            raise ArithmeticError("a trace syzygy does not lead with its "
-                                  "Schreyer term")
-        word, ltm = Q.unpack(lead)
-        out.append(GBElem(lead, tuple([(h - lead, c) for h, c in trace.items()]),
-                          i, word, ltm, mono_deg(ltm) + twists[i]))
-    basis = _syzygy_basis(ring, FreeModule(ring, twists), Q, out)
-    return basis.module_elements, basis
+    pairs = _schreyer_pairs(ext, P, n_mod)
+    leads = [heads[i] + hl - ext[i].lead for i, _, hl in pairs]
+    words = [Q.word(lead) for lead in leads]
+    out, pending = [], {}
+    for (i, j, hl), lead, word, d in zip(pairs, leads, words,
+                                         Q.degrees(words)):
+        g = GBElem(lead, None, i, word, d + twists[i])
+        out.append(g)
+        pending.setdefault(g.deg, []).append((g, i, j, hl))
+    step = (gb, ext, heads) if pending else None
+    basis = _syzygy_basis(ring, FreeModule(ring, twists), Q, out,
+                          pending or None, step)
+    return basis.module_leads(), basis
 
 
-def _syzygy_basis(ring, F, Q, elems):
+def _syzygy_tail(lead, i, j, hl, ext, reducers, heads, K, P):
+    """The tail of the trace syzygy with Schreyer lead `lead`, m_i e_i,
+    of the S-pair (ext[i], ext[j]) at the packed lcm hl, in the one form
+    (module docstring): the S-vector is reduced against `reducers` with
+    each e_k packed as heads[k], which leaves -sum_k q_k e_k, then
+    -m_j e_j is added when heads[j] is set.  ArithmeticError when the
+    remainder is not zero, or a term sits at or above the lead."""
+    s, _, dj = _s_vector(ext[i], ext[j], hl, K, P.G)
+    r, trace = _reduce_packed(s, reducers, K, P, heads)
+    if r:
+        raise ArithmeticError("S-pair of a Groebner basis did not reduce to zero")
+    # m_i e_i - m_j e_j - sum_k q_k e_k, with no term repeated (module
+    # docstring)
+    if heads[j] is not None:
+        p = K.characteristic
+        trace[heads[j] + dj] = p - 1 if p else -K.one
+    if trace and min(trace) <= lead:
+        raise ArithmeticError("a trace syzygy does not lead with its "
+                              "Schreyer term")
+    return tuple([(h - lead, c) for h, c in trace.items()])
+
+
+def _syzygy_basis(ring, F, Q, elems, pending=None, step=None):
     """The syzygies, GBElems in packing Q over F, as a GroebnerBasis in
-    lead-index order, never decoded here.
+    lead-index order, never decoded here; `pending` and `step` as in
+    `GroebnerBasis`.
 
     Lead-index order sorts by the lead's basis index c, then by the
     exponent of v in the lead monomial, decreasing, with v the first
-    variable in any lead, then by lead term.  By index first, the packed
-    (level-0 term, c) order is the full Schreyer order for the next level
-    (module docstring).  By v next, i < j in one position has
+    variable in any lead, then by lead term; the exponents are read off
+    the leads' words (`Words.support`, `Words.column`).  By index first,
+    the packed (level-0 term, c) order is the full Schreyer order for the
+    next level (module docstring).  By v next, i < j in one position has
     lt(g_j) no higher in v than lt(g_i), so the next level's leads lack v
     and every variable these lack (Schreyer's proof of the syzygy
     theorem): a frame over n variables ends within n levels."""
-    v = next((x for x in range(ring.nvars) if any(g.ltm[x] for g in elems)), 0)
-    elems.sort(key=lambda g: (g.pos, -g.ltm[v], g.lead))
-    return GroebnerBasis(ring, F, elems, list(range(len(elems))), Q)
+    words = [g.word for g in elems]
+    v = next((x for x, k in enumerate(Q.support(words)) if k), 0)
+    col = Q.column(words, v)
+    order = sorted(range(len(elems)),
+                   key=lambda k: (elems[k].pos, -col[k], elems[k].lead))
+    return GroebnerBasis(ring, F, [elems[k] for k in order],
+                         list(range(len(elems))), Q, pending, step)

@@ -47,7 +47,7 @@ class Words:
       A proper divisor has the smaller word, so words sorted by value
       list every divisor before its multiples;
     - the degree is one multiply: w * ones, ones the word of bit 0 in
-      every field, sums all fields into the top one (`degrees`);
+      every field, sums all fields into the top one (`degree`, `degrees`);
     - the lcm is a field-wise max (`lcm`), the support counts of a list
       of words are one field-wise sum (`support`), and a colon by x_v^k
       is one subtraction per word (`colon`).
@@ -89,6 +89,10 @@ class Words:
     def monomial(self, w):
         """The exponent tuple of the word w."""
         return self.struct.unpack(w.to_bytes(self.nbytes, "little"))
+
+    def degree(self, w):
+        """The degree of the word w's monomial, by one multiply."""
+        return ((w * self.ones) >> self.top) & _FIELD
 
     def degrees(self, ws):
         """The degree of each word's monomial, by one multiply each."""

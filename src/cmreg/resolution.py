@@ -26,13 +26,19 @@ for every i >= hi + 2, hi L's top spot (i >= 2 for a module).  Those
 levels are a frame: by Schreyer's theorem the syzygies are a Groebner
 basis already, in the Schreyer order that cmreg.groebner packs them in,
 so they are resolved further with no Buchberger run and no
-minimization.  A frame level stays that packed basis in the chain: its
-twists are its elements' degrees, `_betti_twists` reads its constant
-part off the packed terms (GroebnerBasis.module_constants), and
-`_minimal_cols` decodes it (GroebnerBasis.module_vectors) only when cols
-is first read, so the Betti numbers never decode a frame syzygy.  Over
-a quotient ring every level adds I*F's columns, so every level takes
-the Groebner step.
+minimization.  A frame level stays that packed basis in the chain, its
+tails reduced on read (cmreg.groebner, Reduction on read): the loop reads
+its leads and degrees alone (GroebnerBasis.module_degrees), its twists
+are its elements' degrees, and the next syzygy step pairs its leads.
+`_betti_twists` reads its constant part off the packed terms
+(GroebnerBasis.module_constants).  A constant term c e_p of a homogeneous
+syzygy has the degree of e_p, so a frame syzygy whose degree is no twist
+one level down has no constant part, and only the others are reduced
+there.  `_minimal_cols` completes and decodes the frame
+(GroebnerBasis.module_vectors) only when cols is first read, so the
+Betti numbers never decode a frame syzygy.  Over a quotient ring every
+level adds I*F's columns and reads its syzygies' vectors at once, so
+every level takes the Groebner step with every tail reduced.
 
 The finished chain is not minimized.  For any graded free resolution F,
 over any standard graded ring,
@@ -43,9 +49,13 @@ Scala and Stillman; Eroecal, Motsa, Schreyer and Steenpass, Refined
 algorithms to compute syzygies, JSC 2016).  The constant parts form a
 complex over the field, and minimizing it, Gaussian elimination with
 scalars alone, removes exactly those ranks: the twists, and all that is
-read off them, are that complex's.  The minimal differentials are the
-chain minimized once, on the first read of FreeResolution.cols; every
-level above the bottom is then sorted by degree, as its twists are.
+read off them, are that complex's.  Only a generator of F_i whose degree
+j is a twist of F_{i-1} has a column in c_{i,j}, so the Betti numbers
+reduce no frame syzygy of any other degree, while cols, and the
+duality, tor and ext that read it, reduce every one.  The minimal
+differentials are the chain minimized once, on the first read of
+FreeResolution.cols; every level above the bottom is then sorted by
+degree, as its twists are.
 The loop's bottom level is final as built: the loop minimizes d_{lo+1}
 before its Groebner step, and a Groebner basis of columns with no unit
 has no unit.
@@ -532,7 +542,9 @@ def _betti_twists(twists, cols, ring):
     leaves f_{i,j} - rank c_{i,j} - rank c_{i+1,j} generators of degree j
     at each level.  Levels above the bottom come sorted by degree.  As
     in any chain, passenger rows are never pivots.  A frame level, a
-    packed syzygy basis, gives its constant part without being decoded."""
+    packed syzygy basis, gives its constant part without being decoded,
+    and reduces only its syzygies whose degree is a twist one level
+    down (GroebnerBasis.module_constants)."""
     one = (0,) * ring.nvars
     const = {i: cs.module_constants() if isinstance(cs, GroebnerBasis)
              else [{t: c for t, c in col.items() if t[1] == one} for col in cs]
@@ -545,7 +557,7 @@ def _betti_twists(twists, cols, ring):
 def _minimal_cols(twists, chain_twists, chain_cols, K):
     """The columns of the minimized chain whose twists `_betti_twists`
     read off (twists, with its dropped levels), levels above the bottom
-    sorted by degree.  Frame levels are decoded here, once."""
+    sorted by degree.  Frame levels are completed and decoded here, once."""
     chain_cols = {i: cs.module_vectors() if isinstance(cs, GroebnerBasis)
                   else cs for i, cs in chain_cols.items()}
     tw, cols, _ = minimize_chain(chain_twists, chain_cols, K)

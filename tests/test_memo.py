@@ -497,12 +497,13 @@ def test_resolutions_minimize_in_three_places():
 
 def test_bases_interreduce_in_two_places():
     """A basis from `groebner_basis` is reduced on its first read
-    (`GroebnerBasis.elements`), so a Hilbert series never reduces one;
-    the defining ideal's basis is reduced at once, where it is built and
+    (`GroebnerBasis._interreduced`, behind `elements`, `module_leads` and
+    `module_indices`), so a Hilbert series never reduces one; the
+    defining ideal's basis is reduced at once, where it is built and
     certified (`_defining_basis`)."""
     sites = call_sites("_interreduce")
     assert [(f, func) for f, _, func in sites] == [
-        ("groebner.py", "_defining_basis"), ("groebner.py", "elements")]
+        ("groebner.py", "_defining_basis"), ("groebner.py", "_interreduced")]
 
 
 def test_a_frame_is_decoded_only_by_its_basis():
@@ -522,6 +523,82 @@ def test_a_frame_is_decoded_only_by_its_basis():
         ("modules.py", "syzygies_of_vectors"), ("modules.py", "_cokernel"),
         ("resolution.py", "_resolve"), ("resolution.py", "_resolve"),
         ("resolution.py", "_minimal_cols")]
+
+
+def test_a_frame_tail_is_computed_in_one_function():
+    """A frame syzygy's tail comes from `_syzygy_tail` alone, on its
+    first read (`GroebnerBasis._complete`, the one place that writes a
+    tail into an element already made): the syzygy step builds leads
+    and forms no S-vector, every other S-vector is a Buchberger or
+    `certify` pair, reduced with no trace, and the only other traced
+    reduction is `_reduce`'s, for lifts."""
+    assert [(f, func) for f, _, func in call_sites("_syzygy_tail")] == [
+        ("groebner.py", "_complete")]
+    assert sorted(func for f, _, func in call_sites("_s_vector")) == [
+        "_buchberger", "_syzygy_tail", "certify"]
+    traced = {func for func, node in call_nodes("groebner.py",
+                                                "_reduce_packed")
+              if len(node.args) == 5}
+    assert traced == {"_reduce", "_syzygy_tail"}
+    writers = {func for func, node in functions_of("groebner.py")
+               for n in ast.walk(node) if isinstance(n, ast.Attribute)
+               and n.attr == "tail" and isinstance(n.ctx, ast.Store)}
+    # GBElem.__init__ sets the tail an element is made with
+    assert writers == {"__init__", "_complete"}
+
+
+# reads that complete a frame, or reach a tail it may not have yet
+COMPLETING = {"elements", "module_elements", "module_vectors", "key",
+              "_complete", "_reducer_groups", "module_constants", "tail"}
+
+
+def test_leads_degrees_and_pairs_never_complete_a_basis():
+    """A frame's leads, degrees and the next step's pairs need no tail:
+    `lead_words`, `module_leads`, `module_degrees`, the syzygy step,
+    its pair selection (`_schreyer_pairs`) and its sort (`_syzygy_basis`)
+    read no tail and nothing that completes a frame."""
+    funcs = dict(functions_of("groebner.py"))
+    for name in ("lead_words", "module_leads", "module_degrees",
+                 "syzygy_generators", "_schreyer_pairs", "_syzygy_basis"):
+        reads = {n.attr for n in ast.walk(funcs[name])
+                 if isinstance(n, ast.Attribute)}
+        assert not reads & COMPLETING, (name, reads & COMPLETING)
+
+
+def test_betti_twists_read_frame_constants_only_through_module_constants():
+    """The Betti numbers read a frame level's constant part through
+    `GroebnerBasis.module_constants` alone, which completes only the
+    syzygies that can carry one; `_minimal_cols` is the resolution's one
+    full read of a frame."""
+    funcs = dict(functions_of("resolution.py"))
+    reads = {n.attr for n in ast.walk(funcs["_betti_twists"])
+             if isinstance(n, ast.Attribute)}
+    assert "module_constants" in reads
+    assert not reads & (COMPLETING - {"module_constants"})
+    assert [(f, func) for f, _, func in call_sites("module_constants")] == [
+        ("resolution.py", "_betti_twists")]
+
+
+def functions_of(fname):
+    """(name, node) of every function defined in the file `fname` under
+    src/cmreg, methods and nested functions included."""
+    [source] = [src for name, _, src in sources() if name == fname]
+    return [(n.name, n) for n in ast.walk(parse(source))
+            if isinstance(n, ast.FunctionDef)]
+
+
+def call_nodes(fname, name):
+    """(enclosing function, call node) of each call to `name`, as a plain
+    name, in the file `fname` under src/cmreg."""
+    out = []
+    for func, node in functions_of(fname):
+        nested = {id(n) for f in ast.walk(node) if f is not node
+                  and isinstance(f, ast.FunctionDef) for n in ast.walk(f)}
+        out += [(func, n) for n in ast.walk(node)
+                if isinstance(n, ast.Call) and id(n) not in nested
+                and getattr(n.func, "id", None) == name]
+    return out
+
 
 
 def _groebner_tree():
@@ -560,13 +637,21 @@ def test_the_reduction_kernel_records_one_trace_form():
 def test_a_lead_is_unpacked_only_where_an_element_is_built():
     """A GBElem carries its lead's exponent word, read off the packing
     once, where the element is made: `_elem` and the syzygy step
-    (`_Packing.unpack`); a moved or reduced element shares it.  So no
+    (`_Packing.word`); a moved or reduced element shares it.  So no
     pair selection reads a word off the packing: `_buchberger` and
-    `_schreyer_pairs` read `GBElem.word`."""
-    readers = {func for f, _, func in call_sites("word") + call_sites("unpack")
+    `_schreyer_pairs` read `GBElem.word`.  A lead is unpacked to its
+    word alone: an element keeps no lead monomial, its degree is read
+    off the word (`Words.degree`), and only the decoder (`mono`) turns
+    a word into a monomial."""
+    from cmreg.groebner import GBElem, _Packing
+    readers = {func for f, _, func in call_sites("word")
                if f == "groebner.py"}
-    # `mono` and `unpack` are the packing's own decoders
-    assert readers == {"mono", "unpack", "_elem", "syzygy_generators"}
+    # `mono` is the packing's own decoder
+    assert readers == {"mono", "_elem", "syzygy_generators"}
+    assert {func for f, _, func in call_sites("monomial")
+            if f == "groebner.py"} == {"mono"}
+    assert GBElem.__slots__ == ("lead", "tail", "pos", "word", "deg")
+    assert not hasattr(_Packing, "unpack")
 
 
 def test_the_packed_lcm_is_written_once():
@@ -698,8 +783,8 @@ def test_word_layout_reads_are_recognized():
 
 def test_the_series_readers_pass_words_and_read_no_monomial():
     """`quotient_series` and `_resolves` pass their leads' exponent words
-    (`lead_words`, `GBElem.word`) to the numerator recursion, and read no
-    lead monomial (`ltm`)."""
+    (`lead_words`, `GBElem.word`) to the numerator recursion, and turn no
+    word into a monomial (`monomial`)."""
     funcs = {}
     for name, _, source in sources():
         for node in parse(source).body:
@@ -709,7 +794,7 @@ def test_the_series_readers_pass_words_and_read_no_monomial():
                        (("resolution.py", "_resolves"), "word")):
         attrs = {n.attr for n in ast.walk(funcs[key])
                  if isinstance(n, ast.Attribute)}
-        assert "ltm" not in attrs and reads in attrs, key
+        assert "monomial" not in attrs and reads in attrs, key
 
 
 def position_reads(source):

@@ -547,6 +547,7 @@ def test_skipping_pairs_of_two_defining_columns_changes_no_table(
             m.setattr(groebner, "_s_vector", lambda gi, gj, *rest: (
                 reduced.append(gi) or s_vector(gi, gj, *rest)))
             elems, basis = step(gb)
+            basis.elements  # every tail is reduced on its first read
         # every reduced pair's first element is a module element
         mod = {id(g) for g in gb.module_elements}
         assert all(id(g) in mod for g in reduced)
@@ -1159,8 +1160,13 @@ def test_a_misnumbered_frame_raises():
     assert len(top.elements) == 1 and certify(top)
     bad = GroebnerBasis(S, frame.free, frame.elements[::-1], [0, 1, 2],
                         frame.packing)
+    # the step builds leads alone; the check runs where a tail is reduced
+    _, lazy = syzygy_generators(bad)
     with pytest.raises(ArithmeticError, match="Schreyer term"):
-        syzygy_generators(bad)
+        lazy.elements
+    # a failed read leaves its degree pending, so a second read raises too
+    with pytest.raises(ArithmeticError, match="Schreyer term"):
+        lazy.module_vectors()
 
 
 def test_a_frame_syzygy_decodes_only_through_its_basis():
@@ -1174,7 +1180,8 @@ def test_a_frame_syzygy_decodes_only_through_its_basis():
     x, y, z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     gens = [{(0, m): K.one} for m in (x, y, z)]
     gb = groebner_basis(gens, S, FreeModule(S, (0,)))
-    assert [g.ltm for g in gb.module_elements] == [z, y, x]
+    assert [gb.packing.monomial(g.word) for g in gb.module_elements] == [
+        z, y, x]
     _, frame = syzygy_generators(gb)
     _, top = syzygy_generators(frame)
     minus = K.from_int(-1)
@@ -1188,11 +1195,55 @@ def test_a_frame_syzygy_decodes_only_through_its_basis():
         for g, v in zip(level.elements, vecs):
             assert _packing(3, level.free.rank).decode_vec(
                 g.items(K.one)) != v
-            assert v[(g.pos, g.ltm)] == K.one
+            assert v[(g.pos, level.packing.monomial(g.word))] == K.one
             total = {}
             for (k, mono), c in v.items():
                 vec_addmul(total, rows[k], {mono: c}, K.characteristic)
             assert not total
+
+
+def test_betti_tables_reduce_only_frame_syzygies_that_can_carry_a_constant(
+        monkeypatch):
+    # A constant term c e_p of a homogeneous syzygy has the degree of e_p,
+    # so a Betti table reduces only the frame S-pairs whose syzygy degree
+    # is a twist one level down (GroebnerBasis.module_constants), and
+    # reading cols reduces the rest.  Counted on the scroll family: a
+    # frame S-pair reduction is a `_reduce_packed` call with trace heads,
+    # since a module over a polynomial ring is resolved with no lift,
+    # and the frame syzygies are the syzygy step's elements.  The S/I
+    # members' frames are linear, so no syzygy there has the degree of a
+    # twist one level down.
+    res_mod = importlib.import_module("cmreg.resolution")
+    reduce_packed = groebner._reduce_packed
+    step = res_mod.syzygy_generators
+    reductions = syzygies = 0
+
+    def counting_reduce(work, reducers, K, P, heads=None):
+        nonlocal reductions
+        reductions += heads is not None
+        return reduce_packed(work, reducers, K, P, heads)
+
+    def counting_step(gb):
+        nonlocal syzygies
+        out = step(gb)
+        syzygies += len(out[0])
+        return out
+
+    monkeypatch.setattr(groebner, "_reduce_packed", counting_reduce)
+    monkeypatch.setattr(res_mod, "syzygy_generators", counting_step)
+    counts = []
+    for n in (2, 3, 4):
+        R, minors, z = nilpotent_scroll_family(n)
+        for gens in (minors, minors + [z]):
+            reductions = syzygies = 0
+            M = PresentedModule.cyclic(R, gens)
+            betti_table(M)
+            read = reductions
+            free_resolution(M).cols
+            counts.append((read, syzygies, reductions))
+    # (reduced for the table, frame syzygies, reduced once cols is read)
+    assert counts == [(0, 11, 11), (21, 22, 22), (0, 39, 39), (78, 79, 79),
+                      (0, 114, 114), (236, 237, 237)]
 
 
 def buchberger_runs(monkeypatch):
