@@ -179,14 +179,13 @@ reduction would give; `defining_gb` reduces its own at once.
 
 A frame from `syzygy_generators` knows each syzygy's lead, position and
 degree before any S-pair is reduced, and its tails are reduced on read
-too, one degree at a time (`GroebnerBasis._complete`): the leads, the
-degrees and the next step's pairs never need a tail, and a constant
-term c e_p of a homogeneous syzygy has the degree of e_p, so
+too, in the degrees the read selects (`GroebnerBasis._complete`): the
+leads, the degrees and the next step's pairs never need a tail, and a
+constant term c e_p of a homogeneous syzygy has the degree of e_p, so
 `module_constants` completes only the syzygies whose degree is a twist
-of their free module.  A syzygy of degree d reduces against the
-elements of degree at most d one level down, which are completed first;
-every tail comes from the same reduction against the same reducers,
-whichever read asks for it first.
+of their free module.  A read that reduces a tail completes the level
+below whole first, so every tail comes from the same reduction against
+the same complete reducers, whichever read asks for it first.
 
 Pair update (`_buchberger`; Gebauer and Moeller, On an installation of
 Buchberger's algorithm, JSC 1988): each new basis element t updates the
@@ -626,10 +625,10 @@ class GroebnerBasis:
     first read of `elements`, `module_elements`, `module_indices`,
     `module_leads` or the reducer groups.  A frame from
     `syzygy_generators` holds each element's lead, position and degree,
-    its tail None until read, and `pending`, {degree: [(element, i, j,
-    packed lcm)]}, the S-pairs of the tails not yet read, which
-    `_complete` reduces with `step`: (the basis one level down, its
-    reducer list, the trace heads).  `elements`, `module_elements`,
+    its tail None until read, and `_frame`: (the basis one level down,
+    its reducer list, the trace heads, pending), with pending {degree:
+    [(element, i, j, packed lcm)]} the S-pairs of the tails not yet
+    read, which `_complete` reduces.  `elements`, `module_elements`,
     `module_vectors`, `key` and the reducer groups complete a frame;
     `lead_words`, `module_leads`, `module_degrees` and `module_indices`
     read no tail; `module_constants` completes only the elements whose
@@ -637,18 +636,17 @@ class GroebnerBasis:
     final form."""
 
     __slots__ = ("ring", "free", "_elements", "_module_indices", "packing",
-                 "_groups", "_pending", "_step")
+                 "_groups", "_frame")
 
     def __init__(self, ring, free, elements, module_indices, packing=None,
-                 pending=None, step=None):
+                 frame=None):
         self.ring = ring
         self.free = free
         self._elements = elements
         self._module_indices = module_indices
         self.packing = packing or _packing(ring.nvars, free.rank)
         self._groups = None
-        self._pending = pending
-        self._step = step
+        self._frame = frame
 
     def _interreduced(self):
         """The elements with their final leads: a Buchberger run's basis
@@ -670,35 +668,29 @@ class GroebnerBasis:
 
     def _complete(self, degrees=None):
         """Reduce the pending S-pairs of the frame elements whose degree is
-        in `degrees`, of all of them by default, one degree d at a time,
-        lowest first, in the one tail routine (`_syzygy_tail`).  The basis
-        below is completed through d first: only its elements of degree at
-        most d can reduce a vector of degree d, so the reducer groups may
-        hold an element of higher degree whose tail is still pending, never
-        read there, and they are built again only after that completion
-        reduced something.  A degree is dropped from `pending` only once
-        all its tails are read, so a failed reduction raises again on the
-        next read."""
-        pending = self._pending
-        if not pending:
+        in `degrees`, of all of them by default, in the one tail routine
+        (`_syzygy_tail`).  When any is pending, the basis below is
+        completed whole first and one reducer list is built on it; the
+        degrees are then reduced in ascending order, each dropped from
+        pending once all its tails are read, so a failed reduction raises
+        again on the next read."""
+        if self._frame is None:
             return
-        below, ext, heads = self._step
+        below, ext, heads, pending = self._frame
+        todo = sorted(pending if degrees is None
+                      else pending.keys() & degrees)
+        if not todo:
+            return
+        below._complete()
         K, P = self.ring.field, below.packing
-        reducers = None
-        for d in sorted(pending if degrees is None
-                        else pending.keys() & degrees):
-            lower = [e for e in below._pending or () if e <= d]
-            if lower:
-                below._complete(lower)
-                reducers = None
-            if reducers is None:
-                reducers = _reducers(ext)
+        reducers = _reducers(ext)
+        for d in todo:
             for g, i, j, hl in pending[d]:
                 g.tail = _syzygy_tail(g.lead, i, j, hl, ext, reducers,
                                       heads, K, P)
             del pending[d]
         if not pending:
-            self._step = None
+            self._frame = None
 
     @property
     def elements(self):
@@ -953,14 +945,10 @@ def syzygy_generators(gb):
     Reduction on read: no S-pair is reduced here.  Each element's tail,
     the trace and then the -m_j e_j term (when j is a module element),
     comes from `_syzygy_tail` on the first read that needs it
-    (`GroebnerBasis`), which checks the zero remainder and the Schreyer
-    lead on every tail it computes and raises ArithmeticError.  A
-    syzygy of degree d reduces its S-vector, homogeneous of degree d,
-    against the elements of degree at most d alone, its pair's own two
-    among them, since no other lead divides one of its terms.  So the
-    basis below is completed through degree d first
-    (`GroebnerBasis._complete`), and reading every tail gives what
-    reducing every pair at once would.
+    (`GroebnerBasis._complete`), which checks the zero remainder and the
+    Schreyer lead on every tail it computes and raises ArithmeticError.
+    It completes gb whole before it reduces a pair, so reading every tail
+    gives what reducing every pair at once would.
 
     Returns (elements, basis): basis is `_syzygy_basis` of the syzygies,
     a GroebnerBasis on the free module on the element degrees, packed in
@@ -989,9 +977,8 @@ def syzygy_generators(gb):
         g = GBElem(lead, None, i, word, d + twists[i])
         out.append(g)
         pending.setdefault(g.deg, []).append((g, i, j, hl))
-    step = (gb, ext, heads) if pending else None
     basis = _syzygy_basis(ring, FreeModule(ring, twists), Q, out,
-                          pending or None, step)
+                          (gb, ext, heads, pending) if pending else None)
     return basis.module_leads(), basis
 
 
@@ -1017,10 +1004,9 @@ def _syzygy_tail(lead, i, j, hl, ext, reducers, heads, K, P):
     return tuple([(h - lead, c) for h, c in trace.items()])
 
 
-def _syzygy_basis(ring, F, Q, elems, pending=None, step=None):
+def _syzygy_basis(ring, F, Q, elems, frame=None):
     """The syzygies, GBElems in packing Q over F, as a GroebnerBasis in
-    lead-index order, never decoded here; `pending` and `step` as in
-    `GroebnerBasis`.
+    lead-index order, never decoded here; `frame` as in `GroebnerBasis`.
 
     Lead-index order sorts by the lead's basis index c, then by the
     exponent of v in the lead monomial, decreasing, with v the first
@@ -1037,4 +1023,4 @@ def _syzygy_basis(ring, F, Q, elems, pending=None, step=None):
     order = sorted(range(len(elems)),
                    key=lambda k: (elems[k].pos, -col[k], elems[k].lead))
     return GroebnerBasis(ring, F, [elems[k] for k in order],
-                         list(range(len(elems))), Q, pending, step)
+                         list(range(len(elems))), Q, frame)

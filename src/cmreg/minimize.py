@@ -28,6 +28,7 @@ are renumbered with the other rows, so they start at the rank of F_{L-1}.
 """
 
 from .freemod import vec_addmul
+from .poly import mono_deg
 
 
 def _find_unit(col, rows=None):
@@ -125,7 +126,6 @@ def minimize_presentation(gen_twists, rel_cols, K):
     Relation columns must be nonzero and homogeneous.
     Returns (new gen twists, new relation columns, kept gen indices).
     """
-    from .poly import mono_deg
     rel_cols = [c for c in rel_cols if c]
     rel_degs = []
     for c in rel_cols:

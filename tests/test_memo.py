@@ -547,6 +547,22 @@ def test_a_frame_tail_is_computed_in_one_function():
     assert writers == {"__init__", "_complete"}
 
 
+def test_a_basis_reads_its_private_slots_only_through_self():
+    """No function reaches into another basis's state: the private slots
+    of a GroebnerBasis, its frame among them, are read and written only
+    as `self._...`, so a frame completes the level below by calling
+    its `_complete`, as any reader would."""
+    private = {s for s in cmreg.groebner.GroebnerBasis.__slots__
+               if s.startswith("_")}
+    offenders = [f"{name}:{n.lineno}: {ast.unparse(n)}"
+                 for name, _, source in sources()
+                 for n in ast.walk(parse(source))
+                 if isinstance(n, ast.Attribute) and n.attr in private
+                 and getattr(n.value, "id", None) != "self"]
+    assert not offenders, offenders
+    assert "_frame" in private
+
+
 # reads that complete a frame, or reach a tail it may not have yet
 COMPLETING = {"elements", "module_elements", "module_vectors", "key",
               "_complete", "_reducer_groups", "module_constants", "tail"}

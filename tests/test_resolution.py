@@ -1212,7 +1212,8 @@ def test_betti_tables_reduce_only_frame_syzygies_that_can_carry_a_constant(
     # since a module over a polynomial ring is resolved with no lift,
     # and the frame syzygies are the syzygy step's elements.  The S/I
     # members' frames are linear, so no syzygy there has the degree of a
-    # twist one level down.
+    # twist one level down.  Pinned on the cover of every session module
+    # too.
     res_mod = importlib.import_module("cmreg.resolution")
     reduce_packed = groebner._reduce_packed
     step = res_mod.syzygy_generators
@@ -1229,21 +1230,71 @@ def test_betti_tables_reduce_only_frame_syzygies_that_can_carry_a_constant(
         syzygies += len(out[0])
         return out
 
+    def count(M):
+        # (reduced for the table, frame syzygies, reduced once cols is read)
+        nonlocal reductions, syzygies
+        reductions = syzygies = 0
+        betti_table(M)
+        read = reductions
+        free_resolution(M).cols
+        return read, syzygies, reductions
+
     monkeypatch.setattr(groebner, "_reduce_packed", counting_reduce)
     monkeypatch.setattr(res_mod, "syzygy_generators", counting_step)
     counts = []
     for n in (2, 3, 4):
         R, minors, z = nilpotent_scroll_family(n)
         for gens in (minors, minors + [z]):
-            reductions = syzygies = 0
-            M = PresentedModule.cyclic(R, gens)
-            betti_table(M)
-            read = reductions
-            free_resolution(M).cols
-            counts.append((read, syzygies, reductions))
-    # (reduced for the table, frame syzygies, reduced once cols is read)
+            counts.append(count(PresentedModule.cyclic(R, gens)))
     assert counts == [(0, 11, 11), (21, 22, 22), (0, 39, 39), (78, 79, 79),
                       (0, 114, 114), (236, 237, 237)]
+    covers = {label: count(M.lift_to_cover())
+              for label, M in corpus_and_session_modules()
+              if not label.startswith("corpus")}
+    assert covers == {
+        "determinantal.cmreg:M": (0, 2, 2),
+        "free-socle.cmreg:F": (0, 0, 0), "free-socle.cmreg:k": (0, 0, 0),
+        "hypersurface-pair.cmreg:M": (0, 0, 0),
+        "hypersurface-pair.cmreg:N": (0, 0, 0),
+        "scroll-2.cmreg:M": (0, 11, 11),
+        "two-quadrics.cmreg:RC": (0, 1, 1), "two-quadrics.cmreg:k": (0, 0, 0)}
+
+
+def test_a_frame_reduces_a_tail_only_over_a_complete_level_below(
+        monkeypatch):
+    # The one rule of GroebnerBasis._complete: a read that reduces a tail
+    # at frame level k + 1 completes level k whole first, so every frame
+    # S-pair is reduced against a reducer list with no pending tail.
+    # Checked on every reduction behind betti_table and then cols, on
+    # the scroll family for n = 2..4 and the cover of every session
+    # module; 335 of the reductions there have a frame as level below.
+    res_mod = importlib.import_module("cmreg.resolution")
+    step, tail = res_mod.syzygy_generators, groebner._syzygy_tail
+    frame_elems, over_frames = {}, 0  # kept alive, so no id is reused
+
+    def recording_step(gb):
+        out = step(gb)
+        frame_elems.update((id(g), g) for g in out[0])
+        return out
+
+    def checked_tail(lead, i, j, hl, ext, *args):
+        nonlocal over_frames
+        assert all(g.tail is not None for g in ext)
+        over_frames += any(id(g) in frame_elems for g in ext)
+        return tail(lead, i, j, hl, ext, *args)
+
+    monkeypatch.setattr(res_mod, "syzygy_generators", recording_step)
+    monkeypatch.setattr(groebner, "_syzygy_tail", checked_tail)
+    mods = [M.lift_to_cover() for label, M in corpus_and_session_modules()
+            if not label.startswith("corpus")]
+    for n in (2, 3, 4):
+        R, minors, z = nilpotent_scroll_family(n)
+        mods += [PresentedModule.cyclic(R, gens)
+                 for gens in (minors, minors + [z])]
+    for M in mods:
+        betti_table(M)
+        free_resolution(M).cols
+    assert over_frames > 300, over_frames
 
 
 def buchberger_runs(monkeypatch):
