@@ -1,12 +1,16 @@
-"""Bounded complexes of presented modules: Koszul complexes, tensor and Hom
-totalizations, homology, and the derived functors Tor and Ext.  A
-complex is resolved by cmreg.resolution.free_resolution, as a module is.
+"""Bounded complexes of presented modules: Koszul complexes, duals, tensor
+and Hom totalizations, homology, and the derived functors Tor and Ext.
+A complex is resolved by cmreg.resolution.free_resolution, as a module is.
 
-One builder lays out and differentiates both totalizations: F (x) C and
-Hom(F, C) differ only in the index sign, the twist sign, the direction
-of the d_F move and the Koszul signs, which their public functions pass in.
-Each term it builds is a direct sum of blocks, twisted copies of the C_q,
-and is built with its Groebner basis: theirs, assembled on first use.
+One builder lays out and differentiates a totalization, F (x) C for F
+free (tensor_free_with_complex).  Hom(F, C) is F^* (x) C, with F^* =
+Hom(F, R) the dual complex (dual_complex; Weibel, An Introduction to
+Homological Algebra, 2.7): F_p^* sits at spot -p with its twists
+negated, and d_p is transposed with its entries negated when p is odd.
+That sign is the Koszul sign of Hom, so Hom(F, M) for a module M has
+the differential phi -> (-1)^(n+1) phi o d_F at spot n.  Each term the
+builder makes is a direct sum of blocks, twisted copies of the C_q, and
+is built with its Groebner basis: theirs, assembled on first use.
 
 homology(i) presents H_i and keeps it; homology_series(i) sums the two
 cokernel series kept on the complex, so the two paths share nothing
@@ -140,9 +144,9 @@ class BoundedComplex:
 
         No kernels or subquotients, and in a tensor or Hom totalization no
         Groebner basis from scratch: a term's basis is its summands' bases
-        side by side (`_totalize` builds the term with it), and a cokernel's
-        grows from its target's, one seeded Buchberger run per
-        differential (`_coker_series`)."""
+        side by side (`tensor_free_with_complex` builds the term with it),
+        and a cokernel's grows from its target's, one seeded Buchberger
+        run per differential (`_coker_series`)."""
         if self.term(i).rank == 0:
             return HilbertSeries({}, self.ring.cover.nvars)
         d_in, d_out = self.diffs.get(i + 1), self.diffs.get(i)
@@ -262,40 +266,56 @@ def koszul_resolution_of_k(ring):
                    lambda: koszul_complex(list(ring.gens())[::-1]))
 
 
-# -- tensor and Hom totalizations -------------------------------------------
+# -- the dual, and the tensor totalization ----------------------------------
 
-def _totalize(F, C, s, f_moves, f_sign, c_sign):
-    """The totalization shared by F (x) C (s = 1) and Hom(F, C) (s = -1),
-    for F a free complex.
+def dual_complex(F):
+    """Hom(F, R) for F a free complex: F_p^* at spot -p, its twists
+    negated, and d_p transposed from spot 1 - p to spot -p, its entries
+    negated when p is odd.  That is the Koszul sign of Hom: F^* (x) M is
+    then Hom(F, M) with phi -> (-1)^(n+1) phi o d_F at spot n."""
+    if not F.is_free:
+        raise ValueError("dual_complex takes a free complex")
+    p = F.ring.field.characteristic
+    twists = {-i: tuple(-a for a in t.gens_free.twists)
+              for i, t in F.terms.items()}
+    cols = {}
+    for i, d in F.diffs.items():
+        # row b of d_i becomes column b, from F_{i-1}^* to F_i^*
+        dual = [{} for _ in range(d.target.rank)]
+        for j, col in enumerate(d.cols):
+            for (b, m), c in col.items():
+                dual[b][(j, m)] = c if i % 2 == 0 else -c % p if p else -c
+        cols[1 - i] = dual
+    return free_complex_from_data(F.ring, twists, cols)
 
-    Spot n is the direct sum of blocks (i, q = n - s*i, b), each a copy of
-    C_q twisted by s times the degree of basis vector b of F_i.  Generator
-    g of block (i, q, b) moves along d_F to generator g of block
-    (i - s, q, b2) for each entry ((b2, m), c) of f_moves[i][b], times
-    f_sign(n, i), and along d_C onto block (i, q - 1, b), times
-    c_sign(n, i).  The two moves land in different blocks, so no two terms
-    of a column meet.  F and C must live over one ring.
-    """
+
+def tensor_free_with_complex(F, C):
+    """Totalization F (x) C for F a free complex over C's ring.
+
+    Spot n is the direct sum of blocks (i, q = n - i, b), over the spots
+    i of F in ascending order and the basis vectors b of F_i, each a copy
+    of C_q twisted by the degree of b.  The differential is
+    d_F (x) 1 + (-1)^i 1 (x) d_C: generator g of block (i, q, b) moves
+    along column b of d_i to generator g of the blocks (i - 1, q, b2), and
+    along d_C onto block (i, q - 1, b), times (-1)^i.  The two moves land
+    in different blocks, so no two terms of a column meet."""
+    if not F.is_free:
+        raise ValueError("left factor must be a free complex")
     ring = F.ring
     if C.ring != ring:
         raise ValueError("the complexes live over different rings")
     p = ring.field.characteristic
-    f_levels = F.levels()
-    c_levels = C.levels()
+    f_levels, c_levels = F.levels(), C.levels()
     if not f_levels or not c_levels:
         return BoundedComplex(ring, {}, {})
 
-    ends = (s * f_levels[0], s * f_levels[-1])
-    offsets = {}  # (i, q, b) -> first position of the block; n = q + s*i
+    offsets = {}  # (i, q, b) -> first position of the block; n = i + q
     blocks = {}
     terms = {}
-    for n in range(c_levels[0] + min(ends), c_levels[-1] + max(ends) + 1):
-        spot = []
-        summands = []
-        twists = []
-        rels = []
+    for n in range(f_levels[0] + c_levels[0], f_levels[-1] + c_levels[-1] + 1):
+        spot, summands, twists, rels = [], [], [], []
         for i in f_levels:
-            q = n - s * i
+            q = n - i
             Cq = C.terms.get(q)
             if Cq is None:
                 continue
@@ -304,7 +324,7 @@ def _totalize(F, C, s, f_moves, f_sign, c_sign):
                 offsets[(i, q, b)] = off
                 spot.append((i, q, b))
                 summands.append((Cq, off))
-                twists.extend(t + s * a for t in Cq.gens_free.twists)
+                twists.extend(t + a for t in Cq.gens_free.twists)
                 for rc in Cq.rel_cols:
                     rels.append({(pp + off, m): c for (pp, m), c in rc.items()})
         if twists:
@@ -323,39 +343,22 @@ def _totalize(F, C, s, f_moves, f_sign, c_sign):
             continue
         cols = []
         for i, q, b in spot:
-            f_move = ()
-            if i in f_moves:
-                sf = f_sign(n, i)
-                f_move = [(offsets[(i - s, q, b2)], m,
-                           c if sf == 1 else -c % p if p else -c)
-                          for (b2, m), c in f_moves[i][b].items()]
+            dF = F.diffs.get(i)
+            f_move = () if dF is None else [
+                (offsets[(i - 1, q, b2)], m, c)
+                for (b2, m), c in dF.cols[b].items()]
             dC = C.diffs.get(q)
             if dC is not None:
-                sc = c_sign(n, i)
                 c_off = offsets[(i, q - 1, b)]
             for g in range(C.terms[q].rank):
                 col = {(o + g, m): c for o, m, c in f_move}
                 if dC is not None:
                     for (pp, m), c in dC.cols[g].items():
-                        col[(c_off + pp, m)] = (c if sc == 1 else
+                        col[(c_off + pp, m)] = (c if i % 2 == 0 else
                                                 -c % p if p else -c)
                 cols.append(col)
         diffs[n] = ModuleMap(terms[n], terms[n - 1], cols)
     return BoundedComplex(ring, terms, diffs)
-
-
-def tensor_free_with_complex(F, C):
-    """Totalization F (x) C for F a free complex.
-
-    Spot n is the direct sum over p + q = n of C_q twisted by the basis
-    degrees of F_p; the differential is d_F (x) 1 + (-1)^p 1 (x) d_C.
-    Built by the block layout shared with hom_complex.
-    """
-    if not F.is_free:
-        raise ValueError("left factor must be a free complex")
-    moves = {p: d.cols for p, d in F.diffs.items()}
-    return _totalize(F, C, 1, moves, lambda n, p: 1,
-                     lambda n, p: -1 if p % 2 else 1)
 
 
 def tensor_complexes(F, G):
@@ -364,22 +367,9 @@ def tensor_complexes(F, G):
 
 
 def hom_complex(F, C):
-    """Hom(F, C) for F a free complex: spot n = sum over q - p = n of
-    Hom(F_p, C_q); differential post-composes d_C and pre-composes d_F with
-    the Koszul sign.  Built by the block layout shared with
-    tensor_free_with_complex, pre-composition reading d_F transposed."""
-    if not F.is_free:
-        raise ValueError("first argument must be a free complex")
-    moves = {}
-    for p, d in F.diffs.items():
-        # d_F transposed: row b of d_p becomes column b of the move from p-1
-        dual = [{} for _ in range(d.target.rank)]
-        for j, col in enumerate(d.cols):
-            for (b, m), c in col.items():
-                dual[b][(j, m)] = c
-        moves[p - 1] = dual
-    return _totalize(F, C, -1, moves, lambda n, p: 1 if n % 2 else -1,
-                     lambda n, p: 1)
+    """Hom(F, C) for F a free complex, as F^* (x) C (dual_complex): spot
+    n is the sum over q - p = n of Hom(F_p, C_q)."""
+    return tensor_free_with_complex(dual_complex(F), C)
 
 
 # -- derived functors ------------------------------------------------------

@@ -18,18 +18,19 @@ depth_profile raise rather than report it.
 The ext, koszul and duality routes never present a homology module: each
 reads the nonzero homology series of one complex through one reader
 (BoundedComplex.nonzero_homology_series), off the cokernels of the
-differentials.  Inside one totalization no Groebner basis is built
-twice: each term's basis is assembled from the bases of its blocks,
-twisted copies of the coefficient terms, and each cokernel's basis grows
-from its target's by a seeded Buchberger run.  Across routes
+differentials: Hom(K, M) = K^* (x) M, K (x) M and F^*(-n), with ^* the
+dual (complexes.dual_complex).  Inside one complex no Groebner basis is
+built twice: each tensor term's basis is assembled from the bases of its
+blocks, twisted copies of the coefficient terms, and each cokernel's
+basis grows from its target's by a seeded Buchberger run.  Across routes
 only this is shared: the Groebner kernel and its output for the same
 module (the basis cached on that module, which the ext and koszul routes
 both read as a block), the Hilbert-series code (homology_series
 included) and, for betti and duality, the minimal free resolution of the
 module over the cover.  A module or complex builds its cover once and
 keeps it (lift_to_cover), so the two share that resolution over quotient
-rings as they do over polynomial rings.  The betti route reads the
-Betti table (resolution.BettiTable), as relative_reg does, and shares no
+rings as they do over polynomial rings.  The betti route reads the Betti
+table (resolution.BettiTable), as relative_reg does, and shares no
 homology code with the other three.
 
 Default-form reg_via_koszul keeps its result on the object it was asked
@@ -40,21 +41,23 @@ from the duality rows kept by key, below, and reach the Koszul route
 only through reg_complex.
 
 The duality route keeps nothing on the module.  Its rows, {i: the series
-of Ext^{n-i}_S(M, S(-n))}, and the depth are kept on the cover ring under
-the module's key (_module_key: its generator twists less the lowest, t0,
-and its reduced Groebner basis).  Ext and depth are invariants of the
-module, not of its presentation, and a twist only shifts Ext.  So a
-module met again under another twist or presentation (Tor_1(S/(f), M) =
-(0 :_M f)(-1) in one checker and (0 :_M f) in another, or M and M(-1) in
-the termwise bound) reads the stored rows and shifts them by its own t0.
+of Ext^{n-i}_S(M, S(-n))}, are read off Hom(F, S(-n)) = F^*(-n) for F
+the minimal free resolution of M, and with the depth are kept on the
+cover ring under the module's key
+(_module_key: its generator twists less the lowest, t0, and its reduced
+Groebner basis).  Ext and depth are invariants of the module, not of its
+presentation, and a twist only shifts Ext.  So a module met again under
+another twist or presentation (Tor_1(S/(f), M) = (0 :_M f)(-1) in one
+checker and (0 :_M f) in another, or M and M(-1) in the termwise bound)
+reads the stored rows and shifts them by its own t0.
 reg_via_duality, local_cohomology_table, a_invariant and check
 ring-indep read those rows; the betti, ext and koszul routes never do.
 local_cohomology_table is the one reader of a degree window: the rows
 are exact in every degree, and check ring-indep compares them as they
-are.  A zero module has no rows.  A module killed by linear
-forms l_1..l_c is dualized over the smaller ring S' of the other
-variables, from the F' its resolution keeps (Rees' lemma,
-_duality_series), and _duality_rows writes its rows over n variables.
+are.  A zero module has no rows.  A module killed by linear forms
+l_1..l_c is dualized over the smaller ring S' of the other variables,
+from the F' its resolution keeps (Rees' lemma, _duality_series), and
+_duality_rows writes its rows over n variables.
 
 Absolute invariants of quotient-ring objects are routed through the
 polynomial cover; the Koszul route is the one that works directly over the
@@ -63,9 +66,10 @@ quotient, which is what makes the four-way agreement a real test.
 
 from math import inf
 
-from .complexes import (BoundedComplex, _as_complex, complex_from_module,
-                        grade_of_sequence, hom_complex, koszul_complex,
-                        koszul_resolution_of_k, resolution_to_complex)
+from .complexes import (BoundedComplex, _as_complex, dual_complex,
+                        grade_of_sequence, koszul_complex,
+                        koszul_resolution_of_k, resolution_to_complex,
+                        tensor_free_with_complex)
 from .memo import _cached
 from .modules import PresentedModule
 from .resolution import BettiTable, betti_table, free_resolution
@@ -136,8 +140,8 @@ def bass_table(obj):
     """Bass numbers mu^{i,j} = dim Ext^i(k, obj)_j over the cover, as
     {(i, j): mu^{i,j}}, exact and finitely supported.
 
-    Read off Hom(K, obj) with K the Koszul resolution of k on the
-    variables in reverse order (complexes.koszul_resolution_of_k): in
+    Read off Hom(K, obj) = K^* (x) obj with K the Koszul resolution of k
+    on the variables in reverse order (complexes.koszul_resolution_of_k): in
     that order each Hom column leads as the matching tensor column of
     the Koszul route does, and the two routes' cokernel runs take the
     same columns up to signs and a relabelling of positions (on the
@@ -146,7 +150,8 @@ def bass_table(obj):
     C = _as_complex(obj).lift_to_cover()
     if not C.terms:
         return {}
-    E = hom_complex(koszul_resolution_of_k(C.ring), C)
+    E = tensor_free_with_complex(dual_complex(koszul_resolution_of_k(C.ring)),
+                                 C)
     table = {}
     for s, H in E.nonzero_homology_series().items():
         i = -s
@@ -223,12 +228,13 @@ def _module_key(Mc):
 def _duality_rows(F, n):
     """{i: HS(Ext^{m-i}_{S'}(M, S'(-m)))} over the nonzero rows, for F a
     free resolution of M over a polynomial ring S' in m variables, read
-    off Hom(F, S'(-m)): Ext^q sits at spot -q, and its row is i = m - q.
-    Each series is written over n >= m variables."""
+    off the dual complex F^*: Hom(F, S'(-m)) is F^*(-m), so Ext^q is
+    H_{-q}(F^*) twisted by -m, and its row is i = m - q.  Each series is
+    written over n >= m variables."""
     m = F.ring.nvars
-    D = hom_complex(resolution_to_complex(F), complex_from_module(
-        PresentedModule.free(F.ring, (m,))))
-    return {m + s: H.over(n) for s, H in D.nonzero_homology_series().items()}
+    D = dual_complex(resolution_to_complex(F))
+    return {m + s: H.twist(-m).over(n)
+            for s, H in D.nonzero_homology_series().items()}
 
 
 def _duality_series(M):

@@ -414,9 +414,9 @@ def _with_extra_vars(M, extra):
 
 
 def _tensored_rows(M):
-    """M's duality rows over its cover S in n variables, read off
-    Hom(F, S(-n)) for F the resolution of M over S, the tensored F' (x)
-    K(l) of a linear cut included, and kept nowhere."""
+    """M's duality rows over its cover S in n variables, read off the
+    dual of F, the resolution of M over S, the tensored F' (x) K(l) of a
+    linear cut included, and kept nowhere."""
     Mc = M.lift_to_cover()
     return _duality_rows(free_resolution(Mc), Mc.ring.nvars)
 

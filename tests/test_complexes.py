@@ -11,7 +11,7 @@ from cmreg import (BoundedComplex, ModuleMap, PresentedModule,
                    resolution_to_complex, tensor_complexes,
                    tensor_free_with_complex, tor, free_resolution)
 from cmreg.regularity import LocalCohomologyTable
-from cmreg.complexes import ext_complex
+from cmreg.complexes import dual_complex, ext_complex, free_complex_from_data
 from cmreg.freemod import columns_from_rows
 from cmreg.theorems import _random_linear_form, random_ideal_corpus
 
@@ -46,6 +46,45 @@ def test_koszul_resolution_of_k_is_exact(S3):
             assert H.is_finite_length() and H.hilbert_function(0) == 1
         else:
             assert H.is_zero()
+
+
+@pytest.mark.parametrize("field", [dict(p=32003), dict(p=2),
+                                   dict(rational=True)],
+                         ids=["GF(32003)", "GF(2)", "QQ"])
+@pytest.mark.parametrize("n", range(1, 5))
+def test_the_dual_koszul_complex_has_homology_k_of_n_at_minus_n(field, n):
+    # Koszul self-duality: Ext^i(k, S) = H_{-i}(K^*) is k(n) at i = n and
+    # zero elsewhere, read both off the cokernels and presented
+    S = polynomial_ring(["x", "y", "z", "w"][:n], **field)
+    D = dual_complex(koszul_complex(list(S.gens())))
+    assert D.verify()
+    assert D.levels() == list(range(-n, 1))
+    k_n = PresentedModule.cyclic(S, list(S.gens())).hilbert_series().twist(n)
+    assert D.nonzero_homology_series() == {-n: k_n}
+    assert D.homology(-n).hilbert_series() == k_n
+
+
+def _column(f):
+    return {(0, m): c for m, c in f.terms.items()}
+
+
+def test_the_dual_of_a_free_complex_is_a_complex(S3):
+    x, y, z = S3.gens()
+    # spots 0, 1 and 3, 4 with spot 2 empty
+    gap = free_complex_from_data(S3, {0: (0,), 1: (1,), 3: (3,), 4: (5,)},
+                                 {1: [_column(x)], 4: [_column(y * z)]})
+    frees = [gap, gap.shift(1)]
+    for inst in random_ideal_corpus():
+        F = resolution_to_complex(free_resolution(inst.module))
+        frees += [F, F.shift(1)]
+    for F in frees:
+        D = dual_complex(F)
+        assert D.verify()
+        assert D.levels() == sorted(-p for p in F.levels())
+        for p in F.levels():
+            assert D.term(-p).gens_free.twists == tuple(
+                -a for a in F.term(p).gens_free.twists)
+    assert sorted(dual_complex(gap).diffs) == [-3, 0]
 
 
 def test_grade_of_full_variable_sequence(S3):

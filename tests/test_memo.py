@@ -24,9 +24,11 @@ cokernel series and nothing outside the complex layer reads one spot by
 spot (everything reads `nonzero_homology_series`), only
 `local_cohomology_table` reads a degree window and builds a local
 cohomology table, the Koszul route builds no probe module and
-runs no separate hypothesis pass, the duality rows are read off a
-resolution by `_duality_rows` alone, and with the depth are computed
-only under their keys on the cover ring (and read there up to twist),
+runs no separate hypothesis pass, Hom is the tensor with the dual
+(only the tensor builder assembles a term's basis), the duality rows
+are read off a resolution's dual by `_duality_rows` alone, and with the
+depth are computed only under their keys on the cover ring (and read
+there up to twist),
 the routes reach the cover through `_cover` only in the betti route,
 nothing calls `free_resolution_of_complex`, the complex layer
 presents no kernels, the dense oracle imports nothing from the Groebner,
@@ -446,7 +448,7 @@ def test_a_held_basis_is_passed_only_where_the_module_is_built():
     sites = sorted((kind, f"{name}:{scope}") for name, _, source in sources()
                    for kind, scope in held_basis_sites(source))
     assert sites == [
-        ("pass", "complexes.py:_totalize"),
+        ("pass", "complexes.py:tensor_free_with_complex"),
         ("pass", "modules.py:PresentedModule.twist"),
         ("pass", "modules.py:_cokernel"),
         ("pass", "resolution.py:_linear_cut"),
@@ -1052,9 +1054,10 @@ def test_cached_computes_are_recognized():
 
 
 def test_duality_and_depth_are_computed_only_under_their_cover_keys():
-    """Only `_duality_rows` builds the dual complex Hom(F, S'(-m)), its
-    `resolution_to_complex` call and its free target of twist m, and no
-    checker dualizes through `ext_complex` into a free module.  It runs
+    """Only `_duality_rows` reads a resolution into a complex, and it
+    reads that complex's dual (`dual_complex`, which the ext route also
+    reads for K): regularity.py builds no free module and no Hom complex,
+    and no checker dualizes through `ext_complex` into a free module.  It runs
     only in the compute kept on the cover ring under ("duality", key) and
     for check ring-indep's tensored F, kept nowhere
     (`theorems._tensored_rows`).  Depth reads pd off a resolution only in
@@ -1064,8 +1067,11 @@ def test_duality_and_depth_are_computed_only_under_their_cover_keys():
     reg_complex run on the object itself."""
     source = {name: src for name, _, src in sources()}
     reg = source["regularity.py"]
-    for name in ("resolution_to_complex", "free"):
-        assert {func for _, func in calls(reg, name)} == {"_duality_rows"}
+    assert {func for _, func in calls(reg, "resolution_to_complex")} == {
+        "_duality_rows"}
+    assert {func for _, func in calls(reg, "dual_complex")} == {
+        "_duality_rows", "bass_table"}
+    assert not calls(reg, "free") and not calls(reg, "hom_complex")
     assert not calls(source["theorems.py"], "free")
     assert {func for _, func in calls(source["theorems.py"], "ext_complex")
             } == {"check_cor_hom"}
@@ -1088,6 +1094,19 @@ def test_duality_and_depth_are_computed_only_under_their_cover_keys():
                            for name, line in lengths)
     assert [(name, func) for name, _, func in call_sites("_cover")] == [
         ("regularity.py", "reg_via_betti")]
+
+
+def test_hom_is_the_tensor_with_the_dual():
+    """One builder lays out a totalization: in complexes.py only
+    `tensor_free_with_complex` assembles a term's basis from its blocks'
+    (`direct_sum_basis`), and `hom_complex` calls nothing but
+    `dual_complex` and that builder."""
+    src = {name: src for name, _, src in sources()}["complexes.py"]
+    assert {func for _, func in calls(src, "direct_sum_basis")} == {
+        "tensor_free_with_complex"}
+    assert {name for name, sites in _calls_by_name(src).items()
+            if any(func == "hom_complex" for _, func in sites)} == {
+        "dual_complex", "tensor_free_with_complex"}
 
 
 def cache_keys(source):

@@ -1,5 +1,12 @@
-"""The shared tensor/Hom builder against the two separate totalizations it
-replaced, kept here as references."""
+"""The tensor builder and the dual against plain-loop references.
+
+Hom(F, C) is built as the tensor with the dual, F^* (x) C, and is checked
+exactly against the same construction written in plain loops
+(`naive_dual`, `naive_tensor_free_with_complex`).  The separate Hom
+totalization it replaced (`naive_hom_complex`) stays the exact reference
+when C is a module, where both lay out the same blocks with the same
+signs; when C is a complex the two differ in block order and signs, and
+it is the reference for the homology series at every spot."""
 
 import os
 
@@ -9,6 +16,7 @@ from cmreg import (BoundedComplex, PresentedModule, complex_from_module,
                    free_resolution, hom_complex, koszul_complex,
                    koszul_resolution_of_k, parse_session,
                    resolution_to_complex, tensor_free_with_complex)
+from cmreg.complexes import dual_complex
 from cmreg.freemod import FreeModule
 from cmreg.modules import ModuleMap
 from cmreg.theorems import random_ideal_corpus
@@ -17,7 +25,33 @@ from fieldops import field_ops
 SESSIONS = os.path.join(os.path.dirname(__file__), "..", "sessions")
 
 
-# -- references: one function per totalization, linear-scan offsets ------
+# -- references: plain loops, linear-scan offsets --------------------------
+
+def naive_dual(F):
+    """Hom(F, R): F_p^* at spot -p with the twists negated; from spot
+    1 - p to spot -p the transpose of d_p, negated when p is odd."""
+    ring = F.ring
+    K = field_ops(ring.field)
+    terms = {}
+    for p in F.levels():
+        twists = tuple(-a for a in F.term(p).gens_free.twists)
+        terms[-p] = PresentedModule.free(ring, twists)
+    diffs = {}
+    for p in F.levels():
+        if p not in F.diffs:
+            continue
+        d = F.diff(p)
+        cols = []
+        for b in range(d.target.rank):
+            col = {}
+            for j in range(d.source.rank):
+                for (bb, m), c in d.cols[j].items():
+                    if bb == b:
+                        col[(j, m)] = c if p % 2 == 0 else K.neg(c)
+            cols.append(col)
+        diffs[1 - p] = ModuleMap(terms[1 - p], terms[-p], cols)
+    return BoundedComplex(ring, terms, diffs)
+
 
 def naive_tensor_free_with_complex(F, C):
     ring = F.ring
@@ -185,13 +219,38 @@ def assert_same_totalization(got, ref):
         assert got.diffs[n].cols == d.cols  # columns equal as dicts
 
 
+def assert_same_dual(got, ref):
+    assert got.levels() == ref.levels()
+    for n in ref.levels():
+        assert got.terms[n].gens_free.twists == ref.terms[n].gens_free.twists
+        assert not got.terms[n].rel_cols
+    assert sorted(got.diffs) == sorted(ref.diffs)
+    for n, d in ref.diffs.items():
+        assert got.diffs[n].cols == d.cols
+
+
+def assert_same_homology_series(got, ref):
+    spots = got.levels() + ref.levels()
+    for i in range(min(spots, default=0) - 1, max(spots, default=0) + 2):
+        assert got.homology_series(i) == ref.homology_series(i), i
+
+
 def assert_both_match(F, C):
-    """Tensor and Hom of (F, C) equal their references; returns how many
-    differentials were compared."""
+    """Tensor, dual and Hom of (F, C) equal their references: Hom is the
+    tensor of the reference dual, term for term, and equals the separate
+    Hom reference exactly when C is a module (one term, at spot 0) and in
+    its homology series otherwise.  Returns how many differentials were
+    compared."""
     T = tensor_free_with_complex(F, C)
     assert_same_totalization(T, naive_tensor_free_with_complex(F, C))
+    Fd = naive_dual(F)
+    assert_same_dual(dual_complex(F), Fd)
     H = hom_complex(F, C)
-    assert_same_totalization(H, naive_hom_complex(F, C))
+    assert_same_totalization(H, naive_tensor_free_with_complex(Fd, C))
+    if set(C.terms) <= {0}:
+        assert_same_totalization(H, naive_hom_complex(F, C))
+    else:
+        assert_same_homology_series(H, naive_hom_complex(F, C))
     return len(T.diffs) + len(H.diffs)
 
 
