@@ -17,7 +17,8 @@ cokernel series kept on the complex, so the two paths share nothing
 above the Groebner kernel and each checks the other.
 nonzero_homology_series() is the one reader of the nonzero series,
 spot by spot, for the ext, koszul and duality routes, the saturation
-check and the CLI's tor and ext.  Only sup_homology keeps its own loop,
+check and the CLI's tor and ext; the duality route passes it the one
+spot range where Ext can be nonzero.  Only sup_homology keeps its own loop,
 since it stops at the top nonzero spot and depth by Koszul homology pays
 for that (without the stop `cmreg depth M` on sessions/scroll-2.cmreg
 ran about 10% slower).
@@ -157,11 +158,11 @@ class BoundedComplex:
         return self._coker_series(i + 1).add(self._coker_series(i)).sub(
             self.term(i - 1).hilbert_series())
 
-    def nonzero_homology_series(self):
-        """{spot: homology_series(spot)} over the spots with nonzero
-        homology, in ascending order."""
-        return {i: H for i in self.levels()
-                if not (H := self.homology_series(i)).is_zero()}
+    def nonzero_homology_series(self, lo=-inf, hi=inf):
+        """{spot: homology_series(spot)} over the spots lo..hi with nonzero
+        homology, in ascending order; no spot outside lo..hi is read."""
+        return {i: H for i in self.levels() if lo <= i <= hi
+                and not (H := self.homology_series(i)).is_zero()}
 
     def sup_homology(self):
         for i in range(self.max_level, self.min_level - 1, -1):

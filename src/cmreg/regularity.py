@@ -42,7 +42,8 @@ only through reg_complex.
 
 The duality route keeps nothing on the module.  Its rows, {i: the series
 of Ext^{n-i}_S(M, S(-n))}, are read off Hom(F, S(-n)) = F^*(-n) for F
-the minimal free resolution of M, and with the depth are kept on the
+the minimal free resolution of M over the cover, only at the spots where
+Ext can be nonzero (_duality_rows), and with the depth are kept on the
 cover ring under the module's key
 (_module_key: its generator twists less the lowest, t0, and its reduced
 Groebner basis).  Ext and depth are invariants of the module, not of its
@@ -54,10 +55,7 @@ reg_via_duality, local_cohomology_table, a_invariant and check
 ring-indep read those rows; the betti, ext and koszul routes never do.
 local_cohomology_table is the one reader of a degree window: the rows
 are exact in every degree, and check ring-indep compares them as they
-are.  A zero module has no rows.  A module killed by linear forms
-l_1..l_c is dualized over the smaller ring S' of the other variables,
-from the F' its resolution keeps (Rees' lemma, _duality_series), and
-_duality_rows writes its rows over n variables.
+are.  A zero module has no rows.
 
 Absolute invariants of quotient-ring objects are routed through the
 polynomial cover; the Koszul route is the one that works directly over the
@@ -225,30 +223,41 @@ def _module_key(Mc):
     return t0, (tuple(t - t0 for t in twists), Mc.gb().key())
 
 
-def _duality_rows(F, n):
-    """{i: HS(Ext^{m-i}_{S'}(M, S'(-m)))} over the nonzero rows, for F a
-    free resolution of M over a polynomial ring S' in m variables, read
-    off the dual complex F^*: Hom(F, S'(-m)) is F^*(-m), so Ext^q is
-    H_{-q}(F^*) twisted by -m, and its row is i = m - q.  Each series is
-    written over n >= m variables."""
-    m = F.ring.nvars
+def _duality_rows(F, dim):
+    """{i: HS(Ext^{n-i}_S(M, S(-n)))} over the nonzero rows, for F the
+    minimal free resolution of a module M of dimension dim over the
+    polynomial ring S = F.ring in n variables, read off the dual complex
+    F^*: Hom(F, S(-n)) is F^*(-n), so Ext^q is H_{-q}(F^*) twisted by -n,
+    and its row is i = n - q.
+
+    Only q = n - dim..pd is read, pd = F.length, the spots -pd..dim - n
+    of F^*.  Ext^q_S(M, S) = 0 for q below grade(ann M), which over S is
+    codim M = n - dim (Rees, and grade equals height in a Cohen-Macaulay
+    ring: Bruns and Herzog, Cohen-Macaulay Rings, Theorem 1.2.5 and
+    Corollary 2.1.4), and F^* has no term past pd.  Both ends are
+    nonzero, which is checked here at no cost: Ext^codim by the same
+    theorem of Rees, since the grade is the least q with Ext^q_S(M, S)
+    nonzero, and Ext^pd = coker d_pd^* by Nakayama, since F is minimal
+    and d_pd^* has its entries in the maximal ideal.  In local cohomology
+    these are the rows dim and depth (Grothendieck; Bruns and Herzog,
+    Theorem 3.5.7).  A missing end row is an engine defect, and raises."""
+    n = F.ring.nvars
     D = dual_complex(resolution_to_complex(F))
-    return {m + s: H.twist(-m).over(n)
-            for s, H in D.nonzero_homology_series().items()}
+    rows = {n + s: H.twist(-n) for s, H in
+            D.nonzero_homology_series(-F.length, dim - n).items()}
+    if dim not in rows or n - F.length not in rows:
+        raise ArithmeticError(
+            f"Ext^q_S(M, S) vanished at q = codim or q = pd (rows {dim} and "
+            f"{n - F.length}); corrupt input")
+    return rows
 
 
 def _duality_series(M):
     """{i: HS(Ext^{n-i}_S(M, S(-n)))} over the nonzero rows, S the cover in
-    n variables, from the minimal free resolution F of M (_duality_rows).
-    By graded local duality the row i is the dual of H^i_m(M):
-    dim H^i_m(M)_j = dim Ext^{n-i}_S(M, S(-n))_{-j}.
-
-    A module killed by linear forms l_1..l_c is dualized over the smaller
-    ring: its resolution keeps F', the resolution of M' over S' in n' =
-    n - c variables with M = M' (x)_{S'} S/(l) (cmreg.resolution), and
-    Ext^{n-i}_S(M, S(-n)) = Ext^{n'-i}_{S'}(M', S'(-n')) as graded vector
-    spaces (Bruns and Herzog, Lemma 3.1.16, with graded local duality,
-    Theorem 3.6.19, on both rings).  So the rows are read off F'.
+    n variables, from the minimal free resolution F of M over S
+    (_duality_rows), read where Ext can be nonzero: from row dim M down
+    to row depth M.  By graded local duality the row i is the dual of
+    H^i_m(M): dim H^i_m(M)_j = dim Ext^{n-i}_S(M, S(-n))_{-j}.
 
     Computed once per module up to twist and presentation: the rows of
     M(t0), t0 the lowest generator twist, are kept on S under the module's
@@ -260,9 +269,8 @@ def _duality_series(M):
     t0, key = _module_key(Mc)
 
     def compute():
-        res = free_resolution(Mc)
         return {i: E.twist(-t0) for i, E in
-                _duality_rows(res.cut or res, Mc.ring.nvars).items()}
+                _duality_rows(free_resolution(Mc), Mc.dimension()).items()}
 
     rows = _cached(Mc.ring, ("duality", key), compute)
     return {i: E.twist(t0) for i, E in rows.items()}
@@ -325,10 +333,7 @@ def a_invariant(ring):
     d = M.dimension()
     if d == -inf:
         raise ValueError("the zero ring has no a-invariant")
-    E = _duality_series(M).get(d)
-    if E is None:
-        raise ArithmeticError("top local cohomology vanished; corrupt input")
-    return -E.indeg()
+    return -_duality_series(M)[d].indeg()
 
 
 # -- the route table -------------------------------------------------------

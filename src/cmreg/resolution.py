@@ -79,10 +79,8 @@ beta_{i-k,j-k}(M').  `_tensor_cut` reads F's twists in that closed
 form, and on the first read of cols assembles d(a (x) e_J) = d'a (x)
 e_J + (-1)^|a| sum_r (-1)^r l_{J_r} a (x) e_{J - J_r} in the free-chain
 layout: the entries of F' embedded in S and the +-l_k blocks, every
-level above the bottom sorted by degree (`_koszul_cols`).  F keeps F'
-as its cut, so the duality route can dualize M over S'
-(cmreg.regularity).  Complexes and resolutions over a quotient ring
-itself never split.
+level above the bottom sorted by degree (`_koszul_cols`).  Complexes and
+resolutions over a quotient ring itself never split.
 
 An empty level at or above L's top spot hi ends the loop: F is
 complete.  Over a polynomial ring that happens by level hi + the number
@@ -133,18 +131,15 @@ class FreeResolution:
     F_i, the minimal one read off the unminimized chain, and cols[i] the
     columns of d_i : F_i -> F_{i-1}, computed on their first read by
     `build`, which is then dropped.  A module's resolution starts at spot
-    0.  For a module killed by linear forms l_1..l_c, F = F' (x)
-    K(l_1..l_c) (module docstring): `cut` is F', the resolution of the
-    cut module M' over S' = k[the other variables], so c is ring.nvars -
-    cut.ring.nvars; with no cut it is None."""
+    0.  For a module killed by linear forms, F is F' (x) K(l_1..l_c), over
+    all the variables (module docstring)."""
 
-    __slots__ = ("ring", "twists", "complete", "cut", "_cols", "_build")
+    __slots__ = ("ring", "twists", "complete", "_cols", "_build")
 
-    def __init__(self, ring, twists, complete, build, cut=None):
+    def __init__(self, ring, twists, complete, build):
         self.ring = ring
         self.twists = twists
         self.complete = complete
-        self.cut = cut
         self._cols = None
         self._build = build
 
@@ -173,8 +168,7 @@ class FreeResolution:
         return FreeResolution(
             self.ring, {i: t for i, t in self.twists.items() if i <= top},
             complete and not past,
-            lambda: {i: cs for i, cs in self.cols.items() if i <= top},
-            self.cut and self.cut.truncate(max_len))
+            lambda: {i: cs for i, cs in self.cols.items() if i <= top})
 
     def module(self, i):
         return FreeModule(self.ring, self.twists.get(i, ()))
@@ -262,16 +256,15 @@ def free_resolution(obj, max_len=None):
 def _tensor_cut(ring, inner, keep, forms):
     """F = F' (x) K(l_1..l_c) for a module killed by the linear forms
     l_1..l_c, from the resolution `inner` of its cut module M' over the
-    ring on the variables keep (module docstring), which F keeps as its
-    cut: beta_{i,j}(M) = sum_k C(c, k) beta_{i-k,j-k}(M'), as far as F'
-    is exact (all of F when F' is complete), and complete when F' is."""
+    ring on the variables keep (module docstring): beta_{i,j}(M) =
+    sum_k C(c, k) beta_{i-k,j-k}(M'), as far as F' is exact (all of F
+    when F' is complete), and complete when F' is."""
     twists, c, complete = inner.twists, len(forms), inner.complete
     levels = {i: _koszul_basis(twists, c, i) for i in range(
         min(twists), max(twists) + (c if complete else 0) + 1)}
     return FreeResolution(
         ring, {i: tuple(b[0] for b in bs) for i, bs in levels.items()},
-        complete, lambda: _koszul_cols(ring, keep, forms, levels, inner.cols),
-        inner)
+        complete, lambda: _koszul_cols(ring, keep, forms, levels, inner.cols))
 
 
 def _tensored(ring, cut, keep, forms, max_len):

@@ -32,7 +32,7 @@ from .freemod import FreeModule
 from .modules import (PresentedModule, colon_by_element, kernel,
                       multiplication_map, quotient_by_element)
 from .poly import Polynomial
-from .regularity import (_duality_rows, _duality_series, depth, reg_complex,
+from .regularity import (_duality_series, depth, reg_complex,
                          reg_via_betti, reg_via_duality, reg_via_ext,
                          relative_reg)
 from .resolution import free_resolution
@@ -413,14 +413,6 @@ def _with_extra_vars(M, extra):
     return PresentedModule(R2, F2, cols2)
 
 
-def _tensored_rows(M):
-    """M's duality rows over its cover S in n variables, read off the
-    dual of F, the resolution of M over S, the tensored F' (x) K(l) of a
-    linear cut included, and kept nowhere."""
-    Mc = M.lift_to_cover()
-    return _duality_rows(free_resolution(Mc), Mc.ring.nvars)
-
-
 def check_ring_independence(M, extra_vars=1, instance="module", seed=None):
     """The Ext-route value and the local cohomology of the module do not
     depend on which polynomial ring presents it, compared over a cover
@@ -429,14 +421,12 @@ def check_ring_independence(M, extra_vars=1, instance="module", seed=None):
 
     The local cohomology is compared as its duality rows,
     {i: HS(Ext^{n-i}_S(M, S(-n)))}, which are exact in every degree: the
-    rows kept for M (cmreg.regularity), written over the n2 variables of
-    the larger cover, against rows read off Hom(F, S2(-n2)).  The larger
-    cover's module is killed by the extra variables, so its resolution
-    is F' (x) K(u) with F' over M's own variables, the F' the duality
-    route would dualize on both sides; its rows are read off the
-    tensored F instead (`_tensored_rows`), so the two sides come from two
-    Hom complexes over two rings (Rees' lemma and graded local duality,
-    Bruns and Herzog 3.1.16 and 3.6.19)."""
+    rows of M (cmreg.regularity), written over the n2 variables of the
+    larger cover, against the rows of the module over that cover, killed
+    by the extra variables u.  Each side is read off the dual of its own
+    resolution, F and F (x) K(u), so the two sides come from two
+    complexes over two rings (Rees' lemma and graded local duality, Bruns
+    and Herzog 3.1.16 and 3.6.19)."""
     if extra_vars < 1:
         raise ValueError("ring independence needs at least one extra variable")
     M2 = _with_extra_vars(M, extra_vars)
@@ -444,7 +434,7 @@ def check_ring_independence(M, extra_vars=1, instance="module", seed=None):
     e2 = reg_via_ext(M2)[0]
     n2 = M2.ring.cover.nvars
     rows1 = {i: E.over(n2) for i, E in _duality_series(M).items()}
-    rows2 = _tensored_rows(M2)
+    rows2 = _duality_series(M2)
     tables_match = rows1 == rows2
     hypothesis = _hypothesis(
         [], covers=[repr(M.ring.cover), repr(M2.ring.cover)])

@@ -26,9 +26,9 @@ spot (everything reads `nonzero_homology_series`), only
 cohomology table, the Koszul route builds no probe module and
 runs no separate hypothesis pass, Hom is the tensor with the dual
 (only the tensor builder assembles a term's basis), the duality rows
-are read off a resolution's dual by `_duality_rows` alone, and with the
-depth are computed only under their keys on the cover ring (and read
-there up to twist),
+are read off a resolution's dual over the cover by `_duality_rows`
+alone, the one reader of a spot range, and with the depth are computed
+only under their keys on the cover ring (and read there up to twist),
 the routes reach the cover through `_cover` only in the betti route,
 nothing calls `free_resolution_of_complex`, the complex layer
 presents no kernels, the dense oracle imports nothing from the Groebner,
@@ -374,8 +374,7 @@ def test_the_truncation_rule_is_kept_in_the_resolution_layer():
     assert sorted(callers("check_max_len")) == [
         ("cli.py", "_max_len_arg"), ("resolution.py", "free_resolution")]
     assert callers("_resolves") == [("resolution.py", "_read_chain")]
-    assert callers("truncate") == [("resolution.py", "truncate"),
-                                   ("resolution.py", "free_resolution")]
+    assert callers("truncate") == [("resolution.py", "free_resolution")]
     source = {name: src for name, _, src in sources()}
     takes_a_cut = sorted(
         node.name for node in ast.walk(parse(source["resolution.py"]))
@@ -467,13 +466,24 @@ def test_a_cut_module_runs_no_buchberger_over_the_smaller_ring(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(cmreg.groebner, "_buchberger", counting)
+    # the resolution F' of the cut module, which F tensors
+    inners = []
+    real_cut = cmreg.resolution._tensor_cut
+
+    def tensoring(ring, inner, *args):
+        inners.append(inner)
+        return real_cut(ring, inner, *args)
+
+    monkeypatch.setattr(cmreg.resolution, "_tensor_cut", tensoring)
     cuts = 0
     for inst in random_ideal_corpus():
         l = _random_linear_form(inst.ring, random.Random(f"{inst.name}:cut"))
         M = quotient_by_element(inst.module, l)
         runs.clear()
-        res = free_resolution(M)
-        assert res.cut is not None and res.cut.ring.nvars < M.ring.nvars
+        inners.clear()
+        free_resolution(M)
+        (inner,) = inners
+        assert inner.ring.nvars < M.ring.nvars
         assert set(runs) <= {M.ring.nvars}, inst.name
         cuts += 1
     assert cuts == 30
@@ -1057,14 +1067,13 @@ def test_duality_and_depth_are_computed_only_under_their_cover_keys():
     """Only `_duality_rows` reads a resolution into a complex, and it
     reads that complex's dual (`dual_complex`, which the ext route also
     reads for K): regularity.py builds no free module and no Hom complex,
-    and no checker dualizes through `ext_complex` into a free module.  It runs
-    only in the compute kept on the cover ring under ("duality", key) and
-    for check ring-indep's tensored F, kept nowhere
-    (`theorems._tensored_rows`).  Depth reads pd off a resolution only in
-    the compute kept there under ("depth", key), so a module met again up
-    to twist or presentation pays for neither.  The routes reach the
-    cover through `_cover` only in the betti route: run_routes and
-    reg_complex run on the object itself."""
+    and no checker dualizes through `ext_complex` into a free module.  It
+    runs only in the compute kept on the cover ring under ("duality",
+    key), so check ring-indep reads both its sides there.  Depth reads pd
+    off a resolution only in the compute kept there under ("depth", key),
+    so a module met again up to twist or presentation pays for neither.
+    The routes reach the cover through `_cover` only in the betti route:
+    run_routes and reg_complex run on the object itself."""
     source = {name: src for name, _, src in sources()}
     reg = source["regularity.py"]
     assert {func for _, func in calls(reg, "resolution_to_complex")} == {
@@ -1078,7 +1087,7 @@ def test_duality_and_depth_are_computed_only_under_their_cover_keys():
     [(lo, hi)] = cached_computes(reg, "duality")
     sites = sorted(call_sites("_duality_rows"))
     assert [(name, func) for name, _, func in sites] == [
-        ("regularity.py", "compute"), ("theorems.py", "_tensored_rows")]
+        ("regularity.py", "compute")]
     assert lo <= sites[0][1] <= hi
     [(lo, hi)] = cached_computes(reg, "depth")
     sites = [line for line, func in calls(reg, "free_resolution")
@@ -1177,6 +1186,33 @@ def test_homology_series_has_one_reader_outside_the_complex_layer():
     [source] = [src for name, _, src in sources() if name == "complexes.py"]
     assert {func for _, func in calls(source, "homology_series")} == {
         "nonzero_homology_series", "sup_homology"}
+
+
+def test_only_the_duality_rows_read_a_spot_range():
+    """Ext^q_S(M, S) can be nonzero only from q = codim M to q = pd M, so
+    `_duality_rows` alone passes `nonzero_homology_series` a spot range;
+    every other reader reads every spot.  It dualizes over the cover and
+    nowhere else: regularity.py writes no series over another ring, and
+    a resolution keeps no resolution of a cut module to dualize over a
+    smaller ring."""
+    ranged = []
+
+    def visit(node, name, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "nonzero_homology_series"
+                and (node.args or node.keywords)):
+            ranged.append((name, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, name, func)
+
+    for name, _, src in sources():
+        visit(parse(src), name, None)
+    assert ranged == [("regularity.py", "_duality_rows")]
+    [reg] = [src for name, _, src in sources() if name == "regularity.py"]
+    assert not calls(reg, "over")
+    assert "cut" not in cmreg.resolution.FreeResolution.__slots__
 
 
 def test_nothing_calls_free_resolution_of_complex():

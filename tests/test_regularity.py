@@ -8,9 +8,9 @@ import pytest
 import cmreg.modules
 import cmreg.oracle
 from cmreg import groebner
-from cmreg import (KoszulHypothesisError, PresentedModule, a_invariant,
-                   bass_table, betti_table, complex_from_module, depth,
-                   depth_profile, ext_complex, free_resolution,
+from cmreg import (BoundedComplex, KoszulHypothesisError, PresentedModule,
+                   a_invariant, bass_table, betti_table, complex_from_module,
+                   depth, depth_profile, ext_complex, free_resolution,
                    hom_complex, koszul_complex,
                    local_cohomology_table, module_from_ideal,
                    parse_session, polynomial_ring, reg_complex, reg_via_betti,
@@ -21,7 +21,7 @@ from cmreg.oracle import DenseOracle
 from cmreg.modules import colon_by_element, quotient_by_element
 from cmreg.theorems import (_random_linear_form, corpus_checks,
                             nilpotent_scroll_family, random_ideal_corpus)
-from test_resolution import cut_modules
+from test_resolution import cut_modules, recorded_tensor_cuts
 from test_sessions import SESSIONS, load, session_modules
 
 # the package exports a function named regularity, which shadows the
@@ -584,12 +584,13 @@ def test_the_checks_sweep_computes_each_duality_series_once(monkeypatch):
     assert [sorted(C.terms) for C, _ in koszul] == [[0, 1]] * 13
 
 
-# -- a cut module is dualized over the smaller ring (Rees) -----------------
+# -- the duality rows: read where Ext can be nonzero, over the cover ------
 
 def rows_over_the_cover(M):
-    """The duality rows of M off Hom(F, S(-n)), F = F' (x) K(l) the
-    tensored resolution of M's cover over all n variables: the rows as
-    computed before a linear cut was dualized over S'."""
+    """The duality rows of M off Hom(F, S(-n)) at every spot, F the
+    resolution of M's cover over all n variables (for a module killed by
+    linear forms, the tensored F' (x) K(l)): the full read, which the
+    rows `_duality_rows` reads at its bounded spots alone must equal."""
     Mc = M.lift_to_cover()
     S = Mc.ring
     n = S.nvars
@@ -598,21 +599,94 @@ def rows_over_the_cover(M):
     return {n + s: H for s, H in D.nonzero_homology_series().items()}
 
 
+def four_dense_quadrics():
+    """S/(four seeded generic quadrics) over S = k[a, b, c, d, e], a
+    complete intersection."""
+    S = polynomial_ring(["a", "b", "c", "d", "e"])
+    gens = S.gens()
+    rng = random.Random("dense-quadrics:5:4")
+    quadrics = [sum((rng.randrange(1, 32003) * u * v
+                     for k, u in enumerate(gens) for v in gens[k:]),
+                    S.constant(0)) for _ in range(4)]
+    return PresentedModule.cyclic(S, quadrics)
+
+
+def modules_past_the_corpus():
+    """(label, module) for every session module, the scroll's S/I and
+    S/(I + z) for n = 2..4 (n = 5 is left out: the full read alone costs
+    about 2 s there) and four dense quadrics in five variables."""
+    for name in sorted(os.listdir(SESSIONS)):
+        for b, M in session_modules(name):
+            yield f"{name}:{b}", M
+    for n in range(2, 5):
+        ring, minors, z = nilpotent_scroll_family(n)
+        yield f"scroll {n}", PresentedModule.cyclic(ring, minors)
+        yield f"scroll {n} + z", PresentedModule.cyclic(ring, minors + [z])
+    yield "four dense quadrics", four_dense_quadrics()
+
+
 def test_duality_rows_of_a_resolution_are_the_rows_over_the_cover():
-    # one reader turns a free resolution into rows: the tensored F over all
-    # the variables gives the reference's rows, and so does F' over S'
+    # one reader turns a free resolution into rows, at the spots -pd..dim
+    # - n of its dual alone: the full read's rows on every corpus module
+    # and section, and past the corpus
     count = 0
     for label, M in (*((inst.name, inst.module)
                        for inst in random_ideal_corpus()),
-                     *sections_of_the_corpus()):
+                     *sections_of_the_corpus(), *modules_past_the_corpus()):
         Mc = M.lift_to_cover()
-        n = Mc.ring.nvars
         res = free_resolution(Mc)
-        ref = rows_over_the_cover(M)
-        assert routes._duality_rows(res, n) == ref, label
-        assert routes._duality_rows(res.cut or res, n) == ref, label
+        assert (routes._duality_rows(res, Mc.dimension())
+                == rows_over_the_cover(M)), label
         count += 1
-    assert count == 90
+    assert count == 105
+
+
+def dropping_an_end_of_the_dual(monkeypatch, end):
+    """Drop the nonzero homology of the dual at the top (row dim) or the
+    bottom (row depth) of every spot range read."""
+    real = BoundedComplex.nonzero_homology_series
+
+    def dropped(self, lo=-inf, hi=inf):
+        out = real(self, lo, hi)
+        if (lo, hi) != (-inf, inf) and out:
+            del out[max(out) if end == "top" else min(out)]
+        return out
+
+    monkeypatch.setattr(BoundedComplex, "nonzero_homology_series", dropped)
+
+
+@pytest.mark.parametrize("end", ["top", "bottom"])
+def test_the_duality_rows_raise_when_an_end_row_is_missing(monkeypatch,
+                                                           end):
+    # Ext^q_S(M, S) is nonzero at q = codim M (Rees) and at q = pd M
+    # (Nakayama, F minimal): rows dim = 2 and depth = 1 here
+    S = polynomial_ring(["x", "y", "z"])
+    x, y, z = S.gens()
+    M = PresentedModule.cyclic(S, [x * y, x * z])
+    res = free_resolution(M)
+    assert sorted(routes._duality_rows(res, M.dimension())) == [1, 2]
+    dropping_an_end_of_the_dual(monkeypatch, end)
+    with pytest.raises(ArithmeticError, match="vanished"):
+        routes._duality_rows(res, M.dimension())
+
+
+def test_a_missing_top_row_raises_in_every_reader_of_the_rows(monkeypatch):
+    # a_invariant reads row dim as it is; the rows raise before any reader
+    # could take a missing row for a vanished one
+    def ring():
+        # a fresh cover each time: the rows are kept on it
+        S = polynomial_ring(["x", "y", "z"])
+        x, y, z = S.gens()
+        return S.quotient([x * y, x * z])
+
+    assert a_invariant(ring()) == -2
+    dropping_an_end_of_the_dual(monkeypatch, "top")
+    for read in (a_invariant,
+                 lambda R: reg_via_duality(PresentedModule.cyclic(R, [])),
+                 lambda R: local_cohomology_table(
+                     PresentedModule.cyclic(R, []))):
+        with pytest.raises(ArithmeticError, match="vanished"):
+            read(ring())
 
 
 def duality_reads(M):
@@ -631,15 +705,20 @@ def sections_of_the_corpus():
                 inst.module, _random_linear_form(inst.ring, rng)))
 
 
-def test_a_cut_module_is_dualized_over_the_smaller_ring(monkeypatch):
+def test_a_cut_module_is_dualized_over_the_cover(monkeypatch):
+    # a module killed by linear forms resolves as F' (x) K(l), F' over the
+    # other variables, and its rows are read off the dual of that F over
+    # all the variables: every reader of the rows sees the full read's
+    tensored = recorded_tensor_cuts(monkeypatch)
     count = 0
     cuts = set()
     for label, M in (*cut_modules(), *sections_of_the_corpus()):
         if M.is_zero():
             continue
+        tensored.clear()
         res = free_resolution(M.lift_to_cover())
-        assert res.cut is not None, label
-        cuts.add(res.ring.nvars - res.cut.ring.nvars)
+        (_, inner, _, _), = tensored
+        cuts.add(res.ring.nvars - inner.ring.nvars)
         got = duality_reads(M)
         with monkeypatch.context() as m:
             m.setattr(routes, "_duality_series", rows_over_the_cover)
@@ -841,13 +920,7 @@ def test_four_dense_quadrics_in_five_variables_have_the_koszul_table():
     # c general forms of degrees d_1..d_c cut out a complete intersection:
     # reg S/I = sum(d_i - 1) = 4, and the Betti table is the Koszul
     # complex's, beta_{i,2i} = C(4, i)
-    S = polynomial_ring(["a", "b", "c", "d", "e"])
-    gens = S.gens()
-    rng = random.Random("dense-quadrics:5:4")
-    quadrics = [sum((rng.randrange(1, 32003) * u * v
-                     for k, u in enumerate(gens) for v in gens[k:]),
-                    S.constant(0)) for _ in range(4)]
-    M = PresentedModule.cyclic(S, quadrics)
+    M = four_dense_quadrics()
     rep = regularity(M)
     assert rep.routes == dict.fromkeys(ROUTES, 4)
     assert betti_table(M).entries == {(i, 2 * i): comb(4, i)

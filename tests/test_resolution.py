@@ -270,20 +270,24 @@ def test_library_tor_and_ext_read_one_level_past_i():
     assert free_resolution(k, max_len=2) is k._cache["resolution"].res
 
 
-def test_a_truncation_at_the_projective_dimension_is_complete(capsys):
+def test_a_truncation_at_the_projective_dimension_is_complete(capsys,
+                                                              monkeypatch):
     # the level past the cut was dropped before it was read, so a
     # resolution cut at its own pd was flagged incomplete, with pd inf
+    tensored = recorded_tensor_cuts(monkeypatch)
     S = polynomial_ring(["x", "y"])
     M = PresentedModule.cyclic(S, [S.gens()[0]])
     res = free_resolution(M, max_len=1)
-    assert res.cut is not None  # the linear cut's path
+    assert len(tensored) == 1  # the linear cut's path
     assert res.complete and res.twists == {0: (0,), 1: (1,)}
     assert pd(M, max_len=1) == 1
     # the loop's path: R/(y) over R = k[x, y, z]/(x^2) has pd 1
     S = polynomial_ring(["x", "y", "z"])
     R = S.quotient([S.gens()[0] ** 2])
     M = PresentedModule.cyclic(R, [R.gens()[1]])
-    assert free_resolution(M, max_len=1).cut is None
+    tensored.clear()
+    free_resolution(M, max_len=1)
+    assert tensored == []
     assert regularity(M, max_len=1).relative.certified
     # Tor_1(M, N) = k(-2) on the hypersurface pair, where the cut at 1
     # withheld it as the top of a truncation
@@ -1409,24 +1413,43 @@ def test_scroll_member_matches_the_ideal_as_a_module(monkeypatch, n):
 
 # -- a module killed by linear forms: F' over the other variables (x) K(l) ---
 
+def recorded_tensor_cuts(monkeypatch):
+    """The arguments (ring, inner, keep, forms) of every `_tensor_cut`
+    call, in order: inner is F', the resolution of the cut module, that
+    F tensors with the Koszul complex of the forms."""
+    res_mod = importlib.import_module("cmreg.resolution")
+    real = res_mod._tensor_cut
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(res_mod, "_tensor_cut", recording)
+    return calls
+
+
 def recorded_cuts(monkeypatch):
     """The linear cut of every module or complex resolved by the loop,
-    None or the resolution F' of its cut module, appended as the loop
-    reaches its first cut.  The loop that resolves a cut module runs
-    inside its module's loop, and is not counted."""
+    None or the resolution F' of its cut module (the inner resolution
+    `_tensor_cut` tensors), appended as the loop reaches its first cut.
+    The loop that resolves a cut module runs inside its module's loop,
+    and is not counted."""
     res_mod = importlib.import_module("cmreg.resolution")
     real = res_mod._resolve
+    tensored = recorded_tensor_cuts(monkeypatch)
     cuts, depth = [], [0]
 
     def recording(*args):
         loop = real(*args)
         depth[0] += 1
+        seen = len(tensored)
         try:
             res = next(loop)
         finally:
             depth[0] -= 1
         if not depth[0]:
-            cuts.append(res.cut)
+            cuts.append(tensored[-1][1] if len(tensored) > seen else None)
         while True:
             res = loop.send((yield res))
 
@@ -1694,13 +1717,7 @@ def test_cols_are_the_frame_decoded(monkeypatch):
     res_mod = importlib.import_module("cmreg.resolution")
     minimal = recorded_minimal_cols(monkeypatch)
     real_cut = res_mod._tensor_cut
-    cut_args = []
-
-    def recording(*args):
-        cut_args.append(args)
-        return real_cut(*args)
-
-    monkeypatch.setattr(res_mod, "_tensor_cut", recording)
+    cut_args = recorded_tensor_cuts(monkeypatch)
     frames = cuts = 0
     for label, M in corpus_and_session_modules():
         for N in {M, M.lift_to_cover()}:
@@ -1719,11 +1736,11 @@ def test_cols_are_the_frame_decoded(monkeypatch):
                 chain_cols[i] = reference_decode(chain_cols[i])
             decoded = res_mod._minimal_cols(twists, chain_twists,
                                             chain_cols, K)
-            if res.cut is None:
+            if not cut_args:
                 assert cols == decoded, label
                 continue
-            ring, inner, keep, forms = cut_args[-1]
-            assert inner is res.cut and inner.cols == decoded, label
+            (ring, inner, keep, forms), = cut_args
+            assert inner.cols == decoded, label
             F = res_mod.FreeResolution(inner.ring, inner.twists,
                                        inner.complete, lambda: decoded)
             assert cols == real_cut(ring, F, keep, forms).cols, label
@@ -1747,13 +1764,15 @@ def test_rank_betti_numbers_equal_the_minimized_twists(monkeypatch, field,
     # the twists the loop reads off its chain: F's, or F''s over the other
     # variables when a linear cut splits the module
     chains = recorded_chains(monkeypatch)
+    tensored = recorded_tensor_cuts(monkeypatch)
     units = 0
     for label, M in corpus_and_session_modules():
         M = over_field(M, FIELDS[field])
         chains.clear()
+        tensored.clear()
         res = free_resolution(M, max_len=max_len)
         (twists, cols, ring), = chains
-        loop = res.cut or res
+        loop = tensored[-1][1] if tensored else res
         complete = loop.complete
         ref = minimized_twists(twists, cols, ring.field)
         units += sum(map(len, twists.values())) - sum(map(len, ref.values()))

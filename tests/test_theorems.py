@@ -201,14 +201,18 @@ def test_ring_independence_raises_when_only_the_tables_differ(S3,
                                                               monkeypatch):
     x, y, z = S3.gens()
     M = PresentedModule.cyclic(S3, [x * y, x * z])
-    rows = theorems._tensored_rows
+    rows = theorems._duality_series
 
     def second_differs(module):
-        # the larger cover's rows, read off the tensored resolution, each
-        # moved one degree: same row support, other entries
-        return {i: E.twist(1) for i, E in rows(module).items()}
+        # the larger cover's rows, read off the dual of its own
+        # resolution, each moved one degree: same row support, other
+        # entries; M's own rows as they are
+        out = rows(module)
+        if module.ring.cover.nvars == S3.nvars:
+            return out
+        return {i: E.twist(1) for i, E in out.items()}
 
-    monkeypatch.setattr(theorems, "_tensored_rows", second_differs)
+    monkeypatch.setattr(theorems, "_duality_series", second_differs)
     with pytest.raises(TheoremContradiction) as e:
         check_ring_independence(M, instance="mod", seed=1)
     assert e.value.outcome.as_dict() == {
@@ -230,15 +234,18 @@ def test_ring_independence_sees_a_fault_below_any_window(S3, monkeypatch):
     x, y, z = S3.gens()
     M = PresentedModule.cyclic(S3, [x * y, x * z])
     assert check_ring_independence(M).verdict == "equality"
-    rows = theorems._duality_rows
+    rows = theorems._duality_series
 
-    def one_more(F, n):
-        out = rows(F, n)
+    def one_more(module):
+        out = rows(module)
+        n = module.ring.cover.nvars
+        if n == S3.nvars:
+            return out
         # dim H^2_m(M)_j is the coefficient of t^(-j) in row 2
         out[2] = out[2].add(HilbertSeries({18: 1}, 0).over(n))
         return out
 
-    monkeypatch.setattr(theorems, "_duality_rows", one_more)
+    monkeypatch.setattr(theorems, "_duality_series", one_more)
     with pytest.raises(TheoremContradiction) as e:
         check_ring_independence(M, extra_vars=1)
     assert e.value.outcome.invariants == {
